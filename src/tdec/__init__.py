@@ -8,14 +8,10 @@ decomposition off joint eigenvectors of the multiplication operators.
 from .algebra import (
     Monomial,
     MomentFunctional,
-    ParamExpr,
     Point,
     Polynomial,
     Shape,
-    apolar_pairing,
-    evaluate_poly,
     evaluation_functional,
-    star_action,
 )
 from .decompose import (
     DecomposeOptions,
@@ -48,9 +44,7 @@ from .extension import (
     ExtensionResult,
     commutator_residual,
     flat_extension_check,
-    known_column_relations,
     propagate_commutation,
-    rank_factor_check,
 )
 from .moment import (
     HankelMatrix,
@@ -61,7 +55,6 @@ from .moment import (
     functional_to_tensor,
     hankel,
     select_bases,
-    shifted_hankel,
 )
 
 __version__ = "0.1.0"

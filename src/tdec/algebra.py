@@ -7,9 +7,8 @@ total degree at most ``d_g``.  The homogenizing variable of each group is
 implicit (set to 1).
 
 The dual side is represented by ``MomentFunctional``: a partial map from
-monomials to values.  Values may be plain scalars or affine expressions in
-named parameters (``ParamExpr``), which is how not-yet-determined moments
-propagate through linear operations.
+monomials to numbers.  A monomial without an entry has an unknown moment;
+moment completion solves for such moments as plain linear unknowns.
 """
 
 from __future__ import annotations
@@ -27,10 +26,6 @@ class ShapeMismatchError(ValueError):
 
 class DegreeOverflowError(ValueError):
     pass
-
-
-class UnknownProductError(ArithmeticError):
-    """Raised when an operation would multiply two unknown parameters."""
 
 
 @dataclass(frozen=True)
@@ -187,11 +182,6 @@ class Monomial:
         return Monomial(tuple(tuple(e) for e in exps))
 
 
-def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
-    """Componentwise exponent sum."""
-    return a * b
-
-
 def multinomial(degree: int, alpha: Iterable[int]) -> int:
     """degree! / (alpha_1! ... alpha_n! (degree - |alpha|)!), exact."""
     alpha = tuple(alpha)
@@ -307,71 +297,10 @@ class Polynomial:
         return " + ".join(f"{c}*{m}" for m, c in items)
 
 
-class ParamExpr:
-    """Affine expression ``const + sum coeff_p * p`` in named parameters.
-
-    Parameters are identified by the unknown monomial they stand for, which
-    makes parameter sharing across quasi-Hankel entries automatic.  Products
-    of two expressions with parameters are refused: everything downstream of
-    the algebra layer is kept linear in the unknowns.
-    """
-
-    __slots__ = ("const", "coeffs")
-
-    def __init__(self, const: complex = 0.0, coeffs: dict | None = None):
-        self.const = const
-        self.coeffs = {p: c for p, c in (coeffs or {}).items() if c != 0}
-
-    @staticmethod
-    def parameter(pid) -> "ParamExpr":
-        return ParamExpr(0.0, {pid: 1.0})
-
-    def is_const(self) -> bool:
-        return not self.coeffs
-
-    def __add__(self, other):
-        if not isinstance(other, ParamExpr):
-            return ParamExpr(self.const + other, dict(self.coeffs))
-        coeffs = dict(self.coeffs)
-        for p, c in other.coeffs.items():
-            coeffs[p] = coeffs.get(p, 0) + c
-        return ParamExpr(self.const + other.const, coeffs)
-
-    __radd__ = __add__
-
-    def __mul__(self, scalar):
-        if isinstance(scalar, ParamExpr):
-            if self.is_const():
-                return scalar * self.const
-            if scalar.is_const():
-                return self * scalar.const
-            raise UnknownProductError("product of two unknown expressions")
-        return ParamExpr(
-            self.const * scalar, {p: c * scalar for p, c in self.coeffs.items()}
-        )
-
-    __rmul__ = __mul__
-
-    def __sub__(self, other):
-        return self + (-1) * other
-
-    def __repr__(self):
-        parts = [f"{self.const}"] + [f"{c}*h[{p}]" for p, c in self.coeffs.items()]
-        return " + ".join(parts)
-
-
-def as_value(x):
-    """Collapse a constant ParamExpr to its scalar."""
-    if isinstance(x, ParamExpr) and x.is_const():
-        return x.const
-    return x
-
-
 class MomentFunctional:
-    """Partial linear form on the monomials: monomial -> scalar or ParamExpr.
+    """Partial linear form on the monomials: monomial -> number.
 
-    Monomials absent from ``entries`` are unknown; ``value(m)`` materializes
-    them as fresh parameters named by the monomial itself.
+    Monomials absent from ``entries`` have unknown moments.
     """
 
     __slots__ = ("shape", "entries")
@@ -381,65 +310,24 @@ class MomentFunctional:
         self.entries = dict(entries or {})
 
     def known(self, m: Monomial) -> bool:
-        v = self.entries.get(m)
-        return v is not None and not isinstance(v, ParamExpr)
-
-    def value(self, m: Monomial):
-        """Value at a monomial; unknown entries become parameters."""
-        v = self.entries.get(m)
-        if v is None:
-            return ParamExpr.parameter(m)
-        return v
+        return m in self.entries
 
     def known_value(self, m: Monomial) -> complex:
-        if not self.known(m):
+        if m not in self.entries:
             raise KeyError(f"moment of {m} is unknown")
         return self.entries[m]
 
     def set(self, m: Monomial, value) -> None:
         self.entries[m] = value
 
-    def apply(self, p: Polynomial):
-        """Evaluate the functional on a polynomial (linear extension)."""
-        total = 0.0
-        for m, c in p.terms.items():
-            total = total + c * self.value(m)
-        return as_value(total)
-
     def is_real(self, tol: float = 1e-12) -> bool:
-        return all(
-            abs(complex(v).imag) <= tol
-            for v in self.entries.values()
-            if not isinstance(v, ParamExpr)
-        )
+        return all(abs(complex(v).imag) <= tol for v in self.entries.values())
 
     def uses_complex(self) -> bool:
-        return any(
-            isinstance(v, complex)
-            for v in self.entries.values()
-            if not isinstance(v, ParamExpr)
-        )
+        return any(isinstance(v, complex) for v in self.entries.values())
 
     def copy(self) -> "MomentFunctional":
         return MomentFunctional(self.shape, dict(self.entries))
-
-
-def star_action(
-    p: Polynomial, lam: MomentFunctional, domain: list[Monomial]
-) -> MomentFunctional:
-    """The module action p * lam: q -> lam(p q), on the requested domain.
-
-    Unknown moments propagate as affine parameter expressions.
-    """
-    if p.shape != lam.shape:
-        raise ShapeMismatchError("polynomial and functional shapes differ")
-    out: dict[Monomial, object] = {}
-    for q in domain:
-        total = 0.0
-        for m, c in p.terms.items():
-            total = total + c * lam.value(m * q)
-        out[q] = as_value(total)
-    return MomentFunctional(lam.shape, out)
 
 
 def evaluation_functional(
@@ -464,27 +352,3 @@ def weighted_evaluation(
             w * z.eval_monomial(m) for w, z in zip(weights, points)
         )
     return MomentFunctional(shape, entries)
-
-
-def apolar_pairing(f: Polynomial, g: Polynomial) -> complex:
-    """sum_a f_a g_a C(d_1,a_1)...C(d_k,a_k) over the shared shape."""
-    if f.shape != g.shape:
-        raise ShapeMismatchError("polynomial shapes differ")
-    shape = f.shape
-    for p in (f, g):
-        for m in p.terms:
-            if not m.within(shape):
-                raise DegreeOverflowError(f"{m} exceeds degrees {shape.degrees}")
-    total = 0.0
-    for m, c in f.terms.items():
-        cg = g.terms.get(m)
-        if cg is not None:
-            total += c * cg * monomial_multinomial(shape, m)
-    return total
-
-
-def evaluate_poly(p: Polynomial, zeta: Point) -> complex:
-    """Plain evaluation with the homogenizing coordinates set to 1."""
-    if tuple(len(c) for c in zeta.coords) != p.shape.dims:
-        raise ShapeMismatchError("point does not match polynomial shape")
-    return sum(c * zeta.eval_monomial(m) for m, c in p.terms.items())

@@ -3,7 +3,7 @@
 Exit codes: 0 success, 1 input/format errors, 2 no decomposition found,
 3 verification above threshold.  Structured results go to ``-o`` files;
 stdout carries a human-readable summary and stderr the diagnostics.
-Set TDEC_LOG=info|debug to trace the rank loop.
+Set TDEC_LOG=info|debug to trace the decomposition attempts.
 """
 
 from __future__ import annotations

@@ -1,19 +1,20 @@
-"""Rank bounds, HOSVD reduction and the main decomposition loop.
+"""Rank bounds, HOSVD reduction and the main decomposition attempt.
 
-The loop tries each candidate rank from the flattening lower bound upward.
-At a given rank it walks the deterministic basis candidates, completes the
-moments by commutation propagation, checks flatness, computes joint
-eigenvectors of the multiplication family, reads/recovers coordinates,
-solves for weights and accepts on a small reconstruction residual.  On
-failure it retries under a random (seeded, invertible) change of coordinates
-per group before moving to the next rank.
+The only rank tried is the flattening lower bound: no fully known
+invertible moment block is larger, in any frame.  At that rank the attempt
+walks the deterministic basis candidates, completes the moments by
+commutation propagation, checks flatness, computes joint eigenvectors of the
+multiplication family, reads/recovers coordinates, solves for weights and
+accepts on a small reconstruction residual.  On failure it retries under a
+random (seeded, invertible) change of coordinates per group, and finally
+raises with the last failure.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -40,6 +41,9 @@ from .moment import (
 
 log = logging.getLogger("tdec")
 
+MAX_COORD_CHANGES = 3
+MAX_BASIS_CANDIDATES = 4
+
 
 class UnsupportedShapeError(ValueError):
     pass
@@ -62,9 +66,6 @@ class DecomposeOptions:
     tol_resid: float = 1e-6
     seed: int = 0
     reduce: bool = False
-    max_coord_changes: int = 3
-    max_basis_candidates: int = 4
-    hosvd_iters: int = 2
 
 
 @dataclass
@@ -383,7 +384,7 @@ def _attempt_rank(T: Polynomial, lam, r: int, opts: DecomposeOptions, seed: int)
     count = 0
     for B, Bp in select_bases_candidates(lam, r, opts.tol_rank):
         count += 1
-        if count > opts.max_basis_candidates:
+        if count > MAX_BASIS_CANDIDATES:
             break
         ext = propagate_commutation(lam, B, Bp, tol=max(opts.tol_resid, 1e-8))
         log.info(
@@ -460,8 +461,9 @@ def _attempt_rank(T: Polynomial, lam, r: int, opts: DecomposeOptions, seed: int)
 def decompose(T: Polynomial, opts: DecomposeOptions | None = None) -> Decomposition:
     """Minimal rank-one decomposition of a multi-graded tensor.
 
-    Raises DecompositionError with a report when no rank up to the cap
-    produces simple roots and a small reconstruction residual.
+    Raises DecompositionError with the last failure when no attempt at the
+    flattening rank produces simple roots and a small reconstruction
+    residual.
     """
     opts = opts or DecomposeOptions()
     shape = T.shape
@@ -483,51 +485,41 @@ def decompose(T: Polynomial, opts: DecomposeOptions | None = None) -> Decomposit
             report={"lower": lower, "max_rank": max_rank},
         )
 
+    # split ranks are invariant under per-group changes of coordinates, so
+    # no fully known invertible block larger than `lower` exists in any frame
+    r = lower
     best_residual = float("inf")
     report = {}
-    for r in range(lower, max_rank + 1):
-        if r > lower:
-            # split ranks are invariant under per-group changes of
-            # coordinates, so no fully known invertible block of a larger
-            # size can exist in any frame
-            report = {
-                "rank": r,
-                "stage": "bases",
-                "detail": "rank exceeds every fully known moment block",
-            }
-            break
-        for change in range(opts.max_coord_changes + 1):
-            if change == 0:
-                work, mats = T, None
+    for change in range(MAX_COORD_CHANGES + 1):
+        if change == 0:
+            work, mats = T, None
+        else:
+            mats = random_coordinate_change(shape, rng)
+            work = substitute_linear(T, mats)
+        work_lam = lam if change == 0 else build_moment_functional(work)
+        out = _attempt_rank(work, work_lam, r, opts, seed=opts.seed + change)
+        if isinstance(out, Decomposition):
+            if mats is not None:
+                out = _undo_coordinate_change(out, mats, T)
+                if out is None:
+                    continue
             else:
-                mats = random_coordinate_change(shape, rng)
-                work = substitute_linear(T, mats)
-            work_lam = lam if change == 0 else build_moment_functional(work)
-            out = _attempt_rank(
-                work, work_lam, r, opts, seed=opts.seed + change
+                out = _realify(out, T)
+            out.meta.update(
+                rank=r,
+                seed=opts.seed,
+                coordinate_change_applied=mats is not None,
             )
-            if isinstance(out, Decomposition):
-                if mats is not None:
-                    out = _undo_coordinate_change(out, mats, T)
-                    if out is None:
-                        continue
-                else:
-                    out = _realify(out, T)
-                out.meta.update(
-                    rank=r,
-                    seed=opts.seed,
-                    coordinate_change_applied=mats is not None,
-                )
-                log.info("accepted r=%d residual %.2e", r, out.residual)
-                return out
-            if "residual" in out:
-                best_residual = min(best_residual, out["residual"])
-            report = out
-            log.info("r=%d attempt %d failed: %s", r, change, out)
+            log.info("accepted r=%d residual %.2e", r, out.residual)
+            return out
+        if "residual" in out:
+            best_residual = min(best_residual, out["residual"])
+        report = out
+        log.info("r=%d attempt %d failed: %s", r, change, out)
     raise DecompositionError(
-        f"no decomposition up to rank {max_rank}"
+        f"no decomposition at rank {r}"
         + (f"; best residual {best_residual:.2e}" if best_residual < float("inf") else ""),
-        report={**report, "best_residual": best_residual, "max_rank": max_rank},
+        report={**report, "best_residual": best_residual},
     )
 
 
@@ -588,12 +580,12 @@ def _decompose_reduced(T: Polynomial, opts: DecomposeOptions) -> Decomposition:
     ranks = multilinear_rank(T, opts.tol_rank)
     full = [n + 1 for n in T.shape.dims]
     target = [max(2, min(r, f)) for r, f in zip(ranks, full)]
-    inner_opts = DecomposeOptions(**{**opts.__dict__, "reduce": False})
+    inner_opts = replace(opts, reduce=False)
     if target == full:
         dec = decompose(T, inner_opts)
         dec.meta["reduced"] = False
         return dec
-    core, factors, err = hosvd_reduce(T, target, opts.hosvd_iters)
+    core, factors, err = hosvd_reduce(T, target)
     log.info("reduced %s -> %s (compression error %.2e)", full, target, err)
     core_dec = decompose(core, inner_opts)
     out = map_back(core_dec, factors, original=T)

@@ -25,7 +25,6 @@ from .moment import (
     enumerate_monomials,
     hankel,
     numerical_rank,
-    shifted_hankel,
 )
 
 log = logging.getLogger("tdec")
@@ -50,7 +49,8 @@ def multiplication_matrix(
 ) -> np.ndarray:
     """Table of multiplication by x_var on the basis B, via the row basis B'."""
     H = hankel(lam, Bp, B)
-    Hs = shifted_hankel(lam, var, Bp, B)
+    v = lam.shape.variable(*var)
+    Hs = hankel(lam, [v * q for q in Bp], B)
     if not (H.fully_known and Hs.fully_known):
         raise UnresolvedParameterError("shifted moments are unresolved")
     Hn = H.numeric()
@@ -243,15 +243,14 @@ def recover_missing_coordinates(
         [list(c) for c in p.coords] for p in roots.points
     ]
     for (g, j) in missing:
-        v = shape.variable(g, j)
-        rows = [i for i, b in enumerate(B) if lam.known(b * v)]
-        if len(rows) < r or numerical_rank(H_BB[rows]) < r:
+        shifted = hankel(lam, B, [shape.variable(g, j)])
+        if not shifted.fully_known or numerical_rank(H_BB) < r:
             raise CoordinateRecoveryError(
                 f"not enough known moments to recover {shape.var_name(g, j)}"
             )
-        col = np.array([lam.known_value(B[i] * v) for i in rows])
-        sol, *_ = np.linalg.lstsq(H_BB[rows], col, rcond=None)
-        if np.linalg.norm(H_BB[rows] @ sol - col) > 1e-6 * max(
+        col = shifted.values[:, 0]
+        sol, *_ = np.linalg.lstsq(H_BB, col, rcond=None)
+        if np.linalg.norm(H_BB @ sol - col) > 1e-6 * max(
             1.0, np.linalg.norm(col)
         ):
             raise CoordinateRecoveryError(

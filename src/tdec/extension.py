@@ -27,7 +27,6 @@ import numpy as np
 
 from .algebra import Monomial, MomentFunctional, Shape
 from .moment import (
-    HankelMatrix,
     MonomialBasis,
     UnresolvedParameterError,
     basis_plus,
@@ -44,10 +43,6 @@ _NULLSPACE_TOL = 1e-7
 
 
 class SingularBlockError(RuntimeError):
-    pass
-
-
-class UnknownColumnError(RuntimeError):
     pass
 
 
@@ -68,9 +63,6 @@ class ExtensionResult:
     functional: MomentFunctional | None
     relations: list[BorderRelation]
     commutator_residual: float
-    basis: MonomialBasis
-    dual_basis: MonomialBasis
-    resolved_vars: list[tuple[int, int]]
     diagnostics: dict = field(default_factory=dict)
 
     @property
@@ -94,36 +86,6 @@ def commutator_residual(mats: list[np.ndarray]) -> float:
             den = max(1.0, np.linalg.norm(a) * np.linalg.norm(b))
             worst = max(worst, num / den)
     return worst
-
-
-def known_column_relations(
-    lam: MomentFunctional,
-    B: MonomialBasis,
-    Bp: MonomialBasis,
-    targets: list[Monomial],
-) -> list[BorderRelation]:
-    """Relations m = sum tail_j b_j from fully known columns lam(b' * m)."""
-    H = hankel(lam, Bp, B)
-    if not H.fully_known:
-        raise UnresolvedParameterError("base block has unknown entries")
-    Hn = H.numeric()
-    if numerical_rank(Hn) < len(B):
-        raise SingularBlockError("base block is singular")
-    out = []
-    inside = {m: i for i, m in enumerate(B)}
-    for m in targets:
-        if m in inside:
-            tail = np.zeros(len(B), dtype=Hn.dtype)
-            tail[inside[m]] = 1.0
-            out.append(BorderRelation(m, tail))
-            continue
-        col = np.zeros(len(Bp), dtype=Hn.dtype)
-        for i, q in enumerate(Bp):
-            if not lam.known(q * m):
-                raise UnknownColumnError(f"column of {m} has unknown entries")
-            col[i] = lam.known_value(q * m)
-        out.append(BorderRelation(m, np.linalg.solve(Hn, col)))
-    return out
 
 
 class _LinearSystem:
@@ -169,7 +131,7 @@ class _Propagator:
         if numerical_rank(self.H) < self.r:
             raise SingularBlockError("base block is singular")
         self.index_in_B = {m: i for i, m in enumerate(B)}
-        self.targets = [m for m in border(B)]
+        self.targets = border(B)
         if rng is not None:
             order = rng.permutation(len(self.targets))
             self.targets = [self.targets[i] for i in order]
@@ -177,21 +139,15 @@ class _Propagator:
         # any monomial whose products with B are known yields valid
         # constraints; scan the whole known range plus the prolonged rows
         in_range = enumerate_monomials(self.shape, list(self.shape.degrees))
-        extra = [q for q in basis_plus(Bp) if q not in set(in_range)]
+        in_range_set = set(in_range)
+        extra = [q for q in basis_plus(Bp) if q not in in_range_set]
         self.row_pool = in_range + extra
-        self.bp_set = set(Bp)
-        self.row_known = {}
-        for q in self.row_pool:
-            vals = []
-            for b in B:
-                mm = q * b
-                if not lam.known(mm):
-                    vals = None
-                    break
-                vals.append(lam.known_value(mm))
-            self.row_known[q] = (
-                None if vals is None else np.asarray(vals, dtype=self.dtype)
-            )
+        rows = hankel(lam, self.row_pool, B)
+        full = rows.known.all(axis=1)
+        self.row_known = {
+            q: rows.values[i] if full[i] else None
+            for i, q in enumerate(self.row_pool)
+        }
         self.inconsistency = 0.0
 
     # --- reductions -----------------------------------------------------
@@ -324,16 +280,11 @@ class _Propagator:
     # --- main loop --------------------------------------------------------
 
     def resolve_direct(self):
-        for m in self.targets:
-            col = np.zeros(len(self.Bp), dtype=self.dtype)
-            ok = True
-            for i, q in enumerate(self.Bp):
-                if not self.lam.known(q * m):
-                    ok = False
-                    break
-                col[i] = self.lam.known_value(q * m)
-            if ok:
-                self.resolved[m] = np.linalg.solve(self.H, col)
+        cols = hankel(self.lam, self.Bp, self.targets)
+        for j in np.flatnonzero(cols.known.all(axis=0)):
+            self.resolved[self.targets[j]] = np.linalg.solve(
+                self.H, cols.values[:, j]
+            )
 
     def run(self):
         self.resolve_direct()
@@ -450,13 +401,12 @@ def propagate_commutation(
     dtype = prop.dtype
 
     tables = multiplication_tables(lam.shape, B, prop.resolved, dtype)
-    resolved_vars = sorted(tables)
     relations = [
         BorderRelation(m, prop.resolved[m])
         for m in sorted(prop.resolved, key=lambda t: t.sort_key())
     ]
 
-    commute = commutator_residual([tables[v] for v in resolved_vars])
+    commute = commutator_residual([tables[v] for v in sorted(tables)])
     if status == "extended" and commute > max(tol, 1e-8):
         status = "inconsistent"
 
@@ -496,9 +446,6 @@ def propagate_commutation(
         functional=completed,
         relations=relations,
         commutator_residual=commute,
-        basis=B,
-        dual_basis=Bp,
-        resolved_vars=resolved_vars,
         diagnostics=diagnostics,
     )
 
@@ -518,32 +465,3 @@ def flat_extension_check(
         numerical_rank(base, tol) == len(B)
         and numerical_rank(Hn, tol) == len(B)
     )
-
-
-def bordered_basis(B: MonomialBasis) -> MonomialBasis:
-    """B+ listed with B first, then the border in canonical order."""
-    return MonomialBasis(B.shape, tuple(B.monomials) + tuple(border(B)))
-
-
-def rank_factor_check(Hplus: HankelMatrix, r: int, tol: float) -> bool:
-    """Factor test on a bordered matrix [[H, G'], [G^t, J]] with H = r x r.
-
-    Solves the two border blocks through H and accepts when both solves fit
-    and the corner block matches W^t H W'.
-    """
-    A = Hplus.numeric()
-    H = A[:r, :r]
-    if numerical_rank(H) < r:
-        raise SingularBlockError("leading block is singular")
-    Gp = A[:r, r:]
-    Gt = A[r:, :r]
-    J = A[r:, r:]
-    if J.size == 0:
-        return True
-    Wp, *_ = np.linalg.lstsq(H, Gp, rcond=None)
-    W, *_ = np.linalg.lstsq(H.T, Gt.T, rcond=None)
-    res_p = np.linalg.norm(H @ Wp - Gp) / max(1.0, np.linalg.norm(Gp))
-    res_w = np.linalg.norm(H.T @ W - Gt.T) / max(1.0, np.linalg.norm(Gt))
-    corner = np.linalg.norm(J - W.T @ H @ Wp)
-    denom = np.linalg.norm(J) if np.linalg.norm(J) > 0 else 1.0
-    return res_p <= tol and res_w <= tol and corner <= tol * denom

@@ -3,8 +3,9 @@
 The central objects are the truncated moment functional of a tensor (its
 coefficients divided by the matching multinomials) and the matrices
 ``H[i, j] = lam(rows[i] * cols[j])`` indexed by two monomial bases connected
-to 1.  Entries whose monomial leaves the known multi-degree range are kept
-as shared parameters, one per distinct monomial.
+to 1.  Every such matrix comes from ``hankel``: rows and columns may be any
+monomial sequences, and entries whose product monomial has no known moment
+are flagged in a mask (and read 0).
 """
 
 from __future__ import annotations
@@ -18,15 +19,13 @@ from .algebra import (
     DegreeOverflowError,
     Monomial,
     MomentFunctional,
-    ParamExpr,
     Polynomial,
     Shape,
-    ShapeMismatchError,
     monomial_multinomial,
 )
 
 DEFAULT_TOL_RANK = 1e-8
-DEFAULT_MAX_COND = 1e10
+MAX_COND = 1e10
 
 
 class NoInvertibleBlockError(RuntimeError):
@@ -127,35 +126,34 @@ def functional_to_tensor(lam: MomentFunctional, shape: Shape) -> Polynomial:
     terms = {}
     for m in enumerate_monomials(shape, list(shape.degrees)):
         v = lam.entries.get(m)
-        if v is None or isinstance(v, ParamExpr):
+        if v is None:
             raise UnresolvedParameterError(f"moment of {m} is unresolved")
         terms[m] = v * monomial_multinomial(shape, m)
     return Polynomial(shape, terms)
 
 
 class HankelMatrix:
-    """Matrix lam(rows[i] * cols[j]) with per-entry known/parametric flags."""
+    """Matrix lam(rows[i] * cols[j]) with a per-entry known mask.
 
-    def __init__(self, lam: MomentFunctional, rows: MonomialBasis, cols: MonomialBasis):
-        if lam.shape != rows.shape or lam.shape != cols.shape:
-            raise ShapeMismatchError("functional and bases shapes differ")
+    Rows and columns are any monomial sequences; an entry without a known
+    moment reads 0 and is False in ``known``.
+    """
+
+    def __init__(self, lam: MomentFunctional, rows, cols):
         self.rows = rows
         self.cols = cols
         dtype = complex if lam.uses_complex() else float
         values = np.zeros((len(rows), len(cols)), dtype=dtype)
         known = np.zeros((len(rows), len(cols)), dtype=bool)
-        exprs: dict[tuple[int, int], ParamExpr] = {}
+        entries = lam.entries
         for i, mr in enumerate(rows):
             for j, mc in enumerate(cols):
-                v = lam.value(mr * mc)
-                if isinstance(v, ParamExpr):
-                    exprs[(i, j)] = v
-                else:
+                v = entries.get(mr * mc)
+                if v is not None:
                     values[i, j] = v
                     known[i, j] = True
         self.values = values
         self.known = known
-        self.exprs = exprs
 
     @property
     def fully_known(self) -> bool:
@@ -163,45 +161,16 @@ class HankelMatrix:
 
     def numeric(self) -> np.ndarray:
         if not self.fully_known:
-            raise UnresolvedParameterError("matrix has parametric entries")
+            raise UnresolvedParameterError("matrix has unknown entries")
         return self.values
-
-    def entry(self, i: int, j: int):
-        return self.exprs.get((i, j), self.values[i, j])
 
     @property
     def shape(self):
         return self.values.shape
 
 
-def hankel(lam: MomentFunctional, rows: MonomialBasis, cols: MonomialBasis) -> HankelMatrix:
+def hankel(lam: MomentFunctional, rows, cols) -> HankelMatrix:
     return HankelMatrix(lam, rows, cols)
-
-
-def shifted_hankel(
-    lam: MomentFunctional,
-    var: tuple[int, int],
-    rows: MonomialBasis,
-    cols: MonomialBasis,
-) -> HankelMatrix:
-    """Matrix of the shifted form: entry (i, j) = lam(x_var * rows[i] * cols[j])."""
-    v = lam.shape.variable(*var)
-    out = object.__new__(HankelMatrix)
-    out.rows = rows
-    out.cols = cols
-    dtype = complex if lam.uses_complex() else float
-    out.values = np.zeros((len(rows), len(cols)), dtype=dtype)
-    out.known = np.zeros((len(rows), len(cols)), dtype=bool)
-    out.exprs = {}
-    for i, mr in enumerate(rows):
-        for j, mc in enumerate(cols):
-            val = lam.value(v * mr * mc)
-            if isinstance(val, ParamExpr):
-                out.exprs[(i, j)] = val
-            else:
-                out.values[i, j] = val
-                out.known[i, j] = True
-    return out
 
 
 def numerical_rank(A: np.ndarray, tol_rank: float = DEFAULT_TOL_RANK) -> int:
@@ -244,12 +213,7 @@ def catalecticant(
     """The full moment matrix between two degree-bounded monomial pools."""
     rows = enumerate_monomials(lam.shape, list(row_bounds))
     cols = enumerate_monomials(lam.shape, list(col_bounds))
-    dtype = complex if lam.uses_complex() else float
-    A = np.zeros((len(rows), len(cols)), dtype=dtype)
-    for i, mr in enumerate(rows):
-        for j, mc in enumerate(cols):
-            A[i, j] = lam.known_value(mr * mc)
-    return A, rows, cols
+    return hankel(lam, rows, cols).numeric(), rows, cols
 
 
 def _greedy_staircase(
@@ -285,7 +249,6 @@ def select_bases_candidates(
     lam: MomentFunctional,
     r: int,
     tol_rank: float = DEFAULT_TOL_RANK,
-    max_cond: float = DEFAULT_MAX_COND,
 ):
     """Yield candidate basis pairs (B columns, B' rows) of size r, each with
     a fully known, invertible, well conditioned block lam(b' * b).
@@ -313,7 +276,7 @@ def select_bases_candidates(
         if row_sel is None:
             continue
         block = A[np.ix_(row_sel, col_sel)]
-        if numerical_rank(block, tol_rank) < r or np.linalg.cond(block) > max_cond:
+        if numerical_rank(block, tol_rank) < r or np.linalg.cond(block) > MAX_COND:
             continue
         B = MonomialBasis(shape, tuple(cols[i] for i in col_sel))
         Bp = MonomialBasis(shape, tuple(rows[i] for i in row_sel))
@@ -324,23 +287,11 @@ def select_bases(
     lam: MomentFunctional,
     r: int,
     tol_rank: float = DEFAULT_TOL_RANK,
-    max_cond: float = DEFAULT_MAX_COND,
 ) -> tuple[MonomialBasis, MonomialBasis]:
     """First candidate basis pair; NoInvertibleBlockError when none exists."""
-    for B, Bp in select_bases_candidates(lam, r, tol_rank, max_cond):
+    for B, Bp in select_bases_candidates(lam, r, tol_rank):
         return B, Bp
     raise NoInvertibleBlockError(
         f"no fully known invertible {r} x {r} moment block; "
         "a random change of coordinates may help"
     )
-
-
-def flattening_ranks(
-    lam: MomentFunctional, tol_rank: float = DEFAULT_TOL_RANK
-) -> dict[tuple[int, ...], int]:
-    """Numerical rank of every degree-split moment matrix."""
-    out = {}
-    for col_bounds, row_bounds in degree_splits(lam.shape):
-        A, _, _ = catalecticant(lam, row_bounds, col_bounds)
-        out[col_bounds] = numerical_rank(A, tol_rank)
-    return out

@@ -271,8 +271,20 @@ class TestDecompose:
         rng = np.random.default_rng(11)
         shape, ws, pts, T = random_instance(rng, (2, 2), (2, 2), 6)
         with pytest.raises(DecompositionError) as info:
-            decompose(T, DecomposeOptions(max_rank=6, max_coord_changes=1))
+            decompose(T, DecomposeOptions(max_rank=6))
         assert info.value.report
+
+    def test_failure_report_names_real_failure(self):
+        # the default rank cap (18 here) is never reached: the one rank tried
+        # is the flattening rank, and the report carries its last failure
+        rng = np.random.default_rng(11)
+        shape, ws, pts, T = random_instance(rng, (2, 2), (2, 2), 6)
+        with pytest.raises(DecompositionError) as info:
+            decompose(T)
+        report = info.value.report
+        assert report["stage"] == "family"
+        assert report["rank"] == 6
+        assert "rank 6" in str(info.value) and "18" not in str(info.value)
 
     def test_reduce_path(self):
         # embed a low-multilinear-rank tensor in a larger format

@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,23 @@ from tdec.files import (
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def assert_same_output(got, want, path="$"):
+    """Integers, strings and structure exactly; floats to rel 1e-9."""
+    if isinstance(want, float):
+        assert isinstance(got, float), path
+        assert math.isclose(got, want, rel_tol=1e-9, abs_tol=1e-12), (path, got, want)
+    elif isinstance(want, dict):
+        assert isinstance(got, dict) and sorted(got) == sorted(want), path
+        for key in want:
+            assert_same_output(got[key], want[key], f"{path}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), path
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_same_output(g, w, f"{path}[{i}]")
+    else:
+        assert type(got) is type(want) and got == want, (path, got, want)
 
 
 class TestFileRoundTrip:
@@ -94,6 +112,18 @@ class TestSynth:
 class TestCli:
     def run(self, *argv):
         return main([str(a) for a in argv])
+
+    @pytest.mark.parametrize("name,seed", [("example1", 0), ("example2", 3)])
+    def test_decompose_matches_golden_file(self, tmp_path, name, seed):
+        out = tmp_path / "dec.json"
+        assert self.run(
+            "decompose", "-i", FIXTURES / f"{name}.json", "-o", out,
+            "--seed", seed,
+        ) == 0
+        got = json.loads(out.read_text())
+        want = json.loads((FIXTURES / f"{name}.dec.json").read_text())
+        assert got["meta"] == want["meta"]
+        assert_same_output(got, want)
 
     def test_decompose_golden(self, tmp_path, capsys):
         out = tmp_path / "dec.json"

@@ -8,7 +8,6 @@ from conftest import poly, rank_one_expand
 from tdec.algebra import (
     Monomial,
     MomentFunctional,
-    ParamExpr,
     Point,
     Polynomial,
     Shape,
@@ -21,15 +20,15 @@ from tdec.moment import (
     border,
     build_moment_functional,
     catalecticant,
+    degree_splits,
     enumerate_monomials,
-    flattening_ranks,
     functional_to_tensor,
     hankel,
     numerical_rank,
     select_bases,
-    shifted_hankel,
 )
 from tdec.algebra import weighted_evaluation
+from tdec.decompose import rank_lower_bound
 
 
 def basis_of(shape, names):
@@ -176,18 +175,23 @@ class TestHankel:
         )
         B = MonomialBasis(shape, (shape.one(), x, y))
         H = hankel(lam, B, B)
-        # the monomial x*y shows up at (1,2) and (2,1) with one shared id
-        e12 = H.entry(1, 2)
-        e21 = H.entry(2, 1)
-        assert isinstance(e12, ParamExpr) and isinstance(e21, ParamExpr)
-        assert list(e12.coeffs) == list(e21.coeffs) == [x * y]
+        # the unknown moments sit exactly where the product leaves the data;
+        # x*y shows up at both (1,2) and (2,1)
+        expected = [[True, True, True], [True, False, False], [True, False, False]]
+        assert H.known.tolist() == expected
+        assert B[1] * B[2] == B[2] * B[1] == x * y
+        assert not H.fully_known
+        with pytest.raises(UnresolvedParameterError):
+            H.numeric()
+        np.testing.assert_array_equal(H.values[~H.known], 0.0)
 
     def test_shifted_matches_definition(self, tensor1, shape1):
+        # shifted rows x_v * b' give the matrix of lam(x_v b' b)
         lam = build_moment_functional(tensor1)
         B = basis_of(shape1, gd.H1_B_COLS)
         Bp = basis_of(shape1, gd.H1_B_ROWS)
-        Hs = shifted_hankel(lam, (2, 0), Bp, B)  # shift by c1
         c1 = Monomial.parse("c1", shape1)
+        Hs = hankel(lam, [c1 * q for q in Bp], B)
         for i, mr in enumerate(Bp):
             for j, mc in enumerate(B):
                 assert Hs.values[i, j] == lam.known_value(c1 * mr * mc)
@@ -200,7 +204,7 @@ class TestHankel:
 
         lam = evaluation_functional(zeta, shape, dom)
         B = MonomialBasis(shape, (shape.one(),))
-        Hs = shifted_hankel(lam, (0, 1), B, B)
+        Hs = hankel(lam, [shape.variable(0, 1) * q for q in B], B)
         assert Hs.numeric() == np.array([[-3.0]])
 
 
@@ -250,8 +254,11 @@ class TestSelectBases:
 class TestFlatteningRanks:
     def test_rank_lower_bound_matches_flattening(self, tensor2):
         lam = build_moment_functional(tensor2)
-        ranks = flattening_ranks(lam)
-        assert max(ranks.values()) == 6
+        ranks = [
+            numerical_rank(catalecticant(lam, rows, cols)[0])
+            for cols, rows in degree_splits(lam.shape)
+        ]
+        assert max(ranks) == rank_lower_bound(tensor2) == 6
 
     def test_single_group_split_equals_unfolding_rank(self, tensor1, shape1):
         # moment matrix of a one-group-vs-rest split is the mode unfolding
@@ -276,5 +283,4 @@ class TestFlatteningRanks:
         ]
         lam = weighted_evaluation([1.0, -2.0, 0.5], pts, shape, dom)
         tensor = functional_to_tensor(lam, shape)
-        ranks = flattening_ranks(build_moment_functional(tensor))
-        assert max(ranks.values()) == 3
+        assert rank_lower_bound(tensor) == 3
