@@ -446,6 +446,7 @@ def _attempt_rank(T: Polynomial, lam, r: int, opts: DecomposeOptions, seed: int)
             residual=0.0,
             meta={"basis": [str(m) for m in B], "dual_basis": [str(m) for m in Bp]},
         )
+        dec = _realify(dec, T)
         dec.residual = verify(T, dec)
         if np.isfinite(dec.residual) and dec.residual <= opts.tol_resid:
             return dec
@@ -498,13 +499,9 @@ def decompose(T: Polynomial, opts: DecomposeOptions | None = None) -> Decomposit
             work = substitute_linear(T, mats)
         work_lam = lam if change == 0 else build_moment_functional(work)
         out = _attempt_rank(work, work_lam, r, opts, seed=opts.seed + change)
+        if isinstance(out, Decomposition) and mats is not None:
+            out = _undo_coordinate_change(out, mats, T, opts.tol_resid)
         if isinstance(out, Decomposition):
-            if mats is not None:
-                out = _undo_coordinate_change(out, mats, T)
-                if out is None:
-                    continue
-            else:
-                out = _realify(out, T)
             out.meta.update(
                 rank=r,
                 seed=opts.seed,
@@ -523,9 +520,18 @@ def decompose(T: Polynomial, opts: DecomposeOptions | None = None) -> Decomposit
     )
 
 
-def _undo_coordinate_change(dec: Decomposition, mats, T: Polynomial):
-    """Map points of a decomposition of T(Ay) back to the original frame."""
+def _undo_coordinate_change(
+    dec: Decomposition, mats, T: Polynomial,
+    tol_resid: float = DecomposeOptions.tol_resid,
+):
+    """Map points of a decomposition of T(Ay) back to the original frame.
+
+    Returns the mapped Decomposition when its residual against T, recomputed
+    from the returned terms, is at most tol_resid, and a failure dict
+    otherwise.
+    """
     shape = T.shape
+    r = dec.rank
     terms = []
     for w, p in dec.terms:
         weight = w
@@ -534,7 +540,7 @@ def _undo_coordinate_change(dec: Decomposition, mats, T: Polynomial):
             vprime = np.concatenate(([1.0 + 0j], np.asarray(p.coords[g], dtype=complex)))
             v = np.linalg.solve(A.T.astype(complex), vprime)
             if abs(v[0]) < 1e-12 * np.linalg.norm(v):
-                return None
+                return {"rank": r, "stage": "frame", "detail": "point at infinity"}
             weight = weight * v[0] ** shape.degrees[g]
             coords.append(tuple(v[1:] / v[0]))
         terms.append((weight, Point(tuple(coords))))
@@ -547,9 +553,14 @@ def _undo_coordinate_change(dec: Decomposition, mats, T: Polynomial):
     )
     out = _realify(out, T)
     out.residual = verify(T, out)
-    if out.residual > max(dec.residual * 10, 1e-6):
-        log.info("coordinate-change inversion degraded residual to %.2e", out.residual)
-    return out
+    if np.isfinite(out.residual) and out.residual <= tol_resid:
+        return out
+    return {
+        "rank": r,
+        "stage": "frame",
+        "detail": f"back-mapped residual {out.residual:.2e}",
+        "residual": out.residual,
+    }
 
 
 def _realify(dec: Decomposition, T: Polynomial) -> Decomposition:

@@ -13,6 +13,11 @@ determined by a linear fixpoint that harvests, in canonical order:
   an lcm one variable away, expanded only while they stay linear in the
   unknown relation coefficients.
 
+Each pass projects the placeholders out exactly, which leaves a system in
+the relation coefficients alone with the same least-squares residual and
+the same determined coefficients, and solves it by the SVD of the R factor
+of its QR decomposition.
+
 When the fixpoint resolves everything, the commuting multiplication tables
 define the unique extension of the data, and any moment is obtained by
 reducing its monomial to a normal form and pairing against the values on B.
@@ -88,30 +93,32 @@ def commutator_residual(mats: list[np.ndarray]) -> float:
     return worst
 
 
-class _LinearSystem:
-    """Sparse accumulator for equations over target coefficients and moments."""
+def _least_squares(X: np.ndarray, b: np.ndarray, size: int):
+    """Truncated-SVD least squares of X x = b through the R factor of [X | b].
 
-    def __init__(self, dtype):
-        self.dtype = dtype
-        self.cols: dict = {}
-        self.rows: list[dict] = []
-        self.rhs: list = []
-
-    def col(self, key) -> int:
-        if key not in self.cols:
-            self.cols[key] = len(self.cols)
-        return self.cols[key]
-
-    def add(self, coeffs: dict, rhs) -> None:
-        self.rows.append({self.col(k): v for k, v in coeffs.items()})
-        self.rhs.append(rhs)
-
-    def dense(self):
-        A = np.zeros((len(self.rows), len(self.cols)), dtype=self.dtype)
-        for i, row in enumerate(self.rows):
-            for j, v in row.items():
-                A[i, j] = v
-        return A, np.asarray(self.rhs, dtype=self.dtype)
+    The SVD is taken of the R factor of X, which has at most one row more
+    than X has columns and the singular values and right singular vectors of
+    X; the tall factor Q is never formed.
+    ``size`` is the larger dimension of the system before placeholder
+    projection and scales the rank threshold.  Returns the solution, the
+    residual norm and, per unknown, its distance from the row space (0 when
+    the unknown is determined).
+    """
+    n = X.shape[1]
+    if not X.shape[0]:
+        return np.zeros(n, dtype=X.dtype), 0.0, np.ones(n)
+    R = np.linalg.qr(np.column_stack([X, b]), mode="r")
+    R_x, c = R[:, :n], R[:, n]
+    U, s, Vt = np.linalg.svd(R_x, full_matrices=False)
+    rank = (
+        int(np.sum(s > size * np.finfo(float).eps * 100 * s[0]))
+        if s.size and s[0] > 0
+        else 0
+    )
+    x = Vt[:rank].conj().T @ ((U[:, :rank].conj().T @ c) / s[:rank])
+    resid = float(np.linalg.norm(R_x @ x - c))
+    in_row_space = np.linalg.norm(Vt[:rank], axis=0) ** 2
+    return x, resid, np.sqrt(np.maximum(0.0, 1.0 - in_row_space))
 
 
 class _Propagator:
@@ -141,13 +148,27 @@ class _Propagator:
         in_range = enumerate_monomials(self.shape, list(self.shape.degrees))
         in_range_set = set(in_range)
         extra = [q for q in basis_plus(Bp) if q not in in_range_set]
-        self.row_pool = in_range + extra
-        rows = hankel(lam, self.row_pool, B)
+        row_pool = in_range + extra
+        rows = hankel(lam, row_pool, B)
         full = rows.known.all(axis=1)
-        self.row_known = {
-            q: rows.values[i] if full[i] else None
-            for i, q in enumerate(self.row_pool)
-        }
+        self.rows = rows.values[full]
+        # moment of every target times every fully known row; an unknown
+        # product gets a placeholder id shared by all pairs with that product
+        n_targets, n_rows = len(self.targets), len(self.rows)
+        self.prod_data = np.zeros((n_targets, n_rows), dtype=self.dtype)
+        self.prod_place = np.full((n_targets, n_rows), -1)
+        places: dict[Monomial, int] = {}
+        known_rows = [q for q, ok in zip(row_pool, full) if ok]
+        for t, m in enumerate(self.targets):
+            for i, q in enumerate(known_rows):
+                prod = q * m
+                v = lam.entries.get(prod)
+                if v is None:
+                    self.prod_place[t, i] = places.setdefault(prod, len(places))
+                else:
+                    self.prod_data[t, i] = v
+        self.prod_known = self.prod_place < 0
+        self.syzygy_pairs = self._syzygy_pairs()
         self.inconsistency = 0.0
 
     # --- reductions -----------------------------------------------------
@@ -202,40 +223,76 @@ class _Propagator:
 
     # --- equation harvesting ---------------------------------------------
 
-    def _moment_equations(self, sys: _LinearSystem):
-        """Pair every target against every row with known products.
+    def _moment_equations(self):
+        """Pair every target with every fully known row, placeholders
+        projected out.
 
-        A known product moment gives a data equation (or, for resolved
-        targets, a consistency check); an unknown one is a shared placeholder
-        unknown, which is where the quasi-Hankel coupling between different
-        relations enters.
+        A known product moment gives a data row for an unresolved target and
+        a consistency check for a resolved one.  An unknown product moment is
+        a placeholder shared by every pair with that product; this is where
+        the quasi-Hankel coupling between different relations enters.  Each
+        such row holds its placeholder once, with coefficient -1 (unresolved
+        target) or +1 (resolved target), so flipping rows to +1 and
+        subtracting the mean of each placeholder's group of rows is the
+        orthogonal projection that removes the placeholders.  It keeps the
+        least-squares residual and the row space over the coefficients.
+
+        Returns the projected rows over the coefficients of the unresolved
+        targets (block k*r:(k+1)*r for the k-th in target order), their
+        right-hand sides, and the row count, squared right-hand-side norm and
+        placeholder count of the system before projection.
         """
-        for m in self.targets:
-            tail = self.resolved.get(m)
-            for q in self.row_pool:
-                row = self.row_known[q]
-                if row is None:
-                    continue
-                prod = q * m
-                if self.lam.known(prod):
-                    data = self.lam.known_value(prod)
-                    if tail is None:
-                        sys.add(
-                            {("x", m, j): row[j] for j in range(self.r)}, data
-                        )
-                    else:
-                        gap = data - row @ tail
-                        self.inconsistency = max(
-                            self.inconsistency, abs(gap) / max(1.0, abs(data))
-                        )
-                elif tail is None:
-                    coeffs = {("x", m, j): row[j] for j in range(self.r)}
-                    coeffs[("h", prod)] = -1.0
-                    sys.add(coeffs, 0.0)
-                else:
-                    sys.add({("h", prod): 1.0}, row @ tail)
+        r, dtype = self.r, self.dtype
+        solved = np.array([m in self.resolved for m in self.targets])
+        res_t, unr_t = np.flatnonzero(solved), np.flatnonzero(~solved)
+        n_unres = len(unr_t)
+        tails = np.zeros((len(res_t), r), dtype=dtype)
+        for i, t in enumerate(res_t):
+            tails[i] = self.resolved[self.targets[t]]
+        pred = tails @ self.rows.T
+        known = self.prod_known[res_t]
+        if known.any():
+            data = self.prod_data[res_t][known]
+            gap = np.abs(data - pred[known]) / np.maximum(1.0, np.abs(data))
+            self.inconsistency = max(self.inconsistency, float(gap.max()))
 
-    def _syzygy_equations(self, sys: _LinearSystem):
+        k_d, q_d = np.nonzero(self.prod_known[unr_t])
+        X_data = np.zeros((len(k_d), n_unres, r), dtype=dtype)
+        X_data[np.arange(len(k_d)), k_d] = self.rows[q_d]
+        b_data = self.prod_data[unr_t[k_d], q_d]
+
+        place_u = self.prod_place[unr_t]
+        place_r = self.prod_place[res_t]
+        k_u, q_u = np.nonzero(place_u >= 0)
+        t_r, q_r = np.nonzero(place_r >= 0)
+        n_u = len(k_u)
+        b_place = np.concatenate(
+            [np.zeros(n_u, dtype=dtype), pred[t_r, q_r]]
+        )
+        ids, group = np.unique(
+            np.concatenate([place_u[k_u, q_u], place_r[t_r, q_r]]),
+            return_inverse=True,
+        )
+        count = np.bincount(group, minlength=len(ids))
+        x_sum = np.zeros((len(ids), n_unres, r), dtype=dtype)
+        np.add.at(x_sum, (group[:n_u], k_u), -self.rows[q_u])
+        b_sum = np.zeros(len(ids), dtype=dtype)
+        np.add.at(b_sum, group, b_place)
+        X_place = -(x_sum / count[:, None, None])[group]
+        X_place[np.arange(n_u), k_u] -= self.rows[q_u]
+        b_proj = b_place - b_sum[group] / count[group]
+        # a placeholder met once is free: its row projects to zero
+        shared = count[group] > 1
+
+        X = np.concatenate([X_data, X_place[shared]]).reshape(-1, n_unres * r)
+        b = np.concatenate([b_data, b_proj[shared]])
+        n_raw = len(k_d) + len(group)
+        b_raw_sq = float(np.sum(np.abs(b_data) ** 2) + np.sum(np.abs(b_place) ** 2))
+        return X, b, n_raw, b_raw_sq, len(ids)
+
+    def _syzygy_pairs(self):
+        """Target pairs whose lcm is at most one variable above each, in
+        canonical order of the lcm."""
         pairs = []
         n = len(self.targets)
         for i in range(n):
@@ -248,7 +305,15 @@ class _Propagator:
                     continue
                 pairs.append((lcm, m1, m2, q1, q2))
         pairs.sort(key=lambda t: t[0].sort_key())
-        for _, m1, m2, q1, q2 in pairs:
+        return [p[1:] for p in pairs]
+
+    def _syzygy_equations(self, pos: dict[Monomial, int]):
+        """Rows equating the two reductions of each pair's lcm, over the
+        coefficient blocks ``pos`` of the unresolved targets."""
+        r, dtype = self.r, self.dtype
+        at, blocks, mats, rhs = [], [], [], []
+        zero = np.zeros((r, r), dtype=dtype)
+        for m1, m2, q1, q2 in self.syzygy_pairs:
             s1 = self._side(q1, m1)
             s2 = self._side(q2, m2)
             if s1 is None or s2 is None:
@@ -262,20 +327,20 @@ class _Propagator:
                 )
                 self.inconsistency = max(self.inconsistency, gap)
                 continue
-            zero = np.zeros((self.r, self.r), dtype=self.dtype)
-            for comp in range(self.r):
-                coeffs = {}
-                for mono in keys:
-                    row = (l1.get(mono, zero) - l2.get(mono, zero))[comp]
-                    for s in range(self.r):
-                        if row[s] != 0:
-                            coeffs[("x", mono, s)] = row[s]
-                if coeffs:
-                    sys.add(coeffs, c2[comp] - c1[comp])
-                else:
-                    self.inconsistency = max(
-                        self.inconsistency, abs(c2[comp] - c1[comp])
-                    )
+            for mono in keys:
+                at.append(len(rhs))
+                blocks.append(pos[mono])
+                mats.append(l1.get(mono, zero) - l2.get(mono, zero))
+            rhs.append(c2 - c1)
+        X = np.zeros((len(rhs), r, len(pos), r), dtype=dtype)
+        if rhs:
+            X[at, :, blocks, :] = mats
+        X = X.reshape(len(rhs) * r, len(pos) * r)
+        b = np.concatenate(rhs) if rhs else np.zeros(0, dtype=dtype)
+        used = X.any(axis=1)
+        if not used.all():
+            self.inconsistency = max(self.inconsistency, float(np.abs(b[~used]).max()))
+        return X[used], b[used]
 
     # --- main loop --------------------------------------------------------
 
@@ -288,43 +353,30 @@ class _Propagator:
 
     def run(self):
         self.resolve_direct()
+        r = self.r
         for _ in range(len(self.targets) + 1):
             unresolved = [m for m in self.targets if m not in self.resolved]
             if not unresolved:
                 break
-            sys = _LinearSystem(self.dtype)
-            self._moment_equations(sys)
-            self._syzygy_equations(sys)
-            if not sys.rows:
+            X_m, b_m, n_raw, b_raw_sq, n_places = self._moment_equations()
+            X_s, b_s = self._syzygy_equations({m: k for k, m in enumerate(unresolved)})
+            n_raw += len(b_s)
+            if not n_raw:
                 break
-            A, b = sys.dense()
-            U, s, Vt = np.linalg.svd(A, full_matrices=False)
-            rank = (
-                int(np.sum(s > max(A.shape) * np.finfo(float).eps * 100 * s[0]))
-                if s.size and s[0] > 0
-                else 0
-            )
-            x = Vt[:rank].conj().T @ ((U[:, :rank].conj().T @ b) / s[:rank])
-            resid = np.linalg.norm(A @ x - b) / max(1.0, np.linalg.norm(b))
-            self.inconsistency = max(self.inconsistency, resid)
+            X = np.concatenate([X_m, X_s])
+            b = np.concatenate([b_m, b_s])
+            size = max(n_raw, X.shape[1] + n_places)
+            x, resid, freedom = _least_squares(X, b, size)
+            b_norm = np.sqrt(b_raw_sq + np.sum(np.abs(b_s) ** 2))
+            self.inconsistency = max(self.inconsistency, resid / max(1.0, b_norm))
             if self.inconsistency > self.tol:
                 return "inconsistent"
-            # a component is determined exactly when its axis lies in the
-            # row space: the matching column of the leading right singular
-            # vectors then has unit norm
-            row_space = Vt[:rank]
-            in_row_space = np.linalg.norm(row_space, axis=0) ** 2
-            freedom = np.sqrt(np.maximum(0.0, 1.0 - in_row_space))
             progress = False
-            for m in unresolved:
-                idx = [sys.cols.get(("x", m, j)) for j in range(self.r)]
-                if any(i is None for i in idx):
+            for k, m in enumerate(unresolved):
+                block = slice(k * r, (k + 1) * r)
+                if freedom[block].max() > _NULLSPACE_TOL:
                     continue
-                if freedom[idx].max() > _NULLSPACE_TOL:
-                    continue
-                self.resolved[m] = np.asarray(
-                    [x[i] for i in idx], dtype=self.dtype
-                )
+                self.resolved[m] = x[block]
                 progress = True
             if not progress:
                 break

@@ -286,6 +286,18 @@ class TestDecompose:
         assert report["rank"] == 6
         assert "rank 6" in str(info.value) and "18" not in str(info.value)
 
+    def test_reported_residual_is_that_of_returned_terms(self):
+        # real values held as complex numbers take the complex code path,
+        # whose roots carry rounding-level imaginary parts; the returned
+        # terms drop them, and the residual must be recomputed from those
+        rng = np.random.default_rng(0)
+        shape, ws, pts, T = random_instance(rng, (2, 2, 2), (1, 1, 1), 3)
+        T = Polynomial(shape, {m: complex(c) for m, c in T.terms.items()})
+        assert T.is_real()
+        dec = decompose(T, DecomposeOptions(seed=0))
+        assert dec.is_real(0.0)
+        assert dec.residual == verify(T, dec)
+
     def test_reduce_path(self):
         # embed a low-multilinear-rank tensor in a larger format
         rng = np.random.default_rng(12)
@@ -313,6 +325,18 @@ class TestCoordinateChange:
         assert back is not None
         assert back.residual < 1e-8
         assert back.coordinate_change is mats
+
+    def test_inversion_rejects_residual_above_tolerance(self):
+        rng = np.random.default_rng(13)
+        shape, ws, pts, T = random_instance(rng, (2, 2), (2, 1), 3)
+        mats = random_coordinate_change(shape, rng)
+        work_dec = decompose(substitute_linear(T, mats), DecomposeOptions(seed=0))
+        w, p = work_dec.terms[0]
+        work_dec.terms[0] = (w * (1 + 1e-3), p)
+        out = _undo_coordinate_change(work_dec, mats, T, tol_resid=1e-6)
+        assert not isinstance(out, Decomposition)
+        assert out["stage"] == "frame"
+        assert out["residual"] > 1e-6
 
     def test_substitution_preserves_rank_data(self):
         rng = np.random.default_rng(14)

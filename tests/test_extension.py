@@ -163,6 +163,104 @@ class TestPropagation:
             np.testing.assert_allclose(nf, expected, atol=1e-9)
 
 
+def dense_svd_run(prop):
+    """Reference fixpoint: every placeholder kept as a column of one dense
+    system, solved by a full SVD of that system on every pass."""
+    prop.resolve_direct()
+    r = prop.r
+    n_places = int(prop.prod_place.max()) + 1
+    for _ in range(len(prop.targets) + 1):
+        unresolved = [m for m in prop.targets if m not in prop.resolved]
+        if not unresolved:
+            break
+        n_x = len(unresolved) * r
+        A, b = [], []
+        for t, m in enumerate(prop.targets):
+            tail = prop.resolved.get(m)
+            for row, data, place in zip(
+                prop.rows, prop.prod_data[t], prop.prod_place[t]
+            ):
+                if place < 0 and tail is not None:
+                    gap = abs(data - row @ tail) / max(1.0, abs(data))
+                    prop.inconsistency = max(prop.inconsistency, gap)
+                    continue
+                a = np.zeros(n_x + n_places, dtype=prop.dtype)
+                if tail is None:
+                    k = unresolved.index(m)
+                    a[k * r:(k + 1) * r] = row
+                if place >= 0:
+                    a[n_x + place] = -1.0 if tail is None else 1.0
+                A.append(a)
+                b.append(data if place < 0 else 0.0 if tail is None else row @ tail)
+        X_s, b_s = prop._syzygy_equations({m: k for k, m in enumerate(unresolved)})
+        A = np.vstack(A + [np.hstack([X_s, np.zeros((len(X_s), n_places))])])
+        b = np.concatenate([b, b_s])
+        U, s, Vt = np.linalg.svd(A, full_matrices=False)
+        rank = int(np.sum(s > max(A.shape) * np.finfo(float).eps * 100 * s[0]))
+        x = Vt[:rank].conj().T @ ((U[:, :rank].conj().T @ b) / s[:rank])
+        resid = np.linalg.norm(A @ x - b) / max(1.0, np.linalg.norm(b))
+        prop.inconsistency = max(prop.inconsistency, resid)
+        if prop.inconsistency > prop.tol:
+            return "inconsistent"
+        freedom = np.sqrt(np.maximum(0.0, 1.0 - np.linalg.norm(Vt[:rank], axis=0) ** 2))
+        progress = False
+        for k, m in enumerate(unresolved):
+            if freedom[k * r:(k + 1) * r].max() <= 1e-7:
+                prop.resolved[m] = x[k * r:(k + 1) * r]
+                progress = True
+        if not progress:
+            break
+    if prop.inconsistency > prop.tol:
+        return "inconsistent"
+    if any(m not in prop.resolved for m in prop.targets):
+        return "rank_deficient"
+    return "extended"
+
+
+def exact_tail(B, points, m):
+    """Normal form of m over B in the quotient by the planted points."""
+    V = np.array([[p.eval_monomial(b) for b in B] for p in points])
+    return np.linalg.solve(V, np.array([p.eval_monomial(m) for p in points]))
+
+
+class TestProjectedSolve:
+    """The fixpoint with placeholders projected out and the solve through the
+    R factor decides as the dense SVD of the whole system does."""
+
+    @pytest.fixture(
+        params=["example2", "generic-4x4x6-r6", "oversized-rank"]
+    )
+    def case(self, request, ex2, points2):
+        if request.param == "example2":
+            return ex2[1:], points2, "extended"
+        rng = np.random.default_rng(2 if request.param.startswith("generic") else 1)
+        dims, r, ws = (3, 3, 5), 6, rng.uniform(0.5, 2.0, 6)
+        if request.param == "oversized-rank":
+            # as in test_oversized_rank_is_inconsistent
+            dims, r, ws = (3, 3, 3), 4, [1.0, 1.0, 1.0, 1.0]
+        shape = Shape(dims=dims, degrees=(1, 1, 1))
+        pts = random_points(rng, shape, r)
+        lam = build_moment_functional(rank_one_expand(shape, ws, pts))
+        if request.param == "oversized-rank":
+            return (lam, *select_bases(lam, 3)), None, "inconsistent"
+        return (lam, *select_bases(lam, r)), pts, "extended"
+
+    def test_same_decisions_and_tails(self, case):
+        (lam, B, Bp), points, status = case
+        new = _Propagator(lam, B, Bp, tol=1e-6)
+        ref = _Propagator(lam, B, Bp, tol=1e-6)
+        assert new.run() == dense_svd_run(ref) == status
+        assert set(new.resolved) == set(ref.resolved)
+        for m, tail in ref.resolved.items():
+            # the dense solve alone is off the exact relations of example2
+            # by up to 5.5e-10; the tighter bound is held against those
+            scale = max(1.0, np.abs(tail).max())
+            assert np.abs(new.resolved[m] - tail).max() <= 1e-9 * scale, str(m)
+            if points is not None:
+                exact = exact_tail(B, points, m)
+                assert np.abs(new.resolved[m] - exact).max() <= 1e-10 * scale, str(m)
+
+
 class TestCommutatorResidual:
     def test_single_matrix(self):
         assert commutator_residual([np.eye(3)]) == 0.0
