@@ -520,10 +520,7 @@ def decompose(T: Polynomial, opts: DecomposeOptions | None = None) -> Decomposit
     )
 
 
-def _undo_coordinate_change(
-    dec: Decomposition, mats, T: Polynomial,
-    tol_resid: float = DecomposeOptions.tol_resid,
-):
+def _undo_coordinate_change(dec: Decomposition, mats, T: Polynomial, tol_resid: float):
     """Map points of a decomposition of T(Ay) back to the original frame.
 
     Returns the mapped Decomposition when its residual against T, recomputed
