@@ -523,9 +523,10 @@ def decompose(T: Polynomial, opts: DecomposeOptions | None = None) -> Decomposit
 def _undo_coordinate_change(dec: Decomposition, mats, T: Polynomial, tol_resid: float):
     """Map points of a decomposition of T(Ay) back to the original frame.
 
-    Returns the mapped Decomposition when its residual against T, recomputed
-    from the returned terms, is at most tol_resid, and a failure dict
-    otherwise.
+    The frame change is real, so terms already realified against T(Ay) map
+    to real terms.  Returns the mapped Decomposition when its residual
+    against T, recomputed from the returned terms, is at most tol_resid, and
+    a failure dict otherwise.
     """
     shape = T.shape
     r = dec.rank
@@ -534,12 +535,11 @@ def _undo_coordinate_change(dec: Decomposition, mats, T: Polynomial, tol_resid: 
         weight = w
         coords = []
         for g, A in enumerate(mats):
-            vprime = np.concatenate(([1.0 + 0j], np.asarray(p.coords[g], dtype=complex)))
-            v = np.linalg.solve(A.T.astype(complex), vprime)
+            v = np.linalg.solve(A.T, np.concatenate(([1.0], p.coords[g])))
             if abs(v[0]) < 1e-12 * np.linalg.norm(v):
                 return {"rank": r, "stage": "frame", "detail": "point at infinity"}
-            weight = weight * v[0] ** shape.degrees[g]
-            coords.append(tuple(v[1:] / v[0]))
+            weight = weight * v[0].item() ** shape.degrees[g]
+            coords.append(tuple((v[1:] / v[0]).tolist()))
         terms.append((weight, Point(tuple(coords))))
     out = Decomposition(
         shape,
@@ -548,7 +548,6 @@ def _undo_coordinate_change(dec: Decomposition, mats, T: Polynomial, tol_resid: 
         coordinate_change=mats,
         meta=dict(dec.meta),
     )
-    out = _realify(out, T)
     out.residual = verify(T, out)
     if np.isfinite(out.residual) and out.residual <= tol_resid:
         return out

@@ -167,7 +167,6 @@ class _Propagator:
                     self.prod_place[t, i] = places.setdefault(prod, len(places))
                 else:
                     self.prod_data[t, i] = v
-        self.prod_known = self.prod_place < 0
         self.syzygy_pairs = self._syzygy_pairs()
         self.inconsistency = 0.0
 
@@ -250,13 +249,13 @@ class _Propagator:
         for i, t in enumerate(res_t):
             tails[i] = self.resolved[self.targets[t]]
         pred = tails @ self.rows.T
-        known = self.prod_known[res_t]
+        known = self.prod_place[res_t] < 0
         if known.any():
             data = self.prod_data[res_t][known]
             gap = np.abs(data - pred[known]) / np.maximum(1.0, np.abs(data))
             self.inconsistency = max(self.inconsistency, float(gap.max()))
 
-        k_d, q_d = np.nonzero(self.prod_known[unr_t])
+        k_d, q_d = np.nonzero(self.prod_place[unr_t] < 0)
         X_data = np.zeros((len(k_d), n_unres, r), dtype=dtype)
         X_data[np.arange(len(k_d)), k_d] = self.rows[q_d]
         b_data = self.prod_data[unr_t[k_d], q_d]

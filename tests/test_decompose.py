@@ -322,9 +322,28 @@ class TestCoordinateChange:
         work_dec = decompose(Twork, DecomposeOptions(seed=0))
         assert work_dec.residual < 1e-8
         back = _undo_coordinate_change(work_dec, mats, T, tol_resid=1e-6)
-        assert back is not None
+        assert isinstance(back, Decomposition)
         assert back.residual < 1e-8
         assert back.coordinate_change is mats
+
+    def test_frame_change_keeps_real_terms(self):
+        # sparse {-1,0,1} points whose first frame fails; the terms are
+        # realified once, in the work frame, and the real frame change keeps
+        # them real floats on the way back
+        shape = Shape(dims=(2, 2), degrees=(2, 2))
+        rng = np.random.default_rng(5)
+        pts = [
+            Point(tuple(tuple(rng.integers(-1, 2, n).astype(float)) for n in shape.dims))
+            for _ in range(4)
+        ]
+        T = rank_one_expand(shape, [1.0] * 4, pts)
+        dec = decompose(T, DecomposeOptions(seed=0))
+        assert dec.meta["coordinate_change_applied"]
+        values = [w for w, _ in dec.terms] + [
+            x for _, p in dec.terms for c in p.coords for x in c
+        ]
+        assert all(isinstance(x, float) for x in values)
+        assert dec.residual == verify(T, dec) < 1e-8
 
     def test_inversion_rejects_residual_above_tolerance(self):
         rng = np.random.default_rng(13)

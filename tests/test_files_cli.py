@@ -125,6 +125,32 @@ class TestCli:
         assert got["meta"] == want["meta"]
         assert_same_output(got, want)
 
+    @pytest.mark.parametrize("name,seed", [("example1", 0), ("example2", 3)])
+    def test_decompose_close_to_truth(self, tmp_path, name, seed):
+        # unlike the golden files, this holds whatever the order of the
+        # floating-point operations: listing the completion equations in
+        # reverse order alone moves the example2 output by 5.6e-8 relative
+        out = tmp_path / "dec.json"
+        assert self.run(
+            "decompose", "-i", FIXTURES / f"{name}.json", "-o", out,
+            "--seed", seed,
+        ) == 0
+        got = json.loads(out.read_text())
+        truth = json.loads((FIXTURES / f"{name}_truth.json").read_text())
+        assert got["residual"] < 1e-9
+
+        def flat(term):
+            return np.concatenate(term["points"])
+
+        left = list(truth["terms"])
+        for term in got["terms"]:
+            p = flat(term)
+            near = min(left, key=lambda t: np.abs(flat(t) - p).max())
+            left.remove(near)
+            q = flat(near)
+            assert abs(term["weight"] - near["weight"]) <= 1e-7 * abs(near["weight"])
+            assert np.abs(p - q).max() <= 1e-7 * max(1.0, np.abs(q).max())
+
     def test_decompose_golden(self, tmp_path, capsys):
         out = tmp_path / "dec.json"
         code = self.run(
