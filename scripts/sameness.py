@@ -1,0 +1,85 @@
+#!/usr/bin/env python3
+"""Digest of every benchmark result, to show that two checkouts compute the
+same numbers bit for bit.
+
+    python3 scripts/sameness.py [--workload NAME ...] [--seed N ...]
+
+Builds the inputs of each benchmark workload with `perfbench/workloads.py`
+(imported read-only), runs them through the `tdec` of this checkout's
+`src/` and prints one line per workload and seed: the workload, the seed and
+the sha256 of the `repr` of every result in order.  A result is the returned
+decomposition (terms, residual, meta, frame change) or the refusal's
+message and report.  flat-large runs the CLI's library path: `rank_bounds`
+on the full tensor, then `decompose` with `reduce=True`; the other two run
+plain `decompose`, as the benchmark does.  BLAS is pinned to one thread,
+as in the benchmark, because the thread count moves the last bits of some
+results.  Run the same command in two checkouts and compare the lines.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import sys
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+os.environ.pop("TDEC_LOG", None)
+
+import hashlib  # noqa: E402
+import importlib  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+
+import workloads  # noqa: E402
+
+algebra = importlib.import_module("tdec.algebra")
+dmod = importlib.import_module("tdec.decompose")
+
+
+def tensor(inst) -> "algebra.Polynomial":
+    monos = workloads.exponent_table(inst.dims, inst.degrees)
+    coefs = workloads.coefficients(inst, monos)
+    shape = algebra.Shape(inst.dims, inst.degrees)
+    return algebra.Polynomial(
+        shape, {algebra.Monomial(m): float(c) for m, c in zip(monos, coefs)}
+    )
+
+
+def result(T, reduce: bool) -> str:
+    parts = [repr(dmod.rank_bounds(T))] if reduce else []
+    try:
+        dec = dmod.decompose(T, dmod.DecomposeOptions(seed=0, reduce=reduce))
+        parts.append(repr(dec))
+    except dmod.DecompositionError as exc:
+        parts.append(repr((str(exc), exc.report)))
+    return "\n".join(parts)
+
+
+def digest(workload: str, seed: int) -> str:
+    h = hashlib.sha256()
+    for inst in workloads.instances(workload, seed):
+        h.update(result(tensor(inst), workload == "flat-large").encode())
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--workload", nargs="+", default=list(workloads.BUILDERS))
+    ap.add_argument("--seed", type=int, nargs="+", default=[1, 2])
+    args = ap.parse_args(argv)
+    # arrays (frame changes) print every digit, like the floats around them
+    np.set_printoptions(precision=17, floatmode="unique", threshold=sys.maxsize)
+    for workload in args.workload:
+        for seed in args.seed:
+            print(workload, seed, digest(workload, seed), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -6,16 +6,32 @@ multi-degree at most ``degrees = (d_1, ..., d_k)`` has, in each group ``g``,
 total degree at most ``d_g``.  The homogenizing variable of each group is
 implicit (set to 1).
 
+Every monomial of a shape has an exact integer code, its exponents read as
+the digits of a mixed-radix number, so that code(m * m') = code(m) +
+code(m') as long as no exponent reaches the radix of its group.  The radix
+2 d_g + 3 exceeds every exponent the pipeline forms (products of two
+monomials of degree at most d_g + 1), and a product that would reach it
+raises instead of wrapping; codes of shapes whose code space exceeds 63 bits
+are Python integers.  Moment matrices, product tables and syzygy
+pairs are built by adding codes in numpy.
+
 The dual side is represented by ``MomentFunctional``: a partial map from
 monomials to numbers.  A monomial without an entry has an unknown moment;
-moment completion solves for such moments as plain linear unknowns.
+moment completion solves for such moments as plain linear unknowns.  A
+code-sorted view of the known moments looks up a whole block of codes at
+once.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 from typing import Iterable
+
+import numpy as np
 
 GROUP_LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
@@ -69,6 +85,57 @@ class Shape:
         exps[g][j] = 1
         return Monomial(tuple(tuple(e) for e in exps))
 
+    @property
+    def radix(self) -> tuple[int, ...]:
+        """Per group, one more than the largest exponent formed by
+        multiplying two monomials of degree at most d_g + 1 (a known-range
+        monomial times a variable), as the once-prolonged moment matrices
+        of two bases inside the known range do."""
+        return tuple(2 * d + 3 for d in self.degrees)
+
+    @cached_property
+    def _digit_radix(self) -> np.ndarray:
+        return np.repeat(np.array(self.radix, dtype=np.int64), self.dims)
+
+    @cached_property
+    def _place_values(self) -> np.ndarray:
+        places = [1]
+        for radix in self._digit_radix.tolist():
+            places.append(places[-1] * radix)
+        # codes that need more than 63 bits stay exact as Python integers
+        fits = places[-1] <= np.iinfo(np.int64).max
+        return np.array(places[:-1], dtype=np.int64 if fits else object)
+
+    def exponents(self, monos) -> np.ndarray:
+        """Exponent matrix of a monomial sequence, one row per monomial and
+        one column per variable in canonical order."""
+        n_vars = sum(self.dims)
+        flat = np.fromiter(
+            itertools.chain.from_iterable(
+                itertools.chain.from_iterable(m.exps for m in monos)
+            ),
+            dtype=np.int64,
+        )
+        if flat.size != len(monos) * n_vars:
+            raise ShapeMismatchError("monomials do not match the shape")
+        return flat.reshape(len(monos), n_vars)
+
+    def codes(self, exps: np.ndarray) -> np.ndarray:
+        """Codes of the rows of an exponent matrix; DegreeOverflowError when
+        an exponent reaches its radix."""
+        if exps.size and (exps.max(axis=0) >= self._digit_radix).any():
+            raise DegreeOverflowError("exponent beyond the monomial code radix")
+        return exps @ self._place_values
+
+    def product_codes(self, rows, cols) -> np.ndarray:
+        """codes[i, j] = code(rows[i] * cols[j]), checked before any
+        product exponent can reach its radix."""
+        er, ec = self.exponents(rows), self.exponents(cols)
+        if len(er) and len(ec):
+            # the elementwise largest product must have a code
+            self.codes((er.max(axis=0) + ec.max(axis=0))[None, :])
+        return self.codes(er)[:, None] + self.codes(ec)[None, :]
+
 
 @dataclass(frozen=True)
 class Monomial:
@@ -88,6 +155,10 @@ class Monomial:
 
     def is_one(self) -> bool:
         return self.total_degree == 0
+
+    def code(self, shape: Shape) -> int:
+        """The exact integer code of the monomial in ``shape``."""
+        return int(shape.codes(shape.exponents([self]))[0])
 
     def within(self, shape: Shape) -> bool:
         """True when the monomial lies inside the multi-degree bounds."""
@@ -300,34 +371,67 @@ class Polynomial:
 class MomentFunctional:
     """Partial linear form on the monomials: monomial -> number.
 
-    Monomials absent from ``entries`` have unknown moments.
+    Monomials absent from ``entries`` have unknown moments.  ``entries`` is
+    a read-only view; moments are written through ``set``, so the
+    code-sorted view that ``lookup`` reads is never stale.
     """
 
-    __slots__ = ("shape", "entries")
+    __slots__ = ("shape", "_entries", "_view")
 
     def __init__(self, shape: Shape, entries: dict | None = None):
         self.shape = shape
-        self.entries = dict(entries or {})
+        self._entries = dict(entries or {})
+        self._view = None
+
+    @property
+    def entries(self) -> MappingProxyType:
+        return MappingProxyType(self._entries)
 
     def known(self, m: Monomial) -> bool:
-        return m in self.entries
+        return m in self._entries
 
     def known_value(self, m: Monomial) -> complex:
-        if m not in self.entries:
+        if m not in self._entries:
             raise KeyError(f"moment of {m} is unknown")
-        return self.entries[m]
+        return self._entries[m]
 
     def set(self, m: Monomial, value) -> None:
-        self.entries[m] = value
+        self._entries[m] = value
+        self._view = None
 
     def is_real(self, tol: float = 1e-12) -> bool:
-        return all(abs(complex(v).imag) <= tol for v in self.entries.values())
+        return all(abs(complex(v).imag) <= tol for v in self._entries.values())
 
     def uses_complex(self) -> bool:
-        return any(isinstance(v, complex) for v in self.entries.values())
+        return any(isinstance(v, complex) for v in self._entries.values())
 
     def copy(self) -> "MomentFunctional":
-        return MomentFunctional(self.shape, dict(self.entries))
+        out = MomentFunctional(self.shape, self._entries)
+        out._view = self._view
+        return out
+
+    def _sorted(self) -> tuple[np.ndarray, np.ndarray]:
+        """Codes of the known moments in increasing order, and their values
+        (complex when any value is stored as a complex type)."""
+        if self._view is None:
+            codes = self.shape.codes(self.shape.exponents(list(self._entries)))
+            values = np.array(
+                list(self._entries.values()),
+                dtype=complex if self.uses_complex() else float,
+            )
+            order = np.argsort(codes)
+            self._view = (codes[order], values[order])
+        return self._view
+
+    def lookup(self, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Values of the moments with the given codes (0 where unknown) and
+        the mask of the known ones, both shaped like ``codes``."""
+        keys, values = self._sorted()
+        if not len(keys):  # a sentinel no code matches: codes are >= 0
+            keys, values = np.array([-1]), np.zeros(1, dtype=values.dtype)
+        pos = np.minimum(np.searchsorted(keys, codes), len(keys) - 1)
+        known = keys[pos] == codes
+        return np.where(known, values[pos], 0), known
 
 
 def evaluation_functional(

@@ -595,8 +595,7 @@ def _decompose_reduced(T: Polynomial, opts: DecomposeOptions) -> Decomposition:
     core, factors, err = hosvd_reduce(T, target)
     log.info("reduced %s -> %s (compression error %.2e)", full, target, err)
     core_dec = decompose(core, inner_opts)
-    out = map_back(core_dec, factors, original=T)
-    out = _realify(out, T)
+    out = _realify(map_back(core_dec, factors), T)
     out.residual = verify(T, out)
     out.meta.update(
         reduced=True,
@@ -607,7 +606,7 @@ def _decompose_reduced(T: Polynomial, opts: DecomposeOptions) -> Decomposition:
         seed=opts.seed,
         coordinate_change_applied=False,
     )
-    if out.residual > max(opts.tol_resid, 10 * err):
+    if not (np.isfinite(out.residual) and out.residual <= opts.tol_resid):
         raise DecompositionError(
             f"lifted residual {out.residual:.2e} above tolerance",
             report={"residual": out.residual, "compression_error": err},

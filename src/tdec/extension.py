@@ -18,6 +18,12 @@ the relation coefficients alone with the same least-squares residual and
 the same determined coefficients, and solves it by the SVD of the R factor
 of its QR decomposition.
 
+The monomial bookkeeping is index arithmetic on monomial codes, done once
+per propagator: the moments of every target times every known row (one
+lookup of a block of code sums), the table placing each shifted product
+``x_v * b`` in B or among the targets, and the syzygy pairs, screened all at
+once on the targets' exponent matrix.
+
 When the fixpoint resolves everything, the commuting multiplication tables
 define the unique extension of the data, and any moment is obtained by
 reducing its monomial to a normal form and pairing against the values on B.
@@ -137,7 +143,6 @@ class _Propagator:
         self.H = H.numeric().astype(self.dtype)
         if numerical_rank(self.H) < self.r:
             raise SingularBlockError("base block is singular")
-        self.index_in_B = {m: i for i, m in enumerate(B)}
         self.targets = border(B)
         if rng is not None:
             order = rng.permutation(len(self.targets))
@@ -154,70 +159,80 @@ class _Propagator:
         self.rows = rows.values[full]
         # moment of every target times every fully known row; an unknown
         # product gets a placeholder id shared by all pairs with that product
-        n_targets, n_rows = len(self.targets), len(self.rows)
-        self.prod_data = np.zeros((n_targets, n_rows), dtype=self.dtype)
-        self.prod_place = np.full((n_targets, n_rows), -1)
-        places: dict[Monomial, int] = {}
         known_rows = [q for q, ok in zip(row_pool, full) if ok]
-        for t, m in enumerate(self.targets):
-            for i, q in enumerate(known_rows):
-                prod = q * m
-                v = lam.entries.get(prod)
-                if v is None:
-                    self.prod_place[t, i] = places.setdefault(prod, len(places))
-                else:
-                    self.prod_data[t, i] = v
-        self.syzygy_pairs = self._syzygy_pairs()
+        codes = self.shape.product_codes(self.targets, known_rows)
+        self.prod_data, known = lam.lookup(codes)
+        # ids count the unknown products in order of first appearance,
+        # target-major, so that they do not depend on the code layout
+        _, first, inverse = np.unique(
+            codes[~known], return_index=True, return_inverse=True
+        )
+        rank = np.empty_like(first)
+        rank[np.argsort(first)] = np.arange(len(first))
+        self.prod_place = np.full(codes.shape, -1)
+        self.prod_place[~known] = rank[inverse]
+        # x_v * b_s lies in B+ = B u border(B): shift[v][s] is the index of
+        # the product in B, or -1 - t for the t-th target
+        shape = self.shape
+        t_exps = shape.exponents(self.targets)
+        where = {c: i for i, c in enumerate(shape.codes(shape.exponents(B)).tolist())}
+        for t, c in enumerate(shape.codes(t_exps).tolist()):
+            where[c] = -1 - t
+        variables = [shape.variable(g, j) for g, j in shape.variables()]
+        self.shift = [
+            [where[c] for c in row]
+            for row in shape.product_codes(variables, B).tolist()
+        ]
+        self.unit = np.eye(self.r, dtype=self.dtype)
+        self.syzygy_pairs = self._syzygy_pairs(t_exps)
         self.inconsistency = 0.0
 
     # --- reductions -----------------------------------------------------
 
-    def _reduce_shift(self, var_mono: Monomial, b: Monomial):
-        """x_v * b as ('known', vec) or ('unknown', monomial)."""
-        m = var_mono * b
-        if m in self.index_in_B:
-            vec = np.zeros(self.r, dtype=self.dtype)
-            vec[self.index_in_B[m]] = 1.0
-            return "known", vec
-        if m in self.resolved:
-            return "known", self.resolved[m]
-        return "unknown", m
+    def _reduce_shift(self, v: int, s: int, tails):
+        """x_v * b_s as ('known', vec) or ('unknown', target index), where
+        tails[t] is the resolved tail of the t-th target or None."""
+        j = self.shift[v][s]
+        if j >= 0:
+            return "known", self.unit[j]
+        if tails[-1 - j] is not None:
+            return "known", tails[-1 - j]
+        return "unknown", -1 - j
 
-    def _side(self, quot: Monomial, m: Monomial):
-        """quot * N(m) as (const_vec, {target: coeff matrix}), or None.
+    def _side(self, v: int, t: int, tails):
+        """x_v * N(m) for the t-th target m (N(m) when v < 0) as
+        (const_vec, {target index: coeff matrix}), or None.
 
-        quot is 1 or a single variable; the expansion is kept affine in the
-        unresolved relation coefficients.
+        The expansion is kept affine in the unresolved relation coefficients.
         """
-        const = np.zeros(self.r, dtype=self.dtype)
-        lin: dict[Monomial, np.ndarray] = {}
-        if quot.is_one():
-            if m in self.resolved:
-                return self.resolved[m].copy(), lin
-            lin[m] = np.eye(self.r, dtype=self.dtype)
+        r, dtype = self.r, self.dtype
+        const = np.zeros(r, dtype=dtype)
+        lin: dict[int, np.ndarray] = {}
+        tail = tails[t]
+        if v < 0:
+            if tail is not None:
+                return tail.copy(), lin
+            lin[t] = np.eye(r, dtype=dtype)
             return const, lin
-        if m in self.resolved:
-            tail = self.resolved[m]
-            for s, b in enumerate(self.B):
+        if tail is not None:
+            for s in range(r):
                 if tail[s] == 0:
                     continue
-                kind, val = self._reduce_shift(quot, b)
+                kind, val = self._reduce_shift(v, s, tails)
                 if kind == "known":
                     const += tail[s] * val
                 else:
-                    mat = lin.setdefault(
-                        val, np.zeros((self.r, self.r), dtype=self.dtype)
-                    )
-                    mat += tail[s] * np.eye(self.r, dtype=self.dtype)
+                    mat = lin.setdefault(val, np.zeros((r, r), dtype=dtype))
+                    mat += tail[s] * np.eye(r, dtype=dtype)
             return const, lin
-        # m unresolved: need every shifted basis element known
-        V = np.zeros((self.r, self.r), dtype=self.dtype)
-        for s, b in enumerate(self.B):
-            kind, val = self._reduce_shift(quot, b)
+        # target unresolved: need every shifted basis element known
+        V = np.zeros((r, r), dtype=dtype)
+        for s in range(r):
+            kind, val = self._reduce_shift(v, s, tails)
             if kind != "known":
                 return None
             V[:, s] = val
-        lin[m] = V
+        lin[t] = V
         return const, lin
 
     # --- equation harvesting ---------------------------------------------
@@ -289,32 +304,37 @@ class _Propagator:
         b_raw_sq = float(np.sum(np.abs(b_data) ** 2) + np.sum(np.abs(b_place) ** 2))
         return X, b, n_raw, b_raw_sq, len(ids)
 
-    def _syzygy_pairs(self):
-        """Target pairs whose lcm is at most one variable above each, in
-        canonical order of the lcm."""
-        pairs = []
-        n = len(self.targets)
-        for i in range(n):
-            for j in range(i + 1, n):
-                m1, m2 = self.targets[i], self.targets[j]
-                lcm = m1.lcm(m2)
-                q1 = lcm.divide(m1)
-                q2 = lcm.divide(m2)
-                if q1.total_degree > 1 or q2.total_degree > 1:
-                    continue
-                pairs.append((lcm, m1, m2, q1, q2))
-        pairs.sort(key=lambda t: t[0].sort_key())
-        return [p[1:] for p in pairs]
+    def _syzygy_pairs(self, exps: np.ndarray):
+        """Target pairs (t1, t2, v1, v2) with lcm = x_v1 * m_t1 = x_v2 * m_t2
+        (v = -1 for the factor 1), in canonical order of the lcm.
+
+        ``exps`` holds the targets' exponent rows; the lcm is their
+        elementwise maximum, and a pair is kept when it is at most one
+        variable above each target.
+        """
+        i, j = np.triu_indices(len(exps), 1)
+        lcm = np.maximum(exps[i], exps[j])
+        q1, q2 = lcm - exps[i], lcm - exps[j]
+        keep = (q1.sum(axis=1) <= 1) & (q2.sum(axis=1) <= 1)
+        i, j, lcm, q1, q2 = i[keep], j[keep], lcm[keep], q1[keep], q2[keep]
+        # Monomial.sort_key: degree, then exponents in decreasing
+        # lexicographic order; lexsort is stable, as sorted() is
+        order = np.lexsort(np.vstack([-lcm[:, ::-1].T, lcm.sum(axis=1)]))
+        v1 = np.where(q1.any(axis=1), q1.argmax(axis=1), -1)
+        v2 = np.where(q2.any(axis=1), q2.argmax(axis=1), -1)
+        return list(zip(*(a[order].tolist() for a in (i, j, v1, v2))))
 
     def _syzygy_equations(self, pos: dict[Monomial, int]):
         """Rows equating the two reductions of each pair's lcm, over the
         coefficient blocks ``pos`` of the unresolved targets."""
         r, dtype = self.r, self.dtype
+        tails = [self.resolved.get(m) for m in self.targets]
+        block_of = [pos.get(m) for m in self.targets]
         at, blocks, mats, rhs = [], [], [], []
         zero = np.zeros((r, r), dtype=dtype)
-        for m1, m2, q1, q2 in self.syzygy_pairs:
-            s1 = self._side(q1, m1)
-            s2 = self._side(q2, m2)
+        for t1, t2, v1, v2 in self.syzygy_pairs:
+            s1 = self._side(v1, t1, tails)
+            s2 = self._side(v2, t2, tails)
             if s1 is None or s2 is None:
                 continue
             c1, l1 = s1
@@ -326,10 +346,10 @@ class _Propagator:
                 )
                 self.inconsistency = max(self.inconsistency, gap)
                 continue
-            for mono in keys:
+            for t in keys:
                 at.append(len(rhs))
-                blocks.append(pos[mono])
-                mats.append(l1.get(mono, zero) - l2.get(mono, zero))
+                blocks.append(block_of[t])
+                mats.append(l1.get(t, zero) - l2.get(t, zero))
             rhs.append(c2 - c1)
         X = np.zeros((len(rhs), r, len(pos), r), dtype=dtype)
         if rhs:
@@ -465,14 +485,17 @@ def propagate_commutation(
     lam_B = np.asarray([lam.known_value(b) for b in B], dtype=dtype)
     plus_rows = basis_plus(Bp)
     plus_cols = basis_plus(B)
-    for mr in plus_rows:
-        for mc in plus_cols:
-            m = mr * mc
-            if completed.known(m):
-                continue
-            nf = _normal_form(m, lam.shape, tables, r, dtype)
-            if nf is not None:
-                completed.set(m, lam_B @ nf)
+    # each unknown product once, in the order of its first occurrence
+    codes = lam.shape.product_codes(plus_rows, plus_cols).ravel()
+    _, first = np.unique(codes, return_index=True)
+    first.sort()
+    _, known = lam.lookup(codes[first])
+    n_cols = len(plus_cols)
+    for k in first[~known].tolist():
+        m = plus_rows[k // n_cols] * plus_cols[k % n_cols]
+        nf = _normal_form(m, lam.shape, tables, r, dtype)
+        if nf is not None:
+            completed.set(m, lam_B @ nf)
     # moments of B' x border follow from the relations even when some
     # variables stay unresolved
     Hn = prop.H

@@ -5,7 +5,9 @@ coefficients divided by the matching multinomials) and the matrices
 ``H[i, j] = lam(rows[i] * cols[j])`` indexed by two monomial bases connected
 to 1.  Every such matrix comes from ``hankel``: rows and columns may be any
 monomial sequences, and entries whose product monomial has no known moment
-are flagged in a mask (and read 0).
+are flagged in a mask (and read 0).  ``hankel`` never multiplies monomials:
+the product codes are row codes plus column codes, and one search in the
+functional's code-sorted moments reads the whole block.
 """
 
 from __future__ import annotations
@@ -136,24 +138,14 @@ class HankelMatrix:
     """Matrix lam(rows[i] * cols[j]) with a per-entry known mask.
 
     Rows and columns are any monomial sequences; an entry without a known
-    moment reads 0 and is False in ``known``.
+    moment reads 0 and is False in ``known``.  The block of product codes
+    is the sum of the row and column codes, looked up in one pass.
     """
 
     def __init__(self, lam: MomentFunctional, rows, cols):
         self.rows = rows
         self.cols = cols
-        dtype = complex if lam.uses_complex() else float
-        values = np.zeros((len(rows), len(cols)), dtype=dtype)
-        known = np.zeros((len(rows), len(cols)), dtype=bool)
-        entries = lam.entries
-        for i, mr in enumerate(rows):
-            for j, mc in enumerate(cols):
-                v = entries.get(mr * mc)
-                if v is not None:
-                    values[i, j] = v
-                    known[i, j] = True
-        self.values = values
-        self.known = known
+        self.values, self.known = lam.lookup(lam.shape.product_codes(rows, cols))
 
     @property
     def fully_known(self) -> bool:

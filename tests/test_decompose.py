@@ -312,6 +312,24 @@ class TestDecompose:
         assert dec.rank == 3
         assert dec.residual < 1e-8
 
+    def test_reduce_rejects_lifted_residual_above_tolerance(self):
+        # noise outside a multilinear-rank-(2,2,2) subspace that tol_rank
+        # ignores: the core decomposes exactly, and the lifted residual is
+        # the compression error, above tol_resid but below 10x that error
+        rng = np.random.default_rng(3)
+        _, _, _, T_small = random_instance(rng, (1, 1, 1), (1, 1, 1), 2)
+        Qs = [np.linalg.qr(rng.normal(size=(4, 2)))[0] for _ in range(3)]
+        big = np.einsum("abc,ia,jb,kc->ijk", poly_to_array(T_small), *Qs)
+        big += 1e-5 * np.abs(big).max() * rng.normal(size=big.shape)
+        T = array_to_poly(big)
+        opts = DecomposeOptions(seed=0, reduce=True, tol_rank=1e-3, tol_resid=1e-6)
+        _, _, err = hosvd_reduce(T, [2, 2, 2])
+        with pytest.raises(DecompositionError) as info:
+            decompose(T, opts)
+        residual = info.value.report["residual"]
+        assert opts.tol_resid < residual < 10 * err
+        assert info.value.report["compression_error"] == err
+
 
 class TestCoordinateChange:
     def test_substitution_and_inversion_round_trip(self):

@@ -78,7 +78,9 @@ class TestKnownColumnRelations:
     def test_basis_member_gets_unit_tail(self, ex2):
         shape2, lam, B, Bp = ex2
         prop = self.direct(lam, B, Bp)
-        kind, tail = prop._reduce_shift(Monomial.parse("a2", shape2), shape2.one())
+        tails = [prop.resolved.get(m) for m in prop.targets]
+        a2 = shape2.variables().index((0, 1))
+        kind, tail = prop._reduce_shift(a2, B.index(shape2.one()), tails)
         assert kind == "known"
         np.testing.assert_allclose(tail, [0, 0, 1, 0, 0, 0])
 
@@ -95,6 +97,41 @@ class TestKnownColumnRelations:
         Bp = basis_of(shape2, ["1", "a1"])  # lam(a1^2) unknown
         with pytest.raises(UnresolvedParameterError):
             propagate_commutation(lam, B, Bp)
+
+
+class TestIndexTables:
+    """The propagator's tables built from monomial codes match the
+    Monomial products they replace."""
+
+    @pytest.mark.parametrize("order_seed", [None, 3])
+    def test_shift_table_and_syzygy_pairs(self, ex2, order_seed):
+        shape2, lam, B, Bp = ex2
+        rng = None if order_seed is None else np.random.default_rng(order_seed)
+        prop = _Propagator(lam, B, Bp, tol=1e-6, rng=rng)
+        targets = prop.targets
+        variables = [shape2.variable(g, j) for g, j in shape2.variables()]
+        for v, x in enumerate(variables):
+            for s, b in enumerate(B):
+                m = x * b
+                want = B.index(m) if m in B else -1 - targets.index(m)
+                assert prop.shift[v][s] == want
+
+        def factor(v):
+            return shape2.one() if v < 0 else variables[v]
+
+        pairs = []
+        for i in range(len(targets)):
+            for j in range(i + 1, len(targets)):
+                lcm = targets[i].lcm(targets[j])
+                q1, q2 = lcm.divide(targets[i]), lcm.divide(targets[j])
+                if q1.total_degree <= 1 and q2.total_degree <= 1:
+                    pairs.append((lcm, i, j, q1, q2))
+        pairs.sort(key=lambda p: p[0].sort_key())
+        got = [
+            (i, j, factor(v1), factor(v2)) for i, j, v1, v2 in prop.syzygy_pairs
+        ]
+        assert got == [p[1:] for p in pairs]
+        assert len(got) > 0
 
 
 class TestPropagation:
@@ -367,7 +404,7 @@ class TestRankFactorCheck:
         B = prefix_basis(shape, 3)
         lam = complete_functional(shape, [1.0, -2.0, 0.5], pts, B, B)
         last = basis_plus(B)[-1]
-        lam.entries[last * last] += 1.0
+        lam.set(last * last, lam.known_value(last * last) + 1.0)
         assert not flat_extension_check(lam, B, B)
 
     def test_vacuous_when_no_border(self):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import golden_data as gd
 from conftest import poly, rank_one_expand
 from tdec.algebra import (
+    DegreeOverflowError,
     Monomial,
     MomentFunctional,
     Point,
@@ -206,6 +207,120 @@ class TestHankel:
         B = MonomialBasis(shape, (shape.one(),))
         Hs = hankel(lam, [shape.variable(0, 1) * q for q in B], B)
         assert Hs.numeric() == np.array([[-3.0]])
+
+
+def naive_hankel(lam, rows, cols):
+    """Reference for hankel: one Monomial product and one lookup per entry."""
+    dtype = complex if lam.uses_complex() else float
+    values = np.zeros((len(rows), len(cols)), dtype=dtype)
+    known = np.zeros((len(rows), len(cols)), dtype=bool)
+    for i, mr in enumerate(rows):
+        for j, mc in enumerate(cols):
+            v = lam.entries.get(mr * mc)
+            if v is not None:
+                values[i, j] = v
+                known[i, j] = True
+    return values, known
+
+
+class TestMonomialCodes:
+    @pytest.mark.parametrize(
+        "dims,degrees,n_basis,complex_values",
+        [
+            ((7, 7, 7), (1, 1, 1), 5, False),  # 21 variables, as 8x8x8
+            ((1,), (6,), 3, False),  # binary form of degree 6
+            ((2, 2), (2, 2), 4, True),
+            ((2, 3), (2, 1), 3, False),
+            ((7, 7, 7, 7), (1, 1, 1, 1), 3, False),  # codes beyond 63 bits
+        ],
+        ids=[
+            "21-variables", "binary-sextic", "complex", "mixed-degrees",
+            "28-variables",
+        ],
+    )
+    def test_hankel_matches_monomial_products(
+        self, dims, degrees, n_basis, complex_values
+    ):
+        rng = np.random.default_rng(sum(dims) + sum(degrees))
+        shape = Shape(dims=dims, degrees=degrees)
+        in_range = enumerate_monomials(shape, list(degrees))
+        B = MonomialBasis(shape, tuple(in_range[:n_basis]))
+        plus = list(basis_plus(B))
+        edge = border(B)
+        blocks = []
+        for pool_r, pool_c in [
+            (in_range, edge),  # in-range x border, the completion's products
+            (plus, plus),  # the once-prolonged matrix of the flat check
+            (edge, in_range),
+        ]:
+            rows = [pool_r[i] for i in rng.integers(0, len(pool_r), 12)]
+            cols = [pool_c[i] for i in rng.integers(0, len(pool_c), 9)]
+            blocks.append((rows, cols))
+        # the known range plus every other product beyond it, as first met
+        entries = {q: rng.normal() for q in in_range}
+        beyond = []
+        for rows, cols in blocks:
+            for mr in rows:
+                for mc in cols:
+                    if mr * mc not in entries and mr * mc not in beyond:
+                        beyond.append(mr * mc)
+        entries.update({q: rng.normal() for q in beyond[::2]})
+        if complex_values:
+            entries = {q: complex(v, rng.normal()) for q, v in entries.items()}
+        lam = MomentFunctional(shape, entries)
+        seen = set()
+        for rows, cols in blocks:
+            H = hankel(lam, rows, cols)
+            values, known = naive_hankel(lam, rows, cols)
+            assert H.values.dtype == values.dtype
+            np.testing.assert_array_equal(H.known, known)
+            np.testing.assert_array_equal(H.values, values)
+            seen.update(known.ravel().tolist())
+        assert seen == {True, False}
+
+    def test_codes_add_under_multiplication(self):
+        shape = Shape(dims=(1,), degrees=(6,))
+        x7 = Monomial.parse("a1^7", shape)
+        assert x7.code(shape) + x7.code(shape) == (x7 * x7).code(shape)
+        shape = Shape(dims=(7, 7, 7), degrees=(1, 1, 1))
+        a = Monomial.parse("a7^2*b1*c7", shape)
+        b = Monomial.parse("a7*c7^2", shape)
+        assert a.code(shape) + b.code(shape) == (a * b).code(shape)
+
+    def test_exponent_beyond_radix_raises(self):
+        shape = Shape(dims=(1,), degrees=(6,))
+        assert shape.radix == (15,)
+        with pytest.raises(DegreeOverflowError):
+            Monomial.parse("a1^15", shape).code(shape)
+        # each factor has a code, their product would not
+        x7, x8 = Monomial.parse("a1^7", shape), Monomial.parse("a1^8", shape)
+        lam = MomentFunctional(shape, {shape.one(): 1.0})
+        with pytest.raises(DegreeOverflowError):
+            hankel(lam, [x8], [x7])
+        assert not hankel(lam, [x7, x7], [x7]).known.any()
+
+    def test_codes_beyond_int64_stay_exact(self):
+        shape = Shape(dims=(30,), degrees=(1,))  # radix 5 on 30 variables
+        first, last = shape.variable(0, 0), shape.variable(0, 29)
+        assert last.code(shape) == 5**29 > 2**63
+        assert (first * last).code(shape) == 1 + 5**29
+        lam = MomentFunctional(shape, {last * last: 2.0, first * last: 3.0})
+        H = hankel(lam, [first, last], [last])
+        np.testing.assert_array_equal(H.values, [[3.0], [2.0]])
+
+    def test_writes_reach_the_next_hankel(self):
+        shape = Shape(dims=(2,), degrees=(1,))
+        x, y = shape.variable(0, 0), shape.variable(0, 1)
+        lam = MomentFunctional(shape, {shape.one(): 1.0, x: 2.0, y: 3.0})
+        B = [shape.one(), x]
+        assert not hankel(lam, B, B).known[1, 1]
+        lam.set(x * x, 5.0)
+        lam.set(x, -2.0)
+        np.testing.assert_array_equal(
+            hankel(lam, B, B).numeric(), [[1.0, -2.0], [-2.0, 5.0]]
+        )
+        with pytest.raises(TypeError):
+            lam.entries[x] = 0.0
 
 
 class TestNumericalRank:
