@@ -11,7 +11,6 @@ from .algebra import (
     Point,
     Polynomial,
     Shape,
-    evaluation_functional,
 )
 from .decompose import (
     DecomposeOptions,
@@ -52,9 +51,8 @@ from .moment import (
     basis_plus,
     build_moment_functional,
     enumerate_monomials,
-    functional_to_tensor,
     hankel,
-    select_bases,
+    select_bases_candidates,
 )
 
 __version__ = "0.1.0"

@@ -1,10 +1,13 @@
-"""Multi-graded monomial/polynomial arithmetic and dual-space machinery.
+"""Multi-graded monomials, the per-shape monomial table, and the moment
+functional.
 
 Polynomials live in the dehomogenized multi-graded ring: variables come in
 ``k`` groups of sizes ``dims = (n_1, ..., n_k)``, and a polynomial of
 multi-degree at most ``degrees = (d_1, ..., d_k)`` has, in each group ``g``,
 total degree at most ``d_g``.  The homogenizing variable of each group is
-implicit (set to 1).
+implicit (set to 1).  ``Polynomial`` is a container of coefficients;
+computation goes through arrays over the shape's one table of its monomial
+range (``Shape.table``), and ``evaluate`` gives monomial values at points.
 
 Every monomial of a shape has an exact integer code, its exponents read as
 the digits of a mixed-radix number, so that code(m * m') = code(m) +
@@ -106,6 +109,23 @@ class Shape:
         fits = places[-1] <= np.iinfo(np.int64).max
         return np.array(places[:-1], dtype=np.int64 if fits else object)
 
+    @cached_property
+    def table(self) -> "MonomialTable":
+        """The full monomial range, built once per shape."""
+        return MonomialTable(self)
+
+    def monomials(self, exps: np.ndarray) -> list["Monomial"]:
+        """Monomials of the rows of an exponent matrix (inverse of
+        ``exponents``)."""
+        ends = np.cumsum(self.dims).tolist()
+        spans = list(zip([0] + ends[:-1], ends))
+        parts: dict = {}  # monomials share their group parts: less memory
+        out = []
+        for row in exps.tolist():
+            groups = (tuple(row[a:b]) for a, b in spans)
+            out.append(Monomial(tuple(parts.setdefault(e, e) for e in groups)))
+        return out
+
     def exponents(self, monos) -> np.ndarray:
         """Exponent matrix of a monomial sequence, one row per monomial and
         one column per variable in canonical order."""
@@ -137,17 +157,11 @@ class Shape:
         return self.codes(er)[:, None] + self.codes(ec)[None, :]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Monomial:
     """Exponent vectors, one per variable group."""
 
     exps: tuple[tuple[int, ...], ...]
-
-    def group_degree(self, g: int) -> int:
-        return sum(self.exps[g])
-
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(sum(e) for e in self.exps)
 
     @property
     def total_degree(self) -> int:
@@ -159,13 +173,6 @@ class Monomial:
     def code(self, shape: Shape) -> int:
         """The exact integer code of the monomial in ``shape``."""
         return int(shape.codes(shape.exponents([self]))[0])
-
-    def within(self, shape: Shape) -> bool:
-        """True when the monomial lies inside the multi-degree bounds."""
-        return all(
-            len(e) == n and sum(e) <= d
-            for e, n, d in zip(self.exps, shape.dims, shape.degrees)
-        )
 
     def __mul__(self, other: "Monomial") -> "Monomial":
         if len(self.exps) != len(other.exps) or any(
@@ -201,14 +208,6 @@ class Monomial:
         return Monomial(
             tuple(
                 tuple(max(x, y) for x, y in zip(a, b))
-                for a, b in zip(self.exps, other.exps)
-            )
-        )
-
-    def gcd(self, other: "Monomial") -> "Monomial":
-        return Monomial(
-            tuple(
-                tuple(min(x, y) for x, y in zip(a, b))
                 for a, b in zip(self.exps, other.exps)
             )
         )
@@ -264,11 +263,73 @@ def multinomial(degree: int, alpha: Iterable[int]) -> int:
     return num // den
 
 
-def monomial_multinomial(shape: Shape, m: Monomial) -> int:
-    """Product of per-group multinomials C(d_g, alpha_g)."""
-    return math.prod(
-        multinomial(d, e) for d, e in zip(shape.degrees, m.exps)
-    )
+def graded_exponents(n: int, bound: int) -> np.ndarray:
+    """Exponent vectors of n variables with sum at most ``bound``, graded and
+    decreasing lexicographic within a degree: the multisets of variables
+    in lexicographic order."""
+    combos = [
+        c
+        for t in range(bound + 1)
+        for c in itertools.combinations_with_replacement(range(n), t)
+    ]
+    exps = np.zeros((len(combos), n), dtype=np.int64)
+    rows = [i for i, c in enumerate(combos) for _ in c]
+    np.add.at(exps, (rows, [v for c in combos for v in c]), 1)
+    return exps
+
+
+def canonical_order(exps: np.ndarray) -> np.ndarray:
+    """Row order of an exponent matrix by ``Monomial.sort_key``: graded,
+    then decreasing lexicographic (np.lexsort is stable, as sorted() is)."""
+    return np.lexsort(np.vstack([-exps[:, ::-1].T, exps.sum(axis=1)]))
+
+
+def graded_range(dims, bounds):
+    """All exponent rows with group-g degree at most bounds[g], in canonical
+    order (``Monomial.sort_key``: graded, then decreasing lexicographic).
+
+    Returns the exponent matrix, the position of each row's group parts
+    among the groups' own graded exponents, and those per-group exponents.
+    """
+    groups = [graded_exponents(n, b) for n, b in zip(dims, bounds)]
+    index = np.indices([len(G) for G in groups]).reshape(len(groups), -1).T
+    exps = np.hstack([G[index[:, g]] for g, G in enumerate(groups)])
+    order = canonical_order(exps)
+    return exps[order], index[order], groups
+
+
+class MonomialTable:
+    """The monomials of a shape within its degree bounds, canonical order.
+
+    ``exps`` is their exponent matrix, ``degrees`` their per-group degrees
+    and ``multinomials`` the products of the per-group multinomials
+    C(d_g; alpha_g), exact integers held as floats.  ``group_exps[g]``
+    lists the graded monomials of group g alone and ``group_index[m, g]``
+    the position of row m's group-g part among them, so
+    ``A[tuple(group_index.T)]`` reads a coefficient array with one axis per
+    group (the Kronecker layout) in table order.  ``index`` maps a monomial
+    to its row.
+    """
+
+    def __init__(self, shape: Shape):
+        self.exps, self.group_index, self.group_exps = graded_range(
+            shape.dims, shape.degrees
+        )
+        self.degrees = np.column_stack([
+            G.sum(axis=1)[self.group_index[:, g]]
+            for g, G in enumerate(self.group_exps)
+        ])
+        self.monomials = tuple(shape.monomials(self.exps))
+        self.index = {m: i for i, m in enumerate(self.monomials)}
+        per_group = [
+            np.array([multinomial(d, e) for e in G.tolist()], dtype=np.int64)
+            for d, G in zip(shape.degrees, self.group_exps)
+        ]
+        self.multinomials = np.prod(
+            [c[self.group_index[:, g]] for g, c in enumerate(per_group)], axis=0
+        ).astype(float)
+        for a in (self.exps, self.degrees, self.group_index, self.multinomials):
+            a.setflags(write=False)  # shared by every user of the shape
 
 
 @dataclass(frozen=True)
@@ -276,17 +337,6 @@ class Point:
     """Affine evaluation point, one coordinate vector per group."""
 
     coords: tuple[tuple[complex, ...], ...]
-
-    def coord(self, g: int, j: int) -> complex:
-        return self.coords[g][j]
-
-    def eval_monomial(self, m: Monomial) -> complex:
-        val = 1.0
-        for c, e in zip(self.coords, m.exps):
-            for x, power in zip(c, e):
-                if power:
-                    val *= x**power
-        return val
 
     def is_real(self, tol: float = 1e-12) -> bool:
         return all(
@@ -297,8 +347,38 @@ class Point:
         return Point(tuple(tuple(complex(x).real for x in c) for c in self.coords))
 
 
+def evaluate(shape: Shape, points, exps: np.ndarray) -> np.ndarray:
+    """V[m, i] = the monomial with exponent row exps[m] at points[i].
+
+    The factors z_v ** e are multiplied in variable order.  Complex products
+    are formed from real and imaginary parts, as Python forms them, because
+    numpy's complex multiply may fuse its operations and round differently:
+    at complex points (the roots the weight fit reads) V holds Python's
+    products to the last bit.
+    """
+    if any(tuple(len(c) for c in p.coords) != shape.dims for p in points):
+        raise ShapeMismatchError("point does not match shape")
+    Z = np.array([[x for c in p.coords for x in c] for p in points])
+    Z = Z.astype(np.result_type(Z, float)).reshape(len(points), sum(shape.dims))
+    re, im = np.ones((len(exps), len(points))), np.zeros((len(exps), len(points)))
+    for v in range(Z.shape[1]):
+        rows = np.flatnonzero(exps[:, v])
+        power = Z[None, :, v] ** exps[rows, v][:, None]
+        a, b = re[rows], im[rows]
+        re[rows] = a * power.real - b * power.imag
+        im[rows] = a * power.imag + b * power.real
+    if not np.iscomplexobj(Z):
+        return re
+    V = re.astype(complex)
+    V.imag = im
+    return V
+
+
 class Polynomial:
-    """Sparse multi-graded polynomial: shape plus monomial -> coefficient."""
+    """Sparse multi-graded polynomial: shape plus monomial -> coefficient.
+
+    A container: arithmetic on tensors goes through ``vector`` and
+    ``from_vector``, the coefficients over the shape's monomial table."""
 
     __slots__ = ("shape", "terms")
 
@@ -316,9 +396,6 @@ class Polynomial:
     def coeff(self, m: Monomial) -> complex:
         return self.terms.get(m, 0)
 
-    def within_bounds(self) -> bool:
-        return all(m.within(self.shape) for m in self.terms)
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -330,16 +407,25 @@ class Polynomial:
         """Any coefficient stored as a complex type; drives array dtypes."""
         return any(isinstance(c, complex) for c in self.terms.values())
 
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        if self.shape != other.shape:
-            raise ShapeMismatchError("polynomial shapes differ")
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            terms[m] = terms.get(m, 0) + c
-        return Polynomial(self.shape, terms)
+    def vector(self) -> np.ndarray:
+        """Coefficients over the rows of the shape's monomial table, complex
+        when any coefficient is stored as a complex type;
+        DegreeOverflowError for a term outside the table."""
+        table = self.shape.table
+        out = np.zeros(
+            len(table.monomials), dtype=complex if self.uses_complex() else float
+        )
+        try:
+            rows = [table.index[m] for m in self.terms]
+        except KeyError as exc:
+            raise DegreeOverflowError(f"term {exc.args[0]} beyond the shape") from None
+        out[rows] = list(self.terms.values())
+        return out
 
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (other * -1)
+    @staticmethod
+    def from_vector(shape: Shape, values: np.ndarray) -> "Polynomial":
+        """Inverse of ``vector``: zero coefficients are dropped."""
+        return Polynomial(shape, dict(zip(shape.table.monomials, values.tolist())))
 
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
@@ -354,12 +440,6 @@ class Polynomial:
         return Polynomial(self.shape, terms)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "Polynomial":
-        result = Polynomial(self.shape, {self.shape.one(): 1})
-        for _ in range(n):
-            result = result * self
-        return result
 
     def __str__(self) -> str:
         if not self.terms:
@@ -399,9 +479,6 @@ class MomentFunctional:
         self._entries[m] = value
         self._view = None
 
-    def is_real(self, tol: float = 1e-12) -> bool:
-        return all(abs(complex(v).imag) <= tol for v in self._entries.values())
-
     def uses_complex(self) -> bool:
         return any(isinstance(v, complex) for v in self._entries.values())
 
@@ -432,27 +509,3 @@ class MomentFunctional:
         pos = np.minimum(np.searchsorted(keys, codes), len(keys) - 1)
         known = keys[pos] == codes
         return np.where(known, values[pos], 0), known
-
-
-def evaluation_functional(
-    zeta: Point, shape: Shape, domain: list[Monomial]
-) -> MomentFunctional:
-    """The evaluation form 1_zeta: m -> m(zeta), on the given domain."""
-    if tuple(len(c) for c in zeta.coords) != shape.dims:
-        raise ShapeMismatchError("point does not match shape")
-    return MomentFunctional(shape, {m: zeta.eval_monomial(m) for m in domain})
-
-
-def weighted_evaluation(
-    weights: Iterable[complex], points: Iterable[Point], shape: Shape,
-    domain: list[Monomial],
-) -> MomentFunctional:
-    """The rank-r form sum_i gamma_i 1_{zeta_i} on the given domain."""
-    weights = list(weights)
-    points = list(points)
-    entries = {}
-    for m in domain:
-        entries[m] = sum(
-            w * z.eval_monomial(m) for w, z in zip(weights, points)
-        )
-    return MomentFunctional(shape, entries)

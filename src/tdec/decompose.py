@@ -8,6 +8,12 @@ multiplication family, reads/recovers coordinates, solves for weights and
 accepts on a small reconstruction residual.  On failure it retries under a
 random (seeded, invertible) change of coordinates per group, and finally
 raises with the last failure.
+
+Tensors are arrays over the shape's monomial table: a rank-one sum expands
+as the multinomials times ``V @ weights`` (V the monomials' values at the
+points), and a change of coordinates is one mode product per group with
+the symmetric power Sym^{d_g}(A_g) of the group's matrix.  Every returned
+decomposition passes one acceptance check on its residual.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .algebra import DegreeOverflowError, Point, Polynomial, Shape
+from .algebra import Point, Polynomial, Shape, evaluate
 from .eigen import (
     CoordinateRecoveryError,
     WeightSolveError,
@@ -106,9 +112,12 @@ class RankBounds:
 
 def rank_lower_bound(T: Polynomial, tol_rank: float = DEFAULT_TOL_RANK) -> int:
     """Largest numerical rank over all degree-split moment matrices."""
-    lam = build_moment_functional(T)
+    return _flattening_rank(build_moment_functional(T), tol_rank)
+
+
+def _flattening_rank(lam, tol_rank: float) -> int:
     best = 0
-    for col_bounds, row_bounds in degree_splits(T.shape):
+    for col_bounds, row_bounds in degree_splits(lam.shape):
         A, _, _ = catalecticant(lam, row_bounds, col_bounds)
         best = max(best, numerical_rank(A, tol_rank))
     return best
@@ -174,33 +183,24 @@ def _require_multilinear(shape: Shape):
 
 
 def poly_to_array(T: Polynomial) -> np.ndarray:
-    """Coefficient array over full dimensions, index 0 = homogenizing slot."""
-    shape = T.shape
-    _require_multilinear(shape)
-    dims = tuple(n + 1 for n in shape.dims)
-    A = np.zeros(dims, dtype=complex if T.uses_complex() else float)
-    for m, c in T.terms.items():
-        idx = []
-        for g, e in enumerate(m.exps):
-            nz = [j for j, x in enumerate(e) if x]
-            idx.append(nz[0] + 1 if nz else 0)
-        A[tuple(idx)] = c
+    """Coefficient array with one axis per group over that group's graded
+    monomials; for a multilinear shape these are the full dimensions, index
+    0 being the homogenizing slot."""
+    table = T.shape.table
+    A = np.zeros(
+        [len(G) for G in table.group_exps],
+        dtype=complex if T.uses_complex() else float,
+    )
+    A[tuple(table.group_index.T)] = T.vector()
     return A
 
 
-def array_to_poly(A: np.ndarray) -> Polynomial:
-    shape = Shape(dims=tuple(d - 1 for d in A.shape), degrees=(1,) * A.ndim)
-    terms = {}
-    for idx in np.ndindex(A.shape):
-        c = A[idx]
-        if c == 0:
-            continue
-        mono = shape.one()
-        for g, i in enumerate(idx):
-            if i > 0:
-                mono = mono * shape.variable(g, i - 1)
-        terms[mono] = c
-    return Polynomial(shape, terms)
+def array_to_poly(A: np.ndarray, shape: Shape | None = None) -> Polynomial:
+    """Inverse of poly_to_array; the shape is multilinear (axis sizes
+    n_g + 1) when not given."""
+    if shape is None:
+        shape = Shape(dims=tuple(d - 1 for d in A.shape), degrees=(1,) * A.ndim)
+    return Polynomial.from_vector(shape, A[tuple(shape.table.group_index.T)])
 
 
 def _unfold(A: np.ndarray, mode: int) -> np.ndarray:
@@ -228,6 +228,7 @@ def hosvd_reduce(
     orthonormal factors (one per mode), and the relative reconstruction
     error of the compression.
     """
+    _require_multilinear(T.shape)
     A = poly_to_array(T)
     if len(target) != A.ndim or any(
         not 1 <= t <= d for t, d in zip(target, A.shape)
@@ -259,16 +260,12 @@ def hosvd_reduce(
     return array_to_poly(core), factors, err
 
 
-def map_back(
-    core_dec: Decomposition,
-    factors: list[np.ndarray],
-    original: Polynomial | None = None,
-) -> Decomposition:
+def map_back(core_dec: Decomposition, factors: list[np.ndarray]) -> Decomposition:
     """Lift a core decomposition through the orthonormal factors.
 
     Each rank-one term's homogeneous vector per mode is multiplied by the
     factor and re-dehomogenized; a vanishing homogenizing coordinate means
-    the lifted term is not affine.
+    the lifted term is not affine.  The residual is left unset (NaN).
     """
     terms = []
     for w, p in core_dec.terms:
@@ -288,47 +285,34 @@ def map_back(
         dims=tuple(U.shape[0] - 1 for U in factors),
         degrees=(1,) * len(factors),
     )
-    residual = float("nan")
-    out = Decomposition(shape, terms, residual, meta=dict(core_dec.meta))
-    if original is not None:
-        out.residual = verify(original, out)
-    return out
+    return Decomposition(shape, terms, float("nan"), meta=dict(core_dec.meta))
 
 
 # --- reconstruction and verification -----------------------------------------
 
 
+def _expand(shape: Shape, weights, points) -> np.ndarray:
+    """Coefficients of sum_i gamma_i prod_g (1 + <zeta_g, x_g>)^(d_g) over
+    the shape's monomial table."""
+    table = shape.table
+    V = evaluate(shape, points, table.exps)
+    return table.multinomials * (V @ np.asarray(weights))
+
+
 def reconstruct(shape: Shape, weights, points) -> Polynomial:
     """Expand sum_i gamma_i prod_g (1 + <zeta_g, x_g>)^(d_g)."""
-    total = Polynomial(shape, {})
-    for w, pt in zip(weights, points):
-        term = Polynomial(shape, {shape.one(): w})
-        for g in range(shape.k):
-            linear = Polynomial(shape, {shape.one(): 1})
-            for j in range(shape.dims[g]):
-                linear = linear + Polynomial(
-                    shape, {shape.variable(g, j): pt.coord(g, j)}
-                )
-            term = term * linear ** shape.degrees[g]
-        total = total + term
-    return total
-
-
-def coefficient_distance(T: Polynomial, S: Polynomial) -> float:
-    """Relative Euclidean distance between coefficient tables."""
-    num = 0.0
-    for m in set(T.terms) | set(S.terms):
-        num += abs(T.coeff(m) - S.coeff(m)) ** 2
-    den = sum(abs(c) ** 2 for c in T.terms.values())
-    if den == 0:
-        return math.sqrt(num)
-    return math.sqrt(num / den)
+    return Polynomial.from_vector(shape, _expand(shape, weights, points))
 
 
 def verify(T: Polynomial, D: Decomposition) -> float:
+    """Relative Euclidean distance between the coefficients of T and of the
+    expansion of D (the absolute distance when T is zero)."""
     if T.shape != D.shape:
         raise ValueError("tensor and decomposition shapes differ")
-    return coefficient_distance(T, reconstruct(D.shape, D.weights(), D.points()))
+    t = T.vector()
+    dist = np.linalg.norm(t - _expand(D.shape, D.weights(), D.points()))
+    norm = np.linalg.norm(t)
+    return float(dist / norm if norm else dist)
 
 
 # --- change of coordinates ----------------------------------------------------
@@ -344,32 +328,41 @@ def random_coordinate_change(shape: Shape, rng) -> list[np.ndarray]:
     return mats
 
 
+def symmetric_power(A: np.ndarray, exps: np.ndarray, d: int) -> np.ndarray:
+    """Sym^d(A) over ``exps``, the graded monomials of degree <= d of one
+    group: column j holds the coefficients of prod_i L_i^(alpha_i), where
+    L_i = A[i, 0] + sum_l A[i, l + 1] y_l and alpha = (d - |e_j|, e_j).
+
+    Built in d steps of multiplication by one linear form, each an index
+    add: code(y_l * m) = code(y_l) + code(m), and h_0 shifts by nothing.
+    """
+    group = Shape((exps.shape[1],), (d,))
+    codes = group.codes(exps).tolist()
+    shift = [0, *group.codes(np.eye(exps.shape[1], dtype=np.int64)).tolist()]
+    row_of = {c: i for i, c in enumerate(codes)}
+    degree = exps.sum(axis=1)
+    P = np.ones((1, 1), dtype=A.dtype)
+    for t in range(d):
+        size = int(np.sum(degree <= t + 1))
+        # column j of degree t + 1 is L_i times the column src[j] of degree t
+        lead = np.where(degree[:size] <= t, 0, exps[:size].argmax(axis=1) + 1)
+        src = [row_of[codes[j] - shift[i]] for j, i in enumerate(lead.tolist())]
+        Q = np.zeros((size, size), dtype=np.result_type(A, P))
+        for l, step in enumerate(shift):
+            Q[[row_of[c + step] for c in codes[: len(P)]]] += P[:, src] * A[lead, l]
+        P = Q
+    return P
+
+
 def substitute_linear(T: Polynomial, mats: list[np.ndarray]) -> Polynomial:
-    """T(A_1 y_1, ..., A_k y_k) on homogeneous coordinates, dehomogenized."""
-    shape = T.shape
-    # homogeneous variable i of group g becomes an affine-linear polynomial
-    subs = []
+    """T(A_1 y_1, ..., A_k y_k) on homogeneous coordinates, dehomogenized:
+    one mode product per group with the symmetric power of A_g."""
+    shape, table = T.shape, T.shape.table
+    C = poly_to_array(T)
     for g, A in enumerate(mats):
-        group = []
-        for i in range(shape.dims[g] + 1):
-            terms = {shape.one(): A[i, 0]}
-            for l in range(shape.dims[g]):
-                terms[shape.variable(g, l)] = A[i, l + 1]
-            group.append(Polynomial(shape, terms))
-        subs.append(group)
-    total = Polynomial(shape, {})
-    for m, c in T.terms.items():
-        term = Polynomial(shape, {shape.one(): c})
-        for g in range(shape.k):
-            exps = m.exps[g]
-            hom0 = shape.degrees[g] - sum(exps)
-            if hom0:
-                term = term * subs[g][0] ** hom0
-            for j, e in enumerate(exps):
-                if e:
-                    term = term * subs[g][j + 1] ** e
-        total = total + term
-    return total
+        S = symmetric_power(A, table.group_exps[g], shape.degrees[g])
+        C = _mode_product(C, g, S)
+    return array_to_poly(C, shape)
 
 
 # --- the main loop -------------------------------------------------------------
@@ -446,16 +439,10 @@ def _attempt_rank(T: Polynomial, lam, r: int, opts: DecomposeOptions, seed: int)
             residual=0.0,
             meta={"basis": [str(m) for m in B], "dual_basis": [str(m) for m in Bp]},
         )
-        dec = _realify(dec, T)
-        dec.residual = verify(T, dec)
-        if np.isfinite(dec.residual) and dec.residual <= opts.tol_resid:
-            return dec
-        failure = {
-            "rank": r,
-            "stage": "verify",
-            "detail": f"residual {dec.residual:.2e}",
-            "residual": dec.residual,
-        }
+        out = _accept(dec, T, opts.tol_resid, "verify", "residual")
+        if isinstance(out, Decomposition):
+            return out
+        failure = out
     return failure
 
 
@@ -470,15 +457,13 @@ def decompose(T: Polynomial, opts: DecomposeOptions | None = None) -> Decomposit
     shape = T.shape
     if T.is_zero():
         raise ValueError("zero tensor")
-    if not T.within_bounds():
-        raise DegreeOverflowError("tensor exceeds its degree bounds")
 
     if opts.reduce:
         return _decompose_reduced(T, opts)
 
     rng = np.random.default_rng(opts.seed)
     lam = build_moment_functional(T)
-    lower = max(1, rank_lower_bound(T, opts.tol_rank))
+    lower = max(1, _flattening_rank(lam, opts.tol_rank))
     max_rank = opts.max_rank if opts.max_rank is not None else default_max_rank(shape)
     if max_rank < lower:
         raise DecompositionError(
@@ -524,9 +509,8 @@ def _undo_coordinate_change(dec: Decomposition, mats, T: Polynomial, tol_resid: 
     """Map points of a decomposition of T(Ay) back to the original frame.
 
     The frame change is real, so terms already realified against T(Ay) map
-    to real terms.  Returns the mapped Decomposition when its residual
-    against T, recomputed from the returned terms, is at most tol_resid, and
-    a failure dict otherwise.
+    to real terms.  Returns the mapped Decomposition when it passes the
+    acceptance check against T, and a failure dict otherwise.
     """
     shape = T.shape
     r = dec.rank
@@ -548,36 +532,33 @@ def _undo_coordinate_change(dec: Decomposition, mats, T: Polynomial, tol_resid: 
         coordinate_change=mats,
         meta=dict(dec.meta),
     )
-    out.residual = verify(T, out)
-    if np.isfinite(out.residual) and out.residual <= tol_resid:
-        return out
-    return {
-        "rank": r,
-        "stage": "frame",
-        "detail": f"back-mapped residual {out.residual:.2e}",
-        "residual": out.residual,
-    }
+    return _accept(out, T, tol_resid, "frame", "back-mapped residual")
 
 
-def _realify(dec: Decomposition, T: Polynomial) -> Decomposition:
-    """Drop negligible imaginary parts when the input is real."""
-    if not T.is_real() or not dec.terms:
+def _accept(dec: Decomposition, T: Polynomial, tol_resid: float, stage, label):
+    """The one acceptance check of a returned decomposition.  When T is real
+    and the imaginary parts of the terms are at most 1e-8 of their largest
+    modulus (or of 1), the terms are made real; the residual is then
+    recomputed from the returned terms.  Returns the decomposition when the
+    residual is at most tol_resid, and otherwise the failure dict of
+    ``stage``, its detail led by ``label``."""
+    values = np.array(
+        [w for w, _ in dec.terms]
+        + [x for _, p in dec.terms for c in p.coords for x in c],
+        dtype=complex,
+    )
+    scale = np.abs(values).max(initial=1.0)
+    if T.is_real() and np.abs(values.imag).max(initial=0.0) <= 1e-8 * scale:
+        dec.terms = [(complex(w).real, p.real()) for w, p in dec.terms]
+    dec.residual = verify(T, dec)
+    if np.isfinite(dec.residual) and dec.residual <= tol_resid:
         return dec
-    scale = max(
-        [abs(complex(w)) for w, _ in dec.terms]
-        + [abs(x) for _, p in dec.terms for c in p.coords for x in c]
-        + [1.0]
-    )
-    imag = max(
-        [abs(complex(w).imag) for w, _ in dec.terms]
-        + [abs(complex(x).imag) for _, p in dec.terms for c in p.coords for x in c]
-    )
-    if imag <= 1e-8 * scale:
-        dec.terms = [
-            (complex(w).real, p.real())
-            for w, p in dec.terms
-        ]
-    return dec
+    return {
+        "rank": dec.rank,
+        "stage": stage,
+        "detail": f"{label} {dec.residual:.2e}",
+        "residual": dec.residual,
+    }
 
 
 def _decompose_reduced(T: Polynomial, opts: DecomposeOptions) -> Decomposition:
@@ -595,8 +576,14 @@ def _decompose_reduced(T: Polynomial, opts: DecomposeOptions) -> Decomposition:
     core, factors, err = hosvd_reduce(T, target)
     log.info("reduced %s -> %s (compression error %.2e)", full, target, err)
     core_dec = decompose(core, inner_opts)
-    out = _realify(map_back(core_dec, factors), T)
-    out.residual = verify(T, out)
+    out = _accept(
+        map_back(core_dec, factors), T, opts.tol_resid, "lift", "lifted residual"
+    )
+    if not isinstance(out, Decomposition):
+        raise DecompositionError(
+            f"{out['detail']} above tolerance",
+            report={**out, "compression_error": err},
+        )
     out.meta.update(
         reduced=True,
         multilinear_rank=ranks,
@@ -606,9 +593,4 @@ def _decompose_reduced(T: Polynomial, opts: DecomposeOptions) -> Decomposition:
         seed=opts.seed,
         coordinate_change_applied=False,
     )
-    if not (np.isfinite(out.residual) and out.residual <= opts.tol_resid):
-        raise DecompositionError(
-            f"lifted residual {out.residual:.2e} above tolerance",
-            report={"residual": out.residual, "compression_error": err},
-        )
     return out

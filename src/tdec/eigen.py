@@ -16,14 +16,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .algebra import Monomial, MomentFunctional, Point, Polynomial, Shape
+from .algebra import MomentFunctional, Point, Polynomial, Shape, evaluate
 from .extension import SingularBlockError
 from .moment import (
     MonomialBasis,
     UnresolvedParameterError,
-    build_moment_functional,
-    enumerate_monomials,
     hankel,
+    moment_vector,
     numerical_rank,
 )
 
@@ -210,13 +209,15 @@ def read_coordinates(
     return replace(roots, points=pts)
 
 
+def _missing(points: list[Point]) -> np.ndarray:
+    """Per variable, in canonical order: some point lacks its coordinate."""
+    coords = [[x for c in p.coords for x in c] for p in points]
+    return np.isnan(coords).reshape(len(points), -1).any(axis=0)
+
+
 def missing_variables(roots: RootSet) -> list[tuple[int, int]]:
-    out = []
-    for g in range(roots.shape.k):
-        for j in range(roots.shape.dims[g]):
-            if any(np.isnan(p.coord(g, j)) for p in roots.points):
-                out.append((g, j))
-    return out
+    flags = _missing(roots.points)
+    return [v for v, miss in zip(roots.shape.variables(), flags) if miss]
 
 
 def recover_missing_coordinates(
@@ -266,28 +267,14 @@ def recover_missing_coordinates(
 def solve_weights(T: Polynomial, points: list[Point]) -> tuple[np.ndarray, float]:
     """Fit T* = sum_i gamma_i 1_{zeta_i} by least squares on the moments.
 
-    Only coefficients free of any still-missing coordinate are used; the
-    residual of the fit is returned alongside the weights.
+    Only the table rows free of any still-missing coordinate are used, in
+    table order; the residual of the fit is returned alongside the weights.
     """
     shape = T.shape
-    known_var = np.ones((shape.k, max(shape.dims)), dtype=bool)
-    for p in points:
-        for g in range(shape.k):
-            for j in range(shape.dims[g]):
-                if np.isnan(p.coord(g, j)):
-                    known_var[g, j] = False
-
-    def usable(m: Monomial) -> bool:
-        return all(known_var[g, j] for (g, j) in m.variable_factors())
-
-    lam = build_moment_functional(T)
-    monos = [
-        m
-        for m in enumerate_monomials(shape, list(shape.degrees))
-        if usable(m)
-    ]
-    V = np.array([[p.eval_monomial(m) for p in points] for m in monos])
-    rhs = np.array([lam.known_value(m) for m in monos])
+    exps = shape.table.exps
+    rows = np.flatnonzero(~exps[:, _missing(points)].any(axis=1))
+    V = evaluate(shape, points, exps[rows])
+    rhs = moment_vector(T)[rows]
     if numerical_rank(V) < len(points):
         raise WeightSolveError("evaluation system is rank deficient")
     gam, *_ = np.linalg.lstsq(V, rhs, rcond=None)

@@ -36,13 +36,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import Monomial, MomentFunctional, Shape
+from .algebra import Monomial, MomentFunctional, Shape, canonical_order
 from .moment import (
     MonomialBasis,
     UnresolvedParameterError,
     basis_plus,
     border,
-    enumerate_monomials,
     hankel,
     numerical_rank,
 )
@@ -79,12 +78,6 @@ class ExtensionResult:
     @property
     def extended(self) -> bool:
         return self.status == "extended"
-
-    def relation_for(self, m: Monomial) -> BorderRelation | None:
-        for rel in self.relations:
-            if rel.lead == m:
-                return rel
-        return None
 
 
 def commutator_residual(mats: list[np.ndarray]) -> float:
@@ -150,10 +143,9 @@ class _Propagator:
         self.resolved: dict[Monomial, np.ndarray] = {}
         # any monomial whose products with B are known yields valid
         # constraints; scan the whole known range plus the prolonged rows
-        in_range = enumerate_monomials(self.shape, list(self.shape.degrees))
-        in_range_set = set(in_range)
-        extra = [q for q in basis_plus(Bp) if q not in in_range_set]
-        row_pool = in_range + extra
+        in_range = self.shape.table.monomials
+        extra = [q for q in basis_plus(Bp) if q not in self.shape.table.index]
+        row_pool = [*in_range, *extra]
         rows = hankel(lam, row_pool, B)
         full = rows.known.all(axis=1)
         self.rows = rows.values[full]
@@ -234,6 +226,17 @@ class _Propagator:
             V[:, s] = val
         lin[t] = V
         return const, lin
+
+    def tables(self) -> dict[tuple[int, int], np.ndarray]:
+        """Per-variable tables M_v with columns the normal forms of x_v * b,
+        for each variable whose shifted products are in B or resolved."""
+        tails = [self.resolved.get(m) for m in self.targets]
+        out = {}
+        for v, var in enumerate(self.shape.variables()):
+            cols = [self._reduce_shift(v, s, tails) for s in range(self.r)]
+            if all(kind == "known" for kind, _ in cols):
+                out[var] = np.column_stack([vec for _, vec in cols])
+        return out
 
     # --- equation harvesting ---------------------------------------------
 
@@ -317,9 +320,7 @@ class _Propagator:
         q1, q2 = lcm - exps[i], lcm - exps[j]
         keep = (q1.sum(axis=1) <= 1) & (q2.sum(axis=1) <= 1)
         i, j, lcm, q1, q2 = i[keep], j[keep], lcm[keep], q1[keep], q2[keep]
-        # Monomial.sort_key: degree, then exponents in decreasing
-        # lexicographic order; lexsort is stable, as sorted() is
-        order = np.lexsort(np.vstack([-lcm[:, ::-1].T, lcm.sum(axis=1)]))
+        order = canonical_order(lcm)
         v1 = np.where(q1.any(axis=1), q1.argmax(axis=1), -1)
         v2 = np.where(q2.any(axis=1), q2.argmax(axis=1), -1)
         return list(zip(*(a[order].tolist() for a in (i, j, v1, v2))))
@@ -406,34 +407,6 @@ class _Propagator:
         return "extended"
 
 
-def multiplication_tables(
-    shape: Shape,
-    B: MonomialBasis,
-    relations: dict[Monomial, np.ndarray],
-    dtype=float,
-) -> dict[tuple[int, int], np.ndarray]:
-    """Per-variable tables M_v with columns = normal forms of x_v * b."""
-    index = {m: i for i, m in enumerate(B)}
-    out = {}
-    r = len(B)
-    for g, j in shape.variables():
-        v = shape.variable(g, j)
-        M = np.zeros((r, r), dtype=dtype)
-        ok = True
-        for c, b in enumerate(B):
-            m = v * b
-            if m in index:
-                M[index[m], c] = 1.0
-            elif m in relations:
-                M[:, c] = relations[m]
-            else:
-                ok = False
-                break
-        if ok:
-            out[(g, j)] = M
-    return out
-
-
 def _normal_form(m: Monomial, shape, tables, r, dtype):
     vec = np.zeros(r, dtype=dtype)
     vec[0] = 1.0  # B is connected to 1 and listed with 1 first
@@ -471,7 +444,7 @@ def propagate_commutation(
     r = len(B)
     dtype = prop.dtype
 
-    tables = multiplication_tables(lam.shape, B, prop.resolved, dtype)
+    tables = prop.tables()
     relations = [
         BorderRelation(m, prop.resolved[m])
         for m in sorted(prop.resolved, key=lambda t: t.sort_key())

@@ -14,7 +14,6 @@ import numpy as np
 
 from .algebra import Monomial, Point, Polynomial, Shape
 from .decompose import Decomposition, reconstruct, verify
-from .moment import enumerate_monomials
 
 
 class FormatError(ValueError):
@@ -220,14 +219,12 @@ def synthesize(
         weights = weights * np.exp(2j * np.pi * rng.uniform(0, 1, rank))
     T = reconstruct(shape, weights, points)
     if noise > 0:
-        scale = max(abs(complex(c)) for c in T.terms.values())
-        terms = dict(T.terms)
-        for m in enumerate_monomials(shape, list(shape.degrees)):
-            bump = rng.normal() * noise * scale
-            if fld == "complex":
-                bump = bump + 1j * rng.normal() * noise * scale
-            terms[m] = terms.get(m, 0) + bump
-        T = Polynomial(shape, terms)
+        coef = T.vector()
+        # one draw per monomial in table order, two (real, imaginary) if complex
+        draws = rng.normal(size=(len(coef), 2 if fld == "complex" else 1))
+        draws = draws * noise * np.abs(coef).max()
+        bump = draws[:, 0] + 1j * draws[:, 1] if fld == "complex" else draws[:, 0]
+        T = Polynomial.from_vector(shape, coef + bump)
     dec = Decomposition(shape, list(zip(weights.tolist(), points)), 0.0)
     dec.residual = verify(T, dec)
     meta = {"seed": seed, "noise": noise, "synthetic": True}

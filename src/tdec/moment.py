@@ -1,7 +1,8 @@
 """Moment functionals, monomial bases and quasi-Hankel matrices.
 
 The central objects are the truncated moment functional of a tensor (its
-coefficients divided by the matching multinomials) and the matrices
+coefficient vector over the shape's monomial table divided by the table's
+multinomials) and the matrices
 ``H[i, j] = lam(rows[i] * cols[j])`` indexed by two monomial bases connected
 to 1.  Every such matrix comes from ``hankel``: rows and columns may be any
 monomial sequences, and entries whose product monomial has no known moment
@@ -18,20 +19,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (
-    DegreeOverflowError,
     Monomial,
     MomentFunctional,
     Polynomial,
     Shape,
-    monomial_multinomial,
+    canonical_order,
+    graded_range,
 )
 
 DEFAULT_TOL_RANK = 1e-8
 MAX_COND = 1e10
-
-
-class NoInvertibleBlockError(RuntimeError):
-    """No fully known, well conditioned r x r block was found."""
 
 
 class UnresolvedParameterError(RuntimeError):
@@ -79,27 +76,25 @@ def enumerate_monomials(shape: Shape, bounds: list[int]) -> list[Monomial]:
     """All monomials with per-group degree at most bounds[g], canonical order."""
     if len(bounds) != shape.k or any(b < 0 for b in bounds):
         raise ValueError("bounds must list one non-negative integer per group")
-    per_group = []
-    for n, b in zip(shape.dims, bounds):
-        group = [
-            e
-            for e in itertools.product(range(b + 1), repeat=n)
-            if sum(e) <= b
-        ]
-        per_group.append(group)
-    monos = [Monomial(tuple(combo)) for combo in itertools.product(*per_group)]
-    monos.sort(key=lambda m: m.sort_key())
-    return monos
+    if all(b <= d for b, d in zip(bounds, shape.degrees)):
+        # inside the degree bounds: a subsequence of the shape's table
+        table = shape.table
+        keep = np.flatnonzero((table.degrees <= bounds).all(axis=1))
+        return [table.monomials[i] for i in keep.tolist()]
+    return shape.monomials(graded_range(shape.dims, bounds)[0])
 
 
-def basis_plus(B: MonomialBasis) -> MonomialBasis:
-    """B+ = B union x*B over every variable, canonical order."""
+def basis_plus(B: MonomialBasis) -> tuple[Monomial, ...]:
+    """B+ = B union x*B over every variable, canonical order.  B+ of a
+    connected basis is connected, so it is returned as a plain tuple."""
     shape = B.shape
-    out = set(B.monomials)
-    for g, j in shape.variables():
-        v = shape.variable(g, j)
-        out.update(v * m for m in B.monomials)
-    return MonomialBasis(shape, tuple(sorted(out, key=lambda m: m.sort_key())))
+    E = shape.exponents(B.monomials)
+    n = E.shape[1]
+    shifted = (E[:, None, :] + np.eye(n, dtype=np.int64)).reshape(-1, n)
+    plus = np.vstack([E, shifted])
+    _, first = np.unique(shape.codes(plus), return_index=True)
+    plus = plus[first]
+    return tuple(shape.monomials(plus[canonical_order(plus)]))
 
 
 def border(B: MonomialBasis) -> list[Monomial]:
@@ -108,30 +103,24 @@ def border(B: MonomialBasis) -> list[Monomial]:
     return [m for m in basis_plus(B) if m not in inside]
 
 
-def build_moment_functional(T: Polynomial) -> MomentFunctional:
-    """Moments of a tensor: coefficient divided by the multinomial product.
-
-    Every monomial inside the multi-degree bounds gets a known entry, zero
-    coefficients included; nothing outside the bounds is recorded.
+def moment_vector(T: Polynomial) -> np.ndarray:
+    """Moments of a tensor over its shape's monomial table: the coefficient
+    vector divided by the multinomial vector.  Real and imaginary parts are
+    divided on their own, as Python divides a complex number by an integer.
     """
-    shape = T.shape
-    if not T.within_bounds():
-        raise DegreeOverflowError("tensor has terms beyond its degree bounds")
-    entries = {}
-    for m in enumerate_monomials(shape, list(shape.degrees)):
-        entries[m] = T.coeff(m) / monomial_multinomial(shape, m)
-    return MomentFunctional(shape, entries)
+    coef = T.vector()
+    parts = coef.reshape(-1, 1).view(float) / T.shape.table.multinomials[:, None]
+    return parts.view(coef.dtype).ravel()
 
 
-def functional_to_tensor(lam: MomentFunctional, shape: Shape) -> Polynomial:
-    """Exact inverse of build_moment_functional on the degree-bounded range."""
-    terms = {}
-    for m in enumerate_monomials(shape, list(shape.degrees)):
-        v = lam.entries.get(m)
-        if v is None:
-            raise UnresolvedParameterError(f"moment of {m} is unresolved")
-        terms[m] = v * monomial_multinomial(shape, m)
-    return Polynomial(shape, terms)
+def build_moment_functional(T: Polynomial) -> MomentFunctional:
+    """Moments of a tensor as a functional: every monomial inside the
+    multi-degree bounds gets a known entry, zero coefficients included;
+    nothing outside the bounds is recorded."""
+    table = T.shape.table
+    return MomentFunctional(
+        T.shape, dict(zip(table.monomials, moment_vector(T).tolist()))
+    )
 
 
 class HankelMatrix:
@@ -273,17 +262,3 @@ def select_bases_candidates(
         B = MonomialBasis(shape, tuple(cols[i] for i in col_sel))
         Bp = MonomialBasis(shape, tuple(rows[i] for i in row_sel))
         yield B, Bp
-
-
-def select_bases(
-    lam: MomentFunctional,
-    r: int,
-    tol_rank: float = DEFAULT_TOL_RANK,
-) -> tuple[MonomialBasis, MonomialBasis]:
-    """First candidate basis pair; NoInvertibleBlockError when none exists."""
-    for B, Bp in select_bases_candidates(lam, r, tol_rank):
-        return B, Bp
-    raise NoInvertibleBlockError(
-        f"no fully known invertible {r} x {r} moment block; "
-        "a random change of coordinates may help"
-    )

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 import golden_data as gd
-from conftest import poly, rank_one_expand
-from tdec.algebra import Monomial, Point, Shape, weighted_evaluation
+from conftest import poly, rank_one_expand, relation_for, weighted_evaluation
+from tdec.algebra import Monomial, Point, Shape
 from tdec.decompose import DecomposeOptions, decompose, expected_rank, kruskal_bound
 from tdec.eigen import multiplication_matrix
 from tdec.extension import (
@@ -25,7 +25,7 @@ from tdec.moment import (
     build_moment_functional,
     enumerate_monomials,
     hankel,
-    select_bases,
+    select_bases_candidates,
 )
 
 
@@ -80,11 +80,11 @@ def test_criterion_1_golden_example_1(tensor1, shape1, points1):
 def test_criterion_2_golden_example_2(tensor2, shape2):
     start = time.perf_counter()
     lam = build_moment_functional(tensor2)
-    B, Bp = select_bases(lam, 6)
+    B, Bp = next(select_bases_candidates(lam, 6))
     H = hankel(lam, Bp, B).numeric()
     np.testing.assert_array_equal(H, np.array(gd.H2, dtype=float))
     ext = propagate_commutation(lam, B, Bp)
-    rel = ext.relation_for(Monomial.parse("a1^2", shape2))
+    rel = relation_for(ext, Monomial.parse("a1^2", shape2))
     np.testing.assert_allclose(rel.tail, gd.RELATIONS2["a1^2"], atol=5e-3)
     dec = decompose(tensor2, DecomposeOptions(seed=0))
     elapsed = time.perf_counter() - start
@@ -221,7 +221,13 @@ def test_criterion_6_round_trip_suite():
 
 
 def test_criterion_7_hosvd_property():
-    from tdec.decompose import array_to_poly, hosvd_reduce, map_back, multilinear_rank
+    from tdec.decompose import (
+        array_to_poly,
+        hosvd_reduce,
+        map_back,
+        multilinear_rank,
+        verify,
+    )
 
     rng = np.random.default_rng(99)
     for r_target in [(2, 3, 3), (3, 3, 2), (2, 2, 2)]:
@@ -235,8 +241,7 @@ def test_criterion_7_hosvd_property():
         core_poly, U, err = hosvd_reduce(T, list(r_target))
         assert err < 1e-10
         core_dec = decompose(core_poly, DecomposeOptions(seed=0))
-        lifted = map_back(core_dec, U, original=T)
-        assert lifted.residual < 1e-8
+        assert verify(T, map_back(core_dec, U)) < 1e-8
     print(
         "\nPASS criterion 7: exact Tucker tensors compress with error < 1e-10 "
         "and lift back within 1e-8 after decomposing the core"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import golden_data as gd
-from conftest import poly, rank_one_expand
+from conftest import poly, rank_one_expand, substitute_reference
 from tdec.algebra import Point, Polynomial, Shape
 from tdec.decompose import (
     DecomposeOptions,
@@ -25,6 +25,7 @@ from tdec.decompose import (
     random_coordinate_change,
     reconstruct,
     substitute_linear,
+    symmetric_power,
     verify,
     _unfold,
 )
@@ -159,8 +160,8 @@ class TestMapBack:
         rng = np.random.default_rng(6)
         shape, ws, pts, T = random_instance(rng, (2, 2, 2), (1, 1, 1), 2)
         dec = Decomposition(shape, list(zip(ws, pts)), 0.0)
-        lifted = map_back(dec, [np.eye(3)] * 3, original=T)
-        assert lifted.residual < 1e-12
+        lifted = map_back(dec, [np.eye(3)] * 3)
+        assert verify(T, lifted) < 1e-12
         for (w1, p1), (w2, p2) in zip(dec.terms, lifted.terms):
             assert w1 == pytest.approx(w2)
             for c1, c2 in zip(p1.coords, p2.coords):
@@ -173,8 +174,7 @@ class TestMapBack:
         core, factors, err = hosvd_reduce(T, ranks)
         assert err < 1e-10
         core_dec = decompose(core, DecomposeOptions(seed=0))
-        lifted = map_back(core_dec, factors, original=T)
-        assert lifted.residual < 1e-8
+        assert verify(T, map_back(core_dec, factors)) < 1e-8
 
     def test_orthogonal_invariance(self):
         rng = np.random.default_rng(8)
@@ -184,8 +184,73 @@ class TestMapBack:
         # rotate the tensor the same way the factors rotate the terms
         A = poly_to_array(T)
         A = np.einsum("abc,ia,jb,kc->ijk", A, *Qs)
-        lifted = map_back(dec, Qs, original=array_to_poly(A))
-        assert lifted.residual < 1e-10
+        assert verify(array_to_poly(A), map_back(dec, Qs)) < 1e-10
+
+
+class TestEvaluationModel:
+    """reconstruct and substitute_linear against the term-by-term
+    Polynomial-product references kept in conftest."""
+
+    @pytest.mark.parametrize(
+        "dims,degrees,cplx",
+        [
+            ((3, 3, 3), (1, 1, 1), False),
+            ((2, 2), (2, 2), True),
+            ((2, 3), (2, 1), False),
+            ((2, 2, 2), (1, 1, 2), True),
+            ((1,), (6,), False),
+        ],
+        ids=["real-3x3x3", "complex-(2,2)", "mixed-degrees", "complex-mixed", "binary-sextic"],
+    )
+    def test_reconstruct_matches_term_by_term_expansion(self, dims, degrees, cplx):
+        rng = np.random.default_rng(sum(dims) + 10 * sum(degrees))
+        shape = Shape(dims=dims, degrees=degrees)
+
+        def draw(n):
+            x = rng.uniform(-1, 1, n)
+            return x + 1j * rng.uniform(-1, 1, n) if cplx else x
+
+        pts = [Point(tuple(tuple(draw(n).tolist()) for n in dims)) for _ in range(3)]
+        ws = draw(3).tolist()
+        got = reconstruct(shape, ws, pts)
+        want = rank_one_expand(shape, ws, pts)
+        assert set(got.terms) == set(want.terms)
+        assert got.uses_complex() == cplx
+        np.testing.assert_allclose(
+            got.vector(), want.vector(), rtol=1e-12, atol=1e-13 * np.abs(want.vector()).max()
+        )
+        assert verify(want, Decomposition(shape, list(zip(ws, pts)), 0.0)) < 1e-13
+
+    @pytest.mark.parametrize(
+        "dims,degrees",
+        [((2, 2), (2, 2)), ((2, 2, 3), (1, 1, 1)), ((2, 2, 2), (1, 1, 2)), ((1,), (12,))],
+        ids=["(2,2)/(2,2)", "3x3x4", "(2,2,2)/(1,1,2)", "(1,)/(12,)"],
+    )
+    def test_substitution_matches_polynomial_products(self, dims, degrees):
+        rng = np.random.default_rng(sum(dims) + 10 * sum(degrees))
+        shape, ws, pts, T = random_instance(rng, dims, degrees, 3)
+        mats = random_coordinate_change(shape, rng)
+        got = substitute_linear(T, mats).vector()
+        want = substitute_reference(T, mats).vector()
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+    def test_degree_one_power_is_the_transpose(self):
+        # the d = 1 case is the mode product hosvd_reduce applies
+        shape = Shape(dims=(3, 2), degrees=(1, 2))
+        A = np.random.default_rng(1).normal(size=(4, 4))
+        assert np.array_equal(symmetric_power(A, shape.table.group_exps[0], 1), A.T)
+
+    def test_symmetric_power_of_a_product(self):
+        # Sym^d(A B) = Sym^d(B) Sym^d(A): substituting twice is substituting
+        # the product, here on a binary form of degree 30
+        exps = Shape(dims=(1,), degrees=(30,)).table.group_exps[0]
+        rng = np.random.default_rng(2)
+        A, B = (np.linalg.qr(rng.normal(size=(2, 2)))[0] for _ in range(2))
+        np.testing.assert_allclose(
+            symmetric_power(A @ B, exps, 30),
+            symmetric_power(B, exps, 30) @ symmetric_power(A, exps, 30),
+            atol=1e-9,
+        )
 
 
 class TestVerify:

@@ -2,8 +2,14 @@ import numpy as np
 import pytest
 
 import golden_data as gd
-from conftest import poly, rank_one_expand
-from tdec.algebra import Monomial, Point, Shape, weighted_evaluation
+from conftest import (
+    monomial_value,
+    poly,
+    rank_one_expand,
+    relation_for,
+    weighted_evaluation,
+)
+from tdec.algebra import Monomial, Point, Shape
 from tdec.eigen import multiplication_matrix
 from tdec.extension import (
     _Propagator,
@@ -18,7 +24,7 @@ from tdec.moment import (
     build_moment_functional,
     enumerate_monomials,
     hankel,
-    select_bases,
+    select_bases_candidates,
 )
 
 
@@ -140,7 +146,7 @@ class TestPropagation:
         res = propagate_commutation(lam, B, Bp)
         assert res.extended
         for name, tail in gd.RELATIONS2.items():
-            rel = res.relation_for(Monomial.parse(name, shape2))
+            rel = relation_for(res, Monomial.parse(name, shape2))
             assert rel is not None, name
             np.testing.assert_allclose(rel.tail, tail, atol=5e-3)
 
@@ -158,7 +164,7 @@ class TestPropagation:
             shape, [1.0, -1.0, 2.0], pts,
             prefix_basis(shape, 3), prefix_basis(shape, 3),
         )
-        B, Bp = select_bases(lam_full, 3)
+        B, Bp = next(select_bases_candidates(lam_full, 3))
         res = propagate_commutation(lam_full, B, Bp)
         assert res.extended
         assert res.commutator_residual < 1e-10
@@ -170,7 +176,7 @@ class TestPropagation:
         pts = random_points(rng, shape, 4)
         T = rank_one_expand(shape, [1.0, 1.0, 1.0, 1.0], pts)
         lam = build_moment_functional(T)
-        B, Bp = select_bases(lam, 3)
+        B, Bp = next(select_bases_candidates(lam, 3))
         res = propagate_commutation(lam, B, Bp)
         assert res.status == "inconsistent"
 
@@ -187,12 +193,11 @@ class TestPropagation:
     def test_normal_form_of_basis_is_identity(self, ex2):
         # reducing a basis monomial returns the monomial itself
         shape2, lam, B, Bp = ex2
-        res = propagate_commutation(lam, B, Bp)
-        from tdec.extension import multiplication_tables, _normal_form
+        from tdec.extension import DEFAULT_TOL_EXTEND, _Propagator, _normal_form
 
-        tables = multiplication_tables(
-            shape2, B, {rel.lead: rel.tail for rel in res.relations}
-        )
+        prop = _Propagator(lam, B, Bp, DEFAULT_TOL_EXTEND)
+        assert prop.run() == "extended"
+        tables = prop.tables()
         for i, b in enumerate(B):
             nf = _normal_form(b, shape2, tables, len(B), float)
             expected = np.zeros(len(B))
@@ -259,8 +264,8 @@ def dense_svd_run(prop, reverse=False):
 
 def exact_tail(B, points, m):
     """Normal form of m over B in the quotient by the planted points."""
-    V = np.array([[p.eval_monomial(b) for b in B] for p in points])
-    return np.linalg.solve(V, np.array([p.eval_monomial(m) for p in points]))
+    V = np.array([[monomial_value(p, b) for b in B] for p in points])
+    return np.linalg.solve(V, np.array([monomial_value(p, m) for p in points]))
 
 
 class TestProjectedSolve:
@@ -282,8 +287,8 @@ class TestProjectedSolve:
         pts = random_points(rng, shape, r)
         lam = build_moment_functional(rank_one_expand(shape, ws, pts))
         if request.param == "oversized-rank":
-            return (lam, *select_bases(lam, 3)), None, "inconsistent"
-        return (lam, *select_bases(lam, r)), pts, "extended"
+            return (lam, *next(select_bases_candidates(lam, 3))), None, "inconsistent"
+        return (lam, *next(select_bases_candidates(lam, r))), pts, "extended"
 
     def test_same_decisions_and_tails(self, case):
         (lam, B, Bp), points, status = case

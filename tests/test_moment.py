@@ -1,10 +1,20 @@
+import itertools
+import math
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import golden_data as gd
-from conftest import poly, rank_one_expand
+from conftest import (
+    evaluation_functional,
+    functional_to_tensor,
+    poly,
+    rank_one_expand,
+    weighted_evaluation,
+)
 from tdec.algebra import (
     DegreeOverflowError,
     Monomial,
@@ -15,7 +25,6 @@ from tdec.algebra import (
 )
 from tdec.moment import (
     MonomialBasis,
-    NoInvertibleBlockError,
     UnresolvedParameterError,
     basis_plus,
     border,
@@ -23,13 +32,11 @@ from tdec.moment import (
     catalecticant,
     degree_splits,
     enumerate_monomials,
-    functional_to_tensor,
     hankel,
     numerical_rank,
-    select_bases,
+    select_bases_candidates,
 )
-from tdec.algebra import weighted_evaluation
-from tdec.decompose import rank_lower_bound
+from tdec.decompose import rank_lower_bound, reconstruct
 
 
 def basis_of(shape, names):
@@ -64,6 +71,9 @@ class TestBuildMomentFunctional:
 
 
 class TestFunctionalToTensor:
+    """Moments times multinomials give the coefficients back; the inverse
+    is the reference builder in conftest."""
+
     def test_round_trip(self, tensor1, shape1):
         lam = build_moment_functional(tensor1)
         back = functional_to_tensor(lam, shape1)
@@ -75,7 +85,8 @@ class TestFunctionalToTensor:
         assert functional_to_tensor(lam, shape).is_zero()
 
     def test_weighted_evaluations_match_expansion(self):
-        # brute-force expansion of rank-one terms is the oracle
+        # the moments of an expanded rank-r sum are its weighted evaluations,
+        # and the reference expansion is the oracle for the coefficients
         rng = np.random.default_rng(5)
         shape = Shape(dims=(2, 2), degrees=(2, 1))
         pts = [
@@ -84,17 +95,14 @@ class TestFunctionalToTensor:
         ]
         ws = rng.uniform(0.5, 2.0, 3)
         dom = enumerate_monomials(shape, list(shape.degrees))
-        lam = weighted_evaluation(ws, pts, shape, dom)
-        tensor = functional_to_tensor(lam, shape)
+        ref = weighted_evaluation(ws, pts, shape, dom)
+        lam = build_moment_functional(reconstruct(shape, ws, pts))
+        for m in dom:
+            assert lam.known_value(m) == pytest.approx(ref.known_value(m), rel=1e-10)
+        tensor = functional_to_tensor(ref, shape)
         expected = rank_one_expand(shape, ws, pts)
         for m in set(tensor.terms) | set(expected.terms):
             assert tensor.coeff(m) == pytest.approx(expected.coeff(m), rel=1e-10)
-
-    def test_unresolved_raises(self):
-        shape = Shape(dims=(1,), degrees=(1,))
-        lam = MomentFunctional(shape, {shape.one(): 1.0})
-        with pytest.raises(UnresolvedParameterError):
-            functional_to_tensor(lam, shape)
 
 
 class TestEnumerate:
@@ -117,6 +125,67 @@ class TestEnumerate:
 
         shape = Shape(dims=(n,), degrees=(b,))
         assert len(enumerate_monomials(shape, [b])) == math.comb(n + b, b)
+
+
+def brute_force_monomials(shape, bounds):
+    """Every exponent tuple up to each bound, filtered and sorted."""
+    per_group = [
+        [e for e in itertools.product(range(b + 1), repeat=n) if sum(e) <= b]
+        for n, b in zip(shape.dims, bounds)
+    ]
+    monos = [Monomial(tuple(combo)) for combo in itertools.product(*per_group)]
+    return sorted(monos, key=lambda m: m.sort_key())
+
+
+class TestMonomialTable:
+    @pytest.mark.parametrize(
+        "dims,degrees,bounds",
+        [
+            ((3, 3, 3), (1, 1, 1), (1, 1, 1)),
+            ((3, 3, 3), (1, 1, 1), (1, 0, 1)),
+            ((2, 2), (2, 2), (2, 1)),
+            ((2, 3), (2, 1), (3, 2)),  # beyond the degree bounds
+            ((1,), (6,), (6,)),
+            ((2, 2, 2), (1, 1, 2), (0, 1, 2)),
+            ((4,), (3,), (3,)),
+        ],
+    )
+    def test_enumeration_matches_brute_force(self, dims, degrees, bounds):
+        shape = Shape(dims=dims, degrees=degrees)
+        assert enumerate_monomials(shape, list(bounds)) == brute_force_monomials(
+            shape, bounds
+        )
+
+    @pytest.mark.parametrize(
+        "dims,degrees", [((2, 2), (2, 2)), ((2, 3), (2, 1)), ((1,), (6,)), ((2, 1, 2), (1, 3, 1))]
+    )
+    def test_table_rows(self, dims, degrees):
+        shape = Shape(dims=dims, degrees=degrees)
+        table = shape.table
+        monos = brute_force_monomials(shape, degrees)
+        assert list(table.monomials) == monos
+        assert np.array_equal(table.exps, shape.exponents(monos))
+        assert table.multinomials.tolist() == [
+            math.prod(math.factorial(d) // (
+                math.prod(math.factorial(x) for x in e) * math.factorial(d - sum(e))
+            ) for d, e in zip(degrees, m.exps))
+            for m in monos
+        ]
+        assert all(table.index[m] == i for i, m in enumerate(monos))
+        for g, G in enumerate(table.group_exps):
+            parts = [m.exps[g] for m in monos]
+            assert [tuple(G[i]) for i in table.group_index[:, g]] == parts
+            assert table.degrees[:, g].tolist() == [sum(e) for e in parts]
+
+    def test_thirty_variables(self):
+        # (b + 1)^n candidates would be 2^30 tuples for 31 monomials
+        shape = Shape(dims=(30,), degrees=(1,))
+        start = time.process_time()
+        monos = enumerate_monomials(shape, [1])
+        lam = build_moment_functional(Polynomial(shape, {shape.variable(0, 29): 2.0}))
+        assert time.process_time() - start < 1.0
+        assert len(monos) == 31 and [str(m) for m in monos[:3]] == ["1", "a1", "a2"]
+        assert lam.known_value(shape.variable(0, 29)) == 2.0
 
 
 class TestBasisPlus:
@@ -201,8 +270,6 @@ class TestHankel:
         shape = Shape(dims=(2,), degrees=(1,))
         zeta = Point(((5.0, -3.0),))
         dom = enumerate_monomials(shape, [2])
-        from tdec.algebra import evaluation_functional
-
         lam = evaluation_functional(zeta, shape, dom)
         B = MonomialBasis(shape, (shape.one(),))
         Hs = hankel(lam, [shape.variable(0, 1) * q for q in B], B)
@@ -336,7 +403,7 @@ class TestNumericalRank:
 class TestSelectBases:
     def test_demo_rank4(self, tensor1, shape1):
         lam = build_moment_functional(tensor1)
-        B, Bp = select_bases(lam, 4)
+        B, Bp = next(select_bases_candidates(lam, 4))
         H = hankel(lam, Bp, B).numeric()
         assert H.shape == (4, 4)
         assert numerical_rank(H) == 4
@@ -344,7 +411,7 @@ class TestSelectBases:
 
     def test_demo_rank6_matches_reference_block(self, tensor2, shape2):
         lam = build_moment_functional(tensor2)
-        B, Bp = select_bases(lam, 6)
+        B, Bp = next(select_bases_candidates(lam, 6))
         assert [str(m) for m in B] == gd.H2_B_COLS
         assert [str(m) for m in Bp] == gd.H2_B_ROWS
         np.testing.assert_array_equal(
@@ -356,14 +423,13 @@ class TestSelectBases:
         zeta = Point(((1.5, -2.0), (0.5, 3.0)))
         dom = enumerate_monomials(shape, list(shape.degrees))
         lam = weighted_evaluation([2.0], [zeta], shape, dom)
-        B, Bp = select_bases(lam, 1)
+        B, Bp = next(select_bases_candidates(lam, 1))
         assert len(B) == 1 and B[0].is_one()
         assert len(Bp) == 1 and Bp[0].is_one()
 
     def test_impossible_rank_raises(self, tensor1):
         lam = build_moment_functional(tensor1)
-        with pytest.raises(NoInvertibleBlockError):
-            select_bases(lam, 7)
+        assert next(select_bases_candidates(lam, 7), None) is None
 
 
 class TestFlatteningRanks:
