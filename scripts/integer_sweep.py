@@ -9,11 +9,13 @@ formats: (2,2)/(2,2) r4, 3x3x4 r4, 4x4x4 r4, (2,2,2)/(1,1,2) r4 and 3x3x3 r3
 ("3x3x4" gives full sizes, i.e. affine dims (2, 2, 3)).  Each is decomposed
 with the default options.  Prints the recovered count per format, the
 instances that a change of coordinates rescued (the first frame failed, a
-later one succeeded) and the CPU seconds of the successes and of the
+later one succeeded), the number of frames tried over the refusals with
+their stop reasons, and the CPU seconds of the successes and of the
 refusals.
 """
 
 import time
+from collections import Counter
 
 import numpy as np
 
@@ -43,6 +45,7 @@ def instance(dims, degrees, r, seed):
 def main() -> int:
     recovered = total = 0
     rescued = []
+    frames, stops = [], Counter()
     cpu = {"recovered": 0.0, "refused": 0.0}
     for name, dims, degrees, r in FORMATS:
         ok = 0
@@ -51,8 +54,10 @@ def main() -> int:
             start = time.process_time()
             try:
                 dec = decompose(T, DecomposeOptions(seed=0))
-            except DecompositionError:
+            except DecompositionError as exc:
                 cpu["refused"] += time.process_time() - start
+                frames.append(exc.report["frames"])
+                stops[exc.report["stop"]] += 1
                 continue
             cpu["recovered"] += time.process_time() - start
             ok += 1
@@ -63,6 +68,9 @@ def main() -> int:
         total += len(SEEDS)
     print(f"total {recovered}/{total} recovered")
     print(f"rescued by a frame change: {len(rescued)}: {', '.join(rescued)}")
+    print(f"frames tried over {len(frames)} refusals: {sum(frames)}")
+    for stop, n in stops.most_common():
+        print(f"  stopped on {stop}: {n}")
     print(
         f"CPU s: {cpu['recovered']:.1f} on recoveries, "
         f"{cpu['refused']:.1f} on refusals"

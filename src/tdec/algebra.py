@@ -147,14 +147,18 @@ class Shape:
             raise DegreeOverflowError("exponent beyond the monomial code radix")
         return exps @ self._place_values
 
-    def product_codes(self, rows, cols) -> np.ndarray:
-        """codes[i, j] = code(rows[i] * cols[j]), checked before any
-        product exponent can reach its radix."""
-        er, ec = self.exponents(rows), self.exponents(cols)
-        if len(er) and len(ec):
+    def product_codes(self, *factors) -> np.ndarray:
+        """codes[i, j, ...] = code(factors[0][i] * factors[1][j] * ...), one
+        axis per monomial sequence, checked before any product exponent can
+        reach its radix."""
+        exps = [self.exponents(f) for f in factors]
+        if all(len(e) for e in exps):
             # the elementwise largest product must have a code
-            self.codes((er.max(axis=0) + ec.max(axis=0))[None, :])
-        return self.codes(er)[:, None] + self.codes(ec)[None, :]
+            self.codes(sum(e.max(axis=0) for e in exps)[None, :])
+        out = self.codes(exps[0])
+        for e in exps[1:]:
+            out = np.add.outer(out, self.codes(e))
+        return out
 
 
 @dataclass(frozen=True, slots=True)

@@ -6,8 +6,15 @@ walks the deterministic basis candidates, completes the moments by
 commutation propagation, checks flatness, computes joint eigenvectors of the
 multiplication family, reads/recovers coordinates, solves for weights and
 accepts on a small reconstruction residual.  On failure it retries under a
-random (seeded, invertible) change of coordinates per group, and finally
-raises with the last failure.
+random (seeded, invertible) change of coordinates per group, at most
+MAX_COORD_CHANGES times.  Whether a moment completion extends does not
+depend on which generic frame is used, so the retries stop after the first
+random frame in which no completion ends ``extended``: what fails after an
+extension (colliding roots, a vanishing weight, the residual, the back-map)
+depends on the frame drawn, and only that is retried.  The input's own frame
+is not generic for sparse input and always goes on to a random frame.  The
+refusal raises with the last failure, the number of frames tried and the
+reason the retries stopped.
 
 Tensors are arrays over the shape's monomial table: a rank-one sum expands
 as the multinomials times ``V @ weights`` (V the monomials' values at the
@@ -371,9 +378,11 @@ def substitute_linear(T: Polynomial, mats: list[np.ndarray]) -> Polynomial:
 def _attempt_rank(T: Polynomial, lam, r: int, opts: DecomposeOptions, seed: int):
     """Try to decompose at one fixed rank with the current coordinates.
 
-    Returns a Decomposition or a failure dict.
+    Returns a Decomposition or a failure dict, and whether any moment
+    completion ended ``extended``.
     """
     failure = {"rank": r, "stage": "bases", "detail": "no invertible block"}
+    extended = False
     count = 0
     for B, Bp in select_bases_candidates(lam, r, opts.tol_rank):
         count += 1
@@ -395,6 +404,7 @@ def _attempt_rank(T: Polynomial, lam, r: int, opts: DecomposeOptions, seed: int)
             }
             continue
         if ext.status == "extended":
+            extended = True
             if not flat_extension_check(ext.functional, B, Bp, opts.tol_rank):
                 failure = {"rank": r, "stage": "flat-check", "detail": "rank grew"}
                 continue
@@ -441,9 +451,9 @@ def _attempt_rank(T: Polynomial, lam, r: int, opts: DecomposeOptions, seed: int)
         )
         out = _accept(dec, T, opts.tol_resid, "verify", "residual")
         if isinstance(out, Decomposition):
-            return out
+            return out, extended
         failure = out
-    return failure
+    return failure, extended
 
 
 def decompose(T: Polynomial, opts: DecomposeOptions | None = None) -> Decomposition:
@@ -451,7 +461,8 @@ def decompose(T: Polynomial, opts: DecomposeOptions | None = None) -> Decomposit
 
     Raises DecompositionError with the last failure when no attempt at the
     flattening rank produces simple roots and a small reconstruction
-    residual.
+    residual; its report adds ``frames`` (frames tried, the input's own
+    included) and ``stop`` (why the retries ended).
     """
     opts = opts or DecomposeOptions()
     shape = T.shape
@@ -476,6 +487,7 @@ def decompose(T: Polynomial, opts: DecomposeOptions | None = None) -> Decomposit
     r = lower
     best_residual = float("inf")
     report = {}
+    stop = "frame limit"
     for change in range(MAX_COORD_CHANGES + 1):
         if change == 0:
             work, mats = T, None
@@ -483,7 +495,7 @@ def decompose(T: Polynomial, opts: DecomposeOptions | None = None) -> Decomposit
             mats = random_coordinate_change(shape, rng)
             work = substitute_linear(T, mats)
         work_lam = lam if change == 0 else build_moment_functional(work)
-        out = _attempt_rank(work, work_lam, r, opts, seed=opts.seed + change)
+        out, extended = _attempt_rank(work, work_lam, r, opts, seed=opts.seed + change)
         if isinstance(out, Decomposition) and mats is not None:
             out = _undo_coordinate_change(out, mats, T, opts.tol_resid)
         if isinstance(out, Decomposition):
@@ -498,10 +510,20 @@ def decompose(T: Polynomial, opts: DecomposeOptions | None = None) -> Decomposit
             best_residual = min(best_residual, out["residual"])
         report = out
         log.info("r=%d attempt %d failed: %s", r, change, out)
+        # whether the completion extends does not depend on which generic
+        # frame is used; frame 0 is the input's own, not generic when sparse
+        if change > 0 and not extended:
+            stop = f"random frame {change}: no completion extended"
+            break
     raise DecompositionError(
         f"no decomposition at rank {r}"
         + (f"; best residual {best_residual:.2e}" if best_residual < float("inf") else ""),
-        report={**report, "best_residual": best_residual},
+        report={
+            **report,
+            "best_residual": best_residual,
+            "frames": change + 1,
+            "stop": stop,
+        },
     )
 
 

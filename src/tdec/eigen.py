@@ -47,15 +47,10 @@ def multiplication_matrix(
     var: tuple[int, int],
 ) -> np.ndarray:
     """Table of multiplication by x_var on the basis B, via the row basis B'."""
-    H = hankel(lam, Bp, B)
-    v = lam.shape.variable(*var)
-    Hs = hankel(lam, [v * q for q in Bp], B)
-    if not (H.fully_known and Hs.fully_known):
+    fam = family_from_functional(lam, B, Bp, [var])
+    if var not in fam.matrices:
         raise UnresolvedParameterError("shifted moments are unresolved")
-    Hn = H.numeric()
-    if numerical_rank(Hn) < len(B):
-        raise SingularBlockError("base block is singular")
-    return np.linalg.solve(Hn, Hs.numeric())
+    return fam.matrices[var]
 
 
 @dataclass
@@ -73,13 +68,26 @@ def family_from_functional(
     Bp: MonomialBasis,
     variables=None,
 ) -> MultiplicationFamily:
-    """Tables for every requested variable with fully resolved shifts."""
+    """Tables for every requested variable with fully resolved shifts.
+
+    The base block H[i, j] = lam(b'_i b_j) and its rank are formed once, and
+    the shifted blocks lam(x_v b'_i b_j) of all variables are read from one
+    block of product codes; each table is one solve against H.
+    """
+    shape = lam.shape
+    variables = shape.variables() if variables is None else list(variables)
+    H = hankel(lam, Bp, B)
+    shifted, known = lam.lookup(
+        shape.product_codes([shape.variable(*v) for v in variables], Bp, B)
+    )
+    resolved = known.all(axis=(1, 2)).tolist()
     mats = {}
-    for var in variables if variables is not None else lam.shape.variables():
-        try:
-            mats[var] = multiplication_matrix(lam, B, Bp, var)
-        except UnresolvedParameterError:
-            continue
+    if H.fully_known and any(resolved):
+        if numerical_rank(H.values) < len(B):
+            raise SingularBlockError("base block is singular")
+        for var, Hs, ok in zip(variables, shifted, resolved):
+            if ok:
+                mats[var] = np.linalg.solve(H.values, Hs)
     return MultiplicationFamily(B, mats)
 
 
@@ -179,7 +187,7 @@ def joint_eigenvectors(
         diagnostics={
             "defective": defective,
             "collision": collision,
-            "eig_residual": eig_residual,
+            "eig_residual": float(eig_residual),
         },
     )
 

@@ -100,12 +100,12 @@ def _least_squares(X: np.ndarray, b: np.ndarray, size: int):
     X; the tall factor Q is never formed.
     ``size`` is the larger dimension of the system before placeholder
     projection and scales the rank threshold.  Returns the solution, the
-    residual norm and, per unknown, its distance from the row space (0 when
-    the unknown is determined).
+    residual norm, per unknown its distance from the row space (0 when the
+    unknown is determined), and the numerical rank of X.
     """
     n = X.shape[1]
     if not X.shape[0]:
-        return np.zeros(n, dtype=X.dtype), 0.0, np.ones(n)
+        return np.zeros(n, dtype=X.dtype), 0.0, np.ones(n), 0
     R = np.linalg.qr(np.column_stack([X, b]), mode="r")
     R_x, c = R[:, :n], R[:, n]
     U, s, Vt = np.linalg.svd(R_x, full_matrices=False)
@@ -117,7 +117,7 @@ def _least_squares(X: np.ndarray, b: np.ndarray, size: int):
     x = Vt[:rank].conj().T @ ((U[:, :rank].conj().T @ c) / s[:rank])
     resid = float(np.linalg.norm(R_x @ x - c))
     in_row_space = np.linalg.norm(Vt[:rank], axis=0) ** 2
-    return x, resid, np.sqrt(np.maximum(0.0, 1.0 - in_row_space))
+    return x, resid, np.sqrt(np.maximum(0.0, 1.0 - in_row_space)), rank
 
 
 class _Propagator:
@@ -178,6 +178,8 @@ class _Propagator:
         self.unit = np.eye(self.r, dtype=self.dtype)
         self.syzygy_pairs = self._syzygy_pairs(t_exps)
         self.inconsistency = 0.0
+        # free relation coefficients left by the last fixpoint pass
+        self.nullity = 0
 
     # --- reductions -----------------------------------------------------
 
@@ -382,11 +384,13 @@ class _Propagator:
             X_s, b_s = self._syzygy_equations({m: k for k, m in enumerate(unresolved)})
             n_raw += len(b_s)
             if not n_raw:
+                self.nullity = len(unresolved) * r
                 break
             X = np.concatenate([X_m, X_s])
             b = np.concatenate([b_m, b_s])
             size = max(n_raw, X.shape[1] + n_places)
-            x, resid, freedom = _least_squares(X, b, size)
+            x, resid, freedom, rank = _least_squares(X, b, size)
+            self.nullity = X.shape[1] - rank
             b_norm = np.sqrt(b_raw_sq + np.sum(np.abs(b_s) ** 2))
             self.inconsistency = max(self.inconsistency, resid / max(1.0, b_norm))
             if self.inconsistency > self.tol:
@@ -407,19 +411,33 @@ class _Propagator:
         return "extended"
 
 
-def _normal_form(m: Monomial, shape, tables, r, dtype):
-    vec = np.zeros(r, dtype=dtype)
-    vec[0] = 1.0  # B is connected to 1 and listed with 1 first
-    for g, e in enumerate(m.exps):
-        for j, power in enumerate(e):
-            if not power:
-                continue
-            M = tables.get((g, j))
-            if M is None:
-                return None
-            for _ in range(power):
-                vec = M @ vec
-    return vec
+class _NormalForms:
+    """Normal forms over B of monomials given by exponent row and code,
+    through a code-keyed memo: NF(1) = e_1 (B lists 1 first) and
+    NF(m) = M_v NF(m / x_v) for the last variable v of m, which is the chain
+    of products that applies each table in canonical variable order.  None
+    when a variable on the chain has no table."""
+
+    def __init__(self, shape: Shape, tables, r, dtype):
+        self.tables = [tables.get(v) for v in shape.variables()]
+        self.places = shape.codes(np.eye(len(self.tables), dtype=np.int64)).tolist()
+        one = np.zeros(r, dtype=dtype)
+        one[0] = 1.0
+        self.memo = {0: one}
+
+    def __call__(self, exps: list[int], code: int):
+        chain = []
+        while code not in self.memo:
+            v = max(i for i, e in enumerate(exps) if e)
+            chain.append((v, code))
+            exps = [*exps[:v], exps[v] - 1, *exps[v + 1:]]
+            code -= self.places[v]
+        vec = self.memo[code]
+        for v, c in reversed(chain):
+            M = self.tables[v]
+            vec = None if vec is None or M is None else M @ vec
+            self.memo[c] = vec
+        return vec
 
 
 def propagate_commutation(
@@ -459,14 +477,22 @@ def propagate_commutation(
     plus_rows = basis_plus(Bp)
     plus_cols = basis_plus(B)
     # each unknown product once, in the order of its first occurrence
-    codes = lam.shape.product_codes(plus_rows, plus_cols).ravel()
+    shape = lam.shape
+    codes = shape.product_codes(plus_rows, plus_cols).ravel()
     _, first = np.unique(codes, return_index=True)
     first.sort()
     _, known = lam.lookup(codes[first])
+    unknown = first[~known]
     n_cols = len(plus_cols)
-    for k in first[~known].tolist():
-        m = plus_rows[k // n_cols] * plus_cols[k % n_cols]
-        nf = _normal_form(m, lam.shape, tables, r, dtype)
+    exps = (
+        shape.exponents(plus_rows)[unknown // n_cols]
+        + shape.exponents(plus_cols)[unknown % n_cols]
+    )
+    normal_form = _NormalForms(shape, tables, r, dtype)
+    for m, e, code in zip(
+        shape.monomials(exps), exps.tolist(), codes[unknown].tolist()
+    ):
+        nf = normal_form(e, code)
         if nf is not None:
             completed.set(m, lam_B @ nf)
     # moments of B' x border follow from the relations even when some
@@ -480,6 +506,7 @@ def propagate_commutation(
 
     diagnostics = {
         "inconsistency": prop.inconsistency,
+        "nullity": prop.nullity,
         "unresolved": [
             str(m) for m in prop.targets if m not in prop.resolved
         ],

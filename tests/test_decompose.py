@@ -1,5 +1,10 @@
+import importlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import golden_data as gd
 from conftest import poly, rank_one_expand, substitute_reference
@@ -9,6 +14,7 @@ from tdec.decompose import (
     Decomposition,
     DecompositionError,
     UnsupportedShapeError,
+    _attempt_rank,
     _undo_coordinate_change,
     array_to_poly,
     decompose,
@@ -31,6 +37,10 @@ from tdec.decompose import (
 )
 from tdec.extension import flat_extension_check, propagate_commutation
 from tdec.moment import build_moment_functional, select_bases_candidates
+
+
+# the package attribute tdec.decompose is the function; patch the module
+decompose_module = importlib.import_module("tdec.decompose")
 
 
 def random_instance(rng, dims, degrees, r):
@@ -351,6 +361,34 @@ class TestDecompose:
         assert report["rank"] == 6
         assert "rank 6" in str(info.value) and "18" not in str(info.value)
 
+    def test_refusal_stops_after_first_random_frame(self):
+        # no completion extends in random frame 1, and whether one extends
+        # does not depend on which generic frame is used
+        rng = np.random.default_rng(11)
+        shape, ws, pts, T = random_instance(rng, (2, 2), (2, 2), 6)
+        with pytest.raises(DecompositionError) as info:
+            decompose(T)
+        report = info.value.report
+        assert report["stage"] == "family"
+        assert report["frames"] == 2
+        assert report["stop"] == "random frame 1: no completion extended"
+
+    def test_refusal_details_hold_plain_numbers(self):
+        # sparse {-1,0,1} points refused at the eigen stage: the diagnostics
+        # in the detail print as Python numbers
+        shape = Shape(dims=(2, 2), degrees=(2, 2))
+        rng = np.random.default_rng(4)
+        pts = [
+            Point(tuple(tuple(rng.integers(-1, 2, n).astype(float)) for n in shape.dims))
+            for _ in range(4)
+        ]
+        with pytest.raises(DecompositionError) as info:
+            decompose(rank_one_expand(shape, [1.0] * 4, pts))
+        report = info.value.report
+        assert report["stage"] == "eigen"
+        assert "eig_residual" in report["detail"]
+        assert "np.float64" not in report["detail"]
+
     def test_reported_residual_is_that_of_returned_terms(self):
         # real values held as complex numbers take the complex code path,
         # whose roots carry rounding-level imaginary parts; the returned
@@ -428,6 +466,41 @@ class TestCoordinateChange:
         assert all(isinstance(x, float) for x in values)
         assert dec.residual == verify(T, dec) < 1e-8
 
+    def test_draw_dependent_failures_keep_retrying(self, monkeypatch):
+        # roots reported not simple after an extended completion may be an
+        # unlucky draw: frame 1 failing that way does not stop the retries
+        real = decompose_module.joint_eigenvectors
+        seeds = []
+
+        def unlucky_first_frames(fam, seed=0):
+            seeds.append(seed)  # opts.seed + frame index
+            roots = real(fam, seed=seed)
+            return replace(roots, simple=False) if seed < 2 else roots
+
+        monkeypatch.setattr(decompose_module, "joint_eigenvectors", unlucky_first_frames)
+        rng = np.random.default_rng(10)
+        shape, ws, pts, T = random_instance(rng, (2, 2, 2), (1, 1, 1), 3)
+        dec = decompose(T, DecomposeOptions(seed=0))
+        assert sorted(set(seeds)) == [0, 1, 2]
+        assert dec.meta["coordinate_change_applied"]
+        assert dec.residual == verify(T, dec) < 1e-8
+
+    def test_frame_limit_stops_draw_dependent_failures(self, monkeypatch):
+        real = decompose_module.joint_eigenvectors
+        monkeypatch.setattr(
+            decompose_module,
+            "joint_eigenvectors",
+            lambda fam, seed=0: replace(real(fam, seed=seed), simple=False),
+        )
+        rng = np.random.default_rng(10)
+        shape, ws, pts, T = random_instance(rng, (2, 2, 2), (1, 1, 1), 3)
+        with pytest.raises(DecompositionError) as info:
+            decompose(T, DecomposeOptions(seed=0))
+        report = info.value.report
+        assert report["stage"] == "eigen"
+        assert report["frames"] == 4
+        assert report["stop"] == "frame limit"
+
     def test_inversion_rejects_residual_above_tolerance(self):
         rng = np.random.default_rng(13)
         shape, ws, pts, T = random_instance(rng, (2, 2), (2, 1), 3)
@@ -447,6 +520,55 @@ class TestCoordinateChange:
         Twork = substitute_linear(T, mats)
         assert rank_lower_bound(Twork) == 4
         assert multilinear_rank(Twork) == multilinear_rank(T)
+
+
+class TestFrameProperty:
+    """In any random frame the moment completion of a generic tensor
+    extends, which the retry rule relies on; what fails after it depends on
+    the frame drawn, and terms found in the frame map back to terms of the
+    original.  The HOSVD-reduced path recovers embedded tensors."""
+
+    @given(
+        seed=st.integers(0, 2**16),
+        fmt=st.sampled_from(
+            [((2, 2, 2), (1, 1, 1), 3), ((2, 2), (2, 1), 3), ((2, 2), (2, 2), 4)]
+        ),
+    )
+    @settings(max_examples=10, deadline=None)
+    def test_forced_frame_change_round_trip(self, seed, fmt):
+        dims, degrees, r = fmt
+        rng = np.random.default_rng(seed)
+        shape, ws, pts, T = random_instance(rng, dims, degrees, r)
+        mats = random_coordinate_change(shape, rng)
+        work = substitute_linear(T, mats)
+        opts = DecomposeOptions(seed=0)
+        out, extended = _attempt_rank(
+            work, build_moment_functional(work), r, opts, seed=0
+        )
+        assert extended
+        if not isinstance(out, Decomposition):
+            # rare: a point of the frame drawn makes a solve singular
+            assert out["stage"] in ("eigen", "recovery", "weights", "verify")
+            return
+        back = _undo_coordinate_change(out, mats, T, opts.tol_resid)
+        assert isinstance(back, Decomposition)
+        assert back.rank == r
+        assert back.is_real(0.0)
+        assert back.residual == verify(T, back) <= opts.tol_resid
+
+    @given(seed=st.integers(0, 2**16), r=st.integers(1, 3))
+    @settings(max_examples=10, deadline=None)
+    def test_reduce_round_trip(self, seed, r):
+        # a rank-r 3x3x3 tensor embedded in 5x5x5 by orthonormal factors
+        rng = np.random.default_rng(seed)
+        _, _, _, T_small = random_instance(rng, (2, 2, 2), (1, 1, 1), r)
+        Qs = [np.linalg.qr(rng.normal(size=(5, 3)))[0] for _ in range(3)]
+        T = array_to_poly(np.einsum("abc,ia,jb,kc->ijk", poly_to_array(T_small), *Qs))
+        opts = DecomposeOptions(seed=0, reduce=True)
+        dec = decompose(T, opts)
+        assert dec.meta["reduced"]
+        assert dec.rank == r
+        assert dec.residual == verify(T, dec) <= opts.tol_resid
 
 
 class TestRoundTripProperty:

@@ -21,6 +21,7 @@ from tdec.moment import (
     basis_plus,
     build_moment_functional,
     enumerate_monomials,
+    hankel,
     select_bases_candidates,
 )
 
@@ -80,6 +81,22 @@ class TestMultiplicationMatrix:
         M = multiplication_matrix(lam, B, B, (0, 0))
         assert M == pytest.approx(np.array([[2.5]]))
 
+    def test_family_solves_each_known_shifted_block(self, tensor1, shape1):
+        # raw moments: a variable gets a table exactly when lam(x_v b'_i b_j)
+        # is known, and the table is the solve of the base block against it
+        lam = build_moment_functional(tensor1)
+        B = basis_of(shape1, gd.H1_B_COLS)
+        Bp = basis_of(shape1, gd.H1_B_ROWS)
+        fam = family_from_functional(lam, B, Bp)
+        H = hankel(lam, Bp, B).numeric()
+        for var in shape1.variables():
+            Hs = hankel(lam, [shape1.variable(*var) * q for q in Bp], B)
+            if Hs.fully_known:
+                assert np.array_equal(fam.matrices[var], np.linalg.solve(H, Hs.numeric()))
+            else:
+                assert var not in fam.matrices
+        assert {(2, 0), (2, 1), (2, 2)} <= set(fam.matrices)
+
 
 class TestJointEigenvectors:
     def test_reference_roots(self, ex1_family):
@@ -114,6 +131,16 @@ class TestJointEigenvectors:
         assert roots.simple and roots.count == 1
         np.testing.assert_allclose(roots.eigvecs[0], [1.0])
         assert roots.eigenvalues[(0, 1)][0] == pytest.approx(-2.0)
+
+    def test_diagnostics_are_python_values(self, ex1_family):
+        # they are formatted into refusal details
+        shape1, lam, B, Bp, ext = ex1_family
+        roots = joint_eigenvectors(family_from_functional(ext.functional, B, Bp))
+        assert {k: type(v) for k, v in roots.diagnostics.items()} == {
+            "defective": bool,
+            "collision": bool,
+            "eig_residual": float,
+        }
 
     def test_seed_invariance(self, ex1_family):
         shape1, lam, B, Bp, ext = ex1_family

@@ -180,6 +180,19 @@ class TestPropagation:
         res = propagate_commutation(lam, B, Bp)
         assert res.status == "inconsistent"
 
+    def test_nullity_of_the_last_pass(self, ex2):
+        # columns minus rank of the last fixpoint system: none are free in
+        # an extension, some are when relations stay unresolved
+        assert propagate_commutation(*ex2[1:]).diagnostics["nullity"] == 0
+        rng = np.random.default_rng(11)
+        shape = Shape(dims=(2, 2), degrees=(2, 2))
+        pts = random_points(rng, shape, 6)
+        ws = rng.uniform(0.5, 2.0, 6) * rng.choice([-1.0, 1.0], 6)
+        lam = build_moment_functional(rank_one_expand(shape, ws, pts))
+        res = propagate_commutation(lam, *next(select_bases_candidates(lam, 6)))
+        assert res.status == "rank_deficient"
+        assert res.diagnostics["nullity"] == 6
+
     def test_processing_order_invariance(self, ex2):
         shape2, lam, B, Bp = ex2
         base = propagate_commutation(lam, B, Bp)
@@ -193,13 +206,14 @@ class TestPropagation:
     def test_normal_form_of_basis_is_identity(self, ex2):
         # reducing a basis monomial returns the monomial itself
         shape2, lam, B, Bp = ex2
-        from tdec.extension import DEFAULT_TOL_EXTEND, _Propagator, _normal_form
+        from tdec.extension import DEFAULT_TOL_EXTEND, _NormalForms, _Propagator
 
         prop = _Propagator(lam, B, Bp, DEFAULT_TOL_EXTEND)
         assert prop.run() == "extended"
-        tables = prop.tables()
-        for i, b in enumerate(B):
-            nf = _normal_form(b, shape2, tables, len(B), float)
+        normal_form = _NormalForms(shape2, prop.tables(), len(B), float)
+        exps = shape2.exponents(B.monomials)
+        for i, (e, code) in enumerate(zip(exps.tolist(), shape2.codes(exps).tolist())):
+            nf = normal_form(e, code)
             expected = np.zeros(len(B))
             expected[i] = 1.0
             np.testing.assert_allclose(nf, expected, atol=1e-9)
