@@ -11,16 +11,27 @@ with the default options.  Prints the recovered count per format, the
 instances that a change of coordinates rescued (the first frame failed, a
 later one succeeded), the number of frames tried over the refusals with
 their stop reasons, and the CPU seconds of the successes and of the
-refusals.
+refusals.  BLAS is pinned to one thread, so that the CPU seconds do not
+depend on how busy the machine is.
 """
 
-import time
-from collections import Counter
+import os
 
-import numpy as np
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
-from tdec.algebra import Point, Shape
-from tdec.decompose import DecomposeOptions, DecompositionError, decompose, reconstruct
+import time  # noqa: E402
+from collections import Counter  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+from tdec.algebra import Point, Shape  # noqa: E402
+from tdec.decompose import (  # noqa: E402
+    DecomposeOptions,
+    DecompositionError,
+    decompose,
+    reconstruct,
+)
 
 SEEDS = range(40)
 FORMATS = [

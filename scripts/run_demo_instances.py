@@ -25,8 +25,8 @@ def show(name: str):
     print(f"bounds: lower {b.lower}, upper {b.upper}, expected {b.expected}, "
           f"kruskal {b.kruskal}")
     B, Bp = next(select_bases_candidates(build_moment_functional(T), b.lower))
-    print("bases:  B  =", ", ".join(str(m) for m in B))
-    print("        B' =", ", ".join(str(m) for m in Bp))
+    print("bases:  B  =", ", ".join(B.names()))
+    print("        B' =", ", ".join(Bp.names()))
     start = time.perf_counter()
     dec = decompose(T, DecomposeOptions(seed=0))
     elapsed = time.perf_counter() - start

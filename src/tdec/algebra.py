@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
@@ -55,8 +56,9 @@ class Shape:
     degrees: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "dims", tuple(int(n) for n in self.dims))
-        object.__setattr__(self, "degrees", tuple(int(d) for d in self.degrees))
+        # operator.index refuses floats instead of truncating them
+        object.__setattr__(self, "dims", tuple(map(operator.index, self.dims)))
+        object.__setattr__(self, "degrees", tuple(map(operator.index, self.degrees)))
         if len(self.dims) != len(self.degrees) or not self.dims:
             raise ValueError("dims and degrees must be non-empty and equally long")
         if any(n < 1 for n in self.dims) or any(d < 1 for d in self.degrees):
@@ -101,7 +103,9 @@ class Shape:
         return np.repeat(np.array(self.radix, dtype=np.int64), self.dims)
 
     @cached_property
-    def _place_values(self) -> np.ndarray:
+    def variable_codes(self) -> np.ndarray:
+        """Codes of the variables in canonical order: the place values of
+        the code's digits."""
         places = [1]
         for radix in self._digit_radix.tolist():
             places.append(places[-1] * radix)
@@ -145,18 +149,17 @@ class Shape:
         an exponent reaches its radix."""
         if exps.size and (exps.max(axis=0) >= self._digit_radix).any():
             raise DegreeOverflowError("exponent beyond the monomial code radix")
-        return exps @ self._place_values
+        return exps @ self.variable_codes
 
-    def product_codes(self, *factors) -> np.ndarray:
-        """codes[i, j, ...] = code(factors[0][i] * factors[1][j] * ...), one
-        axis per monomial sequence, checked before any product exponent can
-        reach its radix."""
-        exps = [self.exponents(f) for f in factors]
-        if all(len(e) for e in exps):
+    def product_codes(self, *factors: np.ndarray) -> np.ndarray:
+        """codes[i, j, ...] = code of the product of factors[0][i],
+        factors[1][j], ..., one axis per exponent matrix, checked before any
+        product exponent can reach its radix."""
+        if all(len(e) for e in factors):
             # the elementwise largest product must have a code
-            self.codes(sum(e.max(axis=0) for e in exps)[None, :])
-        out = self.codes(exps[0])
-        for e in exps[1:]:
+            self.codes(sum(e.max(axis=0) for e in factors)[None, :])
+        out = self.codes(factors[0])
+        for e in factors[1:]:
             out = np.add.outer(out, self.codes(e))
         return out
 
@@ -189,41 +192,6 @@ class Monomial:
                 for a, b in zip(self.exps, other.exps)
             )
         )
-
-    def divides(self, other: "Monomial") -> bool:
-        return all(
-            x <= y
-            for a, b in zip(self.exps, other.exps)
-            for x, y in zip(a, b)
-        )
-
-    def divide(self, other: "Monomial") -> "Monomial":
-        """self / other; requires other | self."""
-        if not other.divides(self):
-            raise ValueError(f"{other} does not divide {self}")
-        return Monomial(
-            tuple(
-                tuple(x - y for x, y in zip(a, b))
-                for a, b in zip(self.exps, other.exps)
-            )
-        )
-
-    def lcm(self, other: "Monomial") -> "Monomial":
-        return Monomial(
-            tuple(
-                tuple(max(x, y) for x, y in zip(a, b))
-                for a, b in zip(self.exps, other.exps)
-            )
-        )
-
-    def variable_factors(self) -> list[tuple[int, int]]:
-        """Variables (group, slot) dividing the monomial."""
-        return [
-            (g, j)
-            for g, e in enumerate(self.exps)
-            for j, x in enumerate(e)
-            if x > 0
-        ]
 
     def sort_key(self):
         """Graded order, group-major lexicographic within a degree."""

@@ -345,7 +345,7 @@ def symmetric_power(A: np.ndarray, exps: np.ndarray, d: int) -> np.ndarray:
     """
     group = Shape((exps.shape[1],), (d,))
     codes = group.codes(exps).tolist()
-    shift = [0, *group.codes(np.eye(exps.shape[1], dtype=np.int64)).tolist()]
+    shift = [0, *group.variable_codes.tolist()]
     row_of = {c: i for i, c in enumerate(codes)}
     degree = exps.sum(axis=1)
     P = np.ones((1, 1), dtype=A.dtype)
@@ -389,13 +389,8 @@ def _attempt_rank(T: Polynomial, lam, r: int, opts: DecomposeOptions, seed: int)
         if count > MAX_BASIS_CANDIDATES:
             break
         ext = propagate_commutation(lam, B, Bp, tol=max(opts.tol_resid, 1e-8))
-        log.info(
-            "r=%d bases %s | %s -> %s",
-            r,
-            [str(m) for m in B],
-            [str(m) for m in Bp],
-            ext.status,
-        )
+        if log.isEnabledFor(logging.INFO):
+            log.info("r=%d bases %s | %s -> %s", r, B.names(), Bp.names(), ext.status)
         if ext.status == "inconsistent":
             failure = {
                 "rank": r,
@@ -447,7 +442,7 @@ def _attempt_rank(T: Polynomial, lam, r: int, opts: DecomposeOptions, seed: int)
             T.shape,
             list(zip(gam.tolist(), roots.points)),
             residual=0.0,
-            meta={"basis": [str(m) for m in B], "dual_basis": [str(m) for m in Bp]},
+            meta={"basis": B.names(), "dual_basis": Bp.names()},
         )
         out = _accept(dec, T, opts.tol_resid, "verify", "residual")
         if isinstance(out, Decomposition):

@@ -75,11 +75,11 @@ def family_from_functional(
     block of product codes; each table is one solve against H.
     """
     shape = lam.shape
-    variables = shape.variables() if variables is None else list(variables)
-    H = hankel(lam, Bp, B)
-    shifted, known = lam.lookup(
-        shape.product_codes([shape.variable(*v) for v in variables], Bp, B)
-    )
+    every = shape.variables()
+    variables = every if variables is None else list(variables)
+    H = hankel(lam, Bp.exps, B.exps)
+    rows = np.eye(len(every), dtype=np.int64)[[every.index(v) for v in variables]]
+    shifted, known = lam.lookup(shape.product_codes(rows, Bp.exps, B.exps))
     resolved = known.all(axis=(1, 2)).tolist()
     mats = {}
     if H.fully_known and any(resolved):
@@ -116,7 +116,7 @@ def joint_eigenvectors(
     False when eigenvalue tuples collide or the mix is defective.
     """
     B = family.basis
-    if not B[0].is_one():
+    if B.codes[0] != 0:
         raise ValueError("basis must list the monomial 1 first")
     if not family.matrices:
         raise ValueError("empty multiplication family")
@@ -198,22 +198,24 @@ def read_coordinates(
     """Fill coordinates from eigenvector entries (variables inside B) and
     eigenvalues (variables with a table); the rest stay NaN."""
     shape = roots.shape
-    index = {m: i for i, m in enumerate(B)}
+    where = {c: i for i, c in enumerate(B.codes.tolist())}
+    # each variable with its position in B, or None
+    inside = [
+        (v, where.get(c))
+        for v, c in zip(shape.variables(), shape.variable_codes.tolist())
+    ]
+    ends = np.cumsum(shape.dims).tolist()
     pts = []
     for i, w in enumerate(roots.eigvecs):
-        coords = []
-        for g in range(shape.k):
-            row = []
-            for j in range(shape.dims[g]):
-                v = shape.variable(g, j)
-                if v in index:
-                    row.append(complex(w[index[v]]))
-                elif (g, j) in family.matrices:
-                    row.append(complex(roots.eigenvalues[(g, j)][i]))
-                else:
-                    row.append(complex(np.nan))
-            coords.append(tuple(row))
-        pts.append(Point(tuple(coords)))
+        flat = [
+            complex(w[b]) if b is not None
+            else complex(roots.eigenvalues[v][i]) if v in family.matrices
+            else complex(np.nan)
+            for v, b in inside
+        ]
+        pts.append(Point(tuple(
+            tuple(flat[a:b]) for a, b in zip([0, *ends[:-1]], ends)
+        )))
     return replace(roots, points=pts)
 
 
@@ -251,8 +253,10 @@ def recover_missing_coordinates(
     pts = [
         [list(c) for c in p.coords] for p in roots.points
     ]
+    unit = np.eye(sum(shape.dims), dtype=np.int64)
+    every = shape.variables()
     for (g, j) in missing:
-        shifted = hankel(lam, B, [shape.variable(g, j)])
+        shifted = hankel(lam, B.exps, unit[[every.index((g, j))]])
         if not shifted.fully_known or numerical_rank(H_BB) < r:
             raise CoordinateRecoveryError(
                 f"not enough known moments to recover {shape.var_name(g, j)}"

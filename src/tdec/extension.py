@@ -18,11 +18,15 @@ the relation coefficients alone with the same least-squares residual and
 the same determined coefficients, and solves it by the SVD of the R factor
 of its QR decomposition.
 
-The monomial bookkeeping is index arithmetic on monomial codes, done once
-per propagator: the moments of every target times every known row (one
-lookup of a block of code sums), the table placing each shifted product
-``x_v * b`` in B or among the targets, and the syzygy pairs, screened all at
-once on the targets' exponent matrix.
+The monomial bookkeeping is index arithmetic on exponent rows and their
+codes, done once per propagator: the targets (the border of B) are an
+exponent matrix and their tails a list indexed by target; the moments of
+every target times every known row are one lookup of a block of code sums;
+the table placing each shifted product ``x_v * b`` in B or among the targets
+adds the variables' identity rows; and the syzygy pairs are screened all at
+once on the targets' exponent matrix.  ``Monomial`` objects appear only
+where results leave: the leads of the returned relations, the keys of the
+completed moments and the names in the diagnostics.
 
 When the fixpoint resolves everything, the commuting multiplication tables
 define the unique extension of the data, and any moment is obtained by
@@ -130,29 +134,32 @@ class _Propagator:
         self.shape: Shape = lam.shape
         self.r = len(B)
         self.dtype = complex if lam.uses_complex() else float
-        H = hankel(lam, Bp, B)
+        H = hankel(lam, Bp.exps, B.exps)
         if not H.fully_known:
             raise UnresolvedParameterError("base block has unknown entries")
         self.H = H.numeric().astype(self.dtype)
         if numerical_rank(self.H) < self.r:
             raise SingularBlockError("base block is singular")
+        shape = self.shape
+        # exponent rows of the border monomials whose relations are sought
         self.targets = border(B)
         if rng is not None:
-            order = rng.permutation(len(self.targets))
-            self.targets = [self.targets[i] for i in order]
-        self.resolved: dict[Monomial, np.ndarray] = {}
+            self.targets = self.targets[rng.permutation(len(self.targets))]
+        # tails[t] is the resolved relation tail of the t-th target, or None
+        self.tails: list[np.ndarray | None] = [None] * len(self.targets)
         # any monomial whose products with B are known yields valid
         # constraints; scan the whole known range plus the prolonged rows
-        in_range = self.shape.table.monomials
-        extra = [q for q in basis_plus(Bp) if q not in self.shape.table.index]
-        row_pool = [*in_range, *extra]
-        rows = hankel(lam, row_pool, B)
+        # beyond it (those over some group's degree bound)
+        plus = basis_plus(Bp)
+        starts = np.cumsum((0,) + shape.dims[:-1])
+        beyond = (np.add.reduceat(plus, starts, axis=1) > shape.degrees).any(axis=1)
+        row_pool = np.vstack([shape.table.exps, plus[beyond]])
+        rows = hankel(lam, row_pool, B.exps)
         full = rows.known.all(axis=1)
         self.rows = rows.values[full]
         # moment of every target times every fully known row; an unknown
         # product gets a placeholder id shared by all pairs with that product
-        known_rows = [q for q, ok in zip(row_pool, full) if ok]
-        codes = self.shape.product_codes(self.targets, known_rows)
+        codes = shape.product_codes(self.targets, row_pool[full])
         self.prod_data, known = lam.lookup(codes)
         # ids count the unknown products in order of first appearance,
         # target-major, so that they do not depend on the code layout
@@ -165,18 +172,16 @@ class _Propagator:
         self.prod_place[~known] = rank[inverse]
         # x_v * b_s lies in B+ = B u border(B): shift[v][s] is the index of
         # the product in B, or -1 - t for the t-th target
-        shape = self.shape
-        t_exps = shape.exponents(self.targets)
-        where = {c: i for i, c in enumerate(shape.codes(shape.exponents(B)).tolist())}
-        for t, c in enumerate(shape.codes(t_exps).tolist()):
+        where = {c: i for i, c in enumerate(B.codes.tolist())}
+        for t, c in enumerate(shape.codes(self.targets).tolist()):
             where[c] = -1 - t
-        variables = [shape.variable(g, j) for g, j in shape.variables()]
+        variables = np.eye(B.exps.shape[1], dtype=np.int64)
         self.shift = [
             [where[c] for c in row]
-            for row in shape.product_codes(variables, B).tolist()
+            for row in shape.product_codes(variables, B.exps).tolist()
         ]
         self.unit = np.eye(self.r, dtype=self.dtype)
-        self.syzygy_pairs = self._syzygy_pairs(t_exps)
+        self.syzygy_pairs = self._syzygy_pairs(self.targets)
         self.inconsistency = 0.0
         # free relation coefficients left by the last fixpoint pass
         self.nullity = 0
@@ -232,10 +237,9 @@ class _Propagator:
     def tables(self) -> dict[tuple[int, int], np.ndarray]:
         """Per-variable tables M_v with columns the normal forms of x_v * b,
         for each variable whose shifted products are in B or resolved."""
-        tails = [self.resolved.get(m) for m in self.targets]
         out = {}
         for v, var in enumerate(self.shape.variables()):
-            cols = [self._reduce_shift(v, s, tails) for s in range(self.r)]
+            cols = [self._reduce_shift(v, s, self.tails) for s in range(self.r)]
             if all(kind == "known" for kind, _ in cols):
                 out[var] = np.column_stack([vec for _, vec in cols])
         return out
@@ -262,12 +266,12 @@ class _Propagator:
         placeholder count of the system before projection.
         """
         r, dtype = self.r, self.dtype
-        solved = np.array([m in self.resolved for m in self.targets])
+        solved = np.array([tail is not None for tail in self.tails], dtype=bool)
         res_t, unr_t = np.flatnonzero(solved), np.flatnonzero(~solved)
         n_unres = len(unr_t)
         tails = np.zeros((len(res_t), r), dtype=dtype)
         for i, t in enumerate(res_t):
-            tails[i] = self.resolved[self.targets[t]]
+            tails[i] = self.tails[t]
         pred = tails @ self.rows.T
         known = self.prod_place[res_t] < 0
         if known.any():
@@ -327,12 +331,15 @@ class _Propagator:
         v2 = np.where(q2.any(axis=1), q2.argmax(axis=1), -1)
         return list(zip(*(a[order].tolist() for a in (i, j, v1, v2))))
 
-    def _syzygy_equations(self, pos: dict[Monomial, int]):
+    def _syzygy_equations(self, unresolved: list[int]):
         """Rows equating the two reductions of each pair's lcm, over the
-        coefficient blocks ``pos`` of the unresolved targets."""
+        coefficient blocks of the unresolved targets (block k for the
+        target ``unresolved[k]``)."""
         r, dtype = self.r, self.dtype
-        tails = [self.resolved.get(m) for m in self.targets]
-        block_of = [pos.get(m) for m in self.targets]
+        tails = self.tails
+        block_of = [None] * len(tails)
+        for k, t in enumerate(unresolved):
+            block_of[t] = k
         at, blocks, mats, rhs = [], [], [], []
         zero = np.zeros((r, r), dtype=dtype)
         for t1, t2, v1, v2 in self.syzygy_pairs:
@@ -354,10 +361,10 @@ class _Propagator:
                 blocks.append(block_of[t])
                 mats.append(l1.get(t, zero) - l2.get(t, zero))
             rhs.append(c2 - c1)
-        X = np.zeros((len(rhs), r, len(pos), r), dtype=dtype)
+        X = np.zeros((len(rhs), r, len(unresolved), r), dtype=dtype)
         if rhs:
             X[at, :, blocks, :] = mats
-        X = X.reshape(len(rhs) * r, len(pos) * r)
+        X = X.reshape(len(rhs) * r, len(unresolved) * r)
         b = np.concatenate(rhs) if rhs else np.zeros(0, dtype=dtype)
         used = X.any(axis=1)
         if not used.all():
@@ -367,21 +374,19 @@ class _Propagator:
     # --- main loop --------------------------------------------------------
 
     def resolve_direct(self):
-        cols = hankel(self.lam, self.Bp, self.targets)
+        cols = hankel(self.lam, self.Bp.exps, self.targets)
         for j in np.flatnonzero(cols.known.all(axis=0)):
-            self.resolved[self.targets[j]] = np.linalg.solve(
-                self.H, cols.values[:, j]
-            )
+            self.tails[j] = np.linalg.solve(self.H, cols.values[:, j])
 
     def run(self):
         self.resolve_direct()
         r = self.r
         for _ in range(len(self.targets) + 1):
-            unresolved = [m for m in self.targets if m not in self.resolved]
+            unresolved = [t for t, tail in enumerate(self.tails) if tail is None]
             if not unresolved:
                 break
             X_m, b_m, n_raw, b_raw_sq, n_places = self._moment_equations()
-            X_s, b_s = self._syzygy_equations({m: k for k, m in enumerate(unresolved)})
+            X_s, b_s = self._syzygy_equations(unresolved)
             n_raw += len(b_s)
             if not n_raw:
                 self.nullity = len(unresolved) * r
@@ -396,17 +401,17 @@ class _Propagator:
             if self.inconsistency > self.tol:
                 return "inconsistent"
             progress = False
-            for k, m in enumerate(unresolved):
+            for k, t in enumerate(unresolved):
                 block = slice(k * r, (k + 1) * r)
                 if freedom[block].max() > _NULLSPACE_TOL:
                     continue
-                self.resolved[m] = x[block]
+                self.tails[t] = x[block]
                 progress = True
             if not progress:
                 break
         if self.inconsistency > self.tol:
             return "inconsistent"
-        if any(m not in self.resolved for m in self.targets):
+        if any(tail is None for tail in self.tails):
             return "rank_deficient"
         return "extended"
 
@@ -420,7 +425,7 @@ class _NormalForms:
 
     def __init__(self, shape: Shape, tables, r, dtype):
         self.tables = [tables.get(v) for v in shape.variables()]
-        self.places = shape.codes(np.eye(len(self.tables), dtype=np.int64)).tolist()
+        self.places = shape.variable_codes.tolist()
         one = np.zeros(r, dtype=dtype)
         one[0] = 1.0
         self.memo = {0: one}
@@ -454,7 +459,7 @@ def propagate_commutation(
     RankDeficient when the linearly reachable part leaves relations free
     (whatever was resolved is still reported).
     """
-    if B[0] != B.shape.one():
+    if B.codes[0] != 0:
         raise ValueError("basis must list the monomial 1 first")
     rng = np.random.default_rng(order_seed) if order_seed is not None else None
     prop = _Propagator(lam, B, Bp, tol, rng)
@@ -463,9 +468,13 @@ def propagate_commutation(
     dtype = prop.dtype
 
     tables = prop.tables()
+    shape = lam.shape
+    solved = [t for t, tail in enumerate(prop.tails) if tail is not None]
+    unresolved = [t for t, tail in enumerate(prop.tails) if tail is None]
+    solved = [solved[i] for i in canonical_order(prop.targets[solved])]
     relations = [
-        BorderRelation(m, prop.resolved[m])
-        for m in sorted(prop.resolved, key=lambda t: t.sort_key())
+        BorderRelation(m, prop.tails[t])
+        for m, t in zip(shape.monomials(prop.targets[solved]), solved)
     ]
 
     commute = commutator_residual([tables[v] for v in sorted(tables)])
@@ -473,21 +482,17 @@ def propagate_commutation(
         status = "inconsistent"
 
     completed = lam.copy()
-    lam_B = np.asarray([lam.known_value(b) for b in B], dtype=dtype)
+    lam_B, _ = lam.lookup(B.codes)
     plus_rows = basis_plus(Bp)
     plus_cols = basis_plus(B)
     # each unknown product once, in the order of its first occurrence
-    shape = lam.shape
     codes = shape.product_codes(plus_rows, plus_cols).ravel()
     _, first = np.unique(codes, return_index=True)
     first.sort()
     _, known = lam.lookup(codes[first])
     unknown = first[~known]
     n_cols = len(plus_cols)
-    exps = (
-        shape.exponents(plus_rows)[unknown // n_cols]
-        + shape.exponents(plus_cols)[unknown % n_cols]
-    )
+    exps = plus_rows[unknown // n_cols] + plus_cols[unknown % n_cols]
     normal_form = _NormalForms(shape, tables, r, dtype)
     for m, e, code in zip(
         shape.monomials(exps), exps.tolist(), codes[unknown].tolist()
@@ -498,8 +503,9 @@ def propagate_commutation(
     # moments of B' x border follow from the relations even when some
     # variables stay unresolved
     Hn = prop.H
+    Bp_monomials = shape.monomials(Bp.exps)
     for rel in relations:
-        for i, q in enumerate(Bp):
+        for i, q in enumerate(Bp_monomials):
             m = q * rel.lead
             if not completed.known(m):
                 completed.set(m, Hn[i] @ rel.tail)
@@ -507,9 +513,7 @@ def propagate_commutation(
     diagnostics = {
         "inconsistency": prop.inconsistency,
         "nullity": prop.nullity,
-        "unresolved": [
-            str(m) for m in prop.targets if m not in prop.resolved
-        ],
+        "unresolved": [str(m) for m in shape.monomials(prop.targets[unresolved])],
     }
     log.debug(
         "propagation: status=%s commute=%.2e unresolved=%d",
@@ -532,9 +536,8 @@ def flat_extension_check(
 ) -> bool:
     """Rank of the once-prolonged matrix equals |B| and the base block is
     invertible.  All required moments must be resolved."""
-    Hplus = hankel(lam, basis_plus(Bp), basis_plus(B))
-    Hn = Hplus.numeric()
-    base = hankel(lam, Bp, B).numeric()
+    Hn = hankel(lam, basis_plus(Bp), basis_plus(B)).numeric()
+    base = hankel(lam, Bp.exps, B.exps).numeric()
     return (
         numerical_rank(base, tol) == len(B)
         and numerical_rank(Hn, tol) == len(B)

@@ -27,14 +27,18 @@ def _num_out(x):
     return [x.real, x.imag]
 
 
+def _is_int(v) -> bool:  # a JSON boolean is not a number
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    return _is_int(v) or isinstance(v, float)
+
+
 def _num_in(v, where: str):
-    if isinstance(v, (int, float)):
+    if _is_real(v):
         return float(v)
-    if (
-        isinstance(v, list)
-        and len(v) == 2
-        and all(isinstance(t, (int, float)) for t in v)
-    ):
+    if isinstance(v, list) and len(v) == 2 and all(_is_real(t) for t in v):
         return complex(v[0], v[1])
     raise FormatError(f"{where}: expected number or [re, im] pair, got {v!r}")
 
@@ -42,6 +46,32 @@ def _num_in(v, where: str):
 def _require(cond: bool, message: str):
     if not cond:
         raise FormatError(message)
+
+
+def _fields(obj, where: str, keys: tuple[str, ...]) -> dict:
+    """obj, checked to be a JSON object holding every key of ``keys``."""
+    _require(isinstance(obj, dict), f"{where} must be a JSON object")
+    for key in keys:
+        _require(key in obj, f"{where} missing '{key}'")
+    return obj
+
+
+def _file_fields(obj, kind: str, keys: tuple[str, ...]):
+    """The shape of a file object and its term objects, (where, term) each
+    holding ``keys``."""
+    _fields(obj, f"{kind} file", ("dims", "degrees", "terms"))
+    for key in ("dims", "degrees"):
+        _require(
+            isinstance(obj[key], list) and all(map(_is_int, obj[key])),
+            f"'{key}' must be a list of integers, got {obj[key]!r}",
+        )
+    try:
+        shape = Shape(tuple(obj["dims"]), tuple(obj["degrees"]))
+    except ValueError as exc:
+        raise FormatError(f"bad dims/degrees: {exc}") from exc
+    _require(isinstance(obj["terms"], list), "'terms' must be a list")
+    terms = [(f"terms[{i}]", t) for i, t in enumerate(obj["terms"])]
+    return shape, [(where, _fields(t, where, keys)) for where, t in terms]
 
 
 @dataclass
@@ -66,22 +96,11 @@ class TensorFile:
 
     @staticmethod
     def from_obj(obj: dict) -> "TensorFile":
-        _require(isinstance(obj, dict), "tensor file must be a JSON object")
-        for key in ("dims", "degrees", "terms"):
-            _require(key in obj, f"tensor file missing '{key}'")
-        try:
-            shape = Shape(tuple(obj["dims"]), tuple(obj["degrees"]))
-        except (ValueError, TypeError) as exc:
-            raise FormatError(f"bad dims/degrees: {exc}") from exc
+        shape, items = _file_fields(obj, "tensor", ("exp", "coef"))
         fld = obj.get("field", "real")
         _require(fld in ("real", "complex"), f"unknown field {fld!r}")
         terms: dict[Monomial, complex] = {}
-        for i, t in enumerate(obj["terms"]):
-            where = f"terms[{i}]"
-            _require(
-                isinstance(t, dict) and "exp" in t and "coef" in t,
-                f"{where}: expected an object with 'exp' and 'coef'",
-            )
+        for where, t in items:
             exp = t["exp"]
             _require(
                 isinstance(exp, list) and len(exp) == shape.k,
@@ -91,7 +110,7 @@ class TensorFile:
                 _require(
                     isinstance(e, list)
                     and len(e) == shape.dims[g]
-                    and all(isinstance(x, int) and x >= 0 for x in e),
+                    and all(_is_int(x) and x >= 0 for x in e),
                     f"{where}: group {g} exponents must be {shape.dims[g]} "
                     "non-negative integers",
                 )
@@ -101,7 +120,7 @@ class TensorFile:
                 )
             m = Monomial(tuple(tuple(e) for e in exp))
             _require(m not in terms, f"{where}: duplicate exponent {exp}")
-            c = _num_in(t["coef"], where)
+            c = _num_in(t["coef"], f"{where} 'coef'")
             if isinstance(c, complex) and fld == "real":
                 raise FormatError(f"{where}: complex coefficient in a real file")
             terms[m] = c
@@ -133,14 +152,11 @@ class DecompositionFile:
 
     @staticmethod
     def from_obj(obj: dict) -> "DecompositionFile":
-        _require(isinstance(obj, dict), "decomposition file must be a JSON object")
-        for key in ("rank", "dims", "degrees", "terms", "residual"):
-            _require(key in obj, f"decomposition file missing '{key}'")
-        shape = Shape(tuple(obj["dims"]), tuple(obj["degrees"]))
+        _fields(obj, "decomposition file", ("rank", "residual"))
+        shape, items = _file_fields(obj, "decomposition", ("weight", "points"))
         terms = []
-        for i, t in enumerate(obj["terms"]):
-            where = f"terms[{i}]"
-            w = _num_in(t["weight"], where)
+        for where, t in items:
+            w = _num_in(t["weight"], f"{where} 'weight'")
             pts = t["points"]
             _require(
                 isinstance(pts, list) and len(pts) == shape.k,
@@ -152,14 +168,20 @@ class DecompositionFile:
                     isinstance(c, list) and len(c) == shape.dims[g],
                     f"{where}: group {g} needs {shape.dims[g]} coordinates",
                 )
-                coords.append(tuple(_num_in(x, where) for x in c))
+                coords.append(tuple(_num_in(x, f"{where} 'points'") for x in c))
             terms.append((w, Point(tuple(coords))))
-        _require(obj["rank"] == len(terms), "rank does not match term count")
-        _require(obj["residual"] >= 0, "residual must be non-negative")
-        dec = Decomposition(
-            shape, terms, float(obj["residual"]), meta=dict(obj.get("meta", {}))
+        _require(
+            _is_int(obj["rank"]) and obj["rank"] == len(terms),
+            "'rank' must be an integer equal to the term count",
         )
-        return DecompositionFile(shape, dec, dict(obj.get("meta", {})))
+        _require(
+            _is_real(obj["residual"]) and obj["residual"] >= 0,
+            "'residual' must be a non-negative number",
+        )
+        meta = obj.get("meta", {})
+        _require(isinstance(meta, dict), "'meta' must be an object")
+        dec = Decomposition(shape, terms, float(obj["residual"]), meta=dict(meta))
+        return DecompositionFile(shape, dec, dict(meta))
 
 
 def dumps(obj: dict) -> str:

@@ -9,17 +9,23 @@ monomial sequences, and entries whose product monomial has no known moment
 are flagged in a mask (and read 0).  ``hankel`` never multiplies monomials:
 the product codes are row codes plus column codes, and one search in the
 functional's code-sorted moments reads the whole block.
+
+A monomial sequence here (a basis, a degree-bounded pool, B+ and the
+border) is an int64 exponent matrix, one row per monomial and one column
+per variable in canonical order; ``MonomialBasis`` adds the rows' codes and
+checks that the basis contains 1, has no duplicate and is connected to 1 on
+those codes.  ``Shape.monomials`` turns rows into ``Monomial`` objects for
+names and files.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .algebra import (
-    Monomial,
     MomentFunctional,
     Polynomial,
     Shape,
@@ -35,72 +41,75 @@ class UnresolvedParameterError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MonomialBasis:
-    """Ordered monomial list, connected to 1 and duplicate-free."""
+    """Ordered monomials as exponent rows (variables in canonical order)
+    with their codes; contains 1, duplicate-free and connected to 1."""
 
     shape: Shape
-    monomials: tuple[Monomial, ...]
+    exps: np.ndarray
+    codes: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "monomials", tuple(self.monomials))
-        seen = set(self.monomials)
-        if len(seen) != len(self.monomials):
+        exps = np.asarray(self.exps, dtype=np.int64)
+        codes = self.shape.codes(exps)
+        object.__setattr__(self, "exps", exps)
+        object.__setattr__(self, "codes", codes)
+        seen = set(codes.tolist())
+        if len(seen) != len(codes):
             raise ValueError("duplicate monomials in basis")
-        if self.shape.one() not in seen:
+        if 0 not in seen:
             raise ValueError("basis must contain the monomial 1")
-        for m in self.monomials:
-            if not m.is_one() and not any(
-                m.divide(self.shape.variable(g, j)) in seen
-                for (g, j) in m.variable_factors()
-            ):
-                raise ValueError(f"basis not connected to 1 at {m}")
+        for i, (code, parents) in enumerate(
+            zip(codes.tolist(), _parent_codes(self.shape, exps, codes))
+        ):
+            if code and not any(p in seen for p in parents):
+                raise ValueError(f"basis not connected to 1 at {self.names()[i]}")
 
     def __len__(self):
-        return len(self.monomials)
+        return len(self.codes)
 
-    def __iter__(self):
-        return iter(self.monomials)
-
-    def __getitem__(self, i):
-        return self.monomials[i]
-
-    def index(self, m: Monomial) -> int:
-        return self.monomials.index(m)
-
-    def __contains__(self, m):
-        return m in set(self.monomials)
+    def names(self) -> list[str]:
+        return [str(m) for m in self.shape.monomials(self.exps)]
 
 
-def enumerate_monomials(shape: Shape, bounds: list[int]) -> list[Monomial]:
-    """All monomials with per-group degree at most bounds[g], canonical order."""
+def _parent_codes(shape: Shape, exps: np.ndarray, codes: np.ndarray) -> list:
+    """Per exponent row, the code of row / x_v for each variable x_v dividing
+    it and -1 (no monomial) for the others: a row other than 1 is connected
+    to 1 through a set of monomials holding one of these."""
+    return np.where(exps > 0, codes[:, None] - shape.variable_codes, -1).tolist()
+
+
+def enumerate_monomials(shape: Shape, bounds: list[int]) -> np.ndarray:
+    """Exponent rows of all monomials with per-group degree at most
+    bounds[g], canonical order."""
     if len(bounds) != shape.k or any(b < 0 for b in bounds):
         raise ValueError("bounds must list one non-negative integer per group")
     if all(b <= d for b, d in zip(bounds, shape.degrees)):
         # inside the degree bounds: a subsequence of the shape's table
         table = shape.table
-        keep = np.flatnonzero((table.degrees <= bounds).all(axis=1))
-        return [table.monomials[i] for i in keep.tolist()]
-    return shape.monomials(graded_range(shape.dims, bounds)[0])
+        return table.exps[(table.degrees <= bounds).all(axis=1)]
+    return graded_range(shape.dims, bounds)[0]
 
 
-def basis_plus(B: MonomialBasis) -> tuple[Monomial, ...]:
-    """B+ = B union x*B over every variable, canonical order.  B+ of a
-    connected basis is connected, so it is returned as a plain tuple."""
-    shape = B.shape
-    E = shape.exponents(B.monomials)
+def basis_plus(B: MonomialBasis) -> np.ndarray:
+    """Exponent rows of B+ = B union x*B over every variable, canonical
+    order."""
+    E = B.exps
     n = E.shape[1]
     shifted = (E[:, None, :] + np.eye(n, dtype=np.int64)).reshape(-1, n)
     plus = np.vstack([E, shifted])
-    _, first = np.unique(shape.codes(plus), return_index=True)
+    _, first = np.unique(B.shape.codes(plus), return_index=True)
     plus = plus[first]
-    return tuple(shape.monomials(plus[canonical_order(plus)]))
+    return plus[canonical_order(plus)]
 
 
-def border(B: MonomialBasis) -> list[Monomial]:
-    """B+ \\ B in canonical order."""
-    inside = set(B.monomials)
-    return [m for m in basis_plus(B) if m not in inside]
+def border(B: MonomialBasis) -> np.ndarray:
+    """Exponent rows of B+ \\ B in canonical order."""
+    plus = basis_plus(B)
+    inside = set(B.codes.tolist())
+    keep = [c not in inside for c in B.shape.codes(plus).tolist()]
+    return plus[np.array(keep, dtype=bool)]
 
 
 def moment_vector(T: Polynomial) -> np.ndarray:
@@ -126,14 +135,12 @@ def build_moment_functional(T: Polynomial) -> MomentFunctional:
 class HankelMatrix:
     """Matrix lam(rows[i] * cols[j]) with a per-entry known mask.
 
-    Rows and columns are any monomial sequences; an entry without a known
+    Rows and columns are any exponent matrices; an entry without a known
     moment reads 0 and is False in ``known``.  The block of product codes
     is the sum of the row and column codes, looked up in one pass.
     """
 
-    def __init__(self, lam: MomentFunctional, rows, cols):
-        self.rows = rows
-        self.cols = cols
+    def __init__(self, lam: MomentFunctional, rows: np.ndarray, cols: np.ndarray):
         self.values, self.known = lam.lookup(lam.shape.product_codes(rows, cols))
 
     @property
@@ -145,12 +152,8 @@ class HankelMatrix:
             raise UnresolvedParameterError("matrix has unknown entries")
         return self.values
 
-    @property
-    def shape(self):
-        return self.values.shape
 
-
-def hankel(lam: MomentFunctional, rows, cols) -> HankelMatrix:
+def hankel(lam: MomentFunctional, rows: np.ndarray, cols: np.ndarray) -> HankelMatrix:
     return HankelMatrix(lam, rows, cols)
 
 
@@ -190,36 +193,37 @@ def catalecticant(
     lam: MomentFunctional,
     row_bounds: tuple[int, ...],
     col_bounds: tuple[int, ...],
-) -> tuple[np.ndarray, list[Monomial], list[Monomial]]:
-    """The full moment matrix between two degree-bounded monomial pools."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The full moment matrix between two degree-bounded monomial pools,
+    and the pools' exponent rows."""
     rows = enumerate_monomials(lam.shape, list(row_bounds))
     cols = enumerate_monomials(lam.shape, list(col_bounds))
     return hankel(lam, rows, cols).numeric(), rows, cols
 
 
 def _greedy_staircase(
-    A: np.ndarray, monos: list[Monomial], shape: Shape, target: int,
+    A: np.ndarray, exps: np.ndarray, shape: Shape, target: int,
     tol_rank: float, axis: int,
 ) -> list[int] | None:
-    """Pick `target` columns (axis=1) or rows (axis=0) of A, scanning in
-    canonical order, keeping the selection connected to 1 and accepting a
-    monomial only when it raises the numerical rank."""
+    """Pick `target` columns (axis=1) or rows (axis=0) of A, whose monomials
+    are the rows of ``exps``, scanning in canonical order, keeping the
+    selection connected to 1 and accepting a monomial only when it raises
+    the numerical rank."""
     selected: list[int] = []
-    chosen: set[Monomial] = set()
+    chosen: set[int] = set()
     rank = 0
-    for idx, m in enumerate(monos):
-        if not m.is_one():
-            if not any(
-                m.divide(shape.variable(g, jj)) in chosen
-                for (g, jj) in m.variable_factors()
-            ):
-                continue
+    codes = shape.codes(exps)
+    for idx, (code, parents) in enumerate(
+        zip(codes.tolist(), _parent_codes(shape, exps, codes))
+    ):
+        if code and not any(p in chosen for p in parents):
+            continue
         trial = selected + [idx]
         block = A[:, trial] if axis == 1 else A[trial, :]
         new_rank = numerical_rank(block, tol_rank)
         if new_rank > rank:
             selected = trial
-            chosen.add(m)
+            chosen.add(code)
             rank = new_rank
             if rank == target:
                 return selected
@@ -259,6 +263,6 @@ def select_bases_candidates(
         block = A[np.ix_(row_sel, col_sel)]
         if numerical_rank(block, tol_rank) < r or np.linalg.cond(block) > MAX_COND:
             continue
-        B = MonomialBasis(shape, tuple(cols[i] for i in col_sel))
-        Bp = MonomialBasis(shape, tuple(rows[i] for i in row_sel))
+        B = MonomialBasis(shape, cols[col_sel])
+        Bp = MonomialBasis(shape, rows[row_sel])
         yield B, Bp

@@ -2,6 +2,7 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -16,7 +17,16 @@ from tdec.algebra import (
     ShapeMismatchError,
     multinomial,
 )
-from tdec.moment import enumerate_monomials
+from tdec.moment import MonomialBasis, enumerate_monomials
+
+
+def rows_of(shape: Shape, names) -> np.ndarray:
+    """Exponent rows of the monomials named like str(Monomial)."""
+    return shape.exponents([Monomial.parse(s, shape) for s in names])
+
+
+def basis_of(shape: Shape, names) -> MonomialBasis:
+    return MonomialBasis(shape, rows_of(shape, names))
 
 
 def poly(shape: Shape, coeffs: dict[str, complex]) -> Polynomial:
@@ -120,7 +130,7 @@ def functional_to_tensor(lam: MomentFunctional, shape: Shape) -> Polynomial:
     """Inverse of build_moment_functional: each moment of the degree-bounded
     range times its multinomial; every moment must be known."""
     terms = {}
-    for m in enumerate_monomials(shape, list(shape.degrees)):
+    for m in shape.monomials(enumerate_monomials(shape, list(shape.degrees))):
         mult = math.prod(multinomial(d, e) for d, e in zip(shape.degrees, m.exps))
         terms[m] = lam.known_value(m) * mult
     return Polynomial(shape, terms)

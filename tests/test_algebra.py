@@ -38,7 +38,7 @@ def act(p, lam, domain):
     """The module action p * lam: q -> lam(p q) on the domain, as values
     and a known mask, read off one moment matrix rows=domain, cols=terms."""
     monos = list(p.terms)
-    H = hankel(lam, domain, monos)
+    H = hankel(lam, p.shape.exponents(domain), p.shape.exponents(monos))
     coeffs = np.array([p.terms[t] for t in monos])
     return H.values @ coeffs, H.known.all(axis=1)
 
@@ -64,18 +64,13 @@ class TestMonomial:
         with pytest.raises(ShapeMismatchError):
             m("a1") * Monomial.parse("a1", other)
 
-    def test_divide_and_lcm(self):
-        assert m("a1*b1").divide(m("b1")) == m("a1")
-        assert m("a1*b1").lcm(m("a2*b1")) == m("a1*a2*b1")
-        assert not m("a1").divides(m("b1"))
-
     def test_string_round_trip(self):
         for s in ["1", "a1", "a3*b2", "a1^2*c3"]:
             assert str(m(s)) == s
 
     def test_sort_key_graded_group_major(self):
         shape = Shape(dims=(1,), degrees=(2,))
-        monos = enumerate_monomials(shape, [2])
+        monos = shape.monomials(enumerate_monomials(shape, [2]))
         assert [str(x) for x in monos] == ["1", "a1", "a1^2"]
         order = sorted(
             [m("b1"), m("a3"), m("a1"), m("1"), m("a1*b1")],
@@ -170,7 +165,7 @@ class TestEvaluationFunctional:
 
     def test_all_ones(self):
         zeta = Point(((1, 1, 1), (1, 1, 1), (1, 1, 1)))
-        dom = enumerate_monomials(S3, [1, 1, 1])
+        dom = S3.monomials(enumerate_monomials(S3, [1, 1, 1]))
         lam = evaluation_functional(zeta, S3, dom)
         assert all(lam.known_value(mm) == 1 for mm in dom)
 

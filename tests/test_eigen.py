@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import golden_data as gd
-from conftest import poly, rank_one_expand, weighted_evaluation
+from conftest import basis_of, poly, rank_one_expand, weighted_evaluation
 from tdec.algebra import Monomial, Point, Shape
 from tdec.eigen import (
     MultiplicationFamily,
@@ -17,17 +17,11 @@ from tdec.eigen import (
 )
 from tdec.extension import propagate_commutation
 from tdec.moment import (
-    MonomialBasis,
-    basis_plus,
     build_moment_functional,
     enumerate_monomials,
     hankel,
     select_bases_candidates,
 )
-
-
-def basis_of(shape, names):
-    return MonomialBasis(shape, tuple(Monomial.parse(s, shape) for s in names))
 
 
 def match_rows(actual, expected, tol):
@@ -75,9 +69,9 @@ class TestMultiplicationMatrix:
     def test_rank_one(self):
         shape = Shape(dims=(2,), degrees=(1,))
         zeta = Point(((2.5, -1.0),))
-        dom = enumerate_monomials(shape, [2])
+        dom = shape.monomials(enumerate_monomials(shape, [2]))
         lam = weighted_evaluation([3.0], [zeta], shape, dom)
-        B = MonomialBasis(shape, (shape.one(),))
+        B = basis_of(shape, ["1"])
         M = multiplication_matrix(lam, B, B, (0, 0))
         assert M == pytest.approx(np.array([[2.5]]))
 
@@ -88,9 +82,11 @@ class TestMultiplicationMatrix:
         B = basis_of(shape1, gd.H1_B_COLS)
         Bp = basis_of(shape1, gd.H1_B_ROWS)
         fam = family_from_functional(lam, B, Bp)
-        H = hankel(lam, Bp, B).numeric()
+        H = hankel(lam, Bp.exps, B.exps).numeric()
+        rows = [Monomial.parse(s, shape1) for s in gd.H1_B_ROWS]
         for var in shape1.variables():
-            Hs = hankel(lam, [shape1.variable(*var) * q for q in Bp], B)
+            shifted = shape1.exponents([shape1.variable(*var) * q for q in rows])
+            Hs = hankel(lam, shifted, B.exps)
             if Hs.fully_known:
                 assert np.array_equal(fam.matrices[var], np.linalg.solve(H, Hs.numeric()))
             else:
@@ -123,9 +119,9 @@ class TestJointEigenvectors:
     def test_rank_one_trivial(self):
         shape = Shape(dims=(2, 1), degrees=(1, 1))
         zeta = Point(((0.5, -2.0), (3.0,)))
-        dom = enumerate_monomials(shape, [2, 2])
+        dom = shape.monomials(enumerate_monomials(shape, [2, 2]))
         lam = weighted_evaluation([2.0], [zeta], shape, dom)
-        B = MonomialBasis(shape, (shape.one(),))
+        B = basis_of(shape, ["1"])
         fam = family_from_functional(lam, B, B)
         roots = joint_eigenvectors(fam, seed=1)
         assert roots.simple and roots.count == 1
@@ -165,9 +161,10 @@ class TestJointEigenvectors:
                     1.0, np.linalg.norm(lhs)
                 )
         # entries multiply like evaluations for products staying inside B
-        index = {m: i for i, m in enumerate(B)}
-        for m1 in B:
-            for m2 in B:
+        basis = shape1.monomials(B.exps)
+        index = {m: i for i, m in enumerate(basis)}
+        for m1 in basis:
+            for m2 in basis:
                 if m1 * m2 in index:
                     for w in roots.eigvecs:
                         assert w[index[m1 * m2]] == pytest.approx(

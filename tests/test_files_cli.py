@@ -72,10 +72,50 @@ class TestFileRoundTrip:
             {**good, "terms": [{"exp": [[2, 0, 0], [0] * 3, [0] * 3], "coef": 1}]},
             {**good, "terms": good["terms"] + [good["terms"][0]]},
             {**good, "field": "rational"},
+            # read as dims (1,) before: int() truncated 1.7
+            {**self.TINY, "dims": [1.7]},
+            {**self.TINY, "dims": 1},
+            {**self.TINY, "degrees": [True]},
+            {**self.TINY, "terms": [{"exp": [[True]], "coef": 1}]},
+            {**self.TINY, "terms": [{"exp": [[1]], "coef": True}]},
+            {**self.TINY, "terms": [{"exp": [[1]], "coef": [1, False]}]},
+            {**self.TINY, "terms": 3},
         ]
         for obj in bad_cases:
             with pytest.raises(FormatError):
                 TensorFile.from_obj(obj)
+        TensorFile.from_obj(self.TINY)
+
+    TINY = {"dims": [1], "degrees": [2], "terms": [{"exp": [[1]], "coef": 1}]}
+
+    GOOD_TERM = {"weight": 2.0, "points": [[1.0, 0.5], [-1.0]]}
+
+    @pytest.mark.parametrize(
+        "change,field",
+        [
+            ({"dims": [1.7, 1]}, "dims"),
+            ({"degrees": [1, True]}, "degrees"),
+            ({"terms": "none"}, "terms"),
+            ({"terms": [1.5]}, "terms"),
+            ({"terms": [{"points": GOOD_TERM["points"]}]}, "weight"),
+            ({"terms": [{**GOOD_TERM, "weight": True}]}, "weight"),
+            ({"terms": [{**GOOD_TERM, "points": [[1.0, False], [-1.0]]}]}, "points"),
+            ({"residual": "small"}, "residual"),
+            ({"residual": True}, "residual"),
+            ({"rank": 1.0}, "rank"),
+            ({"meta": [1]}, "meta"),
+        ],
+        ids=["fractional-dims", "boolean-degree", "terms-not-a-list",
+             "term-not-an-object", "no-weight", "boolean-weight",
+             "boolean-point", "text-residual", "boolean-residual", "float-rank",
+             "meta-not-an-object"],
+    )
+    def test_malformed_decomposition_rejected(self, change, field):
+        good = {"rank": 1, "dims": [2, 1], "degrees": [1, 1],
+                "terms": [self.GOOD_TERM], "residual": 0.0}
+        DecompositionFile.from_obj(good)
+        with pytest.raises(FormatError, match=field):
+            DecompositionFile.from_obj({**good, **change})
 
 
 class TestRoundTripProperty:
@@ -246,6 +286,27 @@ class TestCli:
             "verify", "-i", FIXTURES / "example1.json",
             "-d", FIXTURES / "example2_truth.json",
         ) == 1
+
+    def test_fractional_dims_are_input_errors(self, tmp_path, capsys):
+        # int() once read dims [1.7] as 1, and both commands exited 0
+        t = tmp_path / "t.json"
+        t.write_text(json.dumps({"dims": [1], "degrees": [2], "terms": [
+            {"exp": [[0]], "coef": 1}, {"exp": [[1]], "coef": 4},
+            {"exp": [[2]], "coef": 4},
+        ]}))
+        d = tmp_path / "d.json"
+        d.write_text(json.dumps({
+            "rank": 1, "dims": [1], "degrees": [2], "residual": 0.0,
+            "terms": [{"weight": 1.0, "points": [[2.0]]}],
+        }))
+        assert self.run("verify", "-i", t, "-d", d, "--threshold", "1e-12") == 0
+        for path in (t, d):
+            path.write_text(path.read_text().replace('"dims": [1]', '"dims": [1.7]'))
+        assert self.run("bounds", "-i", t) == 1
+        assert "'dims'" in capsys.readouterr().err
+        t.write_text(t.read_text().replace("1.7", "1"))
+        assert self.run("verify", "-i", t, "-d", d) == 1
+        assert "'dims'" in capsys.readouterr().err
 
     def test_verify_perturbed_exit_three(self, tmp_path):
         obj = json.loads((FIXTURES / "example1_truth.json").read_text())

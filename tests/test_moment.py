@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 
 import golden_data as gd
 from conftest import (
+    basis_of,
     evaluation_functional,
     functional_to_tensor,
     poly,
     rank_one_expand,
+    rows_of,
     weighted_evaluation,
 )
 from tdec.algebra import (
@@ -26,6 +28,7 @@ from tdec.algebra import (
 from tdec.moment import (
     MonomialBasis,
     UnresolvedParameterError,
+    _greedy_staircase,
     basis_plus,
     border,
     build_moment_functional,
@@ -37,10 +40,6 @@ from tdec.moment import (
     select_bases_candidates,
 )
 from tdec.decompose import rank_lower_bound, reconstruct
-
-
-def basis_of(shape, names):
-    return MonomialBasis(shape, tuple(Monomial.parse(s, shape) for s in names))
 
 
 class TestBuildMomentFunctional:
@@ -94,7 +93,7 @@ class TestFunctionalToTensor:
             for _ in range(3)
         ]
         ws = rng.uniform(0.5, 2.0, 3)
-        dom = enumerate_monomials(shape, list(shape.degrees))
+        dom = shape.monomials(enumerate_monomials(shape, list(shape.degrees)))
         ref = weighted_evaluation(ws, pts, shape, dom)
         lam = build_moment_functional(reconstruct(shape, ws, pts))
         for m in dom:
@@ -108,11 +107,12 @@ class TestFunctionalToTensor:
 class TestEnumerate:
     def test_univariate(self):
         shape = Shape(dims=(1,), degrees=(2,))
-        assert [str(m) for m in enumerate_monomials(shape, [2])] == ["1", "a1", "a1^2"]
+        out = shape.monomials(enumerate_monomials(shape, [2]))
+        assert [str(m) for m in out] == ["1", "a1", "a1^2"]
 
     def test_one_group_active(self):
         shape = Shape(dims=(3, 3, 3), degrees=(1, 1, 1))
-        out = enumerate_monomials(shape, [1, 0, 0])
+        out = shape.monomials(enumerate_monomials(shape, [1, 0, 0]))
         assert [str(m) for m in out] == ["1", "a1", "a2", "a3"]
 
     def test_count(self):
@@ -152,9 +152,8 @@ class TestMonomialTable:
     )
     def test_enumeration_matches_brute_force(self, dims, degrees, bounds):
         shape = Shape(dims=dims, degrees=degrees)
-        assert enumerate_monomials(shape, list(bounds)) == brute_force_monomials(
-            shape, bounds
-        )
+        rows = enumerate_monomials(shape, list(bounds))
+        assert shape.monomials(rows) == brute_force_monomials(shape, bounds)
 
     @pytest.mark.parametrize(
         "dims,degrees", [((2, 2), (2, 2)), ((2, 3), (2, 1)), ((1,), (6,)), ((2, 1, 2), (1, 3, 1))]
@@ -184,7 +183,8 @@ class TestMonomialTable:
         monos = enumerate_monomials(shape, [1])
         lam = build_moment_functional(Polynomial(shape, {shape.variable(0, 29): 2.0}))
         assert time.process_time() - start < 1.0
-        assert len(monos) == 31 and [str(m) for m in monos[:3]] == ["1", "a1", "a2"]
+        assert len(monos) == 31
+        assert [str(m) for m in shape.monomials(monos[:3])] == ["1", "a1", "a2"]
         assert lam.known_value(shape.variable(0, 29)) == 2.0
 
 
@@ -192,47 +192,97 @@ class TestBasisPlus:
     def test_univariate(self):
         shape = Shape(dims=(1,), degrees=(2,))
         B = basis_of(shape, ["1"])
-        assert [str(m) for m in basis_plus(B)] == ["1", "a1"]
+        assert [str(m) for m in shape.monomials(basis_plus(B))] == ["1", "a1"]
 
     def test_three_variables(self):
         shape = Shape(dims=(3,), degrees=(2,))
         B = basis_of(shape, ["1", "a1"])
-        out = basis_plus(B)
+        out = shape.monomials(basis_plus(B))
         assert [str(m) for m in out] == [
             "1", "a1", "a2", "a3", "a1^2", "a1*a2", "a1*a3",
         ]
 
     def test_demo_border_contains_reduction_targets(self, shape2):
         B = basis_of(shape2, gd.H2_B_COLS)
-        plus = set(str(m) for m in basis_plus(B))
+        plus = set(str(m) for m in shape2.monomials(basis_plus(B)))
         for s in ["a1*b3", "a2*b3", "a3*b3", "a1^2", "a1*a2", "a2*a3", "b3"]:
             assert s in plus
-        assert set(str(m) for m in border(B)).isdisjoint(set(gd.H2_B_COLS))
+        edge = shape2.monomials(border(B))
+        assert set(str(m) for m in edge).isdisjoint(set(gd.H2_B_COLS))
+
+    def test_rows_match_monomial_loops(self, shape2):
+        for B in [
+            basis_of(Shape(dims=(1,), degrees=(2,)), ["1"]),
+            basis_of(Shape(dims=(3,), degrees=(2,)), ["1", "a1"]),
+            basis_of(shape2, gd.H2_B_COLS),
+            basis_of(shape2, gd.H2_B_ROWS),
+        ]:
+            shape = B.shape
+            basis = shape.monomials(B.exps)
+            variables = [shape.variable(g, j) for g, j in shape.variables()]
+            plus = set(basis) | {x * b for x in variables for b in basis}
+            want = sorted(plus, key=lambda m: m.sort_key())
+            assert shape.monomials(basis_plus(B)) == want
+            assert shape.monomials(border(B)) == [m for m in want if m not in basis]
+            assert B.codes.tolist() == [m.code(shape) for m in basis]
+
+    def test_staircase_connectivity_matches_monomial_loop(self, shape2):
+        # identity columns: a monomial raises the rank unless its column is
+        # zeroed, so the staircase is the connected scan over the live ones
+        rng = np.random.default_rng(4)
+        for shape in (Shape(dims=(3,), degrees=(2,)), shape2):
+            pool = enumerate_monomials(shape, list(shape.degrees))
+            monos = shape.monomials(pool)
+            live = rng.uniform(size=len(monos)) < 0.7
+            live[0] = True
+            variables = [shape.variable(g, j) for g, j in shape.variables()]
+            chosen = []
+            for m, ok in zip(monos, live):
+                if ok and (m.is_one() or any(
+                    x * q == m for x in variables for q in chosen
+                )):
+                    chosen.append(m)
+            assert len(chosen) < live.sum()  # some live monomial is cut off
+            A = np.eye(len(monos)) * live
+            for axis, block in ((1, A), (0, A.T)):
+                sel = _greedy_staircase(block, pool, shape, len(chosen), 1e-8, axis)
+                assert [monos[i] for i in sel] == chosen
+
+    def test_basis_validation(self, shape2):
+        rows = rows_of(shape2, ["1", "a1", "b1"])
+        assert len(MonomialBasis(shape2, rows)) == 3
+        for bad, message in [
+            (rows[[0, 1, 2, 1]], "duplicate"),
+            (rows[1:], "must contain the monomial 1"),
+            (rows_of(shape2, ["1", "a1", "a2*b1"]), r"not connected to 1 at a2\*b1"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                MonomialBasis(shape2, bad)
 
 
 class TestHankel:
     def test_demo_4x4(self, tensor1, shape1):
         lam = build_moment_functional(tensor1)
-        H = hankel(lam, basis_of(shape1, gd.H1_B_ROWS), basis_of(shape1, gd.H1_B_COLS))
+        H = hankel(lam, rows_of(shape1, gd.H1_B_ROWS), rows_of(shape1, gd.H1_B_COLS))
         assert H.fully_known
         np.testing.assert_array_equal(H.numeric(), np.array(gd.H1, dtype=float))
 
     def test_demo_6x6(self, tensor2, shape2):
         lam = build_moment_functional(tensor2)
-        H = hankel(lam, basis_of(shape2, gd.H2_B_ROWS), basis_of(shape2, gd.H2_B_COLS))
+        H = hankel(lam, rows_of(shape2, gd.H2_B_ROWS), rows_of(shape2, gd.H2_B_COLS))
         assert H.fully_known
         np.testing.assert_array_equal(H.numeric(), np.array(gd.H2, dtype=float))
 
     def test_single_entry(self, tensor1, shape1):
         lam = build_moment_functional(tensor1)
-        B = basis_of(shape1, ["1"])
+        B = rows_of(shape1, ["1"])
         H = hankel(lam, B, B)
         assert H.numeric() == np.array([[4.0]])
 
     def test_transpose_swaps_bases(self, tensor1, shape1):
         lam = build_moment_functional(tensor1)
-        B = basis_of(shape1, ["1", "a1", "a2"])
-        Bp = basis_of(shape1, ["1", "b1", "c2"])
+        B = rows_of(shape1, ["1", "a1", "a2"])
+        Bp = rows_of(shape1, ["1", "b1", "c2"])
         H1 = hankel(lam, Bp, B)
         H2 = hankel(lam, B, Bp)
         np.testing.assert_allclose(H1.numeric(), H2.numeric().T)
@@ -243,8 +293,8 @@ class TestHankel:
         lam = MomentFunctional(
             shape, {shape.one(): 1.0, x: 2.0, y: 3.0}
         )
-        B = MonomialBasis(shape, (shape.one(), x, y))
-        H = hankel(lam, B, B)
+        B = [shape.one(), x, y]
+        H = hankel(lam, shape.exponents(B), shape.exponents(B))
         # the unknown moments sit exactly where the product leaves the data;
         # x*y shows up at both (1,2) and (2,1)
         expected = [[True, True, True], [True, False, False], [True, False, False]]
@@ -258,10 +308,10 @@ class TestHankel:
     def test_shifted_matches_definition(self, tensor1, shape1):
         # shifted rows x_v * b' give the matrix of lam(x_v b' b)
         lam = build_moment_functional(tensor1)
-        B = basis_of(shape1, gd.H1_B_COLS)
-        Bp = basis_of(shape1, gd.H1_B_ROWS)
+        B = [Monomial.parse(s, shape1) for s in gd.H1_B_COLS]
+        Bp = [Monomial.parse(s, shape1) for s in gd.H1_B_ROWS]
         c1 = Monomial.parse("c1", shape1)
-        Hs = hankel(lam, [c1 * q for q in Bp], B)
+        Hs = hankel(lam, shape1.exponents([c1 * q for q in Bp]), shape1.exponents(B))
         for i, mr in enumerate(Bp):
             for j, mc in enumerate(B):
                 assert Hs.values[i, j] == lam.known_value(c1 * mr * mc)
@@ -269,10 +319,13 @@ class TestHankel:
     def test_shifted_of_evaluation(self):
         shape = Shape(dims=(2,), degrees=(1,))
         zeta = Point(((5.0, -3.0),))
-        dom = enumerate_monomials(shape, [2])
+        dom = shape.monomials(enumerate_monomials(shape, [2]))
         lam = evaluation_functional(zeta, shape, dom)
-        B = MonomialBasis(shape, (shape.one(),))
-        Hs = hankel(lam, [shape.variable(0, 1) * q for q in B], B)
+        B = [shape.one()]
+        Hs = hankel(
+            lam, shape.exponents([shape.variable(0, 1) * q for q in B]),
+            shape.exponents(B),
+        )
         assert Hs.numeric() == np.array([[-3.0]])
 
 
@@ -310,10 +363,10 @@ class TestMonomialCodes:
     ):
         rng = np.random.default_rng(sum(dims) + sum(degrees))
         shape = Shape(dims=dims, degrees=degrees)
-        in_range = enumerate_monomials(shape, list(degrees))
-        B = MonomialBasis(shape, tuple(in_range[:n_basis]))
-        plus = list(basis_plus(B))
-        edge = border(B)
+        in_range = shape.monomials(enumerate_monomials(shape, list(degrees)))
+        B = MonomialBasis(shape, shape.exponents(in_range[:n_basis]))
+        plus = shape.monomials(basis_plus(B))
+        edge = shape.monomials(border(B))
         blocks = []
         for pool_r, pool_c in [
             (in_range, edge),  # in-range x border, the completion's products
@@ -337,7 +390,7 @@ class TestMonomialCodes:
         lam = MomentFunctional(shape, entries)
         seen = set()
         for rows, cols in blocks:
-            H = hankel(lam, rows, cols)
+            H = hankel(lam, shape.exponents(rows), shape.exponents(cols))
             values, known = naive_hankel(lam, rows, cols)
             assert H.values.dtype == values.dtype
             np.testing.assert_array_equal(H.known, known)
@@ -362,9 +415,10 @@ class TestMonomialCodes:
         # each factor has a code, their product would not
         x7, x8 = Monomial.parse("a1^7", shape), Monomial.parse("a1^8", shape)
         lam = MomentFunctional(shape, {shape.one(): 1.0})
+        rows = shape.exponents([x8, x7, x7])
         with pytest.raises(DegreeOverflowError):
-            hankel(lam, [x8], [x7])
-        assert not hankel(lam, [x7, x7], [x7]).known.any()
+            hankel(lam, rows[:1], rows[1:2])
+        assert not hankel(lam, rows[1:], rows[1:2]).known.any()
 
     def test_codes_beyond_int64_stay_exact(self):
         shape = Shape(dims=(30,), degrees=(1,))  # radix 5 on 30 variables
@@ -372,14 +426,15 @@ class TestMonomialCodes:
         assert last.code(shape) == 5**29 > 2**63
         assert (first * last).code(shape) == 1 + 5**29
         lam = MomentFunctional(shape, {last * last: 2.0, first * last: 3.0})
-        H = hankel(lam, [first, last], [last])
+        rows = shape.exponents([first, last])
+        H = hankel(lam, rows, rows[1:])
         np.testing.assert_array_equal(H.values, [[3.0], [2.0]])
 
     def test_writes_reach_the_next_hankel(self):
         shape = Shape(dims=(2,), degrees=(1,))
         x, y = shape.variable(0, 0), shape.variable(0, 1)
         lam = MomentFunctional(shape, {shape.one(): 1.0, x: 2.0, y: 3.0})
-        B = [shape.one(), x]
+        B = shape.exponents([shape.one(), x])
         assert not hankel(lam, B, B).known[1, 1]
         lam.set(x * x, 5.0)
         lam.set(x, -2.0)
@@ -404,28 +459,27 @@ class TestSelectBases:
     def test_demo_rank4(self, tensor1, shape1):
         lam = build_moment_functional(tensor1)
         B, Bp = next(select_bases_candidates(lam, 4))
-        H = hankel(lam, Bp, B).numeric()
+        H = hankel(lam, Bp.exps, B.exps).numeric()
         assert H.shape == (4, 4)
         assert numerical_rank(H) == 4
-        assert [str(m) for m in B] == ["1", "a1", "a2", "a3"]
+        assert B.names() == ["1", "a1", "a2", "a3"]
 
     def test_demo_rank6_matches_reference_block(self, tensor2, shape2):
         lam = build_moment_functional(tensor2)
         B, Bp = next(select_bases_candidates(lam, 6))
-        assert [str(m) for m in B] == gd.H2_B_COLS
-        assert [str(m) for m in Bp] == gd.H2_B_ROWS
+        assert B.names() == gd.H2_B_COLS
+        assert Bp.names() == gd.H2_B_ROWS
         np.testing.assert_array_equal(
-            hankel(lam, Bp, B).numeric(), np.array(gd.H2, dtype=float)
+            hankel(lam, Bp.exps, B.exps).numeric(), np.array(gd.H2, dtype=float)
         )
 
     def test_rank_one_evaluation(self):
         shape = Shape(dims=(2, 2), degrees=(1, 1))
         zeta = Point(((1.5, -2.0), (0.5, 3.0)))
-        dom = enumerate_monomials(shape, list(shape.degrees))
+        dom = shape.monomials(enumerate_monomials(shape, list(shape.degrees)))
         lam = weighted_evaluation([2.0], [zeta], shape, dom)
         B, Bp = next(select_bases_candidates(lam, 1))
-        assert len(B) == 1 and B[0].is_one()
-        assert len(Bp) == 1 and Bp[0].is_one()
+        assert B.names() == Bp.names() == ["1"]
 
     def test_impossible_rank_raises(self, tensor1):
         lam = build_moment_functional(tensor1)
@@ -457,7 +511,7 @@ class TestFlatteningRanks:
         # sum of r generic evaluations has moment-matrix rank exactly r
         rng = np.random.default_rng(11)
         shape = Shape(dims=(3, 3, 3), degrees=(1, 1, 1))
-        dom = enumerate_monomials(shape, list(shape.degrees))
+        dom = shape.monomials(enumerate_monomials(shape, list(shape.degrees)))
         pts = [
             Point(tuple(tuple(rng.uniform(-1, 1, n)) for n in shape.dims))
             for _ in range(3)
