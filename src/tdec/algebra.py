@@ -18,11 +18,11 @@ raises instead of wrapping; codes of shapes whose code space exceeds 63 bits
 are Python integers.  Moment matrices, product tables and syzygy
 pairs are built by adding codes in numpy.
 
-The dual side is represented by ``MomentFunctional``: a partial map from
-monomials to numbers.  A monomial without an entry has an unknown moment;
-moment completion solves for such moments as plain linear unknowns.  A
-code-sorted view of the known moments looks up a whole block of codes at
-once.
+The dual side is represented by ``MomentFunctional``: the codes of the
+known moments in increasing order and their values.  A monomial whose code
+has no entry has an unknown moment; moment completion solves for such
+moments as plain linear unknowns and returns a new functional that knows
+them.  One search in the sorted codes reads a whole block of codes at once.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from types import MappingProxyType
 from typing import Iterable
 
 import numpy as np
@@ -81,14 +80,6 @@ class Shape:
 
     def var_name(self, g: int, j: int) -> str:
         return f"{GROUP_LETTERS[g]}{j + 1}"
-
-    def one(self) -> "Monomial":
-        return Monomial(tuple((0,) * n for n in self.dims))
-
-    def variable(self, g: int, j: int) -> "Monomial":
-        exps = [[0] * n for n in self.dims]
-        exps[g][j] = 1
-        return Monomial(tuple(tuple(e) for e in exps))
 
     @property
     def radix(self) -> tuple[int, ...]:
@@ -176,10 +167,6 @@ class Monomial:
 
     def is_one(self) -> bool:
         return self.total_degree == 0
-
-    def code(self, shape: Shape) -> int:
-        """The exact integer code of the monomial in ``shape``."""
-        return int(shape.codes(shape.exponents([self]))[0])
 
     def __mul__(self, other: "Monomial") -> "Monomial":
         if len(self.exps) != len(other.exps) or any(
@@ -420,64 +407,63 @@ class Polynomial:
         return " + ".join(f"{c}*{m}" for m, c in items)
 
 
+@dataclass(frozen=True, eq=False)
 class MomentFunctional:
-    """Partial linear form on the monomials: monomial -> number.
+    """Partial linear form on the monomials: the codes of the known moments
+    in increasing order and their values, two read-only arrays.
 
-    Monomials absent from ``entries`` have unknown moments.  ``entries`` is
-    a read-only view; moments are written through ``set``, so the
-    code-sorted view that ``lookup`` reads is never stale.
+    A code without an entry has an unknown moment.  ``lookup`` reads a block
+    of codes; ``extended`` returns a new functional with more moments, so a
+    functional never changes after construction.  Values are float, or
+    complex when given complex; codes take the shape's code dtype (Python
+    integers past 63 bits).
     """
 
-    __slots__ = ("shape", "_entries", "_view")
+    shape: Shape
+    codes: np.ndarray
+    values: np.ndarray
 
-    def __init__(self, shape: Shape, entries: dict | None = None):
-        self.shape = shape
-        self._entries = dict(entries or {})
-        self._view = None
-
-    @property
-    def entries(self) -> MappingProxyType:
-        return MappingProxyType(self._entries)
-
-    def known(self, m: Monomial) -> bool:
-        return m in self._entries
-
-    def known_value(self, m: Monomial) -> complex:
-        if m not in self._entries:
-            raise KeyError(f"moment of {m} is unknown")
-        return self._entries[m]
-
-    def set(self, m: Monomial, value) -> None:
-        self._entries[m] = value
-        self._view = None
-
-    def uses_complex(self) -> bool:
-        return any(isinstance(v, complex) for v in self._entries.values())
-
-    def copy(self) -> "MomentFunctional":
-        out = MomentFunctional(self.shape, self._entries)
-        out._view = self._view
-        return out
-
-    def _sorted(self) -> tuple[np.ndarray, np.ndarray]:
-        """Codes of the known moments in increasing order, and their values
-        (complex when any value is stored as a complex type)."""
-        if self._view is None:
-            codes = self.shape.codes(self.shape.exponents(list(self._entries)))
-            values = np.array(
-                list(self._entries.values()),
-                dtype=complex if self.uses_complex() else float,
-            )
-            order = np.argsort(codes)
-            self._view = (codes[order], values[order])
-        return self._view
+    def __post_init__(self):
+        codes = np.asarray(self.codes, dtype=self.shape.variable_codes.dtype)
+        values = np.asarray(self.values)
+        if codes.ndim != 1 or codes.shape != values.shape:
+            raise ValueError("codes and values must be equally long vectors")
+        order = np.argsort(codes)
+        codes = codes[order]
+        values = values[order].astype(np.result_type(values, float), copy=False)
+        if (codes[1:] == codes[:-1]).any():
+            raise ValueError("duplicate moment codes")
+        for name, a in (("codes", codes), ("values", values)):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
     def lookup(self, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Values of the moments with the given codes (0 where unknown) and
         the mask of the known ones, both shaped like ``codes``."""
-        keys, values = self._sorted()
+        keys, values = self.codes, self.values
         if not len(keys):  # a sentinel no code matches: codes are >= 0
             keys, values = np.array([-1]), np.zeros(1, dtype=values.dtype)
         pos = np.minimum(np.searchsorted(keys, codes), len(keys) - 1)
         known = keys[pos] == codes
         return np.where(known, values[pos], 0), known
+
+    def extended(self, codes, values) -> "MomentFunctional":
+        """A new functional that also knows the moments ``values`` of
+        ``codes``: known codes keep their values and, of a code given more
+        than once, the first value wins."""
+        codes = np.asarray(codes, dtype=self.codes.dtype)
+        new = first_unknown(self, codes)
+        return MomentFunctional(
+            self.shape,
+            np.concatenate([self.codes, codes[new]]),
+            np.concatenate([self.values, np.asarray(values)[new]]),
+        )
+
+
+def first_unknown(lam: MomentFunctional, codes: np.ndarray) -> np.ndarray:
+    """Positions of the codes unknown to ``lam``, each at its first
+    occurrence, in increasing order."""
+    _, first = np.unique(codes, return_index=True)
+    first.sort()
+    _, known = lam.lookup(codes[first])
+    return first[~known]

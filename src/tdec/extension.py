@@ -24,9 +24,10 @@ exponent matrix and their tails a list indexed by target; the moments of
 every target times every known row are one lookup of a block of code sums;
 the table placing each shifted product ``x_v * b`` in B or among the targets
 adds the variables' identity rows; and the syzygy pairs are screened all at
-once on the targets' exponent matrix.  ``Monomial`` objects appear only
-where results leave: the leads of the returned relations, the keys of the
-completed moments and the names in the diagnostics.
+once on the targets' exponent matrix.  The completed moments are added by
+code, in two batches.  ``Monomial`` objects appear only where results
+leave (the leads of the returned relations, the names in the diagnostics)
+and in the products of B' with those leads.
 
 When the fixpoint resolves everything, the commuting multiplication tables
 define the unique extension of the data, and any moment is obtained by
@@ -40,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import Monomial, MomentFunctional, Shape, canonical_order
+from .algebra import Monomial, MomentFunctional, Shape, canonical_order, first_unknown
 from .moment import (
     MonomialBasis,
     UnresolvedParameterError,
@@ -133,7 +134,7 @@ class _Propagator:
         self.rng = rng
         self.shape: Shape = lam.shape
         self.r = len(B)
-        self.dtype = complex if lam.uses_complex() else float
+        self.dtype = lam.values.dtype
         H = hankel(lam, Bp.exps, B.exps)
         if not H.fully_known:
             raise UnresolvedParameterError("base block has unknown entries")
@@ -481,34 +482,30 @@ def propagate_commutation(
     if status == "extended" and commute > max(tol, 1e-8):
         status = "inconsistent"
 
-    completed = lam.copy()
     lam_B, _ = lam.lookup(B.codes)
     plus_rows = basis_plus(Bp)
     plus_cols = basis_plus(B)
-    # each unknown product once, in the order of its first occurrence
     codes = shape.product_codes(plus_rows, plus_cols).ravel()
-    _, first = np.unique(codes, return_index=True)
-    first.sort()
-    _, known = lam.lookup(codes[first])
-    unknown = first[~known]
+    unknown = first_unknown(lam, codes)
     n_cols = len(plus_cols)
     exps = plus_rows[unknown // n_cols] + plus_cols[unknown % n_cols]
     normal_form = _NormalForms(shape, tables, r, dtype)
-    for m, e, code in zip(
-        shape.monomials(exps), exps.tolist(), codes[unknown].tolist()
-    ):
+    new_codes, new_values = [], []
+    for e, code in zip(exps.tolist(), codes[unknown].tolist()):
         nf = normal_form(e, code)
         if nf is not None:
-            completed.set(m, lam_B @ nf)
+            new_codes.append(code)
+            new_values.append(lam_B @ nf)
+    completed = lam.extended(new_codes, np.array(new_values, dtype=dtype))
     # moments of B' x border follow from the relations even when some
     # variables stay unresolved
-    Hn = prop.H
     Bp_monomials = shape.monomials(Bp.exps)
-    for rel in relations:
-        for i, q in enumerate(Bp_monomials):
-            m = q * rel.lead
-            if not completed.known(m):
-                completed.set(m, Hn[i] @ rel.tail)
+    products = [q * rel.lead for rel in relations for q in Bp_monomials]
+    codes = shape.codes(shape.exponents(products))
+    unknown = first_unknown(completed, codes)
+    pairs = [divmod(p, len(Bp)) for p in unknown.tolist()]
+    values = [prop.H[i] @ relations[k].tail for k, i in pairs]
+    completed = completed.extended(codes[unknown], np.array(values, dtype=dtype))
 
     diagnostics = {
         "inconsistency": prop.inconsistency,

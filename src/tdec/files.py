@@ -8,6 +8,7 @@ objects produce byte-identical files.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,7 +33,11 @@ def _is_int(v) -> bool:  # a JSON boolean is not a number
 
 
 def _is_real(v) -> bool:
-    return _is_int(v) or isinstance(v, float)
+    """A finite number: json also reads NaN, Infinity and integers beyond
+    the float range."""
+    if _is_int(v):
+        return abs(v) < 2**1023
+    return isinstance(v, float) and math.isfinite(v)
 
 
 def _num_in(v, where: str):
@@ -40,7 +45,7 @@ def _num_in(v, where: str):
         return float(v)
     if isinstance(v, list) and len(v) == 2 and all(_is_real(t) for t in v):
         return complex(v[0], v[1])
-    raise FormatError(f"{where}: expected number or [re, im] pair, got {v!r}")
+    raise FormatError(f"{where}: expected finite number or [re, im] pair, got {v!r}")
 
 
 def _require(cond: bool, message: str):
@@ -176,7 +181,7 @@ class DecompositionFile:
         )
         _require(
             _is_real(obj["residual"]) and obj["residual"] >= 0,
-            "'residual' must be a non-negative number",
+            "'residual' must be a finite non-negative number",
         )
         meta = obj.get("meta", {})
         _require(isinstance(meta, dict), "'meta' must be an object")

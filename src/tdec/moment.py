@@ -126,10 +126,8 @@ def build_moment_functional(T: Polynomial) -> MomentFunctional:
     """Moments of a tensor as a functional: every monomial inside the
     multi-degree bounds gets a known entry, zero coefficients included;
     nothing outside the bounds is recorded."""
-    table = T.shape.table
-    return MomentFunctional(
-        T.shape, dict(zip(table.monomials, moment_vector(T).tolist()))
-    )
+    shape = T.shape
+    return MomentFunctional(shape, shape.codes(shape.table.exps), moment_vector(T))
 
 
 class HankelMatrix:

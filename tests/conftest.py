@@ -20,6 +20,36 @@ from tdec.algebra import (
 from tdec.moment import MonomialBasis, enumerate_monomials
 
 
+def one(shape: Shape) -> Monomial:
+    """The monomial 1 of the shape."""
+    return Monomial(tuple((0,) * n for n in shape.dims))
+
+
+def variable(shape: Shape, g: int, j: int) -> Monomial:
+    """The variable x_j of group g."""
+    return Monomial.parse(shape.var_name(g, j), shape)
+
+
+def code(shape: Shape, m: Monomial) -> int:
+    """The exact integer code of a monomial in ``shape``."""
+    return int(shape.codes(shape.exponents([m]))[0])
+
+
+def functional(shape: Shape, entries: dict) -> MomentFunctional:
+    """The functional knowing the moments of a {Monomial: value} dict."""
+    return MomentFunctional(
+        shape, shape.codes(shape.exponents(list(entries))), list(entries.values())
+    )
+
+
+def moment(lam: MomentFunctional, m: Monomial):
+    """The known moment of m; KeyError when it is unknown."""
+    values, known = lam.lookup(lam.shape.codes(lam.shape.exponents([m])))
+    if not known[0]:
+        raise KeyError(f"moment of {m} is unknown")
+    return values[0].item()
+
+
 def rows_of(shape: Shape, names) -> np.ndarray:
     """Exponent rows of the monomials named like str(Monomial)."""
     return shape.exponents([Monomial.parse(s, shape) for s in names])
@@ -46,7 +76,7 @@ def poly_add(*polys: Polynomial) -> Polynomial:
 
 def poly_pow(p: Polynomial, n: int) -> Polynomial:
     """p ** n by repeated term-by-term products."""
-    result = Polynomial(p.shape, {p.shape.one(): 1})
+    result = Polynomial(p.shape, {one(p.shape): 1})
     for _ in range(n):
         result = result * p
     return result
@@ -56,11 +86,11 @@ def rank_one_expand(shape: Shape, weights, points) -> Polynomial:
     """Expand sum_i gamma_i prod_g (1 + <zeta_g, x_g>)^(d_g) term by term."""
     total = Polynomial(shape, {})
     for w, pt in zip(weights, points):
-        term = Polynomial(shape, {shape.one(): w})
+        term = Polynomial(shape, {one(shape): w})
         for g, coords in enumerate(pt.coords):
             linear = poly_add(
-                Polynomial(shape, {shape.one(): 1}),
-                *(Polynomial(shape, {shape.variable(g, j): z}) for j, z in enumerate(coords)),
+                Polynomial(shape, {one(shape): 1}),
+                *(Polynomial(shape, {variable(shape, g, j): z}) for j, z in enumerate(coords)),
             )
             term = term * poly_pow(linear, shape.degrees[g])
         total = poly_add(total, term)
@@ -75,8 +105,8 @@ def substitute_reference(T: Polynomial, mats) -> Polynomial:
     subs = [
         [
             Polynomial(shape, {
-                shape.one(): A[i, 0],
-                **{shape.variable(g, l): A[i, l + 1] for l in range(shape.dims[g])},
+                one(shape): A[i, 0],
+                **{variable(shape, g, l): A[i, l + 1] for l in range(shape.dims[g])},
             })
             for i in range(shape.dims[g] + 1)
         ]
@@ -84,7 +114,7 @@ def substitute_reference(T: Polynomial, mats) -> Polynomial:
     ]
     total = Polynomial(shape, {})
     for m, c in T.terms.items():
-        term = Polynomial(shape, {shape.one(): c})
+        term = Polynomial(shape, {one(shape): c})
         for g, exps in enumerate(m.exps):
             hom0 = shape.degrees[g] - sum(exps)
             if hom0:
@@ -110,12 +140,12 @@ def evaluation_functional(zeta: Point, shape: Shape, domain) -> MomentFunctional
     """The evaluation form 1_zeta: m -> m(zeta), on the given domain."""
     if tuple(len(c) for c in zeta.coords) != shape.dims:
         raise ShapeMismatchError("point does not match shape")
-    return MomentFunctional(shape, {m: monomial_value(zeta, m) for m in domain})
+    return functional(shape, {m: monomial_value(zeta, m) for m in domain})
 
 
 def weighted_evaluation(weights, points, shape: Shape, domain) -> MomentFunctional:
     """The rank-r form sum_i gamma_i 1_{zeta_i} on the given domain."""
-    return MomentFunctional(shape, {
+    return functional(shape, {
         m: sum(w * monomial_value(z, m) for w, z in zip(weights, points))
         for m in domain
     })
@@ -132,7 +162,7 @@ def functional_to_tensor(lam: MomentFunctional, shape: Shape) -> Polynomial:
     terms = {}
     for m in shape.monomials(enumerate_monomials(shape, list(shape.degrees))):
         mult = math.prod(multinomial(d, e) for d, e in zip(shape.degrees, m.exps))
-        terms[m] = lam.known_value(m) * mult
+        terms[m] = moment(lam, m) * mult
     return Polynomial(shape, terms)
 
 

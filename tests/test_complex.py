@@ -11,7 +11,7 @@ class TestComplexDecompositions:
         # (1 + ix)^3 + (1 - ix)^3 = 2 - 6x^2: real data, roots at +-i
         shape = Shape(dims=(1,), degrees=(3,))
         x = Monomial.parse("a1", shape)
-        T = Polynomial(shape, {shape.one(): 2.0, x * x: -6.0})
+        T = Polynomial(shape, {Monomial.parse("1", shape): 2.0, x * x: -6.0})
         dec = decompose(T, DecomposeOptions(seed=0))
         assert dec.rank == 2
         assert dec.residual < 1e-10

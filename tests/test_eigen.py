@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import golden_data as gd
-from conftest import basis_of, poly, rank_one_expand, weighted_evaluation
+from conftest import basis_of, poly, rank_one_expand, variable, weighted_evaluation
 from tdec.algebra import Monomial, Point, Shape
 from tdec.eigen import (
     MultiplicationFamily,
@@ -85,7 +85,7 @@ class TestMultiplicationMatrix:
         H = hankel(lam, Bp.exps, B.exps).numeric()
         rows = [Monomial.parse(s, shape1) for s in gd.H1_B_ROWS]
         for var in shape1.variables():
-            shifted = shape1.exponents([shape1.variable(*var) * q for q in rows])
+            shifted = shape1.exponents([variable(shape1, *var) * q for q in rows])
             Hs = hankel(lam, shifted, B.exps)
             if Hs.fully_known:
                 assert np.array_equal(fam.matrices[var], np.linalg.solve(H, Hs.numeric()))

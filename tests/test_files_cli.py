@@ -80,6 +80,11 @@ class TestFileRoundTrip:
             {**self.TINY, "terms": [{"exp": [[1]], "coef": True}]},
             {**self.TINY, "terms": [{"exp": [[1]], "coef": [1, False]}]},
             {**self.TINY, "terms": 3},
+            # json reads NaN, Infinity and integers past the float range
+            {**self.TINY, "terms": [{"exp": [[1]], "coef": math.nan}]},
+            {**self.TINY, "terms": [{"exp": [[1]], "coef": math.inf}]},
+            {**self.TINY, "terms": [{"exp": [[1]], "coef": [1.0, -math.inf]}]},
+            {**self.TINY, "terms": [{"exp": [[1]], "coef": 10**400}]},
         ]
         for obj in bad_cases:
             with pytest.raises(FormatError):
@@ -104,11 +109,18 @@ class TestFileRoundTrip:
             ({"residual": True}, "residual"),
             ({"rank": 1.0}, "rank"),
             ({"meta": [1]}, "meta"),
+            ({"terms": [{**GOOD_TERM, "weight": math.nan}]}, "weight"),
+            ({"terms": [{**GOOD_TERM, "weight": [2.0, math.inf]}]}, "weight"),
+            ({"terms": [{**GOOD_TERM, "points": [[1.0, math.inf], [-1.0]]}]}, "points"),
+            ({"terms": [{**GOOD_TERM, "points": [[1.0, 0.5], [math.nan]]}]}, "points"),
+            ({"residual": math.inf}, "residual"),
+            ({"residual": math.nan}, "residual"),
         ],
         ids=["fractional-dims", "boolean-degree", "terms-not-a-list",
              "term-not-an-object", "no-weight", "boolean-weight",
              "boolean-point", "text-residual", "boolean-residual", "float-rank",
-             "meta-not-an-object"],
+             "meta-not-an-object", "nan-weight", "infinite-weight",
+             "infinite-point", "nan-point", "infinite-residual", "nan-residual"],
     )
     def test_malformed_decomposition_rejected(self, change, field):
         good = {"rank": 1, "dims": [2, 1], "degrees": [1, 1],
@@ -248,6 +260,21 @@ class TestCli:
         assert self.run("decompose", "-i", p) == 1
         err = capsys.readouterr().err
         assert "broken.json:" in err  # line-anchored
+
+    @pytest.mark.parametrize("command", ["decompose", "bounds"])
+    @pytest.mark.parametrize("coef", ["NaN", "Infinity"])
+    def test_non_finite_coefficient_is_input_error(
+        self, tmp_path, capsys, command, coef
+    ):
+        # before, NaN failed in the SVD, and Infinity gave "no decomposition"
+        # (exit 2) and bounds "lower 0"
+        p = tmp_path / "t.json"
+        p.write_text(
+            '{"dims": [1, 1], "degrees": [1, 1], '
+            '"terms": [{"exp": [[1], [1]], "coef": %s}]}' % coef
+        )
+        assert self.run(command, "-i", p) == 1
+        assert "terms[0] 'coef'" in capsys.readouterr().err
 
     def test_missing_file_is_input_error(self, tmp_path):
         assert self.run("decompose", "-i", tmp_path / "nope.json") == 1

@@ -10,11 +10,16 @@ from hypothesis import strategies as st
 import golden_data as gd
 from conftest import (
     basis_of,
+    code,
     evaluation_functional,
+    functional,
     functional_to_tensor,
+    moment,
+    one,
     poly,
     rank_one_expand,
     rows_of,
+    variable,
     weighted_evaluation,
 )
 from tdec.algebra import (
@@ -45,7 +50,7 @@ from tdec.decompose import rank_lower_bound, reconstruct
 class TestBuildMomentFunctional:
     def test_demo_moments(self, tensor1, shape1):
         lam = build_moment_functional(tensor1)
-        get = lambda s: lam.known_value(Monomial.parse(s, shape1))
+        get = lambda s: moment(lam, Monomial.parse(s, shape1))
         assert get("1") == 4
         assert get("a1") == 7
         assert get("a1*b1") == 21
@@ -54,19 +59,19 @@ class TestBuildMomentFunctional:
     def test_zero_tensor(self):
         shape = Shape(dims=(2, 2), degrees=(1, 1))
         lam = build_moment_functional(Polynomial(shape, {}))
-        assert all(v == 0 for v in lam.entries.values())
-        assert len(lam.entries) == shape.ambient_dim
+        assert all(v == 0 for v in lam.values)
+        assert len(lam.codes) == shape.ambient_dim
 
     def test_binary_cubic_divides_binomials(self):
         # (1 + 2x)^3 has moments equal to powers of 2
         shape = Shape(dims=(1,), degrees=(3,))
         x = Monomial.parse("a1", shape)
-        T = Polynomial(shape, {shape.one(): 1, x: 6, x * x: 12, x * x * x: 8})
+        T = Polynomial(shape, {one(shape): 1, x: 6, x * x: 12, x * x * x: 8})
         lam = build_moment_functional(T)
-        assert lam.known_value(shape.one()) == 1
-        assert lam.known_value(x) == 2
-        assert lam.known_value(x * x) == 4
-        assert lam.known_value(x * x * x) == 8
+        assert moment(lam, one(shape)) == 1
+        assert moment(lam, x) == 2
+        assert moment(lam, x * x) == 4
+        assert moment(lam, x * x * x) == 8
 
 
 class TestFunctionalToTensor:
@@ -97,7 +102,7 @@ class TestFunctionalToTensor:
         ref = weighted_evaluation(ws, pts, shape, dom)
         lam = build_moment_functional(reconstruct(shape, ws, pts))
         for m in dom:
-            assert lam.known_value(m) == pytest.approx(ref.known_value(m), rel=1e-10)
+            assert moment(lam, m) == pytest.approx(moment(ref, m), rel=1e-10)
         tensor = functional_to_tensor(ref, shape)
         expected = rank_one_expand(shape, ws, pts)
         for m in set(tensor.terms) | set(expected.terms):
@@ -181,11 +186,11 @@ class TestMonomialTable:
         shape = Shape(dims=(30,), degrees=(1,))
         start = time.process_time()
         monos = enumerate_monomials(shape, [1])
-        lam = build_moment_functional(Polynomial(shape, {shape.variable(0, 29): 2.0}))
+        lam = build_moment_functional(Polynomial(shape, {variable(shape, 0, 29): 2.0}))
         assert time.process_time() - start < 1.0
         assert len(monos) == 31
         assert [str(m) for m in shape.monomials(monos[:3])] == ["1", "a1", "a2"]
-        assert lam.known_value(shape.variable(0, 29)) == 2.0
+        assert moment(lam, variable(shape, 0, 29)) == 2.0
 
 
 class TestBasisPlus:
@@ -219,12 +224,12 @@ class TestBasisPlus:
         ]:
             shape = B.shape
             basis = shape.monomials(B.exps)
-            variables = [shape.variable(g, j) for g, j in shape.variables()]
+            variables = [variable(shape, g, j) for g, j in shape.variables()]
             plus = set(basis) | {x * b for x in variables for b in basis}
             want = sorted(plus, key=lambda m: m.sort_key())
             assert shape.monomials(basis_plus(B)) == want
             assert shape.monomials(border(B)) == [m for m in want if m not in basis]
-            assert B.codes.tolist() == [m.code(shape) for m in basis]
+            assert B.codes.tolist() == [code(shape, m) for m in basis]
 
     def test_staircase_connectivity_matches_monomial_loop(self, shape2):
         # identity columns: a monomial raises the rank unless its column is
@@ -235,7 +240,7 @@ class TestBasisPlus:
             monos = shape.monomials(pool)
             live = rng.uniform(size=len(monos)) < 0.7
             live[0] = True
-            variables = [shape.variable(g, j) for g, j in shape.variables()]
+            variables = [variable(shape, g, j) for g, j in shape.variables()]
             chosen = []
             for m, ok in zip(monos, live):
                 if ok and (m.is_one() or any(
@@ -289,11 +294,9 @@ class TestHankel:
 
     def test_quasi_hankel_parameter_sharing(self):
         shape = Shape(dims=(2,), degrees=(1,))
-        x, y = shape.variable(0, 0), shape.variable(0, 1)
-        lam = MomentFunctional(
-            shape, {shape.one(): 1.0, x: 2.0, y: 3.0}
-        )
-        B = [shape.one(), x, y]
+        x, y = variable(shape, 0, 0), variable(shape, 0, 1)
+        lam = functional(shape, {one(shape): 1.0, x: 2.0, y: 3.0})
+        B = [one(shape), x, y]
         H = hankel(lam, shape.exponents(B), shape.exponents(B))
         # the unknown moments sit exactly where the product leaves the data;
         # x*y shows up at both (1,2) and (2,1)
@@ -314,29 +317,30 @@ class TestHankel:
         Hs = hankel(lam, shape1.exponents([c1 * q for q in Bp]), shape1.exponents(B))
         for i, mr in enumerate(Bp):
             for j, mc in enumerate(B):
-                assert Hs.values[i, j] == lam.known_value(c1 * mr * mc)
+                assert Hs.values[i, j] == moment(lam, c1 * mr * mc)
 
     def test_shifted_of_evaluation(self):
         shape = Shape(dims=(2,), degrees=(1,))
         zeta = Point(((5.0, -3.0),))
         dom = shape.monomials(enumerate_monomials(shape, [2]))
         lam = evaluation_functional(zeta, shape, dom)
-        B = [shape.one()]
+        B = [one(shape)]
         Hs = hankel(
-            lam, shape.exponents([shape.variable(0, 1) * q for q in B]),
+            lam, shape.exponents([variable(shape, 0, 1) * q for q in B]),
             shape.exponents(B),
         )
         assert Hs.numeric() == np.array([[-3.0]])
 
 
-def naive_hankel(lam, rows, cols):
-    """Reference for hankel: one Monomial product and one lookup per entry."""
-    dtype = complex if lam.uses_complex() else float
+def naive_hankel(entries, rows, cols):
+    """Reference for hankel on the moments of a {Monomial: value} dict: one
+    Monomial product and one dict lookup per entry."""
+    dtype = complex if any(isinstance(v, complex) for v in entries.values()) else float
     values = np.zeros((len(rows), len(cols)), dtype=dtype)
     known = np.zeros((len(rows), len(cols)), dtype=bool)
     for i, mr in enumerate(rows):
         for j, mc in enumerate(cols):
-            v = lam.entries.get(mr * mc)
+            v = entries.get(mr * mc)
             if v is not None:
                 values[i, j] = v
                 known[i, j] = True
@@ -387,11 +391,11 @@ class TestMonomialCodes:
         entries.update({q: rng.normal() for q in beyond[::2]})
         if complex_values:
             entries = {q: complex(v, rng.normal()) for q, v in entries.items()}
-        lam = MomentFunctional(shape, entries)
+        lam = functional(shape, entries)
         seen = set()
         for rows, cols in blocks:
             H = hankel(lam, shape.exponents(rows), shape.exponents(cols))
-            values, known = naive_hankel(lam, rows, cols)
+            values, known = naive_hankel(entries, rows, cols)
             assert H.values.dtype == values.dtype
             np.testing.assert_array_equal(H.known, known)
             np.testing.assert_array_equal(H.values, values)
@@ -401,20 +405,20 @@ class TestMonomialCodes:
     def test_codes_add_under_multiplication(self):
         shape = Shape(dims=(1,), degrees=(6,))
         x7 = Monomial.parse("a1^7", shape)
-        assert x7.code(shape) + x7.code(shape) == (x7 * x7).code(shape)
+        assert code(shape, x7) + code(shape, x7) == code(shape, x7 * x7)
         shape = Shape(dims=(7, 7, 7), degrees=(1, 1, 1))
         a = Monomial.parse("a7^2*b1*c7", shape)
         b = Monomial.parse("a7*c7^2", shape)
-        assert a.code(shape) + b.code(shape) == (a * b).code(shape)
+        assert code(shape, a) + code(shape, b) == code(shape, a * b)
 
     def test_exponent_beyond_radix_raises(self):
         shape = Shape(dims=(1,), degrees=(6,))
         assert shape.radix == (15,)
         with pytest.raises(DegreeOverflowError):
-            Monomial.parse("a1^15", shape).code(shape)
+            code(shape, Monomial.parse("a1^15", shape))
         # each factor has a code, their product would not
         x7, x8 = Monomial.parse("a1^7", shape), Monomial.parse("a1^8", shape)
-        lam = MomentFunctional(shape, {shape.one(): 1.0})
+        lam = functional(shape, {one(shape): 1.0})
         rows = shape.exponents([x8, x7, x7])
         with pytest.raises(DegreeOverflowError):
             hankel(lam, rows[:1], rows[1:2])
@@ -422,27 +426,79 @@ class TestMonomialCodes:
 
     def test_codes_beyond_int64_stay_exact(self):
         shape = Shape(dims=(30,), degrees=(1,))  # radix 5 on 30 variables
-        first, last = shape.variable(0, 0), shape.variable(0, 29)
-        assert last.code(shape) == 5**29 > 2**63
-        assert (first * last).code(shape) == 1 + 5**29
-        lam = MomentFunctional(shape, {last * last: 2.0, first * last: 3.0})
+        first, last = variable(shape, 0, 0), variable(shape, 0, 29)
+        assert code(shape, last) == 5**29 > 2**63
+        assert code(shape, first * last) == 1 + 5**29
+        lam = functional(shape, {last * last: 2.0, first * last: 3.0})
         rows = shape.exponents([first, last])
         H = hankel(lam, rows, rows[1:])
         np.testing.assert_array_equal(H.values, [[3.0], [2.0]])
 
-    def test_writes_reach_the_next_hankel(self):
+
+class TestMomentStore:
+    """The known moments are two read-only arrays, codes in increasing order
+    and values; ``extended`` is the only way to add moments."""
+
+    def test_codes_given_out_of_order_are_sorted(self):
         shape = Shape(dims=(2,), degrees=(1,))
-        x, y = shape.variable(0, 0), shape.variable(0, 1)
-        lam = MomentFunctional(shape, {shape.one(): 1.0, x: 2.0, y: 3.0})
-        B = shape.exponents([shape.one(), x])
+        lam = MomentFunctional(shape, [3, 0, 1], [30, 0, 10])
+        assert lam.codes.tolist() == [0, 1, 3]
+        assert lam.values.tolist() == [0.0, 10.0, 30.0]
+        assert lam.codes.dtype == np.int64 and lam.values.dtype == float
+        values, known = lam.lookup(np.array([1, 2, 3]))
+        assert values.tolist() == [10.0, 0.0, 30.0]
+        assert known.tolist() == [True, False, True]
+
+    def test_duplicate_codes_raise(self):
+        shape = Shape(dims=(2,), degrees=(1,))
+        with pytest.raises(ValueError, match="duplicate"):
+            MomentFunctional(shape, [0, 1, 0], [1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match="equally long"):
+            MomentFunctional(shape, [0, 1], [1.0])
+
+    def test_extended_reaches_the_next_hankel_and_leaves_the_original(self):
+        shape = Shape(dims=(2,), degrees=(1,))
+        x, y = variable(shape, 0, 0), variable(shape, 0, 1)
+        lam = functional(shape, {one(shape): 1.0, x: 2.0, y: 3.0})
+        B = shape.exponents([one(shape), x])
         assert not hankel(lam, B, B).known[1, 1]
-        lam.set(x * x, 5.0)
-        lam.set(x, -2.0)
+        codes = shape.codes(shape.exponents([x * x, x, x * y, x * x]))
+        more = lam.extended(codes, np.array([5.0, -2.0, 7.0, 9.0]))
+        # x keeps its known moment; of the two x^2, the first wins
         np.testing.assert_array_equal(
-            hankel(lam, B, B).numeric(), [[1.0, -2.0], [-2.0, 5.0]]
+            hankel(more, B, B).numeric(), [[1.0, 2.0], [2.0, 5.0]]
         )
-        with pytest.raises(TypeError):
-            lam.entries[x] = 0.0
+        assert moment(more, x * y) == 7.0
+        assert len(more.codes) == 5
+        assert not hankel(lam, B, B).known[1, 1]
+        assert lam.codes.tolist() == [0, 1, 5] and lam.values.tolist() == [1.0, 2.0, 3.0]
+        with pytest.raises(ValueError):
+            lam.values[0] = 0.0
+        with pytest.raises(ValueError):
+            lam.codes[0] = 7
+        with pytest.raises(AttributeError):
+            lam.values = np.zeros(3)
+
+    def test_extended_to_complex_values(self):
+        shape = Shape(dims=(1,), degrees=(2,))
+        lam = MomentFunctional(shape, [0], [1.0])
+        more = lam.extended([1], [2j])
+        assert more.values.dtype == complex
+        assert more.values.tolist() == [1.0, 2j]
+
+    def test_python_integer_codes(self):
+        shape = Shape(dims=(30,), degrees=(1,))  # codes beyond 63 bits
+        first, last = variable(shape, 0, 0), variable(shape, 0, 29)
+        lam = functional(shape, {last * last: 2.0})
+        assert lam.codes.dtype == object
+        codes = shape.codes(shape.exponents([first * last, last * last, first * last]))
+        more = lam.extended(codes, [3.0, -1.0, 4.0])
+        assert more.codes.tolist() == [1 + 5**29, 2 * 5**29]
+        assert more.values.tolist() == [3.0, 2.0]
+        values, known = more.lookup(codes)
+        assert values.tolist() == [3.0, 2.0, 3.0] and known.all()
+        _, known = lam.lookup(codes)
+        assert known.tolist() == [False, True, False]
 
 
 class TestNumericalRank:
