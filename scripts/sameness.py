@@ -1,19 +1,26 @@
 #!/usr/bin/env python3
-"""Digest of every benchmark result, to show that two checkouts compute the
-same numbers bit for bit.
+"""Digests of every benchmark result, to show that two checkouts compute the
+same numbers bit for bit, or at least make the same decisions.
 
     python3 scripts/sameness.py [--workload NAME ...] [--seed N ...]
 
 Builds the inputs of each benchmark workload with `perfbench/workloads.py`
 (imported read-only), runs them through the `tdec` of this checkout's
-`src/` and prints one line per workload and seed: the workload, the seed and
-the sha256 of the `repr` of every result in order.  A result is the returned
-decomposition (terms, residual, meta, frame change) or the refusal's
-message and report.  flat-large runs the CLI's library path: `rank_bounds`
-on the full tensor, then `decompose` with `reduce=True`; the other two run
-plain `decompose`, as the benchmark does.  BLAS is pinned to one thread,
-as in the benchmark, because the thread count moves the last bits of some
-results.  Run the same command in two checkouts and compare the lines.
+`src/` and prints one line per workload and seed: the workload, the seed,
+the bit digest and the outcome digest.
+
+The bit digest is the sha256 of the `repr` of every result in order.  A
+result is the returned decomposition (terms, residual, meta, frame change)
+or the refusal's message and report.  The outcome digest hashes, with no
+floats, the rank, the basis, the dual basis and whether the frame was
+changed for a success, and the stage, the frames tried and the reason the
+retries stopped for a refusal: it stays equal when only rounding moves.
+
+flat-large runs the CLI's library path: `rank_bounds` on the full tensor,
+then `decompose` with `reduce=True`; the other two run plain `decompose`,
+as the benchmark does.  BLAS is pinned to one thread, as in the benchmark,
+because the thread count moves the last bits of some results.  Run the same
+command in two checkouts and compare the lines.
 """
 
 from __future__ import annotations
@@ -50,22 +57,29 @@ def tensor(inst) -> "algebra.Polynomial":
     )
 
 
-def result(T, reduce: bool) -> str:
+def result(T, reduce: bool) -> tuple[str, str]:
+    """The full result and the outcome of one instance, as text."""
     parts = [repr(dmod.rank_bounds(T))] if reduce else []
     try:
         dec = dmod.decompose(T, dmod.DecomposeOptions(seed=0, reduce=reduce))
         parts.append(repr(dec))
+        meta = dec.meta
+        outcome = (dec.rank, meta["basis"], meta["dual_basis"],
+                   meta["coordinate_change_applied"])
     except dmod.DecompositionError as exc:
         parts.append(repr((str(exc), exc.report)))
-    return "\n".join(parts)
+        report = exc.report
+        outcome = (report.get("stage"), report.get("frames"), report.get("stop"))
+    return "\n".join(parts), repr(outcome)
 
 
-def digest(workload: str, seed: int) -> str:
-    h = hashlib.sha256()
+def digests(workload: str, seed: int) -> tuple[str, str]:
+    bits, outcomes = hashlib.sha256(), hashlib.sha256()
     for inst in workloads.instances(workload, seed):
-        h.update(result(tensor(inst), workload == "flat-large").encode())
-        h.update(b"\n")
-    return h.hexdigest()
+        full, outcome = result(tensor(inst), workload == "flat-large")
+        bits.update(full.encode() + b"\n")
+        outcomes.update(outcome.encode() + b"\n")
+    return bits.hexdigest(), outcomes.hexdigest()
 
 
 def main(argv=None) -> int:
@@ -77,7 +91,7 @@ def main(argv=None) -> int:
     np.set_printoptions(precision=17, floatmode="unique", threshold=sys.maxsize)
     for workload in args.workload:
         for seed in args.seed:
-            print(workload, seed, digest(workload, seed), flush=True)
+            print(workload, seed, *digests(workload, seed), flush=True)
     return 0
 
 

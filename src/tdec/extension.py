@@ -15,19 +15,30 @@ determined by a linear fixpoint that harvests, in canonical order:
 
 Each pass projects the placeholders out exactly, which leaves a system in
 the relation coefficients alone with the same least-squares residual and
-the same determined coefficients, and solves it by the SVD of the R factor
-of its QR decomposition.
+the same determined coefficients.  Two targets are coupled when some row
+has nonzeros in both of their coefficient blocks; the connected components
+of that relation are independent systems side by side.  Each is solved by
+the SVD of the R factor of its QR decomposition, against one rank
+threshold set by the largest singular value of any component, which is the
+truncated SVD of the whole system up to rounding.  A pass that is one
+component, or too small for the smaller factorizations to pay for the
+extra calls, is solved whole.
 
 The monomial bookkeeping is index arithmetic on exponent rows and their
 codes, done once per propagator: the targets (the border of B) are an
 exponent matrix and their tails a list indexed by target; the moments of
 every target times every known row are one lookup of a block of code sums;
-the table placing each shifted product ``x_v * b`` in B or among the targets
-adds the variables' identity rows; and the syzygy pairs are screened all at
-once on the targets' exponent matrix.  The completed moments are added by
-code, in two batches.  ``Monomial`` objects appear only where results
-leave (the leads of the returned relations, the names in the diagnostics)
-and in the products of B' with those leads.
+the shift table places each product ``x_v * b`` in a slot of the reduction
+table, which stacks the unit vectors of B and the tails of the targets with
+a known mask; and the syzygy pairs are screened all at once on the targets'
+exponent matrix.  Each pass builds the syzygy rows of all pairs at once
+through the shift table: the constant side of every pair, and its
+coefficient blocks (a scalar times the identity for a resolved tail meeting
+an unresolved target, the shift matrix of an unresolved target).  The
+multiplication tables read the same reduction table.  The completed
+moments are added by code, in two batches.  ``Monomial`` objects appear
+only where results leave (the leads of the returned relations, the names in
+the diagnostics) and in the products of B' with those leads.
 
 When the fixpoint resolves everything, the commuting multiplication tables
 define the unique extension of the data, and any moment is obtained by
@@ -97,32 +108,123 @@ def commutator_residual(mats: list[np.ndarray]) -> float:
     return worst
 
 
-def _least_squares(X: np.ndarray, b: np.ndarray, size: int):
-    """Truncated-SVD least squares of X x = b through the R factor of [X | b].
+# the fixed cost of one more QR and SVD call, in the units of _solve_cost
+# (about 0.1 ms next to 1e9 multiply-adds per second)
+_CALL_COST = 1e5
 
-    The SVD is taken of the R factor of X, which has at most one row more
-    than X has columns and the singular values and right singular vectors of
-    X; the tall factor Q is never formed.
-    ``size`` is the larger dimension of the system before placeholder
-    projection and scales the rank threshold.  Returns the solution, the
-    residual norm, per unknown its distance from the row space (0 when the
-    unknown is determined), and the numerical rank of X.
-    """
-    n = X.shape[1]
-    if not X.shape[0]:
-        return np.zeros(n, dtype=X.dtype), 0.0, np.ones(n), 0
+
+def _solve_cost(m, n):
+    """Multiply-adds, up to a constant, of the QR of an m x n block and the
+    SVD of its R factor (arrays of sizes give arrays of costs)."""
+    k = np.minimum(m, n)
+    return (m + k) * n * k
+
+
+def _components(nz: np.ndarray) -> np.ndarray:
+    """Per column block, the smallest block of its connected component,
+    given the incidence nz[row, block]: two blocks are linked when some row
+    touches both."""
+    incidence = nz.astype(float)
+    linked = incidence.T @ incidence > 0
+    n_blocks = nz.shape[1]
+    label = np.arange(n_blocks)
+    while True:
+        new = np.minimum(label, np.where(linked, label, n_blocks).min(axis=1))
+        new = new[new]
+        if (new == label).all():
+            return label
+        label = new
+
+
+def _factor(X: np.ndarray, b: np.ndarray):
+    """The R factor of [X | b] as R_x and c, and the SVD of R_x, which has
+    the singular values and right singular vectors of X."""
     R = np.linalg.qr(np.column_stack([X, b]), mode="r")
-    R_x, c = R[:, :n], R[:, n]
-    U, s, Vt = np.linalg.svd(R_x, full_matrices=False)
-    rank = (
-        int(np.sum(s > size * np.finfo(float).eps * 100 * s[0]))
-        if s.size and s[0] > 0
-        else 0
+    R_x, c = R[:, :-1], R[:, -1]
+    return (R_x, c, *np.linalg.svd(R_x, full_matrices=False))
+
+
+def _truncated(R_x, c, U, s, Vt, cutoff: float):
+    """The solution over the singular values above cutoff, its residual
+    vector in the rotated system, per unknown its distance from the row
+    space, and the rank."""
+    k = int(np.sum(s > cutoff))
+    x = Vt[:k].conj().T @ ((U[:, :k].conj().T @ c) / s[:k])
+    in_row_space = np.linalg.norm(Vt[:k], axis=0) ** 2
+    return x, R_x @ x - c, np.sqrt(np.maximum(0.0, 1.0 - in_row_space)), k
+
+
+def _parts(nz: np.ndarray, label: np.ndarray, r: int):
+    """The rows and columns of each component that has rows, and the
+    all-zero rows; None when the system is better solved whole: it has at
+    most one component of rows, or the extra calls would cost more than
+    the smaller factorizations save."""
+    m, n = nz.shape[0], nz.shape[1] * r
+    whole_cost = _solve_cost(m, n)
+    if whole_cost <= 2 * _CALL_COST:
+        return None
+    row_label = np.where(nz.any(axis=1), label[nz.argmax(axis=1)], -1)
+    n_rows = np.bincount(row_label[row_label >= 0], minlength=len(label))
+    linked = np.flatnonzero(n_rows)
+    n_cols = np.bincount(label, minlength=len(label)) * r
+    split_cost = (
+        _solve_cost(n_rows[linked], n_cols[linked]).sum() + _CALL_COST * len(linked)
     )
-    x = Vt[:rank].conj().T @ ((U[:, :rank].conj().T @ c) / s[:rank])
-    resid = float(np.linalg.norm(R_x @ x - c))
-    in_row_space = np.linalg.norm(Vt[:rank], axis=0) ** 2
-    return x, resid, np.sqrt(np.maximum(0.0, 1.0 - in_row_space)), rank
+    if len(linked) <= 1 or split_cost >= whole_cost:
+        return None
+    column_label = np.repeat(label, r)
+    parts = [
+        (np.flatnonzero(row_label == c), np.flatnonzero(column_label == c))
+        for c in linked
+    ]
+    return parts, np.flatnonzero(row_label < 0)
+
+
+def _least_squares(X: np.ndarray, b: np.ndarray, size: int, r: int):
+    """Truncated-SVD least squares of X x = b through the R factor of [X | b],
+    one connected component of X's r-column blocks at a time.
+
+    The rows of a component touch only its columns, so X is block diagonal
+    up to permutation and the SVD of each component's R factor gives the
+    singular values and right singular vectors of X restricted to it; the
+    tall factor Q is never formed.  The rank threshold is global,
+    ``size * eps * 100`` times the largest singular value of any component,
+    where ``size`` is the larger dimension of the system before placeholder
+    projection.  All-zero rows add their right-hand side to the residual.
+    The system is solved whole when splitting does not pay (see _parts).
+
+    Returns the solution, the residual norm, per unknown its distance from
+    the row space (0 when the unknown is determined), the numerical rank of
+    X and the column count of each component.
+    """
+    m, n = X.shape
+    nz = X[:, ::r] != 0
+    for s in range(1, r):
+        nz |= X[:, s::r] != 0
+    label = _components(nz)
+    sizes = np.bincount(label)
+    sizes = sizes[sizes > 0] * r
+    if not m:
+        return np.zeros(n, dtype=X.dtype), 0.0, np.ones(n), 0, sizes
+    eps = size * np.finfo(float).eps * 100
+    split = _parts(nz, label, r)
+    if split is None:
+        factors = _factor(X, b)
+        s = factors[3]
+        x, gap, freedom, rank = _truncated(*factors, eps * (s[0] if s.size else 0.0))
+        return x, float(np.linalg.norm(gap)), freedom, rank, sizes
+    parts, zero_rows = split
+    factors = [_factor(X[rows][:, cols], b[rows]) for rows, cols in parts]
+    cutoff = eps * max(s[0] for _, _, _, s, _ in factors)
+    x = np.zeros(n, dtype=np.result_type(X, b))
+    freedom = np.ones(n)
+    gaps = [b[zero_rows]]
+    rank = 0
+    for (_, cols), part in zip(parts, factors):
+        x[cols], gap, freedom[cols], k = _truncated(*part, cutoff)
+        gaps.append(gap)
+        rank += k
+    return x, float(np.linalg.norm(np.concatenate(gaps))), freedom, rank, sizes
 
 
 class _Propagator:
@@ -171,79 +273,57 @@ class _Propagator:
         rank[np.argsort(first)] = np.arange(len(first))
         self.prod_place = np.full(codes.shape, -1)
         self.prod_place[~known] = rank[inverse]
-        # x_v * b_s lies in B+ = B u border(B): shift[v][s] is the index of
-        # the product in B, or -1 - t for the t-th target
+        # x_v * b_s lies in B+ = B u border(B): shift[v, s] is its slot in
+        # the reduction table (see _table), s' < r for the basis element b_s'
+        # and r + t for the t-th target
         where = {c: i for i, c in enumerate(B.codes.tolist())}
         for t, c in enumerate(shape.codes(self.targets).tolist()):
-            where[c] = -1 - t
+            where[c] = self.r + t
         variables = np.eye(B.exps.shape[1], dtype=np.int64)
-        self.shift = [
-            [where[c] for c in row]
-            for row in shape.product_codes(variables, B.exps).tolist()
-        ]
-        self.unit = np.eye(self.r, dtype=self.dtype)
+        self.shift = np.array(
+            [
+                [where[c] for c in row]
+                for row in shape.product_codes(variables, B.exps).tolist()
+            ],
+            dtype=np.int64,
+        )
         self.syzygy_pairs = self._syzygy_pairs(self.targets)
         self.inconsistency = 0.0
-        # free relation coefficients left by the last fixpoint pass
+        # free relation coefficients left by the last fixpoint pass, and
+        # the number of independent blocks of its system and the columns of
+        # the largest
         self.nullity = 0
+        self.components = 0
+        self.largest_component = 0
 
     # --- reductions -----------------------------------------------------
 
-    def _reduce_shift(self, v: int, s: int, tails):
-        """x_v * b_s as ('known', vec) or ('unknown', target index), where
-        tails[t] is the resolved tail of the t-th target or None."""
-        j = self.shift[v][s]
-        if j >= 0:
-            return "known", self.unit[j]
-        if tails[-1 - j] is not None:
-            return "known", tails[-1 - j]
-        return "unknown", -1 - j
-
-    def _side(self, v: int, t: int, tails):
-        """x_v * N(m) for the t-th target m (N(m) when v < 0) as
-        (const_vec, {target index: coeff matrix}), or None.
-
-        The expansion is kept affine in the unresolved relation coefficients.
-        """
-        r, dtype = self.r, self.dtype
-        const = np.zeros(r, dtype=dtype)
-        lin: dict[int, np.ndarray] = {}
-        tail = tails[t]
-        if v < 0:
-            if tail is not None:
-                return tail.copy(), lin
-            lin[t] = np.eye(r, dtype=dtype)
-            return const, lin
-        if tail is not None:
-            for s in range(r):
-                if tail[s] == 0:
-                    continue
-                kind, val = self._reduce_shift(v, s, tails)
-                if kind == "known":
-                    const += tail[s] * val
-                else:
-                    mat = lin.setdefault(val, np.zeros((r, r), dtype=dtype))
-                    mat += tail[s] * np.eye(r, dtype=dtype)
-            return const, lin
-        # target unresolved: need every shifted basis element known
-        V = np.zeros((r, r), dtype=dtype)
-        for s in range(r):
-            kind, val = self._reduce_shift(v, s, tails)
-            if kind != "known":
-                return None
-            V[:, s] = val
-        lin[t] = V
-        return const, lin
+    def _table(self):
+        """The normal forms over B that shifted products reduce to, by slot:
+        slot s < r holds the unit vector of b_s and slot r + t the tail of
+        the t-th target (zeros while unresolved).  Returns the table and
+        which of its slots are known."""
+        r = self.r
+        table = np.zeros((r + len(self.tails), r), dtype=self.dtype)
+        table[:r] = np.eye(r)
+        known = np.ones(len(table), dtype=bool)
+        for t, tail in enumerate(self.tails):
+            if tail is None:
+                known[r + t] = False
+            else:
+                table[r + t] = tail
+        return table, known
 
     def tables(self) -> dict[tuple[int, int], np.ndarray]:
         """Per-variable tables M_v with columns the normal forms of x_v * b,
         for each variable whose shifted products are in B or resolved."""
-        out = {}
-        for v, var in enumerate(self.shape.variables()):
-            cols = [self._reduce_shift(v, s, self.tails) for s in range(self.r)]
-            if all(kind == "known" for kind, _ in cols):
-                out[var] = np.column_stack([vec for _, vec in cols])
-        return out
+        table, known = self._table()
+        full = known[self.shift].all(axis=1)
+        return {
+            var: table[self.shift[v]].T.copy()
+            for v, var in enumerate(self.shape.variables())
+            if full[v]
+        }
 
     # --- equation harvesting ---------------------------------------------
 
@@ -314,9 +394,9 @@ class _Propagator:
         b_raw_sq = float(np.sum(np.abs(b_data) ** 2) + np.sum(np.abs(b_place) ** 2))
         return X, b, n_raw, b_raw_sq, len(ids)
 
-    def _syzygy_pairs(self, exps: np.ndarray):
-        """Target pairs (t1, t2, v1, v2) with lcm = x_v1 * m_t1 = x_v2 * m_t2
-        (v = -1 for the factor 1), in canonical order of the lcm.
+    def _syzygy_pairs(self, exps: np.ndarray) -> np.ndarray:
+        """Target pairs, rows (t1, t2, v1, v2) with lcm = x_v1 * m_t1 =
+        x_v2 * m_t2 (v = -1 for the factor 1), in canonical order of the lcm.
 
         ``exps`` holds the targets' exponent rows; the lcm is their
         elementwise maximum, and a pair is kept when it is at most one
@@ -327,46 +407,87 @@ class _Propagator:
         q1, q2 = lcm - exps[i], lcm - exps[j]
         keep = (q1.sum(axis=1) <= 1) & (q2.sum(axis=1) <= 1)
         i, j, lcm, q1, q2 = i[keep], j[keep], lcm[keep], q1[keep], q2[keep]
-        order = canonical_order(lcm)
         v1 = np.where(q1.any(axis=1), q1.argmax(axis=1), -1)
         v2 = np.where(q2.any(axis=1), q2.argmax(axis=1), -1)
-        return list(zip(*(a[order].tolist() for a in (i, j, v1, v2))))
+        return np.stack([i, j, v1, v2], axis=1)[canonical_order(lcm)]
+
+    def _sides(self, t, v, table, known):
+        """The products x_v * N(m_t) (N(m_t) when v < 0), one per entry of
+        t and v, kept affine in the unresolved relation coefficients.
+
+        Returns the constant parts, whether each product is linear (false
+        when the target is unresolved and some x_v * b is not known), and
+        the linear terms as (entry, slot, coefficient matrix) arrays: the
+        identity for an unresolved N(m_t), the shift matrix V with columns
+        the normal forms of x_v * b for an unresolved x_v * N(m_t), and
+        tail[s] times the identity for each unknown x_v * b_s met by a
+        resolved tail.
+        """
+        r, dtype = self.r, self.dtype
+        own = r + t
+        # an unresolved target's tail is a row of zeros, which adds nothing
+        tails = table[own]
+        solved = known[own]
+        moved = v >= 0
+        slots = self.shift[np.maximum(v, 0)]
+        slot_known = known[slots]
+        # x_v * b_s over the known slots, accumulated one s at a time
+        const = np.zeros((len(t), r), dtype=dtype)
+        coef = np.where(slot_known & moved[:, None], tails, 0)
+        for s in range(r):
+            const += coef[:, s, None] * table[slots[:, s]]
+        const[~moved] = tails[~moved]
+        ok = solved | ~moved | slot_known.all(axis=1)
+
+        fixed = np.flatnonzero(~moved & ~solved)
+        shifted = np.flatnonzero(moved & ~solved & ok)
+        p_c, s_c = np.nonzero(~slot_known & moved[:, None] & (tails != 0))
+        eye = np.eye(r, dtype=dtype)
+        entry = np.concatenate([fixed, shifted, p_c])
+        where = np.concatenate([own[fixed], own[shifted], slots[p_c, s_c]])
+        mats = np.concatenate([
+            np.broadcast_to(eye, (len(fixed), r, r)),
+            table[slots[shifted]].transpose(0, 2, 1),
+            tails[p_c, s_c, None, None] * eye,
+        ])
+        return const, ok, (entry, where, mats)
 
     def _syzygy_equations(self, unresolved: list[int]):
         """Rows equating the two reductions of each pair's lcm, over the
         coefficient blocks of the unresolved targets (block k for the
-        target ``unresolved[k]``)."""
+        target ``unresolved[k]``).  A pair whose sides are both constant
+        is a consistency check."""
         r, dtype = self.r, self.dtype
-        tails = self.tails
-        block_of = [None] * len(tails)
-        for k, t in enumerate(unresolved):
-            block_of[t] = k
-        at, blocks, mats, rhs = [], [], [], []
-        zero = np.zeros((r, r), dtype=dtype)
-        for t1, t2, v1, v2 in self.syzygy_pairs:
-            s1 = self._side(v1, t1, tails)
-            s2 = self._side(v2, t2, tails)
-            if s1 is None or s2 is None:
-                continue
-            c1, l1 = s1
-            c2, l2 = s2
-            keys = set(l1) | set(l2)
-            if not keys:
-                gap = np.linalg.norm(c1 - c2) / max(
-                    1.0, np.linalg.norm(c1), np.linalg.norm(c2)
-                )
-                self.inconsistency = max(self.inconsistency, gap)
-                continue
-            for t in keys:
-                at.append(len(rhs))
-                blocks.append(block_of[t])
-                mats.append(l1.get(t, zero) - l2.get(t, zero))
-            rhs.append(c2 - c1)
-        X = np.zeros((len(rhs), r, len(unresolved), r), dtype=dtype)
-        if rhs:
-            X[at, :, blocks, :] = mats
-        X = X.reshape(len(rhs) * r, len(unresolved) * r)
-        b = np.concatenate(rhs) if rhs else np.zeros(0, dtype=dtype)
+        table, known = self._table()
+        n_pairs = len(self.syzygy_pairs)
+        t1, t2, v1, v2 = self.syzygy_pairs.T
+        # both sides in one batch: side 1 of pair p is entry p, side 2 is
+        # entry n_pairs + p
+        const, ok, (entry, where, mats) = self._sides(
+            np.concatenate([t1, t2]), np.concatenate([v1, v2]), table, known
+        )
+        c1, c2 = const[:n_pairs], const[n_pairs:]
+        ok = ok[:n_pairs] & ok[n_pairs:]
+        second = entry >= n_pairs
+        pair = entry - n_pairs * second
+        linear = np.zeros(n_pairs, dtype=bool)
+        linear[pair] = True
+        check = ok & ~linear
+        if check.any():
+            d1, d2 = c1[check], c2[check]
+            scale = np.maximum(np.linalg.norm(d1, axis=1), np.linalg.norm(d2, axis=1))
+            gap = np.linalg.norm(d1 - d2, axis=1) / np.maximum(1.0, scale)
+            self.inconsistency = max(self.inconsistency, float(gap.max()))
+        rows = ok & linear
+        row_of = np.cumsum(rows) - 1
+        block_of = np.full(len(table), -1)
+        block_of[r + np.asarray(unresolved, dtype=np.int64)] = np.arange(len(unresolved))
+        X = np.zeros((rows.sum(), r, len(unresolved), r), dtype=dtype)
+        for side, sign in ((False, 1), (True, -1)):
+            use = rows[pair] & (second == side)
+            X[row_of[pair[use]], :, block_of[where[use]], :] += sign * mats[use]
+        X = X.reshape(-1, len(unresolved) * r)
+        b = (c2[rows] - c1[rows]).ravel()
         used = X.any(axis=1)
         if not used.all():
             self.inconsistency = max(self.inconsistency, float(np.abs(b[~used]).max()))
@@ -391,12 +512,16 @@ class _Propagator:
             n_raw += len(b_s)
             if not n_raw:
                 self.nullity = len(unresolved) * r
+                self.components, self.largest_component = len(unresolved), r
                 break
             X = np.concatenate([X_m, X_s])
             b = np.concatenate([b_m, b_s])
+            del X_m, X_s  # the solve copies X; keep at most two copies alive
             size = max(n_raw, X.shape[1] + n_places)
-            x, resid, freedom, rank = _least_squares(X, b, size)
+            x, resid, freedom, rank, sizes = _least_squares(X, b, size, r)
             self.nullity = X.shape[1] - rank
+            self.components = len(sizes)
+            self.largest_component = int(sizes.max())
             b_norm = np.sqrt(b_raw_sq + np.sum(np.abs(b_s) ** 2))
             self.inconsistency = max(self.inconsistency, resid / max(1.0, b_norm))
             if self.inconsistency > self.tol:
@@ -510,6 +635,8 @@ def propagate_commutation(
     diagnostics = {
         "inconsistency": prop.inconsistency,
         "nullity": prop.nullity,
+        "components": prop.components,
+        "largest_component": prop.largest_component,
         "unresolved": [str(m) for m in shape.monomials(prop.targets[unresolved])],
     }
     log.debug(

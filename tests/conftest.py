@@ -194,3 +194,78 @@ def points1():
 @pytest.fixture(scope="session")
 def points2():
     return [Point(tuple(tuple(c) for c in p)) for p in gd.POINTS2]
+
+
+def syzygy_reference(prop, unresolved):
+    """The syzygy rows of a propagator, one pair and one side at a time:
+    rows over the coefficient blocks of the unresolved targets, right-hand
+    sides, and the largest inconsistency met (pairs with no unknown, and
+    rows left all zero)."""
+    r, dtype, tails = prop.r, prop.dtype, prop.tails
+
+    def shifted(v, s):
+        # x_v * b_s as ("known", vec) or ("unknown", target index)
+        slot = prop.shift[v][s]
+        if slot < r:
+            return "known", np.eye(r, dtype=dtype)[slot]
+        if tails[slot - r] is not None:
+            return "known", tails[slot - r]
+        return "unknown", slot - r
+
+    def side(v, t):
+        # x_v * N(m_t) (N(m_t) when v < 0) as (const, {target: matrix}),
+        # or None when it is not linear in the unresolved coefficients
+        const = np.zeros(r, dtype=dtype)
+        lin = {}
+        tail = tails[t]
+        if v < 0:
+            if tail is not None:
+                return tail.copy(), lin
+            lin[t] = np.eye(r, dtype=dtype)
+            return const, lin
+        if tail is not None:
+            for s in range(r):
+                if tail[s] == 0:
+                    continue
+                kind, val = shifted(v, s)
+                if kind == "known":
+                    const += tail[s] * val
+                else:
+                    mat = lin.setdefault(val, np.zeros((r, r), dtype=dtype))
+                    mat += tail[s] * np.eye(r, dtype=dtype)
+            return const, lin
+        V = np.zeros((r, r), dtype=dtype)
+        for s in range(r):
+            kind, val = shifted(v, s)
+            if kind != "known":
+                return None
+            V[:, s] = val
+        lin[t] = V
+        return const, lin
+
+    inconsistency = 0.0
+    X, b = [], []
+    for t1, t2, v1, v2 in prop.syzygy_pairs.tolist():
+        s1, s2 = side(v1, t1), side(v2, t2)
+        if s1 is None or s2 is None:
+            continue
+        (c1, l1), (c2, l2) = s1, s2
+        if not l1 and not l2:
+            gap = np.linalg.norm(c1 - c2) / max(
+                1.0, np.linalg.norm(c1), np.linalg.norm(c2)
+            )
+            inconsistency = max(inconsistency, gap)
+            continue
+        rows = np.zeros((r, len(unresolved) * r), dtype=dtype)
+        zero = np.zeros((r, r), dtype=dtype)
+        for t in set(l1) | set(l2):
+            k = unresolved.index(t)
+            rows[:, k * r:(k + 1) * r] = l1.get(t, zero) - l2.get(t, zero)
+        for row, rhs in zip(rows, c2 - c1):
+            if row.any():
+                X.append(row)
+                b.append(rhs)
+            else:
+                inconsistency = max(inconsistency, abs(rhs))
+    X = np.array(X, dtype=dtype).reshape(-1, len(unresolved) * r)
+    return X, np.array(b, dtype=dtype), inconsistency

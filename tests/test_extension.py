@@ -12,12 +12,15 @@ from conftest import (
     poly,
     rank_one_expand,
     relation_for,
+    syzygy_reference,
     variable,
     weighted_evaluation,
 )
 from tdec.algebra import Monomial, MomentFunctional, Point, Shape
 from tdec.eigen import multiplication_matrix
 from tdec.extension import (
+    _NULLSPACE_TOL,
+    _least_squares,
     _Propagator,
     commutator_residual,
     flat_extension_check,
@@ -94,9 +97,10 @@ class TestKnownColumnRelations:
         shape2, lam, B, Bp = ex2
         prop = self.direct(lam, B, Bp)
         a2 = shape2.variables().index((0, 1))
-        kind, tail = prop._reduce_shift(a2, B.names().index("1"), prop.tails)
-        assert kind == "known"
-        np.testing.assert_allclose(tail, [0, 0, 1, 0, 0, 0])
+        table, known = prop._table()
+        slot = prop.shift[a2, B.names().index("1")]
+        assert known[slot]
+        np.testing.assert_allclose(table[slot], [0, 0, 1, 0, 0, 0])
 
     def test_unknown_column_rejected(self, ex2):
         shape2, lam, B, Bp = ex2
@@ -128,7 +132,7 @@ class TestIndexTables:
         for v, x in enumerate(variables):
             for s, b in enumerate(basis):
                 m = x * b
-                want = basis.index(m) if m in basis else -1 - targets.index(m)
+                want = basis.index(m) if m in basis else len(B) + targets.index(m)
                 assert prop.shift[v][s] == want
 
         def factor(v):
@@ -342,6 +346,180 @@ class TestProjectedSolve:
                 scale = max(1.0, np.abs(tail).max())
                 exact = exact_tail(B, points, m)
                 assert np.abs(new.tails[t] - exact).max() <= 1e-10 * scale, str(m)
+
+
+def above_rank_4x4(seed=0):
+    """Moments of a generic 3x3x3x3 rank-5 tensor, above its flattening
+    rank, and the first base pair of size 5."""
+    rng = np.random.default_rng(seed)
+    shape = Shape(dims=(2, 2, 2, 2), degrees=(1, 1, 1, 1))
+    pts = random_points(rng, shape, 5)
+    ws = rng.uniform(0.5, 2.0, 5) * rng.choice([-1.0, 1.0], 5)
+    lam = build_moment_functional(rank_one_expand(shape, ws, pts))
+    return (lam, *next(select_bases_candidates(lam, 5)))
+
+
+class TestComponents:
+    def test_components_of_the_last_pass(self):
+        # the targets of the 3x3x3x3 rank-5 pass fall into 12 independent
+        # blocks, the largest 3 targets (15 columns) wide
+        res = propagate_commutation(*above_rank_4x4())
+        assert res.status == "rank_deficient"
+        assert res.diagnostics["nullity"] == 20
+        assert res.diagnostics["components"] == 12
+        assert res.diagnostics["largest_component"] == 15
+
+    def test_last_pass_of_example2_is_one_block(self, ex2):
+        # the last pass of example2, over the 30 targets its first pass
+        # left, couples them all
+        diag = propagate_commutation(*ex2[1:]).diagnostics
+        assert diag["components"] == 1
+        assert diag["largest_component"] == 30 * 6
+
+
+def dense_least_squares(X, b, size):
+    """Truncated-SVD least squares of the whole system, the reference for
+    the per-component solve."""
+    U, s, Vt = np.linalg.svd(X, full_matrices=False)
+    rank = int(np.sum(s > size * np.finfo(float).eps * 100 * s[0]))
+    x = Vt[:rank].conj().T @ ((U[:, :rank].conj().T @ b) / s[:rank])
+    freedom = np.sqrt(np.maximum(0.0, 1.0 - np.linalg.norm(Vt[:rank], axis=0) ** 2))
+    return x, float(np.linalg.norm(X @ x - b)), freedom, rank
+
+
+def block_system(rng, dtype):
+    """A system over 4-column blocks that splits into components, rows and
+    blocks shuffled: a full-rank pair of blocks; a pair coupled through a
+    rank-one block, which leaves the first block determined and the second
+    free; a block scaled to 1e-14, below the global threshold though not
+    below its own; a block scaled to 1e-2; a block no row touches; and
+    all-zero rows with a nonzero right-hand side.  It is tall enough that
+    the components are solved one by one."""
+    r = 4
+
+    def rand(*shape):
+        out = rng.normal(size=shape)
+        if dtype is complex:
+            out = out + 1j * rng.normal(size=shape)
+        return out
+
+    rank_one = np.outer(rand(200), rand(r))
+    parts = [
+        rand(300, 2 * r),
+        np.block([
+            [rand(200, r), np.zeros((200, r))],
+            [rand(200, r), rank_one],
+        ]),
+        1e-14 * rand(150, r),
+        1e-2 * rand(150, r),
+    ]
+    n_blocks = sum(p.shape[1] for p in parts) // r + 1
+    n_rows = sum(len(p) for p in parts) + 3
+    X = np.zeros((n_rows, n_blocks * r), dtype=dtype)
+    row, col = 0, 0
+    for p in parts:
+        X[row:row + len(p), col:col + p.shape[1]] = p
+        row, col = row + len(p), col + p.shape[1]
+    # right-hand sides at the scale of their rows, so that x is of order one
+    scale = np.concatenate(
+        [np.full(len(p), np.abs(p).max()) for p in parts] + [np.ones(3)]
+    )
+    b = rand(n_rows) * scale
+    blocks = rng.permutation(n_blocks)
+    cols = (blocks[:, None] * r + np.arange(r)).ravel()
+    rows = rng.permutation(n_rows)
+    return X[rows][:, cols], b[rows], r
+
+
+class TestComponentSolve:
+    """The per-component solve equals one truncated SVD of the whole
+    system, up to rounding."""
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_dense_reference(self, dtype, seed, monkeypatch):
+        X, b, r = block_system(np.random.default_rng(seed), dtype)
+        size = max(X.shape)
+        qr = np.linalg.qr
+        calls = []
+        monkeypatch.setattr(
+            np.linalg, "qr", lambda *a, **k: calls.append(1) or qr(*a, **k)
+        )
+        x, resid, freedom, rank, sizes = _least_squares(X, b, size, r)
+        monkeypatch.undo()
+        assert len(calls) == 4  # one factorization per component with rows
+        x_d, resid_d, freedom_d, rank_d = dense_least_squares(X, b, size)
+        assert sorted(sizes) == [r, r, r, 2 * r, 2 * r]
+        # the coupled pair is r - 1 short, the 1e-14 and the untouched
+        # blocks count no rank
+        assert rank == rank_d == X.shape[1] - (r - 1) - 2 * r
+        np.testing.assert_array_equal(
+            freedom <= _NULLSPACE_TOL, freedom_d <= _NULLSPACE_TOL
+        )
+        assert (freedom <= _NULLSPACE_TOL).sum() == 4 * r
+        np.testing.assert_allclose(x, x_d, rtol=0, atol=1e-10)
+        assert abs(resid - resid_d) <= 1e-10 * max(1.0, resid_d)
+
+    @pytest.mark.parametrize("components", [1, 2])
+    def test_solved_whole(self, components, monkeypatch):
+        # one component with a zero row, or two components too small for
+        # separate factorizations to pay: one QR of the whole system
+        rng = np.random.default_rng(3)
+        X, b = rng.normal(size=(12, 6)), rng.normal(size=12)
+        X[3] = 0.0
+        if components == 2:
+            X[:6, 3:] = X[6:, :3] = 0.0
+        qr = np.linalg.qr
+        calls = []
+        monkeypatch.setattr(
+            np.linalg, "qr", lambda *a, **k: calls.append(1) or qr(*a, **k)
+        )
+        x, resid, freedom, rank, sizes = _least_squares(X, b, 12, 3)
+        monkeypatch.undo()
+        x_d, resid_d, _, rank_d = dense_least_squares(X, b, 12)
+        assert len(calls) == 1
+        assert sorted(sizes) == [6 // components] * components
+        assert rank == rank_d == 6
+        np.testing.assert_allclose(x, x_d, atol=1e-12)
+        assert abs(resid - resid_d) <= 1e-12
+
+
+class TestSyzygyHarvest:
+    """The array harvest of the syzygy rows equals the per-pair loop it
+    replaced."""
+
+    @pytest.fixture(params=["example1", "example2", "example2-mixed", "above-rank"])
+    def prop(self, request, ex2, tensor1, shape1):
+        if request.param == "example1":
+            lam = build_moment_functional(tensor1)
+            args = lam, basis_of(shape1, gd.H1_B_COLS), basis_of(shape1, gd.H1_B_ROWS)
+        elif request.param == "above-rank":
+            args = above_rank_4x4()
+        else:
+            args = ex2[1:]
+        prop = _Propagator(*args, tol=1e-6)
+        if request.param == "above-rank":
+            # after the first fixpoint pass, some relations still free
+            assert prop.run() == "rank_deficient"
+        elif request.param == "example2-mixed":
+            # every relation known, then every third one cleared
+            assert prop.run() == "extended"
+            for t in range(0, len(prop.tails), 3):
+                prop.tails[t] = None
+        else:
+            prop.resolve_direct()
+        return prop
+
+    def test_same_rows_as_the_pair_loop(self, prop):
+        unresolved = [t for t, tail in enumerate(prop.tails) if tail is None]
+        assert unresolved
+        prop.inconsistency = 0.0
+        X, b = prop._syzygy_equations(unresolved)
+        X_ref, b_ref, inconsistency = syzygy_reference(prop, unresolved)
+        assert X.shape == X_ref.shape and X.shape[0] > 0
+        np.testing.assert_allclose(X, X_ref, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(b, b_ref, rtol=0, atol=1e-12)
+        assert abs(prop.inconsistency - inconsistency) <= 1e-12
 
 
 class TestCommutatorResidual:
