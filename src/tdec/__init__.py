@@ -33,7 +33,6 @@ from .eigen import (
     MultiplicationFamily,
     RootSet,
     joint_eigenvectors,
-    multiplication_matrix,
     read_coordinates,
     recover_missing_coordinates,
     solve_weights,
@@ -46,9 +45,7 @@ from .extension import (
     propagate_commutation,
 )
 from .moment import (
-    HankelMatrix,
     MonomialBasis,
-    basis_plus,
     build_moment_functional,
     enumerate_monomials,
     hankel,

@@ -175,6 +175,15 @@ def cmd_verify(args) -> int:
     return 0 if residual <= args.threshold else 3
 
 
+def tolerance(text: str) -> float:
+    """A finite, non-negative float; argparse reports a ValueError here as
+    an invalid tolerance value."""
+    value = float(text)
+    if not 0.0 <= value < float("inf"):
+        raise ValueError(text)
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tdec",
@@ -186,13 +195,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("-i", "--input", required=True, help="tensor JSON file")
         if output:
             p.add_argument("-o", "--output", help="write structured result here")
-        p.add_argument("--tol-rank", type=float, default=1e-8)
+        p.add_argument("--tol-rank", type=tolerance, default=1e-8)
         p.add_argument("--verbose", action="store_true")
 
     p = sub.add_parser("decompose", help="compute a minimal decomposition")
     common(p)
     p.add_argument("--max-rank", type=int, default=None)
-    p.add_argument("--tol-resid", type=float, default=1e-6)
+    p.add_argument("--tol-resid", type=tolerance, default=1e-6)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--reduce", action="store_true",
                    help="HOSVD-compress to the multilinear rank first")
@@ -222,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check a decomposition against a tensor")
     common(p, output=False)
     p.add_argument("-d", "--decomposition", required=True)
-    p.add_argument("--threshold", type=float, default=1e-6)
+    p.add_argument("--threshold", type=tolerance, default=1e-6)
     p.set_defaults(func=cmd_verify)
     return parser
 

@@ -17,14 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .algebra import MomentFunctional, Point, Polynomial, Shape, evaluate
-from .extension import SingularBlockError
-from .moment import (
-    MonomialBasis,
-    UnresolvedParameterError,
-    hankel,
-    moment_vector,
-    numerical_rank,
-)
+from .moment import MonomialBasis, hankel, moment_vector, numerical_rank
 
 log = logging.getLogger("tdec")
 
@@ -40,19 +33,6 @@ class CoordinateRecoveryError(RuntimeError):
     pass
 
 
-def multiplication_matrix(
-    lam: MomentFunctional,
-    B: MonomialBasis,
-    Bp: MonomialBasis,
-    var: tuple[int, int],
-) -> np.ndarray:
-    """Table of multiplication by x_var on the basis B, via the row basis B'."""
-    fam = family_from_functional(lam, B, Bp, [var])
-    if var not in fam.matrices:
-        raise UnresolvedParameterError("shifted moments are unresolved")
-    return fam.matrices[var]
-
-
 @dataclass
 class MultiplicationFamily:
     basis: MonomialBasis
@@ -66,29 +46,24 @@ def family_from_functional(
     lam: MomentFunctional,
     B: MonomialBasis,
     Bp: MonomialBasis,
-    variables=None,
 ) -> MultiplicationFamily:
-    """Tables for every requested variable with fully resolved shifts.
+    """Tables M_v of multiplication by x_v on B, for every variable whose
+    shifted block lam(x_v b'_i b_j) is fully known.
 
-    The base block H[i, j] = lam(b'_i b_j) and its rank are formed once, and
-    the shifted blocks lam(x_v b'_i b_j) of all variables are read from one
-    block of product codes; each table is one solve against H.
+    The base block H[i, j] = lam(b'_i b_j) is taken as known and invertible
+    (``select_bases_candidates`` decides that).  The shifted blocks of all
+    variables are read from one block of product codes; each table is one
+    solve against H.
     """
     shape = lam.shape
-    every = shape.variables()
-    variables = every if variables is None else list(variables)
-    H = hankel(lam, Bp.exps, B.exps)
-    rows = np.eye(len(every), dtype=np.int64)[[every.index(v) for v in variables]]
+    H, _ = hankel(lam, Bp.exps, B.exps)
+    rows = np.eye(sum(shape.dims), dtype=np.int64)
     shifted, known = lam.lookup(shape.product_codes(rows, Bp.exps, B.exps))
-    resolved = known.all(axis=(1, 2)).tolist()
-    mats = {}
-    if H.fully_known and any(resolved):
-        if numerical_rank(H.values) < len(B):
-            raise SingularBlockError("base block is singular")
-        for var, Hs, ok in zip(variables, shifted, resolved):
-            if ok:
-                mats[var] = np.linalg.solve(H.values, Hs)
-    return MultiplicationFamily(B, mats)
+    return MultiplicationFamily(B, {
+        var: np.linalg.solve(H, Hs)
+        for var, Hs, ok in zip(shape.variables(), shifted, known.all(axis=(1, 2)))
+        if ok
+    })
 
 
 @dataclass
@@ -116,8 +91,6 @@ def joint_eigenvectors(
     False when eigenvalue tuples collide or the mix is defective.
     """
     B = family.basis
-    if B.codes[0] != 0:
-        raise ValueError("basis must list the monomial 1 first")
     if not family.matrices:
         raise ValueError("empty multiplication family")
     variables = family.variables()
@@ -249,6 +222,7 @@ def recover_missing_coordinates(
     W = np.array([w for w in roots.eigvecs])  # W[t, i] = B_i at root t
     gam = np.asarray(weights)
     H_BB = (W * gam[:, None]).T @ W
+    singular = numerical_rank(H_BB) < r
     shape = roots.shape
     pts = [
         [list(c) for c in p.coords] for p in roots.points
@@ -256,12 +230,12 @@ def recover_missing_coordinates(
     unit = np.eye(sum(shape.dims), dtype=np.int64)
     every = shape.variables()
     for (g, j) in missing:
-        shifted = hankel(lam, B.exps, unit[[every.index((g, j))]])
-        if not shifted.fully_known or numerical_rank(H_BB) < r:
+        col, known = hankel(lam, B.exps, unit[[every.index((g, j))]])
+        if singular or not known.all():
             raise CoordinateRecoveryError(
                 f"not enough known moments to recover {shape.var_name(g, j)}"
             )
-        col = shifted.values[:, 0]
+        col = col[:, 0]
         sol, *_ = np.linalg.lstsq(H_BB, col, rcond=None)
         if np.linalg.norm(H_BB @ sol - col) > 1e-6 * max(
             1.0, np.linalg.norm(col)

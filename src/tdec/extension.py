@@ -1,10 +1,13 @@
 """Moment completion and flat-extension decisions.
 
 Given bases B (columns) and B' (rows) with a fully known invertible block
-``H[i, j] = lam(b'_i b_j)``, every monomial of the border of B carries an
-unknown normal form over B (its relation in the quotient).  Relations whose
-full column over B' is known follow from one linear solve.  The rest are
-determined by a linear fixpoint that harvests, in canonical order:
+``H[i, j] = lam(b'_i b_j)``, as ``select_bases_candidates`` yields them,
+every monomial of ``B.border`` carries an unknown normal form over B (its
+relation in the quotient).  Invertibility is decided in the selection, once:
+the completion and the flat check take it as given and only refuse unknown
+moments they need.  Relations whose full column over B' is known follow
+from one linear solve.  The rest are determined by a linear fixpoint that
+harvests, in canonical order:
 
 * column equations against any row monomial whose products with B are known,
 * placeholder equations tying rows to shared unknown moments (the
@@ -53,23 +56,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import Monomial, MomentFunctional, Shape, canonical_order, first_unknown
-from .moment import (
-    MonomialBasis,
-    UnresolvedParameterError,
-    basis_plus,
-    border,
-    hankel,
-    numerical_rank,
-)
+from .moment import MonomialBasis, hankel, numerical_rank
 
 log = logging.getLogger("tdec")
 
 DEFAULT_TOL_EXTEND = 1e-6
 _NULLSPACE_TOL = 1e-7
-
-
-class SingularBlockError(RuntimeError):
-    pass
 
 
 @dataclass
@@ -237,15 +229,13 @@ class _Propagator:
         self.shape: Shape = lam.shape
         self.r = len(B)
         self.dtype = lam.values.dtype
-        H = hankel(lam, Bp.exps, B.exps)
-        if not H.fully_known:
-            raise UnresolvedParameterError("base block has unknown entries")
-        self.H = H.numeric().astype(self.dtype)
-        if numerical_rank(self.H) < self.r:
-            raise SingularBlockError("base block is singular")
+        H, known = hankel(lam, Bp.exps, B.exps)
+        if not known.all():
+            raise ValueError("base block has unknown entries")
+        self.H = H.astype(self.dtype)
         shape = self.shape
         # exponent rows of the border monomials whose relations are sought
-        self.targets = border(B)
+        self.targets = B.border
         if rng is not None:
             self.targets = self.targets[rng.permutation(len(self.targets))]
         # tails[t] is the resolved relation tail of the t-th target, or None
@@ -253,13 +243,13 @@ class _Propagator:
         # any monomial whose products with B are known yields valid
         # constraints; scan the whole known range plus the prolonged rows
         # beyond it (those over some group's degree bound)
-        plus = basis_plus(Bp)
+        plus = Bp.plus
         starts = np.cumsum((0,) + shape.dims[:-1])
         beyond = (np.add.reduceat(plus, starts, axis=1) > shape.degrees).any(axis=1)
         row_pool = np.vstack([shape.table.exps, plus[beyond]])
-        rows = hankel(lam, row_pool, B.exps)
-        full = rows.known.all(axis=1)
-        self.rows = rows.values[full]
+        rows, known = hankel(lam, row_pool, B.exps)
+        full = known.all(axis=1)
+        self.rows = rows[full]
         # moment of every target times every fully known row; an unknown
         # product gets a placeholder id shared by all pairs with that product
         codes = shape.product_codes(self.targets, row_pool[full])
@@ -273,7 +263,7 @@ class _Propagator:
         rank[np.argsort(first)] = np.arange(len(first))
         self.prod_place = np.full(codes.shape, -1)
         self.prod_place[~known] = rank[inverse]
-        # x_v * b_s lies in B+ = B u border(B): shift[v, s] is its slot in
+        # x_v * b_s lies in B+ = B u B.border: shift[v, s] is its slot in
         # the reduction table (see _table), s' < r for the basis element b_s'
         # and r + t for the t-th target
         where = {c: i for i, c in enumerate(B.codes.tolist())}
@@ -496,9 +486,9 @@ class _Propagator:
     # --- main loop --------------------------------------------------------
 
     def resolve_direct(self):
-        cols = hankel(self.lam, self.Bp.exps, self.targets)
-        for j in np.flatnonzero(cols.known.all(axis=0)):
-            self.tails[j] = np.linalg.solve(self.H, cols.values[:, j])
+        cols, known = hankel(self.lam, self.Bp.exps, self.targets)
+        for j in np.flatnonzero(known.all(axis=0)):
+            self.tails[j] = np.linalg.solve(self.H, cols[:, j])
 
     def run(self):
         self.resolve_direct()
@@ -523,7 +513,9 @@ class _Propagator:
             self.components = len(sizes)
             self.largest_component = int(sizes.max())
             b_norm = np.sqrt(b_raw_sq + np.sum(np.abs(b_s) ** 2))
-            self.inconsistency = max(self.inconsistency, resid / max(1.0, b_norm))
+            self.inconsistency = max(
+                self.inconsistency, float(resid / max(1.0, b_norm))
+            )
             if self.inconsistency > self.tol:
                 return "inconsistent"
             progress = False
@@ -583,10 +575,9 @@ def propagate_commutation(
     Returns Extended with the completed functional on products of the
     enlarged bases, Inconsistent when the equations contradict the data, or
     RankDeficient when the linearly reachable part leaves relations free
-    (whatever was resolved is still reported).
+    (whatever was resolved is still reported).  The block lam(b' * b) is
+    taken as invertible; a ValueError refuses one with unknown entries.
     """
-    if B.codes[0] != 0:
-        raise ValueError("basis must list the monomial 1 first")
     rng = np.random.default_rng(order_seed) if order_seed is not None else None
     prop = _Propagator(lam, B, Bp, tol, rng)
     status = prop.run()
@@ -608,8 +599,8 @@ def propagate_commutation(
         status = "inconsistent"
 
     lam_B, _ = lam.lookup(B.codes)
-    plus_rows = basis_plus(Bp)
-    plus_cols = basis_plus(B)
+    plus_rows = Bp.plus
+    plus_cols = B.plus
     codes = shape.product_codes(plus_rows, plus_cols).ravel()
     unknown = first_unknown(lam, codes)
     n_cols = len(plus_cols)
@@ -658,11 +649,9 @@ def flat_extension_check(
     Bp: MonomialBasis,
     tol: float = 1e-8,
 ) -> bool:
-    """Rank of the once-prolonged matrix equals |B| and the base block is
-    invertible.  All required moments must be resolved."""
-    Hn = hankel(lam, basis_plus(Bp), basis_plus(B)).numeric()
-    base = hankel(lam, Bp.exps, B.exps).numeric()
-    return (
-        numerical_rank(base, tol) == len(B)
-        and numerical_rank(Hn, tol) == len(B)
-    )
+    """Rank of the once-prolonged matrix lam(B'+ x B+) equals |B|, the base
+    block being invertible.  All required moments must be resolved."""
+    Hn, known = hankel(lam, Bp.plus, B.plus)
+    if not known.all():
+        raise ValueError("prolonged block has unknown entries")
+    return numerical_rank(Hn, tol) == len(B)

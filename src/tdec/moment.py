@@ -4,24 +4,30 @@ The central objects are the truncated moment functional of a tensor (its
 coefficient vector over the shape's monomial table divided by the table's
 multinomials) and the matrices
 ``H[i, j] = lam(rows[i] * cols[j])`` indexed by two monomial bases connected
-to 1.  Every such matrix comes from ``hankel``: rows and columns may be any
-monomial sequences, and entries whose product monomial has no known moment
-are flagged in a mask (and read 0).  ``hankel`` never multiplies monomials:
-the product codes are row codes plus column codes, and one search in the
+to 1.  Every such matrix comes from ``hankel(lam, rows, cols)``, which
+returns the values and a known mask: rows and columns may be any monomial
+sequences, and entries whose product monomial has no known moment are False
+in the mask (and read 0).  ``hankel`` never multiplies monomials: the
+product codes are row codes plus column codes, and one search in the
 functional's code-sorted moments reads the whole block.
 
 A monomial sequence here (a basis, a degree-bounded pool, B+ and the
 border) is an int64 exponent matrix, one row per monomial and one column
-per variable in canonical order; ``MonomialBasis`` adds the rows' codes and
-checks that the basis contains 1, has no duplicate and is connected to 1 on
-those codes.  ``Shape.monomials`` turns rows into ``Monomial`` objects for
-names and files.
+per variable in canonical order.  ``MonomialBasis`` adds the rows' codes,
+checks that the basis lists 1 first, has no duplicate and is connected to 1
+on those codes, and builds its B+ (``plus``) and border once.
+``Shape.monomials`` turns rows into ``Monomial`` objects for names and
+files.
+
+``select_bases_candidates`` is the one place that decides whether the
+block of a basis pair is invertible; the later stages take it as given.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -37,14 +43,12 @@ DEFAULT_TOL_RANK = 1e-8
 MAX_COND = 1e10
 
 
-class UnresolvedParameterError(RuntimeError):
-    pass
-
-
 @dataclass(frozen=True, eq=False)
 class MonomialBasis:
     """Ordered monomials as exponent rows (variables in canonical order)
-    with their codes; contains 1, duplicate-free and connected to 1."""
+    with their codes; lists 1 first, duplicate-free and connected to 1.
+    ``plus`` (B+ = B union x*B over every variable) and ``border``
+    (B+ minus B) are exponent rows in canonical order, built once."""
 
     shape: Shape
     exps: np.ndarray
@@ -58,8 +62,8 @@ class MonomialBasis:
         seen = set(codes.tolist())
         if len(seen) != len(codes):
             raise ValueError("duplicate monomials in basis")
-        if 0 not in seen:
-            raise ValueError("basis must contain the monomial 1")
+        if not len(codes) or codes[0] != 0:
+            raise ValueError("basis must list the monomial 1 first")
         for i, (code, parents) in enumerate(
             zip(codes.tolist(), _parent_codes(self.shape, exps, codes))
         ):
@@ -71,6 +75,26 @@ class MonomialBasis:
 
     def names(self) -> list[str]:
         return [str(m) for m in self.shape.monomials(self.exps)]
+
+    @cached_property
+    def plus(self) -> np.ndarray:
+        E = self.exps
+        n = E.shape[1]
+        shifted = (E[:, None, :] + np.eye(n, dtype=np.int64)).reshape(-1, n)
+        plus = np.vstack([E, shifted])
+        _, first = np.unique(self.shape.codes(plus), return_index=True)
+        plus = plus[first]
+        plus = plus[canonical_order(plus)]
+        plus.flags.writeable = False
+        return plus
+
+    @cached_property
+    def border(self) -> np.ndarray:
+        inside = set(self.codes.tolist())
+        keep = [c not in inside for c in self.shape.codes(self.plus).tolist()]
+        border = self.plus[np.array(keep, dtype=bool)]
+        border.flags.writeable = False
+        return border
 
 
 def _parent_codes(shape: Shape, exps: np.ndarray, codes: np.ndarray) -> list:
@@ -92,26 +116,6 @@ def enumerate_monomials(shape: Shape, bounds: list[int]) -> np.ndarray:
     return graded_range(shape.dims, bounds)[0]
 
 
-def basis_plus(B: MonomialBasis) -> np.ndarray:
-    """Exponent rows of B+ = B union x*B over every variable, canonical
-    order."""
-    E = B.exps
-    n = E.shape[1]
-    shifted = (E[:, None, :] + np.eye(n, dtype=np.int64)).reshape(-1, n)
-    plus = np.vstack([E, shifted])
-    _, first = np.unique(B.shape.codes(plus), return_index=True)
-    plus = plus[first]
-    return plus[canonical_order(plus)]
-
-
-def border(B: MonomialBasis) -> np.ndarray:
-    """Exponent rows of B+ \\ B in canonical order."""
-    plus = basis_plus(B)
-    inside = set(B.codes.tolist())
-    keep = [c not in inside for c in B.shape.codes(plus).tolist()]
-    return plus[np.array(keep, dtype=bool)]
-
-
 def moment_vector(T: Polynomial) -> np.ndarray:
     """Moments of a tensor over its shape's monomial table: the coefficient
     vector divided by the multinomial vector.  Real and imaginary parts are
@@ -130,29 +134,16 @@ def build_moment_functional(T: Polynomial) -> MomentFunctional:
     return MomentFunctional(shape, shape.codes(shape.table.exps), moment_vector(T))
 
 
-class HankelMatrix:
-    """Matrix lam(rows[i] * cols[j]) with a per-entry known mask.
+def hankel(
+    lam: MomentFunctional, rows: np.ndarray, cols: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The matrix lam(rows[i] * cols[j]) and its per-entry known mask.
 
     Rows and columns are any exponent matrices; an entry without a known
-    moment reads 0 and is False in ``known``.  The block of product codes
+    moment reads 0 and is False in the mask.  The block of product codes
     is the sum of the row and column codes, looked up in one pass.
     """
-
-    def __init__(self, lam: MomentFunctional, rows: np.ndarray, cols: np.ndarray):
-        self.values, self.known = lam.lookup(lam.shape.product_codes(rows, cols))
-
-    @property
-    def fully_known(self) -> bool:
-        return bool(self.known.all())
-
-    def numeric(self) -> np.ndarray:
-        if not self.fully_known:
-            raise UnresolvedParameterError("matrix has unknown entries")
-        return self.values
-
-
-def hankel(lam: MomentFunctional, rows: np.ndarray, cols: np.ndarray) -> HankelMatrix:
-    return HankelMatrix(lam, rows, cols)
+    return lam.lookup(lam.shape.product_codes(rows, cols))
 
 
 def numerical_rank(A: np.ndarray, tol_rank: float = DEFAULT_TOL_RANK) -> int:
@@ -192,11 +183,12 @@ def catalecticant(
     row_bounds: tuple[int, ...],
     col_bounds: tuple[int, ...],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The full moment matrix between two degree-bounded monomial pools,
-    and the pools' exponent rows."""
+    """The moment matrix between two degree-bounded monomial pools, and the
+    pools' exponent rows; bounds that add up to at most the shape's degrees
+    keep every entry known."""
     rows = enumerate_monomials(lam.shape, list(row_bounds))
     cols = enumerate_monomials(lam.shape, list(col_bounds))
-    return hankel(lam, rows, cols).numeric(), rows, cols
+    return hankel(lam, rows, cols)[0], rows, cols
 
 
 def _greedy_staircase(
@@ -236,6 +228,9 @@ def select_bases_candidates(
     """Yield candidate basis pairs (B columns, B' rows) of size r, each with
     a fully known, invertible, well conditioned block lam(b' * b).
 
+    The block is invertible when it has rank r at ``tol_rank`` and condition
+    number at most MAX_COND.
+
     Candidate pools come from complementary degree splits, so every product
     stays inside the known range; within a pool the staircase grows greedily
     in canonical order.
@@ -258,8 +253,8 @@ def select_bases_candidates(
             )
         if row_sel is None:
             continue
-        block = A[np.ix_(row_sel, col_sel)]
-        if numerical_rank(block, tol_rank) < r or np.linalg.cond(block) > MAX_COND:
+        s = np.linalg.svd(A[np.ix_(row_sel, col_sel)], compute_uv=False)
+        if np.sum(s > tol_rank * s[0]) < r or s[0] / s[-1] > MAX_COND:
             continue
         B = MonomialBasis(shape, cols[col_sel])
         Bp = MonomialBasis(shape, rows[row_sel])

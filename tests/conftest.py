@@ -97,6 +97,17 @@ def rank_one_expand(shape: Shape, weights, points) -> Polynomial:
     return total
 
 
+def near_collinear_tensor(seed: int) -> Polynomial:
+    """Rank 3 on (2,2,2)/(1,1,1), weights 1, -1, 1, with the second point
+    within 1e-3 to 1e-5 of the first.  At seeds 1, 34 and 103, selection at
+    tol_rank 1e-12 admits a block whose rank at the default 1e-8 is 2."""
+    rng = np.random.default_rng(seed)
+    base = rng.uniform(-1, 1, (3, 6))
+    base[1] = base[0] + rng.choice([1e-3, 1e-4, 1e-5]) * rng.normal(size=6)
+    points = [Point((tuple(b[:2]), tuple(b[2:4]), tuple(b[4:]))) for b in base]
+    return rank_one_expand(Shape((2, 2, 2), (1, 1, 1)), [1.0, -1.0, 1.0], points)
+
+
 def substitute_reference(T: Polynomial, mats) -> Polynomial:
     """T(A_1 y_1, ..., A_k y_k) by expanding products of affine-linear
     polynomials: homogeneous variable i of group g becomes

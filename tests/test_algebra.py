@@ -41,9 +41,9 @@ def act(p, lam, domain):
     """The module action p * lam: q -> lam(p q) on the domain, as values
     and a known mask, read off one moment matrix rows=domain, cols=terms."""
     monos = list(p.terms)
-    H = hankel(lam, p.shape.exponents(domain), p.shape.exponents(monos))
+    H, known = hankel(lam, p.shape.exponents(domain), p.shape.exponents(monos))
     coeffs = np.array([p.terms[t] for t in monos])
-    return H.values @ coeffs, H.known.all(axis=1)
+    return H @ coeffs, known.all(axis=1)
 
 
 def pair(lam, p):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import golden_data as gd
-from conftest import poly, rank_one_expand, substitute_reference
+from conftest import near_collinear_tensor, poly, rank_one_expand, substitute_reference
 from tdec.algebra import Point, Polynomial, Shape
 from tdec.decompose import (
     DecomposeOptions,
@@ -400,6 +400,18 @@ class TestDecompose:
         dec = decompose(T, DecomposeOptions(seed=0))
         assert dec.is_real(0.0)
         assert dec.residual == verify(T, dec)
+
+    @pytest.mark.parametrize("seed", [1, 34, 103])
+    def test_block_admitted_below_default_tol_rank(self, seed):
+        # selection admits the block at tol_rank 1e-12; a later re-check of
+        # it at 1e-8 once raised an uncaught error here
+        T = near_collinear_tensor(seed)
+        opts = DecomposeOptions(tol_rank=1e-12)
+        try:
+            dec = decompose(T, opts)
+        except DecompositionError:
+            return
+        assert verify(T, dec) <= opts.tol_resid
 
     def test_reduce_path(self):
         # embed a low-multilinear-rank tensor in a larger format

@@ -16,8 +16,8 @@ from conftest import (
     variable,
     weighted_evaluation,
 )
-from tdec.algebra import Monomial, MomentFunctional, Point, Shape
-from tdec.eigen import multiplication_matrix
+from tdec.algebra import Monomial, MomentFunctional, Point, Polynomial, Shape
+from tdec.eigen import family_from_functional
 from tdec.extension import (
     _NULLSPACE_TOL,
     _least_squares,
@@ -28,8 +28,6 @@ from tdec.extension import (
 )
 from tdec.moment import (
     MonomialBasis,
-    UnresolvedParameterError,
-    basis_plus,
     build_moment_functional,
     enumerate_monomials,
     hankel,
@@ -60,8 +58,8 @@ def random_points(rng, shape, r):
 def complete_functional(shape, weights, points, B, Bp):
     """Moments of sum_i w_i 1_{z_i} on all products the checks may touch."""
     domain = set(shape.monomials(enumerate_monomials(shape, list(shape.degrees))))
-    for mr in shape.monomials(basis_plus(Bp)):
-        for mc in shape.monomials(basis_plus(B)):
+    for mr in shape.monomials(Bp.plus):
+        for mc in shape.monomials(B.plus):
             domain.add(mr * mc)
     return weighted_evaluation(weights, points, shape, sorted(domain, key=lambda m: m.sort_key()))
 
@@ -113,8 +111,21 @@ class TestKnownColumnRelations:
         lam = build_moment_functional(tensor2)
         B = basis_of(shape2, ["1", "a1"])
         Bp = basis_of(shape2, ["1", "a1"])  # lam(a1^2) unknown
-        with pytest.raises(UnresolvedParameterError):
+        with pytest.raises(ValueError, match="unknown entries"):
             propagate_commutation(lam, B, Bp)
+
+
+class TestInconsistency:
+    def test_reported_as_python_float(self, ex2, tensor2):
+        # the least-squares share of the gap was once a numpy float64
+        shape2, _, B, Bp = ex2
+        rng = np.random.default_rng(0)
+        noisy = Polynomial(shape2, {
+            m: c + 1e-2 * rng.normal() for m, c in tensor2.terms.items()
+        })
+        ext = propagate_commutation(build_moment_functional(noisy), B, Bp)
+        assert ext.status == "inconsistent"
+        assert type(ext.diagnostics["inconsistency"]) is float
 
 
 class TestIndexTables:
@@ -530,7 +541,8 @@ class TestCommutatorResidual:
         lam = build_moment_functional(tensor1)
         B = basis_of(shape1, gd.H1_B_COLS)
         Bp = basis_of(shape1, gd.H1_B_ROWS)
-        mats = [multiplication_matrix(lam, B, Bp, (2, l)) for l in range(3)]
+        tables = family_from_functional(lam, B, Bp).matrices
+        mats = [tables[(2, l)] for l in range(3)]
         assert commutator_residual(mats) < 1e-8
 
     def test_random_pair_does_not_commute(self):
@@ -586,13 +598,12 @@ class TestFlatExtensionCheck:
             ws = rng.uniform(0.5, 2.0, true_rank) * rng.choice([-1, 1], true_rank)
             B = prefix_basis(shape, r)
             lam = complete_functional(shape, ws, pts, B, B)
-            H = hankel(lam, B.exps, B.exps).numeric()
+            H, known = hankel(lam, B.exps, B.exps)
+            assert known.all()
             if np.linalg.cond(H) > 1e8:
                 continue
-            mats = [
-                multiplication_matrix(lam, B, B, v)
-                for v in shape.variables()
-            ]
+            tables = family_from_functional(lam, B, B).matrices
+            mats = [tables[v] for v in shape.variables()]
             flat = flat_extension_check(lam, B, B)
             commuting = commutator_residual(mats) < 1e-8
             assert flat == commuting, (shape, r, true_rank, flat, commuting)
@@ -616,7 +627,7 @@ class TestRankFactorCheck:
         pts = random_points(rng, shape, 3)
         B = prefix_basis(shape, 3)
         lam = complete_functional(shape, [1.0, -2.0, 0.5], pts, B, B)
-        last = shape.monomials(basis_plus(B)[-1:])[0]
+        last = shape.monomials(B.plus[-1:])[0]
         # known moments keep their values under extended: rebuild from codes
         corner = lam.codes == code(shape, last * last)
         assert corner.sum() == 1

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import tdec
+from conftest import near_collinear_tensor
 from tdec.cli import main
 from tdec.files import (
     DecompositionFile,
@@ -284,6 +285,40 @@ class TestCli:
         p = tmp_path / "t.json"
         write_json(p, tf.to_obj())
         assert self.run("decompose", "-i", p, "--max-rank", "2") == 2
+
+    def test_block_admitted_below_default_tol_rank_exit_two(self, tmp_path, capsys):
+        # once a traceback (exit 1) from re-checking the block at 1e-8
+        p = tmp_path / "t.json"
+        T = near_collinear_tensor(1)
+        write_json(p, TensorFile(T.shape, "real", T).to_obj())
+        assert self.run("decompose", "-i", p, "--tol-rank", "1e-12") == 2
+        assert "no decomposition found" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1e-6"])
+    def test_tol_rank_must_be_finite_and_non_negative(self, capsys, value):
+        # nan once read as a rank of 0: "no decomposition at rank 1"
+        with pytest.raises(SystemExit) as info:
+            self.run("decompose", "-i", FIXTURES / "example1.json",
+                     f"--tol-rank={value}")
+        assert info.value.code == 2
+        assert "--tol-rank: invalid tolerance value" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1e-6"])
+    def test_tol_resid_must_be_finite_and_non_negative(self, capsys, value):
+        # nan once refused a residual of 5.8e-14
+        with pytest.raises(SystemExit) as info:
+            self.run("decompose", "-i", FIXTURES / "example1.json",
+                     f"--tol-resid={value}")
+        assert info.value.code == 2
+        assert "--tol-resid: invalid tolerance value" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1e-6"])
+    def test_verify_threshold_must_be_finite_and_non_negative(self, capsys, value):
+        with pytest.raises(SystemExit) as info:
+            self.run("verify", "-i", FIXTURES / "example1.json",
+                     "-d", FIXTURES / "example1_truth.json", f"--threshold={value}")
+        assert info.value.code == 2
+        assert "--threshold: invalid tolerance value" in capsys.readouterr().err
 
     def test_bounds_golden(self, tmp_path, capsys):
         tf, _ = synthesize((3, 3, 6), (1, 1, 1), rank=7, seed=0)

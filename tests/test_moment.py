@@ -32,10 +32,7 @@ from tdec.algebra import (
 )
 from tdec.moment import (
     MonomialBasis,
-    UnresolvedParameterError,
     _greedy_staircase,
-    basis_plus,
-    border,
     build_moment_functional,
     catalecticant,
     degree_splits,
@@ -197,22 +194,22 @@ class TestBasisPlus:
     def test_univariate(self):
         shape = Shape(dims=(1,), degrees=(2,))
         B = basis_of(shape, ["1"])
-        assert [str(m) for m in shape.monomials(basis_plus(B))] == ["1", "a1"]
+        assert [str(m) for m in shape.monomials(B.plus)] == ["1", "a1"]
 
     def test_three_variables(self):
         shape = Shape(dims=(3,), degrees=(2,))
         B = basis_of(shape, ["1", "a1"])
-        out = shape.monomials(basis_plus(B))
+        out = shape.monomials(B.plus)
         assert [str(m) for m in out] == [
             "1", "a1", "a2", "a3", "a1^2", "a1*a2", "a1*a3",
         ]
 
     def test_demo_border_contains_reduction_targets(self, shape2):
         B = basis_of(shape2, gd.H2_B_COLS)
-        plus = set(str(m) for m in shape2.monomials(basis_plus(B)))
+        plus = set(str(m) for m in shape2.monomials(B.plus))
         for s in ["a1*b3", "a2*b3", "a3*b3", "a1^2", "a1*a2", "a2*a3", "b3"]:
             assert s in plus
-        edge = shape2.monomials(border(B))
+        edge = shape2.monomials(B.border)
         assert set(str(m) for m in edge).isdisjoint(set(gd.H2_B_COLS))
 
     def test_rows_match_monomial_loops(self, shape2):
@@ -227,8 +224,8 @@ class TestBasisPlus:
             variables = [variable(shape, g, j) for g, j in shape.variables()]
             plus = set(basis) | {x * b for x in variables for b in basis}
             want = sorted(plus, key=lambda m: m.sort_key())
-            assert shape.monomials(basis_plus(B)) == want
-            assert shape.monomials(border(B)) == [m for m in want if m not in basis]
+            assert shape.monomials(B.plus) == want
+            assert shape.monomials(B.border) == [m for m in want if m not in basis]
             assert B.codes.tolist() == [code(shape, m) for m in basis]
 
     def test_staircase_connectivity_matches_monomial_loop(self, shape2):
@@ -258,7 +255,8 @@ class TestBasisPlus:
         assert len(MonomialBasis(shape2, rows)) == 3
         for bad, message in [
             (rows[[0, 1, 2, 1]], "duplicate"),
-            (rows[1:], "must contain the monomial 1"),
+            (rows[1:], "must list the monomial 1 first"),
+            (rows[[1, 0, 2]], "must list the monomial 1 first"),
             (rows_of(shape2, ["1", "a1", "a2*b1"]), r"not connected to 1 at a2\*b1"),
         ]:
             with pytest.raises(ValueError, match=message):
@@ -268,45 +266,44 @@ class TestBasisPlus:
 class TestHankel:
     def test_demo_4x4(self, tensor1, shape1):
         lam = build_moment_functional(tensor1)
-        H = hankel(lam, rows_of(shape1, gd.H1_B_ROWS), rows_of(shape1, gd.H1_B_COLS))
-        assert H.fully_known
-        np.testing.assert_array_equal(H.numeric(), np.array(gd.H1, dtype=float))
+        H, known = hankel(lam, rows_of(shape1, gd.H1_B_ROWS), rows_of(shape1, gd.H1_B_COLS))
+        assert known.all()
+        np.testing.assert_array_equal(H, np.array(gd.H1, dtype=float))
 
     def test_demo_6x6(self, tensor2, shape2):
         lam = build_moment_functional(tensor2)
-        H = hankel(lam, rows_of(shape2, gd.H2_B_ROWS), rows_of(shape2, gd.H2_B_COLS))
-        assert H.fully_known
-        np.testing.assert_array_equal(H.numeric(), np.array(gd.H2, dtype=float))
+        H, known = hankel(lam, rows_of(shape2, gd.H2_B_ROWS), rows_of(shape2, gd.H2_B_COLS))
+        assert known.all()
+        np.testing.assert_array_equal(H, np.array(gd.H2, dtype=float))
 
     def test_single_entry(self, tensor1, shape1):
         lam = build_moment_functional(tensor1)
         B = rows_of(shape1, ["1"])
-        H = hankel(lam, B, B)
-        assert H.numeric() == np.array([[4.0]])
+        H, known = hankel(lam, B, B)
+        assert known.all()
+        assert H == np.array([[4.0]])
 
     def test_transpose_swaps_bases(self, tensor1, shape1):
         lam = build_moment_functional(tensor1)
         B = rows_of(shape1, ["1", "a1", "a2"])
         Bp = rows_of(shape1, ["1", "b1", "c2"])
-        H1 = hankel(lam, Bp, B)
-        H2 = hankel(lam, B, Bp)
-        np.testing.assert_allclose(H1.numeric(), H2.numeric().T)
+        H1, known1 = hankel(lam, Bp, B)
+        H2, known2 = hankel(lam, B, Bp)
+        assert known1.all() and known2.all()
+        np.testing.assert_allclose(H1, H2.T)
 
     def test_quasi_hankel_parameter_sharing(self):
         shape = Shape(dims=(2,), degrees=(1,))
         x, y = variable(shape, 0, 0), variable(shape, 0, 1)
         lam = functional(shape, {one(shape): 1.0, x: 2.0, y: 3.0})
         B = [one(shape), x, y]
-        H = hankel(lam, shape.exponents(B), shape.exponents(B))
+        H, known = hankel(lam, shape.exponents(B), shape.exponents(B))
         # the unknown moments sit exactly where the product leaves the data;
         # x*y shows up at both (1,2) and (2,1)
         expected = [[True, True, True], [True, False, False], [True, False, False]]
-        assert H.known.tolist() == expected
+        assert known.tolist() == expected
         assert B[1] * B[2] == B[2] * B[1] == x * y
-        assert not H.fully_known
-        with pytest.raises(UnresolvedParameterError):
-            H.numeric()
-        np.testing.assert_array_equal(H.values[~H.known], 0.0)
+        np.testing.assert_array_equal(H[~known], 0.0)
 
     def test_shifted_matches_definition(self, tensor1, shape1):
         # shifted rows x_v * b' give the matrix of lam(x_v b' b)
@@ -314,10 +311,11 @@ class TestHankel:
         B = [Monomial.parse(s, shape1) for s in gd.H1_B_COLS]
         Bp = [Monomial.parse(s, shape1) for s in gd.H1_B_ROWS]
         c1 = Monomial.parse("c1", shape1)
-        Hs = hankel(lam, shape1.exponents([c1 * q for q in Bp]), shape1.exponents(B))
+        Hs, known = hankel(lam, shape1.exponents([c1 * q for q in Bp]), shape1.exponents(B))
+        assert known.all()
         for i, mr in enumerate(Bp):
             for j, mc in enumerate(B):
-                assert Hs.values[i, j] == moment(lam, c1 * mr * mc)
+                assert Hs[i, j] == moment(lam, c1 * mr * mc)
 
     def test_shifted_of_evaluation(self):
         shape = Shape(dims=(2,), degrees=(1,))
@@ -325,11 +323,12 @@ class TestHankel:
         dom = shape.monomials(enumerate_monomials(shape, [2]))
         lam = evaluation_functional(zeta, shape, dom)
         B = [one(shape)]
-        Hs = hankel(
+        Hs, known = hankel(
             lam, shape.exponents([variable(shape, 0, 1) * q for q in B]),
             shape.exponents(B),
         )
-        assert Hs.numeric() == np.array([[-3.0]])
+        assert known.all()
+        assert Hs == np.array([[-3.0]])
 
 
 def naive_hankel(entries, rows, cols):
@@ -369,8 +368,8 @@ class TestMonomialCodes:
         shape = Shape(dims=dims, degrees=degrees)
         in_range = shape.monomials(enumerate_monomials(shape, list(degrees)))
         B = MonomialBasis(shape, shape.exponents(in_range[:n_basis]))
-        plus = shape.monomials(basis_plus(B))
-        edge = shape.monomials(border(B))
+        plus = shape.monomials(B.plus)
+        edge = shape.monomials(B.border)
         blocks = []
         for pool_r, pool_c in [
             (in_range, edge),  # in-range x border, the completion's products
@@ -394,11 +393,11 @@ class TestMonomialCodes:
         lam = functional(shape, entries)
         seen = set()
         for rows, cols in blocks:
-            H = hankel(lam, shape.exponents(rows), shape.exponents(cols))
+            H, H_known = hankel(lam, shape.exponents(rows), shape.exponents(cols))
             values, known = naive_hankel(entries, rows, cols)
-            assert H.values.dtype == values.dtype
-            np.testing.assert_array_equal(H.known, known)
-            np.testing.assert_array_equal(H.values, values)
+            assert H.dtype == values.dtype
+            np.testing.assert_array_equal(H_known, known)
+            np.testing.assert_array_equal(H, values)
             seen.update(known.ravel().tolist())
         assert seen == {True, False}
 
@@ -422,7 +421,7 @@ class TestMonomialCodes:
         rows = shape.exponents([x8, x7, x7])
         with pytest.raises(DegreeOverflowError):
             hankel(lam, rows[:1], rows[1:2])
-        assert not hankel(lam, rows[1:], rows[1:2]).known.any()
+        assert not hankel(lam, rows[1:], rows[1:2])[1].any()
 
     def test_codes_beyond_int64_stay_exact(self):
         shape = Shape(dims=(30,), degrees=(1,))  # radix 5 on 30 variables
@@ -431,8 +430,9 @@ class TestMonomialCodes:
         assert code(shape, first * last) == 1 + 5**29
         lam = functional(shape, {last * last: 2.0, first * last: 3.0})
         rows = shape.exponents([first, last])
-        H = hankel(lam, rows, rows[1:])
-        np.testing.assert_array_equal(H.values, [[3.0], [2.0]])
+        H, known = hankel(lam, rows, rows[1:])
+        assert known.all()
+        np.testing.assert_array_equal(H, [[3.0], [2.0]])
 
 
 class TestMomentStore:
@@ -461,16 +461,16 @@ class TestMomentStore:
         x, y = variable(shape, 0, 0), variable(shape, 0, 1)
         lam = functional(shape, {one(shape): 1.0, x: 2.0, y: 3.0})
         B = shape.exponents([one(shape), x])
-        assert not hankel(lam, B, B).known[1, 1]
+        assert not hankel(lam, B, B)[1][1, 1]
         codes = shape.codes(shape.exponents([x * x, x, x * y, x * x]))
         more = lam.extended(codes, np.array([5.0, -2.0, 7.0, 9.0]))
         # x keeps its known moment; of the two x^2, the first wins
-        np.testing.assert_array_equal(
-            hankel(more, B, B).numeric(), [[1.0, 2.0], [2.0, 5.0]]
-        )
+        H, known = hankel(more, B, B)
+        assert known.all()
+        np.testing.assert_array_equal(H, [[1.0, 2.0], [2.0, 5.0]])
         assert moment(more, x * y) == 7.0
         assert len(more.codes) == 5
-        assert not hankel(lam, B, B).known[1, 1]
+        assert not hankel(lam, B, B)[1][1, 1]
         assert lam.codes.tolist() == [0, 1, 5] and lam.values.tolist() == [1.0, 2.0, 3.0]
         with pytest.raises(ValueError):
             lam.values[0] = 0.0
@@ -515,7 +515,8 @@ class TestSelectBases:
     def test_demo_rank4(self, tensor1, shape1):
         lam = build_moment_functional(tensor1)
         B, Bp = next(select_bases_candidates(lam, 4))
-        H = hankel(lam, Bp.exps, B.exps).numeric()
+        H, known = hankel(lam, Bp.exps, B.exps)
+        assert known.all()
         assert H.shape == (4, 4)
         assert numerical_rank(H) == 4
         assert B.names() == ["1", "a1", "a2", "a3"]
@@ -525,9 +526,9 @@ class TestSelectBases:
         B, Bp = next(select_bases_candidates(lam, 6))
         assert B.names() == gd.H2_B_COLS
         assert Bp.names() == gd.H2_B_ROWS
-        np.testing.assert_array_equal(
-            hankel(lam, Bp.exps, B.exps).numeric(), np.array(gd.H2, dtype=float)
-        )
+        H, known = hankel(lam, Bp.exps, B.exps)
+        assert known.all()
+        np.testing.assert_array_equal(H, np.array(gd.H2, dtype=float))
 
     def test_rank_one_evaluation(self):
         shape = Shape(dims=(2, 2), degrees=(1, 1))
