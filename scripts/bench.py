@@ -1,0 +1,144 @@
+#!/usr/bin/env python3
+"""Paired benchmark runs of two checkouts, summarised in one JSON file.
+
+    python3 scripts/bench.py --parent PATH --change . --name 12 \\
+        --workload flat-large small-mixed hard-inputs --pairs 5 --seed 31 --seconds 15
+
+Runs `perfbench/run.py --trace 0` (the end-to-end metrics) of the parent and
+of the change checkout, each from its own root, --pairs times per workload.
+The side that runs first alternates from pair to pair, so that a drift in
+the host's speed falls on both sides alike.  Writes `BENCH_<name>.json` at
+the root of the change checkout (or at --out) with, per workload and metric,
+every value of both sides, their median and quartiles, the median of the
+per-pair ratios change / parent, and the number of pairs in which the change
+was better; beside them `nproc`, the BLAS thread count and the library
+versions that the runs report, and the failed-operation counts.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+
+WORKLOADS = ("flat-large", "small-mixed", "hard-inputs")
+
+
+def run_once(root: str, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
+    """The result object and the details of one `perfbench/run.py` run."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+        cwd=root, capture_output=True, text=True, check=True,
+    )
+    details, result = proc.stdout.strip().splitlines()[-2:]
+    return json.loads(result), json.loads(details)["details"]
+
+
+def summary(values: list[float]) -> dict:
+    q1, median, q3 = (
+        statistics.quantiles(values, n=4, method="inclusive")
+        if len(values) > 1
+        else values * 3
+    )
+    return {"values": values, "median": median, "q1": q1, "q3": q3}
+
+
+def revision(root: str) -> str:
+    proc = subprocess.run(
+        ["git", "describe", "--always", "--dirty"],
+        cwd=root, capture_output=True, text=True,
+    )
+    return proc.stdout.strip() or "unknown"
+
+
+def compare(runs: dict, better: dict) -> dict:
+    """Per metric, both sides' summaries and the paired comparison."""
+    out = {}
+    for name, spec in runs["parent"][0]["metrics"].items():
+        parent = [r["metrics"][name]["value"] for r in runs["parent"]]
+        change = [r["metrics"][name]["value"] for r in runs["change"]]
+        sign = 1.0 if better.get(name, "lower") == "higher" else -1.0
+        out[name] = {
+            "unit": spec["unit"],
+            "better": better.get(name),
+            "parent": summary(parent),
+            "change": summary(change),
+            "ratio_median": statistics.median(
+                c / p if p else float("nan") for p, c in zip(parent, change)
+            ),
+            "change_better_pairs": sum(
+                sign * (c - p) > 0 for p, c in zip(parent, change)
+            ),
+        }
+    return out
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--parent", required=True, help="root of the parent checkout")
+    ap.add_argument("--change", default=".", help="root of the changed checkout")
+    ap.add_argument("--name", required=True, help="writes BENCH_<name>.json")
+    ap.add_argument("--workload", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
+    ap.add_argument("--pairs", type=int, default=5)
+    ap.add_argument("--seed", type=int, default=31)
+    ap.add_argument("--seconds", type=float, default=15)
+    ap.add_argument("--out", help="output path (default: in the change checkout)")
+    args = ap.parse_args(argv)
+    roots = {
+        "parent": os.path.abspath(args.parent),
+        "change": os.path.abspath(args.change),
+    }
+    with open(os.path.join(roots["change"], "BENCHMARK.json"), encoding="utf-8") as fh:
+        spec = json.load(fh)
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+
+    environment = {}
+    workloads = {}
+    for workload in args.workload:
+        runs = {"parent": [], "change": []}
+        for pair in range(args.pairs):
+            order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+            for side in order:
+                result, details = run_once(
+                    roots[side], workload, args.seed, args.seconds
+                )
+                runs[side].append(result)
+                environment.setdefault(side, details["environment"])
+                print(
+                    f"{workload} pair {pair + 1}/{args.pairs} {side}: "
+                    + " ".join(
+                        f"{k}={v['value']:.4g}" for k, v in result["metrics"].items()
+                    ),
+                    file=sys.stderr,
+                )
+        workloads[workload] = {
+            "metrics": compare(runs, better),
+            "failed": {side: [r["failed"] for r in runs[side]] for side in runs},
+            "attempted": {side: [r["attempted"] for r in runs[side]] for side in runs},
+        }
+
+    report = {
+        "command": "perfbench/run.py --trace 0",
+        "seed": args.seed,
+        "seconds": args.seconds,
+        "pairs": args.pairs,
+        "revisions": {side: revision(root) for side, root in roots.items()},
+        "nproc": os.cpu_count(),
+        "blas_threads": {side: env.get("blas_threads") for side, env in environment.items()},
+        "environment": environment,
+        "workloads": workloads,
+    }
+    out = args.out or os.path.join(roots["change"], f"BENCH_{args.name}.json")
+    with open(out, "w", encoding="utf-8") as fh:
+        json.dump(report, fh, indent=1)
+        fh.write("\n")
+    print(f"wrote {out}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -80,6 +80,14 @@ class DecomposeOptions:
     seed: int = 0
     reduce: bool = False
 
+    def __post_init__(self):
+        for name in ("tol_rank", "tol_resid"):
+            value = getattr(self, name)
+            if not 0.0 <= value < float("inf"):
+                raise ValueError(
+                    f"{name} must be finite and non-negative, got {value!r}"
+                )
+
 
 @dataclass
 class Decomposition:

@@ -25,7 +25,11 @@ the SVD of the R factor of its QR decomposition, against one rank
 threshold set by the largest singular value of any component, which is the
 truncated SVD of the whole system up to rounding.  A pass that is one
 component, or too small for the smaller factorizations to pay for the
-extra calls, is solved whole.
+extra calls, is solved whole.  A tall pass whose full rank a lower bound on
+its smallest singular value proves against that same threshold (the last
+pass of every flat instance) skips the factorizations: it is solved through
+the Cholesky factor of X^H X with one refinement step, and every relation
+it touches is determined, as the truncated SVD would find.
 
 The monomial bookkeeping is index arithmetic on exponent rows and their
 codes, done once per propagator: the targets (the border of B) are an
@@ -130,35 +134,90 @@ def _components(nz: np.ndarray) -> np.ndarray:
 
 def _factor(X: np.ndarray, b: np.ndarray):
     """The R factor of [X | b] as R_x and c, and the SVD of R_x, which has
-    the singular values and right singular vectors of X."""
+    the singular values and right singular vectors of X (all n of them: a
+    wide R_x gets its full square of right singular vectors)."""
     R = np.linalg.qr(np.column_stack([X, b]), mode="r")
     R_x, c = R[:, :-1], R[:, -1]
-    return (R_x, c, *np.linalg.svd(R_x, full_matrices=False))
+    wide = R_x.shape[0] < R_x.shape[1]
+    return (R_x, c, *np.linalg.svd(R_x, full_matrices=wide))
 
 
 def _truncated(R_x, c, U, s, Vt, cutoff: float):
     """The solution over the singular values above cutoff, its residual
     vector in the rotated system, per unknown its distance from the row
-    space, and the rank."""
+    space, and the rank.
+
+    The distance is the norm of the unknown's entries in the trailing right
+    singular vectors, the orthonormal null-space basis, which is exactly 0
+    at full rank and free of the cancellation of 1 - ||V_k[:, j]||^2."""
     k = int(np.sum(s > cutoff))
     x = Vt[:k].conj().T @ ((U[:, :k].conj().T @ c) / s[:k])
-    in_row_space = np.linalg.norm(Vt[:k], axis=0) ** 2
-    return x, R_x @ x - c, np.sqrt(np.maximum(0.0, 1.0 - in_row_space)), k
+    return x, R_x @ x - c, np.linalg.norm(Vt[k:], axis=0), k
 
 
-def _parts(nz: np.ndarray, label: np.ndarray, r: int):
+# the rounding of forming X^H X and of factoring and inverting it, in units
+# of (m + n) * eps * ||X||_F^2 and of n * eps * cond_F(L); the first-order
+# bounds (Higham, Accuracy and Stability of Numerical Algorithms, sec. 3.5
+# and ch. 10) have constants near 1/2 and 1
+_GRAM_ROUNDING = 4.0
+
+
+def _certified(X: np.ndarray, b: np.ndarray, cutoff_scale: float):
+    """Least squares of a tall X through the Cholesky factor L of X^H X,
+    when a lower bound on sigma_min(X) proves full rank; else None.
+
+    L L^H equals X^H X up to E with ||E||_2 <= _GRAM_ROUNDING * (m + n) *
+    eps * ||X||_F^2, so sigma_min(X)^2 >= 1 / ||L^-1||_F^2 - that margin,
+    with ||L^-1||_F taken from the computed inverse and enlarged by its
+    rounding.  The solve is certified when this bound exceeds the square of
+    the QR path's cutoff ``cutoff_scale * sigma_max``, with ||X||_F >=
+    sigma_max in its place: the truncated SVD would keep every singular
+    value, so the rank is n and every unknown is determined.  The solution
+    takes one step of refinement against the true residual b - X x (the
+    corrected semi-normal equations of Bjorck, Numerical Methods for Least
+    Squares Problems).  Returns x, the residual norm and the bound on
+    sigma_min(X).
+    """
+    m, n = X.shape
+    Xh = X.conj().T
+    G = Xh @ X
+    try:
+        L = np.linalg.cholesky(G)
+    except np.linalg.LinAlgError:
+        return None
+    eps = np.finfo(float).eps
+    frob_sq = float(np.trace(G).real)
+    margin = _GRAM_ROUNDING * (m + n) * eps * frob_sq
+    floor = cutoff_scale**2 * frob_sq
+    # sigma_min(L) <= min |L_ii|: a small pivot refuses before the inverse
+    if np.min(np.abs(np.diagonal(L))) ** 2 - margin <= floor:
+        return None
+    L_inv = np.linalg.inv(L)
+    inv_sq = float(np.sum(np.abs(L_inv) ** 2))
+    slack = 1.0 + _GRAM_ROUNDING * n * eps * np.sqrt(frob_sq * inv_sq)
+    bound = 1.0 / (inv_sq * slack**2) - margin
+    if bound <= floor:
+        return None
+
+    def solve(rhs):
+        return L_inv.conj().T @ (L_inv @ (Xh @ rhs))
+
+    x = solve(b)
+    x += solve(b - X @ x)
+    return x, float(np.linalg.norm(X @ x - b)), float(np.sqrt(bound))
+
+
+def _parts(label, row_label, n_rows, n_cols, r: int):
     """The rows and columns of each component that has rows, and the
     all-zero rows; None when the system is better solved whole: it has at
     most one component of rows, or the extra calls would cost more than
-    the smaller factorizations save."""
-    m, n = nz.shape[0], nz.shape[1] * r
-    whole_cost = _solve_cost(m, n)
+    the smaller factorizations save.  Takes the block labels, the label of
+    each row (-1 for an all-zero row), and the row and column counts by
+    label."""
+    whole_cost = _solve_cost(len(row_label), len(label) * r)
     if whole_cost <= 2 * _CALL_COST:
         return None
-    row_label = np.where(nz.any(axis=1), label[nz.argmax(axis=1)], -1)
-    n_rows = np.bincount(row_label[row_label >= 0], minlength=len(label))
     linked = np.flatnonzero(n_rows)
-    n_cols = np.bincount(label, minlength=len(label)) * r
     split_cost = (
         _solve_cost(n_rows[linked], n_cols[linked]).sum() + _CALL_COST * len(linked)
     )
@@ -173,38 +232,56 @@ def _parts(nz: np.ndarray, label: np.ndarray, r: int):
 
 
 def _least_squares(X: np.ndarray, b: np.ndarray, size: int, r: int):
-    """Truncated-SVD least squares of X x = b through the R factor of [X | b],
-    one connected component of X's r-column blocks at a time.
+    """Least squares of X x = b: a certified full-rank solve when X is tall
+    and provably of full numerical rank, else the truncated SVD through the
+    R factor of [X | b], one connected component of X's r-column blocks at
+    a time.
 
-    The rows of a component touch only its columns, so X is block diagonal
-    up to permutation and the SVD of each component's R factor gives the
-    singular values and right singular vectors of X restricted to it; the
-    tall factor Q is never formed.  The rank threshold is global,
-    ``size * eps * 100`` times the largest singular value of any component,
-    where ``size`` is the larger dimension of the system before placeholder
-    projection.  All-zero rows add their right-hand side to the residual.
-    The system is solved whole when splitting does not pay (see _parts).
+    The rank threshold is global, ``size * eps * 100`` times the largest
+    singular value of X, where ``size`` is the larger dimension of the
+    system before placeholder projection.  An X whose every component has
+    at least as many rows as columns first tries _certified, which proves
+    against that same threshold that no singular value falls below it; a
+    rank-deficient X can never pass, so the determined unknowns are those
+    the truncated SVD finds, and a certified solve has rank n and no
+    freedom.  Otherwise the rows of a component touch only its columns,
+    so X is block diagonal up to permutation and the SVD of each
+    component's R factor gives the singular values and right singular
+    vectors of X restricted to it; the tall factor Q is never formed.
+    All-zero rows add their right-hand side to the residual.  The system
+    is solved whole when splitting does not pay (see _parts).
 
     Returns the solution, the residual norm, per unknown its distance from
     the row space (0 when the unknown is determined), the numerical rank of
-    X and the column count of each component.
+    X, the column count of each component, and the certified lower bound
+    on sigma_min(X) (None on the truncated-SVD path).
     """
     m, n = X.shape
     nz = X[:, ::r] != 0
     for s in range(1, r):
         nz |= X[:, s::r] != 0
     label = _components(nz)
-    sizes = np.bincount(label)
-    sizes = sizes[sizes > 0] * r
+    # a row touches one component, the one of its first nonzero block
+    row_label = np.where(nz.any(axis=1), label[nz.argmax(axis=1)], -1)
+    n_rows = np.bincount(row_label[row_label >= 0], minlength=len(label))
+    n_cols = np.bincount(label, minlength=len(label)) * r
+    sizes = n_cols[n_cols > 0]
     if not m:
-        return np.zeros(n, dtype=X.dtype), 0.0, np.ones(n), 0, sizes
+        return np.zeros(n, dtype=X.dtype), 0.0, np.ones(n), 0, sizes, None
     eps = size * np.finfo(float).eps * 100
-    split = _parts(nz, label, r)
+    # full column rank needs as many rows as columns in every component,
+    # including a block that no row touches
+    if (n_rows >= n_cols).all():
+        certified = _certified(X, b, eps)
+        if certified is not None:
+            x, resid, bound = certified
+            return x, resid, np.zeros(n), n, sizes, bound
+    split = _parts(label, row_label, n_rows, n_cols, r)
     if split is None:
         factors = _factor(X, b)
         s = factors[3]
         x, gap, freedom, rank = _truncated(*factors, eps * (s[0] if s.size else 0.0))
-        return x, float(np.linalg.norm(gap)), freedom, rank, sizes
+        return x, float(np.linalg.norm(gap)), freedom, rank, sizes, None
     parts, zero_rows = split
     factors = [_factor(X[rows][:, cols], b[rows]) for rows, cols in parts]
     cutoff = eps * max(s[0] for _, _, _, s, _ in factors)
@@ -216,7 +293,9 @@ def _least_squares(X: np.ndarray, b: np.ndarray, size: int, r: int):
         x[cols], gap, freedom[cols], k = _truncated(*part, cutoff)
         gaps.append(gap)
         rank += k
-    return x, float(np.linalg.norm(np.concatenate(gaps))), freedom, rank, sizes
+    return (
+        x, float(np.linalg.norm(np.concatenate(gaps))), freedom, rank, sizes, None
+    )
 
 
 class _Propagator:
@@ -285,6 +364,10 @@ class _Propagator:
         self.nullity = 0
         self.components = 0
         self.largest_component = 0
+        # how the last pass was solved ("certified" or "qr_svd", None when
+        # no pass solved a system) and its certified bound on sigma_min
+        self.solve = None
+        self.sigma_min_bound = None
 
     # --- reductions -----------------------------------------------------
 
@@ -503,12 +586,15 @@ class _Propagator:
             if not n_raw:
                 self.nullity = len(unresolved) * r
                 self.components, self.largest_component = len(unresolved), r
+                self.solve = self.sigma_min_bound = None
                 break
             X = np.concatenate([X_m, X_s])
             b = np.concatenate([b_m, b_s])
             del X_m, X_s  # the solve copies X; keep at most two copies alive
             size = max(n_raw, X.shape[1] + n_places)
-            x, resid, freedom, rank, sizes = _least_squares(X, b, size, r)
+            x, resid, freedom, rank, sizes, bound = _least_squares(X, b, size, r)
+            self.solve = "qr_svd" if bound is None else "certified"
+            self.sigma_min_bound = bound
             self.nullity = X.shape[1] - rank
             self.components = len(sizes)
             self.largest_component = int(sizes.max())
@@ -628,6 +714,8 @@ def propagate_commutation(
         "nullity": prop.nullity,
         "components": prop.components,
         "largest_component": prop.largest_component,
+        "solve": prop.solve,
+        "sigma_min_bound": prop.sigma_min_bound,
         "unresolved": [str(m) for m in shape.monomials(prop.targets[unresolved])],
     }
     log.debug(

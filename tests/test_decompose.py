@@ -322,6 +322,18 @@ class TestDecompose:
             dec = decompose(T)
             assert b.lower <= dec.rank <= b.upper
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), -1e-6])
+    def test_tol_rank_must_be_finite_and_non_negative(self, value):
+        # nan once read as a rank of 0: "no decomposition at rank 1"
+        with pytest.raises(ValueError, match="tol_rank"):
+            DecomposeOptions(tol_rank=value)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), -1e-6])
+    def test_tol_resid_must_be_finite_and_non_negative(self, value):
+        # nan once refused a residual of 5.8e-14
+        with pytest.raises(ValueError, match="tol_resid"):
+            DecomposeOptions(tol_resid=value)
+
     def test_zero_rejected(self):
         shape = Shape(dims=(2, 2), degrees=(1, 1))
         with pytest.raises(ValueError):

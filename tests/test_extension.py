@@ -388,13 +388,29 @@ class TestComponents:
         assert diag["largest_component"] == 30 * 6
 
 
+class TestSolveDiagnostics:
+    def test_example2_is_certified(self, ex2):
+        diag = propagate_commutation(*ex2[1:]).diagnostics
+        assert diag["solve"] == "certified"
+        assert type(diag["sigma_min_bound"]) is float
+        assert diag["sigma_min_bound"] > 0.0
+
+    def test_refusal_takes_the_truncated_svd(self):
+        # the generic 3x3x3x3 rank-5 completion of hard-inputs leaves
+        # relations free, which no bound can certify
+        res = propagate_commutation(*above_rank_4x4())
+        assert res.status == "rank_deficient"
+        assert res.diagnostics["solve"] == "qr_svd"
+        assert res.diagnostics["sigma_min_bound"] is None
+
+
 def dense_least_squares(X, b, size):
     """Truncated-SVD least squares of the whole system, the reference for
     the per-component solve."""
-    U, s, Vt = np.linalg.svd(X, full_matrices=False)
+    U, s, Vt = np.linalg.svd(X, full_matrices=X.shape[0] < X.shape[1])
     rank = int(np.sum(s > size * np.finfo(float).eps * 100 * s[0]))
     x = Vt[:rank].conj().T @ ((U[:, :rank].conj().T @ b) / s[:rank])
-    freedom = np.sqrt(np.maximum(0.0, 1.0 - np.linalg.norm(Vt[:rank], axis=0) ** 2))
+    freedom = np.linalg.norm(Vt[rank:], axis=0)
     return x, float(np.linalg.norm(X @ x - b)), freedom, rank
 
 
@@ -442,6 +458,20 @@ def block_system(rng, dtype):
     return X[rows][:, cols], b[rows], r
 
 
+def count_calls(monkeypatch, *names):
+    """Count the calls of the named np.linalg functions."""
+    calls = {name: 0 for name in names}
+    for name in names:
+        fn = getattr(np.linalg, name)
+
+        def counted(*a, _name=name, _fn=fn, **k):
+            calls[_name] += 1
+            return _fn(*a, **k)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
 class TestComponentSolve:
     """The per-component solve equals one truncated SVD of the whole
     system, up to rounding."""
@@ -451,14 +481,10 @@ class TestComponentSolve:
     def test_matches_dense_reference(self, dtype, seed, monkeypatch):
         X, b, r = block_system(np.random.default_rng(seed), dtype)
         size = max(X.shape)
-        qr = np.linalg.qr
-        calls = []
-        monkeypatch.setattr(
-            np.linalg, "qr", lambda *a, **k: calls.append(1) or qr(*a, **k)
-        )
-        x, resid, freedom, rank, sizes = _least_squares(X, b, size, r)
+        calls = count_calls(monkeypatch, "qr")
+        x, resid, freedom, rank, sizes, _ = _least_squares(X, b, size, r)
         monkeypatch.undo()
-        assert len(calls) == 4  # one factorization per component with rows
+        assert calls == {"qr": 4}  # one factorization per component with rows
         x_d, resid_d, freedom_d, rank_d = dense_least_squares(X, b, size)
         assert sorted(sizes) == [r, r, r, 2 * r, 2 * r]
         # the coupled pair is r - 1 short, the 1e-14 and the untouched
@@ -474,25 +500,112 @@ class TestComponentSolve:
     @pytest.mark.parametrize("components", [1, 2])
     def test_solved_whole(self, components, monkeypatch):
         # one component with a zero row, or two components too small for
-        # separate factorizations to pay: one QR of the whole system
+        # separate factorizations to pay: one QR of the whole system, which
+        # a repeated column keeps from the certified full-rank solve
         rng = np.random.default_rng(3)
         X, b = rng.normal(size=(12, 6)), rng.normal(size=12)
         X[3] = 0.0
         if components == 2:
             X[:6, 3:] = X[6:, :3] = 0.0
-        qr = np.linalg.qr
-        calls = []
-        monkeypatch.setattr(
-            np.linalg, "qr", lambda *a, **k: calls.append(1) or qr(*a, **k)
-        )
-        x, resid, freedom, rank, sizes = _least_squares(X, b, 12, 3)
+        X[:, 5] = X[:, 4]
+        calls = count_calls(monkeypatch, "qr")
+        x, resid, freedom, rank, sizes, bound = _least_squares(X, b, 12, 3)
         monkeypatch.undo()
-        x_d, resid_d, _, rank_d = dense_least_squares(X, b, 12)
-        assert len(calls) == 1
+        x_d, resid_d, freedom_d, rank_d = dense_least_squares(X, b, 12)
+        assert calls == {"qr": 1}
+        assert bound is None
         assert sorted(sizes) == [6 // components] * components
-        assert rank == rank_d == 6
+        assert rank == rank_d == 5
+        np.testing.assert_array_equal(
+            freedom <= _NULLSPACE_TOL, freedom_d <= _NULLSPACE_TOL
+        )
         np.testing.assert_allclose(x, x_d, atol=1e-12)
         assert abs(resid - resid_d) <= 1e-12
+
+    def test_determined_columns_read_no_freedom(self):
+        # a tall system of rank n - 12: 30 columns of general position
+        # beside 40 columns that span only 28 dimensions; the null space
+        # lies in the second group, so the first is exactly determined
+        rng = np.random.default_rng(5)
+        X = np.hstack([
+            rng.normal(size=(200, 30)),
+            rng.normal(size=(200, 28)) @ rng.normal(size=(28, 40)),
+        ])
+        b = rng.normal(size=200)
+        _, _, freedom, rank, _, bound = _least_squares(X, b, 200, 10)
+        _, _, freedom_d, rank_d = dense_least_squares(X, b, 200)
+        assert bound is None
+        assert rank == rank_d == 58
+        assert freedom[:30].max() < 1e-12
+        assert freedom_d[:30].max() < 1e-12
+        assert freedom[30:].min() > _NULLSPACE_TOL
+
+
+class TestCertifiedSolve:
+    """A tall system proven to have full rank is solved through the Cholesky
+    factor of X^H X; everything else takes the truncated SVD and decides as
+    the dense reference does."""
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_full_rank_tall_system(self, dtype, monkeypatch):
+        rng = np.random.default_rng(7)
+        X, b = rng.normal(size=(240, 36)), rng.normal(size=240)
+        if dtype is complex:
+            X = X + 1j * rng.normal(size=X.shape)
+            b = b + 1j * rng.normal(size=b.shape)
+        calls = count_calls(monkeypatch, "qr", "svd")
+        x, resid, freedom, rank, sizes, bound = _least_squares(X, b, 240, 4)
+        monkeypatch.undo()
+        assert calls == {"qr": 0, "svd": 0}
+        x_d, resid_d, _, rank_d = dense_least_squares(X, b, 240)
+        assert rank == rank_d == 36
+        assert not freedom.any()
+        s_min = np.linalg.svd(X, compute_uv=False)[-1]
+        assert isinstance(bound, float) and 0.0 < bound <= s_min
+        assert np.linalg.norm(x - x_d) <= 1e-12 * np.linalg.norm(x_d)
+        assert abs(resid - resid_d) <= 1e-12 * resid_d
+
+    def fallback(self, X, b, size, monkeypatch):
+        """Solve with _least_squares, check that it took one QR and decided
+        as the dense reference, and return the rank and determined set."""
+        calls = count_calls(monkeypatch, "qr")
+        x, resid, freedom, rank, sizes, bound = _least_squares(X, b, size, 3)
+        monkeypatch.undo()
+        assert calls == {"qr": 1}
+        assert bound is None
+        _, _, freedom_d, rank_d = dense_least_squares(X, b, size)
+        assert rank == rank_d
+        determined = freedom <= _NULLSPACE_TOL
+        np.testing.assert_array_equal(determined, freedom_d <= _NULLSPACE_TOL)
+        return rank, determined
+
+    def test_sigma_min_just_above_the_cutoff(self, monkeypatch):
+        # one column scaled until sigma_min is twice the rank cutoff: every
+        # singular value is kept, but the bound is far too loose to prove it
+        rng = np.random.default_rng(8)
+        X, b = rng.normal(size=(60, 12)), rng.normal(size=60)
+        cutoff = 60 * np.finfo(float).eps * 100 * np.linalg.norm(X[:, :-1], 2)
+        others = X[:, :-1]
+        away = X[:, -1] - others @ np.linalg.lstsq(others, X[:, -1], rcond=None)[0]
+        X[:, -1] *= 2 * cutoff / np.linalg.norm(away)
+        s = np.linalg.svd(X, compute_uv=False)
+        assert 1.5 < s[-1] / (60 * np.finfo(float).eps * 100 * s[0]) < 2.5
+        rank, determined = self.fallback(X, b, 60, monkeypatch)
+        assert rank == 12 and determined.all()
+
+    def test_repeated_column(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        X, b = rng.normal(size=(60, 12)), rng.normal(size=60)
+        X[:, 7] = X[:, 2]
+        rank, determined = self.fallback(X, b, 60, monkeypatch)
+        assert rank == 11
+        assert np.flatnonzero(~determined).tolist() == [2, 7]
+
+    def test_wide_system(self, monkeypatch):
+        rng = np.random.default_rng(10)
+        X, b = rng.normal(size=(9, 12)), rng.normal(size=9)
+        rank, determined = self.fallback(X, b, 12, monkeypatch)
+        assert rank == 9 and not determined.any()
 
 
 class TestSyzygyHarvest:
