@@ -31,7 +31,8 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
+from types import MappingProxyType
 from typing import Iterable
 
 import numpy as np
@@ -104,10 +105,11 @@ class Shape:
         fits = places[-1] <= np.iinfo(np.int64).max
         return np.array(places[:-1], dtype=np.int64 if fits else object)
 
-    @cached_property
+    @property
     def table(self) -> "MonomialTable":
-        """The full monomial range, built once per shape."""
-        return MonomialTable(self)
+        """The full monomial range, built once per format: equal shapes
+        share one read-only table."""
+        return _monomial_table(self)
 
     def monomials(self, exps: np.ndarray) -> list["Monomial"]:
         """Monomials of the rows of an exponent matrix (inverse of
@@ -279,7 +281,7 @@ class MonomialTable:
             for g, G in enumerate(self.group_exps)
         ])
         self.monomials = tuple(shape.monomials(self.exps))
-        self.index = {m: i for i, m in enumerate(self.monomials)}
+        self.index = MappingProxyType({m: i for i, m in enumerate(self.monomials)})
         per_group = [
             np.array([multinomial(d, e) for e in G.tolist()], dtype=np.int64)
             for d, G in zip(shape.degrees, self.group_exps)
@@ -287,8 +289,15 @@ class MonomialTable:
         self.multinomials = np.prod(
             [c[self.group_index[:, g]] for g, c in enumerate(per_group)], axis=0
         ).astype(float)
-        for a in (self.exps, self.degrees, self.group_index, self.multinomials):
-            a.setflags(write=False)  # shared by every user of the shape
+        self.group_exps = tuple(self.group_exps)
+        for a in (self.exps, self.degrees, self.group_index, self.multinomials,
+                  *self.group_exps):
+            a.setflags(write=False)  # shared by every user of the format
+
+
+@cache
+def _monomial_table(shape: Shape) -> MonomialTable:
+    return MonomialTable(shape)
 
 
 @dataclass(frozen=True)

@@ -45,11 +45,19 @@ an unresolved target, the shift matrix of an unresolved target).  The
 multiplication tables read the same reduction table.  The completed
 moments are added by code, in two batches.  ``Monomial`` objects appear
 only where results leave (the leads of the returned relations, the names in
-the diagnostics) and in the products of B' with those leads.
+the diagnostics) and in the products of B' with those leads; the normal
+forms are reduced on exponent rows and codes.
 
 When the fixpoint resolves everything, the commuting multiplication tables
 define the unique extension of the data, and any moment is obtained by
 reducing its monomial to a normal form and pairing against the values on B.
+NF(m) = M_v NF(m / x_v) for the last variable v of m, so the unknown
+products of B'+ x B+ are reduced together, one degree at a time, and each
+degree is one stacked product of the monomials' last-variable tables with
+their parents' forms.  Their pairings with the values on B, the moments of B' x border
+and the relations solved directly from H are stacked in the same way.  A
+stacked product or solve runs the same BLAS or LAPACK call per item as the
+single product or solve, so the completed moments are the same to the bit.
 """
 
 from __future__ import annotations
@@ -570,8 +578,13 @@ class _Propagator:
 
     def resolve_direct(self):
         cols, known = hankel(self.lam, self.Bp.exps, self.targets)
-        for j in np.flatnonzero(known.all(axis=0)):
-            self.tails[j] = np.linalg.solve(self.H, cols[:, j])
+        direct = np.flatnonzero(known.all(axis=0))
+        if not len(direct):
+            return
+        # one stacked solve runs the same LU solve per column as solve(H, c)
+        tails = np.linalg.solve(self.H[None], cols[:, direct].T[:, :, None])
+        for j, tail in zip(direct.tolist(), tails[:, :, 0]):
+            self.tails[j] = tail
 
     def run(self):
         self.resolve_direct()
@@ -620,33 +633,60 @@ class _Propagator:
         return "extended"
 
 
-class _NormalForms:
-    """Normal forms over B of monomials given by exponent row and code,
-    through a code-keyed memo: NF(1) = e_1 (B lists 1 first) and
-    NF(m) = M_v NF(m / x_v) for the last variable v of m, which is the chain
-    of products that applies each table in canonical variable order.  None
-    when a variable on the chain has no table."""
+def _normal_forms(shape: Shape, tables, exps: np.ndarray, codes: np.ndarray, r, dtype):
+    """Normal forms over B of the monomials with exponent rows ``exps`` and
+    codes ``codes``, one row each, and the mask of those that are known.
 
-    def __init__(self, shape: Shape, tables, r, dtype):
-        self.tables = [tables.get(v) for v in shape.variables()]
-        self.places = shape.variable_codes.tolist()
-        one = np.zeros(r, dtype=dtype)
-        one[0] = 1.0
-        self.memo = {0: one}
-
-    def __call__(self, exps: list[int], code: int):
-        chain = []
-        while code not in self.memo:
-            v = max(i for i, e in enumerate(exps) if e)
-            chain.append((v, code))
-            exps = [*exps[:v], exps[v] - 1, *exps[v + 1:]]
-            code -= self.places[v]
-        vec = self.memo[code]
-        for v, c in reversed(chain):
-            M = self.tables[v]
-            vec = None if vec is None or M is None else M @ vec
-            self.memo[c] = vec
-        return vec
+    NF(1) = e_1 (B lists 1 first) and NF(m) = M_v NF(m / x_v) for the last
+    variable v of m, which is the chain of products that applies each table
+    in canonical variable order.  A form is unknown (a row of zeros) when a
+    variable on its chain has no table.  The chains are walked all at once,
+    degree by degree: the monomials of one degree are the given ones and
+    the parents of those one degree up, once per code, and each degree is
+    one stacked product of their last variables' tables with their parents'
+    forms, which runs the same matrix-vector product per monomial as
+    ``M_v @ NF(m / x_v)``.
+    """
+    n_vars = exps.shape[1]
+    mats = np.zeros((n_vars, r, r), dtype=dtype)
+    has = np.zeros(n_vars, dtype=bool)
+    for v, var in enumerate(shape.variables()):
+        if var in tables:
+            mats[v], has[v] = tables[var], True
+    degree = exps.sum(axis=1)
+    # top down: per degree, its monomials by code (sorted), the positions
+    # of the given rows among them, their last variables and parents' codes
+    levels = []
+    up_exps, up_codes = exps[:0], codes[:0]
+    for d in range(int(degree.max(initial=0)), 0, -1):
+        mine = np.flatnonzero(degree == d)
+        level, first, place = np.unique(
+            np.concatenate([codes[mine], up_codes]),
+            return_index=True, return_inverse=True,
+        )
+        level_exps = np.concatenate([exps[mine], up_exps])[first]
+        last = n_vars - 1 - (level_exps[:, ::-1] > 0).argmax(axis=1)
+        up_exps = level_exps.copy()
+        up_exps[np.arange(len(last)), last] -= 1
+        up_codes = level - shape.variable_codes[last]
+        levels.append((mine, place[:len(mine)], last, level, up_codes))
+    # bottom up from NF(1), the one monomial of degree 0
+    out = np.zeros((len(codes), r), dtype=dtype)
+    known = degree == 0
+    out[known, 0] = 1.0
+    below, ok = np.zeros(1, dtype=codes.dtype), np.ones(1, dtype=bool)
+    nf = np.zeros((1, r), dtype=dtype)
+    nf[0, 0] = 1.0
+    for mine, place, last, level, up in reversed(levels):
+        parent = np.searchsorted(below, up)
+        ok = ok[parent] & has[last]
+        idx = np.flatnonzero(ok)
+        nf_up = np.zeros((len(level), r), dtype=dtype)
+        nf_up[idx] = (mats[last[idx]] @ nf[parent[idx]][:, :, None])[:, :, 0]
+        below, nf = level, nf_up
+        out[mine] = nf[place]
+        known[mine] = ok[place]
+    return out, known
 
 
 def propagate_commutation(
@@ -691,23 +731,19 @@ def propagate_commutation(
     unknown = first_unknown(lam, codes)
     n_cols = len(plus_cols)
     exps = plus_rows[unknown // n_cols] + plus_cols[unknown % n_cols]
-    normal_form = _NormalForms(shape, tables, r, dtype)
-    new_codes, new_values = [], []
-    for e, code in zip(exps.tolist(), codes[unknown].tolist()):
-        nf = normal_form(e, code)
-        if nf is not None:
-            new_codes.append(code)
-            new_values.append(lam_B @ nf)
-    completed = lam.extended(new_codes, np.array(new_values, dtype=dtype))
+    nf, known = _normal_forms(shape, tables, exps, codes[unknown], r, dtype)
+    values = (lam_B[None, None, :] @ nf[known][:, :, None])[:, 0, 0]
+    completed = lam.extended(codes[unknown][known], values)
     # moments of B' x border follow from the relations even when some
     # variables stay unresolved
     Bp_monomials = shape.monomials(Bp.exps)
     products = [q * rel.lead for rel in relations for q in Bp_monomials]
     codes = shape.codes(shape.exponents(products))
     unknown = first_unknown(completed, codes)
-    pairs = [divmod(p, len(Bp)) for p in unknown.tolist()]
-    values = [prop.H[i] @ relations[k].tail for k, i in pairs]
-    completed = completed.extended(codes[unknown], np.array(values, dtype=dtype))
+    k, i = np.divmod(unknown, len(Bp))
+    tails = np.array([prop.tails[t] for t in solved], dtype=dtype).reshape(-1, r)
+    values = (prop.H[i][:, None, :] @ tails[k][:, :, None])[:, 0, 0]
+    completed = completed.extended(codes[unknown], values)
 
     diagnostics = {
         "inconsistency": prop.inconsistency,

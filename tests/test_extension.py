@@ -16,11 +16,20 @@ from conftest import (
     variable,
     weighted_evaluation,
 )
-from tdec.algebra import Monomial, MomentFunctional, Point, Polynomial, Shape
+from tdec.algebra import (
+    Monomial,
+    MomentFunctional,
+    Point,
+    Polynomial,
+    Shape,
+    first_unknown,
+)
 from tdec.eigen import family_from_functional
 from tdec.extension import (
     _NULLSPACE_TOL,
+    DEFAULT_TOL_EXTEND,
     _least_squares,
+    _normal_forms,
     _Propagator,
     commutator_residual,
     flat_extension_check,
@@ -234,17 +243,90 @@ class TestPropagation:
     def test_normal_form_of_basis_is_identity(self, ex2):
         # reducing a basis monomial returns the monomial itself
         shape2, lam, B, Bp = ex2
-        from tdec.extension import DEFAULT_TOL_EXTEND, _NormalForms, _Propagator
-
         prop = _Propagator(lam, B, Bp, DEFAULT_TOL_EXTEND)
         assert prop.run() == "extended"
-        normal_form = _NormalForms(shape2, prop.tables(), len(B), float)
-        exps = B.exps
-        for i, (e, code) in enumerate(zip(exps.tolist(), shape2.codes(exps).tolist())):
-            nf = normal_form(e, code)
-            expected = np.zeros(len(B))
-            expected[i] = 1.0
-            np.testing.assert_allclose(nf, expected, atol=1e-9)
+        nf, known = _normal_forms(shape2, prop.tables(), B.exps, B.codes, len(B), float)
+        assert known.all()
+        np.testing.assert_allclose(nf, np.eye(len(B)), atol=1e-9)
+
+
+def memo_normal_forms(shape, tables, exps, codes, r, dtype):
+    """Reference reduction, one memo walk per monomial: NF(1) = e_1 and
+    NF(m) = M_v NF(m / x_v) for the last variable v of m, memoized by code,
+    None when a variable on the chain has no table.  Returns the forms
+    (rows of zeros where unknown) and the mask of the known ones."""
+    mats = [tables.get(v) for v in shape.variables()]
+    places = shape.variable_codes.tolist()
+    one = np.zeros(r, dtype=dtype)
+    one[0] = 1.0
+    memo = {0: one}
+    out = np.zeros((len(codes), r), dtype=dtype)
+    known = np.zeros(len(codes), dtype=bool)
+    for n, (e, code) in enumerate(zip(exps.tolist(), codes.tolist())):
+        chain = []
+        while code not in memo:
+            v = max(i for i, x in enumerate(e) if x)
+            chain.append((v, code))
+            e = [*e[:v], e[v] - 1, *e[v + 1:]]
+            code -= places[v]
+        vec = memo[code]
+        for v, c in reversed(chain):
+            M = mats[v]
+            vec = None if vec is None or M is None else M @ vec
+            memo[c] = vec
+        if vec is not None:
+            out[n], known[n] = vec, True
+    return out, known
+
+
+class TestNormalForms:
+    """The batched reduction computes the memo walk's forms bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def ex2_tables(self, ex2):
+        shape2, lam, B, Bp = ex2
+        prop = _Propagator(lam, B, Bp, DEFAULT_TOL_EXTEND)
+        assert prop.run() == "extended"
+        # every product of B'+ x B+ once, the unknown ones first, as the
+        # completion reduces them
+        codes = shape2.product_codes(Bp.plus, B.plus).ravel()
+        _, every = np.unique(codes, return_index=True)
+        pos = np.concatenate([first_unknown(lam, codes), every])
+        n = len(B.plus)
+        exps = Bp.plus[pos // n] + B.plus[pos % n]
+        return shape2, prop.tables(), exps, codes[pos], len(B)
+
+    def check(self, shape, tables, exps, codes, r):
+        got, known = _normal_forms(shape, tables, exps, codes, r, float)
+        want, want_known = memo_normal_forms(shape, tables, exps, codes, r, float)
+        assert np.array_equal(known, want_known)
+        assert np.array_equal(got, want)
+        return known
+
+    def test_example2(self, ex2_tables):
+        assert self.check(*ex2_tables).all()
+
+    def test_missing_table_masks_its_chains(self, ex2_tables):
+        shape, tables, exps, codes, r = ex2_tables
+        v = sorted(tables)[1]
+        tables = {w: M for w, M in tables.items() if w != v}
+        known = self.check(shape, tables, exps, codes, r)
+        uses_v = exps[:, shape.variables().index(v)] > 0
+        assert np.array_equal(known, ~uses_v)
+        assert known.any() and not known.all()
+
+    def test_codes_beyond_63_bits(self):
+        shape = Shape(dims=(30,), degrees=(1,))
+        assert shape.variable_codes.dtype == object
+        rng = np.random.default_rng(5)
+        r = 4
+        tables = {v: rng.standard_normal((r, r)) for v in shape.variables()[1:]}
+        exps = np.zeros((300, 30), dtype=np.int64)
+        for row in exps:
+            np.add.at(row, rng.integers(0, 30, rng.integers(0, 4)), 1)
+        # repeated rows and a missing table for a1
+        known = self.check(shape, tables, exps, shape.codes(exps), r)
+        assert known.any() and not known.all()
 
 
 def dense_svd_run(prop, reverse=False):

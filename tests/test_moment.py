@@ -178,6 +178,17 @@ class TestMonomialTable:
             assert [tuple(G[i]) for i in table.group_index[:, g]] == parts
             assert table.degrees[:, g].tolist() == [sum(e) for e in parts]
 
+    def test_table_shared_by_equal_shapes(self):
+        table = Shape(dims=(2, 3), degrees=(2, 1)).table
+        assert Shape(dims=(2, 3), degrees=(2, 1)).table is table
+        arrays = (table.exps, table.degrees, table.group_index, table.multinomials,
+                  *table.group_exps)
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[(0,) * a.ndim] = 1
+        with pytest.raises(TypeError):
+            table.index[table.monomials[0]] = 1
+
     def test_thirty_variables(self):
         # (b + 1)^n candidates would be 2^30 tuples for 31 monomials
         shape = Shape(dims=(30,), degrees=(1,))
