@@ -12,7 +12,10 @@ the root of the change checkout (or at --out) with, per workload and metric,
 every value of both sides, their median and quartiles, the median of the
 per-pair ratios change / parent, and the number of pairs in which the change
 was better; beside them `nproc`, the BLAS thread count and the library
-versions that the runs report, and the failed-operation counts.
+versions that the runs report, and the failed-operation counts.  Then prints
+one line per workload and metric: parent median -> change median, the median
+ratio and the pairs won.  A run that fails stops the script with its side,
+workload, pair and the tail of its stderr.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import subprocess
 import sys
 
 WORKLOADS = ("flat-large", "small-mixed", "hard-inputs")
+STDERR_TAIL = 20  # lines of a failed run's stderr shown
 
 
 def run_once(root: str, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
@@ -103,9 +107,19 @@ def main(argv=None) -> int:
         for pair in range(args.pairs):
             order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
             for side in order:
-                result, details = run_once(
-                    roots[side], workload, args.seed, args.seconds
-                )
+                try:
+                    result, details = run_once(
+                        roots[side], workload, args.seed, args.seconds
+                    )
+                except subprocess.CalledProcessError as exc:
+                    tail = "\n".join(exc.stderr.splitlines()[-STDERR_TAIL:])
+                    print(
+                        f"{side} run failed (exit {exc.returncode}): workload "
+                        f"{workload}, pair {pair + 1}/{args.pairs}, in "
+                        f"{roots[side]}\n{tail}",
+                        file=sys.stderr,
+                    )
+                    return 1
                 runs[side].append(result)
                 environment.setdefault(side, details["environment"])
                 print(
@@ -137,6 +151,13 @@ def main(argv=None) -> int:
         json.dump(report, fh, indent=1)
         fh.write("\n")
     print(f"wrote {out}", file=sys.stderr)
+    for workload, entry in workloads.items():
+        for name, m in entry["metrics"].items():
+            print(
+                f"{workload} {name}: {m['parent']['median']:.4g} -> "
+                f"{m['change']['median']:.4g}, ratio {m['ratio_median']:.4f}, "
+                f"change better in {m['change_better_pairs']}/{args.pairs} pairs"
+            )
     return 0
 
 

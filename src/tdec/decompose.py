@@ -45,9 +45,8 @@ from .eigen import (
 from .extension import flat_extension_check, propagate_commutation
 from .moment import (
     DEFAULT_TOL_RANK,
+    Catalecticants,
     build_moment_functional,
-    degree_splits,
-    catalecticant,
     numerical_rank,
     select_bases_candidates,
 )
@@ -127,15 +126,7 @@ class RankBounds:
 
 def rank_lower_bound(T: Polynomial, tol_rank: float = DEFAULT_TOL_RANK) -> int:
     """Largest numerical rank over all degree-split moment matrices."""
-    return _flattening_rank(build_moment_functional(T), tol_rank)
-
-
-def _flattening_rank(lam, tol_rank: float) -> int:
-    best = 0
-    for col_bounds, row_bounds in degree_splits(lam.shape):
-        A, _, _ = catalecticant(lam, row_bounds, col_bounds)
-        best = max(best, numerical_rank(A, tol_rank))
-    return best
+    return Catalecticants(build_moment_functional(T), tol_rank).flattening_rank()
 
 
 def rank_upper_bound(dims) -> int:
@@ -383,8 +374,11 @@ def substitute_linear(T: Polynomial, mats: list[np.ndarray]) -> Polynomial:
 # --- the main loop -------------------------------------------------------------
 
 
-def _attempt_rank(T: Polynomial, lam, r: int, opts: DecomposeOptions, seed: int):
-    """Try to decompose at one fixed rank with the current coordinates.
+def _attempt_rank(
+    T: Polynomial, lam, r: int, opts: DecomposeOptions, seed: int, cats=None
+):
+    """Try to decompose at one fixed rank with the current coordinates;
+    ``cats`` are the ``Catalecticants`` of ``lam`` already read, if any.
 
     Returns a Decomposition or a failure dict, and whether any moment
     completion ended ``extended``.
@@ -392,7 +386,7 @@ def _attempt_rank(T: Polynomial, lam, r: int, opts: DecomposeOptions, seed: int)
     failure = {"rank": r, "stage": "bases", "detail": "no invertible block"}
     extended = False
     count = 0
-    for B, Bp in select_bases_candidates(lam, r, opts.tol_rank):
+    for B, Bp in select_bases_candidates(lam, r, opts.tol_rank, cats):
         count += 1
         if count > MAX_BASIS_CANDIDATES:
             break
@@ -476,8 +470,8 @@ def decompose(T: Polynomial, opts: DecomposeOptions | None = None) -> Decomposit
         return _decompose_reduced(T, opts)
 
     rng = np.random.default_rng(opts.seed)
-    lam = build_moment_functional(T)
-    lower = max(1, _flattening_rank(lam, opts.tol_rank))
+    cats = Catalecticants(build_moment_functional(T), opts.tol_rank)
+    lower = max(1, cats.flattening_rank())
     max_rank = opts.max_rank if opts.max_rank is not None else default_max_rank(shape)
     if max_rank < lower:
         raise DecompositionError(
@@ -497,8 +491,11 @@ def decompose(T: Polynomial, opts: DecomposeOptions | None = None) -> Decomposit
         else:
             mats = random_coordinate_change(shape, rng)
             work = substitute_linear(T, mats)
-        work_lam = lam if change == 0 else build_moment_functional(work)
-        out, extended = _attempt_rank(work, work_lam, r, opts, seed=opts.seed + change)
+            # read lazily: a random frame reads the splits selection visits
+            cats = Catalecticants(build_moment_functional(work), opts.tol_rank)
+        out, extended = _attempt_rank(
+            work, cats.lam, r, opts, seed=opts.seed + change, cats=cats
+        )
         if isinstance(out, Decomposition) and mats is not None:
             out = _undo_coordinate_change(out, mats, T, opts.tol_resid)
         if isinstance(out, Decomposition):

@@ -19,6 +19,11 @@ on those codes, and builds its B+ (``plus``) and border once.
 ``Shape.monomials`` turns rows into ``Monomial`` objects for names and
 files.
 
+``split_pools`` builds each degree split's pools and product codes once per
+format, like ``Shape.table``.  ``Catalecticants`` reads a functional's split
+blocks with one ``lookup`` each and factors each at most once, on first
+use; the flattening rank and basis selection share it.
+
 ``select_bases_candidates`` is the one place that decides whether the
 block of a basis pair is invertible; the later stages take it as given.
 """
@@ -26,8 +31,9 @@ block of a basis pair is invertible; the later stages take it as given.
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -178,6 +184,61 @@ def degree_splits(shape: Shape) -> list[tuple[tuple[int, ...], tuple[int, ...]]]
     ]
 
 
+# one degree split: its bounds, the exponent rows of its pools and the codes
+# of their products, codes[i, j] = code(rows[i] * cols[j]); read-only arrays
+Split = namedtuple("Split", "col_bounds row_bounds rows cols codes")
+
+
+@cache
+def split_pools(shape: Shape) -> tuple[Split, ...]:
+    """Every degree split of the format in ``degree_splits`` order, built
+    once per format: equal shapes share one tuple."""
+    splits = []
+    for col_bounds, row_bounds in degree_splits(shape):
+        rows = enumerate_monomials(shape, list(row_bounds))
+        cols = enumerate_monomials(shape, list(col_bounds))
+        codes = shape.product_codes(rows, cols)
+        for a in (rows, cols, codes):
+            a.setflags(write=False)
+        splits.append(Split(col_bounds, row_bounds, rows, cols, codes))
+    return tuple(splits)
+
+
+class Catalecticants:
+    """The split blocks of one functional, in ``split_pools`` order, each
+    read with one lookup and ranked at ``tol_rank`` at most once, on first
+    use."""
+
+    def __init__(self, lam: MomentFunctional, tol_rank: float = DEFAULT_TOL_RANK):
+        self.lam, self.tol_rank = lam, tol_rank
+        self.splits = split_pools(lam.shape)
+        self._blocks: dict[int, np.ndarray] = {}
+        self._ranks: dict[int, int] = {}
+
+    def block(self, i: int) -> np.ndarray:
+        if i not in self._blocks:
+            self._blocks[i] = self.lam.lookup(self.splits[i].codes)[0]
+            self._blocks[i].setflags(write=False)
+        return self._blocks[i]
+
+    def rank(self, i: int) -> int:
+        if i not in self._ranks:
+            self._ranks[i] = _block_rank(self.block(i), self.tol_rank)
+        return self._ranks[i]
+
+    def flattening_rank(self) -> int:
+        """Largest numerical rank over the splits."""
+        return max(map(self.rank, range(len(self.splits))))
+
+
+def _block_rank(A: np.ndarray, tol_rank: float) -> int:
+    """``numerical_rank`` of a split block; one finite row or column needs no
+    SVD, as its one singular value is its norm."""
+    if min(A.shape) == 1 and np.isfinite(A).all():
+        return int(tol_rank < 1 and A.any())
+    return numerical_rank(A, tol_rank)
+
+
 def catalecticant(
     lam: MomentFunctional,
     row_bounds: tuple[int, ...],
@@ -224,6 +285,7 @@ def select_bases_candidates(
     lam: MomentFunctional,
     r: int,
     tol_rank: float = DEFAULT_TOL_RANK,
+    catalecticants: Catalecticants | None = None,
 ):
     """Yield candidate basis pairs (B columns, B' rows) of size r, each with
     a fully known, invertible, well conditioned block lam(b' * b).
@@ -233,19 +295,23 @@ def select_bases_candidates(
 
     Candidate pools come from complementary degree splits, so every product
     stays inside the known range; within a pool the staircase grows greedily
-    in canonical order.
+    in canonical order.  ``catalecticants`` of ``lam`` at ``tol_rank``, when
+    given, supply the split blocks and ranks already read.
     """
     if r < 1:
         raise ValueError("r must be positive")
+    cats = catalecticants or Catalecticants(lam, tol_rank)
+    if cats.lam is not lam or cats.tol_rank != tol_rank:
+        raise ValueError("catalecticants of another functional or tolerance")
     shape = lam.shape
-    for col_bounds, row_bounds in degree_splits(shape):
-        A, rows, cols = catalecticant(lam, row_bounds, col_bounds)
-        if min(A.shape) < r or numerical_rank(A, tol_rank) < r:
+    for i, split in enumerate(cats.splits):
+        if min(split.codes.shape) < r or cats.rank(i) < r:
             continue
+        A, rows, cols = cats.block(i), split.rows, split.cols
         col_sel = _greedy_staircase(A, cols, shape, r, tol_rank, axis=1)
         if col_sel is None:
             continue
-        if row_bounds == col_bounds:
+        if split.row_bounds == split.col_bounds:
             row_sel = col_sel
         else:
             row_sel = _greedy_staircase(

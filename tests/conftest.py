@@ -97,6 +97,21 @@ def rank_one_expand(shape: Shape, weights, points) -> Polynomial:
     return total
 
 
+def count_calls(monkeypatch, *names, owner=np.linalg):
+    """Count the calls of the named functions of ``owner`` (a module or a
+    class; np.linalg by default)."""
+    calls = {name: 0 for name in names}
+    for name in names:
+        fn = getattr(owner, name)
+
+        def counted(*a, _name=name, _fn=fn, **k):
+            calls[_name] += 1
+            return _fn(*a, **k)
+
+        monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
 def near_collinear_tensor(seed: int) -> Polynomial:
     """Rank 3 on (2,2,2)/(1,1,1), weights 1, -1, 1, with the second point
     within 1e-3 to 1e-5 of the first.  At seeds 1, 34 and 103, selection at

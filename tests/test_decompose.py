@@ -7,7 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import golden_data as gd
-from conftest import near_collinear_tensor, poly, rank_one_expand, substitute_reference
+from conftest import (
+    count_calls,
+    near_collinear_tensor,
+    poly,
+    rank_one_expand,
+    substitute_reference,
+)
 from tdec.algebra import Point, Polynomial, Shape
 from tdec.decompose import (
     DecomposeOptions,
@@ -36,11 +42,12 @@ from tdec.decompose import (
     _unfold,
 )
 from tdec.extension import flat_extension_check, propagate_commutation
-from tdec.moment import build_moment_functional, select_bases_candidates
+from tdec.moment import build_moment_functional, select_bases_candidates, split_pools
 
 
 # the package attribute tdec.decompose is the function; patch the module
 decompose_module = importlib.import_module("tdec.decompose")
+moment_module = importlib.import_module("tdec.moment")
 
 
 def random_instance(rng, dims, degrees, r):
@@ -315,6 +322,13 @@ class TestDecompose:
                     ext.status != "extended"
                     or not flat_extension_check(ext.functional, B, Bp)
                 )
+
+    def test_frame_zero_factors_each_split_once(self, monkeypatch, tensor2):
+        # the lower bound and basis selection share one factorization per split
+        calls = count_calls(monkeypatch, "_block_rank", owner=moment_module)
+        dec = decompose(tensor2)
+        assert not dec.meta["coordinate_change_applied"]
+        assert calls["_block_rank"] == len(split_pools(tensor2.shape)) == 8
 
     def test_bound_sanity(self, tensor1, tensor2):
         for T in (tensor1, tensor2):

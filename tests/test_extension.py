@@ -7,6 +7,7 @@ import golden_data as gd
 from conftest import (
     basis_of,
     code,
+    count_calls,
     monomial_value,
     one,
     poly,
@@ -538,20 +539,6 @@ def block_system(rng, dtype):
     cols = (blocks[:, None] * r + np.arange(r)).ravel()
     rows = rng.permutation(n_rows)
     return X[rows][:, cols], b[rows], r
-
-
-def count_calls(monkeypatch, *names):
-    """Count the calls of the named np.linalg functions."""
-    calls = {name: 0 for name in names}
-    for name in names:
-        fn = getattr(np.linalg, name)
-
-        def counted(*a, _name=name, _fn=fn, **k):
-            calls[_name] += 1
-            return _fn(*a, **k)
-
-        monkeypatch.setattr(np.linalg, name, counted)
-    return calls
 
 
 class TestComponentSolve:

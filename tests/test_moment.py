@@ -31,7 +31,10 @@ from tdec.algebra import (
     Shape,
 )
 from tdec.moment import (
+    DEFAULT_TOL_RANK,
+    Catalecticants,
     MonomialBasis,
+    _block_rank,
     _greedy_staircase,
     build_moment_functional,
     catalecticant,
@@ -40,6 +43,7 @@ from tdec.moment import (
     hankel,
     numerical_rank,
     select_bases_candidates,
+    split_pools,
 )
 from tdec.decompose import rank_lower_bound, reconstruct
 
@@ -522,7 +526,90 @@ class TestNumericalRank:
         assert numerical_rank(np.zeros((3, 3))) == 0
 
 
+def sparse_hard_input() -> Polynomial:
+    """The benchmark's hard input sparse-3x3x3-r3#2, of flattening rank 2:
+    selection skips its first split (one row) and its second (rank 1)."""
+    points = [
+        Point(((1.0, 1.0), (-1.0, -1.0), (0.0, 1.0))),
+        Point(((-1.0, -1.0), (1.0, 1.0), (0.0, 1.0))),
+        Point(((1.0, 1.0), (-1.0, 0.0), (0.0, 1.0))),
+    ]
+    return reconstruct(Shape((2, 2, 2), (1, 1, 1)), [2.0, 1.0, -2.0], points)
+
+
+class TestSplitPools:
+    def test_shared_by_equal_shapes_and_read_only(self, tensor2):
+        splits = split_pools(tensor2.shape)
+        assert split_pools(Shape(tensor2.shape.dims, tensor2.shape.degrees)) is splits
+        cats = Catalecticants(build_moment_functional(tensor2))
+        blocks = [cats.block(i) for i in range(len(splits))]
+        for a in blocks + [a for s in splits for a in (s.rows, s.cols, s.codes)]:
+            with pytest.raises(ValueError):
+                a[...] = 0
+
+    @pytest.mark.parametrize("tol_rank", [DEFAULT_TOL_RANK, 0.0, 1.0])
+    def test_blocks_and_ranks_match_catalecticant(self, tensor1, tensor2, tol_rank):
+        wide = Shape((30,), (2,))  # codes past 63 bits: object dtype
+        values = np.random.default_rng(5).normal(size=len(wide.table.exps))
+        tensors = [tensor1, tensor2, Polynomial.from_vector(wide, values)]
+        assert wide.variable_codes.dtype == object
+        for T in tensors:
+            lam = build_moment_functional(T)
+            cats = Catalecticants(lam, tol_rank)
+            assert [(s.col_bounds, s.row_bounds) for s in cats.splits] == (
+                degree_splits(T.shape)
+            )
+            for i, split in enumerate(cats.splits):
+                A, rows, cols = catalecticant(lam, split.row_bounds, split.col_bounds)
+                assert np.array_equal(split.rows, rows)
+                assert np.array_equal(split.cols, cols)
+                assert cats.block(i).dtype == A.dtype
+                assert np.array_equal(cats.block(i), A)
+                assert cats.rank(i) == numerical_rank(A, tol_rank)
+
+    @pytest.mark.parametrize(
+        "A",
+        [[[0.0, 0.0, 0.0]], [[0.0], [2.5]], [[1e-300, -1e300]], [[np.inf, 1.0]]],
+    )
+    @pytest.mark.parametrize("tol_rank", [DEFAULT_TOL_RANK, 0.0, 0.5, 1.0, 2.0])
+    def test_single_row_or_column_rank(self, A, tol_rank):
+        A = np.array(A)
+        assert _block_rank(A, tol_rank) == numerical_rank(A, tol_rank)
+        assert _block_rank(A.T, tol_rank) == numerical_rank(A.T, tol_rank)
+
+    def test_single_row_with_nan_still_factored(self):
+        A = np.array([[np.nan, 1.0]])
+        with pytest.raises(np.linalg.LinAlgError):
+            numerical_rank(A)
+        with pytest.raises(np.linalg.LinAlgError):
+            _block_rank(A, DEFAULT_TOL_RANK)
+
+
 class TestSelectBases:
+    def test_shared_catalecticants_yield_the_same_pairs(self, tensor1, tensor2):
+        for T in (tensor1, tensor2, sparse_hard_input()):
+            lam = build_moment_functional(T)
+            cats = Catalecticants(lam)
+            r = cats.flattening_rank()
+            shared = [
+                (B.names(), Bp.names())
+                for B, Bp in select_bases_candidates(lam, r, DEFAULT_TOL_RANK, cats)
+            ]
+            fresh = [
+                (B.names(), Bp.names()) for B, Bp in select_bases_candidates(lam, r)
+            ]
+            assert shared and shared == fresh
+        assert cats.splits[0].codes.shape == (1, 27)
+        assert min(cats.splits[1].codes.shape) > cats.rank(1) == 1 < r == 2
+
+    def test_catalecticants_of_another_functional_or_tolerance_raise(self, tensor1):
+        lam = build_moment_functional(tensor1)
+        other = Catalecticants(build_moment_functional(tensor1))
+        for tol_rank, cats in [(DEFAULT_TOL_RANK, other), (1e-6, Catalecticants(lam))]:
+            with pytest.raises(ValueError):
+                next(select_bases_candidates(lam, 4, tol_rank, cats))
+
+
     def test_demo_rank4(self, tensor1, shape1):
         lam = build_moment_functional(tensor1)
         B, Bp = next(select_bases_candidates(lam, 4))
