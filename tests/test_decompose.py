@@ -291,6 +291,22 @@ class TestVerify:
         assert res == pytest.approx(0.1 * norm_b / norm_t, rel=1e-9)
 
 
+class TestTermOrder:
+    def test_canonical_whatever_the_input_order(self, tensor1, shape1, points1):
+        # the four weights of example1 agree up to rounding noise, so the
+        # points decide; any input order comes out the same
+        noise = [1e-12, -3e-13, 0.0, 2e-11]
+        terms = [(1.0 + e, p) for e, p in zip(noise, points1)]
+        orders = []
+        for perm in ([0, 1, 2, 3], [3, 1, 0, 2], [2, 3, 1, 0]):
+            dec = Decomposition(shape1, [terms[i] for i in perm], 0.0)
+            out = decompose_module._accept(dec, tensor1, 1e-6, "verify", "residual")
+            orders.append([p.coords for _, p in out.terms])
+        assert orders[0] == orders[1] == orders[2]
+        firsts = [c[0][0] for c in orders[0]]
+        assert firsts == sorted(firsts)
+
+
 class TestDecompose:
     def test_rank_one_exact(self):
         rng = np.random.default_rng(9)
