@@ -29,7 +29,10 @@ extra calls, is solved whole.  A tall pass whose full rank a lower bound on
 its smallest singular value proves against that same threshold (the last
 pass of every flat instance) skips the factorizations: it is solved through
 the Cholesky factor of X^H X with one refinement step, and every relation
-it touches is determined, as the truncated SVD would find.
+it touches is determined, as the truncated SVD would find.  The factor is
+inverted by recursive 2 x 2 blocks, matrix products around LU inverses of
+diagonal blocks of at most 64, with a rounding bound that keeps the lower
+bound a proof.
 
 The monomial bookkeeping is index arithmetic on exponent rows and their
 codes, done once per propagator: the targets (the border of B) are an
@@ -41,7 +44,11 @@ a known mask; and the syzygy pairs are screened all at once on the targets'
 exponent matrix.  Each pass builds the syzygy rows of all pairs at once
 through the shift table: the constant side of every pair, and its
 coefficient blocks (a scalar times the identity for a resolved tail meeting
-an unresolved target, the shift matrix of an unresolved target).  The
+an unresolved target, the shift matrix of an unresolved target), the two
+sides of a pair summed into one r x r block per unresolved target it
+meets.  The pass's system is written once: the moment rows and the nonzero
+rows of those blocks go straight into one zero array, and the blocks they
+touch are the incidence that splits the system into components.  The
 multiplication tables read the same reduction table.  The completed
 moments are added by code, in two batches.  ``Monomial`` objects appear
 only where results leave (the leads of the returned relations, the names in
@@ -168,6 +175,54 @@ def _truncated(R_x, c, U, s, Vt, cutoff: float):
 # bounds (Higham, Accuracy and Stability of Numerical Algorithms, sec. 3.5
 # and ch. 10) have constants near 1/2 and 1
 _GRAM_ROUNDING = 4.0
+# the largest diagonal block that _inverse_lower hands to np.linalg.inv
+_LEAF = 64
+
+
+def _inverse_lower(L: np.ndarray):
+    """The inverse of the lower-triangular L by recursive 2 x 2 blocks
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., sec.
+    14.2.2; Du Croz and Higham, IMA J. Numer. Anal. 12, 1992): X11 and X22
+    invert the diagonal blocks and X21 = -X22 (L21 X11), two matrix products,
+    about 2n^3/3 multiply-adds where the LU-based np.linalg.inv takes 2n^3.
+    A block of at most _LEAF rows goes to np.linalg.inv, so that an L of
+    that size gets the same inverse as from np.linalg.inv itself.
+
+    Returns the computed inverse Y, a bound e on ||Y - L^-1||_F, and
+    ||Y||_F^2.  A leaf's e is _GRAM_ROUNDING * k * eps * ||L||_F * ||Y||_F^2
+    (k rows, the LU bound that _certified assumed before blocking).  A
+    product's rounding is at most gamma_k |A| |B| for inner size k (Higham
+    sec. 3.5, eq. 3.13), taken as k * eps, and to first order
+    Y21 - X21 = -E22 L21 Y11 - X22 L21 E11 plus that rounding, where E11 and
+    E22 are the errors of the diagonal blocks and ||X22||_F <= ||Y22||_F +
+    e22; so e21 = ||L21||_F (e22 ||Y11|| + (||Y22|| + e22) e11 + n eps
+    ||Y22|| ||Y11||) in Frobenius norms, and e the root of e11^2 + e22^2 +
+    e21^2.  The bound compounds with the depth of the recursion; it is far
+    above the error actually made, and only needs to stay small next to
+    ||Y||_F.
+    """
+    n = len(L)
+    eps = np.finfo(float).eps
+    if n <= _LEAF:
+        Y = np.linalg.inv(L)
+        sq = float(np.sum(np.abs(Y) ** 2))
+        return Y, _GRAM_ROUNDING * n * eps * float(np.linalg.norm(L)) * sq, sq
+    h = n // 2
+    Y11, e11, sq11 = _inverse_lower(L[:h, :h])
+    Y22, e22, sq22 = _inverse_lower(L[h:, h:])
+    L21 = L[h:, :h]
+    Y = np.zeros_like(L)
+    Y[:h, :h] = Y11
+    Y[h:, h:] = Y22
+    Y21 = Y[h:, :h]
+    np.matmul(Y22, L21 @ Y11, out=Y21)
+    np.negative(Y21, out=Y21)
+    y11, y22 = np.sqrt(sq11), np.sqrt(sq22)
+    e21 = float(np.linalg.norm(L21)) * (
+        e22 * y11 + (y22 + e22) * e11 + n * eps * y22 * y11
+    )
+    sq = sq11 + sq22 + float(np.sum(np.abs(Y21) ** 2))
+    return Y, float(np.sqrt(e11**2 + e22**2 + e21**2)), sq
 
 
 def _certified(X: np.ndarray, b: np.ndarray, cutoff_scale: float):
@@ -175,16 +230,17 @@ def _certified(X: np.ndarray, b: np.ndarray, cutoff_scale: float):
     when a lower bound on sigma_min(X) proves full rank; else None.
 
     L L^H equals X^H X up to E with ||E||_2 <= _GRAM_ROUNDING * (m + n) *
-    eps * ||X||_F^2, so sigma_min(X)^2 >= 1 / ||L^-1||_F^2 - that margin,
-    with ||L^-1||_F taken from the computed inverse and enlarged by its
-    rounding.  The solve is certified when this bound exceeds the square of
-    the QR path's cutoff ``cutoff_scale * sigma_max``, with ||X||_F >=
-    sigma_max in its place: the truncated SVD would keep every singular
-    value, so the rank is n and every unknown is determined.  The solution
-    takes one step of refinement against the true residual b - X x (the
-    corrected semi-normal equations of Bjorck, Numerical Methods for Least
-    Squares Problems).  Returns x, the residual norm and the bound on
-    sigma_min(X).
+    eps * ||X||_F^2, so sigma_min(X)^2 >= 1 / ||L^-1||_F^2 - that margin.
+    ||L^-1||_F is at most ||Y||_F + e for the computed inverse Y and its
+    error bound e from _inverse_lower; a bound e not below ||Y||_F / 2 says
+    too little for a first-order argument and refuses.  The solve is
+    certified when the bound on sigma_min(X)^2 exceeds the square of the QR
+    path's cutoff ``cutoff_scale * sigma_max``, with ||X||_F >= sigma_max in
+    its place: the truncated SVD would keep every singular value, so the
+    rank is n and every unknown is determined.  The solution takes one step
+    of refinement against the true residual b - X x (the corrected
+    semi-normal equations of Bjorck, Numerical Methods for Least Squares
+    Problems).  Returns x, the residual norm and the bound on sigma_min(X).
     """
     m, n = X.shape
     Xh = X.conj().T
@@ -200,11 +256,10 @@ def _certified(X: np.ndarray, b: np.ndarray, cutoff_scale: float):
     # sigma_min(L) <= min |L_ii|: a small pivot refuses before the inverse
     if np.min(np.abs(np.diagonal(L))) ** 2 - margin <= floor:
         return None
-    L_inv = np.linalg.inv(L)
-    inv_sq = float(np.sum(np.abs(L_inv) ** 2))
-    slack = 1.0 + _GRAM_ROUNDING * n * eps * np.sqrt(frob_sq * inv_sq)
+    L_inv, err, inv_sq = _inverse_lower(L)
+    slack = 1.0 + err / np.sqrt(inv_sq)
     bound = 1.0 / (inv_sq * slack**2) - margin
-    if bound <= floor:
+    if slack >= 1.5 or bound <= floor:
         return None
 
     def solve(rhs):
@@ -239,11 +294,14 @@ def _parts(label, row_label, n_rows, n_cols, r: int):
     return parts, np.flatnonzero(row_label < 0)
 
 
-def _least_squares(X: np.ndarray, b: np.ndarray, size: int, r: int):
+def _least_squares(
+    X: np.ndarray, b: np.ndarray, size: int, r: int, nz: np.ndarray
+):
     """Least squares of X x = b: a certified full-rank solve when X is tall
     and provably of full numerical rank, else the truncated SVD through the
     R factor of [X | b], one connected component of X's r-column blocks at
-    a time.
+    a time.  ``nz[row, block]`` tells whether the row has a nonzero in that
+    block of r columns.
 
     The rank threshold is global, ``size * eps * 100`` times the largest
     singular value of X, where ``size`` is the larger dimension of the
@@ -265,9 +323,6 @@ def _least_squares(X: np.ndarray, b: np.ndarray, size: int, r: int):
     on sigma_min(X) (None on the truncated-SVD path).
     """
     m, n = X.shape
-    nz = X[:, ::r] != 0
-    for s in range(1, r):
-        nz |= X[:, s::r] != 0
     label = _components(nz)
     # a row touches one component, the one of its first nonzero block
     row_label = np.where(nz.any(axis=1), label[nz.argmax(axis=1)], -1)
@@ -408,7 +463,7 @@ class _Propagator:
 
     # --- equation harvesting ---------------------------------------------
 
-    def _moment_equations(self):
+    def _moment_equations(self, table, known):
         """Pair every target with every fully known row, placeholders
         projected out.
 
@@ -421,29 +476,30 @@ class _Propagator:
         subtracting the mean of each placeholder's group of rows is the
         orthogonal projection that removes the placeholders.  It keeps the
         least-squares residual and the row space over the coefficients.
+        ``table`` and ``known`` are the pass's reduction table (_table),
+        whose slots tell which targets are resolved and hold their tails.
 
-        Returns the projected rows over the coefficients of the unresolved
-        targets (block k*r:(k+1)*r for the k-th in target order), their
-        right-hand sides, and the row count, squared right-hand-side norm and
+        Returns the right-hand sides of the projected rows; ``write(out)``,
+        which writes the rows over the coefficients of the unresolved
+        targets into the zero array ``out`` (one row each, block k for the
+        k-th in target order, r columns each) and returns which blocks each
+        row touches; and the row count, squared right-hand-side norm and
         placeholder count of the system before projection.
         """
         r, dtype = self.r, self.dtype
-        solved = np.array([tail is not None for tail in self.tails], dtype=bool)
+        solved = known[r:]
         res_t, unr_t = np.flatnonzero(solved), np.flatnonzero(~solved)
         n_unres = len(unr_t)
-        tails = np.zeros((len(res_t), r), dtype=dtype)
-        for i, t in enumerate(res_t):
-            tails[i] = self.tails[t]
+        tails = table[r + res_t]
         pred = tails @ self.rows.T
-        known = self.prod_place[res_t] < 0
-        if known.any():
-            data = self.prod_data[res_t][known]
-            gap = np.abs(data - pred[known]) / np.maximum(1.0, np.abs(data))
+        measured = self.prod_place[res_t] < 0
+        if measured.any():
+            data = self.prod_data[res_t][measured]
+            gap = np.abs(data - pred[measured]) / np.maximum(1.0, np.abs(data))
             self.inconsistency = max(self.inconsistency, float(gap.max()))
 
         k_d, q_d = np.nonzero(self.prod_place[unr_t] < 0)
-        X_data = np.zeros((len(k_d), n_unres, r), dtype=dtype)
-        X_data[np.arange(len(k_d)), k_d] = self.rows[q_d]
+        n_d = len(k_d)
         b_data = self.prod_data[unr_t[k_d], q_d]
 
         place_u = self.prod_place[unr_t]
@@ -454,26 +510,35 @@ class _Propagator:
         b_place = np.concatenate(
             [np.zeros(n_u, dtype=dtype), pred[t_r, q_r]]
         )
-        ids, group = np.unique(
-            np.concatenate([place_u[k_u, q_u], place_r[t_r, q_r]]),
-            return_inverse=True,
-        )
-        count = np.bincount(group, minlength=len(ids))
-        x_sum = np.zeros((len(ids), n_unres, r), dtype=dtype)
+        # the placeholders met, numbered in increasing order of their ids
+        places = np.concatenate([place_u[k_u, q_u], place_r[t_r, q_r]])
+        count = np.bincount(places)
+        met = count > 0
+        group = (np.cumsum(met) - 1)[places]
+        count = count[met]
+        x_sum = np.zeros((len(count), n_unres, r), dtype=dtype)
         np.add.at(x_sum, (group[:n_u], k_u), -self.rows[q_u])
-        b_sum = np.zeros(len(ids), dtype=dtype)
+        b_sum = np.zeros(len(count), dtype=dtype)
         np.add.at(b_sum, group, b_place)
-        X_place = -(x_sum / count[:, None, None])[group]
-        X_place[np.arange(n_u), k_u] -= self.rows[q_u]
+        mean = x_sum / count[:, None, None]
         b_proj = b_place - b_sum[group] / count[group]
         # a placeholder met once is free: its row projects to zero
         shared = count[group] > 1
+        # the unresolved targets' own rows among the shared ones
+        own = shared[:n_u]
+        own_row = np.cumsum(own)[own] - 1
 
-        X = np.concatenate([X_data, X_place[shared]]).reshape(-1, n_unres * r)
+        def write(out):
+            out[np.arange(n_d), k_d] = self.rows[q_d]
+            place = out[n_d:]
+            place[:] = -mean[group[shared]]
+            place[own_row, k_u[own]] -= self.rows[q_u[own]]
+            return out.any(axis=2)
+
         b = np.concatenate([b_data, b_proj[shared]])
-        n_raw = len(k_d) + len(group)
+        n_raw = n_d + len(group)
         b_raw_sq = float(np.sum(np.abs(b_data) ** 2) + np.sum(np.abs(b_place) ** 2))
-        return X, b, n_raw, b_raw_sq, len(ids)
+        return b, write, n_raw, b_raw_sq, len(count)
 
     def _syzygy_pairs(self, exps: np.ndarray) -> np.ndarray:
         """Target pairs, rows (t1, t2, v1, v2) with lcm = x_v1 * m_t1 =
@@ -533,13 +598,25 @@ class _Propagator:
         ])
         return const, ok, (entry, where, mats)
 
-    def _syzygy_equations(self, unresolved: list[int]):
+    def _syzygy_equations(self, table, known):
         """Rows equating the two reductions of each pair's lcm, over the
-        coefficient blocks of the unresolved targets (block k for the
-        target ``unresolved[k]``).  A pair whose sides are both constant
-        is a consistency check."""
+        coefficient blocks of the unresolved targets (block k for the k-th
+        in target order), given the pass's reduction table (_table).  A pair
+        whose sides are both constant is a consistency check, and so is a
+        row that comes out all zero.
+
+        A pair with a linear side gives r rows, one per coordinate over B,
+        and meets each block through at most one matrix per side: its r x r
+        block is side 1's matrix less side 2's, summed in that order into
+        zeros, which gives the same rows to the bit as a dense scatter of
+        each side.  Returns the right-hand sides of the rows that are not
+        all zero, in pair order, and ``write(out)``, which writes those rows
+        into the zero array ``out`` (one row each, r columns per block) and
+        returns which blocks each row touches.
+        """
         r, dtype = self.r, self.dtype
-        table, known = self._table()
+        unresolved = np.flatnonzero(~known[r:])
+        n_unres = len(unresolved)
         n_pairs = len(self.syzygy_pairs)
         t1, t2, v1, v2 = self.syzygy_pairs.T
         # both sides in one batch: side 1 of pair p is entry p, side 2 is
@@ -561,18 +638,39 @@ class _Propagator:
             self.inconsistency = max(self.inconsistency, float(gap.max()))
         rows = ok & linear
         row_of = np.cumsum(rows) - 1
+        n_rows = int(row_of[-1]) + 1 if n_pairs else 0
         block_of = np.full(len(table), -1)
-        block_of[r + np.asarray(unresolved, dtype=np.int64)] = np.arange(len(unresolved))
-        X = np.zeros((rows.sum(), r, len(unresolved), r), dtype=dtype)
-        for side, sign in ((False, 1), (True, -1)):
-            use = rows[pair] & (second == side)
-            X[row_of[pair[use]], :, block_of[where[use]], :] += sign * mats[use]
-        X = X.reshape(-1, len(unresolved) * r)
+        block_of[r + unresolved] = np.arange(n_unres)
+        use = rows[pair]
+        # one r x r block per (row, block) met, in row-major order
+        key = row_of[pair] * n_unres + block_of[where]
+        met = np.zeros(n_rows * n_unres, dtype=np.int64)
+        met[key[use]] = 1
+        slot = np.cumsum(met) - 1
+        cells = np.flatnonzero(met)
+        blocks = np.zeros((len(cells), r, r), dtype=dtype)
+        first, later = use & ~second, use & second
+        blocks[slot[key[first]]] += mats[first]
+        blocks[slot[key[later]]] -= mats[later]
+        # the nonzero rows of the blocks: row i of a block in row p of pairs
+        # is row p * r + i before the all-zero rows are dropped
+        k, i = np.nonzero(blocks.any(axis=2))
+        row, block = np.divmod(cells[k], n_unres)
+        flat = row * r + i
+        used = np.zeros(n_rows * r, dtype=bool)
+        used[flat] = True
         b = (c2[rows] - c1[rows]).ravel()
-        used = X.any(axis=1)
         if not used.all():
             self.inconsistency = max(self.inconsistency, float(np.abs(b[~used]).max()))
-        return X[used], b[used]
+        at = (np.cumsum(used) - 1)[flat]
+
+        def write(out):
+            out[at, block] = blocks[k, i]
+            nz = np.zeros(out.shape[:2], dtype=bool)
+            nz[at, block] = True
+            return nz
+
+        return b[used], write
 
     # --- main loop --------------------------------------------------------
 
@@ -590,22 +688,28 @@ class _Propagator:
         self.resolve_direct()
         r = self.r
         for _ in range(len(self.targets) + 1):
-            unresolved = [t for t, tail in enumerate(self.tails) if tail is None]
-            if not unresolved:
+            table, known = self._table()
+            unresolved = np.flatnonzero(~known[r:])
+            if not len(unresolved):
                 break
-            X_m, b_m, n_raw, b_raw_sq, n_places = self._moment_equations()
-            X_s, b_s = self._syzygy_equations(unresolved)
+            b_m, write_m, n_raw, b_raw_sq, n_places = self._moment_equations(
+                table, known
+            )
+            b_s, write_s = self._syzygy_equations(table, known)
             n_raw += len(b_s)
             if not n_raw:
                 self.nullity = len(unresolved) * r
                 self.components, self.largest_component = len(unresolved), r
                 self.solve = self.sigma_min_bound = None
                 break
-            X = np.concatenate([X_m, X_s])
+            # the moment rows and then the syzygy rows, each written once
+            n_m = len(b_m)
             b = np.concatenate([b_m, b_s])
-            del X_m, X_s  # the solve copies X; keep at most two copies alive
+            X = np.zeros((len(b), len(unresolved), r), dtype=self.dtype)
+            nz = np.concatenate([write_m(X[:n_m]), write_s(X[n_m:])])
+            X = X.reshape(len(b), -1)
             size = max(n_raw, X.shape[1] + n_places)
-            x, resid, freedom, rank, sizes, bound = _least_squares(X, b, size, r)
+            x, resid, freedom, rank, sizes, bound = _least_squares(X, b, size, r, nz)
             self.solve = "qr_svd" if bound is None else "certified"
             self.sigma_min_bound = bound
             self.nullity = X.shape[1] - rank
@@ -618,7 +722,7 @@ class _Propagator:
             if self.inconsistency > self.tol:
                 return "inconsistent"
             progress = False
-            for k, t in enumerate(unresolved):
+            for k, t in enumerate(unresolved.tolist()):
                 block = slice(k * r, (k + 1) * r)
                 if freedom[block].max() > _NULLSPACE_TOL:
                     continue

@@ -27,8 +27,10 @@ from tdec.algebra import (
 )
 from tdec.eigen import family_from_functional
 from tdec.extension import (
+    _LEAF,
     _NULLSPACE_TOL,
     DEFAULT_TOL_EXTEND,
+    _inverse_lower,
     _least_squares,
     _normal_forms,
     _Propagator,
@@ -330,6 +332,66 @@ class TestNormalForms:
         assert known.any() and not known.all()
 
 
+def block_incidence(X, r):
+    """Per row and block of r columns, whether the row has a nonzero there:
+    the scan of the dense system that the assembly's incidence replaces."""
+    nz = X[:, ::r] != 0
+    for s in range(1, r):
+        nz |= X[:, s::r] != 0
+    return nz
+
+
+def syzygy_rows(prop, unresolved):
+    """The syzygy rows of a propagator as the fixpoint writes them: X, b and
+    the block incidence that the write returns."""
+    b, write = prop._syzygy_equations(*prop._table())
+    X = np.zeros((len(b), len(unresolved), prop.r), dtype=prop.dtype)
+    nz = write(X)
+    return X.reshape(len(b), -1), b, nz
+
+
+def dense_syzygy_equations(prop, unresolved):
+    """The syzygy rows by a dense scatter: every pair's r rows in one zero
+    array, side 1 added and side 2 subtracted block by block, then the
+    all-zero rows dropped.  Returns X, b and the largest inconsistency met;
+    the reference for the block assembly, as memo_normal_forms is for the
+    stacked normal forms."""
+    r, dtype = prop.r, prop.dtype
+    inconsistency = 0.0
+    table, known = prop._table()
+    n_pairs = len(prop.syzygy_pairs)
+    t1, t2, v1, v2 = prop.syzygy_pairs.T
+    const, ok, (entry, where, mats) = prop._sides(
+        np.concatenate([t1, t2]), np.concatenate([v1, v2]), table, known
+    )
+    c1, c2 = const[:n_pairs], const[n_pairs:]
+    ok = ok[:n_pairs] & ok[n_pairs:]
+    second = entry >= n_pairs
+    pair = entry - n_pairs * second
+    linear = np.zeros(n_pairs, dtype=bool)
+    linear[pair] = True
+    check = ok & ~linear
+    if check.any():
+        d1, d2 = c1[check], c2[check]
+        scale = np.maximum(np.linalg.norm(d1, axis=1), np.linalg.norm(d2, axis=1))
+        gap = np.linalg.norm(d1 - d2, axis=1) / np.maximum(1.0, scale)
+        inconsistency = max(inconsistency, float(gap.max()))
+    rows = ok & linear
+    row_of = np.cumsum(rows) - 1
+    block_of = np.full(len(table), -1)
+    block_of[r + np.asarray(unresolved, dtype=np.int64)] = np.arange(len(unresolved))
+    X = np.zeros((rows.sum(), r, len(unresolved), r), dtype=dtype)
+    for side, sign in ((False, 1), (True, -1)):
+        use = rows[pair] & (second == side)
+        X[row_of[pair[use]], :, block_of[where[use]], :] += sign * mats[use]
+    X = X.reshape(-1, len(unresolved) * r)
+    b = (c2[rows] - c1[rows]).ravel()
+    used = X.any(axis=1)
+    if not used.all():
+        inconsistency = max(inconsistency, float(np.abs(b[~used]).max()))
+    return X[used], b[used], inconsistency
+
+
 def dense_svd_run(prop, reverse=False):
     """Reference fixpoint: every placeholder kept as a column of one dense
     system, solved by a full SVD of that system on every pass.  ``reverse``
@@ -359,7 +421,7 @@ def dense_svd_run(prop, reverse=False):
                     a[n_x + place] = -1.0 if tail is None else 1.0
                 A.append(a)
                 b.append(data if place < 0 else 0.0 if tail is None else row @ tail)
-        X_s, b_s = prop._syzygy_equations(unresolved)
+        X_s, b_s, _ = syzygy_rows(prop, unresolved)
         A = np.vstack(A + [np.hstack([X_s, np.zeros((len(X_s), n_places))])])
         b = np.concatenate([b, b_s])
         if reverse:
@@ -551,7 +613,8 @@ class TestComponentSolve:
         X, b, r = block_system(np.random.default_rng(seed), dtype)
         size = max(X.shape)
         calls = count_calls(monkeypatch, "qr")
-        x, resid, freedom, rank, sizes, _ = _least_squares(X, b, size, r)
+        nz = block_incidence(X, r)
+        x, resid, freedom, rank, sizes, _ = _least_squares(X, b, size, r, nz)
         monkeypatch.undo()
         assert calls == {"qr": 4}  # one factorization per component with rows
         x_d, resid_d, freedom_d, rank_d = dense_least_squares(X, b, size)
@@ -578,7 +641,8 @@ class TestComponentSolve:
             X[:6, 3:] = X[6:, :3] = 0.0
         X[:, 5] = X[:, 4]
         calls = count_calls(monkeypatch, "qr")
-        x, resid, freedom, rank, sizes, bound = _least_squares(X, b, 12, 3)
+        nz = block_incidence(X, 3)
+        x, resid, freedom, rank, sizes, bound = _least_squares(X, b, 12, 3, nz)
         monkeypatch.undo()
         x_d, resid_d, freedom_d, rank_d = dense_least_squares(X, b, 12)
         assert calls == {"qr": 1}
@@ -601,7 +665,8 @@ class TestComponentSolve:
             rng.normal(size=(200, 28)) @ rng.normal(size=(28, 40)),
         ])
         b = rng.normal(size=200)
-        _, _, freedom, rank, _, bound = _least_squares(X, b, 200, 10)
+        nz = block_incidence(X, 10)
+        _, _, freedom, rank, _, bound = _least_squares(X, b, 200, 10, nz)
         _, _, freedom_d, rank_d = dense_least_squares(X, b, 200)
         assert bound is None
         assert rank == rank_d == 58
@@ -623,7 +688,8 @@ class TestCertifiedSolve:
             X = X + 1j * rng.normal(size=X.shape)
             b = b + 1j * rng.normal(size=b.shape)
         calls = count_calls(monkeypatch, "qr", "svd")
-        x, resid, freedom, rank, sizes, bound = _least_squares(X, b, 240, 4)
+        nz = block_incidence(X, 4)
+        x, resid, freedom, rank, sizes, bound = _least_squares(X, b, 240, 4, nz)
         monkeypatch.undo()
         assert calls == {"qr": 0, "svd": 0}
         x_d, resid_d, _, rank_d = dense_least_squares(X, b, 240)
@@ -634,11 +700,40 @@ class TestCertifiedSolve:
         assert np.linalg.norm(x - x_d) <= 1e-12 * np.linalg.norm(x_d)
         assert abs(resid - resid_d) <= 1e-12 * resid_d
 
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_above_the_leaf_size(self, dtype, monkeypatch):
+        # 130 columns: the inverse of the Cholesky factor is blocked, with
+        # np.linalg.inv on diagonal blocks of at most _LEAF only
+        rng = np.random.default_rng(11)
+        X, b = rng.normal(size=(300, 130)), rng.normal(size=300)
+        if dtype is complex:
+            X = X + 1j * rng.normal(size=X.shape)
+            b = b + 1j * rng.normal(size=b.shape)
+        inverted = []
+        inv = np.linalg.inv
+        monkeypatch.setattr(
+            np.linalg, "inv", lambda a: inverted.append(len(a)) or inv(a)
+        )
+        calls = count_calls(monkeypatch, "qr", "svd")
+        nz = block_incidence(X, 5)
+        x, resid, freedom, rank, sizes, bound = _least_squares(X, b, 300, 5, nz)
+        monkeypatch.undo()
+        assert calls == {"qr": 0, "svd": 0}
+        assert sorted(inverted) == [32, 32, 33, 33]
+        x_d, resid_d, _, rank_d = dense_least_squares(X, b, 300)
+        assert rank == rank_d == 130
+        assert not freedom.any()
+        s_min = np.linalg.svd(X, compute_uv=False)[-1]
+        assert isinstance(bound, float) and 0.0 < bound <= s_min
+        assert np.linalg.norm(x - x_d) <= 1e-12 * np.linalg.norm(x_d)
+        assert abs(resid - resid_d) <= 1e-12 * resid_d
+
     def fallback(self, X, b, size, monkeypatch):
         """Solve with _least_squares, check that it took one QR and decided
         as the dense reference, and return the rank and determined set."""
         calls = count_calls(monkeypatch, "qr")
-        x, resid, freedom, rank, sizes, bound = _least_squares(X, b, size, 3)
+        nz = block_incidence(X, 3)
+        x, resid, freedom, rank, sizes, bound = _least_squares(X, b, size, 3, nz)
         monkeypatch.undo()
         assert calls == {"qr": 1}
         assert bound is None
@@ -677,12 +772,79 @@ class TestCertifiedSolve:
         assert rank == 9 and not determined.any()
 
 
-class TestSyzygyHarvest:
-    """The array harvest of the syzygy rows equals the per-pair loop it
-    replaced."""
+class TestInverseLower:
+    """The blocked inverse of a Cholesky factor against np.linalg.inv, and
+    the error bound e that _certified's slack assumes: ||Y - L^-1||_F <= e,
+    so ||Y L - I||_F = ||(Y - L^-1) L||_F <= e ||L||_2."""
 
-    @pytest.fixture(params=["example1", "example2", "example2-mixed", "above-rank"])
+    @staticmethod
+    def factor(n, dtype, seed):
+        rng = np.random.default_rng(seed)
+        A = rng.normal(size=(2 * n, n))
+        if dtype is complex:
+            A = A + 1j * rng.normal(size=A.shape)
+        return np.linalg.cholesky(A.conj().T @ A)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("n", [65, 129, 448])
+    def test_against_the_lu_inverse(self, n, dtype):
+        L = self.factor(n, dtype, n)
+        Y, err, sq = _inverse_lower(L)
+        ref = np.linalg.inv(L)
+        eps = np.finfo(float).eps
+        ref_err = 4.0 * n * eps * np.linalg.norm(L) * np.linalg.norm(ref) ** 2
+        assert abs(sq - np.linalg.norm(Y) ** 2) <= 1e-12 * sq
+        assert np.linalg.norm(Y - ref) <= err + ref_err
+        residual = np.linalg.norm(Y @ L - np.eye(n))
+        assert residual <= err * np.linalg.norm(L, 2)
+        # as accurate as the LU inverse, and the bound small beside ||Y||_F
+        assert residual <= 2 * np.linalg.norm(ref @ L - np.eye(n))
+        assert err <= 1e-6 * np.sqrt(sq)
+
+    @pytest.mark.parametrize("n", [1, 30, _LEAF])
+    def test_leaf_is_the_lu_inverse(self, n):
+        L = self.factor(n, float, n)
+        Y, err, sq = _inverse_lower(L)
+        assert np.array_equal(Y, np.linalg.inv(L))
+
+
+def before_last_pass(lam, B, Bp):
+    """A propagator in the state of its last fixpoint pass: the relations
+    that the earlier passes resolved, and only those."""
+    tails = []
+
+    class Recording(_Propagator):
+        def _syzygy_equations(self, table, known):
+            tails.append(list(self.tails))
+            return super()._syzygy_equations(table, known)
+
+    Recording(lam, B, Bp, tol=1e-6).run()
+    prop = _Propagator(lam, B, Bp, tol=1e-6)
+    prop.tails = tails[-1]
+    return prop
+
+
+class TestSyzygyHarvest:
+    """The block assembly of the syzygy rows equals the dense scatter it
+    replaced to the bit, and the per-pair loop before that up to rounding."""
+
+    @pytest.fixture(
+        params=[
+            "example1", "example2", "example2-mixed", "above-rank",
+            "4x4x6-r6-last-pass",
+        ]
+    )
     def prop(self, request, ex2, tensor1, shape1):
+        if request.param == "4x4x6-r6-last-pass":
+            # the last pass of a generic 4x4x6 rank-6 completion, over 30
+            # of its 51 targets
+            rng = np.random.default_rng(2)
+            shape = Shape(dims=(3, 3, 5), degrees=(1, 1, 1))
+            pts = random_points(rng, shape, 6)
+            lam = build_moment_functional(
+                rank_one_expand(shape, rng.uniform(0.5, 2.0, 6), pts)
+            )
+            return before_last_pass(lam, *next(select_bases_candidates(lam, 6)))
         if request.param == "example1":
             lam = build_moment_functional(tensor1)
             args = lam, basis_of(shape1, gd.H1_B_COLS), basis_of(shape1, gd.H1_B_ROWS)
@@ -703,11 +865,23 @@ class TestSyzygyHarvest:
             prop.resolve_direct()
         return prop
 
+    def test_same_rows_as_the_dense_scatter(self, prop):
+        unresolved = [t for t, tail in enumerate(prop.tails) if tail is None]
+        assert unresolved
+        prop.inconsistency = 0.0
+        X, b, nz = syzygy_rows(prop, unresolved)
+        X_ref, b_ref, inconsistency = dense_syzygy_equations(prop, unresolved)
+        assert X.shape == X_ref.shape and X.shape[0] > 0
+        assert np.array_equal(X, X_ref)
+        assert np.array_equal(b, b_ref)
+        assert prop.inconsistency == inconsistency
+        assert np.array_equal(nz, block_incidence(X_ref, prop.r))
+
     def test_same_rows_as_the_pair_loop(self, prop):
         unresolved = [t for t, tail in enumerate(prop.tails) if tail is None]
         assert unresolved
         prop.inconsistency = 0.0
-        X, b = prop._syzygy_equations(unresolved)
+        X, b, _ = syzygy_rows(prop, unresolved)
         X_ref, b_ref, inconsistency = syzygy_reference(prop, unresolved)
         assert X.shape == X_ref.shape and X.shape[0] > 0
         np.testing.assert_allclose(X, X_ref, rtol=0, atol=1e-12)
