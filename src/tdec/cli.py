@@ -68,7 +68,6 @@ def cmd_decompose(args) -> int:
         seed=args.seed,
         reduce=args.reduce,
     )
-    bounds = rank_bounds(tf.tensor, args.tol_rank)
     started = time.monotonic()
     try:
         dec = decompose(tf.tensor, opts)
@@ -86,6 +85,9 @@ def cmd_decompose(args) -> int:
             )
         return 2
     elapsed_ms = int(1000 * (time.monotonic() - started))
+    # the flattening rank that decompose read, unless it decomposed an
+    # HOSVD-compressed core, whose bounds are not those of the input
+    bounds = rank_bounds(tf.tensor, args.tol_rank, dec.meta.get("lower_bound"))
     meta = {
         "seed": args.seed,
         "tolerances": {"tol_rank": args.tol_rank, "tol_resid": args.tol_resid},

@@ -151,7 +151,12 @@ def kruskal_bound(shape: Shape) -> int:
     return sum(n + 1 for n in shape.dims) // 2 - 1
 
 
-def rank_bounds(T: Polynomial, tol_rank: float = DEFAULT_TOL_RANK) -> RankBounds:
+def rank_bounds(
+    T: Polynomial, tol_rank: float = DEFAULT_TOL_RANK, lower: int | None = None
+) -> RankBounds:
+    """The rank bounds of T.  ``lower``, the flattening rank, is computed
+    unless given (a plain ``decompose`` reports it as
+    ``meta["lower_bound"]``)."""
     shape = T.shape
     multilinear = all(d == 1 for d in shape.degrees)
     try:
@@ -165,7 +170,7 @@ def rank_bounds(T: Polynomial, tol_rank: float = DEFAULT_TOL_RANK) -> RankBounds
     except UnsupportedShapeError:
         kruskal = None
     return RankBounds(
-        lower=rank_lower_bound(T, tol_rank),
+        lower=rank_lower_bound(T, tol_rank) if lower is None else lower,
         upper=upper,
         expected=expected_rank(shape),
         kruskal=kruskal,
@@ -471,7 +476,8 @@ def decompose(T: Polynomial, opts: DecomposeOptions | None = None) -> Decomposit
 
     rng = np.random.default_rng(opts.seed)
     cats = Catalecticants(build_moment_functional(T), opts.tol_rank)
-    lower = max(1, cats.flattening_rank())
+    flattening_rank = cats.flattening_rank()
+    lower = max(1, flattening_rank)
     max_rank = opts.max_rank if opts.max_rank is not None else default_max_rank(shape)
     if max_rank < lower:
         raise DecompositionError(
@@ -503,6 +509,7 @@ def decompose(T: Polynomial, opts: DecomposeOptions | None = None) -> Decomposit
                 rank=r,
                 seed=opts.seed,
                 coordinate_change_applied=mats is not None,
+                lower_bound=flattening_rank,
             )
             log.info("accepted r=%d residual %.2e", r, out.residual)
             return out
@@ -621,6 +628,8 @@ def _decompose_reduced(T: Polynomial, opts: DecomposeOptions) -> Decomposition:
             f"{out['detail']} above tolerance",
             report={**out, "compression_error": err},
         )
+    # the core's flattening rank is not a bound on the rank of T
+    del out.meta["lower_bound"]
     out.meta.update(
         reduced=True,
         multilinear_rank=ranks,

@@ -339,6 +339,14 @@ class TestDecompose:
                     or not flat_extension_check(ext.functional, B, Bp)
                 )
 
+    def test_meta_reports_the_flattening_rank(self, tensor2):
+        assert decompose(tensor2).meta["lower_bound"] == rank_lower_bound(tensor2) == 6
+        # an HOSVD-reduced run decomposed the core: no bound on T to report
+        rng = np.random.default_rng(4)
+        _, _, _, T = random_instance(rng, (3, 3, 3), (1, 1, 1), 2)
+        dec = decompose(T, DecomposeOptions(reduce=True))
+        assert dec.meta["reduced"] and "lower_bound" not in dec.meta
+
     def test_frame_zero_factors_each_split_once(self, monkeypatch, tensor2):
         # the lower bound and basis selection share one factorization per split
         calls = count_calls(monkeypatch, "_block_rank", owner=moment_module)

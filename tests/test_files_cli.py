@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 import os
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import tdec
-from conftest import near_collinear_tensor
+from conftest import count_calls, near_collinear_tensor
 from tdec.cli import main
 from tdec.files import (
     DecompositionFile,
@@ -193,6 +194,30 @@ class TestCli:
         want = json.loads((FIXTURES / f"{name}.dec.json").read_text())
         assert got["meta"] == want["meta"]
         assert_same_output(got, want)
+
+    def test_decompose_reads_each_split_once(self, tmp_path, monkeypatch):
+        # meta.bounds takes the flattening rank that decompose read: one
+        # factorization per degree split of example2 (8), not two per split
+        moment_module = importlib.import_module("tdec.moment")
+        calls = count_calls(monkeypatch, "_block_rank", owner=moment_module)
+        out = tmp_path / "dec.json"
+        assert self.run(
+            "decompose", "-i", FIXTURES / "example2.json", "-o", out, "--seed", 3
+        ) == 0
+        assert calls == {"_block_rank": 8}
+        want = json.loads((FIXTURES / "example2.dec.json").read_text())
+        assert json.loads(out.read_text())["meta"]["bounds"] == want["meta"]["bounds"]
+
+    def test_reduced_decompose_bounds_the_input(self, tmp_path):
+        # an HOSVD-compressed run reads the bounds of the input, not of the
+        # core it decomposed
+        tensor, bounds, out = (tmp_path / n for n in ("t.json", "b.json", "d.json"))
+        write_json(tensor, synthesize((3, 3, 3), (1, 1, 1), rank=2, seed=4)[0].to_obj())
+        assert self.run("bounds", "-i", tensor, "-o", bounds) == 0
+        assert self.run("decompose", "-i", tensor, "-o", out, "--reduce") == 0
+        meta = json.loads(out.read_text())["meta"]
+        assert meta["reduced"]
+        assert meta["bounds"] == json.loads(bounds.read_text())
 
     @pytest.mark.parametrize("name,seed", [("example1", 0), ("example2", 3)])
     def test_decompose_close_to_truth(self, tmp_path, name, seed):
