@@ -1,11 +1,15 @@
 #!/usr/bin/env python3
 """Paired benchmark runs of two checkouts, summarised in one JSON file.
 
-    python3 scripts/bench.py --parent PATH --change . --name 12 \\
+    python3 scripts/bench.py --parent REV_OR_PATH --change . --name 12 \\
         --workload flat-large small-mixed hard-inputs --pairs 5 --seed 31 --seconds 15
 
 Runs `perfbench/run.py --trace 0` (the end-to-end metrics) of the parent and
 of the change checkout, each from its own root, --pairs times per workload.
+--parent is a directory, or else a git revision of the change checkout's
+repository (such as HEAD~1), which is exported with `git archive` to a
+temporary directory, run there and removed afterwards; `revisions` then
+records its short hash.
 The side that runs first alternates from pair to pair, so that a drift in
 the host's speed falls on both sides alike.  Writes `BENCH_<name>.json` at
 the root of the change checkout (or at --out) with, per workload and metric,
@@ -21,11 +25,15 @@ workload, pair and the tail of its stderr.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
+import tarfile
+import tempfile
 
 WORKLOADS = ("flat-large", "small-mixed", "hard-inputs")
 STDERR_TAIL = 20  # lines of a failed run's stderr shown
@@ -59,6 +67,23 @@ def revision(root: str) -> str:
     return proc.stdout.strip() or "unknown"
 
 
+def export(repo: str, rev: str) -> tuple[str, str]:
+    """A temporary directory holding the tree of ``rev`` in the git
+    repository at ``repo``, and the revision's short hash."""
+    short = subprocess.run(
+        ["git", "rev-parse", "--short", "--verify", f"{rev}^{{commit}}"],
+        cwd=repo, capture_output=True, text=True, check=True,
+    ).stdout.strip()
+    tree = subprocess.run(
+        ["git", "archive", "--format=tar", short],
+        cwd=repo, capture_output=True, check=True,
+    ).stdout
+    root = tempfile.mkdtemp(prefix=f"bench-parent-{short}-")
+    with tarfile.open(fileobj=io.BytesIO(tree)) as tar:
+        tar.extractall(root, filter="data")
+    return root, short
+
+
 def compare(runs: dict, better: dict) -> dict:
     """Per metric, both sides' summaries and the paired comparison."""
     out = {}
@@ -83,7 +108,10 @@ def compare(runs: dict, better: dict) -> dict:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--parent", required=True, help="root of the parent checkout")
+    ap.add_argument(
+        "--parent", required=True,
+        help="root of the parent checkout, or a git revision of the change's",
+    )
     ap.add_argument("--change", default=".", help="root of the changed checkout")
     ap.add_argument("--name", required=True, help="writes BENCH_<name>.json")
     ap.add_argument("--workload", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
@@ -92,10 +120,28 @@ def main(argv=None) -> int:
     ap.add_argument("--seconds", type=float, default=15)
     ap.add_argument("--out", help="output path (default: in the change checkout)")
     args = ap.parse_args(argv)
-    roots = {
-        "parent": os.path.abspath(args.parent),
-        "change": os.path.abspath(args.change),
-    }
+    change = os.path.abspath(args.change)
+    if os.path.isdir(args.parent):
+        return measure(args, os.path.abspath(args.parent), change, None)
+    try:
+        parent, short = export(change, args.parent)
+    except subprocess.CalledProcessError:
+        print(
+            f"--parent {args.parent}: neither a directory nor a git revision "
+            f"of {change}",
+            file=sys.stderr,
+        )
+        return 1
+    try:
+        return measure(args, parent, change, short)
+    finally:
+        shutil.rmtree(parent)
+
+
+def measure(args, parent: str, change: str, parent_revision: str | None) -> int:
+    """The paired runs and the report; ``parent_revision`` names an exported
+    parent, whose directory has no git metadata."""
+    roots = {"parent": parent, "change": change}
     with open(os.path.join(roots["change"], "BENCHMARK.json"), encoding="utf-8") as fh:
         spec = json.load(fh)
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
@@ -140,7 +186,10 @@ def main(argv=None) -> int:
         "seed": args.seed,
         "seconds": args.seconds,
         "pairs": args.pairs,
-        "revisions": {side: revision(root) for side, root in roots.items()},
+        "revisions": {
+            "parent": parent_revision or revision(parent),
+            "change": revision(change),
+        },
         "nproc": os.cpu_count(),
         "blas_threads": {side: env.get("blas_threads") for side, env in environment.items()},
         "environment": environment,

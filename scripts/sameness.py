@@ -19,9 +19,10 @@ retries stopped for a refusal: it stays equal when only rounding moves.
 flat-large runs the CLI's library path: `decompose` with `reduce=True`,
 then `rank_bounds` of the full tensor, which takes the flattening rank
 that `decompose` reports unless it decomposed an HOSVD-compressed core;
-the other two run plain `decompose`, as the benchmark does.  BLAS is pinned to one thread, as in the benchmark,
-because the thread count moves the last bits of some results.  Run the same
-command in two checkouts and compare the lines.
+the other two run plain `decompose`, as the benchmark does.  BLAS is
+pinned to one thread, as in the benchmark, because the thread count moves
+the last bits of some results.  Run the same command in two checkouts and
+compare the lines.
 """
 
 from __future__ import annotations

@@ -464,7 +464,9 @@ def decompose(T: Polynomial, opts: DecomposeOptions | None = None) -> Decomposit
     Raises DecompositionError with the last failure when no attempt at the
     flattening rank produces simple roots and a small reconstruction
     residual; its report adds ``frames`` (frames tried, the input's own
-    included) and ``stop`` (why the retries ended).
+    included) and ``stop`` (why the retries ended).  The returned ``meta``
+    names the basis pair, the rank, the seed, whether the frame was changed
+    and ``lower_bound``, the flattening rank of T.
     """
     opts = opts or DecomposeOptions()
     shape = T.shape

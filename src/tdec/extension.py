@@ -479,12 +479,13 @@ class _Propagator:
         ``table`` and ``known`` are the pass's reduction table (_table),
         whose slots tell which targets are resolved and hold their tails.
 
-        Returns the right-hand sides of the projected rows; ``write(out)``,
-        which writes the rows over the coefficients of the unresolved
-        targets into the zero array ``out`` (one row each, block k for the
-        k-th in target order, r columns each) and returns which blocks each
-        row touches; and the row count, squared right-hand-side norm and
-        placeholder count of the system before projection.
+        Returns the right-hand sides of the projected rows; ``write(out,
+        touched)``, which writes the rows over the coefficients of the
+        unresolved targets into the zero array ``out`` (one row each, block k
+        for the k-th in target order, r columns each) and marks in
+        ``touched`` which blocks each row touches; and the row count,
+        squared right-hand-side norm and placeholder count of the system
+        before projection.
         """
         r, dtype = self.r, self.dtype
         solved = known[r:]
@@ -524,16 +525,16 @@ class _Propagator:
         b_proj = b_place - b_sum[group] / count[group]
         # a placeholder met once is free: its row projects to zero
         shared = count[group] > 1
-        # the unresolved targets' own rows among the shared ones
+        # the unresolved targets' own rows come first among the shared ones
         own = shared[:n_u]
-        own_row = np.cumsum(own)[own] - 1
+        own_row = np.arange(np.count_nonzero(own))
 
-        def write(out):
+        def write(out, touched):
             out[np.arange(n_d), k_d] = self.rows[q_d]
             place = out[n_d:]
             place[:] = -mean[group[shared]]
             place[own_row, k_u[own]] -= self.rows[q_u[own]]
-            return out.any(axis=2)
+            np.any(out, axis=2, out=touched)
 
         b = np.concatenate([b_data, b_proj[shared]])
         n_raw = n_d + len(group)
@@ -610,9 +611,10 @@ class _Propagator:
         block is side 1's matrix less side 2's, summed in that order into
         zeros, which gives the same rows to the bit as a dense scatter of
         each side.  Returns the right-hand sides of the rows that are not
-        all zero, in pair order, and ``write(out)``, which writes those rows
-        into the zero array ``out`` (one row each, r columns per block) and
-        returns which blocks each row touches.
+        all zero, in pair order, and ``write(out, touched)``, which writes
+        those rows into the zero array ``out`` (one row each, r columns per
+        block) and marks in the zero array ``touched`` which blocks each row
+        touches.
         """
         r, dtype = self.r, self.dtype
         unresolved = np.flatnonzero(~known[r:])
@@ -664,11 +666,9 @@ class _Propagator:
             self.inconsistency = max(self.inconsistency, float(np.abs(b[~used]).max()))
         at = (np.cumsum(used) - 1)[flat]
 
-        def write(out):
+        def write(out, touched):
             out[at, block] = blocks[k, i]
-            nz = np.zeros(out.shape[:2], dtype=bool)
-            nz[at, block] = True
-            return nz
+            touched[at, block] = True
 
         return b[used], write
 
@@ -706,7 +706,9 @@ class _Propagator:
             n_m = len(b_m)
             b = np.concatenate([b_m, b_s])
             X = np.zeros((len(b), len(unresolved), r), dtype=self.dtype)
-            nz = np.concatenate([write_m(X[:n_m]), write_s(X[n_m:])])
+            nz = np.zeros((len(b), len(unresolved)), dtype=bool)
+            write_m(X[:n_m], nz[:n_m])
+            write_s(X[n_m:], nz[n_m:])
             X = X.reshape(len(b), -1)
             size = max(n_raw, X.shape[1] + n_places)
             x, resid, freedom, rank, sizes, bound = _least_squares(X, b, size, r, nz)

@@ -346,7 +346,8 @@ def syzygy_rows(prop, unresolved):
     the block incidence that the write returns."""
     b, write = prop._syzygy_equations(*prop._table())
     X = np.zeros((len(b), len(unresolved), prop.r), dtype=prop.dtype)
-    nz = write(X)
+    nz = np.zeros((len(b), len(unresolved)), dtype=bool)
+    write(X, nz)
     return X.reshape(len(b), -1), b, nz
 
 
