@@ -798,9 +798,11 @@ class TestInverseLower:
         assert np.linalg.norm(Y - ref) <= err + ref_err
         residual = np.linalg.norm(Y @ L - np.eye(n))
         assert residual <= err * np.linalg.norm(L, 2)
-        # as accurate as the LU inverse, and the bound small beside ||Y||_F
+        # as accurate as the LU inverse; the bound compounds with the depth
+        # of the recursion (8e-7 of ||Y||_F at n = 448 here) but stays far
+        # below the ||Y||_F / 2 at which _certified refuses
         assert residual <= 2 * np.linalg.norm(ref @ L - np.eye(n))
-        assert err <= 1e-6 * np.sqrt(sq)
+        assert err <= 1e-5 * np.sqrt(sq)
 
     @pytest.mark.parametrize("n", [1, 30, _LEAF])
     def test_leaf_is_the_lu_inverse(self, n):
