@@ -566,36 +566,37 @@ def _undo_coordinate_change(dec: Decomposition, mats, T: Polynomial, tol_resid: 
     return _accept(out, T, tol_resid, "frame", "back-mapped residual")
 
 
-def _term_key(term, scale: float):
-    """Canonical term order: by weight (real part, then imaginary part),
-    then by point, the real parts of its coordinates before their imaginary
-    parts.  Numbers are compared on a grid of 1e-6 * ``scale`` (the largest
-    modulus in the decomposition, at least 1), so that rounding-level noise
-    does not decide between terms whose weights agree."""
-    w, p = term
-    values = np.array([w, *(x for c in p.coords for x in c)], dtype=complex)
-    grid = np.round(values / scale, 6)
-    return (grid[0].real, grid[0].imag, grid[1:].real.tolist(), grid[1:].imag.tolist())
+def _canonical_order(values: np.ndarray, scale: float) -> np.ndarray:
+    """The permutation that sorts terms by weight, then by point, each
+    number by its real part, then its imaginary part; row k of ``values``
+    holds the weight and then the coordinates of term k.  Numbers are
+    compared on a grid of 1e-6 * ``scale`` (the largest modulus in the
+    decomposition, at least 1), so that rounding-level noise does not
+    decide between terms whose weights agree."""
+    keys = np.rint(values.view(float) * (1e6 / scale))
+    # np.lexsort sorts by its last key first
+    return np.lexsort(keys.T[::-1])
 
 
 def _accept(dec: Decomposition, T: Polynomial, tol_resid: float, stage, label):
     """The one acceptance check of a returned decomposition.  When T is real
     and the imaginary parts of the terms are at most 1e-8 of their largest
     modulus (or of 1), the terms are made real.  The terms are put in
-    canonical order (_term_key), so that a rounding-level change does not
-    permute them, and the residual is then recomputed from the returned
+    canonical order (_canonical_order), so that a rounding-level change does
+    not permute them, and the residual is then recomputed from the returned
     terms.  Returns the decomposition when the residual is at most
     tol_resid, and otherwise the failure dict of ``stage``, its detail led
     by ``label``."""
     values = np.array(
-        [w for w, _ in dec.terms]
-        + [x for _, p in dec.terms for c in p.coords for x in c],
+        [[w, *(x for c in p.coords for x in c)] for w, p in dec.terms],
         dtype=complex,
     )
     scale = np.abs(values).max(initial=1.0)
     if T.is_real() and np.abs(values.imag).max(initial=0.0) <= 1e-8 * scale:
         dec.terms = [(complex(w).real, p.real()) for w, p in dec.terms]
-    dec.terms = sorted(dec.terms, key=lambda term: _term_key(term, scale))
+    # ordered on the values from before the terms were made real: the
+    # imaginary parts dropped lie below the grid of the order
+    dec.terms = [dec.terms[i] for i in _canonical_order(values, scale).tolist()]
     dec.residual = verify(T, dec)
     if np.isfinite(dec.residual) and dec.residual <= tol_resid:
         return dec

@@ -688,10 +688,10 @@ class _Propagator:
         self.resolve_direct()
         r = self.r
         for _ in range(len(self.targets) + 1):
-            table, known = self._table()
-            unresolved = np.flatnonzero(~known[r:])
-            if not len(unresolved):
+            unresolved = [t for t, tail in enumerate(self.tails) if tail is None]
+            if not unresolved:
                 break
+            table, known = self._table()
             b_m, write_m, n_raw, b_raw_sq, n_places = self._moment_equations(
                 table, known
             )
@@ -724,7 +724,7 @@ class _Propagator:
             if self.inconsistency > self.tol:
                 return "inconsistent"
             progress = False
-            for k, t in enumerate(unresolved.tolist()):
+            for k, t in enumerate(unresolved):
                 block = slice(k * r, (k + 1) * r)
                 if freedom[block].max() > _NULLSPACE_TOL:
                     continue
