@@ -343,7 +343,7 @@ def block_incidence(X, r):
 
 def syzygy_rows(prop, unresolved):
     """The syzygy rows of a propagator as the fixpoint writes them: X, b and
-    the block incidence that the write returns."""
+    the block incidence that the write marks."""
     b, write = prop._syzygy_equations(*prop._table())
     X = np.zeros((len(b), len(unresolved), prop.r), dtype=prop.dtype)
     nz = np.zeros((len(b), len(unresolved)), dtype=bool)
