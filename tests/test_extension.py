@@ -804,6 +804,25 @@ class TestInverseLower:
         assert residual <= 2 * np.linalg.norm(ref @ L - np.eye(n))
         assert err <= 1e-5 * np.sqrt(sq)
 
+    def test_bound_covers_an_ill_conditioned_factor(self):
+        # singular values of X spread over 1e0 .. 1e-6, so cond(L) = 1e6;
+        # the reference inverse comes from forward substitution in extended
+        # precision
+        n = 129
+        rng = np.random.default_rng(7)
+        Q1, _ = np.linalg.qr(rng.normal(size=(2 * n, n)))
+        Q2, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        X = (Q1 * np.logspace(0, -6, n)) @ Q2.T
+        L = np.linalg.cholesky(X.T @ X)
+        Y, err, sq = _inverse_lower(L)
+        exact = np.zeros((n, n), dtype=np.longdouble)
+        eye = np.eye(n, dtype=np.longdouble)
+        L_ext = L.astype(np.longdouble)
+        for i in range(n):
+            exact[i] = (eye[i] - L_ext[i, :i] @ exact[:i]) / L_ext[i, i]
+        assert np.linalg.norm((Y - exact).astype(float)) <= err
+        assert err <= 1e-3 * np.sqrt(sq)
+
     @pytest.mark.parametrize("n", [1, 30, _LEAF])
     def test_leaf_is_the_lu_inverse(self, n):
         L = self.factor(n, float, n)
