@@ -32,7 +32,8 @@ the Cholesky factor of X^H X with one refinement step, and every relation
 it touches is determined, as the truncated SVD would find.  The factor is
 inverted by recursive 2 x 2 blocks, matrix products around LU inverses of
 diagonal blocks of at most 64, with a rounding bound that keeps the lower
-bound a proof.
+bound a proof, or, where that bound is too loose, the computed residual of
+the inverse.
 
 The monomial bookkeeping is index arithmetic on exponent rows and their
 codes, done once per propagator: the targets (the border of B) are an
@@ -199,7 +200,8 @@ def _inverse_lower(L: np.ndarray):
     ||Y22|| ||Y11||) in Frobenius norms, and e the root of e11^2 + e22^2 +
     e21^2.  The bound compounds with the depth of the recursion; it is far
     above the error actually made, and only needs to stay small next to
-    ||Y||_F.
+    ||Y||_F.  Where it does not, _certified bounds ||L^-1|| from the
+    residual Y L - I instead.
     """
     n = len(L)
     eps = np.finfo(float).eps
@@ -233,7 +235,17 @@ def _certified(X: np.ndarray, b: np.ndarray, cutoff_scale: float):
     eps * ||X||_F^2, so sigma_min(X)^2 >= 1 / ||L^-1||_F^2 - that margin.
     ||L^-1||_F is at most ||Y||_F + e for the computed inverse Y and its
     error bound e from _inverse_lower; a bound e not below ||Y||_F / 2 says
-    too little for a first-order argument and refuses.  The solve is
+    too little for a first-order argument.  That bound compounds with the
+    depth of the recursion (on a 448-column factor of condition 2.6e4 it
+    exceeds ||Y||_F), so when it does not certify an L of more than _LEAF
+    rows, the residual R = Y L - I decides: L^-1 = (I + R)^-1 Y, so
+    ||L^-1||_F <= ||Y||_F / (1 - rho) for any rho >= ||R||_2 below 1.  rho
+    is the norm of the computed residual plus the rounding of the product,
+    at most gamma_n |Y| |L| (Higham sec. 3.5, eq. 3.13), taken as
+    _GRAM_ROUNDING * n * eps * ||Y||_F * ||L||_F, which leaves room for the
+    subtraction and the norms; rho not below 1/3 refuses.  This costs one
+    matrix product, a quarter of the LU-based np.linalg.inv, and does not
+    compound.  The solve is
     certified when the bound on sigma_min(X)^2 exceeds the square of the QR
     path's cutoff ``cutoff_scale * sigma_max``, with ||X||_F >= sigma_max in
     its place: the truncated SVD would keep every singular value, so the
@@ -259,6 +271,14 @@ def _certified(X: np.ndarray, b: np.ndarray, cutoff_scale: float):
     L_inv, err, inv_sq = _inverse_lower(L)
     slack = 1.0 + err / np.sqrt(inv_sq)
     bound = 1.0 / (inv_sq * slack**2) - margin
+    if (slack >= 1.5 or bound <= floor) and n > _LEAF:
+        R = L_inv @ L
+        R[np.diag_indices(n)] -= 1.0
+        rho = float(np.linalg.norm(R)) + _GRAM_ROUNDING * n * eps * float(
+            np.linalg.norm(L)
+        ) * np.sqrt(inv_sq)
+        slack = 1.0 / (1.0 - rho) if rho < 1.0 / 3.0 else np.inf
+        bound = 1.0 / (inv_sq * slack**2) - margin
     if slack >= 1.5 or bound <= floor:
         return None
 

@@ -729,6 +729,86 @@ class TestCertifiedSolve:
         assert np.linalg.norm(x - x_d) <= 1e-12 * np.linalg.norm(x_d)
         assert abs(resid - resid_d) <= 1e-12 * resid_d
 
+    @staticmethod
+    def loosen(monkeypatch):
+        """Make the blocked inverse's a-priori error bound ||Y||_F, too
+        loose to certify anything."""
+
+        def loose(L):
+            Y, err, sq = _inverse_lower(L)
+            return Y, np.sqrt(sq), sq
+
+        monkeypatch.setattr("tdec.extension._inverse_lower", loose)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_residual_certifies_when_the_blocked_bound_is_loose(
+        self, dtype, monkeypatch
+    ):
+        # the blocked bound compounds with the depth of the recursion; where
+        # it is too loose, the residual Y L - I bounds ||L^-1|| instead,
+        # with no further inverse
+        rng = np.random.default_rng(11)
+        X, b = rng.normal(size=(300, 130)), rng.normal(size=300)
+        if dtype is complex:
+            X = X + 1j * rng.normal(size=X.shape)
+            b = b + 1j * rng.normal(size=b.shape)
+        nz = block_incidence(X, 5)
+        tight = _least_squares(X, b, 300, 5, nz)[5]
+        self.loosen(monkeypatch)
+        inverted = []
+        inv = np.linalg.inv
+        monkeypatch.setattr(
+            np.linalg, "inv", lambda a: inverted.append(len(a)) or inv(a)
+        )
+        calls = count_calls(monkeypatch, "qr", "svd")
+        x, resid, freedom, rank, sizes, bound = _least_squares(X, b, 300, 5, nz)
+        monkeypatch.undo()
+        assert calls == {"qr": 0, "svd": 0}
+        assert sorted(inverted) == [32, 32, 33, 33]
+        x_d, resid_d, _, rank_d = dense_least_squares(X, b, 300)
+        assert rank == rank_d == 130
+        s_min = np.linalg.svd(X, compute_uv=False)[-1]
+        # both bounds are 1 / ||Y||_F to first order
+        assert isinstance(bound, float) and 0.0 < bound <= s_min
+        assert abs(bound - tight) <= 1e-9 * tight
+        assert np.linalg.norm(x - x_d) <= 1e-12 * np.linalg.norm(x_d)
+
+    def test_residual_refuses_a_wrong_inverse(self, monkeypatch):
+        # an inverse with one entry wrong by 1: Y L - I shows it, and the
+        # solve is not certified, whatever 1 / ||Y||_F would say
+        rng = np.random.default_rng(11)
+        X, b = rng.normal(size=(300, 130)), rng.normal(size=300)
+
+        def wrong(L):
+            Y, err, sq = _inverse_lower(L)
+            Y = Y.copy()
+            Y[-1, 0] += 1.0
+            return Y, np.sqrt(sq), sq
+
+        monkeypatch.setattr("tdec.extension._inverse_lower", wrong)
+        calls = count_calls(monkeypatch, "qr")
+        nz = block_incidence(X, 5)
+        bound = _least_squares(X, b, 300, 5, nz)[5]
+        monkeypatch.undo()
+        assert calls == {"qr": 1} and bound is None
+
+    def test_residual_refuses_below_the_cutoff(self, monkeypatch):
+        # sigma_min(X) far below the cutoff: the residual check refuses as
+        # the blocked bound does, and the truncated SVD decides
+        rng = np.random.default_rng(12)
+        Q1, _ = np.linalg.qr(rng.normal(size=(300, 130)))
+        Q2, _ = np.linalg.qr(rng.normal(size=(130, 130)))
+        s = np.ones(130)
+        s[-1] = 1e-12
+        X, b = (Q1 * s) @ Q2.T, rng.normal(size=300)
+        self.loosen(monkeypatch)
+        calls = count_calls(monkeypatch, "qr")
+        nz = block_incidence(X, 5)
+        x, resid, freedom, rank, sizes, bound = _least_squares(X, b, 300, 5, nz)
+        monkeypatch.undo()
+        assert calls == {"qr": 1} and bound is None
+        assert rank == dense_least_squares(X, b, 300)[3] == 129
+
     def fallback(self, X, b, size, monkeypatch):
         """Solve with _least_squares, check that it took one QR and decided
         as the dense reference, and return the rank and determined set."""
