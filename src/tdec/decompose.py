@@ -4,17 +4,20 @@ The only rank tried is the flattening lower bound: no fully known
 invertible moment block is larger, in any frame.  At that rank the attempt
 walks the deterministic basis candidates, completes the moments by
 commutation propagation, checks flatness, computes joint eigenvectors of the
-multiplication family, reads/recovers coordinates, solves for weights and
-accepts on a small reconstruction residual.  On failure it retries under a
-random (seeded, invertible) change of coordinates per group, at most
-MAX_COORD_CHANGES times.  Whether a moment completion extends does not
-depend on which generic frame is used, so the retries stop after the first
-random frame in which no completion ends ``extended``: what fails after an
-extension (colliding roots, a vanishing weight, the residual, the back-map)
-depends on the frame drawn, and only that is retried.  The input's own frame
-is not generic for sparse input and always goes on to a random frame.  The
-refusal raises with the last failure, the number of frames tried and the
-reason the retries stopped.
+multiplication family, reads coordinates, solves for weights and accepts on
+a small reconstruction residual.  A completion that does not extend (its
+relations stay free, or contradict the data) is refused at the extension
+stage: without a flat extension there is no commuting family to read
+points from.  On failure the attempt is retried under a random (seeded,
+invertible) change of coordinates per group, at most MAX_COORD_CHANGES
+times.  Whether a moment completion extends does not depend on which
+generic frame is used, so the retries stop after the first random frame in
+which no completion ends ``extended``: what fails after an extension
+(colliding roots, a vanishing weight, the residual, the back-map) depends
+on the frame drawn, and only that is retried.  The input's own frame is not
+generic for sparse input and always goes on to a random frame.  The refusal
+raises with the last failure, the number of frames tried and the reason
+the retries stopped.
 
 Tensors are arrays over the shape's monomial table: a rank-one sum expands
 as the multinomials times ``V @ weights`` (V the monomials' values at the
@@ -33,13 +36,10 @@ import numpy as np
 
 from .algebra import Point, Polynomial, Shape, evaluate
 from .eigen import (
-    CoordinateRecoveryError,
     WeightSolveError,
     family_from_functional,
     joint_eigenvectors,
-    missing_variables,
     read_coordinates,
-    recover_missing_coordinates,
     solve_weights,
 )
 from .extension import flat_extension_check, propagate_commutation
@@ -398,30 +398,21 @@ def _attempt_rank(
         ext = propagate_commutation(lam, B, Bp, tol=max(opts.tol_resid, 1e-8))
         if log.isEnabledFor(logging.INFO):
             log.info("r=%d bases %s | %s -> %s", r, B.names(), Bp.names(), ext.status)
-        if ext.status == "inconsistent":
-            failure = {
-                "rank": r,
-                "stage": "extension",
-                "detail": f"inconsistent ({ext.diagnostics['inconsistency']:.2e})",
-            }
+        if not ext.extended:
+            diag = ext.diagnostics
+            detail = (
+                f"inconsistent ({diag['inconsistency']:.2e})"
+                if ext.status == "inconsistent"
+                else f"rank deficient (nullity {diag['nullity']}, "
+                f"{len(diag['unresolved'])} unresolved)"
+            )
+            failure = {"rank": r, "stage": "extension", "detail": detail}
             continue
-        if ext.status == "extended":
-            extended = True
-            if not flat_extension_check(ext.functional, B, Bp, opts.tol_rank):
-                failure = {"rank": r, "stage": "flat-check", "detail": "rank grew"}
-                continue
-        elif ext.commutator_residual > max(opts.tol_resid, 1e-8):
-            failure = {
-                "rank": r,
-                "stage": "extension",
-                "detail": f"partial tables do not commute "
-                f"({ext.commutator_residual:.2e})",
-            }
+        extended = True
+        if not flat_extension_check(ext.functional, B, Bp, opts.tol_rank):
+            failure = {"rank": r, "stage": "flat-check", "detail": "rank grew"}
             continue
         fam = family_from_functional(ext.functional, B, Bp)
-        if not fam.matrices:
-            failure = {"rank": r, "stage": "family", "detail": "no tables resolved"}
-            continue
         roots = joint_eigenvectors(fam, seed=seed)
         if not roots.simple:
             failure = {
@@ -433,14 +424,8 @@ def _attempt_rank(
         roots = read_coordinates(roots, B, fam)
         try:
             gam, _ = solve_weights(T, roots.points)
-            missing = missing_variables(roots)
-            if missing:
-                roots = recover_missing_coordinates(
-                    ext.functional, roots, gam, B, missing
-                )
-                gam, _ = solve_weights(T, roots.points)
-        except (WeightSolveError, CoordinateRecoveryError) as exc:
-            failure = {"rank": r, "stage": "recovery", "detail": str(exc)}
+        except WeightSolveError as exc:
+            failure = {"rank": r, "stage": "weights", "detail": str(exc)}
             continue
         if np.abs(gam).min() <= 1e-10 * np.abs(gam).max():
             failure = {"rank": r, "stage": "weights", "detail": "vanishing weight"}

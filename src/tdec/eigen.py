@@ -3,10 +3,13 @@
 A completed functional with basis B and invertible block H yields one
 multiplication table per variable; their transposes share eigenvectors, and
 each eigenvector is (up to scale) the vector of values of B at one root.
-Coordinates are read off eigenvector entries and eigenvalues, weights come
-from a Vandermonde-type fit against the tensor coefficients, and coordinates
-of variables without a table are recovered afterwards through one more
-linear solve against the weighted evaluations.
+Coordinates are read off eigenvector entries and eigenvalues, and weights
+come from a Vandermonde-type fit against the tensor coefficients.  A family
+from a flat extension has a table for every variable.  For a partial family
+(a library use; ``decompose`` refuses any completion that does not extend)
+the coordinates of variables without a table stay NaN, the weight fit skips
+the coefficients they touch, and ``recover_missing_coordinates`` fills them
+through one more linear solve against the weighted evaluations.
 """
 
 from __future__ import annotations

@@ -56,16 +56,19 @@ only where results leave (the leads of the returned relations, the names in
 the diagnostics) and in the products of B' with those leads; the normal
 forms are reduced on exponent rows and codes.
 
-When the fixpoint resolves everything, the commuting multiplication tables
-define the unique extension of the data, and any moment is obtained by
-reducing its monomial to a normal form and pairing against the values on B.
-NF(m) = M_v NF(m / x_v) for the last variable v of m, so the unknown
-products of B'+ x B+ are reduced together, one degree at a time, and each
-degree is one stacked product of the monomials' last-variable tables with
-their parents' forms.  Their pairings with the values on B, the moments of B' x border
-and the relations solved directly from H are stacked in the same way.  A
-stacked product or solve runs the same BLAS or LAPACK call per item as the
-single product or solve, so the completed moments are the same to the bit.
+Only an extension is completed.  When the fixpoint resolves everything
+and the multiplication tables commute, they define the unique extension of
+the data, and any moment is obtained by reducing its monomial to a normal
+form and pairing against the values on B.  NF(m) = M_v NF(m / x_v) for the
+last variable v of m, so the unknown products of B'+ x B+ are reduced
+together, one degree at a time, and each degree is one stacked product of
+the monomials' last-variable tables with their parents' forms.  Their
+pairings with the values on B, the moments of B' x border and the
+relations solved directly from H are stacked in the same way.  A stacked
+product or solve runs the same BLAS or LAPACK call per item as the single
+product or solve, so the completed moments are the same to the bit.  A
+completion that leaves relations free, or whose equations or tables
+contradict the data, carries no functional: it is not a flat extension.
 """
 
 from __future__ import annotations
@@ -97,10 +100,15 @@ class BorderRelation:
 
 @dataclass
 class ExtensionResult:
+    """The outcome of a moment completion.  ``functional`` (the data
+    extended to B'+ x B+) is set only when ``status`` is "extended", and
+    ``commutator_residual`` only once every table is known; ``relations``
+    (the resolved border relations) and ``diagnostics`` always are."""
+
     status: str  # "extended" | "rank_deficient" | "inconsistent"
     functional: MomentFunctional | None
     relations: list[BorderRelation]
-    commutator_residual: float
+    commutator_residual: float | None
     diagnostics: dict = field(default_factory=dict)
 
     @property
@@ -472,13 +480,11 @@ class _Propagator:
 
     def tables(self) -> dict[tuple[int, int], np.ndarray]:
         """Per-variable tables M_v with columns the normal forms of x_v * b,
-        for each variable whose shifted products are in B or resolved."""
-        table, known = self._table()
-        full = known[self.shift].all(axis=1)
+        once every target is resolved."""
+        table, _ = self._table()
         return {
             var: table[self.shift[v]].T.copy()
             for v, var in enumerate(self.shape.variables())
-            if full[v]
         }
 
     # --- equation harvesting ---------------------------------------------
@@ -761,12 +767,11 @@ class _Propagator:
 
 def _normal_forms(shape: Shape, tables, exps: np.ndarray, codes: np.ndarray, r, dtype):
     """Normal forms over B of the monomials with exponent rows ``exps`` and
-    codes ``codes``, one row each, and the mask of those that are known.
+    codes ``codes``, one row each, given the table of every variable.
 
     NF(1) = e_1 (B lists 1 first) and NF(m) = M_v NF(m / x_v) for the last
     variable v of m, which is the chain of products that applies each table
-    in canonical variable order.  A form is unknown (a row of zeros) when a
-    variable on its chain has no table.  The chains are walked all at once,
+    in canonical variable order.  The chains are walked all at once,
     degree by degree: the monomials of one degree are the given ones and
     the parents of those one degree up, once per code, and each degree is
     one stacked product of their last variables' tables with their parents'
@@ -774,11 +779,7 @@ def _normal_forms(shape: Shape, tables, exps: np.ndarray, codes: np.ndarray, r, 
     ``M_v @ NF(m / x_v)``.
     """
     n_vars = exps.shape[1]
-    mats = np.zeros((n_vars, r, r), dtype=dtype)
-    has = np.zeros(n_vars, dtype=bool)
-    for v, var in enumerate(shape.variables()):
-        if var in tables:
-            mats[v], has[v] = tables[var], True
+    mats = np.array([tables[var] for var in shape.variables()], dtype=dtype)
     degree = exps.sum(axis=1)
     # top down: per degree, its monomials by code (sorted), the positions
     # of the given rows among them, their last variables and parents' codes
@@ -798,21 +799,15 @@ def _normal_forms(shape: Shape, tables, exps: np.ndarray, codes: np.ndarray, r, 
         levels.append((mine, place[:len(mine)], last, level, up_codes))
     # bottom up from NF(1), the one monomial of degree 0
     out = np.zeros((len(codes), r), dtype=dtype)
-    known = degree == 0
-    out[known, 0] = 1.0
-    below, ok = np.zeros(1, dtype=codes.dtype), np.ones(1, dtype=bool)
+    out[degree == 0, 0] = 1.0
+    below = np.zeros(1, dtype=codes.dtype)
     nf = np.zeros((1, r), dtype=dtype)
     nf[0, 0] = 1.0
     for mine, place, last, level, up in reversed(levels):
         parent = np.searchsorted(below, up)
-        ok = ok[parent] & has[last]
-        idx = np.flatnonzero(ok)
-        nf_up = np.zeros((len(level), r), dtype=dtype)
-        nf_up[idx] = (mats[last[idx]] @ nf[parent[idx]][:, :, None])[:, :, 0]
-        below, nf = level, nf_up
+        below, nf = level, (mats[last] @ nf[parent][:, :, None])[:, :, 0]
         out[mine] = nf[place]
-        known[mine] = ok[place]
-    return out, known
+    return out
 
 
 def propagate_commutation(
@@ -825,18 +820,18 @@ def propagate_commutation(
     """Determine the unknown border relations and extend the moments.
 
     Returns Extended with the completed functional on products of the
-    enlarged bases, Inconsistent when the equations contradict the data, or
-    RankDeficient when the linearly reachable part leaves relations free
-    (whatever was resolved is still reported).  The block lam(b' * b) is
-    taken as invertible; a ValueError refuses one with unknown entries.
+    enlarged bases, Inconsistent when the equations contradict the data or
+    the tables of an extension do not commute, or RankDeficient when the
+    linearly reachable part leaves relations free.  The resolved relations
+    and the diagnostics are reported whatever the status; the functional
+    and the commutator residual only for an extension (the residual also
+    when it refuses one).  The block lam(b' * b) is taken as invertible; a
+    ValueError refuses one with unknown entries.
     """
     rng = np.random.default_rng(order_seed) if order_seed is not None else None
     prop = _Propagator(lam, B, Bp, tol, rng)
     status = prop.run()
-    r = len(B)
-    dtype = prop.dtype
 
-    tables = prop.tables()
     shape = lam.shape
     solved = [t for t, tail in enumerate(prop.tails) if tail is not None]
     unresolved = [t for t, tail in enumerate(prop.tails) if tail is None]
@@ -845,32 +840,6 @@ def propagate_commutation(
         BorderRelation(m, prop.tails[t])
         for m, t in zip(shape.monomials(prop.targets[solved]), solved)
     ]
-
-    commute = commutator_residual([tables[v] for v in sorted(tables)])
-    if status == "extended" and commute > max(tol, 1e-8):
-        status = "inconsistent"
-
-    lam_B, _ = lam.lookup(B.codes)
-    plus_rows = Bp.plus
-    plus_cols = B.plus
-    codes = shape.product_codes(plus_rows, plus_cols).ravel()
-    unknown = first_unknown(lam, codes)
-    n_cols = len(plus_cols)
-    exps = plus_rows[unknown // n_cols] + plus_cols[unknown % n_cols]
-    nf, known = _normal_forms(shape, tables, exps, codes[unknown], r, dtype)
-    values = (lam_B[None, None, :] @ nf[known][:, :, None])[:, 0, 0]
-    completed = lam.extended(codes[unknown][known], values)
-    # moments of B' x border follow from the relations even when some
-    # variables stay unresolved
-    Bp_monomials = shape.monomials(Bp.exps)
-    products = [q * rel.lead for rel in relations for q in Bp_monomials]
-    codes = shape.codes(shape.exponents(products))
-    unknown = first_unknown(completed, codes)
-    k, i = np.divmod(unknown, len(Bp))
-    tails = np.array([prop.tails[t] for t in solved], dtype=dtype).reshape(-1, r)
-    values = (prop.H[i][:, None, :] @ tails[k][:, :, None])[:, 0, 0]
-    completed = completed.extended(codes[unknown], values)
-
     diagnostics = {
         "inconsistency": prop.inconsistency,
         "nullity": prop.nullity,
@@ -880,9 +849,17 @@ def propagate_commutation(
         "sigma_min_bound": prop.sigma_min_bound,
         "unresolved": [str(m) for m in shape.monomials(prop.targets[unresolved])],
     }
+    completed = commute = None
+    if status == "extended":
+        tables = prop.tables()
+        commute = commutator_residual([tables[v] for v in sorted(tables)])
+        if commute > max(tol, 1e-8):
+            status = "inconsistent"
+        else:
+            completed = _complete(lam, B, Bp, prop, tables, relations)
     log.debug(
-        "propagation: status=%s commute=%.2e unresolved=%d",
-        status, commute, len(diagnostics["unresolved"]),
+        "propagation: status=%s commute=%s unresolved=%d",
+        status, commute, len(unresolved),
     )
     return ExtensionResult(
         status=status,
@@ -891,6 +868,32 @@ def propagate_commutation(
         commutator_residual=commute,
         diagnostics=diagnostics,
     )
+
+
+def _complete(lam, B, Bp, prop, tables, relations) -> MomentFunctional:
+    """lam extended to every product of B'+ x B+ and of B' x border, from
+    the commuting tables of every variable and the relations."""
+    shape, r, dtype = lam.shape, len(B), prop.dtype
+    lam_B, _ = lam.lookup(B.codes)
+    codes = shape.product_codes(Bp.plus, B.plus).ravel()
+    unknown = first_unknown(lam, codes)
+    n_cols = len(B.plus)
+    exps = Bp.plus[unknown // n_cols] + B.plus[unknown % n_cols]
+    nf = _normal_forms(shape, tables, exps, codes[unknown], r, dtype)
+    values = (lam_B[None, None, :] @ nf[:, :, None])[:, 0, 0]
+    completed = lam.extended(codes[unknown], values)
+    # B' x border lies in B'+ x B+, whose moments are all known by now, so
+    # these products add none; they are the only Monomial.__mul__ calls of
+    # a decomposition, which perfbench's tracer test expects to count
+    # (ROADMAP item 3 moves that probe)
+    Bp_monomials = shape.monomials(Bp.exps)
+    products = [q * rel.lead for rel in relations for q in Bp_monomials]
+    codes = shape.codes(shape.exponents(products))
+    unknown = first_unknown(completed, codes)
+    k, i = np.divmod(unknown, len(Bp))
+    tails = np.array([rel.tail for rel in relations], dtype=dtype).reshape(-1, r)
+    values = (prop.H[i][:, None, :] @ tails[k][:, :, None])[:, 0, 0]
+    return completed.extended(codes[unknown], values)
 
 
 def flat_extension_check(

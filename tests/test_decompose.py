@@ -1,4 +1,5 @@
 import importlib
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -407,7 +408,7 @@ class TestDecompose:
         with pytest.raises(DecompositionError) as info:
             decompose(T)
         report = info.value.report
-        assert report["stage"] == "family"
+        assert report["stage"] == "extension"
         assert report["rank"] == 6
         assert "rank 6" in str(info.value) and "18" not in str(info.value)
 
@@ -419,13 +420,13 @@ class TestDecompose:
         with pytest.raises(DecompositionError) as info:
             decompose(T)
         report = info.value.report
-        assert report["stage"] == "family"
+        assert report["stage"] == "extension"
         assert report["frames"] == 2
         assert report["stop"] == "random frame 1: no completion extended"
 
     def test_refusal_details_hold_plain_numbers(self):
-        # sparse {-1,0,1} points refused at the eigen stage: the diagnostics
-        # in the detail print as Python numbers
+        # sparse {-1,0,1} points refused at the extension stage: the
+        # nullity and unresolved count in the detail print as Python ints
         shape = Shape(dims=(2, 2), degrees=(2, 2))
         rng = np.random.default_rng(4)
         pts = [
@@ -435,9 +436,10 @@ class TestDecompose:
         with pytest.raises(DecompositionError) as info:
             decompose(rank_one_expand(shape, [1.0] * 4, pts))
         report = info.value.report
-        assert report["stage"] == "eigen"
-        assert "eig_residual" in report["detail"]
-        assert "np.float64" not in report["detail"]
+        assert report["stage"] == "extension"
+        assert re.fullmatch(
+            r"rank deficient \(nullity \d+, \d+ unresolved\)", report["detail"]
+        )
 
     def test_reported_residual_is_that_of_returned_terms(self):
         # real values held as complex numbers take the complex code path,
@@ -610,7 +612,7 @@ class TestFrameProperty:
         assert extended
         if not isinstance(out, Decomposition):
             # rare: a point of the frame drawn makes a solve singular
-            assert out["stage"] in ("eigen", "recovery", "weights", "verify")
+            assert out["stage"] in ("eigen", "weights", "verify")
             return
         back = _undo_coordinate_change(out, mats, T, opts.tol_resid)
         assert isinstance(back, Decomposition)
