@@ -225,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degrees", type=int, nargs="+", required=True)
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--noise", type=float, default=0.0)
+    p.add_argument("--noise", type=tolerance, default=0.0)
     p.add_argument("--field", choices=["real", "complex"], default="real")
     p.add_argument("--verbose", action="store_true")
     p.set_defaults(func=cmd_synth)

@@ -230,6 +230,8 @@ def synthesize(
     """
     if rank < 1:
         raise ValueError("rank must be positive")
+    if not 0.0 <= noise < float("inf"):
+        raise ValueError("noise must be finite and non-negative")
     shape = Shape(tuple(dims), tuple(degrees))
     rng = np.random.default_rng(seed)
 

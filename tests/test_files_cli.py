@@ -166,6 +166,11 @@ class TestSynth:
         tf, truth = synthesize((2, 2, 2), (1, 1, 1), rank=3, seed=1, noise=1e-3)
         assert truth.decomposition.residual > 1e-5
 
+    @pytest.mark.parametrize("noise", [float("nan"), float("inf"), -0.5])
+    def test_noise_must_be_finite_and_non_negative(self, noise):
+        with pytest.raises(ValueError, match="noise"):
+            synthesize((2, 2, 2), (1, 1, 1), rank=3, seed=1, noise=noise)
+
 
 class TestCli:
     def run(self, *argv):
@@ -418,6 +423,20 @@ class TestCli:
         obj = json.loads(out.read_text())
         assert obj["rank"] == 6 and obj["residual"] < 1e-6
         assert self.run("verify", "-i", t, "-d", out) == 0
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-0.5"])
+    def test_synth_noise_must_be_finite_and_non_negative(
+        self, tmp_path, capsys, value
+    ):
+        # nan once wrote "noise": NaN (invalid JSON), inf wrote Infinity
+        # coefficients, and a negative value added no noise
+        t = tmp_path / "s.json"
+        with pytest.raises(SystemExit) as info:
+            self.run("synth", "-o", t, "--dims", 2, 2, "--degrees", 1, 1,
+                     "--rank", 2, f"--noise={value}")
+        assert info.value.code == 2
+        assert "--noise: invalid tolerance value" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_synth_deterministic_files(self, tmp_path):
         blobs = []
