@@ -10,8 +10,8 @@ formats: (2,2)/(2,2) r4, 3x3x4 r4, 4x4x4 r4, (2,2,2)/(1,1,2) r4 and 3x3x3 r3
 with the default options.  Prints the recovered count per format, the
 instances that a change of coordinates rescued (the first frame failed, a
 later one succeeded), the number of frames tried over the refusals with
-their stop reasons, and the CPU seconds of the successes and of the
-refusals.  BLAS is pinned to one thread, so that the CPU seconds do not
+their stop reasons and the stages of their last failures, and the CPU
+seconds of the successes and of the refusals.  BLAS is pinned to one thread, so that the CPU seconds do not
 depend on how busy the machine is.
 """
 
@@ -56,7 +56,7 @@ def instance(dims, degrees, r, seed):
 def main() -> int:
     recovered = total = 0
     rescued = []
-    frames, stops = [], Counter()
+    frames, stops, stages = [], Counter(), Counter()
     cpu = {"recovered": 0.0, "refused": 0.0}
     for name, dims, degrees, r in FORMATS:
         ok = 0
@@ -69,6 +69,7 @@ def main() -> int:
                 cpu["refused"] += time.process_time() - start
                 frames.append(exc.report["frames"])
                 stops[exc.report["stop"]] += 1
+                stages[exc.report["stage"]] += 1
                 continue
             cpu["recovered"] += time.process_time() - start
             ok += 1
@@ -82,6 +83,8 @@ def main() -> int:
     print(f"frames tried over {len(frames)} refusals: {sum(frames)}")
     for stop, n in stops.most_common():
         print(f"  stopped on {stop}: {n}")
+    for stage, n in stages.most_common():
+        print(f"  refused at stage {stage}: {n}")
     print(
         f"CPU s: {cpu['recovered']:.1f} on recoveries, "
         f"{cpu['refused']:.1f} on refusals"
