@@ -11,8 +11,8 @@ with the default options.  Prints the recovered count per format, the
 instances that a change of coordinates rescued (the first frame failed, a
 later one succeeded), the number of frames tried over the refusals with
 their stop reasons and the stages of their last failures, and the CPU
-seconds of the successes and of the refusals.  BLAS is pinned to one thread, so that the CPU seconds do not
-depend on how busy the machine is.
+seconds of the successes and of the refusals.  BLAS is pinned to one
+thread, so that the CPU seconds do not depend on how busy the machine is.
 """
 
 import os

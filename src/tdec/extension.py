@@ -56,19 +56,19 @@ only where results leave (the leads of the returned relations, the names in
 the diagnostics) and in the products of B' with those leads; the normal
 forms are reduced on exponent rows and codes.
 
-Only an extension is completed.  When the fixpoint resolves everything
-and the multiplication tables commute, they define the unique extension of
-the data, and any moment is obtained by reducing its monomial to a normal
-form and pairing against the values on B.  NF(m) = M_v NF(m / x_v) for the
-last variable v of m, so the unknown products of B'+ x B+ are reduced
-together, one degree at a time, and each degree is one stacked product of
-the monomials' last-variable tables with their parents' forms.  Their
-pairings with the values on B, the moments of B' x border and the
-relations solved directly from H are stacked in the same way.  A stacked
-product or solve runs the same BLAS or LAPACK call per item as the single
-product or solve, so the completed moments are the same to the bit.  A
-completion that leaves relations free, or whose equations or tables
-contradict the data, carries no functional: it is not a flat extension.
+When the fixpoint resolves everything and the multiplication tables
+commute, they define the unique extension of the data, and any moment is
+obtained by reducing its monomial to a normal form and pairing against the
+values on B.  NF(m) = M_v NF(m / x_v) for the last variable v of m, so the
+unknown products of B'+ x B+ are reduced together, one degree at a time,
+and each degree is one stacked product of the monomials' last-variable
+tables with their parents' forms.  Their pairings with the values on B,
+the moments of B' x border and the relations solved directly from H are
+stacked in the same way.  A stacked product or solve runs the same BLAS or
+LAPACK call per item as the single product or solve, so the completed
+moments are the same to the bit.  A completion that leaves relations
+free, or whose equations or tables contradict the data, is no flat
+extension and completes no moment.
 """
 
 from __future__ import annotations
@@ -823,9 +823,9 @@ def propagate_commutation(
     enlarged bases, Inconsistent when the equations contradict the data or
     the tables of an extension do not commute, or RankDeficient when the
     linearly reachable part leaves relations free.  The resolved relations
-    and the diagnostics are reported whatever the status; the functional
-    and the commutator residual only for an extension (the residual also
-    when it refuses one).  The block lam(b' * b) is taken as invertible; a
+    and the diagnostics are reported whatever the status, the functional
+    only for an extension, and the commutator residual once every relation
+    is resolved.  The block lam(b' * b) is taken as invertible; a
     ValueError refuses one with unknown entries.
     """
     rng = np.random.default_rng(order_seed) if order_seed is not None else None
