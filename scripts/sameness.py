@@ -16,10 +16,12 @@ floats, the rank, the basis, the dual basis and whether the frame was
 changed for a success, and the stage, the frames tried and the reason the
 retries stopped for a refusal: it stays equal when only rounding moves.
 
-flat-large runs the CLI's library path: `decompose` with `reduce=True`,
-then `rank_bounds` of the full tensor, which takes the flattening rank
-that `decompose` reports unless it decomposed an HOSVD-compressed core;
-the other two run plain `decompose`, as the benchmark does.  BLAS is
+flat-large runs the CLI's library path: the tensor file object is read by
+`TensorFile.from_obj`, as `decompose -i` reads it, then `decompose` with
+`reduce=True` and `rank_bounds` of the full tensor, which takes the
+flattening rank that `decompose` reports unless it decomposed an
+HOSVD-compressed core; the other two build the tensor from a coefficient
+dict and run plain `decompose`, as the benchmark does.  BLAS is
 pinned to one thread, as in the benchmark, because the thread count moves
 the last bits of some results.  Run the same command in two checkouts and
 compare the lines.
@@ -48,9 +50,12 @@ import workloads  # noqa: E402
 
 algebra = importlib.import_module("tdec.algebra")
 dmod = importlib.import_module("tdec.decompose")
+files = importlib.import_module("tdec.files")
 
 
-def tensor(inst) -> "algebra.Polynomial":
+def tensor(inst, workload: str) -> "algebra.Polynomial":
+    if workload == "flat-large":  # the benchmark runs these through the CLI
+        return files.TensorFile.from_obj(workloads.tensor_file_obj(inst)).tensor
     monos = workloads.exponent_table(inst.dims, inst.degrees)
     coefs = workloads.coefficients(inst, monos)
     shape = algebra.Shape(inst.dims, inst.degrees)
@@ -80,7 +85,7 @@ def result(T, reduce: bool) -> tuple[str, str]:
 def digests(workload: str, seed: int) -> tuple[str, str]:
     bits, outcomes = hashlib.sha256(), hashlib.sha256()
     for inst in workloads.instances(workload, seed):
-        full, outcome = result(tensor(inst), workload == "flat-large")
+        full, outcome = result(tensor(inst, workload), workload == "flat-large")
         bits.update(full.encode() + b"\n")
         outcomes.update(outcome.encode() + b"\n")
     return bits.hexdigest(), outcomes.hexdigest()
