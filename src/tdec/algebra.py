@@ -5,9 +5,9 @@ Polynomials live in the dehomogenized multi-graded ring: variables come in
 ``k`` groups of sizes ``dims = (n_1, ..., n_k)``, and a polynomial of
 multi-degree at most ``degrees = (d_1, ..., d_k)`` has, in each group ``g``,
 total degree at most ``d_g``.  The homogenizing variable of each group is
-implicit (set to 1).  ``Polynomial`` is a container of coefficients;
-computation goes through arrays over the shape's one table of its monomial
-range (``Shape.table``), and ``evaluate`` gives monomial values at points.
+implicit (set to 1).  ``Polynomial`` holds a tensor as its coefficient
+vector over the shape's one table of its monomial range (``Shape.table``),
+and ``evaluate`` gives monomial values at points.
 
 Every monomial of a shape has an exact integer code, its exponents read as
 the digits of a mixed-radix number, so that code(m * m') = code(m) +
@@ -269,7 +269,8 @@ class MonomialTable:
     the position of row m's group-g part among them, so
     ``A[tuple(group_index.T)]`` reads a coefficient array with one axis per
     group (the Kronecker layout) in table order.  ``index`` maps a monomial
-    to its row.
+    to its row, ``codes`` are the rows' codes and ``rows`` maps codes to
+    rows.
     """
 
     def __init__(self, shape: Shape):
@@ -281,6 +282,9 @@ class MonomialTable:
             for g, G in enumerate(self.group_exps)
         ])
         self.monomials = tuple(shape.monomials(self.exps))
+        self.codes = shape.codes(self.exps)
+        self._code_order = np.argsort(self.codes)
+        self._sorted_codes = self.codes[self._code_order]
         self.index = MappingProxyType({m: i for i, m in enumerate(self.monomials)})
         per_group = [
             np.array([multinomial(d, e) for e in G.tolist()], dtype=np.int64)
@@ -291,8 +295,13 @@ class MonomialTable:
         ).astype(float)
         self.group_exps = tuple(self.group_exps)
         for a in (self.exps, self.degrees, self.group_index, self.multinomials,
+                  self.codes, self._code_order, self._sorted_codes,
                   *self.group_exps):
             a.setflags(write=False)  # shared by every user of the format
+
+    def rows(self, codes: np.ndarray) -> np.ndarray:
+        """Rows of the monomials with the given codes, each in the table."""
+        return self._code_order[np.searchsorted(self._sorted_codes, codes)]
 
 
 @cache
@@ -343,16 +352,47 @@ def evaluate(shape: Shape, points, exps: np.ndarray) -> np.ndarray:
 
 
 class Polynomial:
-    """Sparse multi-graded polynomial: shape plus monomial -> coefficient.
+    """Multi-graded polynomial: a shape and one read-only coefficient vector
+    over the rows of the shape's monomial table (``vector``).
 
-    A container: arithmetic on tensors goes through ``vector`` and
-    ``from_vector``, the coefficients over the shape's monomial table."""
+    Built from a monomial -> coefficient dict, whose vector is formed on
+    first use, or from the vector itself (``from_vector``).  ``terms``, the
+    dict of the non-zero coefficients, is a view formed when asked for:
+    files, printing and equality read it; computation reads the vector."""
 
-    __slots__ = ("shape", "terms")
+    __slots__ = ("shape", "_terms", "_vector", "_max_imag")
 
     def __init__(self, shape: Shape, terms: dict[Monomial, complex] | None = None):
         self.shape = shape
-        self.terms = {m: c for m, c in (terms or {}).items() if c != 0}
+        self._terms = {m: c for m, c in (terms or {}).items() if c != 0}
+        self._vector = self._max_imag = None
+
+    @staticmethod
+    def from_vector(shape: Shape, values: np.ndarray) -> "Polynomial":
+        """The polynomial with coefficients ``values`` over the table rows,
+        kept as a read-only copy in which zeros of either sign read 0.0 (a
+        dict keeps no zero)."""
+        values = np.asarray(values)
+        vec = np.where(values == 0, 0, values).astype(
+            np.result_type(values, float), copy=False
+        )
+        if vec.shape != (len(shape.table.monomials),):
+            raise ShapeMismatchError("coefficient vector does not match the table")
+        vec.setflags(write=False)
+        P = Polynomial.__new__(Polynomial)
+        P.shape, P._terms, P._vector, P._max_imag = shape, None, vec, None
+        return P
+
+    @property
+    def terms(self) -> MappingProxyType:
+        """Monomial -> coefficient of the non-zero coefficients, read-only."""
+        if self._terms is None:
+            rows = np.flatnonzero(self._vector)
+            monomials = self.shape.table.monomials
+            self._terms = dict(
+                zip([monomials[i] for i in rows.tolist()], self._vector[rows].tolist())
+            )
+        return MappingProxyType(self._terms)
 
     def __eq__(self, other):
         return (
@@ -365,35 +405,37 @@ class Polynomial:
         return self.terms.get(m, 0)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.vector().any()
 
     def is_real(self, tol: float = 1e-12) -> bool:
         """Negligible imaginary parts (values, not storage types)."""
-        return all(abs(complex(c).imag) <= tol for c in self.terms.values())
+        if self._max_imag is None:
+            imag = self.vector().imag
+            self._max_imag = float(np.abs(imag).max(initial=0.0))
+        return self._max_imag <= tol
 
     def uses_complex(self) -> bool:
-        """Any coefficient stored as a complex type; drives array dtypes."""
-        return any(isinstance(c, complex) for c in self.terms.values())
+        """A complex coefficient vector: some coefficient was given as a
+        complex type.  Drives array dtypes."""
+        return np.iscomplexobj(self.vector())
 
     def vector(self) -> np.ndarray:
         """Coefficients over the rows of the shape's monomial table, complex
-        when any coefficient is stored as a complex type;
+        when any coefficient is stored as a complex type; read-only.
         DegreeOverflowError for a term outside the table."""
-        table = self.shape.table
-        out = np.zeros(
-            len(table.monomials), dtype=complex if self.uses_complex() else float
-        )
-        try:
-            rows = [table.index[m] for m in self.terms]
-        except KeyError as exc:
-            raise DegreeOverflowError(f"term {exc.args[0]} beyond the shape") from None
-        out[rows] = list(self.terms.values())
-        return out
-
-    @staticmethod
-    def from_vector(shape: Shape, values: np.ndarray) -> "Polynomial":
-        """Inverse of ``vector``: zero coefficients are dropped."""
-        return Polynomial(shape, dict(zip(shape.table.monomials, values.tolist())))
+        if self._vector is None:
+            table = self.shape.table
+            values = list(self._terms.values())
+            cplx = any(isinstance(c, complex) for c in values)
+            vec = np.zeros(len(table.monomials), dtype=complex if cplx else float)
+            try:
+                rows = [table.index[m] for m in self._terms]
+            except KeyError as exc:
+                raise DegreeOverflowError(f"term {exc.args[0]} beyond the shape") from None
+            vec[rows] = values
+            vec.setflags(write=False)
+            self._vector = vec
+        return self._vector
 
     def __mul__(self, other):
         if not isinstance(other, Polynomial):

@@ -14,7 +14,7 @@ import os
 import sys
 import time
 
-from .algebra import DegreeOverflowError
+from .algebra import DegreeOverflowError, Polynomial
 from .decompose import (
     DecomposeOptions,
     DecompositionError,
@@ -56,11 +56,7 @@ def cmd_decompose(args) -> int:
     if tf.tensor.is_zero():
         raise FormatError(f"{args.input}: zero tensor")
     if args.field == "complex" or tf.field == "complex":
-        from .algebra import Polynomial
-
-        tf.tensor = Polynomial(
-            tf.shape, {m: complex(c) for m, c in tf.tensor.terms.items()}
-        )
+        tf.tensor = Polynomial.from_vector(tf.shape, tf.tensor.vector().astype(complex))
     opts = DecomposeOptions(
         max_rank=args.max_rank,
         tol_rank=args.tol_rank,

@@ -197,12 +197,9 @@ def poly_to_array(T: Polynomial) -> np.ndarray:
     """Coefficient array with one axis per group over that group's graded
     monomials; for a multilinear shape these are the full dimensions, index
     0 being the homogenizing slot."""
-    table = T.shape.table
-    A = np.zeros(
-        [len(G) for G in table.group_exps],
-        dtype=complex if T.uses_complex() else float,
-    )
-    A[tuple(table.group_index.T)] = T.vector()
+    table, coef = T.shape.table, T.vector()
+    A = np.zeros([len(G) for G in table.group_exps], dtype=coef.dtype)
+    A[tuple(table.group_index.T)] = coef
     return A
 
 

@@ -7,13 +7,14 @@ objects produce byte-identical files.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import Monomial, Point, Polynomial, Shape
+from .algebra import Point, Polynomial, Shape
 from .decompose import Decomposition, reconstruct, verify
 
 
@@ -40,12 +41,27 @@ def _is_real(v) -> bool:
     return isinstance(v, float) and math.isfinite(v)
 
 
-def _num_in(v, where: str):
+def _num_in(v, i: int, key: str):
+    """v as a float or a complex; FormatError naming terms[i] and ``key``
+    when it is neither a finite number nor an [re, im] pair of them."""
     if _is_real(v):
         return float(v)
     if isinstance(v, list) and len(v) == 2 and all(_is_real(t) for t in v):
         return complex(v[0], v[1])
-    raise FormatError(f"{where}: expected finite number or [re, im] pair, got {v!r}")
+    raise FormatError(
+        f"terms[{i}] '{key}': expected finite number or [re, im] pair, got {v!r}"
+    )
+
+
+def _are_exponents(e, n: int) -> bool:
+    """e is a list of n non-negative integers (booleans excluded)."""
+    return (
+        isinstance(e, list)
+        and len(e) == n
+        and all(map(isinstance, e, itertools.repeat(int, n)))
+        and not any(map(isinstance, e, itertools.repeat(bool, n)))
+        and min(e) >= 0
+    )
 
 
 def _require(cond: bool, message: str):
@@ -62,7 +78,7 @@ def _fields(obj, where: str, keys: tuple[str, ...]) -> dict:
 
 
 def _file_fields(obj, kind: str, keys: tuple[str, ...]):
-    """The shape of a file object and its term objects, (where, term) each
+    """The shape of a file object and its list of term objects, each
     holding ``keys``."""
     _fields(obj, f"{kind} file", ("dims", "degrees", "terms"))
     for key in ("dims", "degrees"):
@@ -74,9 +90,12 @@ def _file_fields(obj, kind: str, keys: tuple[str, ...]):
         shape = Shape(tuple(obj["dims"]), tuple(obj["degrees"]))
     except ValueError as exc:
         raise FormatError(f"bad dims/degrees: {exc}") from exc
-    _require(isinstance(obj["terms"], list), "'terms' must be a list")
-    terms = [(f"terms[{i}]", t) for i, t in enumerate(obj["terms"])]
-    return shape, [(where, _fields(t, where, keys)) for where, t in terms]
+    terms = obj["terms"]
+    _require(isinstance(terms, list), "'terms' must be a list")
+    for i, t in enumerate(terms):
+        if not (isinstance(t, dict) and all(key in t for key in keys)):
+            _fields(t, f"terms[{i}]", keys)
+    return shape, terms
 
 
 @dataclass
@@ -101,35 +120,48 @@ class TensorFile:
 
     @staticmethod
     def from_obj(obj: dict) -> "TensorFile":
-        shape, items = _file_fields(obj, "tensor", ("exp", "coef"))
+        """The tensor of a file object.  Each term is checked in file order:
+        its exponents, then its coefficient; a repeated monomial is reported
+        at its second occurrence once every term has passed those checks."""
+        shape, terms = _file_fields(obj, "tensor", ("exp", "coef"))
         fld = obj.get("field", "real")
         _require(fld in ("real", "complex"), f"unknown field {fld!r}")
-        terms: dict[Monomial, complex] = {}
-        for where, t in items:
+        k, groups = shape.k, list(enumerate(zip(shape.dims, shape.degrees)))
+        flat, coefs, cplx = [], [], False
+        for i, t in enumerate(terms):
             exp = t["exp"]
-            _require(
-                isinstance(exp, list) and len(exp) == shape.k,
-                f"{where}: 'exp' must list one exponent vector per group",
-            )
-            for g, e in enumerate(exp):
-                _require(
-                    isinstance(e, list)
-                    and len(e) == shape.dims[g]
-                    and all(_is_int(x) and x >= 0 for x in e),
-                    f"{where}: group {g} exponents must be {shape.dims[g]} "
-                    "non-negative integers",
+            if not (isinstance(exp, list) and len(exp) == k):
+                raise FormatError(
+                    f"terms[{i}]: 'exp' must list one exponent vector per group"
                 )
-                _require(
-                    sum(e) <= shape.degrees[g],
-                    f"{where}: group {g} degree exceeds {shape.degrees[g]}",
-                )
-            m = Monomial(tuple(tuple(e) for e in exp))
-            _require(m not in terms, f"{where}: duplicate exponent {exp}")
-            c = _num_in(t["coef"], f"{where} 'coef'")
-            if isinstance(c, complex) and fld == "real":
-                raise FormatError(f"{where}: complex coefficient in a real file")
-            terms[m] = c
-        return TensorFile(shape, fld, Polynomial(shape, terms))
+            for (g, (n, d)), e in zip(groups, exp):
+                if not _are_exponents(e, n):
+                    raise FormatError(
+                        f"terms[{i}]: group {g} exponents must be {n} "
+                        "non-negative integers"
+                    )
+                if sum(e) > d:
+                    raise FormatError(f"terms[{i}]: group {g} degree exceeds {d}")
+                flat += e
+            c = _num_in(t["coef"], i, "coef")
+            if isinstance(c, complex):
+                if fld == "real":
+                    raise FormatError(f"terms[{i}]: complex coefficient in a real file")
+                cplx = cplx or c != 0
+            coefs.append(c)
+        exps = np.array(flat, dtype=np.int64).reshape(len(terms), sum(shape.dims))
+        codes = shape.codes(exps)
+        _, first = np.unique(codes, return_index=True)
+        if len(first) < len(terms):
+            repeated = np.ones(len(terms), dtype=bool)
+            repeated[first] = False
+            i = int(np.flatnonzero(repeated)[0])
+            raise FormatError(f"terms[{i}]: duplicate exponent {terms[i]['exp']}")
+        values = np.array(coefs)
+        # a complex zero alone makes no complex tensor: the dict stores no zero
+        vec = np.zeros(len(shape.table.monomials), dtype=complex if cplx else float)
+        vec[shape.table.rows(codes)] = values if cplx else values.real
+        return TensorFile(shape, fld, Polynomial.from_vector(shape, vec))
 
 
 @dataclass
@@ -160,8 +192,9 @@ class DecompositionFile:
         _fields(obj, "decomposition file", ("rank", "residual"))
         shape, items = _file_fields(obj, "decomposition", ("weight", "points"))
         terms = []
-        for where, t in items:
-            w = _num_in(t["weight"], f"{where} 'weight'")
+        for i, t in enumerate(items):
+            where = f"terms[{i}]"
+            w = _num_in(t["weight"], i, "weight")
             pts = t["points"]
             _require(
                 isinstance(pts, list) and len(pts) == shape.k,
@@ -173,7 +206,7 @@ class DecompositionFile:
                     isinstance(c, list) and len(c) == shape.dims[g],
                     f"{where}: group {g} needs {shape.dims[g]} coordinates",
                 )
-                coords.append(tuple(_num_in(x, f"{where} 'points'") for x in c))
+                coords.append(tuple(_num_in(x, i, "points") for x in c))
             terms.append((w, Point(tuple(coords))))
         _require(
             _is_int(obj["rank"]) and obj["rank"] == len(terms),

@@ -137,7 +137,7 @@ def build_moment_functional(T: Polynomial) -> MomentFunctional:
     multi-degree bounds gets a known entry, zero coefficients included;
     nothing outside the bounds is recorded."""
     shape = T.shape
-    return MomentFunctional(shape, shape.codes(shape.table.exps), moment_vector(T))
+    return MomentFunctional(shape, shape.table.codes, moment_vector(T))
 
 
 def hankel(

@@ -300,3 +300,68 @@ class TestGoldenTensors:
         assert built1.terms == tensor1.terms
         built2 = rank_one_expand(shape2, gd.WEIGHTS2, points2)
         assert built2.terms == tensor2.terms
+
+
+class TestPolynomialVector:
+    SHAPE = Shape(dims=(2, 1), degrees=(2, 1))
+
+    @pytest.mark.parametrize(
+        "coeffs",
+        [
+            {"1": 2.0, "a1": -1.5, "a2*b1": 3},
+            {"1": 1 + 2j, "a1": 0.5},
+            {"a1^2": 1 + 0j, "b1": -2.0},
+            {"1": 0.0, "a1": -0.0, "a2": 0j, "b1": 2.0, "a1*a2": complex(-0.0, 0.0)},
+            {"a1": complex(-0.0, 1.0)},
+            {},
+        ],
+        ids=["real", "complex", "complex-typed-real", "zeros", "signed-zero-real-part",
+             "empty"],
+    )
+    def test_round_trip_through_vector(self, coeffs):
+        P = poly(self.SHAPE, coeffs)
+        v = P.vector()
+        assert not v.flags.writeable
+        with pytest.raises(ValueError):
+            v[0] = 1.0
+        Q = Polynomial.from_vector(self.SHAPE, v)
+        assert Q.terms == P.terms
+        assert Q.uses_complex() == P.uses_complex() == any(
+            isinstance(c, complex) and c != 0 for c in coeffs.values()
+        )
+        assert Q.is_real() == P.is_real()
+        assert Q.is_zero() == P.is_zero() == (not P.terms)
+        assert Q.vector().tobytes() == v.tobytes()
+        assert not Q.vector().flags.writeable
+        assert Q == P
+
+    def test_from_vector_stores_no_negative_zero_and_keeps_the_input(self):
+        n = len(self.SHAPE.table.monomials)
+        values = np.zeros(n)
+        values[:3] = [-0.0, 1.5, -0.0]
+        P = Polynomial.from_vector(self.SHAPE, values)
+        assert not np.signbit(P.vector()).any()
+        assert list(P.terms.values()) == [1.5]
+        values[1] = 7.0  # the caller's array stays its own
+        assert values.flags.writeable and P.vector()[1] == 1.5
+        complex_values = np.zeros(n, dtype=complex)
+        complex_values[0] = complex(-0.0, -0.0)
+        complex_values[1] = complex(-0.0, 2.0)
+        C = Polynomial.from_vector(self.SHAPE, complex_values)
+        assert not np.signbit(C.vector().view(float)[:2]).any()
+        assert np.signbit(C.vector()[1].real)  # a non-zero keeps its parts
+        assert list(C.terms) == [self.SHAPE.table.monomials[1]]
+
+    def test_is_real_tolerance(self):
+        P = poly(self.SHAPE, {"1": 1 + 1e-13j, "a1": 2.0})
+        assert P.is_real() and not P.is_real(tol=1e-14)
+        assert Polynomial.from_vector(self.SHAPE, P.vector()).is_real(tol=1e-13)
+
+    def test_term_beyond_the_table(self):
+        P = poly(self.SHAPE, {"a1^3": 1.0, "b1": 2.0})
+        with pytest.raises(DegreeOverflowError):
+            P.vector()
+
+    def test_vector_of_the_wrong_length(self):
+        with pytest.raises(ShapeMismatchError):
+            Polynomial.from_vector(self.SHAPE, np.ones(3))

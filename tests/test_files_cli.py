@@ -67,31 +67,65 @@ class TestFileRoundTrip:
         assert any(isinstance(t["coef"], list) for t in raw["terms"])
 
     def test_malformed_inputs_rejected(self):
+        # each case has one fault; its message names the term and the field
         good = json.loads((FIXTURES / "example1.json").read_text())
+        tiny = self.TINY
+        number = "expected finite number or [re, im] pair, got"
         bad_cases = [
-            {},
-            {**good, "terms": [{"exp": [[1, 0, 0]], "coef": 1}]},
-            {**good, "terms": [{"exp": [[2, 0, 0], [0] * 3, [0] * 3], "coef": 1}]},
-            {**good, "terms": good["terms"] + [good["terms"][0]]},
-            {**good, "field": "rational"},
+            ({}, "tensor file missing 'dims'"),
+            ({**good, "terms": [{"exp": [[1, 0, 0]], "coef": 1}]},
+             "terms[0]: 'exp' must list one exponent vector per group"),
+            ({**good, "terms": [{"exp": [[2, 0, 0], [0] * 3, [0] * 3], "coef": 1}]},
+             "terms[0]: group 0 degree exceeds 1"),
+            ({**good, "terms": good["terms"] + [good["terms"][0]]},
+             "terms[64]: duplicate exponent [[0, 0, 0], [0, 0, 0], [0, 0, 0]]"),
+            ({**good, "field": "rational"}, "unknown field 'rational'"),
             # read as dims (1,) before: int() truncated 1.7
-            {**self.TINY, "dims": [1.7]},
-            {**self.TINY, "dims": 1},
-            {**self.TINY, "degrees": [True]},
-            {**self.TINY, "terms": [{"exp": [[True]], "coef": 1}]},
-            {**self.TINY, "terms": [{"exp": [[1]], "coef": True}]},
-            {**self.TINY, "terms": [{"exp": [[1]], "coef": [1, False]}]},
-            {**self.TINY, "terms": 3},
+            ({**tiny, "dims": [1.7]}, "'dims' must be a list of integers, got [1.7]"),
+            ({**tiny, "dims": 1}, "'dims' must be a list of integers, got 1"),
+            ({**tiny, "degrees": [True]},
+             "'degrees' must be a list of integers, got [True]"),
+            ({**tiny, "terms": [{"exp": [[True]], "coef": 1}]},
+             "terms[0]: group 0 exponents must be 1 non-negative integers"),
+            ({**tiny, "terms": [{"exp": [[1]], "coef": True}]},
+             f"terms[0] 'coef': {number} True"),
+            ({**tiny, "terms": [{"exp": [[1]], "coef": [1, False]}]},
+             f"terms[0] 'coef': {number} [1, False]"),
+            ({**tiny, "terms": 3}, "'terms' must be a list"),
             # json reads NaN, Infinity and integers past the float range
-            {**self.TINY, "terms": [{"exp": [[1]], "coef": math.nan}]},
-            {**self.TINY, "terms": [{"exp": [[1]], "coef": math.inf}]},
-            {**self.TINY, "terms": [{"exp": [[1]], "coef": [1.0, -math.inf]}]},
-            {**self.TINY, "terms": [{"exp": [[1]], "coef": 10**400}]},
+            ({**tiny, "terms": [{"exp": [[1]], "coef": math.nan}]},
+             f"terms[0] 'coef': {number} nan"),
+            ({**tiny, "terms": [{"exp": [[1]], "coef": math.inf}]},
+             f"terms[0] 'coef': {number} inf"),
+            ({**tiny, "terms": [{"exp": [[1]], "coef": [1.0, -math.inf]}]},
+             f"terms[0] 'coef': {number} [1.0, -inf]"),
+            ({**tiny, "terms": [{"exp": [[1]], "coef": 10**400}]},
+             f"terms[0] 'coef': {number} {10**400!r}"),
+            ({**tiny, "terms": [{"exp": [[0]], "coef": 1}, {"exp": [[1]], "coef": 2},
+                                {"exp": [[1]], "coef": 3}]},
+             "terms[2]: duplicate exponent [[1]]"),
+            ({**tiny, "terms": [{"exp": [[0]], "coef": 1}, {"exp": [[1]], "coef": [1, 2]}]},
+             "terms[1]: complex coefficient in a real file"),
+            ({**tiny, "terms": [{"exp": [[0]], "coef": 1}, {"exp": [[3]], "coef": 1}]},
+             "terms[1]: group 0 degree exceeds 2"),
+            ({**tiny, "terms": [{"exp": [[-1]], "coef": 1}]},
+             "terms[0]: group 0 exponents must be 1 non-negative integers"),
+            ({**tiny, "terms": [{"exp": [[1, 0]], "coef": 1}]},
+             "terms[0]: group 0 exponents must be 1 non-negative integers"),
+            ({**tiny, "terms": [{"exp": [1], "coef": 1}]},
+             "terms[0]: group 0 exponents must be 1 non-negative integers"),
+            ({**tiny, "terms": [{"exp": [[1]], "coef": 1}, {"coef": 1}]},
+             "terms[1] missing 'exp'"),
+            ({**tiny, "terms": [{"exp": [[1]], "coef": 1}, [1]]},
+             "terms[1] must be a JSON object"),
         ]
-        for obj in bad_cases:
-            with pytest.raises(FormatError):
+        for obj, message in bad_cases:
+            with pytest.raises(FormatError) as info:
                 TensorFile.from_obj(obj)
-        TensorFile.from_obj(self.TINY)
+            assert str(info.value) == message
+        TensorFile.from_obj(tiny)
+        TensorFile.from_obj({**tiny, "field": "complex",
+                             "terms": [{"exp": [[1]], "coef": [1, 2]}]})
 
     TINY = {"dims": [1], "degrees": [2], "terms": [{"exp": [[1]], "coef": 1}]}
 
