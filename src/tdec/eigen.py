@@ -84,6 +84,20 @@ class RootSet:
         return len(self.eigvecs)
 
 
+def _dots(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """X[i] @ Y[i] for every row i, one stacked product running the same
+    dot per row."""
+    return np.matmul(X[:, None, :], Y[:, :, None])[:, 0, 0]
+
+
+def _norms(X: np.ndarray) -> np.ndarray:
+    """np.linalg.norm of every row of X, to the bit: numpy takes the norm of
+    a vector x as sqrt(x.real @ x.real + x.imag @ x.imag)."""
+    if not np.iscomplexobj(X):
+        return np.sqrt(_dots(X, X))
+    return np.sqrt(_dots(X.real, X.real) + _dots(X.imag, X.imag))
+
+
 def joint_eigenvectors(
     family: MultiplicationFamily, seed: int = 0
 ) -> RootSet:
@@ -101,6 +115,7 @@ def joint_eigenvectors(
     r = len(B)
     rng = np.random.default_rng(seed)
     complex_data = any(np.iscomplexobj(M) for M in mats)
+    upper = np.triu_indices(r, 1)  # the pairs i < j
 
     vals = vecs = None
     for _ in range(2):  # one retry with a fresh draw on tiny gaps
@@ -113,51 +128,43 @@ def joint_eigenvectors(
         vals, vecs = np.linalg.eig(A)
         if r == 1:
             break
-        gaps = min(
-            abs(vals[i] - vals[j])
-            for i in range(r)
-            for j in range(i + 1, r)
-        )
+        gaps = np.abs(vals[upper[0]] - vals[upper[1]]).min()
         if gaps > EIG_RETRY_GAP * (1.0 + np.abs(vals).max()):
             break
 
     defective = numerical_rank(vecs, 1e-8) < r
-    eigvecs = []
-    degenerate = False
-    for i in range(r):
-        w = vecs[:, i]
-        if abs(w[0]) < 1e-12 * np.linalg.norm(w):
-            degenerate = True
-            eigvecs.append(w)
-            continue
-        eigvecs.append(w / w[0])
+    # one eigenvector per row, scaled to 1 on the monomial 1 unless it has
+    # (numerically) no such coordinate
+    E = np.ascontiguousarray(vecs.T)
+    lead = E[:, 0]
+    no_lead = np.abs(lead) < 1e-12 * _norms(E)
+    degenerate = bool(no_lead.any())
+    E[~no_lead] = E[~no_lead] / lead[~no_lead, None]
 
     eigenvalues = {}
     eig_residual = 0.0
+    Ec, w_norms = E.conj(), _norms(E)
     for v, M in zip(variables, mats):
-        lam_v = np.empty(r, dtype=complex)
-        for i, w in enumerate(eigvecs):
-            lam_v[i] = (w.conj() @ (M @ w)) / (w.conj() @ w)
-            eig_residual = max(
-                eig_residual,
-                np.linalg.norm(M @ w - lam_v[i] * w)
-                / max(1.0, np.linalg.norm(M) * np.linalg.norm(w)),
-            )
+        MW = np.matmul(M, E[:, :, None])[:, :, 0]  # the gemv M @ w per row
+        lam_v = (_dots(Ec, MW) / _dots(Ec, E)).astype(complex)
+        res = _norms(MW - lam_v[:, None] * E) / np.maximum(
+            1.0, np.linalg.norm(M) * w_norms
+        )
+        eig_residual = np.fmax.reduce(res, initial=eig_residual)  # NaN skipped
         eigenvalues[v] = lam_v
 
     # joint eigenvalue tuples must be pairwise distinct
     tuples = np.array([eigenvalues[v] for v in variables]).T if variables else np.zeros((r, 0))
     scale = 1.0 + (np.abs(tuples).max() if tuples.size else 0.0)
-    collision = False
-    for i in range(r):
-        for j in range(i + 1, r):
-            if tuples.size and np.abs(tuples[i] - tuples[j]).max() <= SIMPLE_GAP_TOL * scale:
-                collision = True
+    collision = bool(tuples.size) and bool(
+        (np.abs(tuples[upper[0]] - tuples[upper[1]]).max(axis=1)
+         <= SIMPLE_GAP_TOL * scale).any()
+    )
     simple = not (defective or degenerate or collision)
     return RootSet(
         shape=B.shape,
         basis=B,
-        eigvecs=eigvecs,
+        eigvecs=list(E),
         eigenvalues=eigenvalues,
         simple=simple,
         diagnostics={

@@ -117,15 +117,16 @@ class ExtensionResult:
 
 
 def commutator_residual(mats: list[np.ndarray]) -> float:
-    """Max over pairs of ||M_i M_j - M_j M_i||_F, scale normalized."""
-    worst = 0.0
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            a, b = mats[i], mats[j]
-            num = np.linalg.norm(a @ b - b @ a)
-            den = max(1.0, np.linalg.norm(a) * np.linalg.norm(b))
-            worst = max(worst, num / den)
-    return worst
+    """Max over pairs of ||M_i M_j - M_j M_i||_F, scale normalized: one
+    stacked product over the pairs i < j."""
+    if len(mats) < 2:
+        return 0.0
+    M = np.stack(mats)
+    i, j = np.triu_indices(len(mats), 1)
+    num = np.linalg.norm(M[i] @ M[j] - M[j] @ M[i], axis=(1, 2))
+    norms = np.linalg.norm(M, axis=(1, 2))
+    # fmax skips a NaN, as the running max over pairs did
+    return float(np.fmax.reduce(num / np.maximum(1.0, norms[i] * norms[j]), initial=0.0))
 
 
 # the fixed cost of one more QR and SVD call, in the units of _solve_cost

@@ -5,6 +5,8 @@ import golden_data as gd
 from conftest import basis_of, poly, rank_one_expand, variable, weighted_evaluation
 from tdec.algebra import Monomial, Point, Shape
 from tdec.eigen import (
+    EIG_RETRY_GAP,
+    SIMPLE_GAP_TOL,
     MultiplicationFamily,
     WeightSolveError,
     family_from_functional,
@@ -19,6 +21,7 @@ from tdec.moment import (
     build_moment_functional,
     enumerate_monomials,
     hankel,
+    numerical_rank,
     select_bases_candidates,
 )
 
@@ -171,6 +174,139 @@ class TestJointEigenvectors:
                         assert w[index[m1 * m2]] == pytest.approx(
                             w[index[m1]] * w[index[m2]], rel=1e-6, abs=1e-9
                         )
+
+
+def joint_eigenvectors_loop(family, seed=0):
+    """The per-eigenvector, per-variable loops that joint_eigenvectors
+    replaced by stacked products: the reference for its bits."""
+    variables = family.variables()
+    mats = [family.matrices[v].T for v in variables]
+    r = len(family.basis)
+    rng = np.random.default_rng(seed)
+    complex_data = any(np.iscomplexobj(M) for M in mats)
+    for _ in range(2):
+        if complex_data:
+            radius = np.sqrt(rng.uniform(0.0, 1.0, len(mats)))
+            t = radius * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, len(mats)))
+        else:
+            t = rng.uniform(-1.0, 1.0, len(mats))
+        A = sum(tv * M for tv, M in zip(t, mats))
+        vals, vecs = np.linalg.eig(A)
+        if r == 1:
+            break
+        gaps = min(abs(vals[i] - vals[j]) for i in range(r) for j in range(i + 1, r))
+        if gaps > EIG_RETRY_GAP * (1.0 + np.abs(vals).max()):
+            break
+    defective = numerical_rank(vecs, 1e-8) < r
+    eigvecs, degenerate = [], False
+    for i in range(r):
+        w = vecs[:, i]
+        if abs(w[0]) < 1e-12 * np.linalg.norm(w):
+            degenerate = True
+            eigvecs.append(w)
+            continue
+        eigvecs.append(w / w[0])
+    eigenvalues, eig_residual = {}, 0.0
+    for v, M in zip(variables, mats):
+        lam_v = np.empty(r, dtype=complex)
+        for i, w in enumerate(eigvecs):
+            lam_v[i] = (w.conj() @ (M @ w)) / (w.conj() @ w)
+            eig_residual = max(
+                eig_residual,
+                np.linalg.norm(M @ w - lam_v[i] * w)
+                / max(1.0, np.linalg.norm(M) * np.linalg.norm(w)),
+            )
+        eigenvalues[v] = lam_v
+    tuples = np.array([eigenvalues[v] for v in variables]).T
+    scale = 1.0 + np.abs(tuples).max()
+    collision = any(
+        np.abs(tuples[i] - tuples[j]).max() <= SIMPLE_GAP_TOL * scale
+        for i in range(r)
+        for j in range(i + 1, r)
+    )
+    return eigvecs, eigenvalues, defective, degenerate, collision, eig_residual
+
+
+def commuting_family(r, n_vars, rng, kind):
+    """Tables M_v with M_v^T = P diag(z_v) P^-1 over a basis of r monomials;
+    ``kind`` picks real roots, real tables with a complex pair of roots,
+    complex tables, an eigenvector without a coordinate on 1, or two roots
+    that coincide."""
+    shape = Shape(dims=(r - 1,), degrees=(1,))
+    B = basis_of(shape, ["1"] + [f"a{j + 1}" for j in range(r - 1)])
+    P = rng.normal(size=(r, r))
+    Z = rng.normal(size=(n_vars, r))
+    if kind == "complex":
+        P = P + 1j * rng.normal(size=(r, r))
+        Z = Z + 1j * rng.normal(size=(n_vars, r))
+    elif kind == "conjugate":  # real tables, a pair of complex roots
+        P, Z = P.astype(complex), Z.astype(complex)
+        P[:, 1] = (P[:, 0] + 1j * P[:, 1]).conj()
+        P[:, 0] = P[:, 1].conj()
+        Z[:, 1] = (Z[:, 0] + 1j * Z[:, 1]).conj()
+        Z[:, 0] = Z[:, 1].conj()
+    elif kind == "no-lead":
+        P[0, 1] = 0.0
+    elif kind == "collision":
+        Z[:, 1] = Z[:, 0]
+    mats = {
+        (0, j): (P @ np.diag(z) @ np.linalg.inv(P)).T.copy() for j, z in enumerate(Z)
+    }
+    if kind == "conjugate":
+        mats = {v: M.real.copy() for v, M in mats.items()}
+    return MultiplicationFamily(B, mats)
+
+
+class TestStackedEigenProducts:
+    @pytest.mark.parametrize(
+        "kind", ["real", "conjugate", "complex", "no-lead", "collision"]
+    )
+    def test_bit_equal_to_loops(self, kind):
+        rng = np.random.default_rng(7)
+        for r, n_vars in [(2, 1), (3, 2), (5, 3), (8, 4), (9, 7)]:
+            fam = commuting_family(r, n_vars, rng, kind)
+            for seed in (0, 1):
+                got = joint_eigenvectors(fam, seed=seed)
+                vecs, vals, defective, degenerate, collision, res = (
+                    joint_eigenvectors_loop(fam, seed)
+                )
+                assert [w.tobytes() for w in got.eigvecs] == [w.tobytes() for w in vecs]
+                assert got.simple == (not (defective or degenerate or collision))
+                assert got.diagnostics["defective"] == defective
+                assert got.diagnostics["collision"] == collision
+                if kind == "no-lead":
+                    # the loop multiplied an unscaled eigenvector in place,
+                    # a strided column, so its gemv may round otherwise;
+                    # such roots are never simple
+                    assert not got.simple
+                    for v in vals:
+                        np.testing.assert_allclose(
+                            got.eigenvalues[v], vals[v], rtol=1e-12, atol=1e-15
+                        )
+                    assert got.diagnostics["eig_residual"] == pytest.approx(
+                        res, rel=1e-6, abs=1e-15
+                    )
+                    continue
+                assert {v: a.tobytes() for v, a in got.eigenvalues.items()} == {
+                    v: a.tobytes() for v, a in vals.items()
+                }
+                assert got.diagnostics["eig_residual"] == res
+                assert got.simple == (kind != "collision")
+
+    def test_golden_families_bit_equal_to_loops(self, ex1_family, tensor2, shape2):
+        _, _, B, Bp, ext = ex1_family
+        lam2 = build_moment_functional(tensor2)
+        B2, Bp2 = basis_of(shape2, gd.H2_B_COLS), basis_of(shape2, gd.H2_B_ROWS)
+        ext2 = propagate_commutation(lam2, B2, Bp2)
+        for fam in (
+            family_from_functional(ext.functional, B, Bp),
+            family_from_functional(ext2.functional, B2, Bp2),
+        ):
+            got = joint_eigenvectors(fam, seed=3)
+            vecs, vals, *_, res = joint_eigenvectors_loop(fam, 3)
+            assert [w.tobytes() for w in got.eigvecs] == [w.tobytes() for w in vecs]
+            assert all(got.eigenvalues[v].tobytes() == vals[v].tobytes() for v in vals)
+            assert got.diagnostics["eig_residual"] == res
 
 
 class TestReadCoordinates:

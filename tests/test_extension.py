@@ -995,6 +995,32 @@ class TestCommutatorResidual:
         mats = [tables[(2, l)] for l in range(3)]
         assert commutator_residual(mats) < 1e-8
 
+    def test_matches_pair_loop(self):
+        # the stacked norms sum in another order: equal to rounding
+        def pair_loop(mats):
+            worst = 0.0
+            for i in range(len(mats)):
+                for j in range(i + 1, len(mats)):
+                    a, b = mats[i], mats[j]
+                    num = np.linalg.norm(a @ b - b @ a)
+                    den = max(1.0, np.linalg.norm(a) * np.linalg.norm(b))
+                    worst = max(worst, num / den)
+            return worst
+
+        rng = np.random.default_rng(3)
+        for n, size in [(2, 1), (3, 4), (6, 7), (13, 8)]:
+            P = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+            commuting = [P @ np.diag(rng.normal(size=size)) @ np.linalg.inv(P)
+                         for _ in range(n)]
+            for mats in (
+                [rng.normal(size=(size, size)) for _ in range(n)],
+                [rng.normal(size=(size, size)) * 1j + M for M in commuting],
+                commuting,
+            ):
+                assert commutator_residual(mats) == pytest.approx(
+                    pair_loop(mats), rel=1e-12, abs=1e-15
+                )
+
     def test_random_pair_does_not_commute(self):
         rng = np.random.default_rng(7)
         mats = [rng.normal(size=(4, 4)) for _ in range(2)]
