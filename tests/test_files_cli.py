@@ -11,6 +11,7 @@ import pytest
 
 import tdec
 from conftest import count_calls, near_collinear_tensor
+from tdec.algebra import Monomial
 from tdec.cli import main
 from tdec.files import (
     DecompositionFile,
@@ -56,6 +57,33 @@ class TestFileRoundTrip:
         obj = df.to_obj()
         again = DecompositionFile.from_obj(json.loads(dumps(obj)))
         assert again.to_obj() == obj
+
+    @pytest.mark.parametrize("case", ["example1-shuffled", "complex", "python-int-codes"])
+    def test_reader_places_coefficients_by_code(self, case):
+        # the reader's vector equals the dict constructor's, bit for bit
+        if case == "example1-shuffled":
+            obj = json.loads((FIXTURES / "example1.json").read_text())
+            obj["terms"] = obj["terms"][::-1]
+        elif case == "complex":
+            obj = synthesize((2, 2), (1, 1), rank=2, seed=5, fld="complex")[0].to_obj()
+            obj["terms"][0]["coef"] = [0.0, 0.0]
+        else:  # 28 variables: codes past 63 bits are Python integers
+            e = [[0] * 14, [0] * 14]
+            obj = {"dims": [14, 14], "degrees": [1, 1], "terms": [
+                {"exp": e, "coef": 1.5},
+                {"exp": [[0] * 13 + [1], [0] * 13 + [1]], "coef": -2},
+                {"exp": [[1] + [0] * 13, [0] * 14], "coef": -0.0},
+            ]}
+        tf = TensorFile.from_obj(obj)
+        assert tf.shape.variable_codes.dtype == (object if case[0] == "p" else np.int64)
+        reference = tdec.Polynomial(tf.shape, {
+            Monomial(tuple(map(tuple, t["exp"]))):
+                complex(*t["coef"]) if isinstance(t["coef"], list) else float(t["coef"])
+            for t in obj["terms"]
+        })
+        assert tf.tensor.vector().tobytes() == reference.vector().tobytes()
+        assert tf.tensor.uses_complex() == (case == "complex")
+        assert tf.tensor == reference
 
     def test_complex_pairs(self, tmp_path):
         tf, truth = synthesize((2, 2), (1, 1), rank=2, seed=5, fld="complex")
