@@ -118,15 +118,17 @@ class ExtensionResult:
 
 def commutator_residual(mats: list[np.ndarray]) -> float:
     """Max over pairs of ||M_i M_j - M_j M_i||_F, scale normalized: one
-    stacked product over the pairs i < j."""
+    stacked product over all ordered pairs (a pair and its reverse give the
+    same norm, and a matrix with itself gives 0)."""
     if len(mats) < 2:
         return 0.0
     M = np.stack(mats)
-    i, j = np.triu_indices(len(mats), 1)
-    num = np.linalg.norm(M[i] @ M[j] - M[j] @ M[i], axis=(1, 2))
+    P = M[:, None] @ M  # P[i, j] = M_i M_j
+    num = np.linalg.norm(P - P.swapaxes(0, 1), axis=(2, 3))
     norms = np.linalg.norm(M, axis=(1, 2))
+    ratio = num / np.maximum(1.0, np.multiply.outer(norms, norms))
     # fmax skips a NaN, as the running max over pairs did
-    return float(np.fmax.reduce(num / np.maximum(1.0, norms[i] * norms[j]), initial=0.0))
+    return float(np.fmax.reduce(ratio, axis=None, initial=0.0))
 
 
 # the fixed cost of one more QR and SVD call, in the units of _solve_cost
