@@ -75,7 +75,8 @@ class TestFileRoundTrip:
                 {"exp": [[1] + [0] * 13, [0] * 14], "coef": -0.0},
             ]}
         tf = TensorFile.from_obj(obj)
-        assert tf.shape.variable_codes.dtype == (object if case[0] == "p" else np.int64)
+        big = case == "python-int-codes"
+        assert tf.shape.variable_codes.dtype == (object if big else np.int64)
         reference = tdec.Polynomial(tf.shape, {
             Monomial(tuple(map(tuple, t["exp"]))):
                 complex(*t["coef"]) if isinstance(t["coef"], list) else float(t["coef"])
