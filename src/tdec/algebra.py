@@ -401,9 +401,6 @@ class Polynomial:
             and self.terms == other.terms
         )
 
-    def coeff(self, m: Monomial) -> complex:
-        return self.terms.get(m, 0)
-
     def is_zero(self) -> bool:
         return not self.vector().any()
 
@@ -413,11 +410,6 @@ class Polynomial:
             imag = self.vector().imag
             self._max_imag = float(np.abs(imag).max(initial=0.0))
         return self._max_imag <= tol
-
-    def uses_complex(self) -> bool:
-        """A complex coefficient vector: some coefficient was given as a
-        complex type.  Drives array dtypes."""
-        return np.iscomplexobj(self.vector())
 
     def vector(self) -> np.ndarray:
         """Coefficients over the rows of the shape's monomial table, complex

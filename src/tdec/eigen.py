@@ -150,7 +150,7 @@ def joint_eigenvectors(
         res = _norms(MW - lam_v[:, None] * E) / np.maximum(
             1.0, np.linalg.norm(M) * w_norms
         )
-        eig_residual = np.fmax.reduce(res, initial=eig_residual)  # NaN skipped
+        eig_residual = np.maximum.reduce(res, initial=eig_residual)  # NaN kept
         eigenvalues[v] = lam_v
 
     # joint eigenvalue tuples must be pairwise distinct

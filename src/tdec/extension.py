@@ -37,24 +37,24 @@ the inverse.
 
 The monomial bookkeeping is index arithmetic on exponent rows and their
 codes, done once per propagator: the targets (the border of B) are an
-exponent matrix and their tails a list indexed by target; the moments of
-every target times every known row are one lookup of a block of code sums;
-the shift table places each product ``x_v * b`` in a slot of the reduction
-table, which stacks the unit vectors of B and the tails of the targets with
-a known mask; and the syzygy pairs are screened all at once on the targets'
-exponent matrix.  Each pass builds the syzygy rows of all pairs at once
-through the shift table: the constant side of every pair, and its
-coefficient blocks (a scalar times the identity for a resolved tail meeting
-an unresolved target, the shift matrix of an unresolved target), the two
-sides of a pair summed into one r x r block per unresolved target it
-meets.  The pass's system is written once: the moment rows and the nonzero
-rows of those blocks go straight into one zero array, and the blocks they
-touch are the incidence that splits the system into components.  The
-multiplication tables read the same reduction table.  The completed
-moments are added by code, in two batches.  ``Monomial`` objects appear
-only where results leave (the leads of the returned relations, the names in
-the diagnostics) and in the products of B' with those leads; the normal
-forms are reduced on exponent rows and codes.
+exponent matrix; the reduction table stacks the unit vectors of B and the
+tails of the targets, and it and the mask of its known slots are the whole
+state of the completion; the moments of every target times every known row
+are one lookup of a block of code sums; the shift table places each product
+``x_v * b`` in a slot of the reduction table; and the syzygy pairs are
+screened all at once on the targets' exponent matrix.  Each pass builds the
+syzygy rows of all pairs at once through the shift table: the constant side
+of every pair, and its coefficient blocks (a scalar times the identity for a
+resolved tail meeting an unresolved target, the shift matrix of an
+unresolved target), the two sides of a pair summed into one r x r block per
+unresolved target it meets.  The pass's system is written once: the moment
+rows and the nonzero rows of those blocks go straight into one zero array,
+and the blocks they touch are the incidence that splits the system into
+components.  The multiplication tables read the same reduction table.  The
+completed moments are added by code, in two batches.  ``Monomial`` objects
+appear only where results leave (the leads of the returned relations, the
+names in the diagnostics) and in the products of B' with those leads; the
+normal forms are reduced on exponent rows and codes.
 
 When the fixpoint resolves everything and the multiplication tables
 commute, they define the unique extension of the data, and any moment is
@@ -116,10 +116,12 @@ class ExtensionResult:
         return self.status == "extended"
 
 
-def commutator_residual(mats: list[np.ndarray]) -> float:
+def commutator_residual(mats: list[np.ndarray] | np.ndarray) -> float:
     """Max over pairs of ||M_i M_j - M_j M_i||_F, scale normalized: one
     stacked product over all ordered pairs (a pair and its reverse give the
-    same norm, and a matrix with itself gives 0)."""
+    same norm, and a matrix with itself gives 0).  Takes a list or a stacked
+    array of the matrices; a NaN anywhere gives NaN, which no tolerance
+    passes."""
     if len(mats) < 2:
         return 0.0
     M = np.stack(mats)
@@ -127,8 +129,7 @@ def commutator_residual(mats: list[np.ndarray]) -> float:
     num = np.linalg.norm(P - P.swapaxes(0, 1), axis=(2, 3))
     norms = np.linalg.norm(M, axis=(1, 2))
     ratio = num / np.maximum(1.0, np.multiply.outer(norms, norms))
-    # fmax skips a NaN, as the running max over pairs did
-    return float(np.fmax.reduce(ratio, axis=None, initial=0.0))
+    return float(ratio.max())
 
 
 # the fixed cost of one more QR and SVD call, in the units of _solve_cost
@@ -411,8 +412,13 @@ class _Propagator:
         self.targets = B.border
         if rng is not None:
             self.targets = self.targets[rng.permutation(len(self.targets))]
-        # tails[t] is the resolved relation tail of the t-th target, or None
-        self.tails: list[np.ndarray | None] = [None] * len(self.targets)
+        r = self.r
+        # the normal forms over B that shifted products reduce to, by slot:
+        # slot s < r holds the unit vector of b_s and slot r + t the tail of
+        # the t-th target, a row of zeros until ``known`` marks it resolved
+        self.table = np.zeros((r + len(self.targets), r), dtype=self.dtype)
+        self.table[:r] = np.eye(r)
+        self.known = np.arange(len(self.table)) < r
         # any monomial whose products with B are known yields valid
         # constraints; scan the whole known range plus the prolonged rows
         # beyond it (those over some group's degree bound)
@@ -437,19 +443,13 @@ class _Propagator:
         self.prod_place = np.full(codes.shape, -1)
         self.prod_place[~known] = rank[inverse]
         # x_v * b_s lies in B+ = B u B.border: shift[v, s] is its slot in
-        # the reduction table (see _table), s' < r for the basis element b_s'
-        # and r + t for the t-th target
-        where = {c: i for i, c in enumerate(B.codes.tolist())}
-        for t, c in enumerate(shape.codes(self.targets).tolist()):
-            where[c] = self.r + t
+        # the reduction table, found by code
+        slot_codes = np.concatenate([B.codes, shape.codes(self.targets)])
+        order = np.argsort(slot_codes)
         variables = np.eye(B.exps.shape[1], dtype=np.int64)
-        self.shift = np.array(
-            [
-                [where[c] for c in row]
-                for row in shape.product_codes(variables, B.exps).tolist()
-            ],
-            dtype=np.int64,
-        )
+        self.shift = order[np.searchsorted(
+            slot_codes[order], shape.product_codes(variables, B.exps)
+        )]
         self.syzygy_pairs = self._syzygy_pairs(self.targets)
         self.inconsistency = 0.0
         # free relation coefficients left by the last fixpoint pass, and
@@ -465,34 +465,15 @@ class _Propagator:
 
     # --- reductions -----------------------------------------------------
 
-    def _table(self):
-        """The normal forms over B that shifted products reduce to, by slot:
-        slot s < r holds the unit vector of b_s and slot r + t the tail of
-        the t-th target (zeros while unresolved).  Returns the table and
-        which of its slots are known."""
-        r = self.r
-        table = np.zeros((r + len(self.tails), r), dtype=self.dtype)
-        table[:r] = np.eye(r)
-        known = np.ones(len(table), dtype=bool)
-        for t, tail in enumerate(self.tails):
-            if tail is None:
-                known[r + t] = False
-            else:
-                table[r + t] = tail
-        return table, known
-
-    def tables(self) -> dict[tuple[int, int], np.ndarray]:
-        """Per-variable tables M_v with columns the normal forms of x_v * b,
-        once every target is resolved."""
-        table, _ = self._table()
-        return {
-            var: table[self.shift[v]].T.copy()
-            for v, var in enumerate(self.shape.variables())
-        }
+    def tables(self) -> np.ndarray:
+        """The tables M_v with columns the normal forms of x_v * b, once
+        every target is resolved: one C-contiguous (n_vars, r, r) array in
+        canonical variable order."""
+        return np.ascontiguousarray(self.table[self.shift].transpose(0, 2, 1))
 
     # --- equation harvesting ---------------------------------------------
 
-    def _moment_equations(self, table, known):
+    def _moment_equations(self):
         """Pair every target with every fully known row, placeholders
         projected out.
 
@@ -505,8 +486,6 @@ class _Propagator:
         subtracting the mean of each placeholder's group of rows is the
         orthogonal projection that removes the placeholders.  It keeps the
         least-squares residual and the row space over the coefficients.
-        ``table`` and ``known`` are the pass's reduction table (_table),
-        whose slots tell which targets are resolved and hold their tails.
 
         Returns the right-hand sides of the projected rows; ``write(out,
         touched)``, which writes the rows over the coefficients of the
@@ -517,10 +496,10 @@ class _Propagator:
         before projection.
         """
         r, dtype = self.r, self.dtype
-        solved = known[r:]
+        solved = self.known[r:]
         res_t, unr_t = np.flatnonzero(solved), np.flatnonzero(~solved)
         n_unres = len(unr_t)
-        tails = table[r + res_t]
+        tails = self.table[r + res_t]
         pred = tails @ self.rows.T
         measured = self.prod_place[res_t] < 0
         if measured.any():
@@ -587,7 +566,7 @@ class _Propagator:
         v2 = np.where(q2.any(axis=1), q2.argmax(axis=1), -1)
         return np.stack([i, j, v1, v2], axis=1)[canonical_order(lcm)]
 
-    def _sides(self, t, v, table, known):
+    def _sides(self, t, v):
         """The products x_v * N(m_t) (N(m_t) when v < 0), one per entry of
         t and v, kept affine in the unresolved relation coefficients.
 
@@ -599,19 +578,17 @@ class _Propagator:
         tail[s] times the identity for each unknown x_v * b_s met by a
         resolved tail.
         """
-        r, dtype = self.r, self.dtype
+        r, dtype, table = self.r, self.dtype, self.table
         own = r + t
         # an unresolved target's tail is a row of zeros, which adds nothing
         tails = table[own]
-        solved = known[own]
+        solved = self.known[own]
         moved = v >= 0
         slots = self.shift[np.maximum(v, 0)]
-        slot_known = known[slots]
-        # x_v * b_s over the known slots, accumulated one s at a time
-        const = np.zeros((len(t), r), dtype=dtype)
+        slot_known = self.known[slots]
+        # x_v * b_s over the known slots, summed in order of s
         coef = np.where(slot_known & moved[:, None], tails, 0)
-        for s in range(r):
-            const += coef[:, s, None] * table[slots[:, s]]
+        const = (coef[:, :, None] * table[slots]).sum(axis=1)
         const[~moved] = tails[~moved]
         ok = solved | ~moved | slot_known.all(axis=1)
 
@@ -628,12 +605,11 @@ class _Propagator:
         ])
         return const, ok, (entry, where, mats)
 
-    def _syzygy_equations(self, table, known):
+    def _syzygy_equations(self):
         """Rows equating the two reductions of each pair's lcm, over the
         coefficient blocks of the unresolved targets (block k for the k-th
-        in target order), given the pass's reduction table (_table).  A pair
-        whose sides are both constant is a consistency check, and so is a
-        row that comes out all zero.
+        in target order).  A pair whose sides are both constant is a
+        consistency check, and so is a row that comes out all zero.
 
         A pair with a linear side gives r rows, one per coordinate over B,
         and meets each block through at most one matrix per side: its r x r
@@ -646,14 +622,14 @@ class _Propagator:
         touches.
         """
         r, dtype = self.r, self.dtype
-        unresolved = np.flatnonzero(~known[r:])
+        unresolved = np.flatnonzero(~self.known[r:])
         n_unres = len(unresolved)
         n_pairs = len(self.syzygy_pairs)
         t1, t2, v1, v2 = self.syzygy_pairs.T
         # both sides in one batch: side 1 of pair p is entry p, side 2 is
         # entry n_pairs + p
         const, ok, (entry, where, mats) = self._sides(
-            np.concatenate([t1, t2]), np.concatenate([v1, v2]), table, known
+            np.concatenate([t1, t2]), np.concatenate([v1, v2])
         )
         c1, c2 = const[:n_pairs], const[n_pairs:]
         ok = ok[:n_pairs] & ok[n_pairs:]
@@ -670,7 +646,7 @@ class _Propagator:
         rows = ok & linear
         row_of = np.cumsum(rows) - 1
         n_rows = int(row_of[-1]) + 1 if n_pairs else 0
-        block_of = np.full(len(table), -1)
+        block_of = np.full(len(self.table), -1)
         block_of[r + unresolved] = np.arange(n_unres)
         use = rows[pair]
         # one r x r block per (row, block) met, in row-major order
@@ -710,21 +686,18 @@ class _Propagator:
             return
         # one stacked solve runs the same LU solve per column as solve(H, c)
         tails = np.linalg.solve(self.H[None], cols[:, direct].T[:, :, None])
-        for j, tail in zip(direct.tolist(), tails[:, :, 0]):
-            self.tails[j] = tail
+        self.table[self.r + direct] = tails[:, :, 0]
+        self.known[self.r + direct] = True
 
     def run(self):
         self.resolve_direct()
         r = self.r
         for _ in range(len(self.targets) + 1):
-            unresolved = [t for t, tail in enumerate(self.tails) if tail is None]
-            if not unresolved:
+            unresolved = np.flatnonzero(~self.known[r:])
+            if not len(unresolved):
                 break
-            table, known = self._table()
-            b_m, write_m, n_raw, b_raw_sq, n_places = self._moment_equations(
-                table, known
-            )
-            b_s, write_s = self._syzygy_equations(table, known)
+            b_m, write_m, n_raw, b_raw_sq, n_places = self._moment_equations()
+            b_s, write_s = self._syzygy_equations()
             n_raw += len(b_s)
             if not n_raw:
                 self.nullity = len(unresolved) * r
@@ -752,25 +725,25 @@ class _Propagator:
             )
             if self.inconsistency > self.tol:
                 return "inconsistent"
-            progress = False
-            for k, t in enumerate(unresolved):
-                block = slice(k * r, (k + 1) * r)
-                if freedom[block].max() > _NULLSPACE_TOL:
-                    continue
-                self.tails[t] = x[block]
-                progress = True
-            if not progress:
+            # a NaN freedom compares false: its block counts as determined
+            free = freedom.reshape(-1, r).max(axis=1) > _NULLSPACE_TOL
+            if free.all():
                 break
+            self.table[r + unresolved[~free]] = x.reshape(-1, r)[~free]
+            self.known[r + unresolved[~free]] = True
         if self.inconsistency > self.tol:
             return "inconsistent"
-        if any(tail is None for tail in self.tails):
+        if not self.known.all():
             return "rank_deficient"
         return "extended"
 
 
-def _normal_forms(shape: Shape, tables, exps: np.ndarray, codes: np.ndarray, r, dtype):
+def _normal_forms(
+    shape: Shape, tables: np.ndarray, exps: np.ndarray, codes: np.ndarray
+):
     """Normal forms over B of the monomials with exponent rows ``exps`` and
-    codes ``codes``, one row each, given the table of every variable.
+    codes ``codes``, one row each, given the tables of the variables stacked
+    in canonical order.
 
     NF(1) = e_1 (B lists 1 first) and NF(m) = M_v NF(m / x_v) for the last
     variable v of m, which is the chain of products that applies each table
@@ -781,8 +754,7 @@ def _normal_forms(shape: Shape, tables, exps: np.ndarray, codes: np.ndarray, r, 
     forms, which runs the same matrix-vector product per monomial as
     ``M_v @ NF(m / x_v)``.
     """
-    n_vars = exps.shape[1]
-    mats = np.array([tables[var] for var in shape.variables()], dtype=dtype)
+    n_vars, r, dtype = exps.shape[1], tables.shape[1], tables.dtype
     degree = exps.sum(axis=1)
     # top down: per degree, its monomials by code (sorted), the positions
     # of the given rows among them, their last variables and parents' codes
@@ -808,7 +780,7 @@ def _normal_forms(shape: Shape, tables, exps: np.ndarray, codes: np.ndarray, r, 
     nf[0, 0] = 1.0
     for mine, place, last, level, up in reversed(levels):
         parent = np.searchsorted(below, up)
-        below, nf = level, (mats[last] @ nf[parent][:, :, None])[:, :, 0]
+        below, nf = level, (tables[last] @ nf[parent][:, :, None])[:, :, 0]
         out[mine] = nf[place]
     return out
 
@@ -836,12 +808,13 @@ def propagate_commutation(
     status = prop.run()
 
     shape = lam.shape
-    solved = [t for t, tail in enumerate(prop.tails) if tail is not None]
-    unresolved = [t for t, tail in enumerate(prop.tails) if tail is None]
-    solved = [solved[i] for i in canonical_order(prop.targets[solved])]
+    resolved = prop.known[prop.r:]
+    solved, unresolved = np.flatnonzero(resolved), np.flatnonzero(~resolved)
+    solved = solved[canonical_order(prop.targets[solved])]
+    tails = prop.table[prop.r + solved]
     relations = [
-        BorderRelation(m, prop.tails[t])
-        for m, t in zip(shape.monomials(prop.targets[solved]), solved)
+        BorderRelation(m, tail)
+        for m, tail in zip(shape.monomials(prop.targets[solved]), tails)
     ]
     diagnostics = {
         "inconsistency": prop.inconsistency,
@@ -855,8 +828,8 @@ def propagate_commutation(
     completed = commute = None
     if status == "extended":
         tables = prop.tables()
-        commute = commutator_residual([tables[v] for v in sorted(tables)])
-        if commute > max(tol, 1e-8):
+        commute = commutator_residual(tables)
+        if not commute <= max(tol, 1e-8):  # a NaN residual refuses
             status = "inconsistent"
         else:
             completed = _complete(lam, B, Bp, prop, tables, relations)
@@ -882,7 +855,7 @@ def _complete(lam, B, Bp, prop, tables, relations) -> MomentFunctional:
     unknown = first_unknown(lam, codes)
     n_cols = len(B.plus)
     exps = Bp.plus[unknown // n_cols] + B.plus[unknown % n_cols]
-    nf = _normal_forms(shape, tables, exps, codes[unknown], r, dtype)
+    nf = _normal_forms(shape, tables, exps, codes[unknown])
     values = (lam_B[None, None, :] @ nf[:, :, None])[:, 0, 0]
     completed = lam.extended(codes[unknown], values)
     # B' x border lies in B'+ x B+, whose moments are all known by now, so

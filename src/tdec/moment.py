@@ -239,19 +239,6 @@ def _block_rank(A: np.ndarray, tol_rank: float) -> int:
     return numerical_rank(A, tol_rank)
 
 
-def catalecticant(
-    lam: MomentFunctional,
-    row_bounds: tuple[int, ...],
-    col_bounds: tuple[int, ...],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The moment matrix between two degree-bounded monomial pools, and the
-    pools' exponent rows; bounds that add up to at most the shape's degrees
-    keep every entry known."""
-    rows = enumerate_monomials(lam.shape, list(row_bounds))
-    cols = enumerate_monomials(lam.shape, list(col_bounds))
-    return hankel(lam, rows, cols)[0], rows, cols
-
-
 def _greedy_staircase(
     A: np.ndarray, exps: np.ndarray, shape: Shape, target: int,
     tol_rank: float, axis: int,

@@ -227,7 +227,11 @@ def syzygy_reference(prop, unresolved):
     rows over the coefficient blocks of the unresolved targets, right-hand
     sides, and the largest inconsistency met (pairs with no unknown, and
     rows left all zero)."""
-    r, dtype, tails = prop.r, prop.dtype, prop.tails
+    r, dtype = prop.r, prop.dtype
+    tails = [
+        prop.table[r + t] if prop.known[r + t] else None
+        for t in range(len(prop.targets))
+    ]
 
     def shifted(v, s):
         # x_v * b_s as ("known", vec) or ("unknown", target index)

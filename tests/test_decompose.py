@@ -233,7 +233,7 @@ class TestEvaluationModel:
         got = reconstruct(shape, ws, pts)
         want = rank_one_expand(shape, ws, pts)
         assert set(got.terms) == set(want.terms)
-        assert got.uses_complex() == cplx
+        assert np.iscomplexobj(got.vector()) == cplx
         np.testing.assert_allclose(
             got.vector(), want.vector(), rtol=1e-12, atol=1e-13 * np.abs(want.vector()).max()
         )

@@ -98,26 +98,27 @@ class TestKnownColumnRelations:
         shape2, lam, B, Bp = ex2
         prop = self.direct(lam, B, Bp)
         for name in ["b3", "a1*b1", "a2*b2"]:
+            slot = prop.r + target_of(prop, name)
+            assert prop.known[slot]
             np.testing.assert_allclose(
-                prop.tails[target_of(prop, name)],
-                gd.RELATIONS2[name], atol=5e-4, rtol=1e-3,
+                prop.table[slot], gd.RELATIONS2[name], atol=5e-4, rtol=1e-3,
             )
 
     def test_basis_member_gets_unit_tail(self, ex2):
         shape2, lam, B, Bp = ex2
         prop = self.direct(lam, B, Bp)
         a2 = shape2.variables().index((0, 1))
-        table, known = prop._table()
         slot = prop.shift[a2, B.names().index("1")]
-        assert known[slot]
-        np.testing.assert_allclose(table[slot], [0, 0, 1, 0, 0, 0])
+        assert prop.known[slot]
+        np.testing.assert_allclose(prop.table[slot], [0, 0, 1, 0, 0, 0])
 
     def test_unknown_column_rejected(self, ex2):
         shape2, lam, B, Bp = ex2
         prop = self.direct(lam, B, Bp)
         t = target_of(prop, "a1^2")
         assert t is not None
-        assert prop.tails[t] is None
+        assert not prop.known[prop.r + t]
+        assert not prop.table[prop.r + t].any()
 
     def test_singular_block_rejected(self, shape2, tensor2):
         lam = build_moment_functional(tensor2)
@@ -243,6 +244,14 @@ class TestPropagation:
         assert res.relations
         assert res.diagnostics["nullity"] == 20
 
+    def test_nan_commutator_refuses(self, ex2, monkeypatch):
+        monkeypatch.setattr(
+            "tdec.extension.commutator_residual", lambda mats: float("nan")
+        )
+        res = propagate_commutation(*ex2[1:])
+        assert res.status == "inconsistent"
+        assert res.functional is None
+
     def test_processing_order_invariance(self, ex2):
         shape2, lam, B, Bp = ex2
         base = propagate_commutation(lam, B, Bp)
@@ -259,14 +268,14 @@ class TestPropagation:
         shape2, lam, B, Bp = ex2
         prop = _Propagator(lam, B, Bp, DEFAULT_TOL_EXTEND)
         assert prop.run() == "extended"
-        nf = _normal_forms(shape2, prop.tables(), B.exps, B.codes, len(B), float)
+        nf = _normal_forms(shape2, prop.tables(), B.exps, B.codes)
         np.testing.assert_allclose(nf, np.eye(len(B)), atol=1e-9)
 
 
-def memo_normal_forms(shape, tables, exps, codes, r, dtype):
+def memo_normal_forms(shape, tables, exps, codes):
     """Reference reduction, one memo walk per monomial: NF(1) = e_1 and
     NF(m) = M_v NF(m / x_v) for the last variable v of m, memoized by code."""
-    mats = [tables[v] for v in shape.variables()]
+    mats, r, dtype = list(tables), tables.shape[1], tables.dtype
     places = shape.variable_codes.tolist()
     one = np.zeros(r, dtype=dtype)
     one[0] = 1.0
@@ -301,11 +310,11 @@ class TestNormalForms:
         pos = np.concatenate([first_unknown(lam, codes), every])
         n = len(B.plus)
         exps = Bp.plus[pos // n] + B.plus[pos % n]
-        return shape2, prop.tables(), exps, codes[pos], len(B)
+        return shape2, prop.tables(), exps, codes[pos]
 
-    def check(self, shape, tables, exps, codes, r):
-        got = _normal_forms(shape, tables, exps, codes, r, float)
-        want = memo_normal_forms(shape, tables, exps, codes, r, float)
+    def check(self, shape, tables, exps, codes):
+        got = _normal_forms(shape, tables, exps, codes)
+        want = memo_normal_forms(shape, tables, exps, codes)
         assert np.array_equal(got, want)
 
     def test_example2(self, ex2_tables):
@@ -315,13 +324,12 @@ class TestNormalForms:
         shape = Shape(dims=(30,), degrees=(1,))
         assert shape.variable_codes.dtype == object
         rng = np.random.default_rng(5)
-        r = 4
-        tables = {v: rng.standard_normal((r, r)) for v in shape.variables()}
+        tables = rng.standard_normal((30, 4, 4))
         exps = np.zeros((300, 30), dtype=np.int64)
         for row in exps:
             np.add.at(row, rng.integers(0, 30, rng.integers(0, 4)), 1)
         # repeated rows
-        self.check(shape, tables, exps, shape.codes(exps), r)
+        self.check(shape, tables, exps, shape.codes(exps))
 
 
 def block_incidence(X, r):
@@ -336,7 +344,7 @@ def block_incidence(X, r):
 def syzygy_rows(prop, unresolved):
     """The syzygy rows of a propagator as the fixpoint writes them: X, b and
     the block incidence that the write marks."""
-    b, write = prop._syzygy_equations(*prop._table())
+    b, write = prop._syzygy_equations()
     X = np.zeros((len(b), len(unresolved), prop.r), dtype=prop.dtype)
     nz = np.zeros((len(b), len(unresolved)), dtype=bool)
     write(X, nz)
@@ -351,11 +359,10 @@ def dense_syzygy_equations(prop, unresolved):
     stacked normal forms."""
     r, dtype = prop.r, prop.dtype
     inconsistency = 0.0
-    table, known = prop._table()
     n_pairs = len(prop.syzygy_pairs)
     t1, t2, v1, v2 = prop.syzygy_pairs.T
     const, ok, (entry, where, mats) = prop._sides(
-        np.concatenate([t1, t2]), np.concatenate([v1, v2]), table, known
+        np.concatenate([t1, t2]), np.concatenate([v1, v2])
     )
     c1, c2 = const[:n_pairs], const[n_pairs:]
     ok = ok[:n_pairs] & ok[n_pairs:]
@@ -371,7 +378,7 @@ def dense_syzygy_equations(prop, unresolved):
         inconsistency = max(inconsistency, float(gap.max()))
     rows = ok & linear
     row_of = np.cumsum(rows) - 1
-    block_of = np.full(len(table), -1)
+    block_of = np.full(len(prop.table), -1)
     block_of[r + np.asarray(unresolved, dtype=np.int64)] = np.arange(len(unresolved))
     X = np.zeros((rows.sum(), r, len(unresolved), r), dtype=dtype)
     for side, sign in ((False, 1), (True, -1)):
@@ -385,6 +392,11 @@ def dense_syzygy_equations(prop, unresolved):
     return X[used], b[used], inconsistency
 
 
+def unresolved_targets(prop):
+    """The positions of the targets whose relations are not yet known."""
+    return np.flatnonzero(~prop.known[prop.r:]).tolist()
+
+
 def dense_svd_run(prop, reverse=False):
     """Reference fixpoint: every placeholder kept as a column of one dense
     system, solved by a full SVD of that system on every pass.  ``reverse``
@@ -393,12 +405,13 @@ def dense_svd_run(prop, reverse=False):
     r = prop.r
     n_places = int(prop.prod_place.max()) + 1
     for _ in range(len(prop.targets) + 1):
-        unresolved = [t for t, tail in enumerate(prop.tails) if tail is None]
+        unresolved = unresolved_targets(prop)
         if not unresolved:
             break
         n_x = len(unresolved) * r
         A, b = [], []
-        for t, tail in enumerate(prop.tails):
+        for t in range(len(prop.targets)):
+            tail = prop.table[r + t] if prop.known[r + t] else None
             for row, data, place in zip(
                 prop.rows, prop.prod_data[t], prop.prod_place[t]
             ):
@@ -430,13 +443,14 @@ def dense_svd_run(prop, reverse=False):
         progress = False
         for k, t in enumerate(unresolved):
             if freedom[k * r:(k + 1) * r].max() <= 1e-7:
-                prop.tails[t] = x[k * r:(k + 1) * r]
+                prop.table[r + t] = x[k * r:(k + 1) * r]
+                prop.known[r + t] = True
                 progress = True
         if not progress:
             break
     if prop.inconsistency > prop.tol:
         return "inconsistent"
-    if any(tail is None for tail in prop.tails):
+    if not prop.known.all():
         return "rank_deficient"
     return "extended"
 
@@ -475,26 +489,28 @@ class TestProjectedSolve:
         ref = _Propagator(lam, B, Bp, tol=1e-6)
         rev = _Propagator(lam, B, Bp, tol=1e-6)
         assert new.run() == dense_svd_run(ref) == dense_svd_run(rev, True) == status
-        solved = [t for t, tail in enumerate(ref.tails) if tail is not None]
+        solved = np.flatnonzero(ref.known[ref.r:])
         for prop in (new, rev):
-            assert [t for t, tail in enumerate(prop.tails) if tail is not None] == solved
+            assert np.array_equal(np.flatnonzero(prop.known[prop.r:]), solved)
         targets = lam.shape.monomials(ref.targets)
 
-        def gap(tails, t):
-            tail = ref.tails[t]
-            return np.abs(tails[t] - tail).max() / max(1.0, np.abs(tail).max())
+        def gap(prop, t):
+            tail = ref.table[ref.r + t]
+            scale = max(1.0, np.abs(tail).max())
+            return np.abs(prop.table[prop.r + t] - tail).max() / scale
 
         # the bound is 1e-10 unless the reference moves by more than that
         # when only the order of its equations changes (3.0e-10 on example2)
-        spread = max((gap(rev.tails, t) for t in solved), default=0.0)
+        spread = max((gap(rev, t) for t in solved), default=0.0)
         bound = max(1e-10, 2 * spread)
         for t in solved:
-            m, tail = targets[t], ref.tails[t]
-            assert gap(new.tails, t) <= bound, str(m)
+            m, tail = targets[t], ref.table[ref.r + t]
+            assert gap(new, t) <= bound, str(m)
             if points is not None:
                 scale = max(1.0, np.abs(tail).max())
                 exact = exact_tail(B, points, m)
-                assert np.abs(new.tails[t] - exact).max() <= 1e-10 * scale, str(m)
+                gap_exact = np.abs(new.table[new.r + t] - exact).max()
+                assert gap_exact <= 1e-10 * scale, str(m)
 
 
 def above_rank_4x4(seed=0):
@@ -905,16 +921,16 @@ class TestInverseLower:
 def before_last_pass(lam, B, Bp):
     """A propagator in the state of its last fixpoint pass: the relations
     that the earlier passes resolved, and only those."""
-    tails = []
+    states = []
 
     class Recording(_Propagator):
-        def _syzygy_equations(self, table, known):
-            tails.append(list(self.tails))
-            return super()._syzygy_equations(table, known)
+        def _syzygy_equations(self):
+            states.append((self.table.copy(), self.known.copy()))
+            return super()._syzygy_equations()
 
     Recording(lam, B, Bp, tol=1e-6).run()
     prop = _Propagator(lam, B, Bp, tol=1e-6)
-    prop.tails = tails[-1]
+    prop.table, prop.known = states[-1]
     return prop
 
 
@@ -953,14 +969,15 @@ class TestSyzygyHarvest:
         elif request.param == "example2-mixed":
             # every relation known, then every third one cleared
             assert prop.run() == "extended"
-            for t in range(0, len(prop.tails), 3):
-                prop.tails[t] = None
+            cleared = prop.r + np.arange(0, len(prop.targets), 3)
+            prop.known[cleared] = False
+            prop.table[cleared] = 0.0
         else:
             prop.resolve_direct()
         return prop
 
     def test_same_rows_as_the_dense_scatter(self, prop):
-        unresolved = [t for t, tail in enumerate(prop.tails) if tail is None]
+        unresolved = unresolved_targets(prop)
         assert unresolved
         prop.inconsistency = 0.0
         X, b, nz = syzygy_rows(prop, unresolved)
@@ -972,7 +989,7 @@ class TestSyzygyHarvest:
         assert np.array_equal(nz, block_incidence(X_ref, prop.r))
 
     def test_same_rows_as_the_pair_loop(self, prop):
-        unresolved = [t for t, tail in enumerate(prop.tails) if tail is None]
+        unresolved = unresolved_targets(prop)
         assert unresolved
         prop.inconsistency = 0.0
         X, b, _ = syzygy_rows(prop, unresolved)
@@ -983,9 +1000,78 @@ class TestSyzygyHarvest:
         assert abs(prop.inconsistency - inconsistency) <= 1e-12
 
 
+def sides_constant_loop(prop, t, v):
+    """The constant parts of the products x_v * N(m_t), accumulated one
+    coordinate s of B at a time: the loop that _sides replaced by one
+    stacked sum, the reference for its bits."""
+    r, table, known = prop.r, prop.table, prop.known
+    tails = table[r + t]
+    moved = v >= 0
+    slots = prop.shift[np.maximum(v, 0)]
+    const = np.zeros((len(t), r), dtype=prop.dtype)
+    coef = np.where(known[slots] & moved[:, None], tails, 0)
+    for s in range(r):
+        const += coef[:, s, None] * table[slots[:, s]]
+    const[~moved] = tails[~moved]
+    return const
+
+
+class TestStackedReductions:
+    """The reductions read from the reduction table keep the bits of the
+    per-coordinate and per-variable code they replaced."""
+
+    @pytest.fixture(params=["example2", "rank-one"])
+    def prop(self, request, ex2):
+        if request.param == "example2":
+            return _Propagator(*ex2[1:], tol=1e-6)
+        shape = Shape(dims=(2, 2), degrees=(1, 1))
+        pts = random_points(np.random.default_rng(4), shape, 1)
+        lam = build_moment_functional(rank_one_expand(shape, [1.5], pts))
+        return _Propagator(lam, *next(select_bases_candidates(lam, 1)), tol=1e-6)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_sides_constant_matches_coordinate_loop(self, prop, dtype):
+        # random tails over a random known mask: unresolved slots and some
+        # resolved tails are rows of zeros (all-zero coefficient rows), and
+        # some tails are negative throughout, so that products of a zero
+        # coefficient are -0.0
+        rng = np.random.default_rng(9)
+        r, n_targets = prop.r, len(prop.targets)
+        n_vars = prop.shift.shape[0]
+        tails = rng.normal(size=(n_targets, r))
+        if dtype is complex:
+            tails = tails + 1j * rng.normal(size=tails.shape)
+        tails[::5] = -np.abs(tails[::5])
+        tails[1::4] = 0.0
+        known = rng.uniform(size=n_targets) < 0.7
+        tails[~known] = 0.0
+        prop.dtype = dtype
+        prop.table = np.concatenate([np.eye(r, dtype=dtype), tails])
+        prop.known[r:] = known
+        # every target with every variable, and alone (v = -1)
+        t = np.repeat(np.arange(n_targets), n_vars + 1)
+        v = np.tile(np.arange(-1, n_vars), n_targets)
+        const = prop._sides(t, v)[0]
+        assert const.dtype == dtype
+        assert const.tobytes() == sides_constant_loop(prop, t, v).tobytes()
+
+    def test_tables_match_per_variable_matrices(self, prop):
+        assert prop.run() == "extended"
+        tables = prop.tables()
+        assert tables.flags.c_contiguous
+        assert tables.shape == (len(prop.shape.variables()), prop.r, prop.r)
+        for v, M in enumerate(tables):
+            assert M.tobytes() == prop.table[prop.shift[v]].T.copy().tobytes()
+
+
 class TestCommutatorResidual:
     def test_single_matrix(self):
         assert commutator_residual([np.eye(3)]) == 0.0
+
+    def test_nan_is_not_commuting(self):
+        # a NaN table reads NaN, which no tolerance passes, not 0.0
+        mats = [np.full((2, 2), np.nan), np.eye(2), np.eye(2)]
+        assert np.isnan(commutator_residual(mats))
 
     def test_reference_family_commutes(self, tensor1, shape1):
         lam = build_moment_functional(tensor1)

@@ -37,7 +37,6 @@ from tdec.moment import (
     _block_rank,
     _greedy_staircase,
     build_moment_functional,
-    catalecticant,
     degree_splits,
     enumerate_monomials,
     hankel,
@@ -107,7 +106,9 @@ class TestFunctionalToTensor:
         tensor = functional_to_tensor(ref, shape)
         expected = rank_one_expand(shape, ws, pts)
         for m in set(tensor.terms) | set(expected.terms):
-            assert tensor.coeff(m) == pytest.approx(expected.coeff(m), rel=1e-10)
+            assert tensor.terms.get(m, 0) == pytest.approx(
+                expected.terms.get(m, 0), rel=1e-10
+            )
 
 
 class TestEnumerate:
@@ -560,7 +561,9 @@ class TestSplitPools:
                 degree_splits(T.shape)
             )
             for i, split in enumerate(cats.splits):
-                A, rows, cols = catalecticant(lam, split.row_bounds, split.col_bounds)
+                rows = enumerate_monomials(lam.shape, list(split.row_bounds))
+                cols = enumerate_monomials(lam.shape, list(split.col_bounds))
+                A = hankel(lam, rows, cols)[0]
                 assert np.array_equal(split.rows, rows)
                 assert np.array_equal(split.cols, cols)
                 assert cats.block(i).dtype == A.dtype
@@ -645,7 +648,11 @@ class TestFlatteningRanks:
     def test_rank_lower_bound_matches_flattening(self, tensor2):
         lam = build_moment_functional(tensor2)
         ranks = [
-            numerical_rank(catalecticant(lam, rows, cols)[0])
+            numerical_rank(hankel(
+                lam,
+                enumerate_monomials(lam.shape, list(rows)),
+                enumerate_monomials(lam.shape, list(cols)),
+            )[0])
             for cols, rows in degree_splits(lam.shape)
         ]
         assert max(ranks) == rank_lower_bound(tensor2) == 6
@@ -659,7 +666,11 @@ class TestFlatteningRanks:
         for g in range(3):
             col_bounds = tuple(1 if h == g else 0 for h in range(3))
             row_bounds = tuple(0 if h == g else 1 for h in range(3))
-            C, _, _ = catalecticant(lam, row_bounds, col_bounds)
+            C = hankel(
+                lam,
+                enumerate_monomials(lam.shape, list(row_bounds)),
+                enumerate_monomials(lam.shape, list(col_bounds)),
+            )[0]
             assert numerical_rank(C) == numerical_rank(_unfold(A, g))
 
     def test_generic_rank_r_reaches_r(self):
