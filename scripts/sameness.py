@@ -7,7 +7,8 @@ same numbers bit for bit, or at least make the same decisions.
 Builds the inputs of each benchmark workload with `perfbench/workloads.py`
 (imported read-only), runs them through the `tdec` of this checkout's
 `src/` and prints one line per workload and seed (seeds 1, 2 and 31 by
-default): the workload, the seed, the bit digest and the outcome digest.
+default): the workload, the seed, the bit digest and the outcome digest,
+and on flat-large lines the CLI digest.
 
 The bit digest is the sha256 of the `repr` of every result in order.  A
 result is the returned decomposition (terms, residual, meta, frame change)
@@ -21,7 +22,14 @@ flat-large runs the CLI's library path: the tensor file object is read by
 `reduce=True` and `rank_bounds` of the full tensor, which takes the
 flattening rank that `decompose` reports unless it decomposed an
 HOSVD-compressed core; the other two build the tensor from a coefficient
-dict and run plain `decompose`, as the benchmark does.  BLAS is
+dict and run plain `decompose`, as the benchmark does.
+
+The CLI digest hashes what the CLI itself gives on flat-large, run in
+process as `perfbench/worker.py`'s `CliCalls` runs it: each tensor file is
+written to a temporary directory, then `main` runs `decompose --reduce -o`
+and, after a success, `verify`.  It hashes each call's exit code, the bytes
+of each `-o` file and the stdout and stderr captured over the whole run,
+with the temporary directory's path replaced by a fixed name.  BLAS is
 pinned to one thread, as in the benchmark, because the thread count moves
 the last bits of some results.  Run the same command in two checkouts and
 compare the lines.
@@ -37,8 +45,12 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 os.environ.pop("TDEC_LOG", None)
 
+import contextlib  # noqa: E402
 import hashlib  # noqa: E402
 import importlib  # noqa: E402
+import io  # noqa: E402
+import json  # noqa: E402
+import tempfile  # noqa: E402
 
 import numpy as np  # noqa: E402
 
@@ -49,6 +61,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 import workloads  # noqa: E402
 
 algebra = importlib.import_module("tdec.algebra")
+cli = importlib.import_module("tdec.cli")
 dmod = importlib.import_module("tdec.decompose")
 files = importlib.import_module("tdec.files")
 
@@ -91,6 +104,32 @@ def digests(workload: str, seed: int) -> tuple[str, str]:
     return bits.hexdigest(), outcomes.hexdigest()
 
 
+def cli_digest(seed: int) -> str:
+    """sha256 of the exit codes, `-o` bytes and captured output of the CLI
+    over the flat-large instances of ``seed``."""
+    digest, sink = hashlib.sha256(), io.StringIO()
+    with tempfile.TemporaryDirectory() as workdir:
+        paths = []
+        for i, inst in enumerate(workloads.instances("flat-large", seed)):
+            path = os.path.join(workdir, f"t{i}.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(workloads.tensor_file_obj(inst), fh)
+            paths.append(path)
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            for inp in paths:
+                out = inp + ".dec.json"
+                rc = cli.main(["decompose", "-i", inp, "-o", out, "--reduce"])
+                rc_verify = None
+                if rc == 0:
+                    rc_verify = cli.main(["verify", "-i", inp, "-d", out])
+                digest.update(repr((rc, rc_verify)).encode() + b"\n")
+                if os.path.exists(out):
+                    with open(out, "rb") as fh:
+                        digest.update(fh.read())
+        digest.update(sink.getvalue().replace(workdir, "<dir>").encode())
+    return digest.hexdigest()
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--workload", nargs="+", default=list(workloads.BUILDERS))
@@ -100,7 +139,8 @@ def main(argv=None) -> int:
     np.set_printoptions(precision=17, floatmode="unique", threshold=sys.maxsize)
     for workload in args.workload:
         for seed in args.seed:
-            print(workload, seed, *digests(workload, seed), flush=True)
+            extra = [cli_digest(seed)] if workload == "flat-large" else []
+            print(workload, seed, *digests(workload, seed), *extra, flush=True)
     return 0
 
 

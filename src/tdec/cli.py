@@ -9,6 +9,7 @@ Set TDEC_LOG=info|debug to trace the decomposition attempts.
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import os
 import sys
@@ -182,7 +183,10 @@ def tolerance(text: str) -> float:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built once per process: parsing leaves
+    it unchanged, so in-process callers of ``main`` share it."""
     parser = argparse.ArgumentParser(
         prog="tdec",
         description="Rank-one decomposition of partially symmetric tensors",

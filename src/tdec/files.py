@@ -77,9 +77,8 @@ def _fields(obj, where: str, keys: tuple[str, ...]) -> dict:
     return obj
 
 
-def _file_fields(obj, kind: str, keys: tuple[str, ...]):
-    """The shape of a file object and its list of term objects, each
-    holding ``keys``."""
+def _file_fields(obj, kind: str):
+    """The shape of a file object and its list of terms."""
     _fields(obj, f"{kind} file", ("dims", "degrees", "terms"))
     for key in ("dims", "degrees"):
         _require(
@@ -92,10 +91,117 @@ def _file_fields(obj, kind: str, keys: tuple[str, ...]):
         raise FormatError(f"bad dims/degrees: {exc}") from exc
     terms = obj["terms"]
     _require(isinstance(terms, list), "'terms' must be a list")
-    for i, t in enumerate(terms):
-        if not (isinstance(t, dict) and all(key in t for key in keys)):
-            _fields(t, f"terms[{i}]", keys)
     return shape, terms
+
+
+def _term_fields(terms: list, keys: tuple[str, ...]):
+    """FormatError naming the first term that is not a JSON object holding
+    every key of ``keys``."""
+    for i, t in enumerate(terms):
+        _fields(t, f"terms[{i}]", keys)
+
+
+def _reals(xs: list):
+    """xs as a float array when each is a number that ``_is_real`` accepts,
+    else None."""
+    if not set(map(type, xs)) <= {int, float}:
+        return None
+    try:
+        out = np.array(xs, dtype=float)
+    except OverflowError:  # an integer beyond the float range
+        return None
+    if not np.isfinite(out).all():
+        return None
+    # 2**1023 - 1 rounds to 2.0**1023: only the integer itself tells
+    if any(type(xs[i]) is int and abs(xs[i]) >= 2**1023
+           for i in np.flatnonzero(np.abs(out) >= 2.0**1023).tolist()):
+        return None
+    return out
+
+
+def _read_terms(terms: list, shape: Shape, fld):
+    """The exponent matrix, the coefficients and whether any coefficient is
+    complex, from one bulk pass over a file's terms; None when any term
+    fails a check of ``_scan_terms``."""
+    if fld not in ("real", "complex"):
+        return None
+    try:
+        exp_lists = [t["exp"] for t in terms]
+        coefs = [t["coef"] for t in terms]
+    except (TypeError, KeyError):  # a term is no JSON object, or lacks a key
+        return None
+    dims = list(shape.dims)
+    if not (set(map(type, exp_lists)) <= {list}
+            and set(map(len, exp_lists)) <= {shape.k}):
+        return None
+    groups = list(itertools.chain.from_iterable(exp_lists))
+    if not (set(map(type, groups)) <= {list}
+            and list(map(len, groups)) == dims * len(terms)):
+        return None
+    flat = list(itertools.chain.from_iterable(groups))
+    if not set(map(type, flat)) <= {int}:  # booleans are no exponents
+        return None
+    try:
+        exps = np.array(flat, dtype=np.int64).reshape(len(terms), sum(dims))
+    except OverflowError:
+        return None
+    # exponents at most the largest degree cannot wrap in the group sums
+    starts = np.cumsum([0] + dims[:-1])
+    if not (((exps >= 0) & (exps <= max(shape.degrees))).all()
+            and (np.add.reduceat(exps, starts, axis=1) <= shape.degrees).all()):
+        return None
+    values = _reals(coefs)
+    if values is not None:
+        return exps, values, False
+    if fld == "real":
+        return None
+    pairs = [c if type(c) is list else [c, 0] for c in coefs]
+    if not set(map(len, pairs)) <= {2}:
+        return None
+    parts = _reals(list(itertools.chain.from_iterable(pairs)))
+    if parts is None:
+        return None
+    real, imag = parts[0::2], parts[1::2]
+    is_pair = np.array([type(c) is list for c in coefs], dtype=bool)
+    # a complex zero alone makes no complex tensor: the dict stores no zero
+    if not ((real != 0) | (imag != 0))[is_pair].any():
+        return exps, real, False
+    values = np.empty(len(terms), dtype=complex)
+    values.real, values.imag = real, imag
+    return exps, values, True
+
+
+def _scan_terms(terms: list, shape: Shape, fld):
+    """``_read_terms``' result, from checks of each term in file order (its
+    exponents, then its coefficient) that name the first faulty term."""
+    _term_fields(terms, ("exp", "coef"))
+    _require(fld in ("real", "complex"), f"unknown field {fld!r}")
+    k, groups = shape.k, list(enumerate(zip(shape.dims, shape.degrees)))
+    flat, coefs, cplx = [], [], False
+    for i, t in enumerate(terms):
+        exp = t["exp"]
+        if not (isinstance(exp, list) and len(exp) == k):
+            raise FormatError(
+                f"terms[{i}]: 'exp' must list one exponent vector per group"
+            )
+        for (g, (n, d)), e in zip(groups, exp):
+            if not _are_exponents(e, n):
+                raise FormatError(
+                    f"terms[{i}]: group {g} exponents must be {n} "
+                    "non-negative integers"
+                )
+            if sum(e) > d:
+                raise FormatError(f"terms[{i}]: group {g} degree exceeds {d}")
+            flat += e
+        c = _num_in(t["coef"], i, "coef")
+        if isinstance(c, complex):
+            if fld == "real":
+                raise FormatError(f"terms[{i}]: complex coefficient in a real file")
+            cplx = cplx or c != 0
+        coefs.append(c)
+    exps = np.array(flat, dtype=np.int64).reshape(len(terms), sum(shape.dims))
+    values = np.array(coefs)
+    return exps, values if cplx else values.real, cplx
 
 
 @dataclass
@@ -120,36 +226,17 @@ class TensorFile:
 
     @staticmethod
     def from_obj(obj: dict) -> "TensorFile":
-        """The tensor of a file object.  Each term is checked in file order:
-        its exponents, then its coefficient; a repeated monomial is reported
-        at its second occurrence once every term has passed those checks."""
-        shape, terms = _file_fields(obj, "tensor", ("exp", "coef"))
+        """The tensor of a file object.  Its terms are checked in one bulk
+        pass; a file that fails it is scanned term by term in file order
+        (exponents, then coefficient) for the message, which names the first
+        faulty term.  A repeated monomial is reported at its second
+        occurrence once every term has passed those checks."""
+        shape, terms = _file_fields(obj, "tensor")
         fld = obj.get("field", "real")
-        _require(fld in ("real", "complex"), f"unknown field {fld!r}")
-        k, groups = shape.k, list(enumerate(zip(shape.dims, shape.degrees)))
-        flat, coefs, cplx = [], [], False
-        for i, t in enumerate(terms):
-            exp = t["exp"]
-            if not (isinstance(exp, list) and len(exp) == k):
-                raise FormatError(
-                    f"terms[{i}]: 'exp' must list one exponent vector per group"
-                )
-            for (g, (n, d)), e in zip(groups, exp):
-                if not _are_exponents(e, n):
-                    raise FormatError(
-                        f"terms[{i}]: group {g} exponents must be {n} "
-                        "non-negative integers"
-                    )
-                if sum(e) > d:
-                    raise FormatError(f"terms[{i}]: group {g} degree exceeds {d}")
-                flat += e
-            c = _num_in(t["coef"], i, "coef")
-            if isinstance(c, complex):
-                if fld == "real":
-                    raise FormatError(f"terms[{i}]: complex coefficient in a real file")
-                cplx = cplx or c != 0
-            coefs.append(c)
-        exps = np.array(flat, dtype=np.int64).reshape(len(terms), sum(shape.dims))
+        read = _read_terms(terms, shape, fld)
+        if read is None:
+            read = _scan_terms(terms, shape, fld)
+        exps, values, cplx = read
         codes = shape.codes(exps)
         _, first = np.unique(codes, return_index=True)
         if len(first) < len(terms):
@@ -157,10 +244,8 @@ class TensorFile:
             repeated[first] = False
             i = int(np.flatnonzero(repeated)[0])
             raise FormatError(f"terms[{i}]: duplicate exponent {terms[i]['exp']}")
-        values = np.array(coefs)
-        # a complex zero alone makes no complex tensor: the dict stores no zero
         vec = np.zeros(len(shape.table.monomials), dtype=complex if cplx else float)
-        vec[shape.table.rows(codes)] = values if cplx else values.real
+        vec[shape.table.rows(codes)] = values
         return TensorFile(shape, fld, Polynomial.from_vector(shape, vec))
 
 
@@ -190,7 +275,8 @@ class DecompositionFile:
     @staticmethod
     def from_obj(obj: dict) -> "DecompositionFile":
         _fields(obj, "decomposition file", ("rank", "residual"))
-        shape, items = _file_fields(obj, "decomposition", ("weight", "points"))
+        shape, items = _file_fields(obj, "decomposition")
+        _term_fields(items, ("weight", "points"))
         terms = []
         for i, t in enumerate(items):
             where = f"terms[{i}]"

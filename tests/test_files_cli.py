@@ -1,3 +1,4 @@
+import copy
 import importlib
 import json
 import math
@@ -12,11 +13,15 @@ import pytest
 import tdec
 from conftest import count_calls, near_collinear_tensor
 from tdec.algebra import Monomial
-from tdec.cli import main
+from tdec.cli import build_parser, main
 from tdec.files import (
     DecompositionFile,
     FormatError,
     TensorFile,
+    _are_exponents,
+    _fields,
+    _file_fields,
+    _num_in,
     dumps,
     load_decomposition,
     load_tensor,
@@ -25,6 +30,62 @@ from tdec.files import (
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def from_obj_reference(obj) -> TensorFile:
+    """The per-term reader that the bulk pass of TensorFile.from_obj
+    replaced: the reference for its vectors and its messages."""
+    shape, terms = _file_fields(obj, "tensor")
+    for i, t in enumerate(terms):
+        _fields(t, f"terms[{i}]", ("exp", "coef"))
+    fld = obj.get("field", "real")
+    if fld not in ("real", "complex"):
+        raise FormatError(f"unknown field {fld!r}")
+    k, groups = shape.k, list(enumerate(zip(shape.dims, shape.degrees)))
+    flat, coefs, cplx = [], [], False
+    for i, t in enumerate(terms):
+        exp = t["exp"]
+        if not (isinstance(exp, list) and len(exp) == k):
+            raise FormatError(
+                f"terms[{i}]: 'exp' must list one exponent vector per group"
+            )
+        for (g, (n, d)), e in zip(groups, exp):
+            if not _are_exponents(e, n):
+                raise FormatError(
+                    f"terms[{i}]: group {g} exponents must be {n} "
+                    "non-negative integers"
+                )
+            if sum(e) > d:
+                raise FormatError(f"terms[{i}]: group {g} degree exceeds {d}")
+            flat += e
+        c = _num_in(t["coef"], i, "coef")
+        if isinstance(c, complex):
+            if fld == "real":
+                raise FormatError(f"terms[{i}]: complex coefficient in a real file")
+            cplx = cplx or c != 0
+        coefs.append(c)
+    exps = np.array(flat, dtype=np.int64).reshape(len(terms), sum(shape.dims))
+    codes = shape.codes(exps)
+    _, first = np.unique(codes, return_index=True)
+    if len(first) < len(terms):
+        repeated = np.ones(len(terms), dtype=bool)
+        repeated[first] = False
+        i = int(np.flatnonzero(repeated)[0])
+        raise FormatError(f"terms[{i}]: duplicate exponent {terms[i]['exp']}")
+    values = np.array(coefs)
+    vec = np.zeros(len(shape.table.monomials), dtype=complex if cplx else float)
+    vec[shape.table.rows(codes)] = values if cplx else values.real
+    return TensorFile(shape, fld, tdec.Polynomial.from_vector(shape, vec))
+
+
+def read_outcome(reader, obj):
+    """The field, dtype and vector bytes a reader gives, or its message."""
+    try:
+        tf = reader(obj)
+    except FormatError as exc:
+        return "error", str(exc)
+    vec = tf.tensor.vector()
+    return tf.field, vec.dtype.str, vec.tobytes()
 
 
 def assert_same_output(got, want, path="$"):
@@ -58,15 +119,38 @@ class TestFileRoundTrip:
         again = DecompositionFile.from_obj(json.loads(dumps(obj)))
         assert again.to_obj() == obj
 
-    @pytest.mark.parametrize("case", ["example1-shuffled", "complex", "python-int-codes"])
+    @pytest.mark.parametrize("case", [
+        "example1-shuffled", "complex", "python-int-codes", "int-coefs",
+        "largest-int-coef", "extra-key", "complex-int-pairs", "complex-zero-pairs",
+    ])
     def test_reader_places_coefficients_by_code(self, case):
         # the reader's vector equals the dict constructor's, bit for bit
-        if case == "example1-shuffled":
+        if case in ("example1-shuffled", "int-coefs", "extra-key"):
             obj = json.loads((FIXTURES / "example1.json").read_text())
             obj["terms"] = obj["terms"][::-1]
+            if case == "int-coefs":
+                for i, t in enumerate(obj["terms"]):
+                    t["coef"] = i - 20
+            elif case == "extra-key":
+                obj["terms"][3]["note"] = "ignored"
         elif case == "complex":
             obj = synthesize((2, 2), (1, 1), rank=2, seed=5, fld="complex")[0].to_obj()
             obj["terms"][0]["coef"] = [0.0, 0.0]
+        elif case == "largest-int-coef":  # float() rounds it to 2.0**1023
+            obj = {"dims": [1], "degrees": [2], "terms": [
+                {"exp": [[1]], "coef": 2**1023 - 1},
+                {"exp": [[2]], "coef": -(2**1023 - 1)},
+            ]}
+        elif case.startswith("complex-"):
+            # pairs of integers, a plain number, zero pairs of either sign;
+            # a complex zero alone makes no complex tensor
+            pair = [0, 0] if case == "complex-zero-pairs" else [-0.5, 2]
+            obj = {"dims": [2], "degrees": [2], "field": "complex", "terms": [
+                {"exp": [[0, 0]], "coef": [0, 0]},
+                {"exp": [[1, 0]], "coef": pair},
+                {"exp": [[0, 1]], "coef": 3},
+                {"exp": [[1, 1]], "coef": [-0.0, 0.0]},
+            ]}
         else:  # 28 variables: codes past 63 bits are Python integers
             e = [[0] * 14, [0] * 14]
             obj = {"dims": [14, 14], "degrees": [1, 1], "terms": [
@@ -83,7 +167,9 @@ class TestFileRoundTrip:
             for t in obj["terms"]
         })
         assert tf.tensor.vector().tobytes() == reference.vector().tobytes()
-        assert np.iscomplexobj(tf.tensor.vector()) == (case == "complex")
+        assert np.iscomplexobj(tf.tensor.vector()) == (
+            case in ("complex", "complex-int-pairs")
+        )
         assert tf.tensor == reference
 
     def test_complex_pairs(self, tmp_path):
@@ -147,6 +233,18 @@ class TestFileRoundTrip:
              "terms[1] missing 'exp'"),
             ({**tiny, "terms": [{"exp": [[1]], "coef": 1}, [1]]},
              "terms[1] must be a JSON object"),
+            # past int64, yet an integer: a degree fault, not an overflow
+            ({**tiny, "terms": [{"exp": [[2**70]], "coef": 1}]},
+             "terms[0]: group 0 degree exceeds 2"),
+            # each fits int64, their sum does not
+            ({"dims": [2], "degrees": [1],
+              "terms": [{"exp": [[2**62, 2**62]], "coef": 1}]},
+             "terms[0]: group 0 degree exceeds 1"),
+            ({**tiny, "terms": [{"exp": [[1.0]], "coef": 1}]},
+             "terms[0]: group 0 exponents must be 1 non-negative integers"),
+            # float(2**1023) is finite, but no integer reaches 2**1023
+            ({**tiny, "terms": [{"exp": [[1]], "coef": 2**1023}]},
+             f"terms[0] 'coef': {number} {2**1023!r}"),
         ]
         for obj, message in bad_cases:
             with pytest.raises(FormatError) as info:
@@ -193,6 +291,103 @@ class TestFileRoundTrip:
         DecompositionFile.from_obj(good)
         with pytest.raises(FormatError, match=field):
             DecompositionFile.from_obj({**good, **change})
+
+
+class TestReaderProperty:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    # small well-formed files: (dims, degrees, field)
+    FORMATS = [((2,), (3,), "real"), ((2, 2), (1, 1), "real"),
+               ((1, 2), (2, 1), "complex"), ((3,), (1,), "complex")]
+    VALUES = [True, False, 1.0, 0.5, -1, 0, 2, 3, 2**63, 2**70, -(2**70),
+              2**1023 - 1, 2**1023, -(2**1023), 10**400, math.nan, math.inf,
+              None, "1", [], [1], [0, 0], [-0.0, 0.0], [1, -2.5], [1, True],
+              [1, 2, 3], {}]
+    EDITS = ["coef", "pair-part", "exponent", "group", "lengthen", "shorten",
+             "exp", "drop", "term", "extra-key", "duplicate", "field"]
+
+    @staticmethod
+    def mutate(obj, kind, i, j, value):
+        """Apply one edit to obj in place where its target exists."""
+        terms = obj["terms"]
+        t = terms[i % len(terms)]
+        exp = t.get("exp") if isinstance(t, dict) else None
+        group = exp[j % len(exp)] if isinstance(exp, list) and exp else None
+        if kind == "field":
+            obj["field"] = value if j % 3 == 0 else ("real", "complex")[j % 2]
+        elif kind == "duplicate":
+            terms.append(copy.deepcopy(t))
+        elif kind == "term":
+            terms[i % len(terms)] = value
+        elif not isinstance(t, dict):
+            return
+        elif kind == "coef":
+            t["coef"] = value
+        elif kind == "pair-part":
+            c = t.get("coef")
+            if isinstance(c, list) and c:
+                c[j % len(c)] = value
+            else:
+                t["coef"] = [c, value]
+        elif kind == "exp":
+            t["exp"] = value
+        elif kind == "drop":
+            t.pop(("exp", "coef")[j % 2], None)
+        elif kind == "extra-key":
+            t["note"] = value
+        elif not isinstance(group, list):
+            return
+        elif kind == "group":
+            exp[j % len(exp)] = value
+        elif kind == "lengthen":
+            group.append(j % 2)
+        elif kind == "shorten" and group:
+            group.pop()
+        elif kind == "exponent" and group:
+            group[i % len(group)] = value
+
+    @given(
+        fmt=st.sampled_from(FORMATS),
+        seed=st.integers(0, 2**16),
+        edits=st.lists(
+            st.tuples(st.sampled_from(EDITS), st.integers(0, 99),
+                      st.integers(0, 99), st.sampled_from(VALUES)),
+            max_size=3,
+        ),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_bulk_reader_matches_per_term_reader(self, fmt, seed, edits):
+        # the same vector bytes and dtype, or the same first message
+        dims, degrees, fld = fmt
+        tf, _ = synthesize(dims, degrees, rank=2, seed=seed, fld=fld)
+        obj = json.loads(dumps(tf.to_obj()))
+        for kind, i, j, value in edits:
+            self.mutate(obj, kind, i, j, copy.deepcopy(value))
+        got = read_outcome(TensorFile.from_obj, obj)
+        assert got == read_outcome(from_obj_reference, obj)
+
+    def test_well_formed_files_skip_the_term_scan(self, monkeypatch):
+        # the term scan only names a fault: example1, example2 and the
+        # benchmark's flat-large formats read in the bulk pass alone
+        objs = [json.loads((FIXTURES / f"{name}.json").read_text())
+                for name in ("example1", "example2")]
+        for dims, rank in [((4, 4, 6), 6), ((4, 4, 7), 7), ((4, 4, 8), 8),
+                           ((8, 8, 8), 5)]:
+            tf, _ = synthesize(dims, (1, 1, 1), rank=rank, seed=rank)
+            objs.append(json.loads(dumps(tf.to_obj())))
+        tf, _ = synthesize((3, 3), (2, 1), rank=2, seed=1, fld="complex")
+        objs.append(json.loads(dumps(tf.to_obj())))
+
+        def scan(*args):
+            raise AssertionError("the term scan ran on a well-formed file")
+
+        files_module = importlib.import_module("tdec.files")
+        monkeypatch.setattr(files_module, "_scan_terms", scan)
+        for obj in objs:
+            got = read_outcome(TensorFile.from_obj, obj)
+            assert got[0] == obj.get("field", "real")
+            assert got == read_outcome(from_obj_reference, obj)
 
 
 class TestRoundTripProperty:
@@ -339,6 +534,20 @@ class TestCli:
             ) == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    def test_parser_reuse_keeps_no_options(self, tmp_path, capsys):
+        # one process, one parser: each call's options and exit code are its own
+        assert build_parser() is build_parser()
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        tensor = FIXTURES / "example1.json"
+        assert self.run("decompose", "-i", tensor, "-o", a, "--seed", 3,
+                        "--timing") == 0
+        assert self.run("decompose", "-i", tensor, "-o", b) == 0
+        meta_a, meta_b = (json.loads(p.read_text())["meta"] for p in (a, b))
+        assert (meta_a["seed"], meta_b["seed"]) == (3, 0)
+        assert "elapsed_ms" in meta_a and "elapsed_ms" not in meta_b
+        assert self.run("verify", "-i", tensor, "-d", b, "--threshold", 0) == 3
+        assert self.run("verify", "-i", tensor, "-d", b) == 0
 
     def test_zero_tensor_is_input_error(self, tmp_path, capsys):
         p = tmp_path / "zero.json"
