@@ -109,14 +109,11 @@ def cli_digest(seed: int) -> str:
     over the flat-large instances of ``seed``."""
     digest, sink = hashlib.sha256(), io.StringIO()
     with tempfile.TemporaryDirectory() as workdir:
-        paths = []
-        for i, inst in enumerate(workloads.instances("flat-large", seed)):
-            path = os.path.join(workdir, f"t{i}.json")
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump(workloads.tensor_file_obj(inst), fh)
-            paths.append(path)
         with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
-            for inp in paths:
+            for i, inst in enumerate(workloads.instances("flat-large", seed)):
+                inp = os.path.join(workdir, f"t{i}.json")
+                with open(inp, "w", encoding="utf-8") as fh:
+                    json.dump(workloads.tensor_file_obj(inst), fh)
                 out = inp + ".dec.json"
                 rc = cli.main(["decompose", "-i", inp, "-o", out, "--reduce"])
                 rc_verify = None
