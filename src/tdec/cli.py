@@ -33,16 +33,22 @@ from .files import (
 )
 
 log = logging.getLogger("tdec")
+_stderr = logging.StreamHandler()
+_stderr.setFormatter(logging.Formatter("%(name)s %(levelname)s %(message)s"))
 
 
 def _setup_logging(verbose: bool):
+    """Set the ``tdec`` logger's level and point its one CLI handler at the
+    current sys.stderr, so that each in-process ``main`` logs to its own
+    stream at its own level."""
     level_name = os.environ.get("TDEC_LOG", "")
     level = {"debug": logging.DEBUG, "info": logging.INFO}.get(
         level_name.lower(), logging.DEBUG if verbose else logging.WARNING
     )
-    logging.basicConfig(
-        stream=sys.stderr, level=level, format="%(name)s %(levelname)s %(message)s"
-    )
+    # assigned, not setStream: that flushes the old stream, which may be closed
+    _stderr.stream = sys.stderr
+    log.addHandler(_stderr)  # a handler already added is not added again
+    log.setLevel(level)
 
 
 def _fmt_num(x) -> str:
@@ -194,10 +200,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, output=True):
+        # verify writes no file and reads no rank
         p.add_argument("-i", "--input", required=True, help="tensor JSON file")
         if output:
             p.add_argument("-o", "--output", help="write structured result here")
-        p.add_argument("--tol-rank", type=tolerance, default=1e-8)
+            p.add_argument("--tol-rank", type=tolerance, default=1e-8)
         p.add_argument("--verbose", action="store_true")
 
     p = sub.add_parser("decompose", help="compute a minimal decomposition")

@@ -9,7 +9,7 @@ a small reconstruction residual.  A completion that does not extend (its
 relations stay free, or contradict the data) is refused at the extension
 stage: without a flat extension there is no commuting family to read
 points from.  On failure the attempt is retried under a random (seeded,
-invertible) change of coordinates per group, at most MAX_COORD_CHANGES
+orthogonal) change of coordinates per group, at most MAX_COORD_CHANGES
 times.  Whether a moment completion extends does not depend on which
 generic frame is used, so the retries stop after the first random frame in
 which no completion ends ``extended``: what fails after an extension
@@ -61,10 +61,6 @@ class UnsupportedShapeError(ValueError):
     pass
 
 
-class NonAffineTermError(RuntimeError):
-    pass
-
-
 class DecompositionError(RuntimeError):
     def __init__(self, message, report=None):
         super().__init__(message)
@@ -93,6 +89,7 @@ class Decomposition:
     shape: Shape
     terms: list[tuple[complex, Point]]
     residual: float
+    # the random frame the terms were found in, if any
     coordinate_change: list[np.ndarray] | None = None
     meta: dict = field(default_factory=dict)
 
@@ -268,32 +265,33 @@ def hosvd_reduce(
     return array_to_poly(core), factors, err
 
 
-def map_back(core_dec: Decomposition, factors: list[np.ndarray]) -> Decomposition:
-    """Lift a core decomposition through the orthonormal factors.
+def map_back(dec: Decomposition, mats: list[np.ndarray]) -> Decomposition:
+    """Lift a decomposition through per-group matrices G_g with orthonormal
+    columns: the HOSVD factors of a compressed core, or the orthogonal
+    matrices of a random frame.
 
-    Each rank-one term's homogeneous vector per mode is multiplied by the
-    factor and re-dehomogenized; a vanishing homogenizing coordinate means
-    the lifted term is not affine.  The residual is left unset (NaN).
+    Per group each term's homogeneous vector v = G_g (1, zeta_g) gives the
+    lifted point v[1:] / v[0], and the weight takes the factor
+    v[0] ** d_g, d_g the group's degree.  A vanishing v[0] puts the term at
+    infinity, outside the affine chart: DecompositionError, stage "lift".
+    The residual is left unset (NaN).
     """
+    degrees = dec.shape.degrees
     terms = []
-    for w, p in core_dec.terms:
-        weight = w
+    for w, p in dec.terms:
         coords = []
-        for g, U in enumerate(factors):
-            hom = np.concatenate(([1.0], np.asarray(p.coords[g])))
-            v = U @ hom
+        for g, G in enumerate(mats):
+            v = G @ np.concatenate(([1.0], np.asarray(p.coords[g])))
             if abs(v[0]) < 1e-12 * np.linalg.norm(v):
-                raise NonAffineTermError(
-                    f"lifted term has vanishing homogenizing coordinate in mode {g}"
+                detail = f"point at infinity in group {g}"
+                raise DecompositionError(
+                    detail, report={"rank": dec.rank, "stage": "lift", "detail": detail}
                 )
-            weight = weight * v[0]
+            w = w * v[0] ** degrees[g]
             coords.append(tuple(v[1:] / v[0]))
-        terms.append((weight, Point(tuple(coords))))
-    shape = Shape(
-        dims=tuple(U.shape[0] - 1 for U in factors),
-        degrees=(1,) * len(factors),
-    )
-    return Decomposition(shape, terms, float("nan"), meta=dict(core_dec.meta))
+        terms.append((w, Point(tuple(coords))))
+    shape = Shape(dims=tuple(len(G) - 1 for G in mats), degrees=degrees)
+    return Decomposition(shape, terms, float("nan"), meta=dict(dec.meta))
 
 
 # --- reconstruction and verification -----------------------------------------
@@ -487,8 +485,9 @@ def decompose(T: Polynomial, opts: DecomposeOptions | None = None) -> Decomposit
             work, cats.lam, r, opts, seed=opts.seed + change, cats=cats
         )
         if isinstance(out, Decomposition) and mats is not None:
-            out = _undo_coordinate_change(out, mats, T, opts.tol_resid)
+            out = _lift(out, mats, T, opts.tol_resid, "frame", "back-mapped residual")
         if isinstance(out, Decomposition):
+            out.coordinate_change = mats
             out.meta.update(
                 rank=r,
                 seed=opts.seed,
@@ -516,36 +515,6 @@ def decompose(T: Polynomial, opts: DecomposeOptions | None = None) -> Decomposit
             "stop": stop,
         },
     )
-
-
-def _undo_coordinate_change(dec: Decomposition, mats, T: Polynomial, tol_resid: float):
-    """Map points of a decomposition of T(Ay) back to the original frame.
-
-    The frame change is real, so terms already realified against T(Ay) map
-    to real terms.  Returns the mapped Decomposition when it passes the
-    acceptance check against T, and a failure dict otherwise.
-    """
-    shape = T.shape
-    r = dec.rank
-    terms = []
-    for w, p in dec.terms:
-        weight = w
-        coords = []
-        for g, A in enumerate(mats):
-            v = np.linalg.solve(A.T, np.concatenate(([1.0], p.coords[g])))
-            if abs(v[0]) < 1e-12 * np.linalg.norm(v):
-                return {"rank": r, "stage": "frame", "detail": "point at infinity"}
-            weight = weight * v[0].item() ** shape.degrees[g]
-            coords.append(tuple((v[1:] / v[0]).tolist()))
-        terms.append((weight, Point(tuple(coords))))
-    out = Decomposition(
-        shape,
-        terms,
-        residual=0.0,
-        coordinate_change=mats,
-        meta=dict(dec.meta),
-    )
-    return _accept(out, T, tol_resid, "frame", "back-mapped residual")
 
 
 def _canonical_order(values: np.ndarray, scale: float) -> np.ndarray:
@@ -590,6 +559,18 @@ def _accept(dec: Decomposition, T: Polynomial, tol_resid: float, stage, label):
     }
 
 
+def _lift(dec: Decomposition, mats, T: Polynomial, tol_resid: float, stage, label):
+    """``dec`` mapped back through ``mats`` by map_back and accepted against
+    T (_accept); real matrices keep terms that were made real real.
+    Returns the decomposition, or the failure dict of ``stage`` for a term
+    at infinity or a residual above tol_resid."""
+    try:
+        lifted = map_back(dec, mats)
+    except DecompositionError as exc:
+        return {**exc.report, "stage": stage}
+    return _accept(lifted, T, tol_resid, stage, label)
+
+
 def _decompose_reduced(T: Polynomial, opts: DecomposeOptions) -> Decomposition:
     """HOSVD-compress to the detected multilinear rank, decompose the core,
     and lift the result back."""
@@ -605,12 +586,10 @@ def _decompose_reduced(T: Polynomial, opts: DecomposeOptions) -> Decomposition:
     core, factors, err = hosvd_reduce(T, target)
     log.info("reduced %s -> %s (compression error %.2e)", full, target, err)
     core_dec = decompose(core, inner_opts)
-    out = _accept(
-        map_back(core_dec, factors), T, opts.tol_resid, "lift", "lifted residual"
-    )
+    out = _lift(core_dec, factors, T, opts.tol_resid, "lift", "lifted residual")
     if not isinstance(out, Decomposition):
         raise DecompositionError(
-            f"{out['detail']} above tolerance",
+            out["detail"] + (" above tolerance" if "residual" in out else ""),
             report={**out, "compression_error": err},
         )
     # the core's flattening rank is not a bound on the rank of T

@@ -304,20 +304,21 @@ def _certified(X: np.ndarray, b: np.ndarray, cutoff_scale: float):
 
 def _parts(label, row_label, n_rows, n_cols, r: int):
     """The rows and columns of each component that has rows, and the
-    all-zero rows; None when the system is better solved whole: it has at
-    most one component of rows, or the extra calls would cost more than
-    the smaller factorizations save.  Takes the block labels, the label of
-    each row (-1 for an all-zero row), and the row and column counts by
-    label."""
+    all-zero rows.  A system better solved whole (it has at most one
+    component of rows, or the extra calls would cost more than the smaller
+    factorizations save) is one part of every row and column, with no
+    all-zero rows.  Takes the block labels, the label of each row (-1 for
+    an all-zero row), and the row and column counts by label."""
+    whole = [(slice(None), slice(None))], []
     whole_cost = _solve_cost(len(row_label), len(label) * r)
     if whole_cost <= 2 * _CALL_COST:
-        return None
+        return whole
     linked = np.flatnonzero(n_rows)
     split_cost = (
         _solve_cost(n_rows[linked], n_cols[linked]).sum() + _CALL_COST * len(linked)
     )
     if len(linked) <= 1 or split_cost >= whole_cost:
-        return None
+        return whole
     column_label = np.repeat(label, r)
     parts = [
         (np.flatnonzero(row_label == c), np.flatnonzero(column_label == c))
@@ -371,15 +372,9 @@ def _least_squares(
         if certified is not None:
             x, resid, bound = certified
             return x, resid, np.zeros(n), n, sizes, bound
-    split = _parts(label, row_label, n_rows, n_cols, r)
-    if split is None:
-        factors = _factor(X, b)
-        s = factors[3]
-        x, gap, freedom, rank = _truncated(*factors, eps * (s[0] if s.size else 0.0))
-        return x, float(np.linalg.norm(gap)), freedom, rank, sizes, None
-    parts, zero_rows = split
+    parts, zero_rows = _parts(label, row_label, n_rows, n_cols, r)
     factors = [_factor(X[rows][:, cols], b[rows]) for rows, cols in parts]
-    cutoff = eps * max(s[0] for _, _, _, s, _ in factors)
+    cutoff = eps * max(s.max(initial=0.0) for _, _, _, s, _ in factors)
     x = np.zeros(n, dtype=np.result_type(X, b))
     freedom = np.ones(n)
     gaps = [b[zero_rows]]

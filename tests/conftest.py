@@ -17,6 +17,7 @@ from tdec.algebra import (
     ShapeMismatchError,
     multinomial,
 )
+from tdec.decompose import array_to_poly
 from tdec.moment import MonomialBasis, enumerate_monomials
 
 
@@ -121,6 +122,21 @@ def near_collinear_tensor(seed: int) -> Polynomial:
     base[1] = base[0] + rng.choice([1e-3, 1e-4, 1e-5]) * rng.normal(size=6)
     points = [Point((tuple(b[:2]), tuple(b[2:4]), tuple(b[4:]))) for b in base]
     return rank_one_expand(Shape((2, 2, 2), (1, 1, 1)), [1.0, -1.0, 1.0], points)
+
+
+def term_at_infinity_tensor() -> Polynomial:
+    """a (x) b (x) c + a' (x) b' (x) c' on 4x4x4, where a = (0, 1, 0.5, -0.3)
+    has homogenizing coordinate 0: the first term has no affine point.  Its
+    multilinear rank is (2, 2, 2), so --reduce decomposes a 2x2x2 core and
+    lifts the term to infinity."""
+    rng = np.random.default_rng(0)
+    a = np.array([0.0, 1.0, 0.5, -0.3])
+    b, c, a2, b2, c2 = (
+        np.concatenate(([1.0], rng.uniform(-1, 1, 3))) for _ in range(5)
+    )
+    return array_to_poly(
+        np.einsum("i,j,k->ijk", a, b, c) + np.einsum("i,j,k->ijk", a2, b2, c2)
+    )
 
 
 def substitute_reference(T: Polynomial, mats) -> Polynomial:

@@ -14,6 +14,7 @@ from conftest import (
     poly,
     rank_one_expand,
     substitute_reference,
+    term_at_infinity_tensor,
 )
 from tdec.algebra import Point, Polynomial, Shape
 from tdec.decompose import (
@@ -22,7 +23,7 @@ from tdec.decompose import (
     DecompositionError,
     UnsupportedShapeError,
     _attempt_rank,
-    _undo_coordinate_change,
+    _lift,
     array_to_poly,
     decompose,
     default_max_rank,
@@ -203,6 +204,35 @@ class TestMapBack:
         A = poly_to_array(T)
         A = np.einsum("abc,ia,jb,kc->ijk", A, *Qs)
         assert verify(array_to_poly(A), map_back(dec, Qs)) < 1e-10
+
+    def test_random_frame_of_degree_two(self):
+        # the weight takes v0 ** d_g: a (2,2)/(2,1) tensor decomposed in a
+        # random frame lifts back to T through the frame's matrices
+        rng = np.random.default_rng(9)
+        shape, ws, pts, T = random_instance(rng, (2, 2), (2, 1), 3)
+        mats = random_coordinate_change(shape, rng)
+        dec = decompose(substitute_linear(T, mats), DecomposeOptions(seed=0))
+        lifted = map_back(dec, mats)
+        assert lifted.shape == shape
+        assert verify(T, lifted) < 1e-8
+
+    def test_term_at_infinity_refused(self):
+        # the first row of Q is orthogonal to (1, 1, 0), the homogeneous
+        # vector of the term's point in group 0
+        shape = Shape(dims=(2, 2), degrees=(1, 1))
+        dec = Decomposition(shape, [(2.0, Point(((1.0, 0.0), (0.5, 0.5))))], 0.0)
+        Q = np.array([[1.0, -1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, np.sqrt(2)]])
+        mats = [Q / np.sqrt(2), np.eye(3)]
+        with pytest.raises(DecompositionError) as info:
+            map_back(dec, mats)
+        assert info.value.report == {
+            "rank": 1, "stage": "lift", "detail": "point at infinity in group 0"
+        }
+        T = reconstruct(shape, [1.0], [Point(((0.1, 0.2), (0.3, 0.4)))])
+        out = _lift(dec, mats, T, 1e-6, "frame", "back-mapped residual")
+        assert out == {
+            "rank": 1, "stage": "frame", "detail": "point at infinity in group 0"
+        }
 
 
 class TestEvaluationModel:
@@ -479,6 +509,14 @@ class TestDecompose:
         assert dec.rank == 3
         assert dec.residual < 1e-8
 
+    def test_reduce_refuses_term_at_infinity(self):
+        # once an uncaught error from the lift of the HOSVD core's terms
+        with pytest.raises(DecompositionError) as info:
+            decompose(term_at_infinity_tensor(), DecomposeOptions(reduce=True))
+        assert str(info.value) == "point at infinity in group 0"
+        assert info.value.report["stage"] == "lift"
+        assert info.value.report["detail"] == "point at infinity in group 0"
+
     def test_reduce_rejects_lifted_residual_above_tolerance(self):
         # noise outside a multilinear-rank-(2,2,2) subspace that tol_rank
         # ignores: the core decomposes exactly, and the lifted residual is
@@ -499,17 +537,31 @@ class TestDecompose:
 
 
 class TestCoordinateChange:
-    def test_substitution_and_inversion_round_trip(self):
+    def test_substitution_and_inversion_round_trip(self, monkeypatch):
+        # the input's own frame fails, so the terms are found in the first
+        # random frame and mapped back through its matrices
+        real_change = decompose_module.random_coordinate_change
+        real_eigen = decompose_module.joint_eigenvectors
+        frames = []
+
+        def recorded_change(shape, rng):
+            frames.append(real_change(shape, rng))
+            return frames[-1]
+
+        def failing_own_frame(fam, seed=0):
+            roots = real_eigen(fam, seed=seed)
+            return replace(roots, simple=False) if seed == 0 else roots
+
+        monkeypatch.setattr(decompose_module, "random_coordinate_change", recorded_change)
+        monkeypatch.setattr(decompose_module, "joint_eigenvectors", failing_own_frame)
         rng = np.random.default_rng(13)
         shape, ws, pts, T = random_instance(rng, (2, 2), (2, 1), 3)
-        mats = random_coordinate_change(shape, rng)
-        Twork = substitute_linear(T, mats)
-        work_dec = decompose(Twork, DecomposeOptions(seed=0))
-        assert work_dec.residual < 1e-8
-        back = _undo_coordinate_change(work_dec, mats, T, tol_resid=1e-6)
+        back = decompose(T, DecomposeOptions(seed=0))
         assert isinstance(back, Decomposition)
+        assert len(frames) == 1
+        assert back.meta["coordinate_change_applied"]
         assert back.residual < 1e-8
-        assert back.coordinate_change is mats
+        assert back.coordinate_change is frames[0]
 
     def test_frame_change_keeps_real_terms(self):
         # sparse {-1,0,1} points whose first frame fails; the terms are
@@ -572,7 +624,7 @@ class TestCoordinateChange:
         work_dec = decompose(substitute_linear(T, mats), DecomposeOptions(seed=0))
         w, p = work_dec.terms[0]
         work_dec.terms[0] = (w * (1 + 1e-3), p)
-        out = _undo_coordinate_change(work_dec, mats, T, tol_resid=1e-6)
+        out = _lift(work_dec, mats, T, 1e-6, "frame", "back-mapped residual")
         assert not isinstance(out, Decomposition)
         assert out["stage"] == "frame"
         assert out["residual"] > 1e-6
@@ -614,7 +666,7 @@ class TestFrameProperty:
             # rare: a point of the frame drawn makes a solve singular
             assert out["stage"] in ("eigen", "weights", "verify")
             return
-        back = _undo_coordinate_change(out, mats, T, opts.tol_resid)
+        back = _lift(out, mats, T, opts.tol_resid, "frame", "back-mapped residual")
         assert isinstance(back, Decomposition)
         assert back.rank == r
         assert back.is_real(0.0)

@@ -1,5 +1,7 @@
+import contextlib
 import copy
 import importlib
+import io
 import json
 import math
 import os
@@ -11,7 +13,7 @@ import numpy as np
 import pytest
 
 import tdec
-from conftest import count_calls, near_collinear_tensor
+from conftest import count_calls, near_collinear_tensor, term_at_infinity_tensor
 from tdec.algebra import Monomial
 from tdec.cli import build_parser, main
 from tdec.files import (
@@ -596,6 +598,26 @@ class TestCli:
         assert self.run("decompose", "-i", p, "--tol-rank", "1e-12") == 2
         assert "no decomposition found" in capsys.readouterr().err
 
+    def test_reduce_refuses_term_at_infinity_exit_two(self, tmp_path, capsys):
+        # once a traceback (exit 1) from the lift of the HOSVD core's terms
+        p, out = tmp_path / "t.json", tmp_path / "out.json"
+        T = term_at_infinity_tensor()
+        write_json(p, TensorFile(T.shape, "real", T).to_obj())
+        assert self.run("decompose", "-i", p, "-o", out, "--reduce") == 2
+        assert "no decomposition found" in capsys.readouterr().err
+        obj = json.loads(out.read_text())
+        assert obj["error"] == "point at infinity in group 0"
+        assert obj["report"]["stage"] == "lift"
+
+    def test_verify_takes_no_tol_rank(self, capsys):
+        # verify reads no rank; the option was accepted and ignored
+        fixture = FIXTURES / "example1.json"
+        with pytest.raises(SystemExit) as info:
+            self.run("verify", "-i", fixture, "-d", FIXTURES / "example1.dec.json",
+                     "--tol-rank", "0.5")
+        assert info.value.code == 2
+        assert "unrecognized arguments: --tol-rank" in capsys.readouterr().err
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1e-6"])
     def test_tol_rank_must_be_finite_and_non_negative(self, capsys, value):
         # nan once read as a rank of 0: "no decomposition at rank 1"
@@ -775,6 +797,20 @@ class TestCli:
         messages = [r.getMessage() for r in records]
         assert any("bases" in m for m in messages)
         assert any("accepted r=4" in m for m in messages)
+
+    def test_log_lines_go_to_each_calls_stderr(self, monkeypatch):
+        # logging.basicConfig once sent every later call's lines to the
+        # stderr of the first call in the process
+        monkeypatch.setenv("TDEC_LOG", "info")
+        sinks = [io.StringIO(), io.StringIO()]
+        for sink, command in zip(sinks, ["bounds", "decompose"]):
+            with contextlib.redirect_stderr(sink), contextlib.redirect_stdout(
+                io.StringIO()
+            ):
+                assert self.run(command, "-i", FIXTURES / "example1.json") == 0
+        assert "tdec INFO" not in sinks[0].getvalue()
+        lines = sinks[1].getvalue().splitlines()
+        assert any(line.startswith("tdec INFO accepted r=4") for line in lines)
 
     def test_reduce_flag(self, tmp_path):
         rng = np.random.default_rng(3)
