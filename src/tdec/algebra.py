@@ -199,19 +199,6 @@ class Monomial:
                     parts.append(f"{GROUP_LETTERS[g]}{j + 1}^{x}")
         return "*".join(parts)
 
-    @staticmethod
-    def parse(text: str, shape: Shape) -> "Monomial":
-        """Inverse of str(): e.g. "a1*b3^2" -> Monomial."""
-        exps = [[0] * n for n in shape.dims]
-        text = text.strip()
-        if text != "1":
-            for factor in text.split("*"):
-                name, _, power = factor.partition("^")
-                g = GROUP_LETTERS.index(name[0])
-                j = int(name[1:]) - 1
-                exps[g][j] += int(power) if power else 1
-        return Monomial(tuple(tuple(e) for e in exps))
-
 
 def multinomial(degree: int, alpha: Iterable[int]) -> int:
     """degree! / (alpha_1! ... alpha_n! (degree - |alpha|)!), exact."""
@@ -358,7 +345,7 @@ class Polynomial:
     Built from a monomial -> coefficient dict, whose vector is formed on
     first use, or from the vector itself (``from_vector``).  ``terms``, the
     dict of the non-zero coefficients, is a view formed when asked for:
-    files, printing and equality read it; computation reads the vector."""
+    files and equality read it; computation reads the vector."""
 
     __slots__ = ("shape", "_terms", "_vector", "_max_imag")
 
@@ -442,12 +429,6 @@ class Polynomial:
         return Polynomial(self.shape, terms)
 
     __rmul__ = __mul__
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        items = sorted(self.terms.items(), key=lambda t: t[0].sort_key())
-        return " + ".join(f"{c}*{m}" for m, c in items)
 
 
 @dataclass(frozen=True, eq=False)

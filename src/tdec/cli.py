@@ -9,8 +9,10 @@ Set TDEC_LOG=info|debug to trace the decomposition attempts.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import logging
+import math
 import os
 import sys
 import time
@@ -37,13 +39,12 @@ _stderr = logging.StreamHandler()
 _stderr.setFormatter(logging.Formatter("%(name)s %(levelname)s %(message)s"))
 
 
-def _setup_logging(verbose: bool):
-    """Set the ``tdec`` logger's level and point its one CLI handler at the
-    current sys.stderr, so that each in-process ``main`` logs to its own
-    stream at its own level."""
-    level_name = os.environ.get("TDEC_LOG", "")
+def _setup_logging():
+    """Set the ``tdec`` logger's level from TDEC_LOG and point its one CLI
+    handler at the current sys.stderr, so that each in-process ``main``
+    logs to its own stream at its own level."""
     level = {"debug": logging.DEBUG, "info": logging.INFO}.get(
-        level_name.lower(), logging.DEBUG if verbose else logging.WARNING
+        os.environ.get("TDEC_LOG", "").lower(), logging.WARNING
     )
     # assigned, not setStream: that flushes the old stream, which may be closed
     _stderr.stream = sys.stderr
@@ -94,12 +95,7 @@ def cmd_decompose(args) -> int:
     meta = {
         "seed": args.seed,
         "tolerances": {"tol_rank": args.tol_rank, "tol_resid": args.tol_resid},
-        "bounds": {
-            "lower": bounds.lower,
-            "upper": bounds.upper,
-            "expected": bounds.expected,
-            "kruskal": bounds.kruskal,
-        },
+        "bounds": dataclasses.asdict(bounds),
         "coordinate_change_applied": bool(
             dec.meta.get("coordinate_change_applied", False)
         ),
@@ -123,7 +119,10 @@ def cmd_decompose(args) -> int:
 
 
 def _jsonable(v):
-    return isinstance(v, (int, float, str, bool, type(None)))
+    # JSON has no non-finite float, such as a report's best_residual inf
+    if isinstance(v, float):
+        return math.isfinite(v)
+    return isinstance(v, (int, str, bool, type(None)))
 
 
 def cmd_bounds(args) -> int:
@@ -134,15 +133,7 @@ def cmd_bounds(args) -> int:
     print(f"expected {b.expected}")
     print(f"kruskal  {b.kruskal if b.kruskal is not None else 'n/a'}")
     if args.output:
-        write_json(
-            args.output,
-            {
-                "lower": b.lower,
-                "upper": b.upper,
-                "expected": b.expected,
-                "kruskal": b.kruskal,
-            },
-        )
+        write_json(args.output, dataclasses.asdict(b))
     return 0
 
 
@@ -205,7 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
         if output:
             p.add_argument("-o", "--output", help="write structured result here")
             p.add_argument("--tol-rank", type=tolerance, default=1e-8)
-        p.add_argument("--verbose", action="store_true")
 
     p = sub.add_parser("decompose", help="compute a minimal decomposition")
     common(p)
@@ -234,7 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--noise", type=tolerance, default=0.0)
     p.add_argument("--field", choices=["real", "complex"], default="real")
-    p.add_argument("--verbose", action="store_true")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("verify", help="check a decomposition against a tensor")
@@ -247,13 +236,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    _setup_logging(getattr(args, "verbose", False))
+    _setup_logging()
     try:
         return args.func(args)
-    except (FileNotFoundError, IsADirectoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (FormatError, DegreeOverflowError, ValueError) as exc:
+    except (FileNotFoundError, IsADirectoryError, FormatError,
+            DegreeOverflowError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -225,9 +225,9 @@ def multilinear_rank(T: Polynomial, tol: float = DEFAULT_TOL_RANK) -> list[int]:
 
 
 def hosvd_reduce(
-    T: Polynomial, target: list[int], max_iter: int = 2
+    T: Polynomial, target: list[int]
 ) -> tuple[Polynomial, list[np.ndarray], float]:
-    """Truncated higher-order SVD with a few alternating refinement passes.
+    """Truncated higher-order SVD with two alternating refinement passes.
 
     Returns the core as a polynomial over the reduced dimensions, the
     orthonormal factors (one per mode), and the relative reconstruction
@@ -247,7 +247,7 @@ def hosvd_reduce(
     for g in range(A.ndim):
         U, _, _ = np.linalg.svd(_unfold(A, g), full_matrices=False)
         factors.append(U[:, : target[g]])
-    for _ in range(max_iter):
+    for _ in range(2):
         for g in range(A.ndim):
             partial = A
             for h in range(A.ndim):
@@ -504,6 +504,11 @@ def decompose(T: Polynomial, opts: DecomposeOptions | None = None) -> Decomposit
         # frame is used; frame 0 is the input's own, not generic when sparse
         if change > 0 and not extended:
             stop = f"random frame {change}: no completion extended"
+            break
+        # a lift that fails without a residual put a term at infinity, which
+        # is a property of T, not of the frame drawn
+        if out["stage"] == "frame" and "residual" not in out:
+            stop = f"random frame {change}: term at infinity"
             break
     raise DecompositionError(
         f"no decomposition at rank {r}"

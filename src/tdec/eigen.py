@@ -79,10 +79,6 @@ class RootSet:
     points: list[Point] = field(default_factory=list)
     diagnostics: dict = field(default_factory=dict)
 
-    @property
-    def count(self) -> int:
-        return len(self.eigvecs)
-
 
 def _dots(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """X[i] @ Y[i] for every row i, one stacked product running the same
@@ -271,8 +267,10 @@ def solve_weights(T: Polynomial, points: list[Point]) -> tuple[np.ndarray, float
     rows = np.flatnonzero(~exps[:, _missing(points)].any(axis=1))
     V = evaluate(shape, points, exps[rows])
     rhs = moment_vector(T)[rows]
-    if numerical_rank(V) < len(points):
+    gam, _, _, s = np.linalg.lstsq(V, rhs, rcond=None)
+    # numerical_rank(V) at its default tolerance, from the singular values
+    # that lstsq has taken
+    if np.sum(s > 1e-8 * s.max(initial=0.0)) < len(points):
         raise WeightSolveError("evaluation system is rank deficient")
-    gam, *_ = np.linalg.lstsq(V, rhs, rcond=None)
     residual = np.linalg.norm(V @ gam - rhs) / max(1.0, np.linalg.norm(rhs))
     return gam, residual

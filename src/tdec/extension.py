@@ -94,9 +94,6 @@ class BorderRelation:
     lead: Monomial
     tail: np.ndarray
 
-    def __str__(self):
-        return f"{self.lead} == {self.tail}"
-
 
 @dataclass
 class ExtensionResult:
@@ -389,12 +386,11 @@ def _least_squares(
 
 
 class _Propagator:
-    def __init__(self, lam, B, Bp, tol, rng=None):
+    def __init__(self, lam, B, Bp, tol):
         self.lam = lam
         self.B = B
         self.Bp = Bp
         self.tol = tol
-        self.rng = rng
         self.shape: Shape = lam.shape
         self.r = len(B)
         self.dtype = lam.values.dtype
@@ -405,8 +401,6 @@ class _Propagator:
         shape = self.shape
         # exponent rows of the border monomials whose relations are sought
         self.targets = B.border
-        if rng is not None:
-            self.targets = self.targets[rng.permutation(len(self.targets))]
         r = self.r
         # the normal forms over B that shifted products reduce to, by slot:
         # slot s < r holds the unit vector of b_s and slot r + t the tail of
@@ -785,7 +779,6 @@ def propagate_commutation(
     B: MonomialBasis,
     Bp: MonomialBasis,
     tol: float = DEFAULT_TOL_EXTEND,
-    order_seed: int | None = None,
 ) -> ExtensionResult:
     """Determine the unknown border relations and extend the moments.
 
@@ -798,8 +791,7 @@ def propagate_commutation(
     is resolved.  The block lam(b' * b) is taken as invertible; a
     ValueError refuses one with unknown entries.
     """
-    rng = np.random.default_rng(order_seed) if order_seed is not None else None
-    prop = _Propagator(lam, B, Bp, tol, rng)
+    prop = _Propagator(lam, B, Bp, tol)
     status = prop.run()
 
     shape = lam.shape

@@ -309,7 +309,7 @@ class DecompositionFile:
 
 
 def dumps(obj: dict) -> str:
-    return json.dumps(obj, indent=1, sort_keys=True) + "\n"
+    return json.dumps(obj, indent=1, sort_keys=True, allow_nan=False) + "\n"
 
 
 def write_json(path: str, obj: dict) -> None:

@@ -9,6 +9,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 import golden_data as gd
 from tdec.algebra import (
+    GROUP_LETTERS,
     Monomial,
     MomentFunctional,
     Point,
@@ -21,6 +22,19 @@ from tdec.decompose import array_to_poly
 from tdec.moment import MonomialBasis, enumerate_monomials
 
 
+def parse_monomial(text: str, shape: Shape) -> Monomial:
+    """Inverse of str(Monomial): e.g. "a1*b3^2" -> Monomial."""
+    exps = [[0] * n for n in shape.dims]
+    text = text.strip()
+    if text != "1":
+        for factor in text.split("*"):
+            name, _, power = factor.partition("^")
+            g = GROUP_LETTERS.index(name[0])
+            j = int(name[1:]) - 1
+            exps[g][j] += int(power) if power else 1
+    return Monomial(tuple(tuple(e) for e in exps))
+
+
 def one(shape: Shape) -> Monomial:
     """The monomial 1 of the shape."""
     return Monomial(tuple((0,) * n for n in shape.dims))
@@ -28,7 +42,7 @@ def one(shape: Shape) -> Monomial:
 
 def variable(shape: Shape, g: int, j: int) -> Monomial:
     """The variable x_j of group g."""
-    return Monomial.parse(shape.var_name(g, j), shape)
+    return parse_monomial(shape.var_name(g, j), shape)
 
 
 def code(shape: Shape, m: Monomial) -> int:
@@ -53,16 +67,26 @@ def moment(lam: MomentFunctional, m: Monomial):
 
 def rows_of(shape: Shape, names) -> np.ndarray:
     """Exponent rows of the monomials named like str(Monomial)."""
-    return shape.exponents([Monomial.parse(s, shape) for s in names])
+    return shape.exponents([parse_monomial(s, shape) for s in names])
 
 
 def basis_of(shape: Shape, names) -> MonomialBasis:
     return MonomialBasis(shape, rows_of(shape, names))
 
 
+def shuffled_border(B: MonomialBasis, seed: int) -> MonomialBasis:
+    """A copy of B whose cached border, the completion's targets, is
+    permuted by ``np.random.default_rng(seed)``."""
+    out = MonomialBasis(B.shape, B.exps)
+    border = B.border[np.random.default_rng(seed).permutation(len(B.border))]
+    # border is a cached_property, read from the instance dict once set
+    out.__dict__["border"] = border
+    return out
+
+
 def poly(shape: Shape, coeffs: dict[str, complex]) -> Polynomial:
     return Polynomial(
-        shape, {Monomial.parse(s, shape): c for s, c in coeffs.items()}
+        shape, {parse_monomial(s, shape): c for s, c in coeffs.items()}
     )
 
 

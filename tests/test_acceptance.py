@@ -9,8 +9,15 @@ import numpy as np
 import pytest
 
 import golden_data as gd
-from conftest import basis_of, poly, rank_one_expand, relation_for, weighted_evaluation
-from tdec.algebra import Monomial, Point, Shape
+from conftest import (
+    basis_of,
+    parse_monomial,
+    poly,
+    rank_one_expand,
+    relation_for,
+    weighted_evaluation,
+)
+from tdec.algebra import Point, Shape
 from tdec.decompose import DecomposeOptions, decompose, expected_rank, kruskal_bound
 from tdec.eigen import family_from_functional
 from tdec.extension import (
@@ -80,7 +87,7 @@ def test_criterion_2_golden_example_2(tensor2, shape2):
     assert known.all()
     np.testing.assert_array_equal(H, np.array(gd.H2, dtype=float))
     ext = propagate_commutation(lam, B, Bp)
-    rel = relation_for(ext, Monomial.parse("a1^2", shape2))
+    rel = relation_for(ext, parse_monomial("a1^2", shape2))
     np.testing.assert_allclose(rel.tail, gd.RELATIONS2["a1^2"], atol=5e-3)
     dec = decompose(tensor2, DecomposeOptions(seed=0))
     elapsed = time.perf_counter() - start

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from tdec.algebra import Monomial, Polynomial, Shape
+from conftest import parse_monomial
+from tdec.algebra import Polynomial, Shape
 from tdec.decompose import DecomposeOptions, decompose, verify
 from tdec.files import synthesize
 
@@ -10,8 +11,8 @@ class TestComplexDecompositions:
     def test_real_cubic_with_imaginary_roots(self):
         # (1 + ix)^3 + (1 - ix)^3 = 2 - 6x^2: real data, roots at +-i
         shape = Shape(dims=(1,), degrees=(3,))
-        x = Monomial.parse("a1", shape)
-        T = Polynomial(shape, {Monomial.parse("1", shape): 2.0, x * x: -6.0})
+        x = parse_monomial("a1", shape)
+        T = Polynomial(shape, {parse_monomial("1", shape): 2.0, x * x: -6.0})
         dec = decompose(T, DecomposeOptions(seed=0))
         assert dec.rank == 2
         assert dec.residual < 1e-10

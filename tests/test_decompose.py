@@ -517,6 +517,17 @@ class TestDecompose:
         assert info.value.report["stage"] == "lift"
         assert info.value.report["detail"] == "point at infinity in group 0"
 
+    def test_term_at_infinity_ends_frame_retries(self):
+        # the input's own frame fails, and the first random frame whose
+        # terms lift to infinity decides: that is T's, not the frame's
+        with pytest.raises(DecompositionError) as info:
+            decompose(term_at_infinity_tensor())
+        report = info.value.report
+        assert report["stage"] == "frame"
+        assert report["detail"] == "point at infinity in group 0"
+        assert report["frames"] == 2
+        assert report["stop"] == "random frame 1: term at infinity"
+
     def test_reduce_rejects_lifted_residual_above_tolerance(self):
         # noise outside a multilinear-rank-(2,2,2) subspace that tol_rank
         # ignores: the core decomposes exactly, and the lifted residual is

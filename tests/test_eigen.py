@@ -2,8 +2,16 @@ import numpy as np
 import pytest
 
 import golden_data as gd
-from conftest import basis_of, poly, rank_one_expand, variable, weighted_evaluation
-from tdec.algebra import Monomial, Point, Shape
+from conftest import (
+    basis_of,
+    count_calls,
+    parse_monomial,
+    poly,
+    rank_one_expand,
+    variable,
+    weighted_evaluation,
+)
+from tdec.algebra import Point, Shape
 from tdec.eigen import (
     EIG_RETRY_GAP,
     SIMPLE_GAP_TOL,
@@ -87,7 +95,7 @@ class TestMultiplicationMatrix:
         fam = family_from_functional(lam, B, Bp)
         H, known = hankel(lam, Bp.exps, B.exps)
         assert known.all()
-        rows = [Monomial.parse(s, shape1) for s in gd.H1_B_ROWS]
+        rows = [parse_monomial(s, shape1) for s in gd.H1_B_ROWS]
         for var in shape1.variables():
             shifted = shape1.exponents([variable(shape1, *var) * q for q in rows])
             Hs, known = hankel(lam, shifted, B.exps)
@@ -128,7 +136,7 @@ class TestJointEigenvectors:
         B = basis_of(shape, ["1"])
         fam = family_from_functional(lam, B, B)
         roots = joint_eigenvectors(fam, seed=1)
-        assert roots.simple and roots.count == 1
+        assert roots.simple and len(roots.eigvecs) == 1
         np.testing.assert_allclose(roots.eigvecs[0], [1.0])
         assert roots.eigenvalues[(0, 1)][0] == pytest.approx(-2.0)
 
@@ -414,3 +422,10 @@ class TestSolveWeights:
     def test_coincident_points_rejected(self, tensor1, points1):
         with pytest.raises(WeightSolveError):
             solve_weights(tensor1, [points1[0]] * 4)
+
+    def test_rank_read_from_the_fit(self, tensor2, points2, monkeypatch):
+        # the rank test reads the singular values lstsq returns: no SVD of
+        # its own
+        calls = count_calls(monkeypatch, "svd", "lstsq")
+        solve_weights(tensor2, points2)
+        assert calls == {"svd": 0, "lstsq": 1}

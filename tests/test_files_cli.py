@@ -121,6 +121,12 @@ class TestFileRoundTrip:
         again = DecompositionFile.from_obj(json.loads(dumps(obj)))
         assert again.to_obj() == obj
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_floats_refused(self, value):
+        # RFC 8259 has no NaN or Infinity; json.dumps would write them
+        with pytest.raises(ValueError):
+            dumps({"residual": value})
+
     @pytest.mark.parametrize("case", [
         "example1-shuffled", "complex", "python-int-codes", "int-coefs",
         "largest-int-coef", "extra-key", "complex-int-pairs", "complex-zero-pairs",
@@ -589,6 +595,21 @@ class TestCli:
         p = tmp_path / "t.json"
         write_json(p, tf.to_obj())
         assert self.run("decompose", "-i", p, "--max-rank", "2") == 2
+
+    def test_refusal_file_is_strict_json(self, tmp_path):
+        # no attempt reaches a residual check, so the library report holds
+        # best_residual inf, which once reached the file as Infinity
+        p, out = tmp_path / "g.json", tmp_path / "out.json"
+        assert self.run("synth", "-o", p, "--dims", 2, 2, 2, "--degrees", 1, 1, 1,
+                        "--rank", 5, "--seed", 1) == 0
+        assert self.run("decompose", "-i", p, "-o", out) == 2
+
+        def refuse(name):
+            raise ValueError(f"{name} is not JSON")
+
+        report = json.loads(out.read_text(), parse_constant=refuse)["report"]
+        assert "best_residual" not in report
+        assert report["frames"] == 2
 
     def test_block_admitted_below_default_tol_rank_exit_two(self, tmp_path, capsys):
         # once a traceback (exit 1) from re-checking the block at 1e-8
