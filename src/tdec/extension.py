@@ -388,7 +388,6 @@ def _least_squares(
 class _Propagator:
     def __init__(self, lam, B, Bp, tol):
         self.lam = lam
-        self.B = B
         self.Bp = Bp
         self.tol = tol
         self.shape: Shape = lam.shape

@@ -20,7 +20,6 @@ from conftest import (
     weighted_evaluation,
 )
 from tdec.algebra import (
-    Monomial,
     MomentFunctional,
     Point,
     Polynomial,
