@@ -302,11 +302,6 @@ class Point:
 
     coords: tuple[tuple[complex, ...], ...]
 
-    def is_real(self, tol: float = 1e-12) -> bool:
-        return all(
-            abs(complex(x).imag) <= tol for c in self.coords for x in c
-        )
-
     def real(self) -> "Point":
         return Point(tuple(tuple(complex(x).real for x in c) for c in self.coords))
 

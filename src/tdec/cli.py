@@ -63,10 +63,9 @@ def cmd_decompose(args) -> int:
     tf = load_tensor(args.input)
     if tf.tensor.is_zero():
         raise FormatError(f"{args.input}: zero tensor")
-    if args.field == "complex" or tf.field == "complex":
+    if tf.field == "complex":
         tf.tensor = Polynomial.from_vector(tf.shape, tf.tensor.vector().astype(complex))
     opts = DecomposeOptions(
-        max_rank=args.max_rank,
         tol_rank=args.tol_rank,
         tol_resid=args.tol_resid,
         seed=args.seed,
@@ -199,13 +198,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decompose", help="compute a minimal decomposition")
     common(p)
-    p.add_argument("--max-rank", type=int, default=None)
     p.add_argument("--tol-resid", type=tolerance, default=1e-6)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--reduce", action="store_true",
                    help="HOSVD-compress to the multilinear rank first")
-    p.add_argument("--field", choices=["real", "complex"], default=None,
-                   help="override the field declared in the input file")
     p.add_argument("--timing", action="store_true",
                    help="record elapsed_ms in the output meta")
     p.set_defaults(func=cmd_decompose)

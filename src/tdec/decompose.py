@@ -55,6 +55,7 @@ log = logging.getLogger("tdec")
 
 MAX_COORD_CHANGES = 3
 MAX_BASIS_CANDIDATES = 4
+MAX_RANK = 30
 
 
 class UnsupportedShapeError(ValueError):
@@ -69,7 +70,6 @@ class DecompositionError(RuntimeError):
 
 @dataclass
 class DecomposeOptions:
-    max_rank: int | None = None
     tol_rank: float = DEFAULT_TOL_RANK
     tol_resid: float = 1e-6
     seed: int = 0
@@ -102,12 +102,6 @@ class Decomposition:
 
     def points(self):
         return [p for _, p in self.terms]
-
-    def is_real(self, tol=1e-8) -> bool:
-        return all(
-            abs(complex(w).imag) <= tol and p.is_real(tol)
-            for w, p in self.terms
-        )
 
 
 @dataclass
@@ -172,14 +166,6 @@ def rank_bounds(
         expected=expected_rank(shape),
         kruskal=kruskal,
     )
-
-
-def default_max_rank(shape: Shape) -> int:
-    multilinear = all(d == 1 for d in shape.degrees)
-    caps = [math.ceil(shape.ambient_dim / 2), 30]
-    if multilinear and shape.k == 3:
-        caps.append(rank_upper_bound([n + 1 for n in shape.dims]))
-    return min(caps)
 
 
 # --- multilinear arrays and HOSVD --------------------------------------------
@@ -375,22 +361,23 @@ def substitute_linear(T: Polynomial, mats: list[np.ndarray]) -> Polynomial:
 
 
 def _attempt_rank(
-    T: Polynomial, lam, r: int, opts: DecomposeOptions, seed: int, cats=None
+    T: Polynomial, cats: Catalecticants, r: int, opts: DecomposeOptions, seed: int
 ):
-    """Try to decompose at one fixed rank with the current coordinates;
-    ``cats`` are the ``Catalecticants`` of ``lam`` already read, if any.
+    """Try to decompose at one fixed rank with the current coordinates,
+    ``cats`` being the ``Catalecticants`` of the moments of T.
 
-    Returns a Decomposition or a failure dict, and whether any moment
-    completion ended ``extended``.
+    Returns a Decomposition or a failure dict, whether any moment completion
+    ended ``extended``, and the smallest residual checked (inf if none).
     """
     failure = {"rank": r, "stage": "bases", "detail": "no invertible block"}
     extended = False
+    best_residual = float("inf")
     count = 0
-    for B, Bp in select_bases_candidates(lam, r, opts.tol_rank, cats):
+    for B, Bp in select_bases_candidates(cats.lam, r, opts.tol_rank, cats):
         count += 1
         if count > MAX_BASIS_CANDIDATES:
             break
-        ext = propagate_commutation(lam, B, Bp, tol=max(opts.tol_resid, 1e-8))
+        ext = propagate_commutation(cats.lam, B, Bp, tol=max(opts.tol_resid, 1e-8))
         if log.isEnabledFor(logging.INFO):
             log.info("r=%d bases %s | %s -> %s", r, B.names(), Bp.names(), ext.status)
         if not ext.extended:
@@ -416,7 +403,7 @@ def _attempt_rank(
                 "detail": f"roots not simple ({roots.diagnostics})",
             }
             continue
-        roots = read_coordinates(roots, B, fam)
+        roots = read_coordinates(roots, fam)
         try:
             gam, _ = solve_weights(T, roots.points)
         except WeightSolveError as exc:
@@ -433,9 +420,10 @@ def _attempt_rank(
         )
         out = _accept(dec, T, opts.tol_resid, "verify", "residual")
         if isinstance(out, Decomposition):
-            return out, extended
+            return out, extended, best_residual
+        best_residual = min(best_residual, out["residual"])
         failure = out
-    return failure, extended
+    return failure, extended, best_residual
 
 
 def decompose(T: Polynomial, opts: DecomposeOptions | None = None) -> Decomposition:
@@ -443,8 +431,10 @@ def decompose(T: Polynomial, opts: DecomposeOptions | None = None) -> Decomposit
 
     Raises DecompositionError with the last failure when no attempt at the
     flattening rank produces simple roots and a small reconstruction
-    residual; its report adds ``frames`` (frames tried, the input's own
-    included) and ``stop`` (why the retries ended).  The returned ``meta``
+    residual, or at once for a flattening rank above MAX_RANK; its report
+    adds ``best_residual`` (the smallest residual checked in any frame),
+    ``frames`` (frames tried, the input's own included) and ``stop`` (why
+    the retries ended).  The returned ``meta``
     names the basis pair, the rank, the seed, whether the frame was changed
     and ``lower_bound``, the flattening rank of T.
     """
@@ -460,11 +450,10 @@ def decompose(T: Polynomial, opts: DecomposeOptions | None = None) -> Decomposit
     cats = Catalecticants(build_moment_functional(T), opts.tol_rank)
     flattening_rank = cats.flattening_rank()
     lower = max(1, flattening_rank)
-    max_rank = opts.max_rank if opts.max_rank is not None else default_max_rank(shape)
-    if max_rank < lower:
+    if lower > MAX_RANK:
         raise DecompositionError(
-            f"lower bound {lower} exceeds max rank {max_rank}",
-            report={"lower": lower, "max_rank": max_rank},
+            f"lower bound {lower} exceeds max rank {MAX_RANK}",
+            report={"lower": lower, "max_rank": MAX_RANK},
         )
 
     # split ranks are invariant under per-group changes of coordinates, so
@@ -481,9 +470,7 @@ def decompose(T: Polynomial, opts: DecomposeOptions | None = None) -> Decomposit
             work = substitute_linear(T, mats)
             # read lazily: a random frame reads the splits selection visits
             cats = Catalecticants(build_moment_functional(work), opts.tol_rank)
-        out, extended = _attempt_rank(
-            work, cats.lam, r, opts, seed=opts.seed + change, cats=cats
-        )
+        out, extended, tried = _attempt_rank(work, cats, r, opts, opts.seed + change)
         if isinstance(out, Decomposition) and mats is not None:
             out = _lift(out, mats, T, opts.tol_resid, "frame", "back-mapped residual")
         if isinstance(out, Decomposition):
@@ -496,8 +483,7 @@ def decompose(T: Polynomial, opts: DecomposeOptions | None = None) -> Decomposit
             )
             log.info("accepted r=%d residual %.2e", r, out.residual)
             return out
-        if "residual" in out:
-            best_residual = min(best_residual, out["residual"])
+        best_residual = min(best_residual, tried, out.get("residual", tried))
         report = out
         log.info("r=%d attempt %d failed: %s", r, change, out)
         # whether the completion extends does not depend on which generic

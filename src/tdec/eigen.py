@@ -171,13 +171,11 @@ def joint_eigenvectors(
     )
 
 
-def read_coordinates(
-    roots: RootSet, B: MonomialBasis, family: MultiplicationFamily
-) -> RootSet:
-    """Fill coordinates from eigenvector entries (variables inside B) and
-    eigenvalues (variables with a table); the rest stay NaN."""
+def read_coordinates(roots: RootSet, family: MultiplicationFamily) -> RootSet:
+    """Fill coordinates from eigenvector entries (variables inside the
+    roots' basis B) and eigenvalues (variables with a table); the rest NaN."""
     shape = roots.shape
-    where = {c: i for i, c in enumerate(B.codes.tolist())}
+    where = {c: i for i, c in enumerate(roots.basis.codes.tolist())}
     # each variable with its position in B, or None
     inside = [
         (v, where.get(c))

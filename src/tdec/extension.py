@@ -680,6 +680,8 @@ class _Propagator:
     def run(self):
         self.resolve_direct()
         r = self.r
+        # the fully known row of 1 (B' lists 1 first) meets every unresolved
+        # target, so each pass has equations and checks what it harvested
         for _ in range(len(self.targets) + 1):
             unresolved = np.flatnonzero(~self.known[r:])
             if not len(unresolved):
@@ -687,11 +689,6 @@ class _Propagator:
             b_m, write_m, n_raw, b_raw_sq, n_places = self._moment_equations()
             b_s, write_s = self._syzygy_equations()
             n_raw += len(b_s)
-            if not n_raw:
-                self.nullity = len(unresolved) * r
-                self.components, self.largest_component = len(unresolved), r
-                self.solve = self.sigma_min_bound = None
-                break
             # the moment rows and then the syzygy rows, each written once
             n_m = len(b_m)
             b = np.concatenate([b_m, b_s])
@@ -719,8 +716,6 @@ class _Propagator:
                 break
             self.table[r + unresolved[~free]] = x.reshape(-1, r)[~free]
             self.known[r + unresolved[~free]] = True
-        if self.inconsistency > self.tol:
-            return "inconsistent"
         if not self.known.all():
             return "rank_deficient"
         return "extended"
@@ -847,7 +842,7 @@ def _complete(lam, B, Bp, prop, tables, relations) -> MomentFunctional:
     # B' x border lies in B'+ x B+, whose moments are all known by now, so
     # these products add none; they are the only Monomial.__mul__ calls of
     # a decomposition, which perfbench's tracer test expects to count
-    # (ROADMAP item 3 moves that probe)
+    # (ROADMAP item 2 moves that probe)
     Bp_monomials = shape.monomials(Bp.exps)
     products = [q * rel.lead for rel in relations for q in Bp_monomials]
     codes = shape.codes(shape.exponents(products))

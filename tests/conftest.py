@@ -35,6 +35,16 @@ def parse_monomial(text: str, shape: Shape) -> Monomial:
     return Monomial(tuple(tuple(e) for e in exps))
 
 
+def is_real_decomposition(dec, tol: float = 1e-8) -> bool:
+    """Every weight and point coordinate of ``dec`` has an imaginary part
+    of at most ``tol``."""
+    return all(
+        abs(complex(x).imag) <= tol
+        for w, p in dec.terms
+        for x in (w, *(x for c in p.coords for x in c))
+    )
+
+
 def one(shape: Shape) -> Monomial:
     """The monomial 1 of the shape."""
     return Monomial(tuple((0,) * n for n in shape.dims))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import parse_monomial
+from conftest import is_real_decomposition, parse_monomial
 from tdec.algebra import Polynomial, Shape
 from tdec.decompose import DecomposeOptions, decompose, verify
 from tdec.files import synthesize
@@ -16,7 +16,7 @@ class TestComplexDecompositions:
         dec = decompose(T, DecomposeOptions(seed=0))
         assert dec.rank == 2
         assert dec.residual < 1e-10
-        assert not dec.is_real()
+        assert not is_real_decomposition(dec)
         roots = sorted(complex(p.coords[0][0]).imag for _, p in dec.terms)
         np.testing.assert_allclose(roots, [-1.0, 1.0], atol=1e-8)
         np.testing.assert_allclose(
@@ -37,5 +37,5 @@ class TestComplexDecompositions:
     def test_real_input_keeps_real_output(self):
         tf, _ = synthesize((2, 2), (2, 1), rank=2, seed=3)
         dec = decompose(tf.tensor, DecomposeOptions(seed=0))
-        assert dec.is_real()
+        assert is_real_decomposition(dec)
         assert verify(tf.tensor, dec) < 1e-8

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import golden_data as gd
 from conftest import (
     count_calls,
+    is_real_decomposition,
     near_collinear_tensor,
     poly,
     rank_one_expand,
@@ -26,7 +27,6 @@ from tdec.decompose import (
     _lift,
     array_to_poly,
     decompose,
-    default_max_rank,
     expected_rank,
     hosvd_reduce,
     kruskal_bound,
@@ -43,8 +43,15 @@ from tdec.decompose import (
     verify,
     _unfold,
 )
+from tdec.eigen import WeightSolveError
 from tdec.extension import flat_extension_check, propagate_commutation
-from tdec.moment import build_moment_functional, select_bases_candidates, split_pools
+from tdec.files import synthesize
+from tdec.moment import (
+    Catalecticants,
+    build_moment_functional,
+    select_bases_candidates,
+    split_pools,
+)
 
 
 # the package attribute tdec.decompose is the function; patch the module
@@ -427,12 +434,12 @@ class TestDecompose:
         rng = np.random.default_rng(11)
         shape, ws, pts, T = random_instance(rng, (2, 2), (2, 2), 6)
         with pytest.raises(DecompositionError) as info:
-            decompose(T, DecomposeOptions(max_rank=6))
+            decompose(T)
         assert info.value.report
 
     def test_failure_report_names_real_failure(self):
-        # the default rank cap (18 here) is never reached: the one rank tried
-        # is the flattening rank, and the report carries its last failure
+        # the rank cap (30) is never reached: the one rank tried is the
+        # flattening rank, and the report carries its last failure
         rng = np.random.default_rng(11)
         shape, ws, pts, T = random_instance(rng, (2, 2), (2, 2), 6)
         with pytest.raises(DecompositionError) as info:
@@ -440,7 +447,7 @@ class TestDecompose:
         report = info.value.report
         assert report["stage"] == "extension"
         assert report["rank"] == 6
-        assert "rank 6" in str(info.value) and "18" not in str(info.value)
+        assert "rank 6" in str(info.value) and "30" not in str(info.value)
 
     def test_refusal_stops_after_first_random_frame(self):
         # no completion extends in random frame 1, and whether one extends
@@ -453,6 +460,50 @@ class TestDecompose:
         assert report["stage"] == "extension"
         assert report["frames"] == 2
         assert report["stop"] == "random frame 1: no completion extended"
+
+    def test_flattening_rank_above_cap_refused(self, monkeypatch):
+        # a flattening rank above MAX_RANK is refused before any attempt
+        monkeypatch.setattr(decompose_module, "MAX_RANK", 2)
+        rng = np.random.default_rng(0)
+        *_, T = random_instance(rng, (2, 2, 2), (1, 1, 1), 3)
+        with pytest.raises(DecompositionError) as info:
+            decompose(T)
+        assert str(info.value) == "lower bound 3 exceeds max rank 2"
+        assert info.value.report == {"lower": 3, "max_rank": 2}
+
+    def test_best_residual_is_smallest_of_every_attempt(self):
+        # at tol_resid 0 every residual check fails; the report once kept
+        # the smallest of each frame's last failure only (6.22e-14 here,
+        # above the 6.06e-14 that the default options return)
+        T = synthesize((2, 2, 2), (1, 1, 1), rank=3, seed=2)[0].tensor
+        with pytest.raises(DecompositionError) as info:
+            decompose(T, DecomposeOptions(tol_resid=0.0))
+        report = info.value.report
+        assert report["frames"] == 4
+        assert report["stop"] == "frame limit"
+        assert report["best_residual"] <= decompose(T).residual
+
+    @pytest.mark.parametrize("fault", ["singular", "zero weight"])
+    def test_weight_stage_refusals(self, monkeypatch, fault):
+        # every frame extends, so the retries run to the frame limit
+        def solve_weights(T, points):
+            if fault == "singular":
+                raise WeightSolveError("evaluation system is rank deficient")
+            return np.array([0.0] + [1.0] * (len(points) - 1)), 0.0
+
+        monkeypatch.setattr(decompose_module, "solve_weights", solve_weights)
+        rng = np.random.default_rng(0)
+        *_, T = random_instance(rng, (2, 2, 2), (1, 1, 1), 3)
+        with pytest.raises(DecompositionError) as info:
+            decompose(T)
+        report = info.value.report
+        assert report["stage"] == "weights"
+        assert report["detail"] == (
+            "evaluation system is rank deficient" if fault == "singular"
+            else "vanishing weight"
+        )
+        assert report["frames"] == 4
+        assert report["stop"] == "frame limit"
 
     def test_refusal_details_hold_plain_numbers(self):
         # sparse {-1,0,1} points refused at the extension stage: the
@@ -480,7 +531,7 @@ class TestDecompose:
         T = Polynomial(shape, {m: complex(c) for m, c in T.terms.items()})
         assert T.is_real()
         dec = decompose(T, DecomposeOptions(seed=0))
-        assert dec.is_real(0.0)
+        assert is_real_decomposition(dec, 0.0)
         assert dec.residual == verify(T, dec)
 
     @pytest.mark.parametrize("seed", [1, 34, 103])
@@ -508,6 +559,16 @@ class TestDecompose:
         assert dec.meta["reduced"]
         assert dec.rank == 3
         assert dec.residual < 1e-8
+
+    def test_reduce_at_full_multilinear_rank(self):
+        # nothing to compress: the plain path runs and keeps lower_bound
+        T = synthesize((3, 3, 5), (1, 1, 1), rank=6, seed=1)[0].tensor
+        plain = decompose(T)
+        dec = decompose(T, DecomposeOptions(reduce=True))
+        assert dec.meta["reduced"] is False
+        assert dec.meta["lower_bound"] == plain.meta["lower_bound"] == 6
+        assert dec.terms == plain.terms
+        assert dec.residual == plain.residual
 
     def test_reduce_refuses_term_at_infinity(self):
         # once an uncaught error from the lift of the HOSVD core's terms
@@ -669,9 +730,8 @@ class TestFrameProperty:
         mats = random_coordinate_change(shape, rng)
         work = substitute_linear(T, mats)
         opts = DecomposeOptions(seed=0)
-        out, extended = _attempt_rank(
-            work, build_moment_functional(work), r, opts, seed=0
-        )
+        cats = Catalecticants(build_moment_functional(work), opts.tol_rank)
+        out, extended, _ = _attempt_rank(work, cats, r, opts, seed=0)
         assert extended
         if not isinstance(out, Decomposition):
             # rare: a point of the frame drawn makes a solve singular
@@ -680,7 +740,7 @@ class TestFrameProperty:
         back = _lift(out, mats, T, opts.tol_resid, "frame", "back-mapped residual")
         assert isinstance(back, Decomposition)
         assert back.rank == r
-        assert back.is_real(0.0)
+        assert is_real_decomposition(back, 0.0)
         assert back.residual == verify(T, back) <= opts.tol_resid
 
     @given(seed=st.integers(0, 2**16), r=st.integers(1, 3))
@@ -718,8 +778,3 @@ class TestRoundTripProperty:
         got = sorted(np.round(np.real(dec.weights()), 6))
         want = sorted(np.round(ws, 6))
         np.testing.assert_allclose(got, want, atol=1e-6)
-
-
-def test_default_max_rank_values():
-    assert default_max_rank(Shape(dims=(3, 3, 3), degrees=(1, 1, 1))) == 12
-    assert default_max_rank(Shape(dims=(2, 2), degrees=(2, 2))) == 18

@@ -591,10 +591,20 @@ class TestCli:
         assert self.run("decompose", "-i", tmp_path / "nope.json") == 1
 
     def test_no_decomposition_exit_two(self, tmp_path):
-        tf, _ = synthesize((2, 2, 2), (1, 1, 1), rank=3, seed=2)
+        # a generic 3x3x3 of rank 5, above its flattening rank 3
+        p = tmp_path / "t.json"
+        assert self.run("synth", "-o", p, "--dims", 2, 2, 2, "--degrees", 1, 1, 1,
+                        "--rank", 5, "--seed", 1) == 0
+        assert self.run("decompose", "-i", p) == 2
+
+    def test_decompose_prints_complex_terms(self, tmp_path, capsys):
+        tf, _ = synthesize((2, 2, 2), (1, 1, 1), rank=3, seed=21, fld="complex")
         p = tmp_path / "t.json"
         write_json(p, tf.to_obj())
-        assert self.run("decompose", "-i", p, "--max-rank", "2") == 2
+        assert self.run("decompose", "-i", p) == 0
+        terms = capsys.readouterr().out.splitlines()[1:]
+        assert len(terms) == 3
+        assert all(t.startswith("  weight (") and "j)  point (" in t for t in terms)
 
     def test_refusal_file_is_strict_json(self, tmp_path):
         # no attempt reaches a residual check, so the library report holds
