@@ -256,8 +256,9 @@ class MonomialTable:
     the position of row m's group-g part among them, so
     ``A[tuple(group_index.T)]`` reads a coefficient array with one axis per
     group (the Kronecker layout) in table order.  ``index`` maps a monomial
-    to its row, ``codes`` are the rows' codes and ``rows`` maps codes to
-    rows.
+    to its row, ``codes`` are the rows' codes, ``sorted_codes`` the same in
+    increasing order (the codes of the functional of a tensor) and ``rows``
+    maps codes to rows.
     """
 
     def __init__(self, shape: Shape):
@@ -271,7 +272,7 @@ class MonomialTable:
         self.monomials = tuple(shape.monomials(self.exps))
         self.codes = shape.codes(self.exps)
         self._code_order = np.argsort(self.codes)
-        self._sorted_codes = self.codes[self._code_order]
+        self.sorted_codes = self.codes[self._code_order]
         self.index = MappingProxyType({m: i for i, m in enumerate(self.monomials)})
         per_group = [
             np.array([multinomial(d, e) for e in G.tolist()], dtype=np.int64)
@@ -282,13 +283,13 @@ class MonomialTable:
         ).astype(float)
         self.group_exps = tuple(self.group_exps)
         for a in (self.exps, self.degrees, self.group_index, self.multinomials,
-                  self.codes, self._code_order, self._sorted_codes,
+                  self.codes, self._code_order, self.sorted_codes,
                   *self.group_exps):
             a.setflags(write=False)  # shared by every user of the format
 
     def rows(self, codes: np.ndarray) -> np.ndarray:
         """Rows of the monomials with the given codes, each in the table."""
-        return self._code_order[np.searchsorted(self._sorted_codes, codes)]
+        return self._code_order[np.searchsorted(self.sorted_codes, codes)]
 
 
 @cache
@@ -465,6 +466,15 @@ class MomentFunctional:
         pos = np.minimum(np.searchsorted(keys, codes), len(keys) - 1)
         known = keys[pos] == codes
         return np.where(known, values[pos], 0), known
+
+    def positions(self, codes: np.ndarray) -> np.ndarray:
+        """Positions in ``values`` of the moments with the given codes, -1
+        where unknown, shaped like ``codes``."""
+        keys = self.codes
+        if not len(keys):
+            return np.full(np.shape(codes), -1)
+        pos = np.minimum(np.searchsorted(keys, codes), len(keys) - 1)
+        return np.where(keys[pos] == codes, pos, -1)
 
     def extended(self, codes, values) -> "MomentFunctional":
         """A new functional that also knows the moments ``values`` of

@@ -360,6 +360,47 @@ def substitute_linear(T: Polynomial, mats: list[np.ndarray]) -> Polynomial:
 # --- the main loop -------------------------------------------------------------
 
 
+def _try_pair(
+    T: Polynomial, lam, B, Bp, r: int, opts: DecomposeOptions, seed: int
+):
+    """Decompose T through one basis pair of its moments ``lam``.  Returns
+    the completion's status and a Decomposition or a failure dict."""
+    ext = propagate_commutation(lam, B, Bp, tol=max(opts.tol_resid, 1e-8))
+    if not ext.extended:
+        diag = ext.diagnostics
+        detail = (
+            f"inconsistent ({diag['inconsistency']:.2e})"
+            if ext.status == "inconsistent"
+            else f"rank deficient (nullity {diag['nullity']}, "
+            f"{len(diag['unresolved'])} unresolved)"
+        )
+        return ext.status, {"rank": r, "stage": "extension", "detail": detail}
+    if not flat_extension_check(ext.functional, B, Bp, opts.tol_rank):
+        return ext.status, {"rank": r, "stage": "flat-check", "detail": "rank grew"}
+    fam = family_from_functional(ext.functional, B, Bp)
+    roots = joint_eigenvectors(fam, seed=seed)
+    if not roots.simple:
+        return ext.status, {
+            "rank": r,
+            "stage": "eigen",
+            "detail": f"roots not simple ({roots.diagnostics})",
+        }
+    roots = read_coordinates(roots, fam)
+    try:
+        gam, _ = solve_weights(T, roots.points)
+    except WeightSolveError as exc:
+        return ext.status, {"rank": r, "stage": "weights", "detail": str(exc)}
+    if np.abs(gam).min() <= 1e-10 * np.abs(gam).max():
+        return ext.status, {"rank": r, "stage": "weights", "detail": "vanishing weight"}
+    dec = Decomposition(
+        T.shape,
+        list(zip(gam.tolist(), roots.points)),
+        residual=0.0,
+        meta={"basis": B.names(), "dual_basis": Bp.names()},
+    )
+    return ext.status, _accept(dec, T, opts.tol_resid, "verify", "residual")
+
+
 def _attempt_rank(
     T: Polynomial, cats: Catalecticants, r: int, opts: DecomposeOptions, seed: int
 ):
@@ -367,61 +408,30 @@ def _attempt_rank(
     ``cats`` being the ``Catalecticants`` of the moments of T.
 
     Returns a Decomposition or a failure dict, whether any moment completion
-    ended ``extended``, and the smallest residual checked (inf if none).
+    ended ``extended``, and the smallest residual checked (inf if none).  A
+    pair that the selection yields again (another degree split can pick the
+    same bases) has the same outcome, so it is tried once; a repeat still
+    counts toward MAX_BASIS_CANDIDATES.
     """
     failure = {"rank": r, "stage": "bases", "detail": "no invertible block"}
     extended = False
     best_residual = float("inf")
-    count = 0
-    for B, Bp in select_bases_candidates(cats.lam, r, opts.tol_rank, cats):
-        count += 1
+    outcomes = {}
+    for count, (B, Bp) in enumerate(
+        select_bases_candidates(cats.lam, r, opts.tol_rank, cats), 1
+    ):
         if count > MAX_BASIS_CANDIDATES:
             break
-        ext = propagate_commutation(cats.lam, B, Bp, tol=max(opts.tol_resid, 1e-8))
+        key = (tuple(B.codes.tolist()), tuple(Bp.codes.tolist()))
+        if key not in outcomes:
+            outcomes[key] = _try_pair(T, cats.lam, B, Bp, r, opts, seed)
+        status, out = outcomes[key]
         if log.isEnabledFor(logging.INFO):
-            log.info("r=%d bases %s | %s -> %s", r, B.names(), Bp.names(), ext.status)
-        if not ext.extended:
-            diag = ext.diagnostics
-            detail = (
-                f"inconsistent ({diag['inconsistency']:.2e})"
-                if ext.status == "inconsistent"
-                else f"rank deficient (nullity {diag['nullity']}, "
-                f"{len(diag['unresolved'])} unresolved)"
-            )
-            failure = {"rank": r, "stage": "extension", "detail": detail}
-            continue
-        extended = True
-        if not flat_extension_check(ext.functional, B, Bp, opts.tol_rank):
-            failure = {"rank": r, "stage": "flat-check", "detail": "rank grew"}
-            continue
-        fam = family_from_functional(ext.functional, B, Bp)
-        roots = joint_eigenvectors(fam, seed=seed)
-        if not roots.simple:
-            failure = {
-                "rank": r,
-                "stage": "eigen",
-                "detail": f"roots not simple ({roots.diagnostics})",
-            }
-            continue
-        roots = read_coordinates(roots, fam)
-        try:
-            gam, _ = solve_weights(T, roots.points)
-        except WeightSolveError as exc:
-            failure = {"rank": r, "stage": "weights", "detail": str(exc)}
-            continue
-        if np.abs(gam).min() <= 1e-10 * np.abs(gam).max():
-            failure = {"rank": r, "stage": "weights", "detail": "vanishing weight"}
-            continue
-        dec = Decomposition(
-            T.shape,
-            list(zip(gam.tolist(), roots.points)),
-            residual=0.0,
-            meta={"basis": B.names(), "dual_basis": Bp.names()},
-        )
-        out = _accept(dec, T, opts.tol_resid, "verify", "residual")
+            log.info("r=%d bases %s | %s -> %s", r, B.names(), Bp.names(), status)
+        extended = extended or status == "extended"
         if isinstance(out, Decomposition):
             return out, extended, best_residual
-        best_residual = min(best_residual, out["residual"])
+        best_residual = min(best_residual, out.get("residual", best_residual))
         failure = out
     return failure, extended, best_residual
 

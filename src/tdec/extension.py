@@ -36,7 +36,7 @@ bound a proof, or, where that bound is too loose, the computed residual of
 the inverse.
 
 The monomial bookkeeping is index arithmetic on exponent rows and their
-codes, done once per propagator: the targets (the border of B) are an
+codes, done once per plan (below): the targets (the border of B) are an
 exponent matrix; the reduction table stacks the unit vectors of B and the
 tails of the targets, and it and the mask of its known slots are the whole
 state of the completion; the moments of every target times every known row
@@ -56,6 +56,21 @@ appear only where results leave (the leads of the returned relations, the
 names in the diagnostics) and in the products of B' with those leads; the
 normal forms are reduced on exponent rows and codes.
 
+The equations of a border basis depend on B and its border alone; only the
+moment values change from tensor to tensor.  So everything a completion
+derives from the format, the bases and the codes of the known moments is
+one plan: the positions in the functional's values of the base block, of
+the fully known rows and of the target x row products (with the
+placeholder ids of the unknown ones), the shift table, the syzygy pairs,
+the directly solvable columns, the unknown codes of B'+ x B+ with their
+normal-form walk, and the leads of the targets.  A call reads its values
+through those positions and runs the fixpoint, the solves and the tables on
+its own.  The functional of a tensor knows exactly the moments of the
+format's table, so those functionals share one plan per format and basis
+pair, kept in a small cache of the most recently used; any other functional
+gets a plan of its own.  The plan's arrays are read-only, as calls share
+them.
+
 When the fixpoint resolves everything and the multiplication tables
 commute, they define the unique extension of the data, and any moment is
 obtained by reducing its monomial to a normal form and pairing against the
@@ -74,6 +89,7 @@ extension and completes no moment.
 from __future__ import annotations
 
 import logging
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -385,60 +401,173 @@ def _least_squares(
     )
 
 
+def _syzygy_pairs(exps: np.ndarray) -> np.ndarray:
+    """Target pairs, rows (t1, t2, v1, v2) with lcm = x_v1 * m_t1 =
+    x_v2 * m_t2 (v = -1 for the factor 1), in canonical order of the lcm.
+
+    ``exps`` holds the targets' exponent rows; the lcm is their elementwise
+    maximum, and a pair is kept when it is at most one variable above each
+    target.
+    """
+    i, j = np.triu_indices(len(exps), 1)
+    lcm = np.maximum(exps[i], exps[j])
+    q1, q2 = lcm - exps[i], lcm - exps[j]
+    keep = (q1.sum(axis=1) <= 1) & (q2.sum(axis=1) <= 1)
+    i, j, lcm, q1, q2 = i[keep], j[keep], lcm[keep], q1[keep], q2[keep]
+    v1 = np.where(q1.any(axis=1), q1.argmax(axis=1), -1)
+    v2 = np.where(q2.any(axis=1), q2.argmax(axis=1), -1)
+    return np.stack([i, j, v1, v2], axis=1)[canonical_order(lcm)]
+
+
+def _gather(values: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """values[pos], with 0 where a position is -1 (an unknown moment), as
+    ``MomentFunctional.lookup`` reads it."""
+    return np.where(pos >= 0, values[pos], 0)
+
+
+@dataclass(frozen=True, eq=False)
+class _Plan:
+    """Everything a completion derives from the format, the bases and the
+    codes of the known moments, and nothing from their values: positions in
+    the functional's ``values`` (-1 where a moment is unknown) and index
+    tables, all read-only, as calls share them."""
+
+    targets: np.ndarray  # exponent rows of B.border, whose relations are sought
+    leads: tuple  # the Monomial of each target
+    canonical: np.ndarray  # the position of each target in canonical order
+    base: np.ndarray  # lam(b'_i * b_j)
+    rows: np.ndarray  # every fully known row times B
+    products: np.ndarray  # every target times every fully known row
+    prod_place: np.ndarray  # placeholder id of each unknown product, else -1
+    shift: np.ndarray  # shift[v, s]: the reduction-table slot of x_v * b_s
+    syzygy_pairs: np.ndarray
+    direct: np.ndarray  # the targets whose column over B' is known
+    direct_cols: np.ndarray  # those columns, |B'| x len(direct)
+    moments_B: np.ndarray  # lam(b) for b in B
+    unknown_codes: np.ndarray  # the unknown moments of B'+ x B+, by code
+    walk: tuple  # the _normal_forms walk of those
+
+
+def _build_plan(lam: MomentFunctional, B: MonomialBasis, Bp: MonomialBasis) -> _Plan:
+    shape = lam.shape
+    base = lam.positions(shape.product_codes(Bp.exps, B.exps))
+    if (base < 0).any():
+        raise ValueError("base block has unknown entries")
+    targets = B.border
+    # any monomial whose products with B are known yields valid
+    # constraints; scan the whole known range plus the prolonged rows
+    # beyond it (those over some group's degree bound)
+    plus = Bp.plus
+    starts = np.cumsum((0,) + shape.dims[:-1])
+    beyond = (np.add.reduceat(plus, starts, axis=1) > shape.degrees).any(axis=1)
+    row_pool = np.vstack([shape.table.exps, plus[beyond]])
+    rows = lam.positions(shape.product_codes(row_pool, B.exps))
+    full = (rows >= 0).all(axis=1)
+    # moment of every target times every fully known row; an unknown
+    # product gets a placeholder id shared by all pairs with that product
+    codes = shape.product_codes(targets, row_pool[full])
+    products = lam.positions(codes)
+    unknown = products < 0
+    # ids count the unknown products in order of first appearance,
+    # target-major, so that they do not depend on the code layout
+    _, first, inverse = np.unique(
+        codes[unknown], return_index=True, return_inverse=True
+    )
+    place = np.empty_like(first)
+    place[np.argsort(first)] = np.arange(len(first))
+    prod_place = np.full(codes.shape, -1)
+    prod_place[unknown] = place[inverse]
+    # x_v * b_s lies in B+ = B u B.border: shift[v, s] is its slot in
+    # the reduction table, found by code
+    slot_codes = np.concatenate([B.codes, shape.codes(targets)])
+    order = np.argsort(slot_codes)
+    variables = np.eye(B.exps.shape[1], dtype=np.int64)
+    shift = order[np.searchsorted(
+        slot_codes[order], shape.product_codes(variables, B.exps)
+    )]
+    cols = lam.positions(shape.product_codes(Bp.exps, targets))
+    direct = np.flatnonzero((cols >= 0).all(axis=0))
+    # the moments of B'+ x B+ that a completion adds, and their reduction
+    codes = shape.product_codes(Bp.plus, B.plus).ravel()
+    add = first_unknown(lam, codes)
+    n_cols = len(B.plus)
+    exps = Bp.plus[add // n_cols] + B.plus[add % n_cols]
+    plan = _Plan(
+        targets=targets,
+        leads=tuple(shape.monomials(targets)),
+        canonical=np.argsort(canonical_order(targets)),
+        base=base,
+        rows=rows[full],
+        products=products,
+        prod_place=prod_place,
+        shift=shift,
+        syzygy_pairs=_syzygy_pairs(targets),
+        direct=direct,
+        direct_cols=cols[:, direct],
+        moments_B=lam.positions(B.codes),
+        unknown_codes=codes[add],
+        walk=_reduction_walk(shape, exps, codes[add]),
+    )
+    ones, levels = plan.walk
+    for a in (
+        plan.canonical, base, plan.rows, products, prod_place, shift,
+        plan.syzygy_pairs, direct, plan.direct_cols, plan.moments_B,
+        plan.unknown_codes, ones, *(a for level in levels for a in level),
+    ):
+        a.setflags(write=False)
+    return plan
+
+
+# the completion plans kept, each under the format, the codes of its bases
+# and the rows of B's border; the least recently used goes first
+_PLAN_CACHE_SIZE = 64
+_plans: OrderedDict = OrderedDict()
+
+
+def _plan(lam: MomentFunctional, B: MonomialBasis, Bp: MonomialBasis) -> _Plan:
+    """The plan of completing lam over (B, B').  A functional that knows
+    exactly the moments of the format's table (every functional of a
+    tensor) shares one cached plan per basis pair; any other gets its own.
+    The key holds the border's rows as well, since their order sets the
+    order of the targets."""
+    shape = lam.shape
+    if not np.array_equal(lam.codes, shape.table.sorted_codes):
+        return _build_plan(lam, B, Bp)
+    key = (
+        shape, tuple(B.codes.tolist()), tuple(Bp.codes.tolist()),
+        B.border.tobytes(),
+    )
+    plan = _plans.get(key)
+    if plan is None:
+        plan = _plans[key] = _build_plan(lam, B, Bp)
+        if len(_plans) > _PLAN_CACHE_SIZE:
+            _plans.popitem(last=False)
+    else:
+        _plans.move_to_end(key)
+    return plan
+
+
 class _Propagator:
     def __init__(self, lam, B, Bp, tol):
-        self.lam = lam
-        self.Bp = Bp
+        self.plan = plan = _plan(lam, B, Bp)
         self.tol = tol
         self.shape: Shape = lam.shape
-        self.r = len(B)
-        self.dtype = lam.values.dtype
-        H, known = hankel(lam, Bp.exps, B.exps)
-        if not known.all():
-            raise ValueError("base block has unknown entries")
-        self.H = H.astype(self.dtype)
-        shape = self.shape
-        # exponent rows of the border monomials whose relations are sought
-        self.targets = B.border
-        r = self.r
+        self.r = r = len(B)
+        values = self.values = lam.values
+        self.dtype = values.dtype
+        self.H = values[plan.base]
+        self.targets = plan.targets
         # the normal forms over B that shifted products reduce to, by slot:
         # slot s < r holds the unit vector of b_s and slot r + t the tail of
         # the t-th target, a row of zeros until ``known`` marks it resolved
         self.table = np.zeros((r + len(self.targets), r), dtype=self.dtype)
         self.table[:r] = np.eye(r)
         self.known = np.arange(len(self.table)) < r
-        # any monomial whose products with B are known yields valid
-        # constraints; scan the whole known range plus the prolonged rows
-        # beyond it (those over some group's degree bound)
-        plus = Bp.plus
-        starts = np.cumsum((0,) + shape.dims[:-1])
-        beyond = (np.add.reduceat(plus, starts, axis=1) > shape.degrees).any(axis=1)
-        row_pool = np.vstack([shape.table.exps, plus[beyond]])
-        rows, known = hankel(lam, row_pool, B.exps)
-        full = known.all(axis=1)
-        self.rows = rows[full]
-        # moment of every target times every fully known row; an unknown
-        # product gets a placeholder id shared by all pairs with that product
-        codes = shape.product_codes(self.targets, row_pool[full])
-        self.prod_data, known = lam.lookup(codes)
-        # ids count the unknown products in order of first appearance,
-        # target-major, so that they do not depend on the code layout
-        _, first, inverse = np.unique(
-            codes[~known], return_index=True, return_inverse=True
-        )
-        rank = np.empty_like(first)
-        rank[np.argsort(first)] = np.arange(len(first))
-        self.prod_place = np.full(codes.shape, -1)
-        self.prod_place[~known] = rank[inverse]
-        # x_v * b_s lies in B+ = B u B.border: shift[v, s] is its slot in
-        # the reduction table, found by code
-        slot_codes = np.concatenate([B.codes, shape.codes(self.targets)])
-        order = np.argsort(slot_codes)
-        variables = np.eye(B.exps.shape[1], dtype=np.int64)
-        self.shift = order[np.searchsorted(
-            slot_codes[order], shape.product_codes(variables, B.exps)
-        )]
-        self.syzygy_pairs = self._syzygy_pairs(self.targets)
+        self.rows = values[plan.rows]
+        self.prod_data = _gather(values, plan.products)
+        self.prod_place = plan.prod_place
+        self.shift = plan.shift
+        self.syzygy_pairs = plan.syzygy_pairs
         self.inconsistency = 0.0
         # free relation coefficients left by the last fixpoint pass, and
         # the number of independent blocks of its system and the columns of
@@ -536,23 +665,6 @@ class _Propagator:
         n_raw = n_d + len(group)
         b_raw_sq = float(np.sum(np.abs(b_data) ** 2) + np.sum(np.abs(b_place) ** 2))
         return b, write, n_raw, b_raw_sq, len(count)
-
-    def _syzygy_pairs(self, exps: np.ndarray) -> np.ndarray:
-        """Target pairs, rows (t1, t2, v1, v2) with lcm = x_v1 * m_t1 =
-        x_v2 * m_t2 (v = -1 for the factor 1), in canonical order of the lcm.
-
-        ``exps`` holds the targets' exponent rows; the lcm is their
-        elementwise maximum, and a pair is kept when it is at most one
-        variable above each target.
-        """
-        i, j = np.triu_indices(len(exps), 1)
-        lcm = np.maximum(exps[i], exps[j])
-        q1, q2 = lcm - exps[i], lcm - exps[j]
-        keep = (q1.sum(axis=1) <= 1) & (q2.sum(axis=1) <= 1)
-        i, j, lcm, q1, q2 = i[keep], j[keep], lcm[keep], q1[keep], q2[keep]
-        v1 = np.where(q1.any(axis=1), q1.argmax(axis=1), -1)
-        v2 = np.where(q2.any(axis=1), q2.argmax(axis=1), -1)
-        return np.stack([i, j, v1, v2], axis=1)[canonical_order(lcm)]
 
     def _sides(self, t, v):
         """The products x_v * N(m_t) (N(m_t) when v < 0), one per entry of
@@ -668,12 +780,12 @@ class _Propagator:
     # --- main loop --------------------------------------------------------
 
     def resolve_direct(self):
-        cols, known = hankel(self.lam, self.Bp.exps, self.targets)
-        direct = np.flatnonzero(known.all(axis=0))
+        direct = self.plan.direct
         if not len(direct):
             return
+        cols = self.values[self.plan.direct_cols]
         # one stacked solve runs the same LU solve per column as solve(H, c)
-        tails = np.linalg.solve(self.H[None], cols[:, direct].T[:, :, None])
+        tails = np.linalg.solve(self.H[None], cols.T[:, :, None])
         self.table[self.r + direct] = tails[:, :, 0]
         self.known[self.r + direct] = True
 
@@ -721,23 +833,13 @@ class _Propagator:
         return "extended"
 
 
-def _normal_forms(
-    shape: Shape, tables: np.ndarray, exps: np.ndarray, codes: np.ndarray
-):
-    """Normal forms over B of the monomials with exponent rows ``exps`` and
-    codes ``codes``, one row each, given the tables of the variables stacked
-    in canonical order.
-
-    NF(1) = e_1 (B lists 1 first) and NF(m) = M_v NF(m / x_v) for the last
-    variable v of m, which is the chain of products that applies each table
-    in canonical variable order.  The chains are walked all at once,
-    degree by degree: the monomials of one degree are the given ones and
-    the parents of those one degree up, once per code, and each degree is
-    one stacked product of their last variables' tables with their parents'
-    forms, which runs the same matrix-vector product per monomial as
-    ``M_v @ NF(m / x_v)``.
-    """
-    n_vars, r, dtype = exps.shape[1], tables.shape[1], tables.dtype
+def _reduction_walk(shape: Shape, exps: np.ndarray, codes: np.ndarray):
+    """The walk of ``_normal_forms`` over the monomials with exponent rows
+    ``exps`` and codes ``codes``, which depends on nothing else: the mask of
+    the rows of degree 0 and, per degree from 1 up, the rows of that degree,
+    the position of each among the degree's monomials, and per monomial its
+    last variable and the position of its parent one degree down."""
+    n_vars = exps.shape[1]
     degree = exps.sum(axis=1)
     # top down: per degree, its monomials by code (sorted), the positions
     # of the given rows among them, their last variables and parents' codes
@@ -755,17 +857,49 @@ def _normal_forms(
         up_exps[np.arange(len(last)), last] -= 1
         up_codes = level - shape.variable_codes[last]
         levels.append((mine, place[:len(mine)], last, level, up_codes))
-    # bottom up from NF(1), the one monomial of degree 0
-    out = np.zeros((len(codes), r), dtype=dtype)
-    out[degree == 0, 0] = 1.0
+    # bottom up from 1, the one monomial of degree 0
     below = np.zeros(1, dtype=codes.dtype)
+    walk = []
+    for mine, place, last, level, up in reversed(levels):
+        walk.append((mine, place, last, np.searchsorted(below, up)))
+        below = level
+    return degree == 0, tuple(walk)
+
+
+def _walk_forms(walk, tables: np.ndarray) -> np.ndarray:
+    """The normal forms along a ``_reduction_walk``, given the tables of the
+    variables stacked in canonical order."""
+    ones, levels = walk
+    r, dtype = tables.shape[1], tables.dtype
+    out = np.zeros((len(ones), r), dtype=dtype)
+    out[ones, 0] = 1.0
     nf = np.zeros((1, r), dtype=dtype)
     nf[0, 0] = 1.0
-    for mine, place, last, level, up in reversed(levels):
-        parent = np.searchsorted(below, up)
-        below, nf = level, (tables[last] @ nf[parent][:, :, None])[:, :, 0]
+    for mine, place, last, parent in levels:
+        nf = (tables[last] @ nf[parent][:, :, None])[:, :, 0]
         out[mine] = nf[place]
     return out
+
+
+def _normal_forms(
+    shape: Shape, tables: np.ndarray, exps: np.ndarray, codes: np.ndarray
+):
+    """Normal forms over B of the monomials with exponent rows ``exps`` and
+    codes ``codes``, one row each, given the tables of the variables stacked
+    in canonical order.
+
+    NF(1) = e_1 (B lists 1 first) and NF(m) = M_v NF(m / x_v) for the last
+    variable v of m, which is the chain of products that applies each table
+    in canonical variable order.  The chains are walked all at once,
+    degree by degree: the monomials of one degree are the given ones and
+    the parents of those one degree up, once per code, and each degree is
+    one stacked product of their last variables' tables with their parents'
+    forms, which runs the same matrix-vector product per monomial as
+    ``M_v @ NF(m / x_v)``.  The walk depends on the monomials alone, so a
+    completion plan keeps it (``_reduction_walk``) and only the products
+    run per call (``_walk_forms``).
+    """
+    return _walk_forms(_reduction_walk(shape, exps, codes), tables)
 
 
 def propagate_commutation(
@@ -788,14 +922,13 @@ def propagate_commutation(
     prop = _Propagator(lam, B, Bp, tol)
     status = prop.run()
 
-    shape = lam.shape
+    plan = prop.plan
     resolved = prop.known[prop.r:]
     solved, unresolved = np.flatnonzero(resolved), np.flatnonzero(~resolved)
-    solved = solved[canonical_order(prop.targets[solved])]
+    solved = solved[np.argsort(plan.canonical[solved])]
     tails = prop.table[prop.r + solved]
     relations = [
-        BorderRelation(m, tail)
-        for m, tail in zip(shape.monomials(prop.targets[solved]), tails)
+        BorderRelation(plan.leads[t], tail) for t, tail in zip(solved.tolist(), tails)
     ]
     diagnostics = {
         "inconsistency": prop.inconsistency,
@@ -804,7 +937,7 @@ def propagate_commutation(
         "largest_component": prop.largest_component,
         "solve": prop.solve,
         "sigma_min_bound": prop.sigma_min_bound,
-        "unresolved": [str(m) for m in shape.monomials(prop.targets[unresolved])],
+        "unresolved": [str(plan.leads[t]) for t in unresolved.tolist()],
     }
     completed = commute = None
     if status == "extended":
@@ -813,7 +946,7 @@ def propagate_commutation(
         if not commute <= max(tol, 1e-8):  # a NaN residual refuses
             status = "inconsistent"
         else:
-            completed = _complete(lam, B, Bp, prop, tables, relations)
+            completed = _complete(lam, Bp, prop, tables, relations)
     log.debug(
         "propagation: status=%s commute=%s unresolved=%d",
         status, commute, len(unresolved),
@@ -827,18 +960,14 @@ def propagate_commutation(
     )
 
 
-def _complete(lam, B, Bp, prop, tables, relations) -> MomentFunctional:
+def _complete(lam, Bp, prop, tables, relations) -> MomentFunctional:
     """lam extended to every product of B'+ x B+ and of B' x border, from
     the commuting tables of every variable and the relations."""
-    shape, r, dtype = lam.shape, len(B), prop.dtype
-    lam_B, _ = lam.lookup(B.codes)
-    codes = shape.product_codes(Bp.plus, B.plus).ravel()
-    unknown = first_unknown(lam, codes)
-    n_cols = len(B.plus)
-    exps = Bp.plus[unknown // n_cols] + B.plus[unknown % n_cols]
-    nf = _normal_forms(shape, tables, exps, codes[unknown])
+    shape, r, dtype, plan = lam.shape, prop.r, prop.dtype, prop.plan
+    lam_B = _gather(lam.values, plan.moments_B)
+    nf = _walk_forms(plan.walk, tables)
     values = (lam_B[None, None, :] @ nf[:, :, None])[:, 0, 0]
-    completed = lam.extended(codes[unknown], values)
+    completed = lam.extended(plan.unknown_codes, values)
     # B' x border lies in B'+ x B+, whose moments are all known by now, so
     # these products add none; they are the only Monomial.__mul__ calls of
     # a decomposition, which perfbench's tracer test expects to count

@@ -461,6 +461,37 @@ class TestDecompose:
         assert report["frames"] == 2
         assert report["stop"] == "random frame 1: no completion extended"
 
+    def test_each_distinct_pair_completed_once_per_frame(self, monkeypatch, caplog):
+        # a generic 3x3x3 rank-4 tensor, above its flattening rank 3: each
+        # frame's selection yields one pair twice, and the repeat takes the
+        # outcome of the first completion, log line included
+        rng = np.random.default_rng(0)
+        *_, T = random_instance(rng, (2, 2, 2), (1, 1, 1), 4)
+        calls = []
+        propagate = decompose_module.propagate_commutation
+
+        def recording(lam, B, Bp, tol):
+            calls.append((lam, tuple(B.codes.tolist()), tuple(Bp.codes.tolist())))
+            return propagate(lam, B, Bp, tol=tol)
+
+        monkeypatch.setattr(decompose_module, "propagate_commutation", recording)
+        with caplog.at_level("INFO", logger="tdec"):
+            with pytest.raises(DecompositionError) as info:
+                decompose(T)
+        assert len(calls) == len({(id(lam), b, bp) for lam, b, bp in calls}) == 6
+        tried = [r for r in caplog.records if r.getMessage().startswith("r=3 bases")]
+        assert len(tried) == 8
+        # the refusal as it was before repeats were skipped
+        assert str(info.value) == "no decomposition at rank 3"
+        assert info.value.report == {
+            "rank": 3,
+            "stage": "extension",
+            "detail": "inconsistent (6.75e-01)",
+            "best_residual": float("inf"),
+            "frames": 2,
+            "stop": "random frame 1: no completion extended",
+        }
+
     def test_flattening_rank_above_cap_refused(self, monkeypatch):
         # a flattening rank above MAX_RANK is refused before any attempt
         monkeypatch.setattr(decompose_module, "MAX_RANK", 2)

@@ -30,10 +30,13 @@ from tdec.eigen import family_from_functional
 from tdec.extension import (
     _LEAF,
     _NULLSPACE_TOL,
+    _PLAN_CACHE_SIZE,
     DEFAULT_TOL_EXTEND,
     _inverse_lower,
     _least_squares,
     _normal_forms,
+    _plan,
+    _plans,
     _Propagator,
     commutator_residual,
     flat_extension_check,
@@ -526,6 +529,135 @@ def above_rank_4x4(seed=0):
     ws = rng.uniform(0.5, 2.0, 5) * rng.choice([-1.0, 1.0], 5)
     lam = build_moment_functional(rank_one_expand(shape, ws, pts))
     return (lam, *next(select_bases_candidates(lam, 5)))
+
+
+def snapshot(res):
+    """Every output of a completion, as bytes and strings."""
+    lam = res.functional
+    return (
+        res.status,
+        None if lam is None else (lam.codes.tolist(), lam.values.tobytes()),
+        [(str(rel.lead), rel.tail.tobytes()) for rel in res.relations],
+        res.commutator_residual,
+        repr(res.diagnostics),
+    )
+
+
+class TestPlan:
+    """A completion's index structure is built once per format and basis
+    pair and shared by every functional that knows exactly the moments of
+    the format's table."""
+
+    @pytest.fixture
+    def cold(self):
+        _plans.clear()
+        yield
+        _plans.clear()
+
+    @pytest.mark.parametrize("case", ["example2", "above-rank"])
+    def test_cold_and_warm_give_the_same_bits(self, case, ex2, cold):
+        args = ex2[1:] if case == "example2" else above_rank_4x4()
+        first = propagate_commutation(*args)
+        assert len(_plans) == 1
+        plan = next(iter(_plans.values()))
+        again = propagate_commutation(*args)
+        assert next(iter(_plans.values())) is plan
+        assert snapshot(again) == snapshot(first)
+        assert first.status == ("extended" if case == "example2" else "rank_deficient")
+
+    def test_shared_arrays_are_read_only(self, ex2, cold):
+        plan = _plan(*ex2[1:])
+        for name in ("base", "rows", "products", "prod_place", "shift", "syzygy_pairs"):
+            assert not getattr(plan, name).flags.writeable, name
+
+    @pytest.mark.parametrize("change", ["missing", "extra"])
+    def test_other_moments_get_their_own_plan(self, change, ex2, cold):
+        shape2, lam, B, Bp = ex2
+        full = propagate_commutation(lam, B, Bp)
+        cached = _plan(lam, B, Bp)
+        assert len(_plans) == 1
+        if change == "missing":
+            # a moment of the known range that the base block does not hold
+            drop = lam.codes != code(shape2, parse_monomial("a1*b1", shape2))
+            assert not drop.all()
+            other = MomentFunctional(shape2, lam.codes[drop], lam.values[drop])
+        else:
+            # a moment beyond the table, consistent with the data, whose code
+            # falls among the table's: the table plan would read the wrong
+            # values past it
+            beyond = np.flatnonzero(lam.lookup(full.functional.codes)[1] == 0)
+            at = beyond[np.argmin(np.abs(beyond - len(full.functional.codes) // 2))]
+            assert full.functional.codes[at] < lam.codes[-1]
+            other = lam.extended(
+                full.functional.codes[at : at + 1], full.functional.values[at : at + 1]
+            )
+        plan = _plan(other, B, Bp)
+        assert plan is not cached and len(_plans) == 1
+        res = propagate_commutation(other, B, Bp)
+        assert len(_plans) == 1
+        assert res.extended
+        v, known = res.functional.lookup(full.functional.codes)
+        assert known.all()
+        w = full.functional.values
+        assert (np.abs(v - w) <= 1e-8 * np.maximum(1.0, np.abs(w))).all()
+
+    def test_border_order_is_part_of_the_key(self, ex2, cold):
+        # the targets follow the order of B's border, which a caller may
+        # permute (as the processing-order tests do)
+        shape2, lam, B, Bp = ex2
+        canonical = _Propagator(lam, B, Bp, tol=1e-6).targets
+        shuffled = shuffled_border(B, 3)
+        targets = _Propagator(lam, shuffled, Bp, tol=1e-6).targets
+        assert np.array_equal(targets, shuffled.border)
+        assert not np.array_equal(targets, canonical)
+        assert len(_plans) == 2
+
+    def test_unknown_base_block_refused_cold_and_warm(self, shape2, tensor2, cold):
+        lam = build_moment_functional(tensor2)
+        B = basis_of(shape2, ["1", "a1"])  # lam(a1^2) unknown
+        for _ in range(2):
+            with pytest.raises(ValueError, match="unknown entries"):
+                propagate_commutation(lam, B, B)
+        assert not _plans
+
+    def test_cache_stays_within_its_bound(self, cold):
+        shape = Shape(dims=(8, 8), degrees=(1, 1))
+        rng = np.random.default_rng(0)
+        table = shape.table
+        lam = MomentFunctional(shape, table.codes, rng.normal(size=len(table.codes)))
+        a = ["1"] + [f"a{j + 1}" for j in range(8)]
+        b = ["1"] + [f"b{j + 1}" for j in range(8)]
+        pairs = [
+            (basis_of(shape, a[:i]), basis_of(shape, b[:j]))
+            for i in range(1, 10) for j in range(1, 10)
+        ]
+        assert len(pairs) > _PLAN_CACHE_SIZE
+        plans = [_plan(lam, B, Bp) for B, Bp in pairs]
+        assert len(_plans) == _PLAN_CACHE_SIZE
+        # the least recently used went first
+        kept = list(_plans.values())
+        assert kept == plans[-_PLAN_CACHE_SIZE:]
+        assert _plan(lam, *pairs[-1]) is plans[-1]
+        assert _plan(lam, *pairs[0]) is not plans[0]
+
+    def test_codes_beyond_63_bits(self, cold):
+        # the format of TestNormalForms.test_codes_beyond_63_bits: a rank-one
+        # tensor, whose relations are all solved directly and whose
+        # products x_i * x_j are completed by the normal-form walk
+        shape = Shape(dims=(30,), degrees=(1,))
+        assert shape.variable_codes.dtype == object
+        z = np.random.default_rng(5).uniform(-1, 1, 30)
+        T = rank_one_expand(shape, [1.5], [Point((tuple(z),))])
+        lam = build_moment_functional(T)
+        B = MonomialBasis(shape, np.zeros((1, 30), dtype=np.int64))
+        res = propagate_commutation(lam, B, B)
+        assert len(_plans) == 1
+        assert res.extended
+        assert snapshot(propagate_commutation(lam, B, B)) == snapshot(res)
+        exps = np.eye(30, dtype=np.int64)
+        got, known = res.functional.lookup(shape.product_codes(exps, exps))
+        assert known.all()
+        np.testing.assert_allclose(got, 1.5 * np.outer(z, z), rtol=1e-12)
 
 
 class TestComponents:
