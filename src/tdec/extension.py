@@ -67,9 +67,9 @@ normal-form walk, and the leads of the targets.  A call reads its values
 through those positions and runs the fixpoint, the solves and the tables on
 its own.  The functional of a tensor knows exactly the moments of the
 format's table, so those functionals share one plan per format and basis
-pair, kept in a small cache of the most recently used; any other functional
-gets a plan of its own.  The plan's arrays are read-only, as calls share
-them.
+pair, kept in a small cache of the most recently used behind a lock; any
+other functional gets a plan of its own.  The plan's arrays are read-only,
+as calls share them.
 
 When the fixpoint resolves everything and the multiplication tables
 commute, they define the unique extension of the data, and any moment is
@@ -89,6 +89,7 @@ extension and completes no moment.
 from __future__ import annotations
 
 import logging
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
@@ -519,9 +520,11 @@ def _build_plan(lam: MomentFunctional, B: MonomialBasis, Bp: MonomialBasis) -> _
 
 
 # the completion plans kept, each under the format, the codes of its bases
-# and the rows of B's border; the least recently used goes first
+# and the rows of B's border; the least recently used goes first.  The lock
+# makes each lookup and update one step for threads that share the cache.
 _PLAN_CACHE_SIZE = 64
 _plans: OrderedDict = OrderedDict()
+_plans_lock = threading.Lock()
 
 
 def _plan(lam: MomentFunctional, B: MonomialBasis, Bp: MonomialBasis) -> _Plan:
@@ -537,13 +540,14 @@ def _plan(lam: MomentFunctional, B: MonomialBasis, Bp: MonomialBasis) -> _Plan:
         shape, tuple(B.codes.tolist()), tuple(Bp.codes.tolist()),
         B.border.tobytes(),
     )
-    plan = _plans.get(key)
-    if plan is None:
-        plan = _plans[key] = _build_plan(lam, B, Bp)
-        if len(_plans) > _PLAN_CACHE_SIZE:
-            _plans.popitem(last=False)
-    else:
-        _plans.move_to_end(key)
+    with _plans_lock:
+        plan = _plans.get(key)
+        if plan is None:
+            plan = _plans[key] = _build_plan(lam, B, Bp)
+            if len(_plans) > _PLAN_CACHE_SIZE:
+                _plans.popitem(last=False)
+        else:
+            _plans.move_to_end(key)
     return plan
 
 

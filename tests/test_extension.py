@@ -1,4 +1,6 @@
 import itertools
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -639,6 +641,41 @@ class TestPlan:
         assert kept == plans[-_PLAN_CACHE_SIZE:]
         assert _plan(lam, *pairs[-1]) is plans[-1]
         assert _plan(lam, *pairs[0]) is not plans[0]
+
+    def test_threads_share_the_cache(self, cold, monkeypatch):
+        # more threads than cores, each asking for more plans than a cache
+        # of two holds, so that lookups, insertions and evictions interleave
+        monkeypatch.setattr("tdec.extension._PLAN_CACHE_SIZE", 2)
+        shape = Shape(dims=(3, 3), degrees=(1, 1))
+        table = shape.table
+        lam = MomentFunctional(shape, table.codes, np.ones(len(table.codes)))
+        pairs = [
+            (basis_of(shape, ["1", "a1"][:i]), basis_of(shape, ["1", "b1", "b2"][:j]))
+            for i in (1, 2) for j in (1, 2, 3)
+        ]
+        errors = []
+
+        def work():
+            try:
+                for _ in range(30):
+                    for B, Bp in pairs:
+                        assert np.array_equal(_plan(lam, B, Bp).targets, B.border)
+            except Exception as exc:
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors, errors[0]
+        assert len(_plans) == 2
 
     def test_codes_beyond_63_bits(self, cold):
         # the format of TestNormalForms.test_codes_beyond_63_bits: a rank-one
