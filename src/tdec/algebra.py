@@ -460,12 +460,8 @@ class MomentFunctional:
     def lookup(self, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Values of the moments with the given codes (0 where unknown) and
         the mask of the known ones, both shaped like ``codes``."""
-        keys, values = self.codes, self.values
-        if not len(keys):  # a sentinel no code matches: codes are >= 0
-            keys, values = np.array([-1]), np.zeros(1, dtype=values.dtype)
-        pos = np.minimum(np.searchsorted(keys, codes), len(keys) - 1)
-        known = keys[pos] == codes
-        return np.where(known, values[pos], 0), known
+        pos = self.positions(codes)
+        return self.values_at(pos), pos >= 0
 
     def positions(self, codes: np.ndarray) -> np.ndarray:
         """Positions in ``values`` of the moments with the given codes, -1
@@ -475,6 +471,13 @@ class MomentFunctional:
             return np.full(np.shape(codes), -1)
         pos = np.minimum(np.searchsorted(keys, codes), len(keys) - 1)
         return np.where(keys[pos] == codes, pos, -1)
+
+    def values_at(self, pos: np.ndarray) -> np.ndarray:
+        """The values at positions from ``positions``, 0 at -1."""
+        values = self.values
+        if not len(values):  # every position is -1
+            values = np.zeros(1, dtype=values.dtype)
+        return np.where(pos >= 0, values[pos], 0)
 
     def extended(self, codes, values) -> "MomentFunctional":
         """A new functional that also knows the moments ``values`` of

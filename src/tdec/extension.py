@@ -420,18 +420,13 @@ def _syzygy_pairs(exps: np.ndarray) -> np.ndarray:
     return np.stack([i, j, v1, v2], axis=1)[canonical_order(lcm)]
 
 
-def _gather(values: np.ndarray, pos: np.ndarray) -> np.ndarray:
-    """values[pos], with 0 where a position is -1 (an unknown moment), as
-    ``MomentFunctional.lookup`` reads it."""
-    return np.where(pos >= 0, values[pos], 0)
-
-
 @dataclass(frozen=True, eq=False)
 class _Plan:
     """Everything a completion derives from the format, the bases and the
     codes of the known moments, and nothing from their values: positions in
-    the functional's ``values`` (-1 where a moment is unknown) and index
-    tables, all read-only, as calls share them."""
+    the functional's ``values`` (``MomentFunctional.positions``, -1 where a
+    moment is unknown) and index tables, all read-only, as calls share
+    them."""
 
     targets: np.ndarray  # exponent rows of B.border, whose relations are sought
     leads: tuple  # the Monomial of each target
@@ -568,7 +563,7 @@ class _Propagator:
         self.table[:r] = np.eye(r)
         self.known = np.arange(len(self.table)) < r
         self.rows = values[plan.rows]
-        self.prod_data = _gather(values, plan.products)
+        self.prod_data = lam.values_at(plan.products)
         self.prod_place = plan.prod_place
         self.shift = plan.shift
         self.syzygy_pairs = plan.syzygy_pairs
@@ -968,7 +963,7 @@ def _complete(lam, Bp, prop, tables, relations) -> MomentFunctional:
     """lam extended to every product of B'+ x B+ and of B' x border, from
     the commuting tables of every variable and the relations."""
     shape, r, dtype, plan = lam.shape, prop.r, prop.dtype, prop.plan
-    lam_B = _gather(lam.values, plan.moments_B)
+    lam_B = lam.values_at(plan.moments_B)
     nf = _walk_forms(plan.walk, tables)
     values = (lam_B[None, None, :] @ nf[:, :, None])[:, 0, 0]
     completed = lam.extended(plan.unknown_codes, values)
