@@ -29,10 +29,10 @@ def emit(name, shape_kw, coeffs, weights, points):
     dec = Decomposition(shape, list(zip([float(w) for w in weights], pts)), 0.0)
     dec.residual = verify(tensor, dec)
     assert dec.residual < 1e-12
-    write_json(FIXTURES / f"{name}.json", TensorFile(shape, "real", tensor).to_obj())
+    write_json(FIXTURES / f"{name}.json", TensorFile("real", tensor).to_obj())
     write_json(
         FIXTURES / f"{name}_truth.json",
-        DecompositionFile(shape, dec, {"source": "known decomposition"}).to_obj(),
+        DecompositionFile(dec, {"source": "known decomposition"}).to_obj(),
     )
     print(f"wrote {name}.json and {name}_truth.json")
 

@@ -11,7 +11,7 @@ import numpy as np
 
 from tdec.decompose import DecomposeOptions, decompose, rank_bounds
 from tdec.files import load_tensor
-from tdec.moment import build_moment_functional, select_bases_candidates
+from tdec.moment import Catalecticants, build_moment_functional, select_bases_candidates
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "tests" / "fixtures"
 
@@ -24,7 +24,8 @@ def show(name: str):
     b = rank_bounds(T)
     print(f"bounds: lower {b.lower}, upper {b.upper}, expected {b.expected}, "
           f"kruskal {b.kruskal}")
-    B, Bp = next(select_bases_candidates(build_moment_functional(T), b.lower))
+    cats = Catalecticants(build_moment_functional(T))
+    B, Bp = next(select_bases_candidates(cats, b.lower))
     print("bases:  B  =", ", ".join(B.names()))
     print("        B' =", ", ".join(Bp.names()))
     start = time.perf_counter()

@@ -105,7 +105,7 @@ def cmd_decompose(args) -> int:
         meta["compression_error"] = float(dec.meta["compression_error"])
     if args.timing:
         meta["elapsed_ms"] = elapsed_ms
-    out = DecompositionFile(dec.shape, dec, meta)
+    out = DecompositionFile(dec, meta)
     print(f"rank {dec.rank}, residual {dec.residual:.3e}")
     for w, p in dec.terms:
         coords = " | ".join(

@@ -360,11 +360,10 @@ def substitute_linear(T: Polynomial, mats: list[np.ndarray]) -> Polynomial:
 # --- the main loop -------------------------------------------------------------
 
 
-def _try_pair(
-    T: Polynomial, lam, B, Bp, r: int, opts: DecomposeOptions, seed: int
-):
-    """Decompose T through one basis pair of its moments ``lam``.  Returns
-    the completion's status and a Decomposition or a failure dict."""
+def _try_pair(T: Polynomial, lam, B, Bp, opts: DecomposeOptions, seed: int):
+    """Decompose T at rank len(B) through one basis pair of its moments
+    ``lam``: the completion's status and a Decomposition or a failure dict."""
+    r = len(B)
     ext = propagate_commutation(lam, B, Bp, tol=max(opts.tol_resid, 1e-8))
     if not ext.extended:
         diag = ext.diagnostics
@@ -417,14 +416,12 @@ def _attempt_rank(
     extended = False
     best_residual = float("inf")
     outcomes = {}
-    for count, (B, Bp) in enumerate(
-        select_bases_candidates(cats.lam, r, opts.tol_rank, cats), 1
-    ):
+    for count, (B, Bp) in enumerate(select_bases_candidates(cats, r), 1):
         if count > MAX_BASIS_CANDIDATES:
             break
         key = (tuple(B.codes.tolist()), tuple(Bp.codes.tolist()))
         if key not in outcomes:
-            outcomes[key] = _try_pair(T, cats.lam, B, Bp, r, opts, seed)
+            outcomes[key] = _try_pair(T, cats.lam, B, Bp, opts, seed)
         status, out = outcomes[key]
         if log.isEnabledFor(logging.INFO):
             log.info("r=%d bases %s | %s -> %s", r, B.names(), Bp.names(), status)

@@ -71,13 +71,16 @@ def family_from_functional(
 
 @dataclass
 class RootSet:
-    shape: Shape
     basis: MonomialBasis
     eigvecs: list[np.ndarray]
     eigenvalues: dict[tuple[int, int], np.ndarray]
     simple: bool
     points: list[Point] = field(default_factory=list)
     diagnostics: dict = field(default_factory=dict)
+
+    @property
+    def shape(self) -> Shape:
+        return self.basis.shape
 
 
 def _dots(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -158,7 +161,6 @@ def joint_eigenvectors(
     )
     simple = not (defective or degenerate or collision)
     return RootSet(
-        shape=B.shape,
         basis=B,
         eigvecs=list(E),
         eigenvalues=eigenvalues,

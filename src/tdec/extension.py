@@ -441,7 +441,7 @@ class _Plan:
     direct_cols: np.ndarray  # those columns, |B'| x len(direct)
     moments_B: np.ndarray  # lam(b) for b in B
     unknown_codes: np.ndarray  # the unknown moments of B'+ x B+, by code
-    walk: tuple  # the _normal_forms walk of those
+    walk: tuple  # the _reduction_walk of those
 
 
 def _build_plan(lam: MomentFunctional, B: MonomialBasis, Bp: MonomialBasis) -> _Plan:
@@ -550,34 +550,27 @@ class _Propagator:
     def __init__(self, lam, B, Bp, tol):
         self.plan = plan = _plan(lam, B, Bp)
         self.tol = tol
-        self.shape: Shape = lam.shape
         self.r = r = len(B)
         values = self.values = lam.values
         self.dtype = values.dtype
         self.H = values[plan.base]
-        self.targets = plan.targets
         # the normal forms over B that shifted products reduce to, by slot:
         # slot s < r holds the unit vector of b_s and slot r + t the tail of
         # the t-th target, a row of zeros until ``known`` marks it resolved
-        self.table = np.zeros((r + len(self.targets), r), dtype=self.dtype)
+        self.table = np.zeros((r + len(plan.targets), r), dtype=self.dtype)
         self.table[:r] = np.eye(r)
         self.known = np.arange(len(self.table)) < r
         self.rows = values[plan.rows]
         self.prod_data = lam.values_at(plan.products)
-        self.prod_place = plan.prod_place
-        self.shift = plan.shift
-        self.syzygy_pairs = plan.syzygy_pairs
         self.inconsistency = 0.0
-        # free relation coefficients left by the last fixpoint pass, and
-        # the number of independent blocks of its system and the columns of
-        # the largest
-        self.nullity = 0
-        self.components = 0
-        self.largest_component = 0
-        # how the last pass was solved ("certified" or "qr_svd", None when
-        # no pass solved a system) and its certified bound on sigma_min
-        self.solve = None
-        self.sigma_min_bound = None
+        # the last fixpoint pass: its free relation coefficients, the number
+        # of independent blocks of its system and the columns of the
+        # largest, how it was solved ("certified" or "qr_svd", None when no
+        # pass solved a system) and its certified bound on sigma_min
+        self.last_pass = dict(
+            nullity=0, components=0, largest_component=0, solve=None,
+            sigma_min_bound=None,
+        )
 
     # --- reductions -----------------------------------------------------
 
@@ -585,7 +578,7 @@ class _Propagator:
         """The tables M_v with columns the normal forms of x_v * b, once
         every target is resolved: one C-contiguous (n_vars, r, r) array in
         canonical variable order."""
-        return np.ascontiguousarray(self.table[self.shift].transpose(0, 2, 1))
+        return np.ascontiguousarray(self.table[self.plan.shift].transpose(0, 2, 1))
 
     # --- equation harvesting ---------------------------------------------
 
@@ -611,24 +604,24 @@ class _Propagator:
         squared right-hand-side norm and placeholder count of the system
         before projection.
         """
-        r, dtype = self.r, self.dtype
+        r, dtype, prod_place = self.r, self.dtype, self.plan.prod_place
         solved = self.known[r:]
         res_t, unr_t = np.flatnonzero(solved), np.flatnonzero(~solved)
         n_unres = len(unr_t)
         tails = self.table[r + res_t]
         pred = tails @ self.rows.T
-        measured = self.prod_place[res_t] < 0
+        measured = prod_place[res_t] < 0
         if measured.any():
             data = self.prod_data[res_t][measured]
             gap = np.abs(data - pred[measured]) / np.maximum(1.0, np.abs(data))
             self.inconsistency = max(self.inconsistency, float(gap.max()))
 
-        k_d, q_d = np.nonzero(self.prod_place[unr_t] < 0)
+        k_d, q_d = np.nonzero(prod_place[unr_t] < 0)
         n_d = len(k_d)
         b_data = self.prod_data[unr_t[k_d], q_d]
 
-        place_u = self.prod_place[unr_t]
-        place_r = self.prod_place[res_t]
+        place_u = prod_place[unr_t]
+        place_r = prod_place[res_t]
         k_u, q_u = np.nonzero(place_u >= 0)
         t_r, q_r = np.nonzero(place_r >= 0)
         n_u = len(k_u)
@@ -683,7 +676,7 @@ class _Propagator:
         tails = table[own]
         solved = self.known[own]
         moved = v >= 0
-        slots = self.shift[np.maximum(v, 0)]
+        slots = self.plan.shift[np.maximum(v, 0)]
         slot_known = self.known[slots]
         # x_v * b_s over the known slots, summed in order of s
         coef = np.where(slot_known & moved[:, None], tails, 0)
@@ -723,8 +716,8 @@ class _Propagator:
         r, dtype = self.r, self.dtype
         unresolved = np.flatnonzero(~self.known[r:])
         n_unres = len(unresolved)
-        n_pairs = len(self.syzygy_pairs)
-        t1, t2, v1, v2 = self.syzygy_pairs.T
+        n_pairs = len(self.plan.syzygy_pairs)
+        t1, t2, v1, v2 = self.plan.syzygy_pairs.T
         # both sides in one batch: side 1 of pair p is entry p, side 2 is
         # entry n_pairs + p
         const, ok, (entry, where, mats) = self._sides(
@@ -793,7 +786,7 @@ class _Propagator:
         r = self.r
         # the fully known row of 1 (B' lists 1 first) meets every unresolved
         # target, so each pass has equations and checks what it harvested
-        for _ in range(len(self.targets) + 1):
+        for _ in range(len(self.plan.targets) + 1):
             unresolved = np.flatnonzero(~self.known[r:])
             if not len(unresolved):
                 break
@@ -810,11 +803,12 @@ class _Propagator:
             X = X.reshape(len(b), -1)
             size = max(n_raw, X.shape[1] + n_places)
             x, resid, freedom, rank, sizes, bound = _least_squares(X, b, size, r, nz)
-            self.solve = "qr_svd" if bound is None else "certified"
-            self.sigma_min_bound = bound
-            self.nullity = X.shape[1] - rank
-            self.components = len(sizes)
-            self.largest_component = int(sizes.max())
+            self.last_pass = dict(
+                nullity=X.shape[1] - rank, components=len(sizes),
+                largest_component=int(sizes.max()),
+                solve="qr_svd" if bound is None else "certified",
+                sigma_min_bound=bound,
+            )
             b_norm = np.sqrt(b_raw_sq + np.sum(np.abs(b_s) ** 2))
             self.inconsistency = max(
                 self.inconsistency, float(resid / max(1.0, b_norm))
@@ -833,11 +827,15 @@ class _Propagator:
 
 
 def _reduction_walk(shape: Shape, exps: np.ndarray, codes: np.ndarray):
-    """The walk of ``_normal_forms`` over the monomials with exponent rows
-    ``exps`` and codes ``codes``, which depends on nothing else: the mask of
-    the rows of degree 0 and, per degree from 1 up, the rows of that degree,
-    the position of each among the degree's monomials, and per monomial its
-    last variable and the position of its parent one degree down."""
+    """The walk that reduces the monomials with exponent rows ``exps`` and
+    codes ``codes`` to normal forms over B: the mask of the rows of degree 0
+    and, per degree from 1 up, the rows of that degree, the position of each
+    among the degree's monomials, and per monomial its last variable and the
+    position of its parent one degree down.  NF(1) = e_1 (B lists 1 first)
+    and NF(m) = M_v NF(m / x_v) for the last variable v of m; a degree's
+    monomials are the given ones and the parents of those one degree up,
+    once per code.  The walk depends on the monomials alone, so a completion
+    plan keeps it and only the products run per call (``_walk_forms``)."""
     n_vars = exps.shape[1]
     degree = exps.sum(axis=1)
     # top down: per degree, its monomials by code (sorted), the positions
@@ -866,8 +864,10 @@ def _reduction_walk(shape: Shape, exps: np.ndarray, codes: np.ndarray):
 
 
 def _walk_forms(walk, tables: np.ndarray) -> np.ndarray:
-    """The normal forms along a ``_reduction_walk``, given the tables of the
-    variables stacked in canonical order."""
+    """The normal forms along a ``_reduction_walk``, one row per monomial,
+    given the tables of the variables stacked in canonical order: one
+    stacked product per degree, the same matrix-vector product per monomial
+    as ``M_v @ NF(m / x_v)``."""
     ones, levels = walk
     r, dtype = tables.shape[1], tables.dtype
     out = np.zeros((len(ones), r), dtype=dtype)
@@ -878,27 +878,6 @@ def _walk_forms(walk, tables: np.ndarray) -> np.ndarray:
         nf = (tables[last] @ nf[parent][:, :, None])[:, :, 0]
         out[mine] = nf[place]
     return out
-
-
-def _normal_forms(
-    shape: Shape, tables: np.ndarray, exps: np.ndarray, codes: np.ndarray
-):
-    """Normal forms over B of the monomials with exponent rows ``exps`` and
-    codes ``codes``, one row each, given the tables of the variables stacked
-    in canonical order.
-
-    NF(1) = e_1 (B lists 1 first) and NF(m) = M_v NF(m / x_v) for the last
-    variable v of m, which is the chain of products that applies each table
-    in canonical variable order.  The chains are walked all at once,
-    degree by degree: the monomials of one degree are the given ones and
-    the parents of those one degree up, once per code, and each degree is
-    one stacked product of their last variables' tables with their parents'
-    forms, which runs the same matrix-vector product per monomial as
-    ``M_v @ NF(m / x_v)``.  The walk depends on the monomials alone, so a
-    completion plan keeps it (``_reduction_walk``) and only the products
-    run per call (``_walk_forms``).
-    """
-    return _walk_forms(_reduction_walk(shape, exps, codes), tables)
 
 
 def propagate_commutation(
@@ -931,11 +910,7 @@ def propagate_commutation(
     ]
     diagnostics = {
         "inconsistency": prop.inconsistency,
-        "nullity": prop.nullity,
-        "components": prop.components,
-        "largest_component": prop.largest_component,
-        "solve": prop.solve,
-        "sigma_min_bound": prop.sigma_min_bound,
+        **prop.last_pass,
         "unresolved": [str(plan.leads[t]) for t in unresolved.tolist()],
     }
     completed = commute = None

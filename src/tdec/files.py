@@ -206,9 +206,12 @@ def _scan_terms(terms: list, shape: Shape, fld):
 
 @dataclass
 class TensorFile:
-    shape: Shape
     field: str  # "real" | "complex"
     tensor: Polynomial
+
+    @property
+    def shape(self) -> Shape:
+        return self.tensor.shape
 
     def to_obj(self) -> dict:
         terms = [
@@ -246,14 +249,17 @@ class TensorFile:
             raise FormatError(f"terms[{i}]: duplicate exponent {terms[i]['exp']}")
         vec = np.zeros(len(shape.table.monomials), dtype=complex if cplx else float)
         vec[shape.table.rows(codes)] = values
-        return TensorFile(shape, fld, Polynomial.from_vector(shape, vec))
+        return TensorFile(fld, Polynomial.from_vector(shape, vec))
 
 
 @dataclass
 class DecompositionFile:
-    shape: Shape
     decomposition: Decomposition
     meta: dict = field(default_factory=dict)
+
+    @property
+    def shape(self) -> Shape:
+        return self.decomposition.shape
 
     def to_obj(self) -> dict:
         terms = [
@@ -305,7 +311,7 @@ class DecompositionFile:
         meta = obj.get("meta", {})
         _require(isinstance(meta, dict), "'meta' must be an object")
         dec = Decomposition(shape, terms, float(obj["residual"]), meta=dict(meta))
-        return DecompositionFile(shape, dec, dict(meta))
+        return DecompositionFile(dec, dict(meta))
 
 
 def dumps(obj: dict) -> str:
@@ -377,6 +383,6 @@ def synthesize(
     dec.residual = verify(T, dec)
     meta = {"seed": seed, "noise": noise, "synthetic": True}
     return (
-        TensorFile(shape, fld, T),
-        DecompositionFile(shape, dec, meta),
+        TensorFile(fld, T),
+        DecompositionFile(dec, meta),
     )

@@ -20,9 +20,9 @@ on those codes, and builds its B+ (``plus``) and border once.
 files.
 
 ``split_pools`` builds each degree split's pools and product codes once per
-format, like ``Shape.table``.  ``Catalecticants`` reads a functional's split
-blocks with one ``lookup`` each and factors each at most once, on first
-use; the flattening rank and basis selection share it.
+format, like ``Shape.table``.  ``Catalecticants`` holds a functional and its
+rank tolerance, and reads and factors each split block at most once, on
+first use; the flattening rank and ``select_bases_candidates`` share it.
 
 ``select_bases_candidates`` is the one place that decides whether the
 block of a basis pair is invertible; the later stages take it as given.
@@ -115,10 +115,6 @@ def enumerate_monomials(shape: Shape, bounds: list[int]) -> np.ndarray:
     bounds[g], canonical order."""
     if len(bounds) != shape.k or any(b < 0 for b in bounds):
         raise ValueError("bounds must list one non-negative integer per group")
-    if all(b <= d for b, d in zip(bounds, shape.degrees)):
-        # inside the degree bounds: a subsequence of the shape's table
-        table = shape.table
-        return table.exps[(table.degrees <= bounds).all(axis=1)]
     return graded_range(shape.dims, bounds)[0]
 
 
@@ -268,29 +264,20 @@ def _greedy_staircase(
     return None
 
 
-def select_bases_candidates(
-    lam: MomentFunctional,
-    r: int,
-    tol_rank: float = DEFAULT_TOL_RANK,
-    catalecticants: Catalecticants | None = None,
-):
+def select_bases_candidates(cats: Catalecticants, r: int):
     """Yield candidate basis pairs (B columns, B' rows) of size r, each with
-    a fully known, invertible, well conditioned block lam(b' * b).
-
-    The block is invertible when it has rank r at ``tol_rank`` and condition
+    a fully known, invertible, well conditioned block lam(b' * b) of the
+    functional ``cats.lam``: rank r at ``cats.tol_rank`` and condition
     number at most MAX_COND.
 
     Candidate pools come from complementary degree splits, so every product
     stays inside the known range; within a pool the staircase grows greedily
-    in canonical order.  ``catalecticants`` of ``lam`` at ``tol_rank``, when
-    given, supply the split blocks and ranks already read.
+    in canonical order.  The split blocks and their ranks are read through
+    ``cats``, once each.
     """
     if r < 1:
         raise ValueError("r must be positive")
-    cats = catalecticants or Catalecticants(lam, tol_rank)
-    if cats.lam is not lam or cats.tol_rank != tol_rank:
-        raise ValueError("catalecticants of another functional or tolerance")
-    shape = lam.shape
+    shape, tol_rank = cats.lam.shape, cats.tol_rank
     for i, split in enumerate(cats.splits):
         if min(split.codes.shape) < r or cats.rank(i) < r:
             continue

@@ -280,12 +280,12 @@ def syzygy_reference(prop, unresolved):
     r, dtype = prop.r, prop.dtype
     tails = [
         prop.table[r + t] if prop.known[r + t] else None
-        for t in range(len(prop.targets))
+        for t in range(len(prop.plan.targets))
     ]
 
     def shifted(v, s):
         # x_v * b_s as ("known", vec) or ("unknown", target index)
-        slot = prop.shift[v][s]
+        slot = prop.plan.shift[v][s]
         if slot < r:
             return "known", np.eye(r, dtype=dtype)[slot]
         if tails[slot - r] is not None:
@@ -325,7 +325,7 @@ def syzygy_reference(prop, unresolved):
 
     inconsistency = 0.0
     X, b = [], []
-    for t1, t2, v1, v2 in prop.syzygy_pairs.tolist():
+    for t1, t2, v1, v2 in prop.plan.syzygy_pairs.tolist():
         s1, s2 = side(v1, t1), side(v2, t2)
         if s1 is None or s2 is None:
             continue

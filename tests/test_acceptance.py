@@ -27,6 +27,7 @@ from tdec.extension import (
 )
 from tdec.files import synthesize
 from tdec.moment import (
+    Catalecticants,
     MonomialBasis,
     build_moment_functional,
     enumerate_monomials,
@@ -82,7 +83,7 @@ def test_criterion_1_golden_example_1(tensor1, shape1, points1):
 def test_criterion_2_golden_example_2(tensor2, shape2):
     start = time.perf_counter()
     lam = build_moment_functional(tensor2)
-    B, Bp = next(select_bases_candidates(lam, 6))
+    B, Bp = next(select_bases_candidates(Catalecticants(lam), 6))
     H, known = hankel(lam, Bp.exps, B.exps)
     assert known.all()
     np.testing.assert_array_equal(H, np.array(gd.H2, dtype=float))

@@ -370,7 +370,7 @@ class TestDecompose:
         dec = decompose(tensor1)
         assert dec.rank == 4
         for r in range(1, 4):
-            for B, Bp in select_bases_candidates(lam, r):
+            for B, Bp in select_bases_candidates(Catalecticants(lam), r):
                 ext = propagate_commutation(lam, B, Bp)
                 assert (
                     ext.status != "extended"
@@ -513,6 +513,18 @@ class TestDecompose:
         assert report["frames"] == 4
         assert report["stop"] == "frame limit"
         assert report["best_residual"] <= decompose(T).residual
+
+    def test_flat_check_refusal(self):
+        # slight noise: every frame's completion extends, but the prolonged
+        # block has a rank above 6, so the retries run to the frame limit
+        T = synthesize((3, 3, 5), (1, 1, 1), 6, seed=0, noise=3e-10)[0].tensor
+        with pytest.raises(DecompositionError) as info:
+            decompose(T, DecomposeOptions(tol_resid=1e-5))
+        assert str(info.value) == "no decomposition at rank 6"
+        assert info.value.report == {
+            "rank": 6, "stage": "flat-check", "detail": "rank grew",
+            "best_residual": float("inf"), "frames": 4, "stop": "frame limit",
+        }
 
     @pytest.mark.parametrize("fault", ["singular", "zero weight"])
     def test_weight_stage_refusals(self, monkeypatch, fault):

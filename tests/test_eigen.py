@@ -26,6 +26,7 @@ from tdec.eigen import (
 )
 from tdec.extension import propagate_commutation
 from tdec.moment import (
+    Catalecticants,
     build_moment_functional,
     enumerate_monomials,
     hankel,
@@ -376,7 +377,7 @@ class TestRecoverMissingCoordinates:
         ws = [1.5, -0.5]
         T = rank_one_expand(shape, ws, pts)
         lam = build_moment_functional(T)
-        B, Bp = next(select_bases_candidates(lam, 2))
+        B, Bp = next(select_bases_candidates(Catalecticants(lam), 2))
         ext = propagate_commutation(lam, B, Bp)
         assert ext.extended
         fam = family_from_functional(ext.functional, B, Bp)

@@ -36,15 +36,17 @@ from tdec.extension import (
     DEFAULT_TOL_EXTEND,
     _inverse_lower,
     _least_squares,
-    _normal_forms,
     _plan,
     _plans,
     _Propagator,
+    _reduction_walk,
+    _walk_forms,
     commutator_residual,
     flat_extension_check,
     propagate_commutation,
 )
 from tdec.moment import (
+    Catalecticants,
     MonomialBasis,
     build_moment_functional,
     enumerate_monomials,
@@ -57,13 +59,15 @@ def prefix_basis(shape, r):
     return MonomialBasis(shape, enumerate_monomials(shape, list(shape.degrees))[:r])
 
 
+def first_pair(lam, r):
+    """The first basis pair of size r that selection yields for lam."""
+    return next(select_bases_candidates(Catalecticants(lam), r))
+
+
 def target_of(prop, name):
     """Position of the named monomial among the propagator's targets."""
-    shape = prop.shape
-    hits = np.flatnonzero(
-        shape.codes(prop.targets) == code(shape, parse_monomial(name, shape))
-    )
-    return int(hits[0]) if len(hits) else None
+    names = [str(m) for m in prop.plan.leads]
+    return names.index(name) if name in names else None
 
 
 def random_points(rng, shape, r):
@@ -114,7 +118,7 @@ class TestKnownColumnRelations:
         shape2, lam, B, Bp = ex2
         prop = self.direct(lam, B, Bp)
         a2 = shape2.variables().index((0, 1))
-        slot = prop.shift[a2, B.names().index("1")]
+        slot = prop.plan.shift[a2, B.names().index("1")]
         assert prop.known[slot]
         np.testing.assert_allclose(prop.table[slot], [0, 0, 1, 0, 0, 0])
 
@@ -159,14 +163,14 @@ class TestIndexTables:
             B = shuffled_border(B, order_seed)
             assert (B.border != canonical).any()
         prop = _Propagator(lam, B, Bp, tol=1e-6)
-        targets = shape2.monomials(prop.targets)
+        targets = shape2.monomials(prop.plan.targets)
         basis = shape2.monomials(B.exps)
         variables = [variable(shape2, g, j) for g, j in shape2.variables()]
         for v, x in enumerate(variables):
             for s, b in enumerate(basis):
                 m = x * b
                 want = basis.index(m) if m in basis else len(B) + targets.index(m)
-                assert prop.shift[v][s] == want
+                assert prop.plan.shift[v][s] == want
 
         def factor(v):
             return one(shape2) if v < 0 else variables[v]
@@ -182,7 +186,7 @@ class TestIndexTables:
                         pairs.append((q1 * targets[i], i, j, q1, q2))
         pairs.sort(key=lambda p: p[0].sort_key())
         got = [
-            (i, j, factor(v1), factor(v2)) for i, j, v1, v2 in prop.syzygy_pairs
+            (i, j, factor(v1), factor(v2)) for i, j, v1, v2 in prop.plan.syzygy_pairs
         ]
         assert got == [p[1:] for p in pairs]
         assert len(got) > 0
@@ -213,7 +217,7 @@ class TestPropagation:
             shape, [1.0, -1.0, 2.0], pts,
             prefix_basis(shape, 3), prefix_basis(shape, 3),
         )
-        B, Bp = next(select_bases_candidates(lam_full, 3))
+        B, Bp = first_pair(lam_full, 3)
         res = propagate_commutation(lam_full, B, Bp)
         assert res.extended
         assert res.commutator_residual < 1e-10
@@ -225,7 +229,7 @@ class TestPropagation:
         pts = random_points(rng, shape, 4)
         T = rank_one_expand(shape, [1.0, 1.0, 1.0, 1.0], pts)
         lam = build_moment_functional(T)
-        B, Bp = next(select_bases_candidates(lam, 3))
+        B, Bp = first_pair(lam, 3)
         res = propagate_commutation(lam, B, Bp)
         assert res.status == "inconsistent"
         assert res.functional is None
@@ -239,7 +243,7 @@ class TestPropagation:
         pts = random_points(rng, shape, 6)
         ws = rng.uniform(0.5, 2.0, 6) * rng.choice([-1.0, 1.0], 6)
         lam = build_moment_functional(rank_one_expand(shape, ws, pts))
-        res = propagate_commutation(lam, *next(select_bases_candidates(lam, 6)))
+        res = propagate_commutation(lam, *first_pair(lam, 6))
         assert res.status == "rank_deficient"
         assert res.diagnostics["nullity"] == 6
 
@@ -277,7 +281,7 @@ class TestPropagation:
         shape2, lam, B, Bp = ex2
         prop = _Propagator(lam, B, Bp, DEFAULT_TOL_EXTEND)
         assert prop.run() == "extended"
-        nf = _normal_forms(shape2, prop.tables(), B.exps, B.codes)
+        nf = _walk_forms(_reduction_walk(shape2, B.exps, B.codes), prop.tables())
         np.testing.assert_allclose(nf, np.eye(len(B)), atol=1e-9)
 
 
@@ -322,7 +326,7 @@ class TestNormalForms:
         return shape2, prop.tables(), exps, codes[pos]
 
     def check(self, shape, tables, exps, codes):
-        got = _normal_forms(shape, tables, exps, codes)
+        got = _walk_forms(_reduction_walk(shape, exps, codes), tables)
         want = memo_normal_forms(shape, tables, exps, codes)
         assert np.array_equal(got, want)
 
@@ -368,8 +372,8 @@ def dense_syzygy_equations(prop, unresolved):
     stacked normal forms."""
     r, dtype = prop.r, prop.dtype
     inconsistency = 0.0
-    n_pairs = len(prop.syzygy_pairs)
-    t1, t2, v1, v2 = prop.syzygy_pairs.T
+    n_pairs = len(prop.plan.syzygy_pairs)
+    t1, t2, v1, v2 = prop.plan.syzygy_pairs.T
     const, ok, (entry, where, mats) = prop._sides(
         np.concatenate([t1, t2]), np.concatenate([v1, v2])
     )
@@ -412,17 +416,17 @@ def dense_svd_run(prop, reverse=False):
     lists the equations in the opposite order, which changes only rounding."""
     prop.resolve_direct()
     r = prop.r
-    n_places = int(prop.prod_place.max()) + 1
-    for _ in range(len(prop.targets) + 1):
+    n_places = int(prop.plan.prod_place.max()) + 1
+    for _ in range(len(prop.plan.targets) + 1):
         unresolved = unresolved_targets(prop)
         if not unresolved:
             break
         n_x = len(unresolved) * r
         A, b = [], []
-        for t in range(len(prop.targets)):
+        for t in range(len(prop.plan.targets)):
             tail = prop.table[r + t] if prop.known[r + t] else None
             for row, data, place in zip(
-                prop.rows, prop.prod_data[t], prop.prod_place[t]
+                prop.rows, prop.prod_data[t], prop.plan.prod_place[t]
             ):
                 if place < 0 and tail is not None:
                     gap = abs(data - row @ tail) / max(1.0, abs(data))
@@ -489,8 +493,8 @@ class TestProjectedSolve:
         pts = random_points(rng, shape, r)
         lam = build_moment_functional(rank_one_expand(shape, ws, pts))
         if request.param == "oversized-rank":
-            return (lam, *next(select_bases_candidates(lam, 3))), None, "inconsistent"
-        return (lam, *next(select_bases_candidates(lam, r))), pts, "extended"
+            return (lam, *first_pair(lam, 3)), None, "inconsistent"
+        return (lam, *first_pair(lam, r)), pts, "extended"
 
     def test_same_decisions_and_tails(self, case):
         (lam, B, Bp), points, status = case
@@ -501,7 +505,7 @@ class TestProjectedSolve:
         solved = np.flatnonzero(ref.known[ref.r:])
         for prop in (new, rev):
             assert np.array_equal(np.flatnonzero(prop.known[prop.r:]), solved)
-        targets = lam.shape.monomials(ref.targets)
+        targets = lam.shape.monomials(ref.plan.targets)
 
         def gap(prop, t):
             tail = ref.table[ref.r + t]
@@ -530,7 +534,7 @@ def above_rank_4x4(seed=0):
     pts = random_points(rng, shape, 5)
     ws = rng.uniform(0.5, 2.0, 5) * rng.choice([-1.0, 1.0], 5)
     lam = build_moment_functional(rank_one_expand(shape, ws, pts))
-    return (lam, *next(select_bases_candidates(lam, 5)))
+    return (lam, *first_pair(lam, 5))
 
 
 def snapshot(res):
@@ -607,9 +611,9 @@ class TestPlan:
         # the targets follow the order of B's border, which a caller may
         # permute (as the processing-order tests do)
         shape2, lam, B, Bp = ex2
-        canonical = _Propagator(lam, B, Bp, tol=1e-6).targets
+        canonical = _Propagator(lam, B, Bp, tol=1e-6).plan.targets
         shuffled = shuffled_border(B, 3)
-        targets = _Propagator(lam, shuffled, Bp, tol=1e-6).targets
+        targets = _Propagator(lam, shuffled, Bp, tol=1e-6).plan.targets
         assert np.array_equal(targets, shuffled.border)
         assert not np.array_equal(targets, canonical)
         assert len(_plans) == 2
@@ -1127,7 +1131,7 @@ class TestSyzygyHarvest:
             lam = build_moment_functional(
                 rank_one_expand(shape, rng.uniform(0.5, 2.0, 6), pts)
             )
-            return before_last_pass(lam, *next(select_bases_candidates(lam, 6)))
+            return before_last_pass(lam, *first_pair(lam, 6))
         if request.param == "example1":
             lam = build_moment_functional(tensor1)
             args = lam, basis_of(shape1, gd.H1_B_COLS), basis_of(shape1, gd.H1_B_ROWS)
@@ -1142,7 +1146,7 @@ class TestSyzygyHarvest:
         elif request.param == "example2-mixed":
             # every relation known, then every third one cleared
             assert prop.run() == "extended"
-            cleared = prop.r + np.arange(0, len(prop.targets), 3)
+            cleared = prop.r + np.arange(0, len(prop.plan.targets), 3)
             prop.known[cleared] = False
             prop.table[cleared] = 0.0
         else:
@@ -1180,7 +1184,7 @@ def sides_constant_loop(prop, t, v):
     r, table, known = prop.r, prop.table, prop.known
     tails = table[r + t]
     moved = v >= 0
-    slots = prop.shift[np.maximum(v, 0)]
+    slots = prop.plan.shift[np.maximum(v, 0)]
     const = np.zeros((len(t), r), dtype=prop.dtype)
     coef = np.where(known[slots] & moved[:, None], tails, 0)
     for s in range(r):
@@ -1200,7 +1204,7 @@ class TestStackedReductions:
         shape = Shape(dims=(2, 2), degrees=(1, 1))
         pts = random_points(np.random.default_rng(4), shape, 1)
         lam = build_moment_functional(rank_one_expand(shape, [1.5], pts))
-        return _Propagator(lam, *next(select_bases_candidates(lam, 1)), tol=1e-6)
+        return _Propagator(lam, *first_pair(lam, 1), tol=1e-6)
 
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_sides_constant_matches_coordinate_loop(self, prop, dtype):
@@ -1209,8 +1213,8 @@ class TestStackedReductions:
         # some tails are negative throughout, so that products of a zero
         # coefficient are -0.0
         rng = np.random.default_rng(9)
-        r, n_targets = prop.r, len(prop.targets)
-        n_vars = prop.shift.shape[0]
+        r, n_targets = prop.r, len(prop.plan.targets)
+        n_vars = prop.plan.shift.shape[0]
         tails = rng.normal(size=(n_targets, r))
         if dtype is complex:
             tails = tails + 1j * rng.normal(size=tails.shape)
@@ -1232,9 +1236,9 @@ class TestStackedReductions:
         assert prop.run() == "extended"
         tables = prop.tables()
         assert tables.flags.c_contiguous
-        assert tables.shape == (len(prop.shape.variables()), prop.r, prop.r)
+        assert tables.shape == (prop.plan.targets.shape[1], prop.r, prop.r)
         for v, M in enumerate(tables):
-            assert M.tobytes() == prop.table[prop.shift[v]].T.copy().tobytes()
+            assert M.tobytes() == prop.table[prop.plan.shift[v]].T.copy().tobytes()
 
 
 class TestCommutatorResidual:

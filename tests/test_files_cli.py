@@ -77,7 +77,7 @@ def from_obj_reference(obj) -> TensorFile:
     values = np.array(coefs)
     vec = np.zeros(len(shape.table.monomials), dtype=complex if cplx else float)
     vec[shape.table.rows(codes)] = values if cplx else values.real
-    return TensorFile(shape, fld, tdec.Polynomial.from_vector(shape, vec))
+    return TensorFile(fld, tdec.Polynomial.from_vector(shape, vec))
 
 
 def read_outcome(reader, obj):
@@ -253,6 +253,10 @@ class TestFileRoundTrip:
             # float(2**1023) is finite, but no integer reaches 2**1023
             ({**tiny, "terms": [{"exp": [[1]], "coef": 2**1023}]},
              f"terms[0] 'coef': {number} {2**1023!r}"),
+            # a list of three in a complex file: no [re, im] pair
+            ({**tiny, "field": "complex",
+              "terms": [{"exp": [[1]], "coef": [1.0, 2.0, 3.0]}]},
+             f"terms[0] 'coef': {number} [1.0, 2.0, 3.0]"),
         ]
         for obj, message in bad_cases:
             with pytest.raises(FormatError) as info:
@@ -625,7 +629,7 @@ class TestCli:
         # once a traceback (exit 1) from re-checking the block at 1e-8
         p = tmp_path / "t.json"
         T = near_collinear_tensor(1)
-        write_json(p, TensorFile(T.shape, "real", T).to_obj())
+        write_json(p, TensorFile("real", T).to_obj())
         assert self.run("decompose", "-i", p, "--tol-rank", "1e-12") == 2
         assert "no decomposition found" in capsys.readouterr().err
 
@@ -633,7 +637,7 @@ class TestCli:
         # once a traceback (exit 1) from the lift of the HOSVD core's terms
         p, out = tmp_path / "t.json", tmp_path / "out.json"
         T = term_at_infinity_tensor()
-        write_json(p, TensorFile(T.shape, "real", T).to_obj())
+        write_json(p, TensorFile("real", T).to_obj())
         assert self.run("decompose", "-i", p, "-o", out, "--reduce") == 2
         assert "no decomposition found" in capsys.readouterr().err
         obj = json.loads(out.read_text())
@@ -797,8 +801,7 @@ class TestCli:
         A = np.einsum("abc,ia,jb,kc->ijk", poly_to_array(T), *Qs)
         A += rng.normal(size=A.shape) * 1e-5 * np.abs(A).max()
         p = tmp_path / "noisy.json"
-        write_json(p, TensorFile(Shape((3, 3, 3), (1, 1, 1)), "real",
-                                 array_to_poly(A)).to_obj())
+        write_json(p, TensorFile("real", array_to_poly(A)).to_obj())
         out = tmp_path / "dec.json"
         code = self.run(
             "decompose", "-i", p, "-o", out, "--reduce",
@@ -858,8 +861,7 @@ class TestCli:
         Qs = [np.linalg.qr(rng.normal(size=(4, 3)))[0] for _ in range(3)]
         big = np.einsum("abc,ia,jb,kc->ijk", poly_to_array(T), *Qs)
         p = tmp_path / "big.json"
-        write_json(p, TensorFile(Shape((3, 3, 3), (1, 1, 1)), "real",
-                                 array_to_poly(big)).to_obj())
+        write_json(p, TensorFile("real", array_to_poly(big)).to_obj())
         out = tmp_path / "dec.json"
         assert self.run("decompose", "-i", p, "-o", out, "--reduce") == 0
         obj = json.loads(out.read_text())

@@ -596,27 +596,19 @@ class TestSelectBases:
             cats = Catalecticants(lam)
             r = cats.flattening_rank()
             shared = [
-                (B.names(), Bp.names())
-                for B, Bp in select_bases_candidates(lam, r, DEFAULT_TOL_RANK, cats)
+                (B.names(), Bp.names()) for B, Bp in select_bases_candidates(cats, r)
             ]
             fresh = [
-                (B.names(), Bp.names()) for B, Bp in select_bases_candidates(lam, r)
+                (B.names(), Bp.names())
+                for B, Bp in select_bases_candidates(Catalecticants(lam), r)
             ]
             assert shared and shared == fresh
         assert cats.splits[0].codes.shape == (1, 27)
         assert min(cats.splits[1].codes.shape) > cats.rank(1) == 1 < r == 2
 
-    def test_catalecticants_of_another_functional_or_tolerance_raise(self, tensor1):
-        lam = build_moment_functional(tensor1)
-        other = Catalecticants(build_moment_functional(tensor1))
-        for tol_rank, cats in [(DEFAULT_TOL_RANK, other), (1e-6, Catalecticants(lam))]:
-            with pytest.raises(ValueError):
-                next(select_bases_candidates(lam, 4, tol_rank, cats))
-
-
     def test_demo_rank4(self, tensor1, shape1):
         lam = build_moment_functional(tensor1)
-        B, Bp = next(select_bases_candidates(lam, 4))
+        B, Bp = next(select_bases_candidates(Catalecticants(lam), 4))
         H, known = hankel(lam, Bp.exps, B.exps)
         assert known.all()
         assert H.shape == (4, 4)
@@ -625,7 +617,7 @@ class TestSelectBases:
 
     def test_demo_rank6_matches_reference_block(self, tensor2, shape2):
         lam = build_moment_functional(tensor2)
-        B, Bp = next(select_bases_candidates(lam, 6))
+        B, Bp = next(select_bases_candidates(Catalecticants(lam), 6))
         assert B.names() == gd.H2_B_COLS
         assert Bp.names() == gd.H2_B_ROWS
         H, known = hankel(lam, Bp.exps, B.exps)
@@ -637,12 +629,12 @@ class TestSelectBases:
         zeta = Point(((1.5, -2.0), (0.5, 3.0)))
         dom = shape.monomials(enumerate_monomials(shape, list(shape.degrees)))
         lam = weighted_evaluation([2.0], [zeta], shape, dom)
-        B, Bp = next(select_bases_candidates(lam, 1))
+        B, Bp = next(select_bases_candidates(Catalecticants(lam), 1))
         assert B.names() == Bp.names() == ["1"]
 
     def test_impossible_rank_raises(self, tensor1):
         lam = build_moment_functional(tensor1)
-        assert next(select_bases_candidates(lam, 7), None) is None
+        assert next(select_bases_candidates(Catalecticants(lam), 7), None) is None
 
 
 class TestFlatteningRanks:

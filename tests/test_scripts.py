@@ -1,0 +1,54 @@
+"""The scripts under scripts/ run against this checkout's `tdec`.
+
+Each runs as a subprocess with the checkout's src/ first on the path.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import tdec
+
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPTS = ROOT / "scripts"
+
+# the outcome digests of `scripts/sameness.py --seed 31`: the rank, bases and
+# frame change of each success and the stage, frames and stop reason of each
+# refusal, floats left out; a change that moves outcomes on purpose updates
+# them
+OUTCOMES_AT_SEED_31 = {
+    "flat-large": "a57769d568d8a07549fd8b41e616b779cb2c12d6ce1125a4835f5e43fe3d7c8d",
+    "small-mixed": "0bc1e64286e35230f8fbd8ed7b4365fb3f00da37c62de84699e43c4975a93f02",
+    "hard-inputs": "c2b508185ce53c181474333f6deae0ae146a37a281e4eef6dea6752fb8e6531d",
+}
+
+
+def run_script(name, *args):
+    env = dict(os.environ)
+    env.pop("TDEC_LOG", None)
+    src = str(Path(tdec.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / name), *args],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_run_demo_instances():
+    out = run_script("run_demo_instances.py")
+    assert "bases:  B  = 1, a1, a2, a3, b1, b2" in out
+    assert "rank 6, residual" in out
+
+
+def test_sameness_outcomes_at_seed_31():
+    # one line per workload: name, seed, bit digest, outcome digest, and on
+    # flat-large the CLI digest
+    lines = [line.split() for line in run_script("sameness.py", "--seed", "31")
+             .splitlines()]
+    assert {line[0]: line[3] for line in lines} == OUTCOMES_AT_SEED_31
+    assert all(line[1] == "31" for line in lines)
