@@ -7,7 +7,12 @@ multi-degree at most ``degrees = (d_1, ..., d_k)`` has, in each group ``g``,
 total degree at most ``d_g``.  The homogenizing variable of each group is
 implicit (set to 1).  ``Polynomial`` holds a tensor as its coefficient
 vector over the shape's one table of its monomial range (``Shape.table``),
-and ``evaluate`` gives monomial values at points.
+and nothing else: a monomial -> coefficient dict is read into that vector
+at once, and ``Polynomial.terms`` forms the dict back, in table order, only
+when asked.  The table itself holds arrays only (exponents, codes,
+multinomials); ``Shape.monomials`` and ``Shape.exponents`` convert between
+``Monomial`` objects and exponent rows.  ``evaluate`` gives monomial values
+at points.
 
 Every monomial of a shape has an exact integer code, its exponents read as
 the digits of a mixed-radix number, so that code(m * m') = code(m) +
@@ -126,22 +131,19 @@ class Shape:
     def exponents(self, monos) -> np.ndarray:
         """Exponent matrix of a monomial sequence, one row per monomial and
         one column per variable in canonical order."""
-        n_vars = sum(self.dims)
-        flat = np.fromiter(
-            itertools.chain.from_iterable(
-                itertools.chain.from_iterable(m.exps for m in monos)
-            ),
-            dtype=np.int64,
-        )
-        if flat.size != len(monos) * n_vars:
+        groups = list(itertools.chain.from_iterable(m.exps for m in monos))
+        if list(map(len, groups)) != list(self.dims) * len(monos):
             raise ShapeMismatchError("monomials do not match the shape")
-        return flat.reshape(len(monos), n_vars)
+        flat = np.fromiter(itertools.chain.from_iterable(groups), dtype=np.int64)
+        return flat.reshape(len(monos), sum(self.dims))
 
     def codes(self, exps: np.ndarray) -> np.ndarray:
         """Codes of the rows of an exponent matrix; DegreeOverflowError when
-        an exponent reaches its radix."""
-        if exps.size and (exps.max(axis=0) >= self._digit_radix).any():
-            raise DegreeOverflowError("exponent beyond the monomial code radix")
+        an exponent is negative or reaches its radix."""
+        if exps.size and (
+            (exps.max(axis=0) >= self._digit_radix).any() or exps.min() < 0
+        ):
+            raise DegreeOverflowError("exponent outside the monomial code range")
         return exps @ self.variable_codes
 
     def product_codes(self, *factors: np.ndarray) -> np.ndarray:
@@ -249,31 +251,24 @@ def graded_range(dims, bounds):
 class MonomialTable:
     """The monomials of a shape within its degree bounds, canonical order.
 
-    ``exps`` is their exponent matrix, ``degrees`` their per-group degrees
-    and ``multinomials`` the products of the per-group multinomials
-    C(d_g; alpha_g), exact integers held as floats.  ``group_exps[g]``
-    lists the graded monomials of group g alone and ``group_index[m, g]``
-    the position of row m's group-g part among them, so
-    ``A[tuple(group_index.T)]`` reads a coefficient array with one axis per
-    group (the Kronecker layout) in table order.  ``index`` maps a monomial
-    to its row, ``codes`` are the rows' codes, ``sorted_codes`` the same in
-    increasing order (the codes of the functional of a tensor) and ``rows``
-    maps codes to rows.
+    ``exps`` is their exponent matrix and ``multinomials`` the products of
+    the per-group multinomials C(d_g; alpha_g), exact integers held as
+    floats.  ``group_exps[g]`` lists the graded monomials of group g alone
+    and ``group_index[m, g]`` the position of row m's group-g part among
+    them, so ``A[tuple(group_index.T)]`` reads a coefficient array with one
+    axis per group (the Kronecker layout) in table order.  ``codes`` are the
+    rows' codes, ``sorted_codes`` the same in increasing order (the codes of
+    the functional of a tensor) and ``rows`` maps codes to rows.  Every
+    attribute is a read-only array.
     """
 
     def __init__(self, shape: Shape):
         self.exps, self.group_index, self.group_exps = graded_range(
             shape.dims, shape.degrees
         )
-        self.degrees = np.column_stack([
-            G.sum(axis=1)[self.group_index[:, g]]
-            for g, G in enumerate(self.group_exps)
-        ])
-        self.monomials = tuple(shape.monomials(self.exps))
         self.codes = shape.codes(self.exps)
         self._code_order = np.argsort(self.codes)
         self.sorted_codes = self.codes[self._code_order]
-        self.index = MappingProxyType({m: i for i, m in enumerate(self.monomials)})
         per_group = [
             np.array([multinomial(d, e) for e in G.tolist()], dtype=np.int64)
             for d, G in zip(shape.degrees, self.group_exps)
@@ -282,14 +277,18 @@ class MonomialTable:
             [c[self.group_index[:, g]] for g, c in enumerate(per_group)], axis=0
         ).astype(float)
         self.group_exps = tuple(self.group_exps)
-        for a in (self.exps, self.degrees, self.group_index, self.multinomials,
-                  self.codes, self._code_order, self.sorted_codes,
-                  *self.group_exps):
+        for a in (self.exps, self.group_index, self.multinomials, self.codes,
+                  self._code_order, self.sorted_codes, *self.group_exps):
             a.setflags(write=False)  # shared by every user of the format
 
     def rows(self, codes: np.ndarray) -> np.ndarray:
-        """Rows of the monomials with the given codes, each in the table."""
-        return self._code_order[np.searchsorted(self.sorted_codes, codes)]
+        """Rows of the monomials with the given codes; DegreeOverflowError
+        for a code outside the table."""
+        keys = self.sorted_codes
+        pos = np.minimum(np.searchsorted(keys, codes), len(keys) - 1)
+        if (keys[pos] != codes).any():
+            raise DegreeOverflowError("monomial beyond the table of the shape")
+        return self._code_order[pos]
 
 
 @cache
@@ -336,45 +335,52 @@ def evaluate(shape: Shape, points, exps: np.ndarray) -> np.ndarray:
 
 class Polynomial:
     """Multi-graded polynomial: a shape and one read-only coefficient vector
-    over the rows of the shape's monomial table (``vector``).
+    over the rows of the shape's monomial table (``vector``), its only
+    storage.
 
-    Built from a monomial -> coefficient dict, whose vector is formed on
-    first use, or from the vector itself (``from_vector``).  ``terms``, the
-    dict of the non-zero coefficients, is a view formed when asked for:
-    files and equality read it; computation reads the vector."""
+    Built from a monomial -> coefficient dict or from the vector itself
+    (``from_vector``).  ``terms``, the dict of the non-zero coefficients in
+    table order, is a view formed when asked for: files and equality read
+    it; computation reads the vector."""
 
-    __slots__ = ("shape", "_terms", "_vector", "_max_imag")
+    __slots__ = ("shape", "_vector", "_terms", "_max_imag")
 
     def __init__(self, shape: Shape, terms: dict[Monomial, complex] | None = None):
-        self.shape = shape
-        self._terms = {m: c for m, c in (terms or {}).items() if c != 0}
-        self._vector = self._max_imag = None
+        """The vector is complex when any non-zero coefficient is stored as
+        a complex type; DegreeOverflowError for a term outside the table."""
+        terms = {m: c for m, c in (terms or {}).items() if c != 0}
+        table = shape.table
+        cplx = any(isinstance(c, complex) for c in terms.values())
+        vec = np.zeros(len(table.exps), dtype=complex if cplx else float)
+        vec[table.rows(shape.codes(shape.exponents(list(terms))))] = list(
+            terms.values()
+        )
+        vec.setflags(write=False)
+        self.shape, self._vector, self._terms, self._max_imag = shape, vec, None, None
 
     @staticmethod
     def from_vector(shape: Shape, values: np.ndarray) -> "Polynomial":
         """The polynomial with coefficients ``values`` over the table rows,
-        kept as a read-only copy in which zeros of either sign read 0.0 (a
-        dict keeps no zero)."""
+        kept as a read-only copy in which zeros of either sign read 0.0."""
         values = np.asarray(values)
         vec = np.where(values == 0, 0, values).astype(
             np.result_type(values, float), copy=False
         )
-        if vec.shape != (len(shape.table.monomials),):
+        if vec.shape != (len(shape.table.exps),):
             raise ShapeMismatchError("coefficient vector does not match the table")
         vec.setflags(write=False)
         P = Polynomial.__new__(Polynomial)
-        P.shape, P._terms, P._vector, P._max_imag = shape, None, vec, None
+        P.shape, P._vector, P._terms, P._max_imag = shape, vec, None, None
         return P
 
     @property
     def terms(self) -> MappingProxyType:
-        """Monomial -> coefficient of the non-zero coefficients, read-only."""
+        """Monomial -> coefficient of the non-zero coefficients, in table
+        order, read-only."""
         if self._terms is None:
             rows = np.flatnonzero(self._vector)
-            monomials = self.shape.table.monomials
-            self._terms = dict(
-                zip([monomials[i] for i in rows.tolist()], self._vector[rows].tolist())
-            )
+            monomials = self.shape.monomials(self.shape.table.exps[rows])
+            self._terms = dict(zip(monomials, self._vector[rows].tolist()))
         return MappingProxyType(self._terms)
 
     def __eq__(self, other):
@@ -385,31 +391,17 @@ class Polynomial:
         )
 
     def is_zero(self) -> bool:
-        return not self.vector().any()
+        return not self._vector.any()
 
     def is_real(self, tol: float = 1e-12) -> bool:
         """Negligible imaginary parts (values, not storage types)."""
         if self._max_imag is None:
-            imag = self.vector().imag
-            self._max_imag = float(np.abs(imag).max(initial=0.0))
+            self._max_imag = float(np.abs(self._vector.imag).max(initial=0.0))
         return self._max_imag <= tol
 
     def vector(self) -> np.ndarray:
-        """Coefficients over the rows of the shape's monomial table, complex
-        when any coefficient is stored as a complex type; read-only.
-        DegreeOverflowError for a term outside the table."""
-        if self._vector is None:
-            table = self.shape.table
-            values = list(self._terms.values())
-            cplx = any(isinstance(c, complex) for c in values)
-            vec = np.zeros(len(table.monomials), dtype=complex if cplx else float)
-            try:
-                rows = [table.index[m] for m in self._terms]
-            except KeyError as exc:
-                raise DegreeOverflowError(f"term {exc.args[0]} beyond the shape") from None
-            vec[rows] = values
-            vec.setflags(write=False)
-            self._vector = vec
+        """Coefficients over the rows of the shape's monomial table,
+        read-only."""
         return self._vector
 
     def __mul__(self, other):

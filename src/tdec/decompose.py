@@ -150,21 +150,14 @@ def rank_bounds(
     ``meta["lower_bound"]``)."""
     shape = T.shape
     multilinear = all(d == 1 for d in shape.degrees)
-    try:
-        upper = rank_upper_bound([n + 1 for n in shape.dims]) if multilinear else None
-    except UnsupportedShapeError:
-        upper = None
-    if upper is None:
-        upper = shape.ambient_dim
-    try:
-        kruskal = kruskal_bound(shape)
-    except UnsupportedShapeError:
-        kruskal = None
     return RankBounds(
         lower=rank_lower_bound(T, tol_rank) if lower is None else lower,
-        upper=upper,
+        upper=(
+            rank_upper_bound([n + 1 for n in shape.dims])
+            if multilinear and shape.k == 3 else shape.ambient_dim
+        ),
         expected=expected_rank(shape),
-        kruskal=kruskal,
+        kruskal=kruskal_bound(shape) if multilinear and shape.k >= 3 else None,
     )
 
 
@@ -384,7 +377,7 @@ def _try_pair(T: Polynomial, lam, B, Bp, opts: DecomposeOptions, seed: int):
             "stage": "eigen",
             "detail": f"roots not simple ({roots.diagnostics})",
         }
-    roots = read_coordinates(roots, fam)
+    roots = read_coordinates(roots)
     try:
         gam, _ = solve_weights(T, roots.points)
     except WeightSolveError as exc:

@@ -153,9 +153,9 @@ def joint_eigenvectors(
         eigenvalues[v] = lam_v
 
     # joint eigenvalue tuples must be pairwise distinct
-    tuples = np.array([eigenvalues[v] for v in variables]).T if variables else np.zeros((r, 0))
-    scale = 1.0 + (np.abs(tuples).max() if tuples.size else 0.0)
-    collision = bool(tuples.size) and bool(
+    tuples = np.array([eigenvalues[v] for v in variables]).T
+    scale = 1.0 + np.abs(tuples).max()
+    collision = bool(
         (np.abs(tuples[upper[0]] - tuples[upper[1]]).max(axis=1)
          <= SIMPLE_GAP_TOL * scale).any()
     )
@@ -173,9 +173,10 @@ def joint_eigenvectors(
     )
 
 
-def read_coordinates(roots: RootSet, family: MultiplicationFamily) -> RootSet:
+def read_coordinates(roots: RootSet) -> RootSet:
     """Fill coordinates from eigenvector entries (variables inside the
-    roots' basis B) and eigenvalues (variables with a table); the rest NaN."""
+    roots' basis B) and eigenvalues (variables with a table, the keys of
+    ``roots.eigenvalues``); the rest NaN."""
     shape = roots.shape
     where = {c: i for i, c in enumerate(roots.basis.codes.tolist())}
     # each variable with its position in B, or None
@@ -188,7 +189,7 @@ def read_coordinates(roots: RootSet, family: MultiplicationFamily) -> RootSet:
     for i, w in enumerate(roots.eigvecs):
         flat = [
             complex(w[b]) if b is not None
-            else complex(roots.eigenvalues[v][i]) if v in family.matrices
+            else complex(roots.eigenvalues[v][i]) if v in roots.eigenvalues
             else complex(np.nan)
             for v, b in inside
         ]

@@ -117,7 +117,8 @@ class ExtensionResult:
     """The outcome of a moment completion.  ``functional`` (the data
     extended to B'+ x B+) is set only when ``status`` is "extended", and
     ``commutator_residual`` only once every table is known; ``relations``
-    (the resolved border relations) and ``diagnostics`` always are."""
+    (the resolved border relations, in the order of ``B.border``) and
+    ``diagnostics`` always are."""
 
     status: str  # "extended" | "rank_deficient" | "inconsistent"
     functional: MomentFunctional | None
@@ -430,7 +431,6 @@ class _Plan:
 
     targets: np.ndarray  # exponent rows of B.border, whose relations are sought
     leads: tuple  # the Monomial of each target
-    canonical: np.ndarray  # the position of each target in canonical order
     base: np.ndarray  # lam(b'_i * b_j)
     rows: np.ndarray  # every fully known row times B
     products: np.ndarray  # every target times every fully known row
@@ -491,7 +491,6 @@ def _build_plan(lam: MomentFunctional, B: MonomialBasis, Bp: MonomialBasis) -> _
     plan = _Plan(
         targets=targets,
         leads=tuple(shape.monomials(targets)),
-        canonical=np.argsort(canonical_order(targets)),
         base=base,
         rows=rows[full],
         products=products,
@@ -506,7 +505,7 @@ def _build_plan(lam: MomentFunctional, B: MonomialBasis, Bp: MonomialBasis) -> _
     )
     ones, levels = plan.walk
     for a in (
-        plan.canonical, base, plan.rows, products, prod_place, shift,
+        base, plan.rows, products, prod_place, shift,
         plan.syzygy_pairs, direct, plan.direct_cols, plan.moments_B,
         plan.unknown_codes, ones, *(a for level in levels for a in level),
     ):
@@ -903,7 +902,6 @@ def propagate_commutation(
     plan = prop.plan
     resolved = prop.known[prop.r:]
     solved, unresolved = np.flatnonzero(resolved), np.flatnonzero(~resolved)
-    solved = solved[np.argsort(plan.canonical[solved])]
     tails = prop.table[prop.r + solved]
     relations = [
         BorderRelation(plan.leads[t], tail) for t, tail in zip(solved.tolist(), tails)

@@ -216,9 +216,7 @@ class TensorFile:
     def to_obj(self) -> dict:
         terms = [
             {"exp": [list(e) for e in m.exps], "coef": _num_out(c)}
-            for m, c in sorted(
-                self.tensor.terms.items(), key=lambda t: t[0].sort_key()
-            )
+            for m, c in self.tensor.terms.items()
         ]
         return {
             "dims": list(self.shape.dims),
@@ -247,7 +245,7 @@ class TensorFile:
             repeated[first] = False
             i = int(np.flatnonzero(repeated)[0])
             raise FormatError(f"terms[{i}]: duplicate exponent {terms[i]['exp']}")
-        vec = np.zeros(len(shape.table.monomials), dtype=complex if cplx else float)
+        vec = np.zeros(len(shape.table.exps), dtype=complex if cplx else float)
         vec[shape.table.rows(codes)] = values
         return TensorFile(fld, Polynomial.from_vector(shape, vec))
 

@@ -20,6 +20,7 @@ from conftest import (
 )
 from tdec.algebra import (
     DegreeOverflowError,
+    Monomial,
     Point,
     Polynomial,
     Shape,
@@ -207,7 +208,8 @@ class TestEvaluate:
 
         pts = [Point(tuple(tuple(draw(n).tolist()) for n in shape.dims)) for _ in range(4)]
         V = evaluate(shape, pts, shape.table.exps)
-        want = np.array([[monomial_value(p, m) for p in pts] for m in shape.table.monomials])
+        monos = shape.monomials(shape.table.exps)
+        want = np.array([[monomial_value(p, m) for p in pts] for m in monos])
         assert V.dtype == want.dtype
         if cplx:
             assert V.tobytes() == want.tobytes()
@@ -239,9 +241,8 @@ class TestApolar:
     def test_degree_overflow(self):
         shape = Shape(dims=(1,), degrees=(1,))
         x = parse_monomial("a1", shape)
-        f = Polynomial(shape, {x * x: 1.0})
         with pytest.raises(DegreeOverflowError):
-            build_moment_functional(f)
+            Polynomial(shape, {x * x: 1.0})
 
     @given(
         st.integers(-4, 4), st.integers(-4, 4),
@@ -336,7 +337,7 @@ class TestPolynomialVector:
         assert Q == P
 
     def test_from_vector_stores_no_negative_zero_and_keeps_the_input(self):
-        n = len(self.SHAPE.table.monomials)
+        n = len(self.SHAPE.table.exps)
         values = np.zeros(n)
         values[:3] = [-0.0, 1.5, -0.0]
         P = Polynomial.from_vector(self.SHAPE, values)
@@ -350,7 +351,7 @@ class TestPolynomialVector:
         C = Polynomial.from_vector(self.SHAPE, complex_values)
         assert not np.signbit(C.vector().view(float)[:2]).any()
         assert np.signbit(C.vector()[1].real)  # a non-zero keeps its parts
-        assert list(C.terms) == [self.SHAPE.table.monomials[1]]
+        assert list(C.terms) == self.SHAPE.monomials(self.SHAPE.table.exps[1:2])
 
     def test_is_real_tolerance(self):
         P = poly(self.SHAPE, {"1": 1 + 1e-13j, "a1": 2.0})
@@ -358,9 +359,17 @@ class TestPolynomialVector:
         assert Polynomial.from_vector(self.SHAPE, P.vector()).is_real(tol=1e-13)
 
     def test_term_beyond_the_table(self):
-        P = poly(self.SHAPE, {"a1^3": 1.0, "b1": 2.0})
         with pytest.raises(DegreeOverflowError):
-            P.vector()
+            poly(self.SHAPE, {"a1^3": 1.0, "b1": 2.0})
+        # a negative exponent has a code, (-R, 1) that of the monomial 1
+        radix = self.SHAPE.radix[0]
+        with pytest.raises(DegreeOverflowError):
+            Polynomial(self.SHAPE, {Monomial(((-radix, 1), (0,))): 1.0})
+
+    def test_monomial_of_another_grouping(self):
+        # the same three exponents grouped (1, 2) instead of (2, 1)
+        with pytest.raises(ShapeMismatchError):
+            Polynomial(self.SHAPE, {Monomial(((1,), (0, 0))): 1.0})
 
     def test_vector_of_the_wrong_length(self):
         with pytest.raises(ShapeMismatchError):

@@ -124,6 +124,21 @@ class TestKruskalBound:
             kruskal_bound(Shape(dims=(2, 2, 2), degrees=(2, 1, 1)))
 
 
+class TestRankBounds:
+    @pytest.mark.parametrize(
+        "dims,degrees,upper,kruskal",
+        [
+            ((2, 2, 2), (1, 1, 1), 6, 3),  # order 3: the maximal rank bound
+            ((1, 1, 1, 1), (1, 1, 1, 1), 16, 3),  # order 4: the ambient dim
+            ((2, 2), (1, 1), 9, None),  # a matrix has no Kruskal bound
+            ((2, 2, 2), (2, 1, 1), 54, None),  # nor has a symmetric group
+        ],
+    )
+    def test_bounds_follow_the_format(self, dims, degrees, upper, kruskal):
+        b = rank_bounds(Polynomial(Shape(dims, degrees)), lower=1)
+        assert (b.lower, b.upper, b.kruskal) == (1, upper, kruskal)
+
+
 class TestMultilinearRank:
     def test_rank_one(self):
         shape = Shape(dims=(2, 2, 2), degrees=(1, 1, 1))

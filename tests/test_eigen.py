@@ -154,8 +154,8 @@ class TestJointEigenvectors:
     def test_seed_invariance(self, ex1_family):
         shape1, lam, B, Bp, ext = ex1_family
         fam = family_from_functional(ext.functional, B, Bp)
-        a = read_coordinates(joint_eigenvectors(fam, seed=1), fam)
-        b = read_coordinates(joint_eigenvectors(fam, seed=99), fam)
+        a = read_coordinates(joint_eigenvectors(fam, seed=1))
+        b = read_coordinates(joint_eigenvectors(fam, seed=99))
         match_rows(
             [np.concatenate([np.asarray(c) for c in p.coords]) for p in a.points],
             [np.concatenate([np.asarray(c) for c in p.coords]) for p in b.points],
@@ -322,7 +322,7 @@ class TestReadCoordinates:
     def test_reference_points(self, ex1_family, points1):
         shape1, lam, B, Bp, ext = ex1_family
         fam = family_from_functional(ext.functional, B, Bp)
-        roots = read_coordinates(joint_eigenvectors(fam, seed=0), fam)
+        roots = read_coordinates(joint_eigenvectors(fam, seed=0))
         assert missing_variables(roots) == []
         match_rows(
             [np.concatenate([np.asarray(c) for c in p.coords]) for p in roots.points],
@@ -336,7 +336,7 @@ class TestReadCoordinates:
         partial = MultiplicationFamily(
             B, {v: M for v, M in fam.matrices.items() if v[0] != 1}
         )
-        roots = read_coordinates(joint_eigenvectors(partial, seed=0), partial)
+        roots = read_coordinates(joint_eigenvectors(partial, seed=0))
         assert missing_variables(roots) == [(1, 0), (1, 1), (1, 2)]
 
 
@@ -344,7 +344,7 @@ class TestRecoverMissingCoordinates:
     def test_no_missing_is_identity(self, ex1_family):
         shape1, lam, B, Bp, ext = ex1_family
         fam = family_from_functional(ext.functional, B, Bp)
-        roots = read_coordinates(joint_eigenvectors(fam, seed=0), fam)
+        roots = read_coordinates(joint_eigenvectors(fam, seed=0))
         again = recover_missing_coordinates(lam, roots, [1, 1, 1, 1], B, [])
         assert again.points == roots.points
 
@@ -355,7 +355,7 @@ class TestRecoverMissingCoordinates:
         partial = MultiplicationFamily(
             B, {v: M for v, M in fam.matrices.items() if v[0] != 1}
         )
-        roots = read_coordinates(joint_eigenvectors(partial, seed=0), partial)
+        roots = read_coordinates(joint_eigenvectors(partial, seed=0))
         gam, _ = solve_weights(tensor1, roots.points)
         full = recover_missing_coordinates(
             lam, roots, gam, B, missing_variables(roots)
@@ -383,7 +383,7 @@ class TestRecoverMissingCoordinates:
         fam = family_from_functional(ext.functional, B, Bp)
         keep = {v: M for v, M in fam.matrices.items() if v[0] != 2}
         partial = MultiplicationFamily(B, keep)
-        roots = read_coordinates(joint_eigenvectors(partial, seed=0), partial)
+        roots = read_coordinates(joint_eigenvectors(partial, seed=0))
         assert missing_variables(roots) == [(2, 0), (2, 1)]
         gam, _ = solve_weights(T, roots.points)
         full = recover_missing_coordinates(

@@ -75,7 +75,7 @@ def from_obj_reference(obj) -> TensorFile:
         i = int(np.flatnonzero(repeated)[0])
         raise FormatError(f"terms[{i}]: duplicate exponent {terms[i]['exp']}")
     values = np.array(coefs)
-    vec = np.zeros(len(shape.table.monomials), dtype=complex if cplx else float)
+    vec = np.zeros(len(shape.table.exps), dtype=complex if cplx else float)
     vec[shape.table.rows(codes)] = values if cplx else values.real
     return TensorFile(fld, tdec.Polynomial.from_vector(shape, vec))
 
@@ -624,6 +624,24 @@ class TestCli:
         report = json.loads(out.read_text(), parse_constant=refuse)["report"]
         assert "best_residual" not in report
         assert report["frames"] == 2
+
+    def test_flat_check_refusal_file(self, tmp_path):
+        # slight noise: every frame's completion extends, but the prolonged
+        # block has a rank above 6, so each frame stops at the flat check
+        p, out = tmp_path / "t.json", tmp_path / "out.json"
+        assert self.run("synth", "-o", p, "--dims", 3, 3, 5, "--degrees", 1, 1, 1,
+                        "--rank", 6, "--seed", 0, "--noise", 3e-10) == 0
+        assert self.run("decompose", "-i", p, "--tol-resid", 1e-5, "-o", out) == 2
+
+        def refuse(name):
+            raise ValueError(f"{name} is not JSON")
+
+        obj = json.loads(out.read_text(), parse_constant=refuse)
+        assert obj == {
+            "error": "no decomposition at rank 6",
+            "report": {"rank": 6, "stage": "flat-check", "detail": "rank grew",
+                       "frames": 4, "stop": "frame limit"},
+        }
 
     def test_block_admitted_below_default_tol_rank_exit_two(self, tmp_path, capsys):
         # once a traceback (exit 1) from re-checking the block at 1e-8

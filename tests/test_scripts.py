@@ -23,6 +23,23 @@ OUTCOMES_AT_SEED_31 = {
     "hard-inputs": "c2b508185ce53c181474333f6deae0ae146a37a281e4eef6dea6752fb8e6531d",
 }
 
+# the lines of `scripts/integer_sweep.py` but its CPU seconds: recoveries per
+# format, frame rescues, frames over refusals, stop reasons and stages of the
+# non-generic integer-point inputs; a change that moves these outcomes on
+# purpose updates them
+INTEGER_SWEEP_OUTCOMES = """\
+(2,2)/(2,2) r4       10/40 recovered
+3x3x4 r4             9/40 recovered
+4x4x4 r4             24/40 recovered
+(2,2,2)/(1,1,2) r4   18/40 recovered
+3x3x3 r3             19/40 recovered
+total 80/200 recovered
+rescued by a frame change: 3: (2,2)/(2,2) r4 seed 5, (2,2)/(2,2) r4 seed 21, 3x3x4 r4 seed 29
+frames tried over 120 refusals: 240
+  stopped on random frame 1: no completion extended: 120
+  refused at stage extension: 120
+"""
+
 
 def run_script(name, *args):
     env = dict(os.environ)
@@ -52,3 +69,9 @@ def test_sameness_outcomes_at_seed_31():
              .splitlines()]
     assert {line[0]: line[3] for line in lines} == OUTCOMES_AT_SEED_31
     assert all(line[1] == "31" for line in lines)
+
+
+def test_integer_sweep_outcomes():
+    *lines, cpu = run_script("integer_sweep.py").splitlines()
+    assert lines == INTEGER_SWEEP_OUTCOMES.splitlines()
+    assert cpu.startswith("CPU s: ")
