@@ -30,7 +30,6 @@ from .decompose import (
     verify,
 )
 from .eigen import (
-    MultiplicationFamily,
     RootSet,
     joint_eigenvectors,
     read_coordinates,

@@ -184,11 +184,6 @@ class Monomial:
             )
         )
 
-    def sort_key(self):
-        """Graded order, group-major lexicographic within a degree."""
-        flat = tuple(x for e in self.exps for x in e)
-        return (self.total_degree, tuple(-x for x in flat))
-
     def __str__(self) -> str:
         if self.is_one():
             return "1"
@@ -229,14 +224,17 @@ def graded_exponents(n: int, bound: int) -> np.ndarray:
 
 
 def canonical_order(exps: np.ndarray) -> np.ndarray:
-    """Row order of an exponent matrix by ``Monomial.sort_key``: graded,
-    then decreasing lexicographic (np.lexsort is stable, as sorted() is)."""
+    """Row order of an exponent matrix: by total degree, then by decreasing
+    exponent of the first variable, then of the second, and so on
+    (group-major: 1, a1, a3, b1, a1*b1).  Stable: equal rows keep their
+    order."""
     return np.lexsort(np.vstack([-exps[:, ::-1].T, exps.sum(axis=1)]))
 
 
 def graded_range(dims, bounds):
     """All exponent rows with group-g degree at most bounds[g], in canonical
-    order (``Monomial.sort_key``: graded, then decreasing lexicographic).
+    order (``canonical_order``: by total degree, then decreasing
+    lexicographic in the variables).
 
     Returns the exponent matrix, the position of each row's group parts
     among the groups' own graded exponents, and those per-group exponents.

@@ -369,8 +369,8 @@ def _try_pair(T: Polynomial, lam, B, Bp, opts: DecomposeOptions, seed: int):
         return ext.status, {"rank": r, "stage": "extension", "detail": detail}
     if not flat_extension_check(ext.functional, B, Bp, opts.tol_rank):
         return ext.status, {"rank": r, "stage": "flat-check", "detail": "rank grew"}
-    fam = family_from_functional(ext.functional, B, Bp)
-    roots = joint_eigenvectors(fam, seed=seed)
+    tables = family_from_functional(ext.functional, B, Bp)
+    roots = joint_eigenvectors(B, tables, seed=seed)
     if not roots.simple:
         return ext.status, {
             "rank": r,

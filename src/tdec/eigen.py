@@ -1,15 +1,11 @@
 """Multiplication operators, joint eigenvectors, roots and weights.
 
 A completed functional with basis B and invertible block H yields one
-multiplication table per variable; their transposes share eigenvectors, and
-each eigenvector is (up to scale) the vector of values of B at one root.
+multiplication table per variable, stacked in canonical variable order as
+the completion builds them; their transposes share eigenvectors, and each
+eigenvector is (up to scale) the vector of values of B at one root.
 Coordinates are read off eigenvector entries and eigenvalues, and weights
-come from a Vandermonde-type fit against the tensor coefficients.  A family
-from a flat extension has a table for every variable.  For a partial family
-(a library use; ``decompose`` refuses any completion that does not extend)
-the coordinates of variables without a table stay NaN, the weight fit skips
-the coefficients they touch, and ``recover_missing_coordinates`` fills them
-through one more linear solve against the weighted evaluations.
+come from a Vandermonde-type fit against the tensor coefficients.
 """
 
 from __future__ import annotations
@@ -36,44 +32,36 @@ class CoordinateRecoveryError(RuntimeError):
     pass
 
 
-@dataclass
-class MultiplicationFamily:
-    basis: MonomialBasis
-    matrices: dict[tuple[int, int], np.ndarray]
-
-    def variables(self) -> list[tuple[int, int]]:
-        return sorted(self.matrices)
-
-
 def family_from_functional(
     lam: MomentFunctional,
     B: MonomialBasis,
     Bp: MonomialBasis,
-) -> MultiplicationFamily:
-    """Tables M_v of multiplication by x_v on B, for every variable whose
-    shifted block lam(x_v b'_i b_j) is fully known.
+) -> np.ndarray:
+    """The tables M_v of multiplication by x_v on B, H M_v = lam(x_v b'_i b_j):
+    one (n_vars, r, r) array in canonical variable order.
 
     The base block H[i, j] = lam(b'_i b_j) is taken as known and invertible
     (``select_bases_candidates`` decides that).  The shifted blocks of all
-    variables are read from one block of product codes; each table is one
-    solve against H.
+    variables are read from one block of product codes and solved against H
+    together; an unknown entry in them raises ValueError.
     """
     shape = lam.shape
     H, _ = hankel(lam, Bp.exps, B.exps)
     rows = np.eye(sum(shape.dims), dtype=np.int64)
     shifted, known = lam.lookup(shape.product_codes(rows, Bp.exps, B.exps))
-    return MultiplicationFamily(B, {
-        var: np.linalg.solve(H, Hs)
-        for var, Hs, ok in zip(shape.variables(), shifted, known.all(axis=(1, 2)))
-        if ok
-    })
+    if not known.all():
+        raise ValueError("shifted block has unknown entries")
+    return np.linalg.solve(H, shifted)
 
 
 @dataclass
 class RootSet:
+    """Joint eigenvectors as roots: row t of ``eigvecs`` holds the values of
+    B at root t, row v of ``eigenvalues`` the eigenvalues of M_v^T."""
+
     basis: MonomialBasis
-    eigvecs: list[np.ndarray]
-    eigenvalues: dict[tuple[int, int], np.ndarray]
+    eigvecs: np.ndarray
+    eigenvalues: np.ndarray
     simple: bool
     points: list[Point] = field(default_factory=list)
     diagnostics: dict = field(default_factory=dict)
@@ -98,31 +86,27 @@ def _norms(X: np.ndarray) -> np.ndarray:
 
 
 def joint_eigenvectors(
-    family: MultiplicationFamily, seed: int = 0
+    B: MonomialBasis, tables: np.ndarray, seed: int = 0
 ) -> RootSet:
-    """Common eigenvectors of the transposed family via one random mix.
+    """Common eigenvectors of the transposed tables via one random mix.
 
     The eigenvectors are normalized so the coordinate on the monomial 1 is
     one; per-variable eigenvalues are Rayleigh quotients.  ``simple`` is
     False when eigenvalue tuples collide or the mix is defective.
     """
-    B = family.basis
-    if not family.matrices:
-        raise ValueError("empty multiplication family")
-    variables = family.variables()
-    mats = [family.matrices[v].T for v in variables]
-    r = len(B)
+    mats = tables.transpose(0, 2, 1)
+    n, r = len(mats), len(B)
     rng = np.random.default_rng(seed)
-    complex_data = any(np.iscomplexobj(M) for M in mats)
+    complex_data = np.iscomplexobj(tables)
     upper = np.triu_indices(r, 1)  # the pairs i < j
 
     vals = vecs = None
     for _ in range(2):  # one retry with a fresh draw on tiny gaps
         if complex_data:
-            radius = np.sqrt(rng.uniform(0.0, 1.0, len(mats)))
-            t = radius * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, len(mats)))
+            radius = np.sqrt(rng.uniform(0.0, 1.0, n))
+            t = radius * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, n))
         else:
-            t = rng.uniform(-1.0, 1.0, len(mats))
+            t = rng.uniform(-1.0, 1.0, n)
         A = sum(tv * M for tv, M in zip(t, mats))
         vals, vecs = np.linalg.eig(A)
         if r == 1:
@@ -140,20 +124,19 @@ def joint_eigenvectors(
     degenerate = bool(no_lead.any())
     E[~no_lead] = E[~no_lead] / lead[~no_lead, None]
 
-    eigenvalues = {}
+    eigenvalues = np.empty((n, r), dtype=complex)
     eig_residual = 0.0
     Ec, w_norms = E.conj(), _norms(E)
-    for v, M in zip(variables, mats):
+    for lam_v, M in zip(eigenvalues, mats):
         MW = np.matmul(M, E[:, :, None])[:, :, 0]  # the gemv M @ w per row
-        lam_v = (_dots(Ec, MW) / _dots(Ec, E)).astype(complex)
+        lam_v[:] = _dots(Ec, MW) / _dots(Ec, E)
         res = _norms(MW - lam_v[:, None] * E) / np.maximum(
             1.0, np.linalg.norm(M) * w_norms
         )
         eig_residual = np.maximum.reduce(res, initial=eig_residual)  # NaN kept
-        eigenvalues[v] = lam_v
 
     # joint eigenvalue tuples must be pairwise distinct
-    tuples = np.array([eigenvalues[v] for v in variables]).T
+    tuples = eigenvalues.T
     scale = 1.0 + np.abs(tuples).max()
     collision = bool(
         (np.abs(tuples[upper[0]] - tuples[upper[1]]).max(axis=1)
@@ -162,7 +145,7 @@ def joint_eigenvectors(
     simple = not (defective or degenerate or collision)
     return RootSet(
         basis=B,
-        eigvecs=list(E),
+        eigvecs=E,
         eigenvalues=eigenvalues,
         simple=simple,
         diagnostics={
@@ -175,39 +158,19 @@ def joint_eigenvectors(
 
 def read_coordinates(roots: RootSet) -> RootSet:
     """Fill coordinates from eigenvector entries (variables inside the
-    roots' basis B) and eigenvalues (variables with a table, the keys of
-    ``roots.eigenvalues``); the rest NaN."""
+    roots' basis B) and eigenvalue rows (all other variables)."""
     shape = roots.shape
     where = {c: i for i, c in enumerate(roots.basis.codes.tolist())}
-    # each variable with its position in B, or None
-    inside = [
-        (v, where.get(c))
-        for v, c in zip(shape.variables(), shape.variable_codes.tolist())
-    ]
+    coords = roots.eigenvalues.T.copy()  # coords[t, v]: x_v at root t
+    for v, c in enumerate(shape.variable_codes.tolist()):
+        if c in where:
+            coords[:, v] = roots.eigvecs[:, where[c]]
     ends = np.cumsum(shape.dims).tolist()
-    pts = []
-    for i, w in enumerate(roots.eigvecs):
-        flat = [
-            complex(w[b]) if b is not None
-            else complex(roots.eigenvalues[v][i]) if v in roots.eigenvalues
-            else complex(np.nan)
-            for v, b in inside
-        ]
-        pts.append(Point(tuple(
-            tuple(flat[a:b]) for a, b in zip([0, *ends[:-1]], ends)
-        )))
+    pts = [
+        Point(tuple(tuple(flat[a:b]) for a, b in zip([0, *ends[:-1]], ends)))
+        for flat in coords.tolist()
+    ]
     return replace(roots, points=pts)
-
-
-def _missing(points: list[Point]) -> np.ndarray:
-    """Per variable, in canonical order: some point lacks its coordinate."""
-    coords = [[x for c in p.coords for x in c] for p in points]
-    return np.isnan(coords).reshape(len(points), -1).any(axis=0)
-
-
-def missing_variables(roots: RootSet) -> list[tuple[int, int]]:
-    flags = _missing(roots.points)
-    return [v for v, miss in zip(roots.shape.variables(), flags) if miss]
 
 
 def recover_missing_coordinates(
@@ -217,7 +180,8 @@ def recover_missing_coordinates(
     B: MonomialBasis,
     missing: list[tuple[int, int]],
 ) -> RootSet:
-    """Express each missing variable over B and evaluate on the eigenvectors.
+    """Re-read the coordinates of the given variables from lam(b x_v):
+    express each x_v over B and evaluate on the eigenvectors.
 
     The block lam(b_i b_j) is rebuilt from the recovered roots and weights
     (products of eigenvector entries), while the right-hand columns
@@ -226,14 +190,12 @@ def recover_missing_coordinates(
     if not missing:
         return roots
     r = len(B)
-    W = np.array([w for w in roots.eigvecs])  # W[t, i] = B_i at root t
+    W = roots.eigvecs  # W[t, i] = B_i at root t
     gam = np.asarray(weights)
     H_BB = (W * gam[:, None]).T @ W
     singular = numerical_rank(H_BB) < r
     shape = roots.shape
-    pts = [
-        [list(c) for c in p.coords] for p in roots.points
-    ]
+    pts = [[list(c) for c in p.coords] for p in roots.points]
     unit = np.eye(sum(shape.dims), dtype=np.int64)
     every = shape.variables()
     for (g, j) in missing:
@@ -258,16 +220,12 @@ def recover_missing_coordinates(
 
 
 def solve_weights(T: Polynomial, points: list[Point]) -> tuple[np.ndarray, float]:
-    """Fit T* = sum_i gamma_i 1_{zeta_i} by least squares on the moments.
-
-    Only the table rows free of any still-missing coordinate are used, in
-    table order; the residual of the fit is returned alongside the weights.
+    """Fit T* = sum_i gamma_i 1_{zeta_i} by least squares on the moments,
+    every table row in table order; the residual of the fit is returned
+    alongside the weights.
     """
-    shape = T.shape
-    exps = shape.table.exps
-    rows = np.flatnonzero(~exps[:, _missing(points)].any(axis=1))
-    V = evaluate(shape, points, exps[rows])
-    rhs = moment_vector(T)[rows]
+    V = evaluate(T.shape, points, T.shape.table.exps)
+    rhs = moment_vector(T)
     gam, _, _, s = np.linalg.lstsq(V, rhs, rcond=None)
     # numerical_rank(V) at its default tolerance, from the singular values
     # that lstsq has taken

@@ -16,10 +16,11 @@ from tdec.algebra import (
     Polynomial,
     Shape,
     ShapeMismatchError,
+    canonical_order,
     multinomial,
 )
 from tdec.decompose import array_to_poly
-from tdec.moment import MonomialBasis, enumerate_monomials
+from tdec.moment import MonomialBasis, enumerate_monomials, hankel
 
 
 def parse_monomial(text: str, shape: Shape) -> Monomial:
@@ -55,9 +56,26 @@ def variable(shape: Shape, g: int, j: int) -> Monomial:
     return parse_monomial(shape.var_name(g, j), shape)
 
 
+def canonical_sorted(shape: Shape, monos) -> list[Monomial]:
+    """The monomials in canonical order, equal ones in their given order."""
+    monos = list(monos)
+    return [monos[i] for i in canonical_order(shape.exponents(monos))]
+
+
 def code(shape: Shape, m: Monomial) -> int:
     """The exact integer code of a monomial in ``shape``."""
     return int(shape.codes(shape.exponents([m]))[0])
+
+
+def data_table(lam: MomentFunctional, B: MonomialBasis, Bp: MonomialBasis, g, j):
+    """The table of x_j of group g from moments alone: the solve of
+    lam(b'_i b_j) against lam(x b'_i b_j), both fully known."""
+    shape = lam.shape
+    H, known = hankel(lam, Bp.exps, B.exps)
+    shifted = [variable(shape, g, j) * q for q in shape.monomials(Bp.exps)]
+    Hs, known_s = hankel(lam, shape.exponents(shifted), B.exps)
+    assert known.all() and known_s.all()
+    return np.linalg.solve(H, Hs)
 
 
 def functional(shape: Shape, entries: dict) -> MomentFunctional:

@@ -11,6 +11,8 @@ import pytest
 import golden_data as gd
 from conftest import (
     basis_of,
+    canonical_sorted,
+    data_table,
     parse_monomial,
     poly,
     rank_one_expand,
@@ -108,9 +110,8 @@ def test_criterion_3_eigen_structure(tensor1, shape1):
     lam = build_moment_functional(tensor1)
     B = basis_of(shape1, gd.H1_B_COLS)
     Bp = basis_of(shape1, gd.H1_B_ROWS)
-    mats = family_from_functional(lam, B, Bp).matrices
     for l, name in enumerate(["c1", "c2", "c3"]):
-        M = mats[(2, l)]
+        M = data_table(lam, B, Bp, 2, l)
         got = np.sort(np.real(np.linalg.eigvals(M.T)))
         np.testing.assert_allclose(got, sorted(gd.EIGVALS_C[name]), atol=1e-8)
     print(
@@ -160,15 +161,14 @@ def test_criterion_5_criteria_equivalence():
         for mr in plus:
             for mc in plus:
                 domain.add(mr * mc)
-        lam = weighted_evaluation(ws, pts, shape, sorted(domain, key=lambda m: m.sort_key()))
+        lam = weighted_evaluation(ws, pts, shape, canonical_sorted(shape, domain))
         H, known = hankel(lam, B.exps, B.exps)
         assert known.all()
         if np.linalg.cond(H) > 1e8:
             continue
-        tables = family_from_functional(lam, B, B).matrices
-        mats = [tables[v] for v in shape.variables()]
+        tables = family_from_functional(lam, B, B)
         flat = flat_extension_check(lam, B, B)
-        commuting = commutator_residual(mats) < 1e-8
+        commuting = commutator_residual(tables) < 1e-8
         assert flat == commuting, (shape, r, true_rank, flat, commuting)
         agreements += 1
     print(

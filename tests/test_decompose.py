@@ -678,8 +678,8 @@ class TestCoordinateChange:
             frames.append(real_change(shape, rng))
             return frames[-1]
 
-        def failing_own_frame(fam, seed=0):
-            roots = real_eigen(fam, seed=seed)
+        def failing_own_frame(B, tables, seed=0):
+            roots = real_eigen(B, tables, seed=seed)
             return replace(roots, simple=False) if seed == 0 else roots
 
         monkeypatch.setattr(decompose_module, "random_coordinate_change", recorded_change)
@@ -718,9 +718,9 @@ class TestCoordinateChange:
         real = decompose_module.joint_eigenvectors
         seeds = []
 
-        def unlucky_first_frames(fam, seed=0):
+        def unlucky_first_frames(B, tables, seed=0):
             seeds.append(seed)  # opts.seed + frame index
-            roots = real(fam, seed=seed)
+            roots = real(B, tables, seed=seed)
             return replace(roots, simple=False) if seed < 2 else roots
 
         monkeypatch.setattr(decompose_module, "joint_eigenvectors", unlucky_first_frames)
@@ -736,7 +736,7 @@ class TestCoordinateChange:
         monkeypatch.setattr(
             decompose_module,
             "joint_eigenvectors",
-            lambda fam, seed=0: replace(real(fam, seed=seed), simple=False),
+            lambda B, tables, seed=0: replace(real(B, tables, seed=seed), simple=False),
         )
         rng = np.random.default_rng(10)
         shape, ws, pts, T = random_instance(rng, (2, 2, 2), (1, 1, 1), 3)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -15,11 +17,9 @@ from tdec.algebra import Point, Shape
 from tdec.eigen import (
     EIG_RETRY_GAP,
     SIMPLE_GAP_TOL,
-    MultiplicationFamily,
     WeightSolveError,
     family_from_functional,
     joint_eigenvectors,
-    missing_variables,
     read_coordinates,
     recover_missing_coordinates,
     solve_weights,
@@ -60,14 +60,29 @@ def ex1_family(tensor1, shape1):
     return shape1, lam, B, Bp, ext
 
 
+def blank_group(roots, g):
+    """The roots with the coordinates of group g set to NaN."""
+    return replace(roots, points=[
+        Point(tuple(
+            (complex(np.nan),) * len(c) if h == g else c
+            for h, c in enumerate(p.coords)
+        ))
+        for p in roots.points
+    ])
+
+
+def all_finite(points):
+    return bool(np.isfinite([x for p in points for c in p.coords for x in c]).all())
+
+
 class TestMultiplicationMatrix:
-    def test_c_tables_match_reference(self, tensor1, shape1):
-        lam = build_moment_functional(tensor1)
-        B = basis_of(shape1, gd.H1_B_COLS)
-        Bp = basis_of(shape1, gd.H1_B_ROWS)
-        mats = family_from_functional(lam, B, Bp).matrices
+    def test_c_tables_match_reference(self, ex1_family):
+        # the c-blocks are data, so the completion leaves these tables as
+        # the raw moments give them
+        shape1, lam, B, Bp, ext = ex1_family
+        tables = family_from_functional(ext.functional, B, Bp)
         for idx, expected in [(0, gd.MT_C1), (1, gd.MT_C2), (2, gd.MT_C3)]:
-            M = mats[(2, idx)]
+            M = tables[shape1.variables().index((2, idx))]
             np.testing.assert_allclose(M.T, np.array(expected), atol=1e-10)
 
     def test_reference_a1_table(self, tensor2, shape2):
@@ -75,7 +90,7 @@ class TestMultiplicationMatrix:
         B = basis_of(shape2, gd.H2_B_COLS)
         Bp = basis_of(shape2, gd.H2_B_ROWS)
         ext = propagate_commutation(lam, B, Bp)
-        M = family_from_functional(ext.functional, B, Bp).matrices[(0, 0)]
+        M = family_from_functional(ext.functional, B, Bp)[0]
         np.testing.assert_allclose(M, np.array(gd.M2_A1), atol=5e-3)
 
     def test_rank_one(self):
@@ -84,39 +99,47 @@ class TestMultiplicationMatrix:
         dom = shape.monomials(enumerate_monomials(shape, [2]))
         lam = weighted_evaluation([3.0], [zeta], shape, dom)
         B = basis_of(shape, ["1"])
-        M = family_from_functional(lam, B, B).matrices[(0, 0)]
-        assert M == pytest.approx(np.array([[2.5]]))
+        tables = family_from_functional(lam, B, B)
+        assert tables.shape == (2, 1, 1)
+        assert tables[0] == pytest.approx(np.array([[2.5]]))
 
-    def test_family_solves_each_known_shifted_block(self, tensor1, shape1):
-        # raw moments: a variable gets a table exactly when lam(x_v b'_i b_j)
-        # is known, and the table is the solve of the base block against it
-        lam = build_moment_functional(tensor1)
-        B = basis_of(shape1, gd.H1_B_COLS)
-        Bp = basis_of(shape1, gd.H1_B_ROWS)
-        fam = family_from_functional(lam, B, Bp)
+    def test_family_solves_each_known_shifted_block(self, ex1_family):
+        # every variable's table, in canonical order, is the solve of the
+        # base block against lam(x_v b'_i b_j), to the bit
+        shape1, _, B, Bp, ext = ex1_family
+        lam = ext.functional
+        tables = family_from_functional(lam, B, Bp)
+        assert tables.shape == (len(shape1.variables()), len(B), len(B))
         H, known = hankel(lam, Bp.exps, B.exps)
         assert known.all()
         rows = [parse_monomial(s, shape1) for s in gd.H1_B_ROWS]
-        for var in shape1.variables():
+        for M, var in zip(tables, shape1.variables()):
             shifted = shape1.exponents([variable(shape1, *var) * q for q in rows])
             Hs, known = hankel(lam, shifted, B.exps)
-            if known.all():
-                assert np.array_equal(fam.matrices[var], np.linalg.solve(H, Hs))
-            else:
-                assert var not in fam.matrices
-        assert {(2, 0), (2, 1), (2, 2)} <= set(fam.matrices)
+            assert known.all()
+            assert M.tobytes() == np.linalg.solve(H, Hs).tobytes()
+
+    def test_unknown_shifted_entry_raises(self, tensor1, shape1):
+        # the raw moments lack lam(x_v b'_i b_j) for the a- and b-variables
+        lam = build_moment_functional(tensor1)
+        B = basis_of(shape1, gd.H1_B_COLS)
+        Bp = basis_of(shape1, gd.H1_B_ROWS)
+        with pytest.raises(ValueError, match="unknown entries"):
+            family_from_functional(lam, B, Bp)
 
 
 class TestJointEigenvectors:
     def test_reference_roots(self, ex1_family):
         shape1, lam, B, Bp, ext = ex1_family
-        fam = family_from_functional(ext.functional, B, Bp)
-        roots = joint_eigenvectors(fam, seed=0)
+        tables = family_from_functional(ext.functional, B, Bp)
+        roots = joint_eigenvectors(B, tables, seed=0)
         assert roots.simple
+        assert roots.eigvecs.shape == (4, 4)
+        assert roots.eigenvalues.shape == (9, 4)
         match_rows(roots.eigvecs, gd.EIGVECS1, tol=1e-8)
         # eigenvalues of each c-table form the expected multisets
         for l, name in enumerate(["c1", "c2", "c3"]):
-            got = sorted(np.real(roots.eigenvalues[(2, l)]))
+            got = sorted(np.real(roots.eigenvalues[shape1.variables().index((2, l))]))
             assert got == pytest.approx(sorted(gd.EIGVALS_C[name]), abs=1e-8)
 
     def test_reference_roots_bigger(self, tensor2, shape2):
@@ -124,8 +147,8 @@ class TestJointEigenvectors:
         B = basis_of(shape2, gd.H2_B_COLS)
         Bp = basis_of(shape2, gd.H2_B_ROWS)
         ext = propagate_commutation(lam, B, Bp)
-        fam = family_from_functional(ext.functional, B, Bp)
-        roots = joint_eigenvectors(fam, seed=0)
+        tables = family_from_functional(ext.functional, B, Bp)
+        roots = joint_eigenvectors(B, tables, seed=0)
         assert roots.simple
         match_rows(roots.eigvecs, gd.EIGVECS2, tol=1e-6)
 
@@ -135,16 +158,16 @@ class TestJointEigenvectors:
         dom = shape.monomials(enumerate_monomials(shape, [2, 2]))
         lam = weighted_evaluation([2.0], [zeta], shape, dom)
         B = basis_of(shape, ["1"])
-        fam = family_from_functional(lam, B, B)
-        roots = joint_eigenvectors(fam, seed=1)
+        tables = family_from_functional(lam, B, B)
+        roots = joint_eigenvectors(B, tables, seed=1)
         assert roots.simple and len(roots.eigvecs) == 1
         np.testing.assert_allclose(roots.eigvecs[0], [1.0])
-        assert roots.eigenvalues[(0, 1)][0] == pytest.approx(-2.0)
+        assert roots.eigenvalues[1, 0] == pytest.approx(-2.0)
 
     def test_diagnostics_are_python_values(self, ex1_family):
         # they are formatted into refusal details
         shape1, lam, B, Bp, ext = ex1_family
-        roots = joint_eigenvectors(family_from_functional(ext.functional, B, Bp))
+        roots = joint_eigenvectors(B, family_from_functional(ext.functional, B, Bp))
         assert {k: type(v) for k, v in roots.diagnostics.items()} == {
             "defective": bool,
             "collision": bool,
@@ -153,9 +176,9 @@ class TestJointEigenvectors:
 
     def test_seed_invariance(self, ex1_family):
         shape1, lam, B, Bp, ext = ex1_family
-        fam = family_from_functional(ext.functional, B, Bp)
-        a = read_coordinates(joint_eigenvectors(fam, seed=1))
-        b = read_coordinates(joint_eigenvectors(fam, seed=99))
+        tables = family_from_functional(ext.functional, B, Bp)
+        a = read_coordinates(joint_eigenvectors(B, tables, seed=1))
+        b = read_coordinates(joint_eigenvectors(B, tables, seed=99))
         match_rows(
             [np.concatenate([np.asarray(c) for c in p.coords]) for p in a.points],
             [np.concatenate([np.asarray(c) for c in p.coords]) for p in b.points],
@@ -164,12 +187,12 @@ class TestJointEigenvectors:
 
     def test_eigen_consistency_and_product_law(self, ex1_family):
         shape1, lam, B, Bp, ext = ex1_family
-        fam = family_from_functional(ext.functional, B, Bp)
-        roots = joint_eigenvectors(fam, seed=0)
-        for (g, l), M in fam.matrices.items():
+        tables = family_from_functional(ext.functional, B, Bp)
+        roots = joint_eigenvectors(B, tables, seed=0)
+        for M, lam_v in zip(tables, roots.eigenvalues):
             for i, w in enumerate(roots.eigvecs):
                 lhs = M.T @ w
-                rhs = roots.eigenvalues[(g, l)][i] * w
+                rhs = lam_v[i] * w
                 assert np.linalg.norm(lhs - rhs) <= 1e-6 * max(
                     1.0, np.linalg.norm(lhs)
                 )
@@ -185,12 +208,11 @@ class TestJointEigenvectors:
                         )
 
 
-def joint_eigenvectors_loop(family, seed=0):
+def joint_eigenvectors_loop(B, tables, seed=0):
     """The per-eigenvector, per-variable loops that joint_eigenvectors
     replaced by stacked products: the reference for its bits."""
-    variables = family.variables()
-    mats = [family.matrices[v].T for v in variables]
-    r = len(family.basis)
+    mats = [M.T for M in tables]
+    r = len(B)
     rng = np.random.default_rng(seed)
     complex_data = any(np.iscomplexobj(M) for M in mats)
     for _ in range(2):
@@ -215,8 +237,8 @@ def joint_eigenvectors_loop(family, seed=0):
             eigvecs.append(w)
             continue
         eigvecs.append(w / w[0])
-    eigenvalues, eig_residual = {}, 0.0
-    for v, M in zip(variables, mats):
+    eigenvalues, eig_residual = [], 0.0
+    for M in mats:
         lam_v = np.empty(r, dtype=complex)
         for i, w in enumerate(eigvecs):
             lam_v[i] = (w.conj() @ (M @ w)) / (w.conj() @ w)
@@ -225,8 +247,9 @@ def joint_eigenvectors_loop(family, seed=0):
                 np.linalg.norm(M @ w - lam_v[i] * w)
                 / max(1.0, np.linalg.norm(M) * np.linalg.norm(w)),
             )
-        eigenvalues[v] = lam_v
-    tuples = np.array([eigenvalues[v] for v in variables]).T
+        eigenvalues.append(lam_v)
+    eigenvalues = np.array(eigenvalues)
+    tuples = eigenvalues.T
     scale = 1.0 + np.abs(tuples).max()
     collision = any(
         np.abs(tuples[i] - tuples[j]).max() <= SIMPLE_GAP_TOL * scale
@@ -237,7 +260,8 @@ def joint_eigenvectors_loop(family, seed=0):
 
 
 def commuting_family(r, n_vars, rng, kind):
-    """Tables M_v with M_v^T = P diag(z_v) P^-1 over a basis of r monomials;
+    """A basis of r monomials and stacked tables M_v with
+    M_v^T = P diag(z_v) P^-1;
     ``kind`` picks real roots, real tables with a complex pair of roots,
     complex tables, an eigenvector without a coordinate on 1, or two roots
     that coincide."""
@@ -258,12 +282,10 @@ def commuting_family(r, n_vars, rng, kind):
         P[0, 1] = 0.0
     elif kind == "collision":
         Z[:, 1] = Z[:, 0]
-    mats = {
-        (0, j): (P @ np.diag(z) @ np.linalg.inv(P)).T.copy() for j, z in enumerate(Z)
-    }
+    tables = np.stack([(P @ np.diag(z) @ np.linalg.inv(P)).T for z in Z])
     if kind == "conjugate":
-        mats = {v: M.real.copy() for v, M in mats.items()}
-    return MultiplicationFamily(B, mats)
+        tables = tables.real.copy()
+    return B, tables
 
 
 class TestStackedEigenProducts:
@@ -273,11 +295,11 @@ class TestStackedEigenProducts:
     def test_bit_equal_to_loops(self, kind):
         rng = np.random.default_rng(7)
         for r, n_vars in [(2, 1), (3, 2), (5, 3), (8, 4), (9, 7)]:
-            fam = commuting_family(r, n_vars, rng, kind)
+            B, tables = commuting_family(r, n_vars, rng, kind)
             for seed in (0, 1):
-                got = joint_eigenvectors(fam, seed=seed)
+                got = joint_eigenvectors(B, tables, seed=seed)
                 vecs, vals, defective, degenerate, collision, res = (
-                    joint_eigenvectors_loop(fam, seed)
+                    joint_eigenvectors_loop(B, tables, seed)
                 )
                 assert [w.tobytes() for w in got.eigvecs] == [w.tobytes() for w in vecs]
                 assert got.simple == (not (defective or degenerate or collision))
@@ -288,17 +310,14 @@ class TestStackedEigenProducts:
                     # a strided column, so its gemv may round otherwise;
                     # such roots are never simple
                     assert not got.simple
-                    for v in vals:
-                        np.testing.assert_allclose(
-                            got.eigenvalues[v], vals[v], rtol=1e-12, atol=1e-15
-                        )
+                    np.testing.assert_allclose(
+                        got.eigenvalues, vals, rtol=1e-12, atol=1e-15
+                    )
                     assert got.diagnostics["eig_residual"] == pytest.approx(
                         res, rel=1e-6, abs=1e-15
                     )
                     continue
-                assert {v: a.tobytes() for v, a in got.eigenvalues.items()} == {
-                    v: a.tobytes() for v, a in vals.items()
-                }
+                assert got.eigenvalues.tobytes() == vals.tobytes()
                 assert got.diagnostics["eig_residual"] == res
                 assert got.simple == (kind != "collision")
 
@@ -307,60 +326,61 @@ class TestStackedEigenProducts:
         lam2 = build_moment_functional(tensor2)
         B2, Bp2 = basis_of(shape2, gd.H2_B_COLS), basis_of(shape2, gd.H2_B_ROWS)
         ext2 = propagate_commutation(lam2, B2, Bp2)
-        for fam in (
-            family_from_functional(ext.functional, B, Bp),
-            family_from_functional(ext2.functional, B2, Bp2),
+        for basis, tables in (
+            (B, family_from_functional(ext.functional, B, Bp)),
+            (B2, family_from_functional(ext2.functional, B2, Bp2)),
         ):
-            got = joint_eigenvectors(fam, seed=3)
-            vecs, vals, *_, res = joint_eigenvectors_loop(fam, 3)
+            got = joint_eigenvectors(basis, tables, seed=3)
+            vecs, vals, *_, res = joint_eigenvectors_loop(basis, tables, 3)
             assert [w.tobytes() for w in got.eigvecs] == [w.tobytes() for w in vecs]
-            assert all(got.eigenvalues[v].tobytes() == vals[v].tobytes() for v in vals)
+            assert got.eigenvalues.tobytes() == vals.tobytes()
             assert got.diagnostics["eig_residual"] == res
 
 
 class TestReadCoordinates:
     def test_reference_points(self, ex1_family, points1):
         shape1, lam, B, Bp, ext = ex1_family
-        fam = family_from_functional(ext.functional, B, Bp)
-        roots = read_coordinates(joint_eigenvectors(fam, seed=0))
-        assert missing_variables(roots) == []
+        tables = family_from_functional(ext.functional, B, Bp)
+        roots = read_coordinates(joint_eigenvectors(B, tables, seed=0))
         match_rows(
             [np.concatenate([np.asarray(c) for c in p.coords]) for p in roots.points],
             [np.concatenate([np.asarray(c, dtype=float) for c in p.coords]) for p in points1],
             tol=1e-7,
         )
 
-    def test_marks_missing_without_table(self, ex1_family):
+    def test_entries_inside_basis_eigenvalues_outside(self, ex1_family):
+        # B = 1, a1, a2, a3: the a-coordinates are eigenvector entries, the
+        # b- and c-coordinates eigenvalue rows, bit for bit
         shape1, lam, B, Bp, ext = ex1_family
-        fam = family_from_functional(ext.functional, B, Bp)
-        partial = MultiplicationFamily(
-            B, {v: M for v, M in fam.matrices.items() if v[0] != 1}
-        )
-        roots = read_coordinates(joint_eigenvectors(partial, seed=0))
-        assert missing_variables(roots) == [(1, 0), (1, 1), (1, 2)]
+        tables = family_from_functional(ext.functional, B, Bp)
+        roots = read_coordinates(joint_eigenvectors(B, tables, seed=0))
+        for t, p in enumerate(roots.points):
+            flat = [x for c in p.coords for x in c]
+            assert all(type(x) is complex for x in flat)
+            want = [roots.eigvecs[t, j + 1] for j in range(3)] + [
+                roots.eigenvalues[v, t] for v in range(3, 9)
+            ]
+            assert np.array(flat).tobytes() == np.array(want, dtype=complex).tobytes()
 
 
 class TestRecoverMissingCoordinates:
     def test_no_missing_is_identity(self, ex1_family):
         shape1, lam, B, Bp, ext = ex1_family
-        fam = family_from_functional(ext.functional, B, Bp)
-        roots = read_coordinates(joint_eigenvectors(fam, seed=0))
+        tables = family_from_functional(ext.functional, B, Bp)
+        roots = read_coordinates(joint_eigenvectors(B, tables, seed=0))
         again = recover_missing_coordinates(lam, roots, [1, 1, 1, 1], B, [])
         assert again.points == roots.points
 
     def test_recovers_dropped_group(self, ex1_family, tensor1, points1):
-        # drop the b-tables, recover the b-coordinates from the moments
+        # blank the b-coordinates, recover them from the moments
         shape1, lam, B, Bp, ext = ex1_family
-        fam = family_from_functional(ext.functional, B, Bp)
-        partial = MultiplicationFamily(
-            B, {v: M for v, M in fam.matrices.items() if v[0] != 1}
-        )
-        roots = read_coordinates(joint_eigenvectors(partial, seed=0))
+        tables = family_from_functional(ext.functional, B, Bp)
+        roots = read_coordinates(joint_eigenvectors(B, tables, seed=0))
         gam, _ = solve_weights(tensor1, roots.points)
         full = recover_missing_coordinates(
-            lam, roots, gam, B, missing_variables(roots)
+            lam, blank_group(roots, 1), gam, B, [(1, 0), (1, 1), (1, 2)]
         )
-        assert missing_variables(full) == []
+        assert all_finite(full.points)
         match_rows(
             [np.concatenate([np.asarray(c) for c in p.coords]) for p in full.points],
             [np.concatenate([np.asarray(c, dtype=float) for c in p.coords]) for p in points1],
@@ -380,15 +400,13 @@ class TestRecoverMissingCoordinates:
         B, Bp = next(select_bases_candidates(Catalecticants(lam), 2))
         ext = propagate_commutation(lam, B, Bp)
         assert ext.extended
-        fam = family_from_functional(ext.functional, B, Bp)
-        keep = {v: M for v, M in fam.matrices.items() if v[0] != 2}
-        partial = MultiplicationFamily(B, keep)
-        roots = read_coordinates(joint_eigenvectors(partial, seed=0))
-        assert missing_variables(roots) == [(2, 0), (2, 1)]
+        tables = family_from_functional(ext.functional, B, Bp)
+        roots = read_coordinates(joint_eigenvectors(B, tables, seed=0))
         gam, _ = solve_weights(T, roots.points)
         full = recover_missing_coordinates(
-            lam, roots, gam, B, missing_variables(roots)
+            lam, blank_group(roots, 2), gam, B, [(2, 0), (2, 1)]
         )
+        assert all_finite(full.points)
         match_rows(
             [np.concatenate([np.asarray(c) for c in p.coords]) for p in full.points],
             [np.concatenate([np.asarray(c) for c in p.coords]) for p in pts],

@@ -8,8 +8,10 @@ import pytest
 import golden_data as gd
 from conftest import (
     basis_of,
+    canonical_sorted,
     code,
     count_calls,
+    data_table,
     monomial_value,
     one,
     parse_monomial,
@@ -26,6 +28,7 @@ from tdec.algebra import (
     Point,
     Polynomial,
     Shape,
+    canonical_order,
     first_unknown,
 )
 from tdec.eigen import family_from_functional
@@ -83,7 +86,7 @@ def complete_functional(shape, weights, points, B, Bp):
     for mr in shape.monomials(Bp.plus):
         for mc in shape.monomials(B.plus):
             domain.add(mr * mc)
-    return weighted_evaluation(weights, points, shape, sorted(domain, key=lambda m: m.sort_key()))
+    return weighted_evaluation(weights, points, shape, canonical_sorted(shape, domain))
 
 
 @pytest.fixture(scope="module")
@@ -184,7 +187,8 @@ class TestIndexTables:
                 for q1, q2 in itertools.product(factors, factors):
                     if q1 * targets[i] == q2 * targets[j]:
                         pairs.append((q1 * targets[i], i, j, q1, q2))
-        pairs.sort(key=lambda p: p[0].sort_key())
+        order = canonical_order(shape2.exponents([p[0] for p in pairs]))
+        pairs = [pairs[i] for i in order]
         got = [
             (i, j, factor(v1), factor(v2)) for i, j, v1, v2 in prop.plan.syzygy_pairs
         ]
@@ -1254,8 +1258,7 @@ class TestCommutatorResidual:
         lam = build_moment_functional(tensor1)
         B = basis_of(shape1, gd.H1_B_COLS)
         Bp = basis_of(shape1, gd.H1_B_ROWS)
-        tables = family_from_functional(lam, B, Bp).matrices
-        mats = [tables[(2, l)] for l in range(3)]
+        mats = [data_table(lam, B, Bp, 2, l) for l in range(3)]
         assert commutator_residual(mats) < 1e-8
 
     def test_matches_pair_loop(self):
@@ -1341,10 +1344,9 @@ class TestFlatExtensionCheck:
             assert known.all()
             if np.linalg.cond(H) > 1e8:
                 continue
-            tables = family_from_functional(lam, B, B).matrices
-            mats = [tables[v] for v in shape.variables()]
+            tables = family_from_functional(lam, B, B)
             flat = flat_extension_check(lam, B, B)
-            commuting = commutator_residual(mats) < 1e-8
+            commuting = commutator_residual(tables) < 1e-8
             assert flat == commuting, (shape, r, true_rank, flat, commuting)
             checked += 1
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import golden_data as gd
 from conftest import (
     basis_of,
+    canonical_sorted,
     code,
     evaluation_functional,
     functional,
@@ -142,7 +143,7 @@ def brute_force_monomials(shape, bounds):
         for n, b in zip(shape.dims, bounds)
     ]
     monos = [Monomial(tuple(combo)) for combo in itertools.product(*per_group)]
-    return sorted(monos, key=lambda m: m.sort_key())
+    return canonical_sorted(shape, monos)
 
 
 class TestMonomialTable:
@@ -237,7 +238,7 @@ class TestBasisPlus:
             basis = shape.monomials(B.exps)
             variables = [variable(shape, g, j) for g, j in shape.variables()]
             plus = set(basis) | {x * b for x in variables for b in basis}
-            want = sorted(plus, key=lambda m: m.sort_key())
+            want = canonical_sorted(shape, plus)
             assert shape.monomials(B.plus) == want
             assert shape.monomials(B.border) == [m for m in want if m not in basis]
             assert B.codes.tolist() == [code(shape, m) for m in basis]

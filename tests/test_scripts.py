@@ -75,3 +75,10 @@ def test_integer_sweep_outcomes():
     *lines, cpu = run_script("integer_sweep.py").splitlines()
     assert lines == INTEGER_SWEEP_OUTCOMES.splitlines()
     assert cpu.startswith("CPU s: ")
+
+
+def test_roundtrip_sweep_recovers_every_instance():
+    # two seeds at each of 21 ranks over 11 formats
+    lines = run_script("roundtrip_sweep.py", "--seeds", "2").splitlines()
+    assert sum("2/2 recovered" in line for line in lines) == 21
+    assert lines[-1].startswith("42/42 recovered in ")
