@@ -194,11 +194,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("-i", "--input", required=True, help="tensor JSON file")
         if output:
             p.add_argument("-o", "--output", help="write structured result here")
-            p.add_argument("--tol-rank", type=tolerance, default=1e-8)
+            p.add_argument("--tol-rank", type=tolerance,
+                           default=DecomposeOptions.tol_rank)
 
     p = sub.add_parser("decompose", help="compute a minimal decomposition")
     common(p)
-    p.add_argument("--tol-resid", type=tolerance, default=1e-6)
+    p.add_argument("--tol-resid", type=tolerance, default=DecomposeOptions.tol_resid)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--reduce", action="store_true",
                    help="HOSVD-compress to the multilinear rank first")
@@ -225,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check a decomposition against a tensor")
     common(p, output=False)
     p.add_argument("-d", "--decomposition", required=True)
-    p.add_argument("--threshold", type=tolerance, default=1e-6)
+    p.add_argument("--threshold", type=tolerance, default=DecomposeOptions.tol_resid)
     p.set_defaults(func=cmd_verify)
     return parser
 

@@ -468,7 +468,6 @@ def decompose(T: Polynomial, opts: DecomposeOptions | None = None) -> Decomposit
         else:
             mats = random_coordinate_change(shape, rng)
             work = substitute_linear(T, mats)
-            # read lazily: a random frame reads the splits selection visits
             cats = Catalecticants(build_moment_functional(work), opts.tol_rank)
         out, extended, tried = _attempt_rank(work, cats, r, opts, opts.seed + change)
         if isinstance(out, Decomposition) and mats is not None:

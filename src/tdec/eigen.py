@@ -16,7 +16,13 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .algebra import MomentFunctional, Point, Polynomial, Shape, evaluate
-from .moment import MonomialBasis, hankel, moment_vector, numerical_rank
+from .moment import (
+    DEFAULT_TOL_RANK,
+    MonomialBasis,
+    hankel,
+    moment_vector,
+    numerical_rank,
+)
 
 log = logging.getLogger("tdec")
 
@@ -115,7 +121,7 @@ def joint_eigenvectors(
         if gaps > EIG_RETRY_GAP * (1.0 + np.abs(vals).max()):
             break
 
-    defective = numerical_rank(vecs, 1e-8) < r
+    defective = numerical_rank(vecs) < r
     # one eigenvector per row, scaled to 1 on the monomial 1 unless it has
     # (numerically) no such coordinate
     E = np.ascontiguousarray(vecs.T)
@@ -227,9 +233,8 @@ def solve_weights(T: Polynomial, points: list[Point]) -> tuple[np.ndarray, float
     V = evaluate(T.shape, points, T.shape.table.exps)
     rhs = moment_vector(T)
     gam, _, _, s = np.linalg.lstsq(V, rhs, rcond=None)
-    # numerical_rank(V) at its default tolerance, from the singular values
-    # that lstsq has taken
-    if np.sum(s > 1e-8 * s.max(initial=0.0)) < len(points):
+    # numerical_rank(V), from the singular values that lstsq has taken
+    if np.sum(s > DEFAULT_TOL_RANK * s.max(initial=0.0)) < len(points):
         raise WeightSolveError("evaluation system is rank deficient")
     residual = np.linalg.norm(V @ gam - rhs) / max(1.0, np.linalg.norm(rhs))
     return gam, residual

@@ -96,7 +96,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import Monomial, MomentFunctional, Shape, canonical_order, first_unknown
-from .moment import MonomialBasis, hankel, numerical_rank
+from .moment import DEFAULT_TOL_RANK, MonomialBasis, hankel, numerical_rank
 
 log = logging.getLogger("tdec")
 
@@ -137,8 +137,6 @@ def commutator_residual(mats: list[np.ndarray] | np.ndarray) -> float:
     same norm, and a matrix with itself gives 0).  Takes a list or a stacked
     array of the matrices; a NaN anywhere gives NaN, which no tolerance
     passes."""
-    if len(mats) < 2:
-        return 0.0
     M = np.stack(mats)
     P = M[:, None] @ M  # P[i, j] = M_i M_j
     num = np.linalg.norm(P - P.swapaxes(0, 1), axis=(2, 3))
@@ -324,16 +322,12 @@ def _parts(label, row_label, n_rows, n_cols, r: int):
     factorizations save) is one part of every row and column, with no
     all-zero rows.  Takes the block labels, the label of each row (-1 for
     an all-zero row), and the row and column counts by label."""
-    whole = [(slice(None), slice(None))], []
-    whole_cost = _solve_cost(len(row_label), len(label) * r)
-    if whole_cost <= 2 * _CALL_COST:
-        return whole
     linked = np.flatnonzero(n_rows)
     split_cost = (
         _solve_cost(n_rows[linked], n_cols[linked]).sum() + _CALL_COST * len(linked)
     )
-    if len(linked) <= 1 or split_cost >= whole_cost:
-        return whole
+    if len(linked) <= 1 or split_cost >= _solve_cost(len(row_label), len(label) * r):
+        return [(slice(None), slice(None))], []
     column_label = np.repeat(label, r)
     parts = [
         (np.flatnonzero(row_label == c), np.flatnonzero(column_label == c))
@@ -958,7 +952,7 @@ def flat_extension_check(
     lam: MomentFunctional,
     B: MonomialBasis,
     Bp: MonomialBasis,
-    tol: float = 1e-8,
+    tol: float = DEFAULT_TOL_RANK,
 ) -> bool:
     """Rank of the once-prolonged matrix lam(B'+ x B+) equals |B|, the base
     block being invertible.  All required moments must be resolved."""

@@ -21,8 +21,8 @@ files.
 
 ``split_pools`` builds each degree split's pools and product codes once per
 format, like ``Shape.table``.  ``Catalecticants`` holds a functional and its
-rank tolerance, and reads and factors each split block at most once, on
-first use; the flattening rank and ``select_bases_candidates`` share it.
+rank tolerance, and reads and factors every split block once, when it is
+built; the flattening rank and ``select_bases_candidates`` share it.
 
 ``select_bases_candidates`` is the one place that decides whether the
 block of a basis pair is invertible; the later stages take it as given.
@@ -150,8 +150,6 @@ def hankel(
 
 def numerical_rank(A: np.ndarray, tol_rank: float = DEFAULT_TOL_RANK) -> int:
     """Singular values above tol_rank * sigma_max count toward the rank."""
-    if A.size == 0:
-        return 0
     s = np.linalg.svd(A, compute_uv=False)
     if s.size == 0 or s[0] == 0:
         return 0
@@ -202,29 +200,20 @@ def split_pools(shape: Shape) -> tuple[Split, ...]:
 
 class Catalecticants:
     """The split blocks of one functional, in ``split_pools`` order, each
-    read with one lookup and ranked at ``tol_rank`` at most once, on first
-    use."""
+    read with one lookup and ranked at ``tol_rank`` once, up front:
+    ``blocks`` and ``ranks`` are read-only tuples, one entry per split."""
 
     def __init__(self, lam: MomentFunctional, tol_rank: float = DEFAULT_TOL_RANK):
         self.lam, self.tol_rank = lam, tol_rank
         self.splits = split_pools(lam.shape)
-        self._blocks: dict[int, np.ndarray] = {}
-        self._ranks: dict[int, int] = {}
-
-    def block(self, i: int) -> np.ndarray:
-        if i not in self._blocks:
-            self._blocks[i] = self.lam.lookup(self.splits[i].codes)[0]
-            self._blocks[i].setflags(write=False)
-        return self._blocks[i]
-
-    def rank(self, i: int) -> int:
-        if i not in self._ranks:
-            self._ranks[i] = _block_rank(self.block(i), self.tol_rank)
-        return self._ranks[i]
+        self.blocks = tuple(lam.lookup(split.codes)[0] for split in self.splits)
+        for A in self.blocks:
+            A.setflags(write=False)
+        self.ranks = tuple(_block_rank(A, tol_rank) for A in self.blocks)
 
     def flattening_rank(self) -> int:
         """Largest numerical rank over the splits."""
-        return max(map(self.rank, range(len(self.splits))))
+        return max(self.ranks)
 
 
 def _block_rank(A: np.ndarray, tol_rank: float) -> int:
@@ -272,16 +261,17 @@ def select_bases_candidates(cats: Catalecticants, r: int):
 
     Candidate pools come from complementary degree splits, so every product
     stays inside the known range; within a pool the staircase grows greedily
-    in canonical order.  The split blocks and their ranks are read through
-    ``cats``, once each.
+    in canonical order.  An r x r block of rank r at ``tol_rank`` has
+    condition number below 1 / ``tol_rank``, so MAX_COND only refuses a pair
+    when ``tol_rank`` < 1 / MAX_COND = 1e-10.
     """
     if r < 1:
         raise ValueError("r must be positive")
     shape, tol_rank = cats.lam.shape, cats.tol_rank
-    for i, split in enumerate(cats.splits):
-        if min(split.codes.shape) < r or cats.rank(i) < r:
+    for split, A, rank in zip(cats.splits, cats.blocks, cats.ranks):
+        if rank < r:
             continue
-        A, rows, cols = cats.block(i), split.rows, split.cols
+        rows, cols = split.rows, split.cols
         col_sel = _greedy_staircase(A, cols, shape, r, tol_rank, axis=1)
         if col_sel is None:
             continue
@@ -296,6 +286,4 @@ def select_bases_candidates(cats: Catalecticants, r: int):
         s = np.linalg.svd(A[np.ix_(row_sel, col_sel)], compute_uv=False)
         if np.sum(s > tol_rank * s[0]) < r or s[0] / s[-1] > MAX_COND:
             continue
-        B = MonomialBasis(shape, cols[col_sel])
-        Bp = MonomialBasis(shape, rows[row_sel])
-        yield B, Bp
+        yield MonomialBasis(shape, cols[col_sel]), MonomialBasis(shape, rows[row_sel])

@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import math
 import time
@@ -46,7 +47,17 @@ from tdec.moment import (
     select_bases_candidates,
     split_pools,
 )
-from tdec.decompose import rank_lower_bound, reconstruct
+from tdec.decompose import (
+    DecomposeOptions,
+    DecompositionError,
+    decompose,
+    random_coordinate_change,
+    rank_lower_bound,
+    reconstruct,
+    substitute_linear,
+)
+
+moment_module = importlib.import_module("tdec.moment")
 
 
 class TestBuildMomentFunctional:
@@ -525,6 +536,10 @@ class TestNumericalRank:
     def test_zero(self):
         assert numerical_rank(np.zeros((3, 3))) == 0
 
+    @pytest.mark.parametrize("dims", [(0, 3), (3, 0), (0, 0)])
+    def test_empty(self, dims):
+        assert numerical_rank(np.zeros(dims)) == 0
+
 
 def sparse_hard_input() -> Polynomial:
     """The benchmark's hard input sparse-3x3x3-r3#2, of flattening rank 2:
@@ -542,7 +557,7 @@ class TestSplitPools:
         splits = split_pools(tensor2.shape)
         assert split_pools(Shape(tensor2.shape.dims, tensor2.shape.degrees)) is splits
         cats = Catalecticants(build_moment_functional(tensor2))
-        blocks = [cats.block(i) for i in range(len(splits))]
+        blocks = list(cats.blocks)
         for a in blocks + [a for s in splits for a in (s.rows, s.cols, s.codes)]:
             with pytest.raises(ValueError):
                 a[...] = 0
@@ -559,15 +574,34 @@ class TestSplitPools:
             assert [(s.col_bounds, s.row_bounds) for s in cats.splits] == (
                 degree_splits(T.shape)
             )
+            assert isinstance(cats.blocks, tuple) and isinstance(cats.ranks, tuple)
+            assert len(cats.blocks) == len(cats.ranks) == len(cats.splits)
             for i, split in enumerate(cats.splits):
                 rows = enumerate_monomials(lam.shape, list(split.row_bounds))
                 cols = enumerate_monomials(lam.shape, list(split.col_bounds))
                 A = hankel(lam, rows, cols)[0]
                 assert np.array_equal(split.rows, rows)
                 assert np.array_equal(split.cols, cols)
-                assert cats.block(i).dtype == A.dtype
-                assert np.array_equal(cats.block(i), A)
-                assert cats.rank(i) == numerical_rank(A, tol_rank)
+                assert cats.blocks[i].dtype == A.dtype
+                assert np.array_equal(cats.blocks[i], A)
+                assert cats.ranks[i] == numerical_rank(A, tol_rank)
+
+    def test_every_split_read_and_ranked_in_a_random_frame(self, tensor2):
+        # blocks and ranks are built up front in any frame, not only for the
+        # splits that selection visits; split ranks do not depend on the frame
+        shape = tensor2.shape
+        work = substitute_linear(
+            tensor2, random_coordinate_change(shape, np.random.default_rng(3))
+        )
+        lam = build_moment_functional(work)
+        cats = Catalecticants(lam)
+        assert isinstance(cats.blocks, tuple) and isinstance(cats.ranks, tuple)
+        assert len(cats.blocks) == len(cats.ranks) == len(split_pools(shape)) == 8
+        for split, A, rank in zip(cats.splits, cats.blocks, cats.ranks):
+            want = hankel(lam, split.rows, split.cols)[0]
+            assert np.array_equal(A, want) and not A.flags.writeable
+            assert rank == numerical_rank(want)
+        assert cats.ranks == Catalecticants(build_moment_functional(tensor2)).ranks
 
     @pytest.mark.parametrize(
         "A",
@@ -602,7 +636,7 @@ class TestSelectBases:
             ]
             assert shared and shared == fresh
         assert cats.splits[0].codes.shape == (1, 27)
-        assert min(cats.splits[1].codes.shape) > cats.rank(1) == 1 < r == 2
+        assert min(cats.splits[1].codes.shape) > cats.ranks[1] == 1 < r == 2
 
     def test_demo_rank4(self, tensor1, shape1):
         lam = build_moment_functional(tensor1)
@@ -629,6 +663,27 @@ class TestSelectBases:
         lam = weighted_evaluation([2.0], [zeta], shape, dom)
         B, Bp = next(select_bases_candidates(Catalecticants(lam), 1))
         assert B.names() == Bp.names() == ["1"]
+
+    def test_max_cond_refuses_below_tol_rank_1e_10(self, monkeypatch):
+        # two nearby points: the 2 x 2 block has rank 2 at tol_rank 1e-14 but
+        # a condition number above MAX_COND, which only such a tolerance lets
+        # through rank selection (at 1e-8 the flattening rank is 1)
+        shape = Shape((2, 2), (1, 1))
+        points = [
+            Point(((0.3, -0.7), (0.5, 0.2))),
+            Point(((0.3 + 1e-6, -0.7), (0.5, 0.2 + 1e-6))),
+        ]
+        T = reconstruct(shape, [1.0, -2.0], points)
+        lam = build_moment_functional(T)
+        assert Catalecticants(lam).flattening_rank() == 1
+        cats = Catalecticants(lam, 1e-14)
+        assert cats.flattening_rank() == 2
+        assert next(select_bases_candidates(cats, 2), None) is None
+        with pytest.raises(DecompositionError) as info:
+            decompose(T, DecomposeOptions(tol_rank=1e-14))
+        assert info.value.report["stage"] == "bases"
+        monkeypatch.setattr(moment_module, "MAX_COND", np.inf)
+        assert len(list(select_bases_candidates(cats, 2))) == 2
 
     def test_impossible_rank_raises(self, tensor1):
         lam = build_moment_functional(tensor1)
