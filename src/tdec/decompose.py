@@ -357,7 +357,7 @@ def _try_pair(T: Polynomial, lam, B, Bp, opts: DecomposeOptions, seed: int):
     """Decompose T at rank len(B) through one basis pair of its moments
     ``lam``: the completion's status and a Decomposition or a failure dict."""
     r = len(B)
-    ext = propagate_commutation(lam, B, Bp, tol=max(opts.tol_resid, 1e-8))
+    ext = propagate_commutation(lam, B, Bp, tol=opts.tol_resid)
     if not ext.extended:
         diag = ext.diagnostics
         detail = (

@@ -85,16 +85,17 @@ def _dots(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 
 def _norms(X: np.ndarray) -> np.ndarray:
     """np.linalg.norm of every row of X, to the bit: numpy takes the norm of
-    a vector x as sqrt(x.real @ x.real + x.imag @ x.imag)."""
-    if not np.iscomplexobj(X):
-        return np.sqrt(_dots(X, X))
+    a vector x as sqrt(x.real @ x.real + x.imag @ x.imag), and for a real x
+    the imaginary dot is +0.0, so the sum is x @ x."""
     return np.sqrt(_dots(X.real, X.real) + _dots(X.imag, X.imag))
 
 
 def joint_eigenvectors(
     B: MonomialBasis, tables: np.ndarray, seed: int = 0
 ) -> RootSet:
-    """Common eigenvectors of the transposed tables via one random mix.
+    """Common eigenvectors of the transposed tables via one random real mix
+    t, for complex tables too: the t with t . d = 0, for the difference d of
+    two distinct joint eigenvalue tuples, are a proper subspace of R^n.
 
     The eigenvectors are normalized so the coordinate on the monomial 1 is
     one; per-variable eigenvalues are Rayleigh quotients.  ``simple`` is
@@ -103,16 +104,11 @@ def joint_eigenvectors(
     mats = tables.transpose(0, 2, 1)
     n, r = len(mats), len(B)
     rng = np.random.default_rng(seed)
-    complex_data = np.iscomplexobj(tables)
     upper = np.triu_indices(r, 1)  # the pairs i < j
 
     vals = vecs = None
     for _ in range(2):  # one retry with a fresh draw on tiny gaps
-        if complex_data:
-            radius = np.sqrt(rng.uniform(0.0, 1.0, n))
-            t = radius * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, n))
-        else:
-            t = rng.uniform(-1.0, 1.0, n)
+        t = rng.uniform(-1.0, 1.0, n)
         A = sum(tv * M for tv, M in zip(t, mats))
         vals, vecs = np.linalg.eig(A)
         if r == 1:

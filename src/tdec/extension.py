@@ -364,15 +364,13 @@ def _least_squares(
     X, the column count of each component, and the certified lower bound
     on sigma_min(X) (None on the truncated-SVD path).
     """
-    m, n = X.shape
+    n = X.shape[1]
     label = _components(nz)
     # a row touches one component, the one of its first nonzero block
     row_label = np.where(nz.any(axis=1), label[nz.argmax(axis=1)], -1)
     n_rows = np.bincount(row_label[row_label >= 0], minlength=len(label))
     n_cols = np.bincount(label, minlength=len(label)) * r
     sizes = n_cols[n_cols > 0]
-    if not m:
-        return np.zeros(n, dtype=X.dtype), 0.0, np.ones(n), 0, sizes, None
     eps = size * np.finfo(float).eps * 100
     # full column rank needs as many rows as columns in every component,
     # including a block that no row touches
@@ -887,10 +885,11 @@ def propagate_commutation(
     linearly reachable part leaves relations free.  The resolved relations
     and the diagnostics are reported whatever the status, the functional
     only for an extension, and the commutator residual once every relation
-    is resolved.  The block lam(b' * b) is taken as invertible; a
+    is resolved.  ``tol``, floored at 1e-8, bounds the inconsistency and the
+    commutator residual.  The block lam(b' * b) is taken as invertible; a
     ValueError refuses one with unknown entries.
     """
-    prop = _Propagator(lam, B, Bp, tol)
+    prop = _Propagator(lam, B, Bp, max(tol, 1e-8))
     status = prop.run()
 
     plan = prop.plan
@@ -909,7 +908,7 @@ def propagate_commutation(
     if status == "extended":
         tables = prop.tables()
         commute = commutator_residual(tables)
-        if not commute <= max(tol, 1e-8):  # a NaN residual refuses
+        if not commute <= prop.tol:  # a NaN residual refuses
             status = "inconsistent"
         else:
             completed = _complete(lam, Bp, prop, tables, relations)

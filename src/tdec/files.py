@@ -120,9 +120,9 @@ def _reals(xs: list):
 
 
 def _read_terms(terms: list, shape: Shape, fld):
-    """The exponent matrix, the coefficients and whether any coefficient is
-    complex, from one bulk pass over a file's terms; None when any term
-    fails a check of ``_scan_terms``."""
+    """The exponent matrix and the float coefficients from one bulk pass
+    over a file's terms; None when any term fails a check of ``_scan_terms``
+    or any coefficient is an [re, im] pair."""
     if fld not in ("real", "complex"):
         return None
     try:
@@ -151,29 +151,13 @@ def _read_terms(terms: list, shape: Shape, fld):
             and (np.add.reduceat(exps, starts, axis=1) <= shape.degrees).all()):
         return None
     values = _reals(coefs)
-    if values is not None:
-        return exps, values, False
-    if fld == "real":
-        return None
-    pairs = [c if type(c) is list else [c, 0] for c in coefs]
-    if not set(map(len, pairs)) <= {2}:
-        return None
-    parts = _reals(list(itertools.chain.from_iterable(pairs)))
-    if parts is None:
-        return None
-    real, imag = parts[0::2], parts[1::2]
-    is_pair = np.array([type(c) is list for c in coefs], dtype=bool)
-    # a complex zero alone makes no complex tensor: the dict stores no zero
-    if not ((real != 0) | (imag != 0))[is_pair].any():
-        return exps, real, False
-    values = np.empty(len(terms), dtype=complex)
-    values.real, values.imag = real, imag
-    return exps, values, True
+    return None if values is None else (exps, values)
 
 
 def _scan_terms(terms: list, shape: Shape, fld):
-    """``_read_terms``' result, from checks of each term in file order (its
-    exponents, then its coefficient) that name the first faulty term."""
+    """The exponent matrix and the coefficients (complex when one is
+    non-zero complex, else floats), checked term by term in file order
+    (exponents, then coefficient) so that a fault names its term."""
     _term_fields(terms, ("exp", "coef"))
     _require(fld in ("real", "complex"), f"unknown field {fld!r}")
     k, groups = shape.k, list(enumerate(zip(shape.dims, shape.degrees)))
@@ -201,7 +185,7 @@ def _scan_terms(terms: list, shape: Shape, fld):
         coefs.append(c)
     exps = np.array(flat, dtype=np.int64).reshape(len(terms), sum(shape.dims))
     values = np.array(coefs)
-    return exps, values if cplx else values.real, cplx
+    return exps, values if cplx else values.real
 
 
 @dataclass
@@ -227,17 +211,15 @@ class TensorFile:
 
     @staticmethod
     def from_obj(obj: dict) -> "TensorFile":
-        """The tensor of a file object.  Its terms are checked in one bulk
-        pass; a file that fails it is scanned term by term in file order
-        (exponents, then coefficient) for the message, which names the first
-        faulty term.  A repeated monomial is reported at its second
-        occurrence once every term has passed those checks."""
+        """The tensor of a file object.  A file of plain-number coefficients
+        is checked in one bulk pass; any other ([re, im] pairs or a fault)
+        is scanned term by term in file order (exponents, then coefficient),
+        which names the first faulty term.  A repeated monomial is reported
+        at its second occurrence once every term has passed those checks."""
         shape, terms = _file_fields(obj, "tensor")
         fld = obj.get("field", "real")
-        read = _read_terms(terms, shape, fld)
-        if read is None:
-            read = _scan_terms(terms, shape, fld)
-        exps, values, cplx = read
+        exps, values = (_read_terms(terms, shape, fld)
+                        or _scan_terms(terms, shape, fld))
         codes = shape.codes(exps)
         _, first = np.unique(codes, return_index=True)
         if len(first) < len(terms):
@@ -245,7 +227,7 @@ class TensorFile:
             repeated[first] = False
             i = int(np.flatnonzero(repeated)[0])
             raise FormatError(f"terms[{i}]: duplicate exponent {terms[i]['exp']}")
-        vec = np.zeros(len(shape.table.exps), dtype=complex if cplx else float)
+        vec = np.zeros(len(shape.table.exps), dtype=values.dtype)
         vec[shape.table.rows(codes)] = values
         return TensorFile(fld, Polynomial.from_vector(shape, vec))
 

@@ -39,3 +39,29 @@ class TestComplexDecompositions:
         dec = decompose(tf.tensor, DecomposeOptions(seed=0))
         assert is_real_decomposition(dec)
         assert verify(tf.tensor, dec) < 1e-8
+
+
+# formats with affine dims and degrees, and the planted ranks each recovers
+COMPLEX_SWEEP = [
+    ((3, 3, 3), (1, 1, 1), (2, 3, 4)),
+    ((2, 2, 2), (1, 1, 1), (2, 3)),
+    ((2, 2, 3), (1, 1, 1), (3, 4)),
+    ((3, 3, 5), (1, 1, 1), (5, 6)),
+    ((2, 2), (2, 2), (3, 4, 5)),
+    ((2, 3), (2, 1), (2, 3)),
+    ((2, 2, 2), (1, 1, 2), (4, 5)),
+    ((1, 1, 1), (2, 2, 2), (2, 3)),
+]
+
+
+@pytest.mark.parametrize(
+    "dims,degrees,rank",
+    [(d, g, r) for d, g, ranks in COMPLEX_SWEEP for r in ranks],
+)
+@pytest.mark.parametrize("seed", [0, 1])
+def test_complex_round_trips(dims, degrees, rank, seed):
+    # complex tables go through the same real mix as real ones
+    tf, _ = synthesize(dims, degrees, rank=rank, seed=seed, fld="complex")
+    dec = decompose(tf.tensor, DecomposeOptions(seed=seed))
+    assert dec.rank == rank
+    assert dec.residual < 1e-9

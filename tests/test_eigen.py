@@ -214,13 +214,8 @@ def joint_eigenvectors_loop(B, tables, seed=0):
     mats = [M.T for M in tables]
     r = len(B)
     rng = np.random.default_rng(seed)
-    complex_data = any(np.iscomplexobj(M) for M in mats)
     for _ in range(2):
-        if complex_data:
-            radius = np.sqrt(rng.uniform(0.0, 1.0, len(mats)))
-            t = radius * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, len(mats)))
-        else:
-            t = rng.uniform(-1.0, 1.0, len(mats))
+        t = rng.uniform(-1.0, 1.0, len(mats))
         A = sum(tv * M for tv, M in zip(t, mats))
         vals, vecs = np.linalg.eig(A)
         if r == 1:

@@ -845,6 +845,23 @@ class TestComponentSolve:
         np.testing.assert_allclose(x, x_d, atol=1e-12)
         assert abs(resid - resid_d) <= 1e-12
 
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("n,r", [(3, 3), (8, 4), (8, 2)])
+    def test_empty_system(self, n, r, dtype):
+        # no equation determines nothing: zeros of X's dtype, residual 0,
+        # every unknown free, rank 0, and one component per r-column block
+        X, b = np.zeros((0, n), dtype=dtype), np.zeros(0, dtype=dtype)
+        x, resid, freedom, rank, sizes, bound = _least_squares(
+            X, b, n, r, block_incidence(X, r)
+        )
+        assert x.dtype == np.dtype(dtype)
+        np.testing.assert_array_equal(x, np.zeros(n))
+        assert resid == 0.0 and type(resid) is float
+        np.testing.assert_array_equal(freedom, np.ones(n))
+        assert rank == 0
+        assert sizes.tolist() == [r] * (n // r)
+        assert bound is None
+
     def test_determined_columns_read_no_freedom(self):
         # a tall system of rank n - 12: 30 columns of general position
         # beside 40 columns that span only 28 dimensions; the null space

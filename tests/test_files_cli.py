@@ -380,8 +380,9 @@ class TestReaderProperty:
         assert got == read_outcome(from_obj_reference, obj)
 
     def test_well_formed_files_skip_the_term_scan(self, monkeypatch):
-        # the term scan only names a fault: example1, example2 and the
-        # benchmark's flat-large formats read in the bulk pass alone
+        # the term scan names a fault and reads [re, im] pairs: example1,
+        # example2 and the benchmark's flat-large formats read in the bulk
+        # pass alone, a complex file in the term scan alone
         objs = [json.loads((FIXTURES / f"{name}.json").read_text())
                 for name in ("example1", "example2")]
         for dims, rank in [((4, 4, 6), 6), ((4, 4, 7), 7), ((4, 4, 8), 8),
@@ -389,17 +390,20 @@ class TestReaderProperty:
             tf, _ = synthesize(dims, (1, 1, 1), rank=rank, seed=rank)
             objs.append(json.loads(dumps(tf.to_obj())))
         tf, _ = synthesize((3, 3), (2, 1), rank=2, seed=1, fld="complex")
-        objs.append(json.loads(dumps(tf.to_obj())))
-
-        def scan(*args):
-            raise AssertionError("the term scan ran on a well-formed file")
+        pairs = json.loads(dumps(tf.to_obj()))
+        assert any(isinstance(t["coef"], list) for t in pairs["terms"])
 
         files_module = importlib.import_module("tdec.files")
-        monkeypatch.setattr(files_module, "_scan_terms", scan)
+        calls = count_calls(monkeypatch, "_scan_terms", owner=files_module)
         for obj in objs:
             got = read_outcome(TensorFile.from_obj, obj)
             assert got[0] == obj.get("field", "real")
             assert got == read_outcome(from_obj_reference, obj)
+        assert calls == {"_scan_terms": 0}
+        got = read_outcome(TensorFile.from_obj, pairs)
+        assert calls == {"_scan_terms": 1}
+        assert got[:2] == ("complex", np.dtype(complex).str)
+        assert got == read_outcome(from_obj_reference, pairs)
 
 
 class TestRoundTripProperty:
@@ -448,9 +452,10 @@ class TestCli:
 
     @pytest.mark.parametrize("name,seed", [("example1", 0), ("example2", 3)])
     def test_decompose_matches_golden_file(self, tmp_path, name, seed):
-        # the golden files were written with two BLAS threads; the thread
-        # count alone swaps the example2 terms of weight 3 and -3, so the CLI
-        # runs in a process pinned to that count, whatever the core count
+        # the golden files were written with two BLAS threads; with one
+        # thread the example2 term of weight 2 moves by 1.35e-9 relative,
+        # past rel_tol 1e-9, so the CLI runs in a process pinned to two
+        # threads, whatever the core count
         out = tmp_path / "dec.json"
         env = dict(os.environ, OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2")
         env.pop("TDEC_LOG", None)

@@ -1,8 +1,11 @@
 """The scripts under scripts/ run against this checkout's `tdec`.
 
-Each runs as a subprocess with the checkout's src/ first on the path.
+Each runs as a subprocess with the checkout's src/ first on the path, except
+`make_fixtures.py`: it is loaded in process, so that its output directory can
+point at a temporary one.
 """
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -82,3 +85,20 @@ def test_roundtrip_sweep_recovers_every_instance():
     lines = run_script("roundtrip_sweep.py", "--seeds", "2").splitlines()
     assert sum("2/2 recovered" in line for line in lines) == 21
     assert lines[-1].startswith("42/42 recovered in ")
+
+
+def test_make_fixtures_rewrites_the_committed_files(tmp_path, monkeypatch):
+    spec = importlib.util.spec_from_file_location(
+        "make_fixtures", SCRIPTS / "make_fixtures.py"
+    )
+    script = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script extends it
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(script, "FIXTURES", tmp_path)
+    script.main()
+    names = [f"example{i}{end}.json" for i in (1, 2) for end in ("", "_truth")]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)
+    for name in names:
+        assert (tmp_path / name).read_bytes() == (
+            ROOT / "tests" / "fixtures" / name
+        ).read_bytes(), name
