@@ -136,10 +136,18 @@ def expected_rank(shape: Shape) -> int:
 
 
 def kruskal_bound(shape: Shape) -> int:
-    """Generic uniqueness bound for order >= 3 multilinear formats."""
+    """Generic uniqueness bound for order >= 3 multilinear formats: the
+    largest R with sum_g min(n_g + 1, R) >= 2R + k - 1, Kruskal's condition
+    with each factor's k-rank at its generic value min(n_g + 1, R)
+    (Sidiropoulos and Bro, J. Chemometrics 14, 2000)."""
     if shape.k < 3 or any(d != 1 for d in shape.degrees):
         raise UnsupportedShapeError("bound applies to order >= 3 multilinear")
-    return sum(n + 1 for n in shape.dims) // 2 - 1
+    full = [n + 1 for n in shape.dims]
+    # R = 2 always qualifies, as every n_g + 1 >= 2 and k >= 3
+    return max(
+        R for R in range(2, sum(full))
+        if sum(min(f, R) for f in full) >= 2 * R + shape.k - 1
+    )
 
 
 def rank_bounds(
@@ -442,6 +450,8 @@ def decompose(T: Polynomial, opts: DecomposeOptions | None = None) -> Decomposit
     shape = T.shape
     if T.is_zero():
         raise ValueError("zero tensor")
+    if not np.isfinite(T.vector()).all():
+        raise ValueError("tensor has a non-finite coefficient")
 
     if opts.reduce:
         return _decompose_reduced(T, opts)

@@ -31,9 +31,8 @@ pass of every flat instance) skips the factorizations: it is solved through
 the Cholesky factor of X^H X with one refinement step, and every relation
 it touches is determined, as the truncated SVD would find.  The factor is
 inverted by recursive 2 x 2 blocks, matrix products around LU inverses of
-diagonal blocks of at most 64, with a rounding bound that keeps the lower
-bound a proof, or, where that bound is too loose, the computed residual of
-the inverse.
+diagonal blocks of at most 64, and the residual of the computed inverse,
+formed block by block, is what makes the lower bound a proof.
 
 The monomial bookkeeping is index arithmetic on exponent rows and their
 codes, done once per plan (below): the targets (the border of B) are an
@@ -196,10 +195,11 @@ def _truncated(R_x, c, U, s, Vt, cutoff: float):
     return x, R_x @ x - c, np.linalg.norm(Vt[k:], axis=0), k
 
 
-# the rounding of forming X^H X and of factoring and inverting it, in units
-# of (m + n) * eps * ||X||_F^2 and of n * eps * cond_F(L); the first-order
-# bounds (Higham, Accuracy and Stability of Numerical Algorithms, sec. 3.5
-# and ch. 10) have constants near 1/2 and 1
+# the rounding of forming X^H X and of factoring it, in units of (m + n) *
+# eps * ||X||_F^2, and of the products of the residual Y L - I, in units of
+# n * eps * ||Y||_F * ||L||_F; the first-order bounds (Higham, Accuracy and
+# Stability of Numerical Algorithms, sec. 3.5 and ch. 10) have constants
+# near 1/2 and 1
 _GRAM_ROUNDING = 4.0
 # the largest diagonal block that _inverse_lower hands to np.linalg.inv
 _LEAF = 64
@@ -214,42 +214,30 @@ def _inverse_lower(L: np.ndarray):
     A block of at most _LEAF rows goes to np.linalg.inv, so that an L of
     that size gets the same inverse as from np.linalg.inv itself.
 
-    Returns the computed inverse Y, a bound e on ||Y - L^-1||_F, and
-    ||Y||_F^2.  A leaf's e is _GRAM_ROUNDING * k * eps * ||L||_F * ||Y||_F^2
-    (k rows, the LU bound that _certified assumed before blocking).  A
-    product's rounding is at most gamma_k |A| |B| for inner size k (Higham
-    sec. 3.5, eq. 3.13), taken as k * eps, and to first order
-    Y21 - X21 = -E22 L21 Y11 - X22 L21 E11 plus that rounding, where E11 and
-    E22 are the errors of the diagonal blocks and ||X22||_F <= ||Y22||_F +
-    e22; so e21 = ||L21||_F (e22 ||Y11|| + (||Y22|| + e22) e11 + n eps
-    ||Y22|| ||Y11||) in Frobenius norms, and e the root of e11^2 + e22^2 +
-    e21^2.  The bound compounds with the depth of the recursion; it is far
-    above the error actually made, and only needs to stay small next to
-    ||Y||_F.  Where it does not, _certified bounds ||L^-1|| from the
-    residual Y L - I instead.
+    Returns the computed inverse Y and ||Y L - I||_F^2, formed block by
+    block.  Above a split Y12 and L12 are zero, so the upper block of Y L is
+    exactly zero and its diagonal blocks are Y11 L11 and Y22 L22, whose
+    residuals the recursion returns; the lower block Y21 L11 + Y22 L21 is
+    one product of the computed rows [Y21 Y22] with the columns [L11; L21].
+    This costs about a third of the product Y L.
     """
     n = len(L)
-    eps = np.finfo(float).eps
     if n <= _LEAF:
         Y = np.linalg.inv(L)
-        sq = float(np.sum(np.abs(Y) ** 2))
-        return Y, _GRAM_ROUNDING * n * eps * float(np.linalg.norm(L)) * sq, sq
+        return Y, float(np.linalg.norm(Y @ L - np.eye(n))) ** 2
     h = n // 2
-    Y11, e11, sq11 = _inverse_lower(L[:h, :h])
-    Y22, e22, sq22 = _inverse_lower(L[h:, h:])
-    L21 = L[h:, :h]
+    Y11, r11 = _inverse_lower(L[:h, :h])
+    Y22, r22 = _inverse_lower(L[h:, h:])
     Y = np.zeros_like(L)
     Y[:h, :h] = Y11
     Y[h:, h:] = Y22
     Y21 = Y[h:, :h]
-    np.matmul(Y22, L21 @ Y11, out=Y21)
+    LY = L[h:, :h] @ Y11
+    np.matmul(Y22, LY, out=Y21)
     np.negative(Y21, out=Y21)
-    y11, y22 = np.sqrt(sq11), np.sqrt(sq22)
-    e21 = float(np.linalg.norm(L21)) * (
-        e22 * y11 + (y22 + e22) * e11 + n * eps * y22 * y11
-    )
-    sq = sq11 + sq22 + float(np.sum(np.abs(Y21) ** 2))
-    return Y, float(np.sqrt(e11**2 + e22**2 + e21**2)), sq
+    # the lower block of Y L - I, in the buffer of L21 Y11
+    R21 = np.matmul(Y[h:], L[:, :h], out=LY)
+    return Y, r11 + r22 + float(np.linalg.norm(R21)) ** 2
 
 
 def _certified(X: np.ndarray, b: np.ndarray, cutoff_scale: float):
@@ -257,25 +245,18 @@ def _certified(X: np.ndarray, b: np.ndarray, cutoff_scale: float):
     when a lower bound on sigma_min(X) proves full rank; else None.
 
     L L^H equals X^H X up to E with ||E||_2 <= _GRAM_ROUNDING * (m + n) *
-    eps * ||X||_F^2, so sigma_min(X)^2 >= 1 / ||L^-1||_F^2 - that margin.
-    ||L^-1||_F is at most ||Y||_F + e for the computed inverse Y and its
-    error bound e from _inverse_lower; a bound e not below ||Y||_F / 2 says
-    too little for a first-order argument.  That bound compounds with the
-    depth of the recursion (on a 448-column factor of condition 2.6e4 it
-    exceeds ||Y||_F), so when it does not certify an L of more than _LEAF
-    rows, the residual R = Y L - I decides: L^-1 = (I + R)^-1 Y, so
-    ||L^-1||_F <= ||Y||_F / (1 - rho) for any rho >= ||R||_2 below 1.  rho
-    is the norm of the computed residual plus the rounding of the product,
-    at most gamma_n |Y| |L| (Higham sec. 3.5, eq. 3.13), taken as
+    eps * ||X||_F^2, so sigma_min(X)^2 >= 1 / ||L^-1||_2^2 - that margin.
+    With R = Y L - I for the computed inverse Y, L^-1 = (I + R)^-1 Y, so
+    ||L^-1||_2 <= ||Y||_F / (1 - rho) for any rho >= ||R||_2 below 1.  rho
+    is ||R||_F from _inverse_lower plus the rounding of its products, at
+    most gamma_n |Y| |L| (Higham sec. 3.5, eq. 3.13), taken as
     _GRAM_ROUNDING * n * eps * ||Y||_F * ||L||_F, which leaves room for the
-    subtraction and the norms; rho not below 1/3 refuses.  This costs one
-    matrix product, a quarter of the LU-based np.linalg.inv, and does not
-    compound.  The solve is
-    certified when the bound on sigma_min(X)^2 exceeds the square of the QR
-    path's cutoff ``cutoff_scale * sigma_max``, with ||X||_F >= sigma_max in
-    its place: the truncated SVD would keep every singular value, so the
-    rank is n and every unknown is determined.  The solution takes one step
-    of refinement against the true residual b - X x (the corrected
+    subtraction and the norms; rho not below 1/3 refuses, as does a NaN.
+    The solve is certified when the bound on sigma_min(X)^2 exceeds the
+    square of the QR path's cutoff ``cutoff_scale * sigma_max``, with
+    ||X||_F >= sigma_max in its place: the truncated SVD would keep every
+    singular value, so the rank is n and every unknown is determined.  The
+    solution takes one step of refinement against b - X x (the corrected
     semi-normal equations of Bjorck, Numerical Methods for Least Squares
     Problems).  Returns x, the residual norm and the bound on sigma_min(X).
     """
@@ -293,18 +274,11 @@ def _certified(X: np.ndarray, b: np.ndarray, cutoff_scale: float):
     # sigma_min(L) <= min |L_ii|: a small pivot refuses before the inverse
     if np.min(np.abs(np.diagonal(L))) ** 2 - margin <= floor:
         return None
-    L_inv, err, inv_sq = _inverse_lower(L)
-    slack = 1.0 + err / np.sqrt(inv_sq)
-    bound = 1.0 / (inv_sq * slack**2) - margin
-    if (slack >= 1.5 or bound <= floor) and n > _LEAF:
-        R = L_inv @ L
-        R[np.diag_indices(n)] -= 1.0
-        rho = float(np.linalg.norm(R)) + _GRAM_ROUNDING * n * eps * float(
-            np.linalg.norm(L)
-        ) * np.sqrt(inv_sq)
-        slack = 1.0 / (1.0 - rho) if rho < 1.0 / 3.0 else np.inf
-        bound = 1.0 / (inv_sq * slack**2) - margin
-    if slack >= 1.5 or bound <= floor:
+    L_inv, r_sq = _inverse_lower(L)
+    inv_norm = float(np.linalg.norm(L_inv))
+    rho = np.sqrt(r_sq) + _GRAM_ROUNDING * n * eps * np.linalg.norm(L) * inv_norm
+    bound = (1.0 - rho) ** 2 / inv_norm**2 - margin
+    if not (rho < 1.0 / 3.0 and bound > floor):
         return None
 
     def solve(rhs):

@@ -337,6 +337,8 @@ def synthesize(
         raise ValueError("rank must be positive")
     if not 0.0 <= noise < float("inf"):
         raise ValueError("noise must be finite and non-negative")
+    if fld not in ("real", "complex"):
+        raise ValueError(f"unknown field {fld!r}")
     shape = Shape(tuple(dims), tuple(degrees))
     rng = np.random.default_rng(seed)
 

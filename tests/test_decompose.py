@@ -112,9 +112,11 @@ class TestKruskalBound:
     def test_values(self):
         assert kruskal_bound(Shape(dims=(3, 3, 6), degrees=(1, 1, 1))) == 6
         assert kruskal_bound(Shape(dims=(1, 1, 1), degrees=(1, 1, 1))) == 2
+        # the k-rank of the 8-row factor is capped by R, not by 8
+        assert kruskal_bound(Shape(dims=(3, 3, 7), degrees=(1, 1, 1))) == 6
 
     def test_degenerate(self):
-        # all modes of full dimension 1: bound collapses to zero
+        # every mode of full dimension 2: the bound is 2, never below
         shape = Shape(dims=(1, 1, 1), degrees=(1, 1, 1))
         tiny = kruskal_bound(shape)
         assert tiny == 2
@@ -129,7 +131,7 @@ class TestRankBounds:
         "dims,degrees,upper,kruskal",
         [
             ((2, 2, 2), (1, 1, 1), 6, 3),  # order 3: the maximal rank bound
-            ((1, 1, 1, 1), (1, 1, 1, 1), 16, 3),  # order 4: the ambient dim
+            ((1, 1, 1, 1), (1, 1, 1, 1), 16, 2),  # order 4: the ambient dim
             ((2, 2), (1, 1), 9, None),  # a matrix has no Kruskal bound
             ((2, 2, 2), (2, 1, 1), 54, None),  # nor has a symmetric group
         ],
@@ -429,6 +431,18 @@ class TestDecompose:
         shape = Shape(dims=(2, 2), degrees=(1, 1))
         with pytest.raises(ValueError):
             decompose(Polynomial(shape, {}))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(np.nan, 1.0)])
+    @pytest.mark.parametrize("reduce", [False, True])
+    def test_non_finite_rejected(self, bad, reduce):
+        # a NaN once raised numpy's "SVD did not converge", an inf printed
+        # LAPACK's DLASCL complaint and then "no decomposition at rank 1"
+        T = synthesize((2, 2, 2), (1, 1, 1), rank=2, seed=1)[0].tensor
+        terms = dict(T.terms)
+        terms[next(iter(terms))] = bad
+        T = Polynomial(T.shape, terms)
+        with pytest.raises(ValueError, match="non-finite"):
+            decompose(T, DecomposeOptions(reduce=reduce))
 
     def test_returns_minimal_rank(self):
         # repeated or cancelling construction terms collapse to the true rank

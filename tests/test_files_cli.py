@@ -445,6 +445,11 @@ class TestSynth:
         with pytest.raises(ValueError, match="noise"):
             synthesize((2, 2, 2), (1, 1, 1), rank=3, seed=1, noise=noise)
 
+    def test_unknown_field_is_refused(self):
+        # once written, and then refused by its own reader
+        with pytest.raises(ValueError, match="quaternion"):
+            synthesize((2, 2, 2), (1, 1, 1), rank=3, seed=1, fld="quaternion")
+
 
 class TestCli:
     def run(self, *argv):
