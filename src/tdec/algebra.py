@@ -337,7 +337,8 @@ class Polynomial:
     storage.
 
     Built from a monomial -> coefficient dict or from the vector itself
-    (``from_vector``).  ``terms``, the dict of the non-zero coefficients in
+    (``from_vector``); either raises ValueError for a non-finite
+    coefficient.  ``terms``, the dict of the non-zero coefficients in
     table order, is a view formed when asked for: files and equality read
     it; computation reads the vector."""
 
@@ -353,8 +354,7 @@ class Polynomial:
         vec[table.rows(shape.codes(shape.exponents(list(terms))))] = list(
             terms.values()
         )
-        vec.setflags(write=False)
-        self.shape, self._vector, self._terms, self._max_imag = shape, vec, None, None
+        self._store(shape, vec)
 
     @staticmethod
     def from_vector(shape: Shape, values: np.ndarray) -> "Polynomial":
@@ -366,10 +366,15 @@ class Polynomial:
         )
         if vec.shape != (len(shape.table.exps),):
             raise ShapeMismatchError("coefficient vector does not match the table")
-        vec.setflags(write=False)
         P = Polynomial.__new__(Polynomial)
-        P.shape, P._vector, P._terms, P._max_imag = shape, vec, None, None
+        P._store(shape, vec)
         return P
+
+    def _store(self, shape: Shape, vec: np.ndarray):
+        if not np.isfinite(vec).all():
+            raise ValueError("tensor has a non-finite coefficient")
+        vec.setflags(write=False)
+        self.shape, self._vector, self._terms, self._max_imag = shape, vec, None, None
 
     @property
     def terms(self) -> MappingProxyType:

@@ -30,7 +30,8 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -372,7 +373,7 @@ def _try_pair(T: Polynomial, lam, B, Bp, opts: DecomposeOptions, seed: int):
             f"inconsistent ({diag['inconsistency']:.2e})"
             if ext.status == "inconsistent"
             else f"rank deficient (nullity {diag['nullity']}, "
-            f"{len(diag['unresolved'])} unresolved)"
+            f"{diag['unresolved']} unresolved)"
         )
         return ext.status, {"rank": r, "stage": "extension", "detail": detail}
     if not flat_extension_check(ext.functional, B, Bp, opts.tol_rank):
@@ -417,9 +418,7 @@ def _attempt_rank(
     extended = False
     best_residual = float("inf")
     outcomes = {}
-    for count, (B, Bp) in enumerate(select_bases_candidates(cats, r), 1):
-        if count > MAX_BASIS_CANDIDATES:
-            break
+    for B, Bp in islice(select_bases_candidates(cats, r), MAX_BASIS_CANDIDATES):
         key = (tuple(B.codes.tolist()), tuple(Bp.codes.tolist()))
         if key not in outcomes:
             outcomes[key] = _try_pair(T, cats.lam, B, Bp, opts, seed)
@@ -437,27 +436,42 @@ def _attempt_rank(
 def decompose(T: Polynomial, opts: DecomposeOptions | None = None) -> Decomposition:
     """Minimal rank-one decomposition of a multi-graded tensor.
 
+    With ``opts.reduce`` a multilinear T below full multilinear rank is
+    compressed by ``hosvd_reduce``, and the attempts run on the core
+    (``base``); a success is lifted through the factors times the frame's
+    matrices and accepted against T.  A failed lift through the factors (a
+    term at infinity, or the residual the compression leaves) is T's, and
+    ends the retries.
+
     Raises DecompositionError with the last failure when no attempt at the
-    flattening rank produces simple roots and a small reconstruction
-    residual, or at once for a flattening rank above MAX_RANK; its report
-    adds ``best_residual`` (the smallest residual checked in any frame),
-    ``frames`` (frames tried, the input's own included) and ``stop`` (why
-    the retries ended).  The returned ``meta``
-    names the basis pair, the rank, the seed, whether the frame was changed
-    and ``lower_bound``, the flattening rank of T.
+    flattening rank of ``base`` produces simple roots and a small
+    reconstruction residual, or at once for a flattening rank above
+    MAX_RANK; its report adds ``best_residual`` (the smallest residual
+    checked in any frame), ``frames`` (frames tried, the input's own
+    included), ``stop`` (why the retries ended) and, when compressed,
+    ``compression_error``.  The returned ``meta`` names the basis pair, the
+    rank, the seed, whether the frame was changed (``coordinate_change``
+    holds its matrices), ``lower_bound`` (the flattening rank of T, left
+    out when compressed) and, under ``opts.reduce``, the compression.
     """
     opts = opts or DecomposeOptions()
-    shape = T.shape
     if T.is_zero():
         raise ValueError("zero tensor")
-    if not np.isfinite(T.vector()).all():
-        raise ValueError("tensor has a non-finite coefficient")
 
+    base, factors, reduced = T, None, {}
     if opts.reduce:
-        return _decompose_reduced(T, opts)
+        _require_multilinear(T.shape)
+        ranks = multilinear_rank(T, opts.tol_rank)
+        full = [n + 1 for n in T.shape.dims]
+        target = [max(2, min(r, f)) for r, f in zip(ranks, full)]
+        reduced = {"reduced": target != full}
+        if target != full:
+            base, factors, err = hosvd_reduce(T, target)
+            log.info("reduced %s -> %s (compression error %.2e)", full, target, err)
+            reduced.update(multilinear_rank=ranks, target=target, compression_error=err)
 
     rng = np.random.default_rng(opts.seed)
-    cats = Catalecticants(build_moment_functional(T), opts.tol_rank)
+    cats = Catalecticants(build_moment_functional(base), opts.tol_rank)
     flattening_rank = cats.flattening_rank()
     lower = max(1, flattening_rank)
     if lower > MAX_RANK:
@@ -474,22 +488,28 @@ def decompose(T: Polynomial, opts: DecomposeOptions | None = None) -> Decomposit
     stop = "frame limit"
     for change in range(MAX_COORD_CHANGES + 1):
         if change == 0:
-            work, mats = T, None
+            work, mats = base, None
         else:
-            mats = random_coordinate_change(shape, rng)
-            work = substitute_linear(T, mats)
+            mats = random_coordinate_change(base.shape, rng)
+            work = substitute_linear(base, mats)
             cats = Catalecticants(build_moment_functional(work), opts.tol_rank)
         out, extended, tried = _attempt_rank(work, cats, r, opts, opts.seed + change)
-        if isinstance(out, Decomposition) and mats is not None:
+        # lifting through F_g M_g is lifting through M_g and then F_g: the
+        # factors v[0] ** d_g of map_back telescope
+        if isinstance(out, Decomposition) and factors is not None:
+            lift = factors if mats is None else [F @ M for F, M in zip(factors, mats)]
+            out = _lift(out, lift, T, opts.tol_resid, "lift", "lifted residual")
+        elif isinstance(out, Decomposition) and mats is not None:
             out = _lift(out, mats, T, opts.tol_resid, "frame", "back-mapped residual")
         if isinstance(out, Decomposition):
             out.coordinate_change = mats
             out.meta.update(
-                rank=r,
-                seed=opts.seed,
-                coordinate_change_applied=mats is not None,
-                lower_bound=flattening_rank,
+                rank=r, seed=opts.seed, coordinate_change_applied=mats is not None
             )
+            # the core's flattening rank is not a bound on the rank of T
+            if factors is None:
+                out.meta["lower_bound"] = flattening_rank
+            out.meta.update(reduced)
             log.info("accepted r=%d residual %.2e", r, out.residual)
             return out
         best_residual = min(best_residual, tried, out.get("residual", tried))
@@ -500,8 +520,11 @@ def decompose(T: Polynomial, opts: DecomposeOptions | None = None) -> Decomposit
         if change > 0 and not extended:
             stop = f"random frame {change}: no completion extended"
             break
-        # a lift that fails without a residual put a term at infinity, which
+        # a term at infinity, or the residual that the compression leaves,
         # is a property of T, not of the frame drawn
+        if out["stage"] == "lift":
+            stop = f"frame {change}: lift through the HOSVD factors"
+            break
         if out["stage"] == "frame" and "residual" not in out:
             stop = f"random frame {change}: term at infinity"
             break
@@ -513,6 +536,7 @@ def decompose(T: Polynomial, opts: DecomposeOptions | None = None) -> Decomposit
             "best_residual": best_residual,
             "frames": change + 1,
             "stop": stop,
+            **({"compression_error": err} if factors is not None else {}),
         },
     )
 
@@ -569,38 +593,3 @@ def _lift(dec: Decomposition, mats, T: Polynomial, tol_resid: float, stage, labe
     except DecompositionError as exc:
         return {**exc.report, "stage": stage}
     return _accept(lifted, T, tol_resid, stage, label)
-
-
-def _decompose_reduced(T: Polynomial, opts: DecomposeOptions) -> Decomposition:
-    """HOSVD-compress to the detected multilinear rank, decompose the core,
-    and lift the result back."""
-    _require_multilinear(T.shape)
-    ranks = multilinear_rank(T, opts.tol_rank)
-    full = [n + 1 for n in T.shape.dims]
-    target = [max(2, min(r, f)) for r, f in zip(ranks, full)]
-    inner_opts = replace(opts, reduce=False)
-    if target == full:
-        dec = decompose(T, inner_opts)
-        dec.meta["reduced"] = False
-        return dec
-    core, factors, err = hosvd_reduce(T, target)
-    log.info("reduced %s -> %s (compression error %.2e)", full, target, err)
-    core_dec = decompose(core, inner_opts)
-    out = _lift(core_dec, factors, T, opts.tol_resid, "lift", "lifted residual")
-    if not isinstance(out, Decomposition):
-        raise DecompositionError(
-            out["detail"] + (" above tolerance" if "residual" in out else ""),
-            report={**out, "compression_error": err},
-        )
-    # the core's flattening rank is not a bound on the rank of T
-    del out.meta["lower_bound"]
-    out.meta.update(
-        reduced=True,
-        multilinear_rank=ranks,
-        target=target,
-        compression_error=err,
-        rank=core_dec.rank,
-        seed=opts.seed,
-        coordinate_change_applied=False,
-    )
-    return out

@@ -51,9 +51,9 @@ rows and the nonzero rows of those blocks go straight into one zero array,
 and the blocks they touch are the incidence that splits the system into
 components.  The multiplication tables read the same reduction table.  The
 completed moments are added by code, in two batches.  ``Monomial`` objects
-appear only where results leave (the leads of the returned relations, the
-names in the diagnostics) and in the products of B' with those leads; the
-normal forms are reduced on exponent rows and codes.
+appear only where results leave (the leads of the returned relations) and
+in the products of B' with those leads; the normal forms are reduced on
+exponent rows and codes.
 
 The equations of a border basis depend on B and its border alone; only the
 moment values change from tensor to tensor.  So everything a completion
@@ -876,7 +876,7 @@ def propagate_commutation(
     diagnostics = {
         "inconsistency": prop.inconsistency,
         **prop.last_pass,
-        "unresolved": [str(plan.leads[t]) for t in unresolved.tolist()],
+        "unresolved": len(unresolved),
     }
     completed = commute = None
     if status == "extended":

@@ -362,6 +362,15 @@ class TestTermOrder:
         assert firsts == sorted(firsts)
 
 
+def embedded_rank_three_tensor():
+    """A rank-3 2x2x2-affine instance embedded in 4x4x4 by orthonormal 4x3
+    maps, so that ``reduce`` compresses it to a 3x3x3 core."""
+    rng = np.random.default_rng(12)
+    _, _, _, T_small = random_instance(rng, (2, 2, 2), (1, 1, 1), 3)
+    Qs = [np.linalg.qr(rng.normal(size=(4, 3)))[0] for _ in range(3)]
+    return array_to_poly(np.einsum("abc,ia,jb,kc->ijk", poly_to_array(T_small), *Qs))
+
+
 class TestDecompose:
     def test_rank_one_exact(self):
         rng = np.random.default_rng(9)
@@ -436,13 +445,22 @@ class TestDecompose:
     @pytest.mark.parametrize("reduce", [False, True])
     def test_non_finite_rejected(self, bad, reduce):
         # a NaN once raised numpy's "SVD did not converge", an inf printed
-        # LAPACK's DLASCL complaint and then "no decomposition at rank 1"
+        # LAPACK's DLASCL complaint and then "no decomposition at rank 1";
+        # rank_bounds read an inf as a flattening rank of 0.  No Polynomial
+        # holds such a coefficient
         T = synthesize((2, 2, 2), (1, 1, 1), rank=2, seed=1)[0].tensor
         terms = dict(T.terms)
         terms[next(iter(terms))] = bad
-        T = Polynomial(T.shape, terms)
         with pytest.raises(ValueError, match="non-finite"):
-            decompose(T, DecomposeOptions(reduce=reduce))
+            decompose(Polynomial(T.shape, terms), DecomposeOptions(reduce=reduce))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(np.nan, 1.0)])
+    def test_non_finite_vector_rejected(self, bad):
+        T = synthesize((2, 2, 2), (1, 1, 1), rank=2, seed=1)[0].tensor
+        vec = T.vector().astype(type(bad))
+        vec[-1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            rank_bounds(Polynomial.from_vector(T.shape, vec))
 
     def test_returns_minimal_rank(self):
         # repeated or cancelling construction terms collapse to the true rank
@@ -619,14 +637,7 @@ class TestDecompose:
         assert verify(T, dec) <= opts.tol_resid
 
     def test_reduce_path(self):
-        # embed a low-multilinear-rank tensor in a larger format
-        rng = np.random.default_rng(12)
-        shape_small, ws, pts, T_small = random_instance(rng, (2, 2, 2), (1, 1, 1), 3)
-        A = poly_to_array(T_small)
-        big = np.zeros((4, 4, 4))
-        Qs = [np.linalg.qr(rng.normal(size=(4, 3)))[0] for _ in range(3)]
-        big = np.einsum("abc,ia,jb,kc->ijk", A, *Qs)
-        T = array_to_poly(big)
+        T = embedded_rank_three_tensor()
         dec = decompose(T, DecomposeOptions(seed=3, reduce=True))
         assert dec.meta["reduced"]
         assert dec.rank == 3
@@ -646,9 +657,15 @@ class TestDecompose:
         # once an uncaught error from the lift of the HOSVD core's terms
         with pytest.raises(DecompositionError) as info:
             decompose(term_at_infinity_tensor(), DecomposeOptions(reduce=True))
-        assert str(info.value) == "point at infinity in group 0"
-        assert info.value.report["stage"] == "lift"
-        assert info.value.report["detail"] == "point at infinity in group 0"
+        # the term at infinity is T's: the first frame's lift ends the retries
+        assert str(info.value) == "no decomposition at rank 2"
+        report = info.value.report
+        assert report["stage"] == "lift"
+        assert report["detail"] == "point at infinity in group 0"
+        assert report["frames"] == 1
+        assert report["stop"] == "frame 0: lift through the HOSVD factors"
+        assert report["best_residual"] == float("inf")
+        assert "compression_error" in report
 
     def test_term_at_infinity_ends_frame_retries(self):
         # the input's own frame fails, and the first random frame whose
@@ -681,9 +698,11 @@ class TestDecompose:
 
 
 class TestCoordinateChange:
-    def test_substitution_and_inversion_round_trip(self, monkeypatch):
+    @pytest.mark.parametrize("reduce", [False, True], ids=["plain", "reduced"])
+    def test_substitution_and_inversion_round_trip(self, monkeypatch, reduce):
         # the input's own frame fails, so the terms are found in the first
-        # random frame and mapped back through its matrices
+        # random frame and mapped back through its matrices; a reduced run
+        # draws the frame for the HOSVD core, and once reported none
         real_change = decompose_module.random_coordinate_change
         real_eigen = decompose_module.joint_eigenvectors
         frames = []
@@ -698,9 +717,12 @@ class TestCoordinateChange:
 
         monkeypatch.setattr(decompose_module, "random_coordinate_change", recorded_change)
         monkeypatch.setattr(decompose_module, "joint_eigenvectors", failing_own_frame)
-        rng = np.random.default_rng(13)
-        shape, ws, pts, T = random_instance(rng, (2, 2), (2, 1), 3)
-        back = decompose(T, DecomposeOptions(seed=0))
+        if reduce:
+            T = embedded_rank_three_tensor()
+        else:
+            rng = np.random.default_rng(13)
+            shape, ws, pts, T = random_instance(rng, (2, 2), (2, 1), 3)
+        back = decompose(T, DecomposeOptions(seed=0, reduce=reduce))
         assert isinstance(back, Decomposition)
         assert len(frames) == 1
         assert back.meta["coordinate_change_applied"]

@@ -669,8 +669,12 @@ class TestCli:
         assert self.run("decompose", "-i", p, "-o", out, "--reduce") == 2
         assert "no decomposition found" in capsys.readouterr().err
         obj = json.loads(out.read_text())
-        assert obj["error"] == "point at infinity in group 0"
-        assert obj["report"]["stage"] == "lift"
+        assert obj["error"] == "no decomposition at rank 2"
+        report = obj["report"]
+        assert report["stage"] == "lift"
+        assert report["detail"] == "point at infinity in group 0"
+        assert report["frames"] == 1
+        assert report["stop"] == "frame 0: lift through the HOSVD factors"
 
     def test_verify_takes_no_tol_rank(self, capsys):
         # verify reads no rank; the option was accepted and ignored

@@ -1,8 +1,9 @@
 """The scripts under scripts/ run against this checkout's `tdec`.
 
 Each runs as a subprocess with the checkout's src/ first on the path, except
-`make_fixtures.py`: it is loaded in process, so that its output directory can
-point at a temporary one.
+two that are loaded in process: `make_fixtures.py`, so that its output
+directory can point at a temporary one, and `bench.py`, whose summary,
+comparison and argument check are called without running a benchmark.
 """
 
 import importlib.util
@@ -10,6 +11,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import tdec
 
@@ -102,3 +105,53 @@ def test_make_fixtures_rewrites_the_committed_files(tmp_path, monkeypatch):
         assert (tmp_path / name).read_bytes() == (
             ROOT / "tests" / "fixtures" / name
         ).read_bytes(), name
+
+
+def load_bench():
+    spec = importlib.util.spec_from_file_location("bench", SCRIPTS / "bench.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
+
+
+def test_bench_summary_of_one_value():
+    assert load_bench().summary([3.5]) == {
+        "values": [3.5], "median": 3.5, "q1": 3.5, "q3": 3.5,
+    }
+
+
+def test_bench_compare_counts_strict_wins_in_each_direction():
+    def runs(rates, times):
+        return [
+            {"metrics": {"rate": {"unit": "1/s", "value": a},
+                         "time": {"unit": "ms", "value": b}}}
+            for a, b in zip(rates, times)
+        ]
+
+    out = load_bench().compare(
+        {"parent": runs([10, 10, 10, 10], [4, 4, 4, 4]),
+         "change": runs([15, 10, 9, 12], [2, 4, 5, 3])},
+        {"rate": "higher", "time": "lower"},
+    )
+    rate, time = out["rate"], out["time"]
+    # the equal second pair counts for neither side
+    assert rate["change_better_pairs"] == 2 and time["change_better_pairs"] == 2
+    # medians of the ratios change / parent: (1.0, 1.2) and (0.75, 1.0)
+    assert rate["ratio_median"] == pytest.approx(1.1)
+    assert time["ratio_median"] == pytest.approx(0.875)
+    assert (rate["unit"], rate["better"], time["better"]) == ("1/s", "higher", "lower")
+    assert rate["parent"] == {"values": [10] * 4, "median": 10, "q1": 10, "q3": 10}
+
+
+def test_bench_refuses_an_unknown_parent(tmp_path, monkeypatch, capsys):
+    script = load_bench()
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a benchmark ran")
+
+    monkeypatch.setattr(script, "run_once", no_run)
+    monkeypatch.setattr(script, "measure", no_run)
+    missing = str(tmp_path / "missing")
+    assert script.main(["--parent", missing, "--change", str(ROOT), "--name", "x"]) == 1
+    assert "neither a directory nor a git revision" in capsys.readouterr().err
+    assert not (ROOT / "BENCH_x.json").exists()
