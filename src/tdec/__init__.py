@@ -37,7 +37,6 @@ from .eigen import (
     solve_weights,
 )
 from .extension import (
-    BorderRelation,
     ExtensionResult,
     commutator_residual,
     flat_extension_check,

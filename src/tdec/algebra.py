@@ -396,11 +396,12 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self._vector.any()
 
-    def is_real(self, tol: float = 1e-12) -> bool:
-        """Negligible imaginary parts (values, not storage types)."""
+    def is_real(self) -> bool:
+        """Negligible imaginary parts, none above 1e-12 (values, not storage
+        types)."""
         if self._max_imag is None:
             self._max_imag = float(np.abs(self._vector.imag).max(initial=0.0))
-        return self._max_imag <= tol
+        return self._max_imag <= 1e-12
 
     def vector(self) -> np.ndarray:
         """Coefficients over the rows of the shape's monomial table,

@@ -4,8 +4,9 @@ The only rank tried is the flattening lower bound: no fully known
 invertible moment block is larger, in any frame.  At that rank the attempt
 walks the deterministic basis candidates, completes the moments by
 commutation propagation, checks flatness, computes joint eigenvectors of the
-multiplication family, reads coordinates, solves for weights and accepts on
-a small reconstruction residual.  A completion that does not extend (its
+multiplication tables whose commutation the completion checked, reads
+coordinates, solves for weights and accepts on a small reconstruction
+residual.  A completion that does not extend (its
 relations stay free, or contradict the data) is refused at the extension
 stage: without a flat extension there is no commuting family to read
 points from.  On failure the attempt is retried under a random (seeded,
@@ -38,7 +39,6 @@ import numpy as np
 from .algebra import Point, Polynomial, Shape, evaluate
 from .eigen import (
     WeightSolveError,
-    family_from_functional,
     joint_eigenvectors,
     read_coordinates,
     solve_weights,
@@ -250,7 +250,7 @@ def hosvd_reduce(
     for g in range(A.ndim):
         approx = _mode_product(approx, g, factors[g])
     err = np.linalg.norm(A - approx) / max(np.linalg.norm(A), 1e-300)
-    return array_to_poly(core), factors, err
+    return array_to_poly(core), factors, float(err)
 
 
 def map_back(dec: Decomposition, mats: list[np.ndarray]) -> Decomposition:
@@ -378,8 +378,7 @@ def _try_pair(T: Polynomial, lam, B, Bp, opts: DecomposeOptions, seed: int):
         return ext.status, {"rank": r, "stage": "extension", "detail": detail}
     if not flat_extension_check(ext.functional, B, Bp, opts.tol_rank):
         return ext.status, {"rank": r, "stage": "flat-check", "detail": "rank grew"}
-    tables = family_from_functional(ext.functional, B, Bp)
-    roots = joint_eigenvectors(B, tables, seed=seed)
+    roots = joint_eigenvectors(B, ext.tables, seed=seed)
     if not roots.simple:
         return ext.status, {
             "rank": r,

@@ -1,9 +1,11 @@
 """Multiplication operators, joint eigenvectors, roots and weights.
 
-A completed functional with basis B and invertible block H yields one
-multiplication table per variable, stacked in canonical variable order as
-the completion builds them; their transposes share eigenvectors, and each
-eigenvector is (up to scale) the vector of values of B at one root.
+A flat extension over a basis B has one multiplication table per variable,
+stacked in canonical variable order: the completion returns the tables
+whose commutation it checked, and ``family_from_functional`` reads the same
+tables from the completed functional as a reference.  Their transposes
+share eigenvectors, and each eigenvector is (up to scale) the vector of
+values of B at one root.
 Coordinates are read off eigenvector entries and eigenvalues, and weights
 come from a Vandermonde-type fit against the tensor coefficients.
 """
@@ -49,7 +51,9 @@ def family_from_functional(
     The base block H[i, j] = lam(b'_i b_j) is taken as known and invertible
     (``select_bases_candidates`` decides that).  The shifted blocks of all
     variables are read from one block of product codes and solved against H
-    together; an unknown entry in them raises ValueError.
+    together; an unknown entry in them raises ValueError.  ``decompose`` no
+    longer calls it: the roots are read from the tables of the completion
+    (``ExtensionResult.tables``), which this independent reading checks.
     """
     shape = lam.shape
     H, _ = hankel(lam, Bp.exps, B.exps)

@@ -49,11 +49,11 @@ unresolved target), the two sides of a pair summed into one r x r block per
 unresolved target it meets.  The pass's system is written once: the moment
 rows and the nonzero rows of those blocks go straight into one zero array,
 and the blocks they touch are the incidence that splits the system into
-components.  The multiplication tables read the same reduction table.  The
-completed moments are added by code, in two batches.  ``Monomial`` objects
-appear only where results leave (the leads of the returned relations) and
-in the products of B' with those leads; the normal forms are reduced on
-exponent rows and codes.
+components.  The multiplication tables read the same reduction table, and
+an extension returns the tables whose commutation it checked, for the roots
+to be read from.  The completed moments are added by code, in two batches.
+``Monomial`` objects appear only in the products of B' with the leads of
+the targets; the normal forms are reduced on exponent rows and codes.
 
 The equations of a border basis depend on B and its border alone; only the
 moment values change from tensor to tensor.  So everything a completion
@@ -94,7 +94,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import Monomial, MomentFunctional, Shape, canonical_order, first_unknown
+from .algebra import MomentFunctional, Shape, canonical_order, first_unknown
 from .moment import DEFAULT_TOL_RANK, MonomialBasis, hankel, numerical_rank
 
 log = logging.getLogger("tdec")
@@ -104,24 +104,17 @@ _NULLSPACE_TOL = 1e-7
 
 
 @dataclass
-class BorderRelation:
-    """lead = sum(tail[j] * B[j]) in the quotient algebra."""
-
-    lead: Monomial
-    tail: np.ndarray
-
-
-@dataclass
 class ExtensionResult:
     """The outcome of a moment completion.  ``functional`` (the data
-    extended to B'+ x B+) is set only when ``status`` is "extended", and
-    ``commutator_residual`` only once every table is known; ``relations``
-    (the resolved border relations, in the order of ``B.border``) and
-    ``diagnostics`` always are."""
+    extended to B'+ x B+) and ``tables`` (the commuting multiplication
+    tables, one (n_vars, r, r) array in canonical variable order, column s
+    of M_v the normal form of x_v * b_s over B) are set only when ``status``
+    is "extended", ``commutator_residual`` only once every table is known,
+    and ``diagnostics`` always."""
 
     status: str  # "extended" | "rank_deficient" | "inconsistent"
     functional: MomentFunctional | None
-    relations: list[BorderRelation]
+    tables: np.ndarray | None
     commutator_residual: float | None
     diagnostics: dict = field(default_factory=dict)
 
@@ -856,8 +849,8 @@ def propagate_commutation(
     Returns Extended with the completed functional on products of the
     enlarged bases, Inconsistent when the equations contradict the data or
     the tables of an extension do not commute, or RankDeficient when the
-    linearly reachable part leaves relations free.  The resolved relations
-    and the diagnostics are reported whatever the status, the functional
+    linearly reachable part leaves relations free.  The diagnostics are
+    reported whatever the status, the functional and the commuting tables
     only for an extension, and the commutator residual once every relation
     is resolved.  ``tol``, floored at 1e-8, bounds the inconsistency and the
     commutator residual.  The block lam(b' * b) is taken as invertible; a
@@ -866,43 +859,37 @@ def propagate_commutation(
     prop = _Propagator(lam, B, Bp, max(tol, 1e-8))
     status = prop.run()
 
-    plan = prop.plan
-    resolved = prop.known[prop.r:]
-    solved, unresolved = np.flatnonzero(resolved), np.flatnonzero(~resolved)
-    tails = prop.table[prop.r + solved]
-    relations = [
-        BorderRelation(plan.leads[t], tail) for t, tail in zip(solved.tolist(), tails)
-    ]
+    unresolved = int(np.count_nonzero(~prop.known))
     diagnostics = {
         "inconsistency": prop.inconsistency,
         **prop.last_pass,
-        "unresolved": len(unresolved),
+        "unresolved": unresolved,
     }
-    completed = commute = None
+    completed = tables = commute = None
     if status == "extended":
         tables = prop.tables()
         commute = commutator_residual(tables)
         if not commute <= prop.tol:  # a NaN residual refuses
-            status = "inconsistent"
+            status, tables = "inconsistent", None
         else:
-            completed = _complete(lam, Bp, prop, tables, relations)
+            completed = _complete(lam, Bp, prop, tables)
     log.debug(
         "propagation: status=%s commute=%s unresolved=%d",
-        status, commute, len(unresolved),
+        status, commute, unresolved,
     )
     return ExtensionResult(
         status=status,
         functional=completed,
-        relations=relations,
+        tables=tables,
         commutator_residual=commute,
         diagnostics=diagnostics,
     )
 
 
-def _complete(lam, Bp, prop, tables, relations) -> MomentFunctional:
+def _complete(lam, Bp, prop, tables) -> MomentFunctional:
     """lam extended to every product of B'+ x B+ and of B' x border, from
-    the commuting tables of every variable and the relations."""
-    shape, r, dtype, plan = lam.shape, prop.r, prop.dtype, prop.plan
+    the commuting tables of every variable and the resolved tails."""
+    shape, r, plan = lam.shape, prop.r, prop.plan
     lam_B = lam.values_at(plan.moments_B)
     nf = _walk_forms(plan.walk, tables)
     values = (lam_B[None, None, :] @ nf[:, :, None])[:, 0, 0]
@@ -912,12 +899,11 @@ def _complete(lam, Bp, prop, tables, relations) -> MomentFunctional:
     # a decomposition, which perfbench's tracer test expects to count
     # (ROADMAP item 2 moves that probe)
     Bp_monomials = shape.monomials(Bp.exps)
-    products = [q * rel.lead for rel in relations for q in Bp_monomials]
+    products = [q * lead for lead in plan.leads for q in Bp_monomials]
     codes = shape.codes(shape.exponents(products))
     unknown = first_unknown(completed, codes)
     k, i = np.divmod(unknown, len(Bp))
-    tails = np.array([rel.tail for rel in relations], dtype=dtype).reshape(-1, r)
-    values = (prop.H[i][:, None, :] @ tails[k][:, :, None])[:, 0, 0]
+    values = (prop.H[i][:, None, :] @ prop.table[r + k][:, :, None])[:, 0, 0]
     return completed.extended(codes[unknown], values)
 
 

@@ -245,9 +245,18 @@ def weighted_evaluation(weights, points, shape: Shape, domain) -> MomentFunction
     })
 
 
-def relation_for(ext, m: Monomial):
-    """The border relation of ``ext`` led by m, or None."""
-    return next((rel for rel in ext.relations if rel.lead == m), None)
+def relation_for(ext, B: MonomialBasis, m: Monomial):
+    """The tail of the border relation of m over B, read from the tables of
+    the extension ``ext`` as column s of M_v for some m = x_v * b_s, or
+    None when m is no such product."""
+    row = B.shape.exponents([m])[0]
+    for v in np.flatnonzero(row):
+        below = row.copy()
+        below[v] -= 1
+        s = np.flatnonzero((B.exps == below).all(axis=1))
+        if len(s):
+            return ext.tables[v][:, s[0]]
+    return None
 
 
 def functional_to_tensor(lam: MomentFunctional, shape: Shape) -> Polynomial:

@@ -353,9 +353,12 @@ class TestPolynomialVector:
         assert list(C.terms) == self.SHAPE.monomials(self.SHAPE.table.exps[1:2])
 
     def test_is_real_tolerance(self):
-        P = poly(self.SHAPE, {"1": 1 + 1e-13j, "a1": 2.0})
-        assert P.is_real() and not P.is_real(tol=1e-14)
-        assert Polynomial.from_vector(self.SHAPE, P.vector()).is_real(tol=1e-13)
+        # the threshold is a fixed 1e-12 on the largest imaginary part
+        below = poly(self.SHAPE, {"1": 1 + 1e-13j, "a1": 2.0})
+        above = poly(self.SHAPE, {"1": 1 + 1e-11j, "a1": 2.0})
+        assert below.is_real() and not above.is_real()
+        assert Polynomial.from_vector(self.SHAPE, below.vector()).is_real()
+        assert not Polynomial.from_vector(self.SHAPE, above.vector()).is_real()
 
     def test_term_beyond_the_table(self):
         with pytest.raises(DegreeOverflowError):

@@ -667,6 +667,17 @@ class TestDecompose:
         assert report["best_residual"] == float("inf")
         assert "compression_error" in report
 
+    def test_compression_error_is_a_python_float(self):
+        # as every other number of a report or of meta
+        with pytest.raises(DecompositionError) as info:
+            decompose(term_at_infinity_tensor(), DecomposeOptions(reduce=True))
+        assert type(info.value.report["compression_error"]) is float
+        dec = decompose(
+            embedded_rank_three_tensor(), DecomposeOptions(seed=3, reduce=True)
+        )
+        assert dec.meta["reduced"]
+        assert type(dec.meta["compression_error"]) is float
+
     def test_term_at_infinity_ends_frame_retries(self):
         # the input's own frame fails, and the first random frame whose
         # terms lift to infinity decides: that is T's, not the frame's

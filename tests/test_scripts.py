@@ -8,6 +8,7 @@ comparison and argument check are called without running a benchmark.
 
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -46,6 +47,26 @@ frames tried over 120 refusals: 240
   refused at stage extension: 120
 """
 
+# the lines of `scripts/generic_sweep.py` but their slowest instances and the
+# CPU seconds: recoveries, refusals by stage and detail class, and complex
+# results for real input, of seeded generic tensors; a change that moves
+# these outcomes on purpose updates them
+GENERIC_SWEEP_OUTCOMES = """\
+ternary quartic r5     0/10 recovered; refused extension/rank deficient 10; complex 0
+ternary quartic r6     0/10 recovered; refused extension/rank deficient 10; complex 0
+quaternary quartic r8  0/10 recovered; refused extension/rank deficient 10; complex 0
+quaternary quartic r9  0/10 recovered; refused extension/rank deficient 10; complex 0
+4x4x10 r9              0/10 recovered; refused extension/rank deficient 10; complex 0
+(2,2)/(2,2) r6         0/10 recovered; refused extension/rank deficient 10; complex 0
+3x3x3x3 r5             0/10 recovered; refused extension/rank deficient 10; complex 0
+2x2x3 r3               0/10 recovered; refused extension/rank deficient 10; complex 0
+3x3x3 r3               10/10 recovered; refused none; complex 0
+ternary quartic r4     10/10 recovered; refused none; complex 0
+quaternary quartic r7  10/10 recovered; refused none; complex 0
+4x4x10 r8              10/10 recovered; refused none; complex 0
+3x3x3 r4               0/10 recovered; refused extension/inconsistent 10; complex 0
+"""
+
 
 def run_script(name, *args):
     env = dict(os.environ)
@@ -80,6 +101,17 @@ def test_sameness_outcomes_at_seed_31():
 def test_integer_sweep_outcomes():
     *lines, cpu = run_script("integer_sweep.py").splitlines()
     assert lines == INTEGER_SWEEP_OUTCOMES.splitlines()
+    assert cpu.startswith("CPU s: ")
+
+
+
+def test_generic_sweep_outcomes():
+    *lines, cpu = run_script("generic_sweep.py").splitlines()
+    assert [line.split(" | ")[0] for line in lines] == (
+        GENERIC_SWEEP_OUTCOMES.splitlines()
+    )
+    assert all(re.fullmatch(r"slowest \d+ ms \(seed \d\)", line.split(" | ")[1])
+               for line in lines)
     assert cpu.startswith("CPU s: ")
 
 
