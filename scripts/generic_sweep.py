@@ -6,12 +6,13 @@
 Each instance is ``synthesize(dims, degrees, r, seed)`` for seeds 0-9:
 real points uniform in [-1, 1] and weights of magnitude in [0.5, 2], with
 random signs.  The formats are generic ones at or below their flattening
-rank that the linear completion leaves rank deficient, then controls that
-it decomposes, then one above its flattening rank (3x3x3 r4).  Each is
-decomposed with the default options.
+rank that the linear completion leaves rank deficient, for the parametric
+step to finish, then controls that the linear completion decomposes, then
+one above its flattening rank (3x3x3 r4).  Each is decomposed with the
+default options.
 
 Prints one line per format and rank: the recovered count; the refusals by
-stage and detail class (the detail's leading words, as "rank deficient" or
+stage and detail class (the detail's leading words, as "not unique" or
 "inconsistent"); the number of successes with complex terms for the real
 input; and, after " | ", the CPU milliseconds of the slowest instance and
 its seed.  The last line gives the total CPU seconds.  BLAS is pinned to one

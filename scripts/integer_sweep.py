@@ -7,7 +7,8 @@ Each instance has points with coordinates drawn from {-1, 0, 1} by
 ``np.random.default_rng(seed)`` for seeds 0-39, and unit weights, in five
 formats: (2,2)/(2,2) r4, 3x3x4 r4, 4x4x4 r4, (2,2,2)/(1,1,2) r4 and 3x3x3 r3
 ("3x3x4" gives full sizes, i.e. affine dims (2, 2, 3)).  Each is decomposed
-with the default options.  Prints the recovered count per format, the
+with the default options.  Prints per format the recovered count and how
+many of those came back with complex terms for the real input, then the
 instances that a change of coordinates rescued (the first frame failed, a
 later one succeeded), the number of frames tried over the refusals with
 their stop reasons and the stages of their last failures, and the CPU
@@ -25,6 +26,7 @@ from collections import Counter  # noqa: E402
 
 import numpy as np  # noqa: E402
 
+from generic_sweep import is_complex  # noqa: E402
 from tdec.algebra import Point, Shape  # noqa: E402
 from tdec.decompose import (  # noqa: E402
     DecomposeOptions,
@@ -59,7 +61,7 @@ def main() -> int:
     frames, stops, stages = [], Counter(), Counter()
     cpu = {"recovered": 0.0, "refused": 0.0}
     for name, dims, degrees, r in FORMATS:
-        ok = 0
+        ok = complex_terms = 0
         for seed in SEEDS:
             T = instance(dims, degrees, r, seed)
             start = time.process_time()
@@ -73,9 +75,10 @@ def main() -> int:
                 continue
             cpu["recovered"] += time.process_time() - start
             ok += 1
+            complex_terms += is_complex(dec)
             if dec.meta["coordinate_change_applied"]:
                 rescued.append(f"{name} seed {seed}")
-        print(f"{name:20s} {ok}/{len(SEEDS)} recovered")
+        print(f"{name:20s} {ok}/{len(SEEDS)} recovered; complex {complex_terms}")
         recovered += ok
         total += len(SEEDS)
     print(f"total {recovered}/{total} recovered")

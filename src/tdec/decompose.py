@@ -6,14 +6,18 @@ walks the deterministic basis candidates, completes the moments by
 commutation propagation, checks flatness, computes joint eigenvectors of the
 multiplication tables whose commutation the completion checked, reads
 coordinates, solves for weights and accepts on a small reconstruction
-residual.  A completion that does not extend (its
-relations stay free, or contradict the data) is refused at the extension
-stage: without a flat extension there is no commuting family to read
-points from.  On failure the attempt is retried under a random (seeded,
+residual.  A completion that leaves relations free is finished by the
+parametric step (``commuting_member``), which takes a member of its family
+whose tables commute.  A completion that contradicts the data, or a family
+with no commuting member within the step's caps, is refused at the
+extension stage: without a flat extension there is no commuting family to
+read points from.  On failure the attempt is retried under a random (seeded,
 orthogonal) change of coordinates per group, at most MAX_COORD_CHANGES
-times.  Whether a moment completion extends does not depend on which
-generic frame is used, so the retries stop after the first random frame in
-which no completion ends ``extended``: what fails after an extension
+times.  Whether the linear completion extends does not depend on which
+generic frame is used, and a family that the parametric step leaves without
+a commuting member in one random frame is taken as having none, so the
+retries stop after the first random frame in which no completion ends
+``extended``: what fails after an extension
 (colliding roots, a vanishing weight, the residual, the back-map) depends
 on the frame drawn, and only that is retried.  The input's own frame is not
 generic for sparse input and always goes on to a random frame.  The refusal
@@ -43,7 +47,11 @@ from .eigen import (
     read_coordinates,
     solve_weights,
 )
-from .extension import flat_extension_check, propagate_commutation
+from .extension import (
+    commuting_member,
+    flat_extension_check,
+    propagate_commutation,
+)
 from .moment import (
     DEFAULT_TOL_RANK,
     Catalecticants,
@@ -367,13 +375,15 @@ def _try_pair(T: Polynomial, lam, B, Bp, opts: DecomposeOptions, seed: int):
     ``lam``: the completion's status and a Decomposition or a failure dict."""
     r = len(B)
     ext = propagate_commutation(lam, B, Bp, tol=opts.tol_resid)
+    if ext.status == "rank_deficient":
+        ext = commuting_member(lam, Bp, ext)
     if not ext.extended:
         diag = ext.diagnostics
         detail = (
             f"inconsistent ({diag['inconsistency']:.2e})"
             if ext.status == "inconsistent"
-            else f"rank deficient (nullity {diag['nullity']}, "
-            f"{diag['unresolved']} unresolved)"
+            else f"not unique: family of dimension {diag['family_dimension']}, "
+            f"commutator {diag['commutator_end']:.2e}"
         )
         return ext.status, {"rank": r, "stage": "extension", "detail": detail}
     if not flat_extension_check(ext.functional, B, Bp, opts.tol_rank):

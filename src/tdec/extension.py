@@ -80,13 +80,25 @@ tables with their parents' forms.  Their pairings with the values on B,
 the moments of B' x border and the relations solved directly from H are
 stacked in the same way.  A stacked product or solve runs the same BLAS or
 LAPACK call per item as the single product or solve, so the completed
-moments are the same to the bit.  A completion that leaves relations
-free, or whose equations or tables contradict the data, is no flat
-extension and completes no moment.
+moments are the same to the bit.  A completion whose equations or tables
+contradict the data is no flat extension and completes no moment.
+
+A completion that leaves relations free (``rank_deficient``) has a family
+of solutions: the tails of its last fixpoint pass are x0 + N t, N the null
+space of that pass's system from the SVDs it already took, and each member
+whose multiplication tables commute is a flat extension of the data (the
+border-basis form of the flat-extension criterion; Bernardi, Brachat,
+Comon and Mourrain, J. Symb. Comput. 52, 2013).  ``commuting_member``
+searches the family from t = 0 by a damped Gauss-Newton solve on the
+commutators, whose Jacobian is affine in t, with caps on the evaluations
+and on the size of the Jacobian, and completes the member it finds as an
+extension; propagate_commutation itself reports the family as
+``rank_deficient``.
 """
 
 from __future__ import annotations
 
+import copy
 import logging
 import threading
 from collections import OrderedDict
@@ -117,6 +129,9 @@ class ExtensionResult:
     tables: np.ndarray | None
     commutator_residual: float | None
     diagnostics: dict = field(default_factory=dict)
+    # the propagator of a rank-deficient completion, which commuting_member
+    # reads
+    _propagator: object = field(default=None, repr=False, compare=False)
 
     @property
     def extended(self) -> bool:
@@ -124,17 +139,26 @@ class ExtensionResult:
 
 
 def commutator_residual(mats: list[np.ndarray] | np.ndarray) -> float:
-    """Max over pairs of ||M_i M_j - M_j M_i||_F, scale normalized: one
-    stacked product over all ordered pairs (a pair and its reverse give the
-    same norm, and a matrix with itself gives 0).  Takes a list or a stacked
-    array of the matrices; a NaN anywhere gives NaN, which no tolerance
-    passes."""
+    """Max over pairs i < j of ||M_i M_j - M_j M_i||_F, scale normalized
+    (see _residual).  Takes a list or a stacked array of the matrices; a
+    NaN anywhere gives NaN, which no tolerance passes."""
     M = np.stack(mats)
-    P = M[:, None] @ M  # P[i, j] = M_i M_j
-    num = np.linalg.norm(P - P.swapaxes(0, 1), axis=(2, 3))
+    i, j = np.triu_indices(len(M), 1)
+    return _residual(M, _brackets(M, i, j), i, j)
+
+
+def _brackets(M: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """[M_i, M_j] for the pairs (i, j), one stacked product per side."""
+    return M[i] @ M[j] - M[j] @ M[i]
+
+
+def _residual(M: np.ndarray, F: np.ndarray, i: np.ndarray, j: np.ndarray) -> float:
+    """The commutator residual of the brackets F of the pairs (i, j): the
+    largest ||[M_i, M_j]||_F / max(1, ||M_i||_F ||M_j||_F), 0 without
+    pairs."""
     norms = np.linalg.norm(M, axis=(1, 2))
-    ratio = num / np.maximum(1.0, np.multiply.outer(norms, norms))
-    return float(ratio.max())
+    ratio = np.linalg.norm(F, axis=(1, 2)) / np.maximum(1.0, norms[i] * norms[j])
+    return float(ratio.max(initial=0.0))
 
 
 # the fixed cost of one more QR and SVD call, in the units of _solve_cost
@@ -328,8 +352,11 @@ def _least_squares(
 
     Returns the solution, the residual norm, per unknown its distance from
     the row space (0 when the unknown is determined), the numerical rank of
-    X, the column count of each component, and the certified lower bound
-    on sigma_min(X) (None on the truncated-SVD path).
+    X, the column count of each component, the certified lower bound on
+    sigma_min(X) (None on the truncated-SVD path), and the null space of
+    X as (columns, Vt) pairs, the trailing right singular vectors of each
+    factored part as rows over its columns (none when certified).  The
+    columns of no part (a component that no row touches) are free.
     """
     n = X.shape[1]
     label = _components(nz)
@@ -345,7 +372,7 @@ def _least_squares(
         certified = _certified(X, b, eps)
         if certified is not None:
             x, resid, bound = certified
-            return x, resid, np.zeros(n), n, sizes, bound
+            return x, resid, np.zeros(n), n, sizes, bound, []
     parts, zero_rows = _parts(label, row_label, n_rows, n_cols, r)
     factors = [_factor(X[rows][:, cols], b[rows]) for rows, cols in parts]
     cutoff = eps * max(s.max(initial=0.0) for _, _, _, s, _ in factors)
@@ -353,12 +380,15 @@ def _least_squares(
     freedom = np.ones(n)
     gaps = [b[zero_rows]]
     rank = 0
+    null = []
     for (_, cols), part in zip(parts, factors):
         x[cols], gap, freedom[cols], k = _truncated(*part, cutoff)
         gaps.append(gap)
         rank += k
+        null.append((cols, part[4][k:]))
     return (
-        x, float(np.linalg.norm(np.concatenate(gaps))), freedom, rank, sizes, None
+        x, float(np.linalg.norm(np.concatenate(gaps))), freedom, rank, sizes, None,
+        null,
     )
 
 
@@ -529,6 +559,10 @@ class _Propagator:
             nullity=0, components=0, largest_component=0, solve=None,
             sigma_min_bound=None,
         )
+        # when the last pass leaves every unresolved target free: those
+        # targets, the pass's solution and its null-space blocks
+        # (_least_squares), the family that commuting_member searches
+        self.family = None
 
     # --- reductions -----------------------------------------------------
 
@@ -760,7 +794,9 @@ class _Propagator:
             write_s(X[n_m:], nz[n_m:])
             X = X.reshape(len(b), -1)
             size = max(n_raw, X.shape[1] + n_places)
-            x, resid, freedom, rank, sizes, bound = _least_squares(X, b, size, r, nz)
+            x, resid, freedom, rank, sizes, bound, null = _least_squares(
+                X, b, size, r, nz
+            )
             self.last_pass = dict(
                 nullity=X.shape[1] - rank, components=len(sizes),
                 largest_component=int(sizes.max()),
@@ -776,7 +812,11 @@ class _Propagator:
             # a NaN freedom compares false: its block counts as determined
             free = freedom.reshape(-1, r).max(axis=1) > _NULLSPACE_TOL
             if free.all():
+                self.family = unresolved, x, null
                 break
+            # the null-space blocks are views of whole Vt factors: let them
+            # go before the next pass assembles its system
+            del null
             self.table[r + unresolved[~free]] = x.reshape(-1, r)[~free]
             self.known[r + unresolved[~free]] = True
         if not self.known.all():
@@ -858,13 +898,26 @@ def propagate_commutation(
     """
     prop = _Propagator(lam, B, Bp, max(tol, 1e-8))
     status = prop.run()
-
     unresolved = int(np.count_nonzero(~prop.known))
     diagnostics = {
         "inconsistency": prop.inconsistency,
         **prop.last_pass,
         "unresolved": unresolved,
     }
+    result = _result(lam, Bp, prop, status, diagnostics)
+    log.debug(
+        "propagation: status=%s commute=%s unresolved=%d",
+        result.status, result.commutator_residual, unresolved,
+    )
+    if result.status == "rank_deficient":
+        result._propagator = prop
+    return result
+
+
+def _result(lam, Bp, prop, status, diagnostics) -> ExtensionResult:
+    """The ExtensionResult of a completion that ended in ``status``: when
+    every relation is resolved, the commutator check of its tables, and
+    for commuting ones the completed functional."""
     completed = tables = commute = None
     if status == "extended":
         tables = prop.tables()
@@ -873,10 +926,6 @@ def propagate_commutation(
             status, tables = "inconsistent", None
         else:
             completed = _complete(lam, Bp, prop, tables)
-    log.debug(
-        "propagation: status=%s commute=%s unresolved=%d",
-        status, commute, unresolved,
-    )
     return ExtensionResult(
         status=status,
         functional=completed,
@@ -884,6 +933,153 @@ def propagate_commutation(
         commutator_residual=commute,
         diagnostics=diagnostics,
     )
+
+
+# the parametric step: the most evaluations of the commutators, the largest
+# k * pairs * r^2 (free coefficients times variable pairs times table
+# entries, the size of the Jacobian) it takes on, and the commutator
+# residual at which a member counts as commuting
+MAX_EVALUATIONS = 30
+MAX_FAMILY_WORK = 200_000
+COMMUTE_TOL = 1e-12
+
+
+def commuting_member(
+    lam: MomentFunctional, Bp: MonomialBasis, ext: ExtensionResult
+) -> ExtensionResult:
+    """The parametric step after a rank-deficient completion: a member of
+    its family of solutions whose multiplication tables commute, which is
+    a flat extension of the data (Bernardi, Brachat, Comon and Mourrain,
+    J. Symb. Comput. 52, 2013).
+
+    The tails that the last fixpoint pass left free are x0 + N t, x0 its
+    truncated solution and N the trailing right singular vectors of each
+    factored part (and unit vectors for columns that no row touched), so
+    every table M_v(t) is affine in the k = nullity parameters t and the
+    commutators [M_u(t), M_v(t)] are quadratic.  One damped Gauss-Newton
+    (Levenberg-Marquardt) solve runs from t = 0: mu starts at 1e-3 times
+    the largest diagonal entry of J^H J, is divided by 3 after a step that
+    lowers ||F|| and doubled otherwise, and the solve stops once the
+    commutator residual is at most COMMUTE_TOL or after MAX_EVALUATIONS
+    evaluations of the commutators (t = 0 included).  The tables of a
+    trial t are M(0) plus their derivatives along t, and J^H J and J^H F
+    are formed once per accepted step (_Jacobian).  t has the dtype of the
+    data: for complex data F is holomorphic in t, and the complex step is
+    the real one over the real and imaginary parts.  A family whose
+    k * pairs * r^2 exceeds MAX_FAMILY_WORK gets only the evaluation at
+    t = 0, before anything of size k is formed.
+
+    A commuting member's tails are written into the reduction table, and
+    the usual commutator check and completion follow (``ext.tables`` is
+    the member's).  Any other outcome keeps the status "rank_deficient".
+    The diagnostics add to ``ext``'s the family dimension, the evaluations
+    made, and the commutator residual at t = 0 and at the last accepted t.
+    ``ext`` must be a rank-deficient result of propagate_commutation.
+    """
+    prop = ext._propagator
+    unresolved, x0, null = prop.family
+    r, shift = prop.r, prop.plan.shift
+    k = ext.diagnostics["nullity"]
+    i, j = np.triu_indices(len(shift), 1)
+    slots = r + unresolved
+    table = prop.table.copy()
+    table[slots] = x0.reshape(-1, r)
+    M = table[shift].transpose(0, 2, 1)
+    F = _brackets(M, i, j)
+    start = end = _residual(M, F, i, j)
+    tails, evaluations = x0, 1
+    if start > COMMUTE_TOL and k * len(i) * r * r <= MAX_FAMILY_WORK:
+        N = _null_basis(null, len(x0), k, x0.dtype)
+        # D[v, s, e, l]: entry e of column s of dM_v / dt_l, every table
+        # affine in t
+        D = np.zeros((len(table), r, k), dtype=x0.dtype)
+        D[slots] = N.reshape(-1, r, k)
+        D = D[shift]
+        along = D.transpose(3, 0, 2, 1).reshape(k, -1)
+        jacobian = _Jacobian(D.transpose(0, 2, 3, 1), i, j)
+        M0 = M
+        G, g = jacobian.normal_equations(M, F)
+        mu = 1e-3 * float(np.diagonal(G).real.max(initial=0.0))
+        cost = np.vdot(F, F).real
+        t, eye = np.zeros(k, dtype=x0.dtype), np.eye(k)
+        while mu > 0.0 and evaluations < MAX_EVALUATIONS:
+            trial = t + np.linalg.solve(G + mu * eye, -g)
+            M_trial = M0 + (trial @ along).reshape(M0.shape)
+            F_trial = _brackets(M_trial, i, j)
+            evaluations += 1
+            trial_cost = np.vdot(F_trial, F_trial).real
+            if not trial_cost < cost:  # a NaN is no descent either
+                mu *= 2.0
+                continue
+            t, M, F, cost = trial, M_trial, F_trial, trial_cost
+            end = _residual(M, F, i, j)
+            mu /= 3.0
+            if end <= COMMUTE_TOL or evaluations == MAX_EVALUATIONS:
+                break
+            G, g = jacobian.normal_equations(M, F)
+        tails = x0 + N @ t
+    diagnostics = {
+        **ext.diagnostics,
+        "family_dimension": int(k),
+        "evaluations": evaluations,
+        "commutator_start": start,
+        "commutator_end": end,
+    }
+    log.debug(
+        "commuting member: family %d, %d evaluations, commutator %.2e -> %.2e",
+        k, evaluations, start, end,
+    )
+    if not end <= COMMUTE_TOL:
+        return ExtensionResult("rank_deficient", None, None, None, diagnostics)
+    table[slots] = tails.reshape(-1, r)
+    member = copy.copy(prop)
+    member.table, member.known = table, np.ones_like(prop.known)
+    return _result(lam, Bp, member, "extended", diagnostics)
+
+
+def _null_basis(null, n: int, k: int, dtype) -> np.ndarray:
+    """The n x k null-space basis of a pass from _least_squares's blocks:
+    each part's trailing right singular vectors over its columns, then a
+    unit vector per column of no part."""
+    N = np.zeros((n, k), dtype=dtype)
+    covered = np.zeros(n, dtype=bool)
+    at = 0
+    for cols, Vt in null:
+        N[cols, at:at + len(Vt)] = Vt.conj().T
+        covered[cols] = True
+        at += len(Vt)
+    free = np.flatnonzero(~covered)
+    N[free, at + np.arange(len(free))] = 1.0
+    return N
+
+
+class _Jacobian:
+    """J^H J and J^H F of the brackets [M_u, M_v] over the pairs (u, v) =
+    (i, j) as functions of the parameters t, from the constant derivatives
+    A_v^l = dM_v / dt_l: the derivative of [M_u, M_v] along t_l is
+    [A_u^l, M_v] + [M_u, A_v^l].  ``T[v, a, l, b]`` is entry (a, b) of
+    A_v^l; read as an (r k) x r column of blocks or as an r x (k r) row of
+    blocks, its product with a table over all k parameters is one matrix
+    product per pair, and every product lands in the same (a, l, b)
+    layout.  J is formed for all pairs at once: the work cap bounds it to
+    MAX_FAMILY_WORK entries."""
+
+    def __init__(self, T: np.ndarray, i: np.ndarray, j: np.ndarray):
+        n, r, k = T.shape[:3]
+        T = np.ascontiguousarray(T)
+        column, row = T.reshape(n, r * k, r), T.reshape(n, r, k * r)
+        self.i, self.j, self.shape = i, j, (len(i), r, k, r)
+        self.sides = column[i], row[i], column[j], row[j]
+
+    def normal_equations(self, M: np.ndarray, F: np.ndarray):
+        column_u, row_u, column_v, row_v = self.sides
+        M_u, M_v = M[self.i], M[self.j]
+        J = (column_u @ M_v).reshape(self.shape)
+        J -= (M_v @ row_u).reshape(self.shape)
+        J += (M_u @ row_v).reshape(self.shape)
+        J -= (column_v @ M_u).reshape(self.shape)
+        J = J.transpose(2, 0, 1, 3).reshape(self.shape[2], -1)
+        return J.conj() @ J.T, J.conj() @ F.ravel()
 
 
 def _complete(lam, Bp, prop, tables) -> MomentFunctional:

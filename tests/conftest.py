@@ -376,3 +376,20 @@ def syzygy_reference(prop, unresolved):
                 inconsistency = max(inconsistency, abs(rhs))
     X = np.array(X, dtype=dtype).reshape(-1, len(unresolved) * r)
     return X, np.array(b, dtype=dtype), inconsistency
+
+
+def assert_same_output(got, want, path="$"):
+    """Integers, strings and structure exactly; floats to rel 1e-9."""
+    if isinstance(want, float):
+        assert isinstance(got, float), path
+        assert math.isclose(got, want, rel_tol=1e-9, abs_tol=1e-12), (path, got, want)
+    elif isinstance(want, dict):
+        assert isinstance(got, dict) and sorted(got) == sorted(want), path
+        for key in want:
+            assert_same_output(got[key], want[key], f"{path}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), path
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_same_output(g, w, f"{path}[{i}]")
+    else:
+        assert type(got) is type(want) and got == want, (path, got, want)

@@ -476,9 +476,10 @@ class TestDecompose:
         assert cancelled.weights()[0] == pytest.approx(2.0)
 
     def test_failure_report(self):
-        # a generic degree-(2,2) functional of full border rank stalls: the
-        # loop must fail with a report instead of fabricating an answer
-        rng = np.random.default_rng(11)
+        # a generic degree-(2,2) functional of full border rank whose family
+        # of completions has no commuting member within the evaluation cap:
+        # the loop must fail with a report instead of fabricating an answer
+        rng = np.random.default_rng(2)
         shape, ws, pts, T = random_instance(rng, (2, 2), (2, 2), 6)
         with pytest.raises(DecompositionError) as info:
             decompose(T)
@@ -487,7 +488,7 @@ class TestDecompose:
     def test_failure_report_names_real_failure(self):
         # the rank cap (30) is never reached: the one rank tried is the
         # flattening rank, and the report carries its last failure
-        rng = np.random.default_rng(11)
+        rng = np.random.default_rng(2)
         shape, ws, pts, T = random_instance(rng, (2, 2), (2, 2), 6)
         with pytest.raises(DecompositionError) as info:
             decompose(T)
@@ -499,7 +500,7 @@ class TestDecompose:
     def test_refusal_stops_after_first_random_frame(self):
         # no completion extends in random frame 1, and whether one extends
         # does not depend on which generic frame is used
-        rng = np.random.default_rng(11)
+        rng = np.random.default_rng(2)
         shape, ws, pts, T = random_instance(rng, (2, 2), (2, 2), 6)
         with pytest.raises(DecompositionError) as info:
             decompose(T)
@@ -596,20 +597,17 @@ class TestDecompose:
         assert report["stop"] == "frame limit"
 
     def test_refusal_details_hold_plain_numbers(self):
-        # sparse {-1,0,1} points refused at the extension stage: the
-        # nullity and unresolved count in the detail print as Python ints
-        shape = Shape(dims=(2, 2), degrees=(2, 2))
-        rng = np.random.default_rng(4)
-        pts = [
-            Point(tuple(tuple(rng.integers(-1, 2, n).astype(float)) for n in shape.dims))
-            for _ in range(4)
-        ]
+        # a family of completions refused at the extension stage: its
+        # dimension in the detail prints as a Python int
+        rng = np.random.default_rng(2)
+        *_, T = random_instance(rng, (2, 2), (2, 2), 6)
         with pytest.raises(DecompositionError) as info:
-            decompose(rank_one_expand(shape, [1.0] * 4, pts))
+            decompose(T)
         report = info.value.report
         assert report["stage"] == "extension"
         assert re.fullmatch(
-            r"rank deficient \(nullity \d+, \d+ unresolved\)", report["detail"]
+            r"not unique: family of dimension \d+, commutator \d\.\d\de[+-]\d\d",
+            report["detail"],
         )
 
     def test_reported_residual_is_that_of_returned_terms(self):
@@ -741,11 +739,12 @@ class TestCoordinateChange:
         assert back.coordinate_change is frames[0]
 
     def test_frame_change_keeps_real_terms(self):
-        # sparse {-1,0,1} points whose first frame fails; the terms are
+        # sparse {-1,0,1} points whose first frame fails (the 3x3x4 rank-4
+        # instance of scripts/integer_sweep.py at seed 29); the terms are
         # realified once, in the work frame, and the real frame change keeps
         # them real floats on the way back
-        shape = Shape(dims=(2, 2), degrees=(2, 2))
-        rng = np.random.default_rng(5)
+        shape = Shape(dims=(2, 2, 3), degrees=(1, 1, 1))
+        rng = np.random.default_rng(29)
         pts = [
             Point(tuple(tuple(rng.integers(-1, 2, n).astype(float)) for n in shape.dims))
             for _ in range(4)
@@ -757,7 +756,9 @@ class TestCoordinateChange:
             x for _, p in dec.terms for c in p.coords for x in c
         ]
         assert all(isinstance(x, float) for x in values)
-        assert dec.residual == verify(T, dec) < 1e-8
+        # 4.73e-8 here, as before the parametric step: the frame drawn costs
+        # this input digits
+        assert dec.residual == verify(T, dec) < 1e-7
 
     def test_draw_dependent_failures_keep_retrying(self, monkeypatch):
         # roots reported not simple after an extended completion may be an

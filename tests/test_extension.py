@@ -1,5 +1,6 @@
 import importlib
 import itertools
+import re
 import sys
 import threading
 from pathlib import Path
@@ -40,16 +41,20 @@ from tdec.extension import (
     _LEAF,
     _NULLSPACE_TOL,
     _PLAN_CACHE_SIZE,
+    COMMUTE_TOL,
     DEFAULT_TOL_EXTEND,
+    MAX_EVALUATIONS,
     _certified,
     _inverse_lower,
     _least_squares,
+    _null_basis,
     _plan,
     _plans,
     _Propagator,
     _reduction_walk,
     _walk_forms,
     commutator_residual,
+    commuting_member,
     flat_extension_check,
     propagate_commutation,
 )
@@ -61,8 +66,8 @@ from tdec.moment import (
     hankel,
     select_bases_candidates,
 )
-from tdec.decompose import DecomposeOptions, decompose
-from tdec.files import TensorFile
+from tdec.decompose import DecomposeOptions, DecompositionError, decompose
+from tdec.files import TensorFile, synthesize
 
 # the benchmark's instances, imported read-only as scripts/sameness.py does
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -908,7 +913,7 @@ class TestComponentSolve:
         size = max(X.shape)
         calls = count_calls(monkeypatch, "qr")
         nz = block_incidence(X, r)
-        x, resid, freedom, rank, sizes, _ = _least_squares(X, b, size, r, nz)
+        x, resid, freedom, rank, sizes, _, _ = _least_squares(X, b, size, r, nz)
         monkeypatch.undo()
         assert calls == {"qr": 4}  # one factorization per component with rows
         x_d, resid_d, freedom_d, rank_d = dense_least_squares(X, b, size)
@@ -923,6 +928,20 @@ class TestComponentSolve:
         np.testing.assert_allclose(x, x_d, rtol=0, atol=1e-10)
         assert abs(resid - resid_d) <= 1e-10 * max(1.0, resid_d)
 
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_null_space_of_the_parts(self, dtype):
+        # the trailing right singular vectors of each factored part and a
+        # unit vector per column of the block no row touches: an
+        # orthonormal basis of X's null space, of dimension n - rank
+        X, b, r = block_system(np.random.default_rng(0), dtype)
+        nz = block_incidence(X, r)
+        _, _, _, rank, _, _, null = _least_squares(X, b, max(X.shape), r, nz)
+        n = X.shape[1]
+        N = _null_basis(null, n, n - rank, X.dtype)
+        assert N.shape == (n, n - rank) == (n, 3 * r - 1)
+        np.testing.assert_allclose(N.conj().T @ N, np.eye(n - rank), atol=1e-12)
+        assert np.linalg.norm(X @ N) <= 1e-12 * np.linalg.norm(X)
+
     @pytest.mark.parametrize("components", [1, 2])
     def test_solved_whole(self, components, monkeypatch):
         # one component with a zero row, or two components too small for
@@ -936,7 +955,7 @@ class TestComponentSolve:
         X[:, 5] = X[:, 4]
         calls = count_calls(monkeypatch, "qr")
         nz = block_incidence(X, 3)
-        x, resid, freedom, rank, sizes, bound = _least_squares(X, b, 12, 3, nz)
+        x, resid, freedom, rank, sizes, bound, _ = _least_squares(X, b, 12, 3, nz)
         monkeypatch.undo()
         x_d, resid_d, freedom_d, rank_d = dense_least_squares(X, b, 12)
         assert calls == {"qr": 1}
@@ -955,7 +974,7 @@ class TestComponentSolve:
         # no equation determines nothing: zeros of X's dtype, residual 0,
         # every unknown free, rank 0, and one component per r-column block
         X, b = np.zeros((0, n), dtype=dtype), np.zeros(0, dtype=dtype)
-        x, resid, freedom, rank, sizes, bound = _least_squares(
+        x, resid, freedom, rank, sizes, bound, _ = _least_squares(
             X, b, n, r, block_incidence(X, r)
         )
         assert x.dtype == np.dtype(dtype)
@@ -977,7 +996,7 @@ class TestComponentSolve:
         ])
         b = rng.normal(size=200)
         nz = block_incidence(X, 10)
-        _, _, freedom, rank, _, bound = _least_squares(X, b, 200, 10, nz)
+        _, _, freedom, rank, _, bound, _ = _least_squares(X, b, 200, 10, nz)
         _, _, freedom_d, rank_d = dense_least_squares(X, b, 200)
         assert bound is None
         assert rank == rank_d == 58
@@ -1000,7 +1019,7 @@ class TestCertifiedSolve:
             b = b + 1j * rng.normal(size=b.shape)
         calls = count_calls(monkeypatch, "qr", "svd")
         nz = block_incidence(X, 4)
-        x, resid, freedom, rank, sizes, bound = _least_squares(X, b, 240, 4, nz)
+        x, resid, freedom, rank, sizes, bound, _ = _least_squares(X, b, 240, 4, nz)
         monkeypatch.undo()
         assert calls == {"qr": 0, "svd": 0}
         x_d, resid_d, _, rank_d = dense_least_squares(X, b, 240)
@@ -1027,7 +1046,7 @@ class TestCertifiedSolve:
         )
         calls = count_calls(monkeypatch, "qr", "svd")
         nz = block_incidence(X, 5)
-        x, resid, freedom, rank, sizes, bound = _least_squares(X, b, 300, 5, nz)
+        x, resid, freedom, rank, sizes, bound, _ = _least_squares(X, b, 300, 5, nz)
         monkeypatch.undo()
         assert calls == {"qr": 0, "svd": 0}
         assert sorted(inverted) == [32, 32, 33, 33]
@@ -1055,7 +1074,7 @@ class TestCertifiedSolve:
         monkeypatch.setattr(np.linalg, "inv", wrong)
         calls = count_calls(monkeypatch, "qr")
         nz = block_incidence(X, 2)
-        x, resid, freedom, rank, sizes, bound = _least_squares(X, b, 300, 2, nz)
+        x, resid, freedom, rank, sizes, bound, _ = _least_squares(X, b, 300, 2, nz)
         monkeypatch.undo()
         assert calls == {"qr": 1} and bound is None
         assert rank == n
@@ -1077,7 +1096,7 @@ class TestCertifiedSolve:
         X, b = (Q1 * s) @ Q2.T, rng.normal(size=300)
         calls = count_calls(monkeypatch, "qr")
         nz = block_incidence(X, 5)
-        x, resid, freedom, rank, sizes, bound = _least_squares(X, b, 300, 5, nz)
+        x, resid, freedom, rank, sizes, bound, _ = _least_squares(X, b, 300, 5, nz)
         monkeypatch.undo()
         assert calls == {"qr": 1} and bound is None
         assert rank == dense_least_squares(X, b, 300)[3] == 129
@@ -1122,7 +1141,7 @@ class TestCertifiedSolve:
         as the dense reference, and return the rank and determined set."""
         calls = count_calls(monkeypatch, "qr")
         nz = block_incidence(X, 3)
-        x, resid, freedom, rank, sizes, bound = _least_squares(X, b, size, 3, nz)
+        x, resid, freedom, rank, sizes, bound, _ = _least_squares(X, b, size, 3, nz)
         monkeypatch.undo()
         assert calls == {"qr": 1}
         assert bound is None
@@ -1500,3 +1519,134 @@ class TestRankFactorCheck:
         B = prefix_basis(shape, 3)  # every monomial of the known range
         lam = complete_functional(shape, [1.0, 1.0, 1.0], pts, B, B)
         assert flat_extension_check(lam, B, B)
+
+
+def rank_deficient(T):
+    """The moments of T, the first basis pair at its flattening rank and
+    that pair's completion, which leaves relations free."""
+    lam = build_moment_functional(T)
+    B, Bp = first_pair(lam, Catalecticants(lam).flattening_rank())
+    ext = propagate_commutation(lam, B, Bp)
+    assert ext.status == "rank_deficient"
+    return lam, B, Bp, ext
+
+
+def step_numbers(res):
+    d = res.diagnostics
+    return (
+        d["family_dimension"], d["evaluations"], d["commutator_start"],
+        d["commutator_end"],
+    )
+
+
+class TestCommutingMember:
+    """The parametric step after a rank-deficient completion: a commuting
+    member of the family the last fixpoint pass leaves, found by a damped
+    Gauss-Newton solve on the commutators from t = 0."""
+
+    def test_family_commuting_at_zero(self):
+        # the benchmark's sparse (2,2)/(2,2) rank-4 instance 0 leaves one
+        # free coefficient whose tables already commute at t = 0
+        inst = next(
+            i for i in workloads.hard_inputs(31) if i.name == "sparse-(2,2)/(2,2)-r4#0"
+        )
+        shape = Shape(inst.dims, inst.degrees)
+        T = rank_one_expand(shape, list(inst.weights), [Point(p) for p in inst.points])
+        lam, B, Bp, ext = rank_deficient(T)
+        res = commuting_member(lam, Bp, ext)
+        assert res.extended
+        assert step_numbers(res)[:2] == (1, 1)
+        assert res.diagnostics["commutator_start"] == res.diagnostics["commutator_end"]
+        assert res.diagnostics["commutator_end"] <= COMMUTE_TOL
+        assert flat_extension_check(res.functional, B, Bp)
+
+    def test_family_the_step_solves(self):
+        # a generic 2x2x3 rank-3 tensor: 15 free coefficients, tables far
+        # from commuting at t = 0, a commuting member after 9 evaluations,
+        # from whose tables decompose reads the terms
+        T = synthesize((1, 1, 2), (1, 1, 1), 3, 0)[0].tensor
+        lam, B, Bp, ext = rank_deficient(T)
+        res = commuting_member(lam, Bp, ext)
+        family, evaluations, start, end = step_numbers(res)
+        assert (family, evaluations) == (15, 9)
+        assert start > 0.5 and end <= COMMUTE_TOL
+        assert res.extended
+        assert res.commutator_residual == commutator_residual(res.tables) <= 1e-12
+        assert flat_extension_check(res.functional, B, Bp)
+        dec = decompose(T)
+        assert dec.residual < 1e-10
+        assert not dec.meta["coordinate_change_applied"]
+
+    def test_no_commuting_member_within_the_evaluation_cap(self):
+        # a generic (2,2)/(2,2) rank-6 tensor: the solve descends but stops
+        # at the cap, and the result stays rank deficient with the
+        # completion's own diagnostics kept
+        T = synthesize((2, 2), (2, 2), 6, 2)[0].tensor
+        lam, B, Bp, ext = rank_deficient(T)
+        res = commuting_member(lam, Bp, ext)
+        family, evaluations, start, end = step_numbers(res)
+        assert (family, evaluations) == (6, MAX_EVALUATIONS)
+        assert COMMUTE_TOL < end < start
+        assert res.status == "rank_deficient"
+        assert res.functional is None and res.tables is None
+        assert res.commutator_residual is None
+        assert res.diagnostics.items() >= ext.diagnostics.items()
+        with pytest.raises(DecompositionError) as info:
+            decompose(T)
+        assert info.value.report["detail"].startswith("not unique: family of dimension")
+
+    @pytest.mark.parametrize("cap", [809, 810])
+    def test_work_cap(self, cap, monkeypatch):
+        # the 2x2x3 rank-3 family: k * pairs * r^2 = 15 * 6 * 9 = 810.
+        # Past the cap only t = 0 is evaluated, and no step is solved
+        T = synthesize((1, 1, 2), (1, 1, 1), 3, 0)[0].tensor
+        lam, B, Bp, ext = rank_deficient(T)
+        monkeypatch.setattr(
+            importlib.import_module("tdec.extension"), "MAX_FAMILY_WORK", cap
+        )
+        calls = count_calls(monkeypatch, "solve")
+        res = commuting_member(lam, Bp, ext)
+        if cap == 810:
+            assert res.extended and calls["solve"] == step_numbers(res)[1] - 1
+            return
+        assert res.status == "rank_deficient" and calls["solve"] == 0
+        family, evaluations, start, end = step_numbers(res)
+        assert (family, evaluations) == (15, 1)
+        assert start == end > COMMUTE_TOL
+
+    def test_work_cap_refusal_detail(self):
+        # a generic 4x4x10 rank-9 tensor leaves 378 free coefficients over
+        # 105 variable pairs of 9 x 9 tables, past the cap in every frame
+        T = synthesize((3, 3, 9), (1, 1, 1), 9, 0)[0].tensor
+        with pytest.raises(DecompositionError) as info:
+            decompose(T)
+        report = info.value.report
+        assert report["stage"] == "extension"
+        assert re.fullmatch(
+            r"not unique: family of dimension 378, commutator \d\.\d\de-\d\d",
+            report["detail"],
+        )
+        assert report["frames"] == 2
+        assert report["stop"] == "random frame 1: no completion extended"
+
+    def test_complex_tensor(self):
+        # complex data: complex parameters, and a complex commuting member
+        T = synthesize((1, 1, 2), (1, 1, 1), 3, 0, fld="complex")[0].tensor
+        lam, B, Bp, ext = rank_deficient(T)
+        res = commuting_member(lam, Bp, ext)
+        assert res.extended and res.tables.dtype == complex
+        assert step_numbers(res)[0] == 15
+        assert all(type(x) is float for x in step_numbers(res)[2:])
+        assert decompose(T).residual < 1e-10
+
+    def test_same_bits_and_input_kept(self):
+        # deterministic, and the rank-deficient result it reads is left as
+        # it was: a second call gives the same bits
+        T = synthesize((1, 1, 2), (1, 1, 1), 3, 1)[0].tensor
+        lam, B, Bp, ext = rank_deficient(T)
+        before = snapshot(ext)
+        first = commuting_member(lam, Bp, ext)
+        assert snapshot(ext) == before
+        second = commuting_member(lam, Bp, ext)
+        assert snapshot(second) == snapshot(first)
+        assert first.extended

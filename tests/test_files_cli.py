@@ -1,19 +1,22 @@
 import contextlib
 import copy
 import importlib
+import importlib.util
 import io
 import json
 import math
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import tdec
-from conftest import count_calls, near_collinear_tensor, term_at_infinity_tensor
+from conftest import (
+    assert_same_output,
+    count_calls,
+    near_collinear_tensor,
+    term_at_infinity_tensor,
+)
 from tdec.algebra import Monomial
 from tdec.cli import build_parser, main
 from tdec.files import (
@@ -32,6 +35,18 @@ from tdec.files import (
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def load_script(name):
+    """A script of scripts/ loaded as a module."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+make_fixtures = load_script("make_fixtures")
 
 
 def from_obj_reference(obj) -> TensorFile:
@@ -88,23 +103,6 @@ def read_outcome(reader, obj):
         return "error", str(exc)
     vec = tf.tensor.vector()
     return tf.field, vec.dtype.str, vec.tobytes()
-
-
-def assert_same_output(got, want, path="$"):
-    """Integers, strings and structure exactly; floats to rel 1e-9."""
-    if isinstance(want, float):
-        assert isinstance(got, float), path
-        assert math.isclose(got, want, rel_tol=1e-9, abs_tol=1e-12), (path, got, want)
-    elif isinstance(want, dict):
-        assert isinstance(got, dict) and sorted(got) == sorted(want), path
-        for key in want:
-            assert_same_output(got[key], want[key], f"{path}.{key}")
-    elif isinstance(want, list):
-        assert isinstance(got, list) and len(got) == len(want), path
-        for i, (g, w) in enumerate(zip(got, want)):
-            assert_same_output(g, w, f"{path}[{i}]")
-    else:
-        assert type(got) is type(want) and got == want, (path, got, want)
 
 
 class TestFileRoundTrip:
@@ -455,25 +453,15 @@ class TestCli:
     def run(self, *argv):
         return main([str(a) for a in argv])
 
-    @pytest.mark.parametrize("name,seed", [("example1", 0), ("example2", 3)])
+    @pytest.mark.parametrize("name,seed", list(make_fixtures.GOLDEN_SEEDS.items()))
     def test_decompose_matches_golden_file(self, tmp_path, name, seed):
         # the golden files were written with two BLAS threads; with one
         # thread the example2 term of weight 2 moves by 1.35e-9 relative,
         # past rel_tol 1e-9, so the CLI runs in a process pinned to two
-        # threads, whatever the core count
+        # threads, whatever the core count, as scripts/make_fixtures.py
+        # runs it
         out = tmp_path / "dec.json"
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2")
-        env.pop("TDEC_LOG", None)
-        src = str(Path(tdec.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(
-            [src] + [p for p in [env.get("PYTHONPATH")] if p]
-        )
-        proc = subprocess.run(
-            [sys.executable, "-m", "tdec.cli", "decompose",
-             "-i", str(FIXTURES / f"{name}.json"), "-o", str(out),
-             "--seed", str(seed)],
-            env=env, capture_output=True, text=True, timeout=120,
-        )
+        proc = make_fixtures.decompose_with_cli(FIXTURES / f"{name}.json", seed, out)
         assert proc.returncode == 0, proc.stderr
         got = json.loads(out.read_text())
         want = json.loads((FIXTURES / f"{name}.dec.json").read_text())

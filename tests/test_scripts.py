@@ -7,6 +7,7 @@ comparison and argument check are called without running a benchmark.
 """
 
 import importlib.util
+import json
 import os
 import re
 import subprocess
@@ -16,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import tdec
+from conftest import assert_same_output
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = ROOT / "scripts"
@@ -27,24 +29,26 @@ SCRIPTS = ROOT / "scripts"
 OUTCOMES_AT_SEED_31 = {
     "flat-large": "a57769d568d8a07549fd8b41e616b779cb2c12d6ce1125a4835f5e43fe3d7c8d",
     "small-mixed": "0bc1e64286e35230f8fbd8ed7b4365fb3f00da37c62de84699e43c4975a93f02",
-    "hard-inputs": "c2b508185ce53c181474333f6deae0ae146a37a281e4eef6dea6752fb8e6531d",
+    "hard-inputs": "6d1a9ef04c410f99962647d3f7b33b1d27368c19ad5a0ce5e970ffc84cbd706f",
 }
 
-# the lines of `scripts/integer_sweep.py` but its CPU seconds: recoveries per
-# format, frame rescues, frames over refusals, stop reasons and stages of the
-# non-generic integer-point inputs; a change that moves these outcomes on
-# purpose updates them
+# the lines of `scripts/integer_sweep.py` but its CPU seconds: recoveries and
+# complex results per format, frame rescues, frames over refusals, stop
+# reasons and stages of the non-generic integer-point inputs; a change that
+# moves these outcomes on purpose updates them
 INTEGER_SWEEP_OUTCOMES = """\
-(2,2)/(2,2) r4       10/40 recovered
-3x3x4 r4             9/40 recovered
-4x4x4 r4             24/40 recovered
-(2,2,2)/(1,1,2) r4   18/40 recovered
-3x3x3 r3             19/40 recovered
-total 80/200 recovered
-rescued by a frame change: 3: (2,2)/(2,2) r4 seed 5, (2,2)/(2,2) r4 seed 21, 3x3x4 r4 seed 29
-frames tried over 120 refusals: 240
-  stopped on random frame 1: no completion extended: 120
-  refused at stage extension: 120
+(2,2)/(2,2) r4       40/40 recovered; complex 0
+3x3x4 r4             31/40 recovered; complex 10
+4x4x4 r4             39/40 recovered; complex 4
+(2,2,2)/(1,1,2) r4   40/40 recovered; complex 7
+3x3x3 r3             40/40 recovered; complex 8
+total 190/200 recovered
+rescued by a frame change: 1: 3x3x4 r4 seed 29
+frames tried over 10 refusals: 20
+  stopped on random frame 1: no completion extended: 9
+  stopped on random frame 1: term at infinity: 1
+  refused at stage extension: 9
+  refused at stage frame: 1
 """
 
 # the lines of `scripts/generic_sweep.py` but their slowest instances and the
@@ -52,14 +56,14 @@ frames tried over 120 refusals: 240
 # results for real input, of seeded generic tensors; a change that moves
 # these outcomes on purpose updates them
 GENERIC_SWEEP_OUTCOMES = """\
-ternary quartic r5     0/10 recovered; refused extension/rank deficient 10; complex 0
-ternary quartic r6     0/10 recovered; refused extension/rank deficient 10; complex 0
-quaternary quartic r8  0/10 recovered; refused extension/rank deficient 10; complex 0
-quaternary quartic r9  0/10 recovered; refused extension/rank deficient 10; complex 0
-4x4x10 r9              0/10 recovered; refused extension/rank deficient 10; complex 0
-(2,2)/(2,2) r6         0/10 recovered; refused extension/rank deficient 10; complex 0
-3x3x3x3 r5             0/10 recovered; refused extension/rank deficient 10; complex 0
-2x2x3 r3               0/10 recovered; refused extension/rank deficient 10; complex 0
+ternary quartic r5     10/10 recovered; refused none; complex 4
+ternary quartic r6     10/10 recovered; refused none; complex 6
+quaternary quartic r8  10/10 recovered; refused none; complex 2
+quaternary quartic r9  9/10 recovered; refused extension/not unique 1; complex 5
+4x4x10 r9              0/10 recovered; refused extension/not unique 10; complex 0
+(2,2)/(2,2) r6         8/10 recovered; refused extension/not unique 2; complex 0
+3x3x3x3 r5             10/10 recovered; refused none; complex 0
+2x2x3 r3               10/10 recovered; refused none; complex 6
 3x3x3 r3               10/10 recovered; refused none; complex 0
 ternary quartic r4     10/10 recovered; refused none; complex 0
 quaternary quartic r7  10/10 recovered; refused none; complex 0
@@ -132,11 +136,19 @@ def test_make_fixtures_rewrites_the_committed_files(tmp_path, monkeypatch):
     monkeypatch.setattr(script, "FIXTURES", tmp_path)
     script.main()
     names = [f"example{i}{end}.json" for i in (1, 2) for end in ("", "_truth")]
-    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)
+    decompositions = [f"{name}.dec.json" for name in script.GOLDEN_SEEDS]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names + decompositions)
     for name in names:
         assert (tmp_path / name).read_bytes() == (
             ROOT / "tests" / "fixtures" / name
         ).read_bytes(), name
+    # the decompositions as TestCli::test_decompose_matches_golden_file
+    # compares them: meta exactly, floats to rel 1e-9
+    for name in decompositions:
+        got = json.loads((tmp_path / name).read_text())
+        want = json.loads((ROOT / "tests" / "fixtures" / name).read_text())
+        assert got["meta"] == want["meta"], name
+        assert_same_output(got, want)
 
 
 def load_bench():
