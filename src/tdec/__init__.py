@@ -38,7 +38,6 @@ from .eigen import (
 )
 from .extension import (
     ExtensionResult,
-    commuting_member,
     commutator_residual,
     flat_extension_check,
     propagate_commutation,

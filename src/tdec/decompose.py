@@ -7,11 +7,12 @@ commutation propagation, checks flatness, computes joint eigenvectors of the
 multiplication tables whose commutation the completion checked, reads
 coordinates, solves for weights and accepts on a small reconstruction
 residual.  A completion that leaves relations free is finished by the
-parametric step (``commuting_member``), which takes a member of its family
-whose tables commute.  A completion that contradicts the data, or a family
-with no commuting member within the step's caps, is refused at the
-extension stage: without a flat extension there is no commuting family to
-read points from.  On failure the attempt is retried under a random (seeded,
+parametric step (``Family.commuting_member``), which takes a member of its
+family whose tables commute; after MAX_VAIN_SEARCHES searches of a frame
+that find none, the frame's later families are only checked at t = 0.  A
+completion that contradicts the data, or a family with no commuting member
+within the step's caps, is refused at the extension stage: without a flat
+extension there is no commuting family to read points from.  On failure the attempt is retried under a random (seeded,
 orthogonal) change of coordinates per group, at most MAX_COORD_CHANGES
 times.  Whether the linear completion extends does not depend on which
 generic frame is used, and a family that the parametric step leaves without
@@ -47,11 +48,7 @@ from .eigen import (
     read_coordinates,
     solve_weights,
 )
-from .extension import (
-    commuting_member,
-    flat_extension_check,
-    propagate_commutation,
-)
+from .extension import flat_extension_check, propagate_commutation
 from .moment import (
     DEFAULT_TOL_RANK,
     Catalecticants,
@@ -64,6 +61,10 @@ log = logging.getLogger("tdec")
 
 MAX_COORD_CHANGES = 3
 MAX_BASIS_CANDIDATES = 4
+# searches of the parametric step in one frame that may end without a
+# commuting member before the frame's later families are only evaluated
+# at t = 0
+MAX_VAIN_SEARCHES = 2
 MAX_RANK = 30
 
 
@@ -370,13 +371,17 @@ def substitute_linear(T: Polynomial, mats: list[np.ndarray]) -> Polynomial:
 # --- the main loop -------------------------------------------------------------
 
 
-def _try_pair(T: Polynomial, lam, B, Bp, opts: DecomposeOptions, seed: int):
+def _try_pair(
+    T: Polynomial, lam, B, Bp, opts: DecomposeOptions, seed: int, search: bool
+):
     """Decompose T at rank len(B) through one basis pair of its moments
-    ``lam``: the completion's status and a Decomposition or a failure dict."""
+    ``lam``: the completion (ExtensionResult) and a Decomposition or a
+    failure dict.  A rank-deficient completion goes on to the parametric
+    step, which searches its family only when ``search`` is set."""
     r = len(B)
     ext = propagate_commutation(lam, B, Bp, tol=opts.tol_resid)
-    if ext.status == "rank_deficient":
-        ext = commuting_member(lam, Bp, ext)
+    if ext.family is not None:
+        ext = ext.family.commuting_member(search)
     if not ext.extended:
         diag = ext.diagnostics
         detail = (
@@ -385,12 +390,12 @@ def _try_pair(T: Polynomial, lam, B, Bp, opts: DecomposeOptions, seed: int):
             else f"not unique: family of dimension {diag['family_dimension']}, "
             f"commutator {diag['commutator_end']:.2e}"
         )
-        return ext.status, {"rank": r, "stage": "extension", "detail": detail}
+        return ext, {"rank": r, "stage": "extension", "detail": detail}
     if not flat_extension_check(ext.functional, B, Bp, opts.tol_rank):
-        return ext.status, {"rank": r, "stage": "flat-check", "detail": "rank grew"}
+        return ext, {"rank": r, "stage": "flat-check", "detail": "rank grew"}
     roots = joint_eigenvectors(B, ext.tables, seed=seed)
     if not roots.simple:
-        return ext.status, {
+        return ext, {
             "rank": r,
             "stage": "eigen",
             "detail": f"roots not simple ({roots.diagnostics})",
@@ -399,16 +404,16 @@ def _try_pair(T: Polynomial, lam, B, Bp, opts: DecomposeOptions, seed: int):
     try:
         gam, _ = solve_weights(T, roots.points)
     except WeightSolveError as exc:
-        return ext.status, {"rank": r, "stage": "weights", "detail": str(exc)}
+        return ext, {"rank": r, "stage": "weights", "detail": str(exc)}
     if np.abs(gam).min() <= 1e-10 * np.abs(gam).max():
-        return ext.status, {"rank": r, "stage": "weights", "detail": "vanishing weight"}
+        return ext, {"rank": r, "stage": "weights", "detail": "vanishing weight"}
     dec = Decomposition(
         T.shape,
         list(zip(gam.tolist(), roots.points)),
         residual=0.0,
         meta={"basis": B.names(), "dual_basis": Bp.names()},
     )
-    return ext.status, _accept(dec, T, opts.tol_resid, "verify", "residual")
+    return ext, _accept(dec, T, opts.tol_resid, "verify", "residual")
 
 
 def _attempt_rank(
@@ -421,20 +426,31 @@ def _attempt_rank(
     ended ``extended``, and the smallest residual checked (inf if none).  A
     pair that the selection yields again (another degree split can pick the
     same bases) has the same outcome, so it is tried once; a repeat still
-    counts toward MAX_BASIS_CANDIDATES.
+    counts toward MAX_BASIS_CANDIDATES.  Once the parametric step has
+    searched MAX_VAIN_SEARCHES families of the frame without finding a
+    commuting member, the families of its later pairs are only evaluated
+    at t = 0.  They complete the same data: in ``scripts/integer_sweep.py``,
+    ``scripts/generic_sweep.py`` and the benchmark's hard inputs, no frame
+    found a commuting member after two vain searches, and a refused input
+    paid a third of its time for the later ones.
     """
     failure = {"rank": r, "stage": "bases", "detail": "no invertible block"}
     extended = False
     best_residual = float("inf")
     outcomes = {}
+    vain = 0
     for B, Bp in islice(select_bases_candidates(cats, r), MAX_BASIS_CANDIDATES):
         key = (tuple(B.codes.tolist()), tuple(Bp.codes.tolist()))
         if key not in outcomes:
-            outcomes[key] = _try_pair(T, cats.lam, B, Bp, opts, seed)
-        status, out = outcomes[key]
+            search = vain < MAX_VAIN_SEARCHES
+            ext, out = _try_pair(T, cats.lam, B, Bp, opts, seed, search)
+            outcomes[key] = ext, out
+            if ext.status == "rank_deficient" and ext.diagnostics["evaluations"] > 1:
+                vain += 1
+        ext, out = outcomes[key]
         if log.isEnabledFor(logging.INFO):
-            log.info("r=%d bases %s | %s -> %s", r, B.names(), Bp.names(), status)
-        extended = extended or status == "extended"
+            log.info("r=%d bases %s | %s -> %s", r, B.names(), Bp.names(), ext.status)
+        extended = extended or ext.extended
         if isinstance(out, Decomposition):
             return out, extended, best_residual
         best_residual = min(best_residual, out.get("residual", best_residual))

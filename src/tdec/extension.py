@@ -88,12 +88,12 @@ of solutions: the tails of its last fixpoint pass are x0 + N t, N the null
 space of that pass's system from the SVDs it already took, and each member
 whose multiplication tables commute is a flat extension of the data (the
 border-basis form of the flat-extension criterion; Bernardi, Brachat,
-Comon and Mourrain, J. Symb. Comput. 52, 2013).  ``commuting_member``
-searches the family from t = 0 by a damped Gauss-Newton solve on the
-commutators, whose Jacobian is affine in t, with caps on the evaluations
-and on the size of the Jacobian, and completes the member it finds as an
-extension; propagate_commutation itself reports the family as
-``rank_deficient``.
+Comon and Mourrain, J. Symb. Comput. 52, 2013).  propagate_commutation
+reports such a completion as ``rank_deficient`` with its ``Family``, whose
+``commuting_member`` searches it from t = 0 by a damped Gauss-Newton solve
+on the commutators, whose Jacobian is affine in t, with caps on the
+evaluations and on the size of the Jacobian, and completes the member it
+finds as an extension.
 """
 
 from __future__ import annotations
@@ -122,16 +122,16 @@ class ExtensionResult:
     tables, one (n_vars, r, r) array in canonical variable order, column s
     of M_v the normal form of x_v * b_s over B) are set only when ``status``
     is "extended", ``commutator_residual`` only once every table is known,
-    and ``diagnostics`` always."""
+    ``diagnostics`` always, and ``family`` (the solutions the completion
+    leaves, which ``Family.commuting_member`` searches) only when ``status``
+    is "rank_deficient"."""
 
     status: str  # "extended" | "rank_deficient" | "inconsistent"
     functional: MomentFunctional | None
     tables: np.ndarray | None
     commutator_residual: float | None
     diagnostics: dict = field(default_factory=dict)
-    # the propagator of a rank-deficient completion, which commuting_member
-    # reads
-    _propagator: object = field(default=None, repr=False, compare=False)
+    family: Family | None = field(default=None, repr=False, compare=False)
 
     @property
     def extended(self) -> bool:
@@ -561,8 +561,8 @@ class _Propagator:
         )
         # when the last pass leaves every unresolved target free: those
         # targets, the pass's solution and its null-space blocks
-        # (_least_squares), the family that commuting_member searches
-        self.family = None
+        # (_least_squares), from which a Family is built
+        self.free = None
 
     # --- reductions -----------------------------------------------------
 
@@ -812,7 +812,7 @@ class _Propagator:
             # a NaN freedom compares false: its block counts as determined
             free = freedom.reshape(-1, r).max(axis=1) > _NULLSPACE_TOL
             if free.all():
-                self.family = unresolved, x, null
+                self.free = unresolved, x, null
                 break
             # the null-space blocks are views of whole Vt factors: let them
             # go before the next pass assembles its system
@@ -889,7 +889,8 @@ def propagate_commutation(
     Returns Extended with the completed functional on products of the
     enlarged bases, Inconsistent when the equations contradict the data or
     the tables of an extension do not commute, or RankDeficient when the
-    linearly reachable part leaves relations free.  The diagnostics are
+    linearly reachable part leaves relations free, with the ``family`` of
+    solutions that the parametric step searches.  The diagnostics are
     reported whatever the status, the functional and the commuting tables
     only for an extension, and the commutator residual once every relation
     is resolved.  ``tol``, floored at 1e-8, bounds the inconsistency and the
@@ -898,20 +899,26 @@ def propagate_commutation(
     """
     prop = _Propagator(lam, B, Bp, max(tol, 1e-8))
     status = prop.run()
-    unresolved = int(np.count_nonzero(~prop.known))
-    diagnostics = {
-        "inconsistency": prop.inconsistency,
-        **prop.last_pass,
-        "unresolved": unresolved,
-    }
-    result = _result(lam, Bp, prop, status, diagnostics)
+    result = _result(lam, Bp, prop, status, _diagnostics(prop))
     log.debug(
         "propagation: status=%s commute=%s unresolved=%d",
-        result.status, result.commutator_residual, unresolved,
+        result.status, result.commutator_residual,
+        result.diagnostics["unresolved"],
     )
     if result.status == "rank_deficient":
-        result._propagator = prop
+        result.family = Family(lam, Bp, prop)
     return result
+
+
+def _diagnostics(prop) -> dict:
+    """A completion's diagnostics: its largest inconsistency, its last
+    pass (see _Propagator.last_pass) and the count of unresolved
+    targets."""
+    return {
+        "inconsistency": prop.inconsistency,
+        **prop.last_pass,
+        "unresolved": int(np.count_nonzero(~prop.known)),
+    }
 
 
 def _result(lam, Bp, prop, status, diagnostics) -> ExtensionResult:
@@ -944,97 +951,110 @@ MAX_FAMILY_WORK = 200_000
 COMMUTE_TOL = 1e-12
 
 
-def commuting_member(
-    lam: MomentFunctional, Bp: MonomialBasis, ext: ExtensionResult
-) -> ExtensionResult:
-    """The parametric step after a rank-deficient completion: a member of
-    its family of solutions whose multiplication tables commute, which is
-    a flat extension of the data (Bernardi, Brachat, Comon and Mourrain,
-    J. Symb. Comput. 52, 2013).
-
-    The tails that the last fixpoint pass left free are x0 + N t, x0 its
+class Family:
+    """The solutions that a rank-deficient completion leaves: the tails
+    that its last fixpoint pass left free are x0 + N t, x0 the pass's
     truncated solution and N the trailing right singular vectors of each
-    factored part (and unit vectors for columns that no row touched), so
-    every table M_v(t) is affine in the k = nullity parameters t and the
-    commutators [M_u(t), M_v(t)] are quadratic.  One damped Gauss-Newton
-    (Levenberg-Marquardt) solve runs from t = 0: mu starts at 1e-3 times
-    the largest diagonal entry of J^H J, is divided by 3 after a step that
-    lowers ||F|| and doubled otherwise, and the solve stops once the
-    commutator residual is at most COMMUTE_TOL or after MAX_EVALUATIONS
-    evaluations of the commutators (t = 0 included).  The tables of a
-    trial t are M(0) plus their derivatives along t, and J^H J and J^H F
-    are formed once per accepted step (_Jacobian).  t has the dtype of the
-    data: for complex data F is holomorphic in t, and the complex step is
-    the real one over the real and imaginary parts.  A family whose
-    k * pairs * r^2 exceeds MAX_FAMILY_WORK gets only the evaluation at
-    t = 0, before anything of size k is formed.
+    factored part (and unit vectors for columns that no row touched), over
+    ``dimension`` (k, the pass's nullity) parameters t.  Every table
+    M_v(t) is affine in t, so the commutators [M_u(t), M_v(t)] are
+    quadratic, and each member whose tables commute is a flat extension of
+    the data (Bernardi, Brachat, Comon and Mourrain, J. Symb. Comput. 52,
+    2013).  ``propagate_commutation`` builds it; ``commuting_member``
+    searches it."""
 
-    A commuting member's tails are written into the reduction table, and
-    the usual commutator check and completion follow (``ext.tables`` is
-    the member's).  Any other outcome keeps the status "rank_deficient".
-    The diagnostics add to ``ext``'s the family dimension, the evaluations
-    made, and the commutator residual at t = 0 and at the last accepted t.
-    ``ext`` must be a rank-deficient result of propagate_commutation.
-    """
-    prop = ext._propagator
-    unresolved, x0, null = prop.family
-    r, shift = prop.r, prop.plan.shift
-    k = ext.diagnostics["nullity"]
-    i, j = np.triu_indices(len(shift), 1)
-    slots = r + unresolved
-    table = prop.table.copy()
-    table[slots] = x0.reshape(-1, r)
-    M = table[shift].transpose(0, 2, 1)
-    F = _brackets(M, i, j)
-    start = end = _residual(M, F, i, j)
-    tails, evaluations = x0, 1
-    if start > COMMUTE_TOL and k * len(i) * r * r <= MAX_FAMILY_WORK:
-        N = _null_basis(null, len(x0), k, x0.dtype)
-        # D[v, s, e, l]: entry e of column s of dM_v / dt_l, every table
-        # affine in t
-        D = np.zeros((len(table), r, k), dtype=x0.dtype)
-        D[slots] = N.reshape(-1, r, k)
-        D = D[shift]
-        along = D.transpose(3, 0, 2, 1).reshape(k, -1)
-        jacobian = _Jacobian(D.transpose(0, 2, 3, 1), i, j)
-        M0 = M
-        G, g = jacobian.normal_equations(M, F)
-        mu = 1e-3 * float(np.diagonal(G).real.max(initial=0.0))
-        cost = np.vdot(F, F).real
-        t, eye = np.zeros(k, dtype=x0.dtype), np.eye(k)
-        while mu > 0.0 and evaluations < MAX_EVALUATIONS:
-            trial = t + np.linalg.solve(G + mu * eye, -g)
-            M_trial = M0 + (trial @ along).reshape(M0.shape)
-            F_trial = _brackets(M_trial, i, j)
-            evaluations += 1
-            trial_cost = np.vdot(F_trial, F_trial).real
-            if not trial_cost < cost:  # a NaN is no descent either
-                mu *= 2.0
-                continue
-            t, M, F, cost = trial, M_trial, F_trial, trial_cost
-            end = _residual(M, F, i, j)
-            mu /= 3.0
-            if end <= COMMUTE_TOL or evaluations == MAX_EVALUATIONS:
-                break
-            G, g = jacobian.normal_equations(M, F)
-        tails = x0 + N @ t
-    diagnostics = {
-        **ext.diagnostics,
-        "family_dimension": int(k),
-        "evaluations": evaluations,
-        "commutator_start": start,
-        "commutator_end": end,
-    }
-    log.debug(
-        "commuting member: family %d, %d evaluations, commutator %.2e -> %.2e",
-        k, evaluations, start, end,
-    )
-    if not end <= COMMUTE_TOL:
-        return ExtensionResult("rank_deficient", None, None, None, diagnostics)
-    table[slots] = tails.reshape(-1, r)
-    member = copy.copy(prop)
-    member.table, member.known = table, np.ones_like(prop.known)
-    return _result(lam, Bp, member, "extended", diagnostics)
+    def __init__(self, lam: MomentFunctional, Bp: MonomialBasis, prop: _Propagator):
+        self.lam, self.Bp, self.prop = lam, Bp, prop
+        self.dimension = prop.last_pass["nullity"]
+
+    def commuting_member(self, search: bool = True) -> ExtensionResult:
+        """The parametric step: a member of the family whose multiplication
+        tables commute, completed as an extension.
+
+        One damped Gauss-Newton (Levenberg-Marquardt) solve runs from
+        t = 0: mu starts at 1e-3 times the largest diagonal entry of J^H J,
+        is divided by 3 after a step that lowers ||F|| and doubled
+        otherwise, and the solve stops once the commutator residual is at
+        most COMMUTE_TOL or after MAX_EVALUATIONS evaluations of the
+        commutators (t = 0 included).  The tables of a trial t are M(0)
+        plus their derivatives along t, and J^H J and J^H F are formed once
+        per accepted step (_normal_equations).  t has the dtype of the
+        data: for complex data F is holomorphic in t, and the complex step
+        is the real one over the real and imaginary parts.  Only t = 0 is
+        evaluated, before anything of size k is formed, when ``search`` is
+        false or k * pairs * r^2 exceeds MAX_FAMILY_WORK.
+
+        A commuting member's tails are written into a copy of the
+        reduction table, and the usual commutator check and completion
+        follow (the result's ``tables`` are the member's).  Any other
+        outcome keeps the status "rank_deficient".  The diagnostics are the
+        completion's plus the family dimension, the evaluations made, and
+        the commutator residual at t = 0 and at the last accepted t.  The
+        family is left as it was: a second call gives the same bits.
+        """
+        prop, k = self.prop, self.dimension
+        unresolved, x0, null = prop.free
+        r, shift = prop.r, prop.plan.shift
+        i, j = np.triu_indices(len(shift), 1)
+        slots = r + unresolved
+        table = prop.table.copy()
+        table[slots] = x0.reshape(-1, r)
+        M = table[shift].transpose(0, 2, 1)
+        F = _brackets(M, i, j)
+        start = end = _residual(M, F, i, j)
+        tails, evaluations = x0, 1
+        if search and start > COMMUTE_TOL and k * len(i) * r * r <= MAX_FAMILY_WORK:
+            N = _null_basis(null, len(x0), k, x0.dtype)
+            # D[v, s, e, l]: entry e of column s of dM_v / dt_l, every
+            # table affine in t
+            D = np.zeros((len(table), r, k), dtype=x0.dtype)
+            D[slots] = N.reshape(-1, r, k)
+            D = D[shift]
+            along = D.transpose(3, 0, 2, 1).reshape(k, -1)
+            # A[v, a, l, b]: entry (a, b) of dM_v / dt_l, read as an (r k) x r
+            # column of blocks and as an r x (k r) row of blocks, for the
+            # first and the second table of each pair
+            A = np.ascontiguousarray(D.transpose(0, 2, 3, 1))
+            column, row = A.reshape(len(A), r * k, r), A.reshape(len(A), r, k * r)
+            sides = column[i], row[i], column[j], row[j]
+            M0 = M
+            G, g = _normal_equations(sides, i, j, M, F)
+            mu = 1e-3 * float(np.diagonal(G).real.max(initial=0.0))
+            cost = np.vdot(F, F).real
+            t, eye = np.zeros(k, dtype=x0.dtype), np.eye(k)
+            while mu > 0.0 and evaluations < MAX_EVALUATIONS:
+                trial = t + np.linalg.solve(G + mu * eye, -g)
+                M_trial = M0 + (trial @ along).reshape(M0.shape)
+                F_trial = _brackets(M_trial, i, j)
+                evaluations += 1
+                trial_cost = np.vdot(F_trial, F_trial).real
+                if not trial_cost < cost:  # a NaN is no descent either
+                    mu *= 2.0
+                    continue
+                t, M, F, cost = trial, M_trial, F_trial, trial_cost
+                end = _residual(M, F, i, j)
+                mu /= 3.0
+                if end <= COMMUTE_TOL or evaluations == MAX_EVALUATIONS:
+                    break
+                G, g = _normal_equations(sides, i, j, M, F)
+            tails = x0 + N @ t
+        diagnostics = {
+            **_diagnostics(prop),
+            "family_dimension": int(k),
+            "evaluations": evaluations,
+            "commutator_start": start,
+            "commutator_end": end,
+        }
+        log.debug(
+            "commuting member: family %d, %d evaluations, commutator %.2e -> %.2e",
+            k, evaluations, start, end,
+        )
+        if not end <= COMMUTE_TOL:
+            return ExtensionResult("rank_deficient", None, None, None, diagnostics)
+        table[slots] = tails.reshape(-1, r)
+        member = copy.copy(prop)
+        member.table, member.known = table, np.ones_like(prop.known)
+        return _result(self.lam, self.Bp, member, "extended", diagnostics)
 
 
 def _null_basis(null, n: int, k: int, dtype) -> np.ndarray:
@@ -1053,33 +1073,28 @@ def _null_basis(null, n: int, k: int, dtype) -> np.ndarray:
     return N
 
 
-class _Jacobian:
-    """J^H J and J^H F of the brackets [M_u, M_v] over the pairs (u, v) =
-    (i, j) as functions of the parameters t, from the constant derivatives
-    A_v^l = dM_v / dt_l: the derivative of [M_u, M_v] along t_l is
-    [A_u^l, M_v] + [M_u, A_v^l].  ``T[v, a, l, b]`` is entry (a, b) of
-    A_v^l; read as an (r k) x r column of blocks or as an r x (k r) row of
-    blocks, its product with a table over all k parameters is one matrix
-    product per pair, and every product lands in the same (a, l, b)
-    layout.  J is formed for all pairs at once: the work cap bounds it to
+def _normal_equations(
+    sides, i: np.ndarray, j: np.ndarray, M: np.ndarray, F: np.ndarray
+):
+    """J^H J and J^H F of the brackets F = [M_u, M_v] over the pairs
+    (u, v) = (i, j) as functions of the parameters t, from the constant
+    derivatives A_v^l = dM_v / dt_l: the derivative of [M_u, M_v] along t_l
+    is [A_u^l, M_v] + [M_u, A_v^l].  ``sides`` holds A_u and A_v of each
+    pair as an (r k) x r column and an r x (k r) row of blocks, so each of
+    the four products is one matrix product per pair over all k
+    parameters, and every product lands in the same (a, l, b) layout.  J
+    is formed for all pairs at once: the work cap bounds it to
     MAX_FAMILY_WORK entries."""
-
-    def __init__(self, T: np.ndarray, i: np.ndarray, j: np.ndarray):
-        n, r, k = T.shape[:3]
-        T = np.ascontiguousarray(T)
-        column, row = T.reshape(n, r * k, r), T.reshape(n, r, k * r)
-        self.i, self.j, self.shape = i, j, (len(i), r, k, r)
-        self.sides = column[i], row[i], column[j], row[j]
-
-    def normal_equations(self, M: np.ndarray, F: np.ndarray):
-        column_u, row_u, column_v, row_v = self.sides
-        M_u, M_v = M[self.i], M[self.j]
-        J = (column_u @ M_v).reshape(self.shape)
-        J -= (M_v @ row_u).reshape(self.shape)
-        J += (M_u @ row_v).reshape(self.shape)
-        J -= (column_v @ M_u).reshape(self.shape)
-        J = J.transpose(2, 0, 1, 3).reshape(self.shape[2], -1)
-        return J.conj() @ J.T, J.conj() @ F.ravel()
+    column_u, row_u, column_v, row_v = sides
+    r, k = row_u.shape[1], row_u.shape[2] // row_u.shape[1]
+    shape = (len(i), r, k, r)
+    M_u, M_v = M[i], M[j]
+    J = (column_u @ M_v).reshape(shape)
+    J -= (M_v @ row_u).reshape(shape)
+    J += (M_u @ row_v).reshape(shape)
+    J -= (column_v @ M_u).reshape(shape)
+    J = J.transpose(2, 0, 1, 3).reshape(k, -1)
+    return J.conj() @ J.T, J.conj() @ F.ravel()
 
 
 def _complete(lam, Bp, prop, tables) -> MomentFunctional:

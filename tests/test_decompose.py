@@ -21,6 +21,7 @@ from tdec.algebra import Point, Polynomial, Shape
 from tdec.decompose import (
     DecomposeOptions,
     Decomposition,
+    MAX_VAIN_SEARCHES,
     DecompositionError,
     UnsupportedShapeError,
     _attempt_rank,
@@ -44,7 +45,7 @@ from tdec.decompose import (
     _unfold,
 )
 from tdec.eigen import WeightSolveError
-from tdec.extension import flat_extension_check, propagate_commutation
+from tdec.extension import Family, flat_extension_check, propagate_commutation
 from tdec.files import synthesize
 from tdec.moment import (
     Catalecticants,
@@ -476,11 +477,11 @@ class TestDecompose:
         assert cancelled.weights()[0] == pytest.approx(2.0)
 
     def test_failure_report(self):
-        # a generic degree-(2,2) functional of full border rank whose family
-        # of completions has no commuting member within the evaluation cap:
-        # the loop must fail with a report instead of fabricating an answer
-        rng = np.random.default_rng(2)
-        shape, ws, pts, T = random_instance(rng, (2, 2), (2, 2), 6)
+        # a generic 3x3x3 rank-4 tensor, above its flattening rank 3, whose
+        # completions contradict the data: the loop must fail with a report
+        # instead of fabricating an answer
+        rng = np.random.default_rng(0)
+        shape, ws, pts, T = random_instance(rng, (2, 2, 2), (1, 1, 1), 4)
         with pytest.raises(DecompositionError) as info:
             decompose(T)
         assert info.value.report
@@ -488,26 +489,58 @@ class TestDecompose:
     def test_failure_report_names_real_failure(self):
         # the rank cap (30) is never reached: the one rank tried is the
         # flattening rank, and the report carries its last failure
-        rng = np.random.default_rng(2)
-        shape, ws, pts, T = random_instance(rng, (2, 2), (2, 2), 6)
+        rng = np.random.default_rng(0)
+        shape, ws, pts, T = random_instance(rng, (2, 2, 2), (1, 1, 1), 4)
         with pytest.raises(DecompositionError) as info:
             decompose(T)
         report = info.value.report
         assert report["stage"] == "extension"
-        assert report["rank"] == 6
-        assert "rank 6" in str(info.value) and "30" not in str(info.value)
+        assert report["rank"] == 3
+        assert "rank 3" in str(info.value) and "30" not in str(info.value)
 
     def test_refusal_stops_after_first_random_frame(self):
         # no completion extends in random frame 1, and whether one extends
         # does not depend on which generic frame is used
-        rng = np.random.default_rng(2)
-        shape, ws, pts, T = random_instance(rng, (2, 2), (2, 2), 6)
+        rng = np.random.default_rng(0)
+        shape, ws, pts, T = random_instance(rng, (2, 2, 2), (1, 1, 1), 4)
         with pytest.raises(DecompositionError) as info:
             decompose(T)
         report = info.value.report
         assert report["stage"] == "extension"
         assert report["frames"] == 2
         assert report["stop"] == "random frame 1: no completion extended"
+
+    @pytest.mark.parametrize("limit", ["evaluations", "work"])
+    def test_frame_stops_searching_after_vain_searches(self, limit, monkeypatch):
+        # a generic (2,2)/(2,2) rank-6 tensor: three rank-deficient pairs per
+        # frame.  Under a cap of two evaluations every search is vain, so
+        # the first MAX_VAIN_SEARCHES families of each frame are searched
+        # and the last only evaluated at t = 0.  Past the work cap nothing is
+        # searched, which is no vain search: every family keeps its search
+        extension = importlib.import_module("tdec.extension")
+        if limit == "evaluations":
+            monkeypatch.setattr(extension, "MAX_EVALUATIONS", 2)
+        else:
+            monkeypatch.setattr(extension, "MAX_FAMILY_WORK", 0)
+        calls = []
+        step = Family.commuting_member
+
+        def recorded(family, search=True):
+            res = step(family, search)
+            calls.append((search, res.diagnostics["evaluations"]))
+            return res
+
+        monkeypatch.setattr(Family, "commuting_member", recorded)
+        rng = np.random.default_rng(2)
+        *_, T = random_instance(rng, (2, 2), (2, 2), 6)
+        with pytest.raises(DecompositionError) as info:
+            decompose(T)
+        assert info.value.report["frames"] == 2
+        if limit == "evaluations":
+            frame = [(True, 2)] * MAX_VAIN_SEARCHES + [(False, 1)]
+        else:
+            frame = [(True, 1)] * 3
+        assert calls == frame * 2
 
     def test_each_distinct_pair_completed_once_per_frame(self, monkeypatch, caplog):
         # a generic 3x3x3 rank-4 tensor, above its flattening rank 3: each
@@ -597,10 +630,10 @@ class TestDecompose:
         assert report["stop"] == "frame limit"
 
     def test_refusal_details_hold_plain_numbers(self):
-        # a family of completions refused at the extension stage: its
-        # dimension in the detail prints as a Python int
-        rng = np.random.default_rng(2)
-        *_, T = random_instance(rng, (2, 2), (2, 2), 6)
+        # a family of completions refused at the extension stage (a
+        # generic 4x4x10 rank-9 tensor, whose families are past the work
+        # cap): its dimension in the detail prints as a Python int
+        T = synthesize((3, 3, 9), (1, 1, 1), 9, 0)[0].tensor
         with pytest.raises(DecompositionError) as info:
             decompose(T)
         report = info.value.report
@@ -739,26 +772,24 @@ class TestCoordinateChange:
         assert back.coordinate_change is frames[0]
 
     def test_frame_change_keeps_real_terms(self):
-        # sparse {-1,0,1} points whose first frame fails (the 3x3x4 rank-4
-        # instance of scripts/integer_sweep.py at seed 29); the terms are
-        # realified once, in the work frame, and the real frame change keeps
-        # them real floats on the way back
+        # five sparse {-1,0,1} points of a 3x3x4 tensor of rank 4, whose
+        # completions in the input's frame contradict the data; the terms
+        # are realified once, in the work frame, and the real frame change
+        # keeps them real floats on the way back
         shape = Shape(dims=(2, 2, 3), degrees=(1, 1, 1))
-        rng = np.random.default_rng(29)
+        rng = np.random.default_rng(124)
         pts = [
             Point(tuple(tuple(rng.integers(-1, 2, n).astype(float)) for n in shape.dims))
-            for _ in range(4)
+            for _ in range(5)
         ]
-        T = rank_one_expand(shape, [1.0] * 4, pts)
+        T = rank_one_expand(shape, [1.0] * 5, pts)
         dec = decompose(T, DecomposeOptions(seed=0))
-        assert dec.meta["coordinate_change_applied"]
+        assert dec.meta["coordinate_change_applied"] and dec.meta["rank"] == 4
         values = [w for w, _ in dec.terms] + [
             x for _, p in dec.terms for c in p.coords for x in c
         ]
         assert all(isinstance(x, float) for x in values)
-        # 4.73e-8 here, as before the parametric step: the frame drawn costs
-        # this input digits
-        assert dec.residual == verify(T, dec) < 1e-7
+        assert dec.residual == verify(T, dec) < 1e-8
 
     def test_draw_dependent_failures_keep_retrying(self, monkeypatch):
         # roots reported not simple after an extended completion may be an

@@ -43,6 +43,7 @@ from tdec.extension import (
     _PLAN_CACHE_SIZE,
     COMMUTE_TOL,
     DEFAULT_TOL_EXTEND,
+    Family,
     MAX_EVALUATIONS,
     _certified,
     _inverse_lower,
@@ -54,7 +55,6 @@ from tdec.extension import (
     _reduction_walk,
     _walk_forms,
     commutator_residual,
-    commuting_member,
     flat_extension_check,
     propagate_commutation,
 )
@@ -1528,6 +1528,8 @@ def rank_deficient(T):
     B, Bp = first_pair(lam, Catalecticants(lam).flattening_rank())
     ext = propagate_commutation(lam, B, Bp)
     assert ext.status == "rank_deficient"
+    assert isinstance(ext.family, Family)
+    assert ext.family.dimension == ext.diagnostics["nullity"]
     return lam, B, Bp, ext
 
 
@@ -1544,6 +1546,16 @@ class TestCommutingMember:
     member of the family the last fixpoint pass leaves, found by a damped
     Gauss-Newton solve on the commutators from t = 0."""
 
+    def test_family_only_when_rank_deficient(self, ex2):
+        # an extension and a contradiction carry no family
+        _, lam, B, Bp = ex2
+        assert propagate_commutation(lam, B, Bp).family is None
+        # a generic 3x3x3 rank-4 tensor, above its flattening rank 3
+        T = synthesize((2, 2, 2), (1, 1, 1), 4, 0)[0].tensor
+        lam = build_moment_functional(T)
+        ext = propagate_commutation(lam, *first_pair(lam, 3))
+        assert ext.status == "inconsistent" and ext.family is None
+
     def test_family_commuting_at_zero(self):
         # the benchmark's sparse (2,2)/(2,2) rank-4 instance 0 leaves one
         # free coefficient whose tables already commute at t = 0
@@ -1553,7 +1565,7 @@ class TestCommutingMember:
         shape = Shape(inst.dims, inst.degrees)
         T = rank_one_expand(shape, list(inst.weights), [Point(p) for p in inst.points])
         lam, B, Bp, ext = rank_deficient(T)
-        res = commuting_member(lam, Bp, ext)
+        res = ext.family.commuting_member()
         assert res.extended
         assert step_numbers(res)[:2] == (1, 1)
         assert res.diagnostics["commutator_start"] == res.diagnostics["commutator_end"]
@@ -1566,7 +1578,7 @@ class TestCommutingMember:
         # from whose tables decompose reads the terms
         T = synthesize((1, 1, 2), (1, 1, 1), 3, 0)[0].tensor
         lam, B, Bp, ext = rank_deficient(T)
-        res = commuting_member(lam, Bp, ext)
+        res = ext.family.commuting_member()
         family, evaluations, start, end = step_numbers(res)
         assert (family, evaluations) == (15, 9)
         assert start > 0.5 and end <= COMMUTE_TOL
@@ -1583,7 +1595,7 @@ class TestCommutingMember:
         # completion's own diagnostics kept
         T = synthesize((2, 2), (2, 2), 6, 2)[0].tensor
         lam, B, Bp, ext = rank_deficient(T)
-        res = commuting_member(lam, Bp, ext)
+        res = ext.family.commuting_member()
         family, evaluations, start, end = step_numbers(res)
         assert (family, evaluations) == (6, MAX_EVALUATIONS)
         assert COMMUTE_TOL < end < start
@@ -1605,7 +1617,7 @@ class TestCommutingMember:
             importlib.import_module("tdec.extension"), "MAX_FAMILY_WORK", cap
         )
         calls = count_calls(monkeypatch, "solve")
-        res = commuting_member(lam, Bp, ext)
+        res = ext.family.commuting_member()
         if cap == 810:
             assert res.extended and calls["solve"] == step_numbers(res)[1] - 1
             return
@@ -1633,20 +1645,41 @@ class TestCommutingMember:
         # complex data: complex parameters, and a complex commuting member
         T = synthesize((1, 1, 2), (1, 1, 1), 3, 0, fld="complex")[0].tensor
         lam, B, Bp, ext = rank_deficient(T)
-        res = commuting_member(lam, Bp, ext)
+        res = ext.family.commuting_member()
         assert res.extended and res.tables.dtype == complex
         assert step_numbers(res)[0] == 15
         assert all(type(x) is float for x in step_numbers(res)[2:])
         assert decompose(T).residual < 1e-10
 
-    def test_same_bits_and_input_kept(self):
-        # deterministic, and the rank-deficient result it reads is left as
-        # it was: a second call gives the same bits
+    def test_search_off_evaluates_only_at_zero(self):
+        # without a search only t = 0 is evaluated, as past the work cap: a
+        # family that commutes there still extends, any other stays rank
+        # deficient
+        T = synthesize((1, 1, 2), (1, 1, 1), 3, 0)[0].tensor
+        *_, ext = rank_deficient(T)
+        res = ext.family.commuting_member(search=False)
+        assert res.status == "rank_deficient"
+        family, evaluations, start, end = step_numbers(res)
+        assert (family, evaluations) == (15, 1)
+        assert start == end > COMMUTE_TOL
+        inst = next(
+            i for i in workloads.hard_inputs(31) if i.name == "sparse-(2,2)/(2,2)-r4#0"
+        )
+        shape = Shape(inst.dims, inst.degrees)
+        T = rank_one_expand(shape, list(inst.weights), [Point(p) for p in inst.points])
+        *_, ext = rank_deficient(T)
+        res = ext.family.commuting_member(search=False)
+        assert res.extended and step_numbers(res)[:2] == (1, 1)
+
+    def test_same_bits_and_family_kept(self):
+        # deterministic, and the family it searches is left as it was: a
+        # second call gives the same bits
         T = synthesize((1, 1, 2), (1, 1, 1), 3, 1)[0].tensor
         lam, B, Bp, ext = rank_deficient(T)
-        before = snapshot(ext)
-        first = commuting_member(lam, Bp, ext)
-        assert snapshot(ext) == before
-        second = commuting_member(lam, Bp, ext)
+        prop = ext.family.prop
+        before = snapshot(ext), prop.table.tobytes(), prop.known.tobytes()
+        first = ext.family.commuting_member()
+        assert (snapshot(ext), prop.table.tobytes(), prop.known.tobytes()) == before
+        second = ext.family.commuting_member()
         assert snapshot(second) == snapshot(first)
         assert first.extended
