@@ -10,8 +10,9 @@ formats: (2,2)/(2,2) r4, 3x3x4 r4, 4x4x4 r4, (2,2,2)/(1,1,2) r4 and 3x3x3 r3
 with the default options.  Prints per format the recovered count and how
 many of those came back with complex terms for the real input, then the
 instances that a change of coordinates rescued (the first frame failed, a
-later one succeeded), the number of frames tried over the refusals with
-their stop reasons and the stages of their last failures, and the CPU
+later one succeeded) with their largest weight modulus, which shows a
+rescue whose weights cancel, the number of frames tried over the refusals
+with their stop reasons and the stages of their last failures, and the CPU
 seconds of the successes and of the refusals.  BLAS is pinned to one
 thread, so that the CPU seconds do not depend on how busy the machine is.
 """
@@ -77,7 +78,8 @@ def main() -> int:
             ok += 1
             complex_terms += is_complex(dec)
             if dec.meta["coordinate_change_applied"]:
-                rescued.append(f"{name} seed {seed}")
+                largest = max(abs(w) for w in dec.weights())
+                rescued.append(f"{name} seed {seed} (max |weight| {largest:.2e})")
         print(f"{name:20s} {ok}/{len(SEEDS)} recovered; complex {complex_terms}")
         recovered += ok
         total += len(SEEDS)

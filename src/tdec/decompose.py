@@ -18,10 +18,10 @@ times.  Whether the linear completion extends does not depend on which
 generic frame is used, and a family that the parametric step leaves without
 a commuting member in one random frame is taken as having none, so the
 retries stop after the first random frame in which no completion ends
-``extended``: what fails after an extension
-(colliding roots, a vanishing weight, the residual, the back-map) depends
-on the frame drawn, and only that is retried.  The input's own frame is not
-generic for sparse input and always goes on to a random frame.  The refusal
+``extended``: what fails after an extension (the flat check, colliding
+roots, a vanishing weight, the residual, the back-map) depends on the frame
+drawn, and only that is retried.  The input's own frame is not generic for
+sparse input and always goes on to a random frame.  The refusal
 raises with the last failure, the number of frames tried and the reason
 the retries stopped.
 

@@ -29,7 +29,6 @@ from .moment import (
 log = logging.getLogger("tdec")
 
 SIMPLE_GAP_TOL = 1e-6
-EIG_RETRY_GAP = 1e-10
 
 
 class WeightSolveError(RuntimeError):
@@ -107,20 +106,10 @@ def joint_eigenvectors(
     """
     mats = tables.transpose(0, 2, 1)
     n, r = len(mats), len(B)
-    rng = np.random.default_rng(seed)
-    upper = np.triu_indices(r, 1)  # the pairs i < j
-
-    vals = vecs = None
-    for _ in range(2):  # one retry with a fresh draw on tiny gaps
-        t = rng.uniform(-1.0, 1.0, n)
-        A = sum(tv * M for tv, M in zip(t, mats))
-        vals, vecs = np.linalg.eig(A)
-        if r == 1:
-            break
-        gaps = np.abs(vals[upper[0]] - vals[upper[1]]).min()
-        if gaps > EIG_RETRY_GAP * (1.0 + np.abs(vals).max()):
-            break
-
+    # one draw: the next frame, drawn with the next seed, retries an eigen
+    # failure that depends on the mix
+    t = np.random.default_rng(seed).uniform(-1.0, 1.0, n)
+    _, vecs = np.linalg.eig(sum(tv * M for tv, M in zip(t, mats)))
     defective = numerical_rank(vecs) < r
     # one eigenvector per row, scaled to 1 on the monomial 1 unless it has
     # (numerically) no such coordinate
@@ -143,6 +132,7 @@ def joint_eigenvectors(
 
     # joint eigenvalue tuples must be pairwise distinct
     tuples = eigenvalues.T
+    upper = np.triu_indices(r, 1)  # the pairs i < j
     scale = 1.0 + np.abs(tuples).max()
     collision = bool(
         (np.abs(tuples[upper[0]] - tuples[upper[1]]).max(axis=1)

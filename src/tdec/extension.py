@@ -502,9 +502,9 @@ def _build_plan(lam: MomentFunctional, B: MonomialBasis, Bp: MonomialBasis) -> _
     return plan
 
 
-# the completion plans kept, each under the format, the codes of its bases
-# and the rows of B's border; the least recently used goes first.  The lock
-# makes each lookup and update one step for threads that share the cache.
+# the completion plans kept, each under the format and the codes of its
+# bases; the least recently used goes first.  The lock makes each lookup
+# and update one step for threads that share the cache.
 _PLAN_CACHE_SIZE = 64
 _plans: OrderedDict = OrderedDict()
 _plans_lock = threading.Lock()
@@ -514,15 +514,12 @@ def _plan(lam: MomentFunctional, B: MonomialBasis, Bp: MonomialBasis) -> _Plan:
     """The plan of completing lam over (B, B').  A functional that knows
     exactly the moments of the format's table (every functional of a
     tensor) shares one cached plan per basis pair; any other gets its own.
-    The key holds the border's rows as well, since their order sets the
-    order of the targets."""
+    The key needs no border: B's codes fix its border and the border's
+    canonical order, which sets the order of the targets."""
     shape = lam.shape
     if not np.array_equal(lam.codes, shape.table.sorted_codes):
         return _build_plan(lam, B, Bp)
-    key = (
-        shape, tuple(B.codes.tolist()), tuple(Bp.codes.tolist()),
-        B.border.tobytes(),
-    )
+    key = (shape, tuple(B.codes.tolist()), tuple(Bp.codes.tolist()))
     with _plans_lock:
         plan = _plans.get(key)
         if plan is None:

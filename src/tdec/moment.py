@@ -21,7 +21,8 @@ files.
 
 ``split_pools`` builds each degree split's pools and product codes once per
 format, like ``Shape.table``.  ``Catalecticants`` holds a functional and its
-rank tolerance, and reads and factors every split block once, when it is
+rank tolerance, and reads and factors one block per complementary pair of
+splits (beta and degrees - beta, whose blocks are transposes), when it is
 built; the flattening rank and ``select_bases_candidates`` share it.
 
 ``select_bases_candidates`` is the one place that decides whether the
@@ -199,29 +200,33 @@ def split_pools(shape: Shape) -> tuple[Split, ...]:
 
 
 class Catalecticants:
-    """The split blocks of one functional, in ``split_pools`` order, each
-    read with one lookup and ranked at ``tol_rank`` once, up front:
-    ``blocks`` and ``ranks`` are read-only tuples, one entry per split."""
+    """The split blocks of one functional, in ``split_pools`` order, read and
+    ranked at ``tol_rank`` up front, once per complementary pair of splits:
+    the block of degrees - beta is the transpose of the block of beta, so
+    the later split of a pair takes a transposed view of the earlier one's
+    block and its rank.  ``blocks`` and ``ranks`` are read-only tuples, one
+    entry per split."""
 
     def __init__(self, lam: MomentFunctional, tol_rank: float = DEFAULT_TOL_RANK):
         self.lam, self.tol_rank = lam, tol_rank
         self.splits = split_pools(lam.shape)
-        self.blocks = tuple(lam.lookup(split.codes)[0] for split in self.splits)
-        for A in self.blocks:
+        index = {split.col_bounds: i for i, split in enumerate(self.splits)}
+        blocks, ranks = [], []
+        for i, split in enumerate(self.splits):
+            j = index[split.row_bounds]  # the complementary split
+            if j < i:
+                blocks.append(blocks[j].T)
+                ranks.append(ranks[j])
+                continue
+            A = lam.lookup(split.codes)[0]
             A.setflags(write=False)
-        self.ranks = tuple(_block_rank(A, tol_rank) for A in self.blocks)
+            blocks.append(A)
+            ranks.append(numerical_rank(A, tol_rank))
+        self.blocks, self.ranks = tuple(blocks), tuple(ranks)
 
     def flattening_rank(self) -> int:
         """Largest numerical rank over the splits."""
         return max(self.ranks)
-
-
-def _block_rank(A: np.ndarray, tol_rank: float) -> int:
-    """``numerical_rank`` of a split block; one finite row or column needs no
-    SVD, as its one singular value is its norm."""
-    if min(A.shape) == 1 and np.isfinite(A).all():
-        return int(tol_rank < 1 and A.any())
-    return numerical_rank(A, tol_rank)
 
 
 def _greedy_staircase(

@@ -1,3 +1,4 @@
+import importlib
 import math
 import sys
 from pathlib import Path
@@ -104,7 +105,9 @@ def basis_of(shape: Shape, names) -> MonomialBasis:
 
 def shuffled_border(B: MonomialBasis, seed: int) -> MonomialBasis:
     """A copy of B whose cached border, the completion's targets, is
-    permuted by ``np.random.default_rng(seed)``."""
+    permuted by ``np.random.default_rng(seed)``.  Completion plans are
+    cached under B's codes, which the copy keeps, so a test passing it
+    builds its plans uncached."""
     out = MonomialBasis(B.shape, B.exps)
     border = B.border[np.random.default_rng(seed).permutation(len(B.border))]
     # border is a cached_property, read from the instance dict once set
@@ -163,6 +166,31 @@ def count_calls(monkeypatch, *names, owner=np.linalg):
 
         monkeypatch.setattr(owner, name, counted)
     return calls
+
+
+def count_split_factorizations(monkeypatch) -> list:
+    """Record the shape of every block that ``numerical_rank`` factors
+    while a ``Catalecticants`` is built; the selection's staircases, which
+    run later, are not recorded."""
+    moment = importlib.import_module("tdec.moment")
+    rank, init = moment.numerical_rank, moment.Catalecticants.__init__
+    shapes, building = [], [False]
+
+    def counted_rank(A, *a, **k):
+        if building[0]:
+            shapes.append(A.shape)
+        return rank(A, *a, **k)
+
+    def counted_init(self, *a, **k):
+        building[0] = True
+        try:
+            init(self, *a, **k)
+        finally:
+            building[0] = False
+
+    monkeypatch.setattr(moment, "numerical_rank", counted_rank)
+    monkeypatch.setattr(moment.Catalecticants, "__init__", counted_init)
+    return shapes
 
 
 def near_collinear_tensor(seed: int) -> Polynomial:

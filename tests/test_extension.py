@@ -45,6 +45,7 @@ from tdec.extension import (
     DEFAULT_TOL_EXTEND,
     Family,
     MAX_EVALUATIONS,
+    _build_plan,
     _certified,
     _inverse_lower,
     _least_squares,
@@ -113,6 +114,13 @@ def ex2(tensor2, shape2):
     return shape2, lam, B, Bp
 
 
+@pytest.fixture
+def uncached(monkeypatch):
+    """Every completion builds its plan afresh: plans are cached under the
+    codes of the bases, which ``shuffled_border`` keeps."""
+    monkeypatch.setattr("tdec.extension._plan", _build_plan)
+
+
 class TestKnownColumnRelations:
     """Relations whose column lam(b' * m) over B' is fully known follow from
     one solve against the base block, before any fixpoint pass."""
@@ -175,7 +183,7 @@ class TestIndexTables:
     Monomial products they replace."""
 
     @pytest.mark.parametrize("order_seed", [None, 3])
-    def test_shift_table_and_syzygy_pairs(self, ex2, order_seed):
+    def test_shift_table_and_syzygy_pairs(self, ex2, order_seed, uncached):
         shape2, lam, B, Bp = ex2
         if order_seed is not None:
             canonical = B.border
@@ -285,7 +293,7 @@ class TestPropagation:
         assert res.status == "inconsistent"
         assert res.functional is None
 
-    def test_processing_order_invariance(self, ex2):
+    def test_processing_order_invariance(self, ex2, uncached):
         shape2, lam, B, Bp = ex2
         base = propagate_commutation(lam, B, Bp)
         for order_seed in (1, 2):
@@ -699,16 +707,17 @@ class TestPlan:
         w = full.functional.values
         assert (np.abs(v - w) <= 1e-8 * np.maximum(1.0, np.abs(w))).all()
 
-    def test_border_order_is_part_of_the_key(self, ex2, cold):
-        # the targets follow the order of B's border, which a caller may
-        # permute (as the processing-order tests do)
+    def test_bases_with_equal_codes_share_a_plan(self, ex2, cold):
+        # B's codes fix its border and the border's canonical order, the
+        # order of the targets; a hit builds neither for a basis read afresh
         shape2, lam, B, Bp = ex2
-        canonical = _Propagator(lam, B, Bp, tol=1e-6).plan.targets
-        shuffled = shuffled_border(B, 3)
-        targets = _Propagator(lam, shuffled, Bp, tol=1e-6).plan.targets
-        assert np.array_equal(targets, shuffled.border)
-        assert not np.array_equal(targets, canonical)
-        assert len(_plans) == 2
+        first = propagate_commutation(lam, B, Bp)
+        fresh = MonomialBasis(shape2, B.exps.copy())
+        again = propagate_commutation(lam, fresh, Bp)
+        assert len(_plans) == 1
+        assert "border" not in vars(fresh) and "plus" not in vars(fresh)
+        assert snapshot(again) == snapshot(first)
+        assert np.array_equal(_plan(lam, fresh, Bp).targets, fresh.border)
 
     def test_unknown_base_block_refused_cold_and_warm(self, shape2, tensor2, cold):
         lam = build_moment_functional(tensor2)

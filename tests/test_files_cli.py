@@ -14,6 +14,7 @@ import tdec
 from conftest import (
     assert_same_output,
     count_calls,
+    count_split_factorizations,
     near_collinear_tensor,
     term_at_infinity_tensor,
 )
@@ -470,14 +471,14 @@ class TestCli:
 
     def test_decompose_reads_each_split_once(self, tmp_path, monkeypatch):
         # meta.bounds takes the flattening rank that decompose read: one
-        # factorization per degree split of example2 (8), not two per split
-        moment_module = importlib.import_module("tdec.moment")
-        calls = count_calls(monkeypatch, "_block_rank", owner=moment_module)
+        # factorization per complementary pair of example2's 8 degree
+        # splits, not one or two per split
+        shapes = count_split_factorizations(monkeypatch)
         out = tmp_path / "dec.json"
         assert self.run(
             "decompose", "-i", FIXTURES / "example2.json", "-o", out, "--seed", 3
         ) == 0
-        assert calls == {"_block_rank": 8}
+        assert len(shapes) == 4
         want = json.loads((FIXTURES / "example2.dec.json").read_text())
         assert json.loads(out.read_text())["meta"]["bounds"] == want["meta"]["bounds"]
 

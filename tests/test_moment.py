@@ -37,7 +37,6 @@ from tdec.moment import (
     DEFAULT_TOL_RANK,
     Catalecticants,
     MonomialBasis,
-    _block_rank,
     _greedy_staircase,
     build_moment_functional,
     degree_splits,
@@ -603,22 +602,44 @@ class TestSplitPools:
             assert rank == numerical_rank(want)
         assert cats.ranks == Catalecticants(build_moment_functional(tensor2)).ranks
 
+    def test_complement_is_the_transposed_block_with_its_rank(self, tensor1, tensor2):
+        # beta and degrees - beta: one block read and ranked, the other its
+        # transposed view; a self-complementary split is read on its own
+        sextic = Polynomial.from_vector(
+            Shape((1,), (6,)), np.random.default_rng(6).normal(size=7)
+        )
+        for T in (tensor1, tensor2, sextic):
+            lam = build_moment_functional(T)
+            cats = Catalecticants(lam)
+            index = {s.col_bounds: i for i, s in enumerate(cats.splits)}
+            for i, split in enumerate(cats.splits):
+                j = index[split.row_bounds]
+                A, rank = cats.blocks[i], cats.ranks[i]
+                assert np.array_equal(A, hankel(lam, split.rows, split.cols)[0])
+                if j < i:
+                    assert A.base is cats.blocks[j] and rank == cats.ranks[j]
+                else:
+                    assert A.base is None and not A.flags.writeable
+                assert rank == numerical_rank(A) == numerical_rank(A.T)
+
     @pytest.mark.parametrize(
         "A",
         [[[0.0, 0.0, 0.0]], [[0.0], [2.5]], [[1e-300, -1e300]], [[np.inf, 1.0]]],
     )
     @pytest.mark.parametrize("tol_rank", [DEFAULT_TOL_RANK, 0.0, 0.5, 1.0, 2.0])
     def test_single_row_or_column_rank(self, A, tol_rank):
+        # a one-row split block and its one-column complement share one SVD,
+        # whose one singular value is the norm: rank 1 for a finite nonzero
+        # row below tol_rank 1, else 0
         A = np.array(A)
-        assert _block_rank(A, tol_rank) == numerical_rank(A, tol_rank)
-        assert _block_rank(A.T, tol_rank) == numerical_rank(A.T, tol_rank)
+        want = int(tol_rank < 1 and np.isfinite(A).all() and A.any())
+        assert numerical_rank(A, tol_rank) == numerical_rank(A.T, tol_rank) == want
 
     def test_single_row_with_nan_still_factored(self):
         A = np.array([[np.nan, 1.0]])
-        with pytest.raises(np.linalg.LinAlgError):
-            numerical_rank(A)
-        with pytest.raises(np.linalg.LinAlgError):
-            _block_rank(A, DEFAULT_TOL_RANK)
+        for block in (A, A.T):
+            with pytest.raises(np.linalg.LinAlgError):
+                numerical_rank(block)
 
 
 class TestSelectBases:

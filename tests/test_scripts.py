@@ -33,9 +33,10 @@ OUTCOMES_AT_SEED_31 = {
 }
 
 # the lines of `scripts/integer_sweep.py` but its CPU seconds: recoveries and
-# complex results per format, frame rescues, frames over refusals, stop
-# reasons and stages of the non-generic integer-point inputs; a change that
-# moves these outcomes on purpose updates them
+# complex results per format, frame rescues with their largest weight
+# modulus, frames over refusals, stop reasons and stages of the non-generic
+# integer-point inputs; a change that moves these outcomes on purpose
+# updates them
 INTEGER_SWEEP_OUTCOMES = """\
 (2,2)/(2,2) r4       40/40 recovered; complex 0
 3x3x4 r4             31/40 recovered; complex 10
@@ -43,7 +44,7 @@ INTEGER_SWEEP_OUTCOMES = """\
 (2,2,2)/(1,1,2) r4   40/40 recovered; complex 7
 3x3x3 r3             40/40 recovered; complex 8
 total 190/200 recovered
-rescued by a frame change: 1: 3x3x4 r4 seed 29
+rescued by a frame change: 1: 3x3x4 r4 seed 29 (max |weight| 1.09e+07)
 frames tried over 10 refusals: 20
   stopped on random frame 1: no completion extended: 9
   stopped on random frame 1: term at infinity: 1
