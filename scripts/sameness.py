@@ -3,6 +3,7 @@
 same numbers bit for bit, or at least make the same decisions.
 
     python3 scripts/sameness.py [--workload NAME ...] [--seed N ...]
+    python3 scripts/sameness.py --check FILE
 
 Builds the inputs of each benchmark workload with `perfbench/workloads.py`
 (imported read-only), runs them through the `tdec` of this checkout's
@@ -33,6 +34,11 @@ with the temporary directory's path replaced by a fixed name.  BLAS is
 pinned to one thread, as in the benchmark, because the thread count moves
 the last bits of some results.  Run the same command in two checkouts and
 compare the lines.
+
+--check FILE re-runs the workloads and seeds of the lines of FILE, a saved
+output of this script, and prints the lines anew; for each digest that
+differs from the saved one it adds a line naming the workload, the seed and
+the digest kind (bit, outcome or cli), and it then exits with status 1.
 """
 
 from __future__ import annotations
@@ -127,18 +133,50 @@ def cli_digest(seed: int) -> str:
     return digest.hexdigest()
 
 
+KINDS = ("bit", "outcome", "cli")
+
+
+def line(workload: str, seed: int) -> list[str]:
+    """The fields of the output line of one workload and seed."""
+    extra = [cli_digest(seed)] if workload == "flat-large" else []
+    return [workload, str(seed), *digests(workload, seed), *extra]
+
+
+def saved_lines(ap: argparse.ArgumentParser, path: str) -> list[list[str]]:
+    """The fields of each line of a saved output; an argument error for a
+    line that this script does not print."""
+    with open(path, encoding="utf-8") as fh:
+        lines = [text.split() for text in fh if text.strip()]
+    for fields in lines:
+        if not (len(fields) == (5 if fields[0] == "flat-large" else 4)
+                and fields[0] in workloads.BUILDERS and fields[1].isdigit()):
+            ap.error(f"{path}: not a line of this script: {' '.join(fields)}")
+    return lines
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--workload", nargs="+", default=list(workloads.BUILDERS))
     ap.add_argument("--seed", type=int, nargs="+", default=[1, 2, 31])
+    ap.add_argument("--check", metavar="FILE",
+                    help="re-run the lines of a saved output; exit 1 on a difference")
     args = ap.parse_args(argv)
+    if args.check:
+        runs = saved_lines(ap, args.check)
+    else:
+        runs = [[w, str(s)] for w in args.workload for s in args.seed]
     # arrays (frame changes) print every digit, like the floats around them
     np.set_printoptions(precision=17, floatmode="unique", threshold=sys.maxsize)
-    for workload in args.workload:
-        for seed in args.seed:
-            extra = [cli_digest(seed)] if workload == "flat-large" else []
-            print(workload, seed, *digests(workload, seed), *extra, flush=True)
-    return 0
+    differ = False
+    for saved in runs:
+        fields = line(saved[0], int(saved[1]))
+        print(*fields, flush=True)
+        for kind, old, new in zip(KINDS, saved[2:], fields[2:]):
+            if old != new:
+                differ = True
+                print(f"differs: {saved[0]} {saved[1]} {kind} digest, "
+                      f"saved {old}, now {new}", flush=True)
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":

@@ -307,23 +307,30 @@ class Point:
 def evaluate(shape: Shape, points, exps: np.ndarray) -> np.ndarray:
     """V[m, i] = the monomial with exponent row exps[m] at points[i].
 
-    The factors z_v ** e are multiplied in variable order.  Complex products
-    are formed from real and imaginary parts, as Python forms them, because
-    numpy's complex multiply may fuse its operations and round differently:
-    at complex points (the roots the weight fit reads) V holds Python's
-    products to the last bit.
+    The factors z_v ** e with e > 0 are multiplied in variable order.
+    Complex products are formed from real and imaginary parts, as Python
+    forms them, because numpy's complex multiply may fuse its operations and
+    round differently: at complex points (the roots the weight fit reads) V
+    holds Python's products to the last bit.  The powers of every
+    coordinate up to the largest exponent are taken in one call, and each
+    variable's products run over all rows at once; a row whose exponent of
+    x_v is 0 keeps its value, since a product by 1 + 0j can move the sign
+    of a zero part.
     """
     if any(tuple(len(c) for c in p.coords) != shape.dims for p in points):
         raise ShapeMismatchError("point does not match shape")
     Z = np.array([[x for c in p.coords for x in c] for p in points])
     Z = Z.astype(np.result_type(Z, float)).reshape(len(points), sum(shape.dims))
-    re, im = np.ones((len(exps), len(points))), np.zeros((len(exps), len(points)))
-    for v in range(Z.shape[1]):
-        rows = np.flatnonzero(exps[:, v])
-        power = Z[None, :, v] ** exps[rows, v][:, None]
-        a, b = re[rows], im[rows]
-        re[rows] = a * power.real - b * power.imag
-        im[rows] = a * power.imag + b * power.real
+    exps = np.asarray(exps).T  # exps[v, m]: the exponent of x_v in row m
+    table = Z.T ** np.arange(exps.max(initial=0) + 1)[:, None, None]
+    # powers[v, m, i] = z_v ** exps[v, m] at points[i]
+    powers = table[exps, np.arange(len(exps))[:, None]]
+    re, im = np.ones(powers.shape[1:]), np.zeros(powers.shape[1:])
+    for p_re, p_im, factor in zip(powers.real, powers.imag, exps[:, :, None] != 0):
+        a, b = re * p_re, im * p_im
+        c, d = re * p_im, im * p_re
+        np.subtract(a, b, out=re, where=factor)
+        np.add(c, d, out=im, where=factor)
     if not np.iscomplexobj(Z):
         return re
     V = re.astype(complex)
@@ -476,15 +483,19 @@ class MomentFunctional:
         return np.where(pos >= 0, values[pos], 0)
 
     def extended(self, codes, values) -> "MomentFunctional":
-        """A new functional that also knows the moments ``values`` of
-        ``codes``: known codes keep their values and, of a code given more
-        than once, the first value wins."""
+        """A functional that also knows the moments ``values`` of ``codes``:
+        known codes keep their values and, of a code given more than once,
+        the first value wins.  With no code new and no wider value type the
+        functional is ``self``, which it equals."""
         codes = np.asarray(codes, dtype=self.codes.dtype)
+        values = np.asarray(values)
         new = first_unknown(self, codes)
+        if not len(new) and np.result_type(self.values, values) == self.values.dtype:
+            return self
         return MomentFunctional(
             self.shape,
             np.concatenate([self.codes, codes[new]]),
-            np.concatenate([self.values, np.asarray(values)[new]]),
+            np.concatenate([self.values, values[new]]),
         )
 
 

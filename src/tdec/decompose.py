@@ -495,7 +495,7 @@ def decompose(T: Polynomial, opts: DecomposeOptions | None = None) -> Decomposit
             log.info("reduced %s -> %s (compression error %.2e)", full, target, err)
             reduced.update(multilinear_rank=ranks, target=target, compression_error=err)
 
-    rng = np.random.default_rng(opts.seed)
+    rng = None  # the frames' generator, made when frame 1 is drawn
     cats = Catalecticants(build_moment_functional(base), opts.tol_rank)
     flattening_rank = cats.flattening_rank()
     lower = max(1, flattening_rank)
@@ -515,6 +515,7 @@ def decompose(T: Polynomial, opts: DecomposeOptions | None = None) -> Decomposit
         if change == 0:
             work, mats = base, None
         else:
+            rng = rng or np.random.default_rng(opts.seed)
             mats = random_coordinate_change(base.shape, rng)
             work = substitute_linear(base, mats)
             cats = Catalecticants(build_moment_functional(work), opts.tol_rank)

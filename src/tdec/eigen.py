@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -93,6 +94,16 @@ def _norms(X: np.ndarray) -> np.ndarray:
     return np.sqrt(_dots(X.real, X.real) + _dots(X.imag, X.imag))
 
 
+@lru_cache(maxsize=16)
+def _mix(seed: int, n: int) -> np.ndarray:
+    """The random mix of ``joint_eigenvectors``: n draws of
+    ``default_rng(seed)`` from [-1, 1), read-only, made once per seed and
+    count."""
+    t = np.random.default_rng(seed).uniform(-1.0, 1.0, n)
+    t.setflags(write=False)
+    return t
+
+
 def joint_eigenvectors(
     B: MonomialBasis, tables: np.ndarray, seed: int = 0
 ) -> RootSet:
@@ -108,7 +119,7 @@ def joint_eigenvectors(
     n, r = len(mats), len(B)
     # one draw: the next frame, drawn with the next seed, retries an eigen
     # failure that depends on the mix
-    t = np.random.default_rng(seed).uniform(-1.0, 1.0, n)
+    t = _mix(seed, n)
     _, vecs = np.linalg.eig(sum(tv * M for tv, M in zip(t, mats)))
     defective = numerical_rank(vecs) < r
     # one eigenvector per row, scaled to 1 on the monomial 1 unless it has
@@ -119,16 +130,16 @@ def joint_eigenvectors(
     degenerate = bool(no_lead.any())
     E[~no_lead] = E[~no_lead] / lead[~no_lead, None]
 
-    eigenvalues = np.empty((n, r), dtype=complex)
-    eig_residual = 0.0
-    Ec, w_norms = E.conj(), _norms(E)
-    for lam_v, M in zip(eigenvalues, mats):
-        MW = np.matmul(M, E[:, :, None])[:, :, 0]  # the gemv M @ w per row
-        lam_v[:] = _dots(Ec, MW) / _dots(Ec, E)
-        res = _norms(MW - lam_v[:, None] * E) / np.maximum(
-            1.0, np.linalg.norm(M) * w_norms
-        )
-        eig_residual = np.maximum.reduce(res, initial=eig_residual)  # NaN kept
+    # MW[v, i] = M_v @ w_i, the gemv per variable and row; the Rayleigh
+    # quotients and residuals run over the n * r rows at once
+    MW = np.matmul(mats[:, None], E[None, :, :, None]).reshape(n * r, r)
+    Ec, Es = np.tile(E.conj(), (n, 1)), np.tile(E, (n, 1))
+    quotients = _dots(Ec, MW) / np.tile(_dots(Ec[:r], E), n)
+    eigenvalues = quotients.astype(complex).reshape(n, r)
+    # the norm of each table apart: a stacked norm rounds otherwise
+    sizes = np.outer([np.linalg.norm(M) for M in mats], _norms(E)).ravel()
+    res = _norms(MW - eigenvalues.reshape(-1, 1) * Es) / np.maximum(1.0, sizes)
+    eig_residual = np.maximum.reduce(res, initial=0.0)  # NaN kept
 
     # joint eigenvalue tuples must be pairwise distinct
     tuples = eigenvalues.T

@@ -119,10 +119,32 @@ def _reals(xs: list):
     return out
 
 
+def _pairs(coefs: list):
+    """The coefficients of a complex file that holds [re, im] pairs, as
+    ``_scan_terms`` reads them: complex when a pair is non-zero, else the
+    real parts; None when a coefficient is neither a number nor a pair
+    that ``_reals`` accepts."""
+    if not set(map(type, coefs)) <= {int, float, list}:
+        return None
+    is_pair = np.array([type(c) is list for c in coefs])
+    pairs = list(itertools.compress(coefs, is_pair))
+    if set(map(len, pairs)) != {2}:
+        return None
+    parts = _reals(list(itertools.chain.from_iterable(pairs)))
+    numbers = _reals(list(itertools.compress(coefs, ~is_pair)))
+    if parts is None or numbers is None:
+        return None
+    # a number's imaginary part is +0.0, and complex(re, im) keeps the sign
+    # of both parts
+    values = np.zeros(len(coefs), dtype=complex)
+    values.real[~is_pair] = numbers
+    values[is_pair] = parts.view(complex)
+    return values if (values[is_pair] != 0).any() else values.real
+
+
 def _read_terms(terms: list, shape: Shape, fld):
-    """The exponent matrix and the float coefficients from one bulk pass
-    over a file's terms; None when any term fails a check of ``_scan_terms``
-    or any coefficient is an [re, im] pair."""
+    """The exponent matrix and the coefficients from one bulk pass over a
+    file's terms; None when any term fails a check of ``_scan_terms``."""
     if fld not in ("real", "complex"):
         return None
     try:
@@ -151,6 +173,8 @@ def _read_terms(terms: list, shape: Shape, fld):
             and (np.add.reduceat(exps, starts, axis=1) <= shape.degrees).all()):
         return None
     values = _reals(coefs)
+    if values is None and fld == "complex":
+        values = _pairs(coefs)
     return None if values is None else (exps, values)
 
 
@@ -211,11 +235,12 @@ class TensorFile:
 
     @staticmethod
     def from_obj(obj: dict) -> "TensorFile":
-        """The tensor of a file object.  A file of plain-number coefficients
-        is checked in one bulk pass; any other ([re, im] pairs or a fault)
-        is scanned term by term in file order (exponents, then coefficient),
-        which names the first faulty term.  A repeated monomial is reported
-        at its second occurrence once every term has passed those checks."""
+        """The tensor of a file object.  A well-formed file (plain numbers,
+        and [re, im] pairs in a complex file) is checked in one bulk pass;
+        one with a fault is scanned term by term in file order (exponents,
+        then coefficient), which names the first faulty term.  A repeated
+        monomial is reported at its second occurrence once every term has
+        passed those checks."""
         shape, terms = _file_fields(obj, "tensor")
         fld = obj.get("field", "real")
         exps, values = (_read_terms(terms, shape, fld)

@@ -15,7 +15,10 @@ A monomial sequence here (a basis, a degree-bounded pool, B+ and the
 border) is an int64 exponent matrix, one row per monomial and one column
 per variable in canonical order.  ``MonomialBasis`` adds the rows' codes,
 checks that the basis lists 1 first, has no duplicate and is connected to 1
-on those codes, and builds its B+ (``plus``) and border once.
+on those codes, and builds its B+ (``plus``), border and names once.  The
+selection hands out one interned basis per format and exponent rows
+(``_interned_basis``), so a basis that later calls select again is not
+checked or built again.
 ``Shape.monomials`` turns rows into ``Monomial`` objects for names and
 files.
 
@@ -32,7 +35,8 @@ block of a basis pair is invertible; the later stages take it as given.
 from __future__ import annotations
 
 import itertools
-from collections import namedtuple
+import threading
+from collections import OrderedDict, namedtuple
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 
@@ -54,16 +58,20 @@ MAX_COND = 1e10
 class MonomialBasis:
     """Ordered monomials as exponent rows (variables in canonical order)
     with their codes; lists 1 first, duplicate-free and connected to 1.
+    ``exps`` (a copy of the rows given) and ``codes`` are read-only.
     ``plus`` (B+ = B union x*B over every variable) and ``border``
-    (B+ minus B) are exponent rows in canonical order, built once."""
+    (B+ minus B) are read-only exponent rows in canonical order, built
+    once, like the names."""
 
     shape: Shape
     exps: np.ndarray
     codes: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        exps = np.asarray(self.exps, dtype=np.int64)
+        exps = np.array(self.exps, dtype=np.int64)
         codes = self.shape.codes(exps)
+        for a in (exps, codes):
+            a.setflags(write=False)
         object.__setattr__(self, "exps", exps)
         object.__setattr__(self, "codes", codes)
         seen = set(codes.tolist())
@@ -81,7 +89,12 @@ class MonomialBasis:
         return len(self.codes)
 
     def names(self) -> list[str]:
-        return [str(m) for m in self.shape.monomials(self.exps)]
+        """The monomials as text (``str(Monomial)``), a fresh list."""
+        return list(self._names)
+
+    @cached_property
+    def _names(self) -> tuple[str, ...]:
+        return tuple(str(m) for m in self.shape.monomials(self.exps))
 
     @cached_property
     def plus(self) -> np.ndarray:
@@ -102,6 +115,31 @@ class MonomialBasis:
         border = self.plus[np.array(keep, dtype=bool)]
         border.flags.writeable = False
         return border
+
+
+# the bases handed out, each under its format and exponent rows; the least
+# recently used goes first.  The lock makes each lookup and update one step
+# for threads that share the cache.
+_BASIS_CACHE_SIZE = 128
+_bases: OrderedDict = OrderedDict()
+_bases_lock = threading.Lock()
+
+
+def _interned_basis(shape: Shape, exps: np.ndarray) -> MonomialBasis:
+    """The one ``MonomialBasis`` of these exponent rows in ``shape`` kept in
+    a bounded cache, so that its checks, B+, border and names are computed
+    once however often the basis is selected."""
+    exps = np.ascontiguousarray(exps, dtype=np.int64)
+    key = (shape, exps.tobytes())
+    with _bases_lock:
+        basis = _bases.get(key)
+        if basis is None:
+            basis = _bases[key] = MonomialBasis(shape, exps)
+            if len(_bases) > _BASIS_CACHE_SIZE:
+                _bases.popitem(last=False)
+        else:
+            _bases.move_to_end(key)
+    return basis
 
 
 def _parent_codes(shape: Shape, exps: np.ndarray, codes: np.ndarray) -> list:
@@ -268,7 +306,8 @@ def select_bases_candidates(cats: Catalecticants, r: int):
     stays inside the known range; within a pool the staircase grows greedily
     in canonical order.  An r x r block of rank r at ``tol_rank`` has
     condition number below 1 / ``tol_rank``, so MAX_COND only refuses a pair
-    when ``tol_rank`` < 1 / MAX_COND = 1e-10.
+    when ``tol_rank`` < 1 / MAX_COND = 1e-10.  Equal rows yield the same
+    interned basis (``_interned_basis``).
     """
     if r < 1:
         raise ValueError("r must be positive")
@@ -291,4 +330,5 @@ def select_bases_candidates(cats: Catalecticants, r: int):
         s = np.linalg.svd(A[np.ix_(row_sel, col_sel)], compute_uv=False)
         if np.sum(s > tol_rank * s[0]) < r or s[0] / s[-1] > MAX_COND:
             continue
-        yield MonomialBasis(shape, cols[col_sel]), MonomialBasis(shape, rows[row_sel])
+        yield (_interned_basis(shape, cols[col_sel]),
+               _interned_basis(shape, rows[row_sel]))

@@ -258,6 +258,26 @@ def monomial_value(zeta: Point, m: Monomial) -> complex:
     return val
 
 
+def evaluate_loop(shape: Shape, points, exps: np.ndarray) -> np.ndarray:
+    """The per-variable loop that ``evaluate`` stacked: the rows with a
+    non-zero exponent of x_v are gathered, multiplied by z_v ** e by the
+    re/im product rule and scattered back.  The reference for its bits."""
+    Z = np.array([[x for c in p.coords for x in c] for p in points])
+    Z = Z.astype(np.result_type(Z, float)).reshape(len(points), sum(shape.dims))
+    re, im = np.ones((len(exps), len(points))), np.zeros((len(exps), len(points)))
+    for v in range(Z.shape[1]):
+        rows = np.flatnonzero(exps[:, v])
+        power = Z[None, :, v] ** exps[rows, v][:, None]
+        a, b = re[rows], im[rows]
+        re[rows] = a * power.real - b * power.imag
+        im[rows] = a * power.imag + b * power.real
+    if not np.iscomplexobj(Z):
+        return re
+    V = re.astype(complex)
+    V.imag = im
+    return V
+
+
 def evaluation_functional(zeta: Point, shape: Shape, domain) -> MomentFunctional:
     """The evaluation form 1_zeta: m -> m(zeta), on the given domain."""
     if tuple(len(c) for c in zeta.coords) != shape.dims:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import golden_data as gd
 from conftest import (
+    evaluate_loop,
     evaluation_functional,
     functional,
     moment,
@@ -214,6 +215,48 @@ class TestEvaluate:
             assert V.tobytes() == want.tobytes()
         else:
             np.testing.assert_allclose(V, want, rtol=1e-14)
+
+    @pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
+    def test_bit_equal_to_loop(self, cplx):
+        # zero coordinates of either sign and exponent-0 rows are where a
+        # product by z ** 0 = 1 + 0j could move the sign of a zero part
+        rng = np.random.default_rng(5)
+        zeros = [0.0, -0.0]
+        for dims, degrees, n_pts in [
+            ((2, 3), (3, 2), 4), ((1,), (6,), 9), ((3, 3, 5), (1, 1, 1), 7),
+            ((2, 2), (2, 2), 1), ((4,), (4,), 0),
+        ]:
+            shape = Shape(dims=dims, degrees=degrees)
+            n = sum(dims)
+            Z = rng.normal(size=(n_pts, n))
+            if cplx:
+                Z = Z + 1j * rng.normal(size=(n_pts, n))
+                Z.real[rng.random(Z.shape) < 0.3] = rng.choice(zeros)
+            Z[rng.random(Z.shape) < 0.3] = rng.choice(zeros)
+            ends = np.cumsum(dims).tolist()
+            spans = list(zip([0, *ends[:-1]], ends))
+            pts = [Point(tuple(tuple(z[a:b].tolist()) for a, b in spans)) for z in Z]
+            exps = shape.table.exps
+            got = evaluate(shape, pts, exps)
+            want = evaluate_loop(shape, pts, exps)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+            # rows in any order, repeated, and the monomial 1 alone
+            rows = rng.permutation(np.concatenate([np.arange(len(exps)), [0, 0]]))
+            assert (evaluate(shape, pts, exps[rows]).tobytes()
+                    == evaluate_loop(shape, pts, exps[rows]).tobytes())
+            assert (evaluate(shape, pts, exps[:1]).tobytes()
+                    == evaluate_loop(shape, pts, exps[:1]).tobytes())
+
+    def test_zero_parts_keep_their_sign(self):
+        # a1*a2 at (0, -1 - 0j, 0) is 0 - 0j; a product by a3 ** 0 = 1 + 0j
+        # would add 0 * 0.0 to the imaginary part and make it +0.0
+        shape = Shape(dims=(3,), degrees=(3,))
+        pts = [Point(((0j, complex(-1.0, -0.0), 0j),))]
+        exps = np.array([[1, 1, 0], [2, 1, 0]])
+        got = evaluate(shape, pts, exps)
+        assert got.tobytes() == evaluate_loop(shape, pts, exps).tobytes()
+        assert np.signbit(got.imag).all() and not np.signbit(got.real).any()
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatchError):

@@ -18,7 +18,7 @@ from conftest import (
     near_collinear_tensor,
     term_at_infinity_tensor,
 )
-from tdec.algebra import Monomial
+from tdec.algebra import Monomial, Shape
 from tdec.cli import build_parser, main
 from tdec.files import (
     DecompositionFile,
@@ -28,6 +28,7 @@ from tdec.files import (
     _fields,
     _file_fields,
     _num_in,
+    _read_terms,
     dumps,
     load_decomposition,
     load_tensor,
@@ -378,10 +379,40 @@ class TestReaderProperty:
         got = read_outcome(TensorFile.from_obj, obj)
         assert got == read_outcome(from_obj_reference, obj)
 
+    @pytest.mark.parametrize("fld, coefs, ok", [
+        ("complex", [[1, -0.0], [-0.0, 2.5], 3, -0.0, [0, 0], 2**63], True),
+        ("complex", [[0, 0], [-0.0, 0.0], 1.5, -0.0, [0.0, -0.0]], True),
+        ("complex", [[2**70, -1], [-(2**70), 2**1023 - 1]], True),
+        ("complex", [[1, 2], [1, True]], False),
+        ("complex", [[1, 2], [1, 2, 3]], False),
+        ("complex", [[1, 2], [1]], False),
+        ("complex", [[1, 2], [1, math.nan]], False),
+        ("complex", [[1, 2], [1, 2**1023]], False),
+        ("complex", [[1, 2], "1"], False),
+        ("real", [1.0, [1, 2]], False),
+    ])
+    def test_pairs_match_the_per_term_reader(self, fld, coefs, ok):
+        # [re, im] pairs read in the bulk pass: the same bits, signed zeros
+        # included, and the same dtype, or the fault of the same term
+        shape = Shape((2,), (3,))
+        exps = shape.table.exps[: len(coefs)].tolist()
+        obj = {"dims": [2], "degrees": [3], "field": fld,
+               "terms": [{"exp": [e], "coef": c} for e, c in zip(exps, coefs)]}
+        got = read_outcome(TensorFile.from_obj, obj)
+        assert (got[0] != "error") == ok
+        assert got == read_outcome(from_obj_reference, obj)
+        if ok:
+            values = _read_terms(obj["terms"], shape, fld)[1]
+            want = np.array([complex(*c) if isinstance(c, list) else float(c)
+                             for c in coefs])
+            if not (want.imag != 0).any():
+                want = want.real
+            assert values.tobytes() == want.tobytes()
+
     def test_well_formed_files_skip_the_term_scan(self, monkeypatch):
-        # the term scan names a fault and reads [re, im] pairs: example1,
-        # example2 and the benchmark's flat-large formats read in the bulk
-        # pass alone, a complex file in the term scan alone
+        # the term scan names a fault: example1, example2, the benchmark's
+        # flat-large formats and a complex file of [re, im] pairs read in
+        # the bulk pass alone
         objs = [json.loads((FIXTURES / f"{name}.json").read_text())
                 for name in ("example1", "example2")]
         for dims, rank in [((4, 4, 6), 6), ((4, 4, 7), 7), ((4, 4, 8), 8),
@@ -400,7 +431,7 @@ class TestReaderProperty:
             assert got == read_outcome(from_obj_reference, obj)
         assert calls == {"_scan_terms": 0}
         got = read_outcome(TensorFile.from_obj, pairs)
-        assert calls == {"_scan_terms": 1}
+        assert calls == {"_scan_terms": 0}
         assert got[:2] == ("complex", np.dtype(complex).str)
         assert got == read_outcome(from_obj_reference, pairs)
 

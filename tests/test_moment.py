@@ -2,6 +2,7 @@ import importlib
 import itertools
 import math
 import time
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -57,6 +58,7 @@ from tdec.decompose import (
 )
 
 moment_module = importlib.import_module("tdec.moment")
+extension_module = importlib.import_module("tdec.extension")
 
 
 class TestBuildMomentFunctional:
@@ -504,6 +506,21 @@ class TestMomentStore:
         with pytest.raises(AttributeError):
             lam.values = np.zeros(3)
 
+    def test_extended_with_nothing_new_is_the_functional(self):
+        shape = Shape(dims=(2,), degrees=(1,))
+        lam = MomentFunctional(shape, [3, 0, 1], [30.0, 0.0, 10.0])
+        for codes, values in (([1, 3, 1], [5.0, 6.0, 7.0]), ([], [])):
+            same = lam.extended(codes, values)
+            assert same is lam
+            assert same.codes.tolist() == [0, 1, 3]
+            assert same.values.tolist() == [0.0, 10.0, 30.0]
+        # complex values for known codes widen the value type, as a new
+        # functional would: that one is built
+        wide = lam.extended([1], [2j])
+        assert wide is not lam and wide.values.dtype == complex
+        assert wide.codes.tolist() == [0, 1, 3]
+        assert wide.values.tolist() == [0.0, 10.0, 30.0]
+
     def test_extended_to_complex_values(self):
         shape = Shape(dims=(1,), degrees=(2,))
         lam = MomentFunctional(shape, [0], [1.0])
@@ -658,6 +675,49 @@ class TestSelectBases:
             assert shared and shared == fresh
         assert cats.splits[0].codes.shape == (1, 27)
         assert min(cats.splits[1].codes.shape) > cats.ranks[1] == 1 < r == 2
+
+    def test_equal_rows_give_one_read_only_basis(self, tensor2, monkeypatch):
+        monkeypatch.setattr(moment_module, "_bases", OrderedDict())
+        lam = build_moment_functional(tensor2)
+        r = Catalecticants(lam).flattening_rank()
+        first = list(select_bases_candidates(Catalecticants(lam), r))
+        again = list(select_bases_candidates(Catalecticants(lam), r))
+        assert len(first) > 1
+        for (B, Bp), (B2, Bp2) in zip(first, again, strict=True):
+            assert B is B2 and Bp is Bp2
+            for a in (B.exps, B.codes, B.plus, B.border):
+                assert not a.flags.writeable
+            names = B.names()
+            names.append("x")
+            assert B.names() == names[:-1]  # a fresh list each time
+        # a basis built from the caller's rows copies them
+        rows = first[0][0].exps.copy()
+        assert MonomialBasis(tensor2.shape, rows) is not first[0][0]
+        assert rows.flags.writeable
+
+    def test_bases_are_built_once_over_decompose_calls(self, tensor2, monkeypatch):
+        # the checks, B+, border and names of a basis run once however often
+        # the selection yields it
+        monkeypatch.setattr(moment_module, "_bases", OrderedDict())
+        monkeypatch.setattr(extension_module, "_plans", OrderedDict())
+        built = dict.fromkeys(("check", "plus", "border", "_names"), 0)
+
+        def counted(name, fn):
+            def wrapper(self, *a, **k):
+                built[name] += 1
+                return fn(self, *a, **k)
+            return wrapper
+
+        monkeypatch.setattr(MonomialBasis, "__post_init__",
+                            counted("check", MonomialBasis.__post_init__))
+        for name in ("plus", "border", "_names"):
+            prop = MonomialBasis.__dict__[name]
+            monkeypatch.setattr(prop, "func", counted(name, prop.func))
+        dec = decompose(tensor2)
+        assert all(built.values()), built
+        built.update(dict.fromkeys(built, 0))
+        assert repr(decompose(tensor2)) == repr(dec)
+        assert built == dict.fromkeys(built, 0)
 
     def test_demo_rank4(self, tensor1, shape1):
         lam = build_moment_functional(tensor1)

@@ -73,7 +73,7 @@ quaternary quartic r7  10/10 recovered; refused none; complex 0
 """
 
 
-def run_script(name, *args):
+def run_script(name, *args, returncode=0):
     env = dict(os.environ)
     env.pop("TDEC_LOG", None)
     src = str(Path(tdec.__file__).resolve().parents[1])
@@ -84,8 +84,14 @@ def run_script(name, *args):
         [sys.executable, str(SCRIPTS / name), *args],
         env=env, capture_output=True, text=True, timeout=300,
     )
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == returncode, proc.stderr
     return proc.stdout
+
+
+@pytest.fixture(scope="module")
+def sameness_at_seed_31():
+    """The output of `scripts/sameness.py --seed 31`."""
+    return run_script("sameness.py", "--seed", "31")
 
 
 def test_run_demo_instances():
@@ -94,13 +100,36 @@ def test_run_demo_instances():
     assert "rank 6, residual" in out
 
 
-def test_sameness_outcomes_at_seed_31():
+def test_sameness_outcomes_at_seed_31(sameness_at_seed_31):
     # one line per workload: name, seed, bit digest, outcome digest, and on
     # flat-large the CLI digest
-    lines = [line.split() for line in run_script("sameness.py", "--seed", "31")
-             .splitlines()]
+    lines = [line.split() for line in sameness_at_seed_31.splitlines()]
     assert {line[0]: line[3] for line in lines} == OUTCOMES_AT_SEED_31
     assert all(line[1] == "31" for line in lines)
+
+
+def test_sameness_check_names_each_differing_digest(sameness_at_seed_31, tmp_path):
+    saved = tmp_path / "saved.txt"
+    saved.write_text(sameness_at_seed_31)
+    out = run_script("sameness.py", "--check", str(saved))
+    assert out == sameness_at_seed_31
+    # one flipped hex digit in the small-mixed bit digest and one in the
+    # flat-large CLI digest
+    lines = [line.split() for line in sameness_at_seed_31.splitlines()]
+    tampered = {"small-mixed": 2, "flat-large": 4}
+    for fields in lines:
+        if fields[0] in tampered:
+            k = tampered[fields[0]]
+            fields[k] = ("0" if fields[k][0] != "0" else "1") + fields[k][1:]
+    changed = tmp_path / "tampered.txt"
+    changed.write_text("".join(" ".join(f) + "\n" for f in lines))
+    out = run_script("sameness.py", "--check", str(changed), returncode=1)
+    differs = [line.split(",")[0] for line in out.splitlines()
+               if line.startswith("differs:")]
+    assert differs == ["differs: flat-large 31 cli digest",
+                       "differs: small-mixed 31 bit digest"]
+    assert [line for line in out.splitlines()
+            if not line.startswith("differs:")] == sameness_at_seed_31.splitlines()
 
 
 def test_integer_sweep_outcomes():
