@@ -1,6 +1,8 @@
 import importlib
 import itertools
 import math
+import sys
+import threading
 import time
 from collections import OrderedDict
 
@@ -39,6 +41,7 @@ from tdec.moment import (
     Catalecticants,
     MonomialBasis,
     _greedy_staircase,
+    _interned_basis,
     build_moment_functional,
     degree_splits,
     enumerate_monomials,
@@ -718,6 +721,51 @@ class TestSelectBases:
         built.update(dict.fromkeys(built, 0))
         assert repr(decompose(tensor2)) == repr(dec)
         assert built == dict.fromkeys(built, 0)
+
+    def test_basis_cache_stays_within_its_bound(self, monkeypatch):
+        monkeypatch.setattr(moment_module, "_bases", OrderedDict())
+        monkeypatch.setattr(moment_module, "_BASIS_CACHE_SIZE", 4)
+        shape = Shape(dims=(8,), degrees=(1,))
+        names = ["1"] + [f"a{j + 1}" for j in range(8)]
+        rows = [rows_of(shape, names[:i]) for i in range(1, 10)]
+        bases = [_interned_basis(shape, e) for e in rows]
+        # the least recently used went first
+        assert list(moment_module._bases.values()) == bases[-4:]
+        assert _interned_basis(shape, rows[-1]) is bases[-1]
+        assert _interned_basis(shape, rows[0]) is not bases[0]
+
+    def test_threads_share_the_basis_cache(self, monkeypatch):
+        # more threads than cores, each asking for more bases than a cache
+        # of two holds, so that lookups, insertions and evictions interleave
+        monkeypatch.setattr(moment_module, "_bases", OrderedDict())
+        monkeypatch.setattr(moment_module, "_BASIS_CACHE_SIZE", 2)
+        shape = Shape(dims=(3, 3), degrees=(1, 1))
+        names = [["1", "a1"][:i] + ["b1", "b2"][:j] for i in (1, 2) for j in range(3)]
+        rows = [rows_of(shape, n) for n in names]
+        errors = []
+
+        def work():
+            try:
+                for _ in range(30):
+                    for n, e in zip(names, rows):
+                        B = _interned_basis(shape, e)
+                        assert B.names() == n and len(B.border) == len(B.plus) - len(B)
+            except Exception as exc:
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors, errors[0]
+        assert len(moment_module._bases) == 2
 
     def test_demo_rank4(self, tensor1, shape1):
         lam = build_moment_functional(tensor1)
